@@ -135,6 +135,9 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := k.eval.RotateLeft(deg2, 1); !errors.Is(err, heax.ErrDegreeMismatch) {
 		t.Fatalf("Rotate degree-2: got %v, want ErrDegreeMismatch", err)
 	}
+	if _, err := k.eval.RotateHoisted(deg2, []int{1, 2}); !errors.Is(err, heax.ErrDegreeMismatch) {
+		t.Fatalf("RotateHoisted degree-2: got %v, want ErrDegreeMismatch", err)
+	}
 
 	// Level violations.
 	bottom, err := k.eval.DropLevel(x, 0)
@@ -314,10 +317,10 @@ func TestIntoAllocations(t *testing.T) {
 	}
 }
 
-// TestShallowCopyConcurrent exercises the per-goroutine fan-out idiom
-// under the race detector: one evaluator per goroutine, shared keys and
-// parameters, all hammering the fused hot path.
-func TestShallowCopyConcurrent(t *testing.T) {
+// TestSharedEvaluatorConcurrent hammers one shared Evaluator from four
+// goroutines under the race detector: shared keys, parameters and
+// pooled per-call state, all on the fused hot path.
+func TestSharedEvaluatorConcurrent(t *testing.T) {
 	k := newAPIKit(t)
 	x := k.encrypt(t, []float64{1, 2, 3})
 	y := k.encrypt(t, []float64{4, 5, 6})
@@ -333,14 +336,13 @@ func TestShallowCopyConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ev := k.eval.ShallowCopy()
 			out, err := heax.NewCiphertext(k.params, 1, k.params.MaxLevel(), 0)
 			if err != nil {
 				errs[g] = err
 				return
 			}
 			for i := 0; i < 8; i++ {
-				if err := ev.MulRelinInto(x, y, out); err != nil {
+				if err := k.eval.MulRelinInto(x, y, out); err != nil {
 					errs[g] = err
 					return
 				}
@@ -360,7 +362,7 @@ func TestShallowCopyConcurrent(t *testing.T) {
 }
 
 // TestEvaluatorOptions checks that worker caps do not change results and
-// that a pre-warmed scratch pool behaves identically.
+// stay scoped to the evaluator they were set on.
 func TestEvaluatorOptions(t *testing.T) {
 	k := newAPIKit(t)
 	x := k.encrypt(t, []float64{0.25, -1.5})
@@ -370,7 +372,7 @@ func TestEvaluatorOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serial := heax.NewEvaluator(k.params, k.evk, heax.WithWorkers(1), heax.WithScratchPool(4))
+	serial := heax.NewEvaluator(k.params, k.evk, heax.WithWorkers(1))
 	got, err := serial.MulRelin(x, y)
 	if err != nil {
 		t.Fatal(err)
@@ -379,13 +381,9 @@ func TestEvaluatorOptions(t *testing.T) {
 		t.Fatal("WithWorkers(1) evaluator diverged from default")
 	}
 	// The cap is scoped to the evaluator it was set on: neither other
-	// evaluators on the same Params nor fresh ones see it, and
-	// ShallowCopy inherits it.
+	// evaluators on the same Params nor fresh ones see it.
 	if w := serial.Workers(); w != 1 {
 		t.Fatalf("serial evaluator cap = %d, want 1", w)
-	}
-	if w := serial.ShallowCopy().Workers(); w != 1 {
-		t.Fatalf("ShallowCopy cap = %d, want 1", w)
 	}
 	if w := k.eval.Workers(); w != runtime.GOMAXPROCS(0) {
 		t.Fatalf("shared evaluator cap leaked: %d, want %d", w, runtime.GOMAXPROCS(0))

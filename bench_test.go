@@ -434,11 +434,10 @@ func BenchmarkAblation_CPUThreads(b *testing.B) {
 	}
 }
 
-// --- Public API: *Into hot path and Session submission ---------------------
+// --- Public API: *Into hot path ------------------------------------------
 // The serving-shape benchmarks of the public surface: the in-place
-// operation variants (whose allocs/op column is the zero-steady-state-
-// allocation gate) and Session.Submit batch throughput vs direct
-// evaluator calls on the same workload.
+// operation variants, whose allocs/op column is the zero-steady-state-
+// allocation gate.
 
 type apiBenchKit struct {
 	params *heax.Params
@@ -486,7 +485,7 @@ func getAPIBenchKit(b *testing.B, spec heax.ParamSpec) *apiBenchKit {
 	}
 	k := &apiBenchKit{
 		params: params,
-		eval:   heax.NewEvaluator(params, evk, heax.WithScratchPool(8)),
+		eval:   heax.NewEvaluator(params, evk),
 		x:      encrypt(10),
 		y:      encrypt(11),
 	}
@@ -563,47 +562,6 @@ func BenchmarkAPI_RotateInto(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := k.eval.RotateInto(k.x, 1, out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSession_SubmitMulRelin measures batch submission throughput:
-// MulRelin operations enqueued through Session.Submit, resolving out of
-// order on the worker-pool scheduler, flushed in windows like a serving
-// loop would.
-func BenchmarkSession_SubmitMulRelin(b *testing.B) {
-	for _, spec := range heax.StandardSets {
-		b.Run(spec.Name, func(b *testing.B) {
-			k := getAPIBenchKit(b, spec)
-			sess := heax.NewSession(k.eval)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sess.Submit(heax.MulRelinOp(heax.Arg(k.x), heax.Arg(k.y)))
-				if i%64 == 63 {
-					if err := sess.Flush(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			if err := sess.Flush(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkSession_DirectMulRelin is the comparison baseline: the same
-// workload as synchronous evaluator calls on one goroutine.
-func BenchmarkSession_DirectMulRelin(b *testing.B) {
-	for _, spec := range heax.StandardSets {
-		b.Run(spec.Name, func(b *testing.B) {
-			k := getAPIBenchKit(b, spec)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := k.eval.MulRelin(k.x, k.y); err != nil {
 					b.Fatal(err)
 				}
 			}

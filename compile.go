@@ -155,8 +155,9 @@ func WithoutHoisting() CompileOption {
 }
 
 // WithPlanInFlight bounds how many plan steps may execute concurrently
-// across all Run/RunBatch calls on the compiled plan — the analogue of
-// Session's WithMaxInFlight. Defaults to 2×GOMAXPROCS.
+// across all Run/RunBatch calls on the compiled plan — the software
+// analogue of the paper's bounded device buffers (double buffering for
+// MULT, f1-deep for KeySwitch). Defaults to 2×GOMAXPROCS.
 func WithPlanInFlight(n int) CompileOption {
 	return func(cfg *compileConfig) {
 		if n < 1 {

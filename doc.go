@@ -13,8 +13,7 @@
 //	prod, err := eval.MulRelin(ctX, ctY) // relinearization key is bound
 //	rot, err := eval.RotateLeft(ctX, 1)  // Galois keys are bound
 //
-// Evaluators are safe for concurrent use; ShallowCopy gives each
-// goroutine its own per-call state while sharing all read-only tables.
+// Evaluators are safe for concurrent use: share one across goroutines.
 //
 // # In-place operation variants
 //
@@ -24,21 +23,8 @@
 // loop that cycles over a fixed set of NewCiphertext outputs runs at
 // zero steady-state allocations — the software analogue of the HEAX
 // device memory map, where results stay in preallocated buffers. The
-// allocating forms remain as thin wrappers.
-//
-// # Batch/async submission
-//
-// A Session mirrors the paper's host runtime (Section 5.2, Figure 7):
-// applications enqueue operations, a bounded number execute concurrently
-// on the worker-pool scheduler, and futures resolve out of order while
-// dependency edges — the output of one submitted operation feeding
-// another — are honored automatically:
-//
-//	sess := heax.NewSession(eval)
-//	f1 := sess.Submit(heax.MulRelinOp(heax.Arg(ctX), heax.Arg(ctY)))
-//	f2 := sess.Submit(heax.RescaleOp(f1)) // runs when f1 resolves
-//	ct, err := f2.Wait()
-//	err = sess.Flush() // drain everything in flight
+// allocating forms are thin wrappers that hand the same kernels a fresh
+// output.
 //
 // # Compiled circuits: build, compile, run
 //
@@ -59,8 +45,8 @@
 //
 // Plan.RunBatch streams many input sets through the worker pool — the
 // paper's compile-once, stream-many host model (Section 5.2) — and the
-// Context variants (RunContext, RunBatchContext, SubmitContext) abort
-// cleanly mid-flight when a serving front end drops a request.
+// Context variants (RunContext, RunBatchContext) abort cleanly
+// mid-flight when a serving front end drops a request.
 //
 // # Serving over the wire
 //

@@ -50,4 +50,8 @@ var (
 	// ErrInputMissing: a Run call did not bind every input the compiled
 	// circuit declares.
 	ErrInputMissing = errors.New("heax: plan input missing")
+	// ErrDependency marks a plan step that never ran because the step
+	// producing one of its inputs failed; the cause is joined into the
+	// error chain, so errors.Is also matches the root sentinel.
+	ErrDependency = errors.New("dependent operation failed")
 )

@@ -33,34 +33,15 @@ type EvaluatorOption func(*Evaluator)
 // evaluator's operations (defaults to GOMAXPROCS; 1 forces serial
 // execution). The cap is scoped to this evaluator — it rides on a
 // private view of the parameter set's ring context, so other
-// evaluators built on the same Params keep their own caps. ShallowCopy
-// preserves it.
+// evaluators built on the same Params keep their own caps.
 func WithWorkers(n int) EvaluatorOption {
 	return func(e *Evaluator) { e.inner.SetWorkers(n) }
-}
-
-// WithScratchPool pre-warms the ring context's polynomial buffer pool
-// with n full-basis polynomials, so even the first operations after
-// construction draw scratch from the pool instead of allocating.
-func WithScratchPool(n int) EvaluatorOption {
-	return func(e *Evaluator) {
-		ctx := e.params.RingQP
-		polys := make([]*Poly, 0, n)
-		for i := 0; i < n; i++ {
-			polys = append(polys, ctx.NewPoly(ctx.K()))
-		}
-		for _, p := range polys {
-			ctx.PutPoly(p)
-		}
-	}
 }
 
 // Evaluator runs the server-side homomorphic operations — exactly the
 // set HEAX accelerates — against evaluation keys bound at construction.
 // It is safe for concurrent use: precomputed state is read-only after
-// construction and per-call state lives in pooled scratch. ShallowCopy
-// gives each goroutine an evaluator with its own per-call pools while
-// sharing all read-only tables.
+// construction and per-call state lives in pooled scratch.
 type Evaluator struct {
 	params *Params
 	keys   *EvaluationKeySet
@@ -79,13 +60,6 @@ func NewEvaluator(params *Params, evk *EvaluationKeySet, opts ...EvaluatorOption
 		opt(e)
 	}
 	return e
-}
-
-// ShallowCopy returns an evaluator sharing this one's parameters and
-// bound keys but owning fresh per-call state — one per goroutine is the
-// fan-out idiom, though a single Evaluator is itself safe to share.
-func (e *Evaluator) ShallowCopy() *Evaluator {
-	return &Evaluator{params: e.params, keys: e.keys, inner: e.inner.ShallowCopy()}
 }
 
 // Params returns the parameter set the evaluator is built on.

@@ -3,86 +3,13 @@ package ckks
 import (
 	"fmt"
 	"math"
-	"math/big"
 
 	"heax/internal/ring"
-	"heax/internal/uintmod"
 )
 
-// This file implements the evaluator extensions a production CKKS library
-// layers on the paper's primitives: squaring, scalar operations, hoisted
-// rotations (decompose once, rotate many — the optimization HEAX's
-// shared-NTT-module design invites), slot inner sums, linear transforms
-// by the diagonal method, and polynomial evaluation with automatic scale
-// management.
-
-// Negate returns -ct.
-func (ev *Evaluator) Negate(ct *Ciphertext) *Ciphertext {
-	out := CopyOf(ct)
-	for _, p := range out.Polys {
-		ev.ctx.Neg(p, p)
-	}
-	return out
-}
-
-// Square is Algorithm 5 specialised to ct0 == ct1: three dyadic passes
-// instead of four (c0², 2·c0⊙c1, c1²), the same specialisation the MULT
-// module applies when both operands share a BRAM bank.
-func (ev *Evaluator) Square(ct *Ciphertext) (*Ciphertext, error) {
-	if ct.Degree() != 1 {
-		return nil, fmt.Errorf("ckks: Square requires a degree-1 ciphertext (got %d)", ct.Degree())
-	}
-	ctx := ev.ctx
-	rows := ct.Level + 1
-	c0 := ctx.NewPoly(rows)
-	c1 := ctx.NewPoly(rows)
-	c2 := ctx.NewPoly(rows)
-	ctx.MulCoeffs(ct.Polys[0], ct.Polys[0], c0)
-	ctx.MulCoeffs(ct.Polys[0], ct.Polys[1], c1)
-	ctx.Add(c1, c1, c1)
-	ctx.MulCoeffs(ct.Polys[1], ct.Polys[1], c2)
-	return &Ciphertext{
-		Polys: []*ring.Poly{c0, c1, c2},
-		Scale: ct.Scale * ct.Scale,
-		Level: ct.Level,
-	}, nil
-}
-
-// AddConst adds the same real constant to every slot, without consuming a
-// level: the constant is scaled to the ciphertext's scale and added to
-// the constant coefficient... of the canonical embedding, which for a
-// real constant is simply the encoding of the constant vector.
-func (ev *Evaluator) AddConst(ct *Ciphertext, c float64, enc *Encoder) (*Ciphertext, error) {
-	vals := make([]float64, enc.Slots())
-	for i := range vals {
-		vals[i] = c
-	}
-	pt, err := enc.EncodeReal(vals, ct.Level, ct.Scale)
-	if err != nil {
-		return nil, err
-	}
-	return ev.AddPlain(ct, pt)
-}
-
-// MulConstInt multiplies every slot by a small integer constant without
-// consuming a level or changing the scale (exact scalar multiplication on
-// the RNS representation).
-func (ev *Evaluator) MulConstInt(ct *Ciphertext, c int64) *Ciphertext {
-	out := CopyOf(ct)
-	ctx := ev.ctx
-	for _, p := range out.Polys {
-		for i := range p.Coeffs {
-			pi := ctx.Basis.Primes[i]
-			v := ctx.Basis.ReduceInt64(c, i)
-			sh := uintmod.ShoupPrecomp(v, pi)
-			row := p.Coeffs[i]
-			for j := range row {
-				row[j] = uintmod.MulRed(row[j], v, sh, pi)
-			}
-		}
-	}
-	return out
-}
+// This file holds hoisted rotations (decompose once, rotate many — the
+// optimization HEAX's shared-NTT-module design invites) and the noise
+// and precision measurement utilities.
 
 // HoistedDecomposition caches the expensive half of Algorithm 7 — the
 // per-digit INTT and cross-modulus NTTs of c1 — so that many rotations of
@@ -97,39 +24,14 @@ type HoistedDecomposition struct {
 	digits []*ring.Poly
 }
 
-// DecomposeForKeySwitch performs lines 3-10 of Algorithm 7 for every
-// digit of c (NTT form) and caches the results. The per-digit INTTs and
-// the (digit, targetPrime) conversion tiles run on the same pipelined
-// tile scheduler as KeySwitchPoly (schedule.go): a digit's tiles are
-// dispatched as soon as its INTT completes, with no barrier between
-// digits.
-func (ev *Evaluator) DecomposeForKeySwitch(c *ring.Poly) *HoistedDecomposition {
-	ctx := ev.ctx
-	level := c.Level()
-	hd := &HoistedDecomposition{level: level, digits: make([]*ring.Poly, level+1)}
-	for i := 0; i <= level; i++ {
-		hd.digits[i] = ctx.NewPoly(level + 2) // cached in hd, not pooled
-	}
-	ev.decompose(c, hd, level)
-	return hd
-}
-
-// keySwitchHoisted runs the multiply-accumulate and flooring tail of
-// Algorithm 7 over a cached decomposition, optionally permuting each
-// digit with an NTT-domain automorphism table first. All tiles are
-// independent (the expensive transforms are already cached), so the
-// scheduler dispatches the full 2-D digit×prime grid at once. As with
-// keySwitchAdd, optional add operands are folded into the flooring row
-// pass (the rotation epilogue ks0 + permuted c0).
-func (ev *Evaluator) keySwitchHoisted(hd *HoistedDecomposition, swk *SwitchingKey, table []int, add0, add1 *ring.Poly) (*ring.Poly, *ring.Poly) {
-	out0, out1 := ev.ctx.NewPolyPair(hd.level + 1)
-	ev.keySwitchHoistedInto(hd, swk, table, add0, add1, out0, out1)
-	return out0, out1
-}
-
-// keySwitchHoistedInto is keySwitchHoisted landing in caller-provided
-// output polynomials — the zero-allocation back end behind
-// RotateHoistedInto.
+// keySwitchHoistedInto runs the multiply-accumulate and flooring tail of
+// Algorithm 7 over a cached decomposition into the caller-provided
+// output polynomials, optionally permuting each digit with an
+// NTT-domain automorphism table first. All tiles are independent (the
+// expensive transforms are already cached), so the scheduler dispatches
+// the full 2-D digit×prime grid at once. As with keySwitchAddInto,
+// optional add operands are folded into the flooring row pass (the
+// rotation epilogue ks0 + permuted c0).
 func (ev *Evaluator) keySwitchHoistedInto(hd *HoistedDecomposition, swk *SwitchingKey, table []int, add0, add1, out0, out1 *ring.Poly) {
 	ctx := ev.ctx
 	level := hd.level
@@ -144,38 +46,25 @@ func (ev *Evaluator) keySwitchHoistedInto(hd *HoistedDecomposition, swk *Switchi
 // RotateHoisted rotates one ciphertext by many steps, sharing a single
 // decomposition across all of them. The result map is keyed by step.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int, gks *GaloisKeySet) (map[int]*Ciphertext, error) {
-	if ct.Degree() != 1 {
-		return nil, fmt.Errorf("ckks: rotation requires a degree-1 ciphertext (got %d)", ct.Degree())
+	outs := make([]*Ciphertext, len(steps))
+	for i := range outs {
+		outs[i] = &Ciphertext{}
 	}
-	ctx := ev.ctx
-	rows := ct.Level + 1
-	hd := ev.DecomposeForKeySwitch(ct.Polys[1])
-	c0g := ctx.GetPolyNoZero(rows) // permuted c0 scratch, shared across steps
-	defer ctx.PutPoly(c0g)
+	if err := ev.RotateHoistedInto(ct, steps, gks, outs); err != nil {
+		return nil, err
+	}
 	out := make(map[int]*Ciphertext, len(steps))
-	for _, step := range steps {
-		key, err := ev.rotationKeyFor(gks, step)
-		if err != nil {
-			return nil, err
-		}
-		if key == nil { // the step normalizes to 0: identity
-			out[step] = CopyOf(ct)
-			continue
-		}
-		table := ctx.AutomorphismNTTTable(key.GaloisElt)
-		ctx.AutomorphismNTT(ct.Polys[0], table, c0g)
-		out0, out1 := ev.keySwitchHoisted(hd, &key.SwitchingKey, table, c0g, nil)
-		out[step] = &Ciphertext{Polys: []*ring.Poly{out0, out1}, Scale: ct.Scale, Level: ct.Level}
+	for i, step := range steps {
+		out[step] = outs[i]
 	}
 	return out, nil
 }
 
 // RotateHoistedInto rotates ct by each steps[i] into outs[i], sharing
-// one decomposition across all steps like RotateHoisted, with the
-// cached digits and every other intermediate drawn from pooled scratch
-// — the multi-rotation execution path compiled plans batch same-source
-// rotations onto. Outputs must be distinct and must not alias ct; a
-// step of 0 copies ct.
+// one decomposition across all steps, with the cached digits and every
+// other intermediate drawn from pooled scratch — the multi-rotation
+// execution path compiled plans batch same-source rotations onto.
+// Outputs must be distinct and must not alias ct; a step of 0 copies ct.
 func (ev *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, gks *GaloisKeySet, outs []*Ciphertext) error {
 	if len(steps) != len(outs) {
 		return fmt.Errorf("ckks: %d rotation steps for %d outputs", len(steps), len(outs))
@@ -220,241 +109,6 @@ func (ev *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, gks *GaloisK
 		ev.keySwitchHoistedInto(hd, &key.SwitchingKey, table, c0g, nil, outs[i].Polys[0], outs[i].Polys[1])
 	}
 	return nil
-}
-
-// InnerSum replaces every slot of ct with the sum of the n2 slots
-// starting at it (stride 1), computed with log2(n2) rotations. n2 must be
-// a power of two; the required Galois keys are steps n2/2, n2/4, ..., 1.
-func (ev *Evaluator) InnerSum(ct *Ciphertext, n2 int, gks *GaloisKeySet) (*Ciphertext, error) {
-	if n2 < 1 || n2&(n2-1) != 0 {
-		return nil, fmt.Errorf("ckks: InnerSum width %d must be a power of two", n2)
-	}
-	acc := CopyOf(ct)
-	for span := n2 >> 1; span >= 1; span >>= 1 {
-		rot, err := ev.RotateLeft(acc, span, gks)
-		if err != nil {
-			return nil, err
-		}
-		if acc, err = ev.Add(acc, rot); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// LinearTransform is a slot-space matrix prepared as plaintext diagonals
-// (the diagonal method): y[i] = Σ_d diag_d[i] · x[i+d mod dim].
-type LinearTransform struct {
-	Dim   int
-	Diags map[int]*Plaintext
-}
-
-// NewLinearTransform encodes the non-zero diagonals of matrix m (dim×dim)
-// at the given level and scale. The input ciphertext must hold the vector
-// replicated twice ([x | x | 0...]) so rotations wrap.
-func NewLinearTransform(enc *Encoder, m [][]float64, level int, scale float64) (*LinearTransform, error) {
-	dim := len(m)
-	lt := &LinearTransform{Dim: dim, Diags: make(map[int]*Plaintext)}
-	for d := 0; d < dim; d++ {
-		diag := make([]float64, dim)
-		zero := true
-		for i := 0; i < dim; i++ {
-			diag[i] = m[i][(i+d)%dim]
-			if diag[i] != 0 {
-				zero = false
-			}
-		}
-		if zero {
-			continue
-		}
-		pt, err := enc.EncodeReal(diag, level, scale)
-		if err != nil {
-			return nil, err
-		}
-		lt.Diags[d] = pt
-	}
-	return lt, nil
-}
-
-// Apply evaluates the transform with hoisted rotations: one decomposition
-// plus |Diags| dyadic stages.
-func (ev *Evaluator) Apply(lt *LinearTransform, ct *Ciphertext, gks *GaloisKeySet) (*Ciphertext, error) {
-	steps := make([]int, 0, len(lt.Diags))
-	for d := range lt.Diags {
-		if d != 0 {
-			steps = append(steps, d)
-		}
-	}
-	rots, err := ev.RotateHoisted(ct, steps, gks)
-	if err != nil {
-		return nil, err
-	}
-	rots[0] = ct
-	var acc *Ciphertext
-	for d, pt := range lt.Diags {
-		term, err := ev.MulPlain(rots[d], pt)
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			acc = term
-			continue
-		}
-		if acc, err = ev.Add(acc, term); err != nil {
-			return nil, err
-		}
-	}
-	if acc == nil {
-		return nil, fmt.Errorf("ckks: transform has no non-zero diagonals")
-	}
-	return acc, nil
-}
-
-// EvaluatePoly computes Σ coeffs[i]·ct^i by Horner's rule with automatic
-// scale management: each step multiplies, rescales, and encodes the next
-// coefficient at the running scale. It consumes deg(p) levels and returns
-// an error if the ciphertext has too few.
-func (ev *Evaluator) EvaluatePoly(ct *Ciphertext, coeffs []float64, rlk *RelinearizationKey, enc *Encoder) (*Ciphertext, error) {
-	deg := len(coeffs) - 1
-	if deg < 1 {
-		return nil, fmt.Errorf("ckks: polynomial must have degree >= 1")
-	}
-	if ct.Level < deg {
-		return nil, fmt.Errorf("ckks: degree-%d evaluation needs %d levels, ciphertext has %d", deg, deg, ct.Level)
-	}
-	slots := enc.Slots()
-	constVec := func(c float64) []float64 {
-		v := make([]float64, slots)
-		for i := range v {
-			v[i] = c
-		}
-		return v
-	}
-	// acc = coeffs[deg] · ct (+ coeffs[deg-1]) then iterate.
-	pt, err := enc.EncodeReal(constVec(coeffs[deg]), ct.Level, ct.Scale)
-	if err != nil {
-		return nil, err
-	}
-	// Encode the leading coefficient at the ciphertext's own scale so the
-	// product scale is ct.Scale², then rescale back near ct.Scale.
-	acc, err := ev.MulPlain(ct, pt)
-	if err != nil {
-		return nil, err
-	}
-	if acc, err = ev.Rescale(acc); err != nil {
-		return nil, err
-	}
-	for i := deg - 1; i >= 0; i-- {
-		cpt, err := enc.EncodeReal(constVec(coeffs[i]), acc.Level, acc.Scale)
-		if err != nil {
-			return nil, err
-		}
-		if acc, err = ev.AddPlain(acc, cpt); err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			break
-		}
-		x, err := ev.DropLevel(ct, acc.Level)
-		if err != nil {
-			return nil, err
-		}
-		if acc, err = ev.MulRelin(acc, x, rlk); err != nil {
-			return nil, err
-		}
-		if acc, err = ev.Rescale(acc); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// GenRotationKeysPow2 generates the logarithmic key set {±2^i} that
-// RotateAny composes arbitrary steps from — the standard space/time
-// tradeoff against one key per step.
-func (kg *KeyGenerator) GenRotationKeysPow2(sk *SecretKey) *GaloisKeySet {
-	slots := kg.params.Slots()
-	var steps []int
-	for s := 1; s < slots; s <<= 1 {
-		steps = append(steps, s, -s)
-	}
-	return kg.GenGaloisKeySet(sk, steps, false)
-}
-
-// RotateAny rotates by an arbitrary step using only power-of-two keys,
-// composing one rotation per set bit of the (normalized) step.
-func (ev *Evaluator) RotateAny(ct *Ciphertext, step int, gks *GaloisKeySet) (*Ciphertext, error) {
-	slots := ev.params.Slots()
-	step = ((step % slots) + slots) % slots
-	if step == 0 {
-		return CopyOf(ct), nil
-	}
-	out := ct
-	for bit := 0; 1<<bit <= step; bit++ {
-		if step&(1<<bit) == 0 {
-			continue
-		}
-		var err error
-		out, err = ev.RotateLeft(out, 1<<bit, gks)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// EncodeCoeffs packs real values directly into polynomial coefficients
-// (no canonical embedding): coefficient j becomes round(values[j]·scale).
-// Homomorphic multiplication then computes negacyclic convolution of the
-// value vectors instead of slot-wise products — the encoding integer/
-// signal-processing workloads use.
-func (e *Encoder) EncodeCoeffs(values []float64, level int, scale float64) (*Plaintext, error) {
-	if len(values) > e.params.N {
-		return nil, fmt.Errorf("ckks: %d values exceed %d coefficients", len(values), e.params.N)
-	}
-	if level < 0 || level > e.params.MaxLevel() {
-		return nil, fmt.Errorf("ckks: level %d out of range", level)
-	}
-	ctx := e.params.RingQP
-	pt := ctx.NewPoly(level + 1)
-	for j, x := range values {
-		v := x * scale
-		if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) >= math.Exp2(62) {
-			return nil, fmt.Errorf("ckks: coefficient %d out of range at scale %g", j, scale)
-		}
-		c := int64(math.Round(v))
-		for i := 0; i <= level; i++ {
-			pt.Coeffs[i][j] = ctx.Basis.ReduceInt64(c, i)
-		}
-	}
-	ctx.NTT(pt)
-	return &Plaintext{Value: pt, Scale: scale}, nil
-}
-
-// DecodeCoeffs recovers the coefficient-packed values.
-func (e *Encoder) DecodeCoeffs(pt *Plaintext) []float64 {
-	ctx := e.params.RingQP
-	poly := ring.CopyOf(pt.Value)
-	ctx.INTT(poly)
-	basis := ctx.Basis
-	if poly.Rows() != basis.K() {
-		sub, err := basis.Sub(poly.Rows())
-		if err != nil {
-			panic(err)
-		}
-		basis = sub
-	}
-	res := make([]uint64, poly.Rows())
-	out := make([]float64, e.params.N)
-	for j := range out {
-		for i := 0; i < poly.Rows(); i++ {
-			res[i] = poly.Coeffs[i][j]
-		}
-		x := basis.ComposeCentered(res)
-		f, _ := new(big.Float).SetInt(x).Float64()
-		out[j] = f / pt.Scale
-	}
-	return out
 }
 
 // MeasureNoise returns log2 of the infinity norm of the decryption error

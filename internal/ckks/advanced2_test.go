@@ -1,97 +1,11 @@
 package ckks
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"heax/internal/ring"
 )
-
-// RotateAny with only power-of-two keys must match direct rotation.
-func TestRotateAny(t *testing.T) {
-	kit := newTestKit(t, smallSpec)
-	rng := rand.New(rand.NewSource(60))
-	slots := kit.params.Slots()
-	v := randomComplex(rng, slots, 1)
-	pt, _ := kit.enc.Encode(v, kit.params.MaxLevel(), kit.params.DefaultScale())
-	ct, _ := kit.encPk.Encrypt(pt)
-	gks := kit.kg.GenRotationKeysPow2(kit.sk)
-
-	for _, step := range []int{0, 5, 13, -3, slots + 2} {
-		rot, err := kit.eval.RotateAny(ct, step, gks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, _ := kit.dec.Decrypt(rot)
-		got := kit.enc.Decode(dec)
-		want := make([]complex128, slots)
-		norm := ((step % slots) + slots) % slots
-		for i := range want {
-			want[i] = v[(i+norm)%slots]
-		}
-		if e := maxErr(got, want); e > 1e-2 {
-			t.Fatalf("step %d: error %g", step, e)
-		}
-	}
-}
-
-// Coefficient packing: round-trip and the convolution semantics of
-// multiplication.
-func TestEncodeCoeffs(t *testing.T) {
-	kit := newTestKit(t, smallSpec)
-	n := kit.params.N
-	rng := rand.New(rand.NewSource(61))
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = rng.Float64()*2 - 1
-	}
-	pt, err := kit.enc.EncodeCoeffs(v, kit.params.MaxLevel(), kit.params.DefaultScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := kit.enc.DecodeCoeffs(pt)
-	for i := range v {
-		if d := math.Abs(got[i] - v[i]); d > 1e-7 {
-			t.Fatalf("coefficient %d: error %g", i, d)
-		}
-	}
-
-	// Multiplying two sparse coefficient encodings convolves them:
-	// (a·X^2)·(b·X^3) = ab·X^5.
-	a := make([]float64, 6)
-	a[2] = 0.5
-	b := make([]float64, 6)
-	b[3] = 0.25
-	pa, _ := kit.enc.EncodeCoeffs(a, kit.params.MaxLevel(), kit.params.DefaultScale())
-	pb, _ := kit.enc.EncodeCoeffs(b, kit.params.MaxLevel(), kit.params.DefaultScale())
-	ca, _ := kit.encPk.Encrypt(pa)
-	prod, err := kit.eval.MulPlain(ca, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, _ := kit.dec.Decrypt(prod)
-	coeffs := kit.enc.DecodeCoeffs(dec)
-	if d := math.Abs(coeffs[5] - 0.125); d > 1e-4 {
-		t.Fatalf("convolution coefficient: %g (err %g)", coeffs[5], d)
-	}
-	for _, idx := range []int{0, 1, 2, 3, 4, 6} {
-		if math.Abs(coeffs[idx]) > 1e-4 {
-			t.Fatalf("coefficient %d should be ~0, got %g", idx, coeffs[idx])
-		}
-	}
-
-	// Errors.
-	if _, err := kit.enc.EncodeCoeffs(make([]float64, n+1), 0, 1); err == nil {
-		t.Fatal("too many coefficients should fail")
-	}
-	if _, err := kit.enc.EncodeCoeffs([]float64{1}, -1, 1); err == nil {
-		t.Fatal("bad level should fail")
-	}
-	if _, err := kit.enc.EncodeCoeffs([]float64{math.Inf(1)}, 0, 1); err == nil {
-		t.Fatal("non-finite value should fail")
-	}
-}
 
 // Noise must be (a) small for a fresh encryption, (b) larger after a
 // multiplication chain, (c) -inf for a plaintext compared to itself.

@@ -6,85 +6,6 @@ import (
 	"testing"
 )
 
-func TestNegate(t *testing.T) {
-	kit := newTestKit(t, smallSpec)
-	rng := rand.New(rand.NewSource(20))
-	v := randomComplex(rng, kit.params.Slots(), 1)
-	pt, _ := kit.enc.Encode(v, kit.params.MaxLevel(), kit.params.DefaultScale())
-	ct, _ := kit.encPk.Encrypt(pt)
-	neg := kit.eval.Negate(ct)
-	dec, _ := kit.dec.Decrypt(neg)
-	got := kit.enc.Decode(dec)
-	want := make([]complex128, len(v))
-	for i := range v {
-		want[i] = -v[i]
-	}
-	if e := maxErr(got, want); e > 1e-4 {
-		t.Fatalf("negate error %g", e)
-	}
-}
-
-// Square must agree with Mul(ct, ct) exactly (same ring elements).
-func TestSquareMatchesMul(t *testing.T) {
-	kit := newTestKit(t, smallSpec)
-	rng := rand.New(rand.NewSource(21))
-	v := randomComplex(rng, kit.params.Slots(), 1)
-	pt, _ := kit.enc.Encode(v, kit.params.MaxLevel(), kit.params.DefaultScale())
-	ct, _ := kit.encPk.Encrypt(pt)
-
-	sq, err := kit.eval.Square(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mul, err := kit.eval.Mul(ct, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sq.Polys {
-		if !sq.Polys[i].Equal(mul.Polys[i]) {
-			t.Fatalf("component %d differs between Square and Mul", i)
-		}
-	}
-	if _, err := kit.eval.Square(sq); err == nil {
-		t.Fatal("Square of degree-2 should fail")
-	}
-}
-
-func TestAddConstMulConstInt(t *testing.T) {
-	kit := newTestKit(t, smallSpec)
-	rng := rand.New(rand.NewSource(22))
-	v := randomComplex(rng, kit.params.Slots(), 1)
-	pt, _ := kit.enc.Encode(v, kit.params.MaxLevel(), kit.params.DefaultScale())
-	ct, _ := kit.encPk.Encrypt(pt)
-
-	plus, err := kit.eval.AddConst(ct, 2.5, kit.enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, _ := kit.dec.Decrypt(plus)
-	got := kit.enc.Decode(dec)
-	want := make([]complex128, len(v))
-	for i := range v {
-		want[i] = v[i] + 2.5
-	}
-	if e := maxErr(got, want); e > 1e-4 {
-		t.Fatalf("AddConst error %g", e)
-	}
-
-	tripled := kit.eval.MulConstInt(ct, -3)
-	dec2, _ := kit.dec.Decrypt(tripled)
-	got2 := kit.enc.Decode(dec2)
-	for i := range v {
-		want[i] = -3 * v[i]
-	}
-	if e := maxErr(got2, want); e > 1e-4 {
-		t.Fatalf("MulConstInt error %g", e)
-	}
-	if tripled.Scale != ct.Scale || tripled.Level != ct.Level {
-		t.Fatal("MulConstInt must preserve scale and level")
-	}
-}
-
 // Hoisted rotation is not bit-identical to the plain path — the Galois
 // automorphism does not commute with gadget decomposition over the
 // integer lifts (digits differ by multiples of p_i, both are valid
@@ -166,108 +87,6 @@ func TestInnerSum(t *testing.T) {
 	}
 	if _, err := kit.eval.InnerSum(ct, 3, gks); err == nil {
 		t.Fatal("non-power-of-two width should fail")
-	}
-}
-
-func TestLinearTransform(t *testing.T) {
-	kit := newTestKit(t, smallSpec)
-	rng := rand.New(rand.NewSource(25))
-	dim := 8
-	m := make([][]float64, dim)
-	for i := range m {
-		m[i] = make([]float64, dim)
-		for j := range m[i] {
-			m[i][j] = rng.Float64()*2 - 1
-		}
-	}
-	x := make([]float64, dim)
-	for i := range x {
-		x[i] = rng.Float64()*2 - 1
-	}
-	rep := make([]float64, 2*dim)
-	copy(rep, x)
-	copy(rep[dim:], x)
-	pt, _ := kit.enc.EncodeReal(rep, kit.params.MaxLevel(), kit.params.DefaultScale())
-	ct, _ := kit.encPk.Encrypt(pt)
-
-	lt, err := NewLinearTransform(kit.enc, m, kit.params.MaxLevel(), kit.params.DefaultScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := make([]int, 0, dim-1)
-	for dStep := 1; dStep < dim; dStep++ {
-		steps = append(steps, dStep)
-	}
-	gks := kit.kg.GenGaloisKeySet(kit.sk, steps, false)
-	y, err := kit.eval.Apply(lt, ct, gks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, _ := kit.dec.Decrypt(y)
-	got := kit.enc.Decode(dec)
-	for i := 0; i < dim; i++ {
-		want := 0.0
-		for j := 0; j < dim; j++ {
-			want += m[i][j] * x[j]
-		}
-		if e := math.Abs(real(got[i]) - want); e > 1e-3 {
-			t.Fatalf("row %d: error %g", i, e)
-		}
-	}
-}
-
-func TestLinearTransformZeroMatrix(t *testing.T) {
-	kit := newTestKit(t, smallSpec)
-	zero := [][]float64{{0, 0}, {0, 0}}
-	lt, err := NewLinearTransform(kit.enc, zero, kit.params.MaxLevel(), kit.params.DefaultScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lt.Diags) != 0 {
-		t.Fatal("zero matrix should have no diagonals")
-	}
-	pt, _ := kit.enc.Encode([]complex128{1}, kit.params.MaxLevel(), kit.params.DefaultScale())
-	ct, _ := kit.encPk.Encrypt(pt)
-	if _, err := kit.eval.Apply(lt, ct, nil); err == nil {
-		t.Fatal("empty transform should fail")
-	}
-}
-
-func TestEvaluatePoly(t *testing.T) {
-	kit := newTestKit(t, smallSpec)
-	rng := rand.New(rand.NewSource(26))
-	slots := kit.params.Slots()
-	v := make([]complex128, slots)
-	for i := range v {
-		v[i] = complex(rng.Float64()*2-1, 0)
-	}
-	pt, _ := kit.enc.Encode(v, kit.params.MaxLevel(), kit.params.DefaultScale())
-	ct, _ := kit.encPk.Encrypt(pt)
-
-	// p(x) = 0.5 + 0.197x - 0.004x^3 (the logistic example's sigmoid).
-	coeffs := []float64{0.5, 0.197, 0, -0.004}
-	y, err := kit.eval.EvaluatePoly(ct, coeffs, kit.rlk, kit.enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, _ := kit.dec.Decrypt(y)
-	got := kit.enc.Decode(dec)
-	want := make([]complex128, slots)
-	for i := range v {
-		x := real(v[i])
-		want[i] = complex(0.5+0.197*x-0.004*x*x*x, 0)
-	}
-	if e := maxErr(got, want); e > 1e-2 {
-		t.Fatalf("EvaluatePoly error %g", e)
-	}
-
-	// Error paths.
-	if _, err := kit.eval.EvaluatePoly(ct, []float64{1}, kit.rlk, kit.enc); err == nil {
-		t.Fatal("degree-0 should fail")
-	}
-	low, _ := kit.eval.DropLevel(ct, 1)
-	if _, err := kit.eval.EvaluatePoly(low, []float64{1, 1, 1, 1, 1, 1}, kit.rlk, kit.enc); err == nil {
-		t.Fatal("too few levels should fail")
 	}
 }
 

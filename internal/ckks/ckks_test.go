@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -509,6 +510,9 @@ func TestEvaluatorErrors(t *testing.T) {
 	gks := kit.kg.GenGaloisKeySet(kit.sk, []int{1}, false)
 	if _, err := kit.eval.RotateLeft(prod, 1, gks); err == nil {
 		t.Error("rotating degree-2 should fail")
+	}
+	if _, err := kit.eval.RotateHoisted(prod, []int{1}, gks); !errors.Is(err, ErrDegreeMismatch) {
+		t.Errorf("hoisted rotation of degree-2: got %v, want ErrDegreeMismatch", err)
 	}
 	low, _ := kit.eval.DropLevel(ct, 0)
 	if _, err := kit.eval.Rescale(low); err == nil {

@@ -15,6 +15,11 @@ import (
 // concurrent use: its precomputed state is read-only after construction,
 // per-call state lives in pooled job structs (schedule.go), and all
 // operations share the ring context's persistent worker pool.
+//
+// Every operation has exactly one implementation, its *Into kernel,
+// which lands the result in a caller-owned ciphertext on pooled scratch.
+// The allocating form of an operation hands that kernel a fresh empty
+// ciphertext and returns it.
 type Evaluator struct {
 	params *Params
 	// ctx is the evaluator's view of the parameter ring. By default it
@@ -72,13 +77,6 @@ func (ev *Evaluator) SetWorkers(n int) {
 // Workers returns the evaluator's current worker cap.
 func (ev *Evaluator) Workers() int { return ev.ctx.Workers() }
 
-// ShallowCopy returns an evaluator sharing this one's parameters,
-// ring-context view (including any SetWorkers cap) and precomputed
-// index tables, but owning fresh per-call pooled state.
-func (ev *Evaluator) ShallowCopy() *Evaluator {
-	return &Evaluator{params: ev.params, ctx: ev.ctx, rowIdx: ev.rowIdx, seqIdx: ev.seqIdx}
-}
-
 // scalesClose reports whether two scales are equal up to floating-point
 // noise; CKKS addition on mismatched scales silently corrupts results
 // (Section 3.3), so we refuse it.
@@ -86,7 +84,11 @@ func scalesClose(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// alignLevels returns copies of the operands truncated to a common level.
+// ScalesClose exports scalesClose to the circuit compiler, which must
+// refuse at compile time exactly the additions the runtime would.
+func ScalesClose(a, b float64) bool { return scalesClose(a, b) }
+
+// alignLevels returns views of the operands truncated to a common level.
 func (ev *Evaluator) alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext) {
 	if a.Level == b.Level {
 		return a, b
@@ -95,6 +97,8 @@ func (ev *Evaluator) alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext) {
 	return ev.atLevel(a, level), ev.atLevel(b, level)
 }
 
+// atLevel returns a view of ct at level: the components share ct's rows,
+// so the result is only ever read.
 func (ev *Evaluator) atLevel(ct *Ciphertext, level int) *Ciphertext {
 	if ct.Level == level {
 		return ct
@@ -106,63 +110,223 @@ func (ev *Evaluator) atLevel(ct *Ciphertext, level int) *Ciphertext {
 	return out
 }
 
+// Each *Into method lands its result in a caller-owned ciphertext
+// instead of allocating a fresh one, reusing the ring context's pooled
+// scratch for all intermediates. A serving loop that round-robins over a
+// fixed set of NewCiphertext outputs therefore runs at zero steady-state
+// allocations — the software analogue of the HEAX memory map (Section
+// 5.1), where results stay in preallocated device buffers instead of
+// materializing new ones per operation.
+//
+// Output ciphertexts may alias an input when the shapes match: every
+// operation fully consumes its inputs (into pooled scratch or per-
+// element reads) before the output rows are written.
+
+// NewCiphertext allocates a degree-`degree` ciphertext at `level` with
+// the given scale. Components are backed at the parameter set's full
+// level so the same ciphertext can be reused as an *Into output at any
+// level at or below its current one (and back up again).
+func NewCiphertext(params *Params, degree, level int, scale float64) (*Ciphertext, error) {
+	if degree < 1 || degree > 2 {
+		return nil, fmt.Errorf("ckks: ciphertext degree %d out of range [1,2]: %w", degree, ErrDegreeMismatch)
+	}
+	if level < 0 || level > params.MaxLevel() {
+		return nil, fmt.Errorf("ckks: level %d out of range [0,%d]: %w", level, params.MaxLevel(), ErrLevelMismatch)
+	}
+	ct := &Ciphertext{Scale: scale, Level: level}
+	for i := 0; i <= degree; i++ {
+		p := params.RingQP.NewPoly(params.K())
+		p.Coeffs = p.Coeffs[:level+1]
+		ct.Polys = append(ct.Polys, p)
+	}
+	return ct, nil
+}
+
+// prepareInto reshapes out in place to hold a degree-`degree` result at
+// `level` with scale `scale`, reusing the components' backing storage.
+// Components that cannot hold level+1 rows yield ErrLevelMismatch;
+// missing components are allocated (pre-shaped outputs stay
+// allocation-free).
+func (ev *Evaluator) prepareInto(out *Ciphertext, degree, level int, scale float64) error {
+	if out == nil {
+		return fmt.Errorf("ckks: nil output ciphertext")
+	}
+	ctx := ev.ctx
+	rows := level + 1
+	if len(out.Polys) > degree+1 {
+		out.Polys = out.Polys[:degree+1]
+	}
+	for len(out.Polys) < degree+1 {
+		out.Polys = append(out.Polys, ctx.NewPoly(rows))
+	}
+	for i, p := range out.Polys {
+		if p == nil {
+			out.Polys[i] = ctx.NewPoly(rows)
+			continue
+		}
+		if cap(p.Coeffs) < rows {
+			return fmt.Errorf("ckks: output component %d backs %d rows, result needs %d: %w",
+				i, cap(p.Coeffs), rows, ErrLevelMismatch)
+		}
+		was := len(p.Coeffs)
+		p.Coeffs = p.Coeffs[:rows]
+		for j := was; j < rows; j++ {
+			if len(p.Coeffs[j]) != ctx.N {
+				return fmt.Errorf("ckks: output component %d row %d not backed by this ring: %w",
+					i, j, ErrLevelMismatch)
+			}
+		}
+	}
+	out.Scale, out.Level = scale, level
+	return nil
+}
+
+// fresh closes every allocating operation form: it returns the
+// ciphertext the *Into kernel just filled, or nil when the kernel
+// refused. The kernel is handed an empty Ciphertext, so prepareInto
+// allocates each component at exactly the result's level and the result
+// shares no backing row with an input.
+func fresh(out *Ciphertext, err error) (*Ciphertext, error) {
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// copyRows copies the first rows rows of src into dst unless they are
+// the same polynomial (an output aliasing its input).
+func copyRows(dst, src *ring.Poly, rows int) {
+	if dst == src {
+		return
+	}
+	for r := 0; r < rows; r++ {
+		copy(dst.Coeffs[r], src.Coeffs[r])
+	}
+}
+
 // Add returns ct0 + ct1 (CKKS.Add). Operands may have different degrees;
 // levels are aligned by dropping rows of the fresher operand.
 func (ev *Evaluator) Add(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
+	out := &Ciphertext{}
+	return fresh(out, ev.AddInto(ct0, ct1, out))
+}
+
+// AddInto computes ct0 + ct1 into out (CKKS.Add, in place). Operands may
+// have different degrees and levels exactly as Add allows; out may alias
+// either operand when shapes already match.
+func (ev *Evaluator) AddInto(ct0, ct1, out *Ciphertext) error {
 	if !scalesClose(ct0.Scale, ct1.Scale) {
-		return nil, fmt.Errorf("ckks: cannot add scales %g and %g: %w", ct0.Scale, ct1.Scale, ErrScaleMismatch)
+		return fmt.Errorf("ckks: cannot add scales %g and %g: %w", ct0.Scale, ct1.Scale, ErrScaleMismatch)
 	}
 	a, b := ev.alignLevels(ct0, ct1)
 	if len(a.Polys) < len(b.Polys) {
 		a, b = b, a
 	}
-	ctx := ev.ctx
-	out := &Ciphertext{Scale: a.Scale, Level: a.Level}
-	for i, p := range a.Polys {
-		c := ring.CopyOf(p)
-		if i < len(b.Polys) {
-			ctx.Add(c, b.Polys[i], c)
-		}
-		out.Polys = append(out.Polys, c)
+	if err := ev.prepareInto(out, a.Degree(), a.Level, a.Scale); err != nil {
+		return err
 	}
-	return out, nil
+	ctx := ev.ctx
+	rows := a.Level + 1
+	for i, p := range a.Polys {
+		if p.Rows() != rows {
+			p = p.Resize(rows)
+		}
+		if i < len(b.Polys) {
+			q := b.Polys[i]
+			if q.Rows() != rows {
+				q = q.Resize(rows)
+			}
+			ctx.Add(p, q, out.Polys[i])
+			continue
+		}
+		copyRows(out.Polys[i], p, rows)
+	}
+	return nil
 }
 
 // Sub returns ct0 - ct1.
 func (ev *Evaluator) Sub(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
-	neg := CopyOf(ct1)
-	ctx := ev.ctx
-	for _, p := range neg.Polys {
-		ctx.Neg(p, p)
+	out := &Ciphertext{}
+	return fresh(out, ev.SubInto(ct0, ct1, out))
+}
+
+// SubInto computes ct0 - ct1 into out (degrees and levels reconciled as
+// Add allows); out may alias either operand.
+func (ev *Evaluator) SubInto(ct0, ct1, out *Ciphertext) error {
+	if !scalesClose(ct0.Scale, ct1.Scale) {
+		return fmt.Errorf("ckks: cannot subtract scales %g and %g: %w", ct0.Scale, ct1.Scale, ErrScaleMismatch)
 	}
-	return ev.Add(ct0, neg)
+	a, b := ev.alignLevels(ct0, ct1)
+	degree := max(a.Degree(), b.Degree())
+	if err := ev.prepareInto(out, degree, a.Level, a.Scale); err != nil {
+		return err
+	}
+	ctx := ev.ctx
+	rows := a.Level + 1
+	for i := range out.Polys {
+		var p, q *ring.Poly
+		if i < len(a.Polys) {
+			p = a.Polys[i].Resize(rows)
+		}
+		if i < len(b.Polys) {
+			q = b.Polys[i].Resize(rows)
+		}
+		switch {
+		case p != nil && q != nil:
+			ctx.Sub(p, q, out.Polys[i])
+		case p != nil:
+			copyRows(out.Polys[i], a.Polys[i], rows)
+		default:
+			ctx.Neg(q, out.Polys[i])
+		}
+	}
+	return nil
 }
 
 // AddPlain returns ct + pt.
 func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
+	out := &Ciphertext{}
+	return fresh(out, ev.AddPlainInto(ct, pt, out))
+}
+
+// AddPlainInto computes ct + pt into out; out may alias ct.
+func (ev *Evaluator) AddPlainInto(ct *Ciphertext, pt *Plaintext, out *Ciphertext) error {
 	if !scalesClose(ct.Scale, pt.Scale) {
-		return nil, fmt.Errorf("ckks: cannot add plaintext scale %g to ciphertext scale %g: %w", pt.Scale, ct.Scale, ErrScaleMismatch)
+		return fmt.Errorf("ckks: cannot add plaintext scale %g to ciphertext scale %g: %w", pt.Scale, ct.Scale, ErrScaleMismatch)
 	}
 	level := min(ct.Level, pt.Level())
-	out := CopyOf(ev.atLevel(ct, level))
-	ev.ctx.Add(out.Polys[0], pt.Value.Resize(level+1), out.Polys[0])
-	return out, nil
+	in := ev.atLevel(ct, level)
+	ptv := pt.Value.Resize(level + 1)
+	if err := ev.prepareInto(out, in.Degree(), level, ct.Scale); err != nil {
+		return err
+	}
+	ev.ctx.Add(in.Polys[0], ptv, out.Polys[0])
+	for i := 1; i < len(in.Polys); i++ {
+		copyRows(out.Polys[i], in.Polys[i], level+1)
+	}
+	return nil
 }
 
 // MulPlain returns ct ⊙ pt (ciphertext-plaintext multiplication, the C-P
 // mode of the MULT module). The result scale is the product of scales.
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
+	out := &Ciphertext{}
+	return fresh(out, ev.MulPlainInto(ct, pt, out))
+}
+
+// MulPlainInto computes ct ⊙ pt into out; out may alias ct.
+func (ev *Evaluator) MulPlainInto(ct *Ciphertext, pt *Plaintext, out *Ciphertext) error {
 	level := min(ct.Level, pt.Level())
 	in := ev.atLevel(ct, level)
 	ptv := pt.Value.Resize(level + 1)
-	ctx := ev.ctx
-	out := &Ciphertext{Scale: ct.Scale * pt.Scale, Level: level}
-	for _, p := range in.Polys {
-		c := ctx.NewPoly(level + 1)
-		ctx.MulCoeffs(p, ptv, c)
-		out.Polys = append(out.Polys, c)
+	if err := ev.prepareInto(out, in.Degree(), level, ct.Scale*pt.Scale); err != nil {
+		return err
 	}
-	return out, nil
+	ctx := ev.ctx
+	for i, p := range in.Polys {
+		ctx.MulCoeffs(p, ptv, out.Polys[i])
+	}
+	return nil
 }
 
 // Mul returns the degree-2 product of two degree-1 ciphertexts
@@ -202,58 +366,39 @@ func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 // single worker the whole graph degenerates to the sequential oracle
 // loop (bit-identical either way).
 func (ev *Evaluator) KeySwitchPoly(c *ring.Poly, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
-	ctx := ev.ctx
-	level := c.Level()
-
-	// Accumulators over (q_0..q_level, P); row level+1 is the special
-	// prime. Rows hold lazy [0, 2p) values until the closing reduction.
-	acc0 := ctx.GetPoly(level + 2)
-	acc1 := ctx.GetPoly(level + 2)
-	defer ctx.PutPoly(acc0)
-	defer ctx.PutPoly(acc1)
-
-	ev.keySwitchMAC(c, nil, nil, swk.Digits, swk.ensureShoup(ctx), acc0, acc1, level)
-
-	// Line 19: modulus switching — divide by the special prime. The pair
-	// variant folds the closing reduction of the lazy accumulators into
-	// its own row pass. This is the pipeline's one true barrier, as in
-	// the hardware (the bank-set handoff of Fig. 8).
-	ev.trace.Load().add(ScheduleFloor, -1, -1)
-	return ctx.FloorDropRowsPair(acc0, acc1, ev.rowIdx[level], false, true)
+	return ev.keySwitchAdd(c, swk, nil, nil)
 }
 
-// Relinearize transforms a degree-2 ciphertext back to degree 1 using the
-// relinearization key (CKKS.Relin).
-func (ev *Evaluator) Relinearize(ct *Ciphertext, rlk *RelinearizationKey) (*Ciphertext, error) {
-	if ct.Degree() != 2 {
-		return nil, fmt.Errorf("ckks: Relinearize requires a degree-2 ciphertext (got %d): %w", ct.Degree(), ErrDegreeMismatch)
-	}
-	out0, out1 := ev.keySwitchAdd(ct.Polys[2], &rlk.SwitchingKey, ct.Polys[0], ct.Polys[1])
-	return &Ciphertext{Polys: []*ring.Poly{out0, out1}, Scale: ct.Scale, Level: ct.Level}, nil
-}
-
-// keySwitchAdd runs Algorithm 7 on c and returns (add0 + ks0, add1 + ks1)
-// with the flooring tail (and the final additions) landing directly in
-// the freshly allocated output pair — the shared back end of Relinearize,
-// SwitchKeys, rotation, and the fused MulRelin: no intermediate result
-// polys, no input copies, no separate addition sweep.
+// keySwitchAdd is keySwitchAddInto landing in a freshly allocated output
+// pair — the allocating shim behind the three operations that have no
+// *Into form (Relinearize, SwitchKeys, KeySwitchPoly).
 func (ev *Evaluator) keySwitchAdd(c *ring.Poly, swk *SwitchingKey, add0, add1 *ring.Poly) (*ring.Poly, *ring.Poly) {
 	out0, out1 := ev.ctx.NewPolyPair(c.Level() + 1)
 	ev.keySwitchAddInto(c, swk, add0, add1, out0, out1)
 	return out0, out1
 }
 
-// keySwitchAddInto is keySwitchAdd landing in caller-provided output
-// polynomials (each with c.Level()+1 rows) — the zero-allocation back
-// end behind the *Into operation variants.
+// keySwitchAddInto runs Algorithm 7 on c and lands (add0 + ks0,
+// add1 + ks1) in the caller-provided output polynomials (each with
+// c.Level()+1 rows; either add operand may be nil) — the one key-switch
+// back end of relinearization, re-keying, rotation and the fused
+// MulRelin: the flooring tail and the final additions write straight
+// into the outputs, with no intermediate result polys, no input copies
+// and no separate addition sweep.
 func (ev *Evaluator) keySwitchAddInto(c *ring.Poly, swk *SwitchingKey, add0, add1, out0, out1 *ring.Poly) {
 	ctx := ev.ctx
 	level := c.Level()
+	// Accumulators over (q_0..q_level, P); row level+1 is the special
+	// prime. Rows hold lazy [0, 2p) values until the closing reduction.
 	acc0 := ctx.GetPoly(level + 2)
 	acc1 := ctx.GetPoly(level + 2)
 	defer ctx.PutPoly(acc0)
 	defer ctx.PutPoly(acc1)
 	ev.keySwitchMAC(c, nil, nil, swk.Digits, swk.ensureShoup(ctx), acc0, acc1, level)
+	// Line 19: modulus switching — divide by the special prime. The pair
+	// variant folds the closing reduction of the lazy accumulators into
+	// its own row pass. This is the pipeline's one true barrier, as in
+	// the hardware (the bank-set handoff of Fig. 8).
 	ev.trace.Load().add(ScheduleFloor, -1, -1)
 	if add0 != nil && add0.Rows() != level+1 {
 		add0 = add0.Resize(level + 1)
@@ -264,34 +409,14 @@ func (ev *Evaluator) keySwitchAddInto(c *ring.Poly, swk *SwitchingKey, add0, add
 	ctx.FloorDropRowsPairAddInto(acc0, acc1, out0, out1, add0, add1, ev.rowIdx[level], false, true)
 }
 
-// MulRelin is Mul followed by Relinearize — the paper's "MULT+ReLin"
-// composite operation of Table 8 — fused end-to-end on pooled scratch:
-// the degree-2 product lives in pool buffers, the key-switch tail writes
-// straight into the output ciphertext's polynomials, and only those two
-// polynomials (plus the ciphertext header) are allocated.
-func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext, rlk *RelinearizationKey) (*Ciphertext, error) {
-	if ct0.Degree() != 1 || ct1.Degree() != 1 {
-		return nil, fmt.Errorf("ckks: MulRelin requires degree-1 operands (got %d and %d): %w",
-			ct0.Degree(), ct1.Degree(), ErrDegreeMismatch)
+// Relinearize transforms a degree-2 ciphertext back to degree 1 using the
+// relinearization key (CKKS.Relin).
+func (ev *Evaluator) Relinearize(ct *Ciphertext, rlk *RelinearizationKey) (*Ciphertext, error) {
+	if ct.Degree() != 2 {
+		return nil, fmt.Errorf("ckks: Relinearize requires a degree-2 ciphertext (got %d): %w", ct.Degree(), ErrDegreeMismatch)
 	}
-	a, b := ev.alignLevels(ct0, ct1)
-	ctx := ev.ctx
-	rows := a.Level + 1
-	// Algorithm 5 on pooled scratch (c2 is consumed by the key switch,
-	// c0/c1 are folded into the outputs by keySwitchAdd).
-	c0 := ctx.GetPolyNoZero(rows)
-	c1 := ctx.GetPolyNoZero(rows)
-	c2 := ctx.GetPolyNoZero(rows)
-	defer ctx.PutPoly(c0)
-	defer ctx.PutPoly(c1)
-	defer ctx.PutPoly(c2)
-	ctx.MulCoeffsTensor(a.Polys[0], a.Polys[1], b.Polys[0], b.Polys[1], c0, c1, c2)
-	out0, out1 := ev.keySwitchAdd(c2, &rlk.SwitchingKey, c0, c1)
-	return &Ciphertext{
-		Polys: []*ring.Poly{out0, out1},
-		Scale: a.Scale * b.Scale,
-		Level: a.Level,
-	}, nil
+	out0, out1 := ev.keySwitchAdd(ct.Polys[2], &rlk.SwitchingKey, ct.Polys[0], ct.Polys[1])
+	return &Ciphertext{Polys: []*ring.Poly{out0, out1}, Scale: ct.Scale, Level: ct.Level}, nil
 }
 
 // SwitchKeys re-encrypts a degree-1 ciphertext under a different secret
@@ -305,15 +430,93 @@ func (ev *Evaluator) SwitchKeys(ct *Ciphertext, swk *SwitchingKey) (*Ciphertext,
 	return &Ciphertext{Polys: []*ring.Poly{c0, c1}, Scale: ct.Scale, Level: ct.Level}, nil
 }
 
+// MulRelin is Mul followed by Relinearize — the paper's "MULT+ReLin"
+// composite operation of Table 8.
+func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext, rlk *RelinearizationKey) (*Ciphertext, error) {
+	out := &Ciphertext{}
+	return fresh(out, ev.MulRelinInto(ct0, ct1, rlk, out))
+}
+
+// MulRelinInto computes the relinearized product of two degree-1
+// ciphertexts into out — the fused MULT+ReLin hot path of Table 8 with
+// the result landing in caller-owned storage: the degree-2 tensor lives
+// in pooled scratch and the key-switch flooring tail (plus the final
+// additions) writes straight into out's two components.
+func (ev *Evaluator) MulRelinInto(ct0, ct1 *Ciphertext, rlk *RelinearizationKey, out *Ciphertext) error {
+	if ct0.Degree() != 1 || ct1.Degree() != 1 {
+		return fmt.Errorf("ckks: MulRelin requires degree-1 operands (got %d and %d): %w",
+			ct0.Degree(), ct1.Degree(), ErrDegreeMismatch)
+	}
+	a, b := ev.alignLevels(ct0, ct1)
+	if err := ev.prepareInto(out, 1, a.Level, a.Scale*b.Scale); err != nil {
+		return err
+	}
+	ctx := ev.ctx
+	rows := a.Level + 1
+	// Algorithm 5 on pooled scratch: c2 is consumed by the key switch,
+	// c0/c1 are folded into the outputs by keySwitchAddInto.
+	c0 := ctx.GetPolyNoZero(rows)
+	c1 := ctx.GetPolyNoZero(rows)
+	c2 := ctx.GetPolyNoZero(rows)
+	defer ctx.PutPoly(c0)
+	defer ctx.PutPoly(c1)
+	defer ctx.PutPoly(c2)
+	ctx.MulCoeffsTensor(a.Polys[0], a.Polys[1], b.Polys[0], b.Polys[1], c0, c1, c2)
+	ev.keySwitchAddInto(c2, &rlk.SwitchingKey, c0, c1, out.Polys[0], out.Polys[1])
+	return nil
+}
+
 // Rescale divides the ciphertext by its current last prime and drops one
-// level (CKKS.Rescale, built on Algorithm 6 with rounding) — a thin
-// allocating wrapper over RescaleInto.
+// level (CKKS.Rescale, built on Algorithm 6 with rounding).
 func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	out := &Ciphertext{}
-	if err := ev.RescaleInto(ct, out); err != nil {
-		return nil, err
+	return fresh(out, ev.RescaleInto(ct, out))
+}
+
+// RescaleInto divides ct by its current last prime into out, dropping
+// one level (CKKS.Rescale in place). Components are floored in pairs so
+// each pair shares one worker fan-out and one batched tail INTT. out may
+// be ct itself (or share its components) for a true in-place rescale:
+// the flooring reads each row element before writing it.
+func (ev *Evaluator) RescaleInto(ct, out *Ciphertext) error {
+	if ct.Level == 0 {
+		return fmt.Errorf("ckks: cannot rescale below level 0: %w", ErrLevelMismatch)
 	}
-	return out, nil
+	// Capture the input component views before prepareInto reshapes out:
+	// when out aliases ct, reshaping truncates the shared row slices, so
+	// aliased inputs are re-extended over the same backing rows.
+	ins := ct.Polys
+	inRows := ct.Level + 1
+	aliased := out == ct
+	if !aliased {
+		for _, p := range out.Polys {
+			for _, q := range ct.Polys {
+				if p != nil && p == q {
+					aliased = true
+				}
+			}
+		}
+	}
+	if aliased {
+		ins = make([]*ring.Poly, len(ct.Polys))
+		for i, p := range ct.Polys {
+			ins[i] = &ring.Poly{Coeffs: p.Coeffs[:inRows]}
+		}
+	}
+	pLast := ev.params.Q[inRows-1]
+	if err := ev.prepareInto(out, len(ins)-1, inRows-2, ct.Scale/float64(pLast)); err != nil {
+		return err
+	}
+	ctx := ev.ctx
+	idx := ev.seqIdx[inRows]
+	for i := 0; i+1 < len(ins); i += 2 {
+		ctx.FloorDropRowsPairInto(ins[i], ins[i+1], out.Polys[i], out.Polys[i+1], idx, true, false)
+	}
+	if len(ins)%2 == 1 {
+		last := len(ins) - 1
+		ctx.FloorDropRowsInto(ins[last], out.Polys[last], idx, true, false)
+	}
+	return nil
 }
 
 // rotationKeyFor normalizes step into [0, Slots()) and fetches the
@@ -333,14 +536,21 @@ func (ev *Evaluator) rotationKeyFor(gks *GaloisKeySet, step int) (*GaloisKey, er
 // step−Slots() use the same key; a step that normalizes to 0 returns a
 // copy of the input.
 func (ev *Evaluator) RotateLeft(ct *Ciphertext, step int, gks *GaloisKeySet) (*Ciphertext, error) {
+	out := &Ciphertext{}
+	return fresh(out, ev.RotateLeftInto(ct, step, gks, out))
+}
+
+// RotateLeftInto is RotateLeft landing in out; a step that normalizes
+// to 0 copies ct into out.
+func (ev *Evaluator) RotateLeftInto(ct *Ciphertext, step int, gks *GaloisKeySet, out *Ciphertext) error {
 	key, err := ev.rotationKeyFor(gks, step)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if key == nil {
-		return CopyOf(ct), nil
+		return ev.CopyInto(ct, out)
 	}
-	return ev.applyGalois(ct, key)
+	return ev.applyGaloisInto(ct, key, out)
 }
 
 // RotateRight is RotateLeft with a negated step.
@@ -350,32 +560,98 @@ func (ev *Evaluator) RotateRight(ct *Ciphertext, step int, gks *GaloisKeySet) (*
 
 // ConjugateSlots applies complex conjugation to every slot.
 func (ev *Evaluator) ConjugateSlots(ct *Ciphertext, gks *GaloisKeySet) (*Ciphertext, error) {
-	if gks == nil || gks.Conjugate == nil {
-		return nil, fmt.Errorf("ckks: no conjugation key provided: %w", ErrKeyMissing)
-	}
-	return ev.applyGalois(ct, gks.Conjugate)
+	out := &Ciphertext{}
+	return fresh(out, ev.ConjugateSlotsInto(ct, gks, out))
 }
 
-// applyGalois implements rotation (Section 3.4): apply the automorphism to
-// both components — yielding a ciphertext under s(X^g) — then switch the
-// second component back to s.
-func (ev *Evaluator) applyGalois(ct *Ciphertext, key *GaloisKey) (*Ciphertext, error) {
+// ConjugateSlotsInto applies complex conjugation to every slot, into out.
+func (ev *Evaluator) ConjugateSlotsInto(ct *Ciphertext, gks *GaloisKeySet, out *Ciphertext) error {
+	if gks == nil || gks.Conjugate == nil {
+		return fmt.Errorf("ckks: no conjugation key provided: %w", ErrKeyMissing)
+	}
+	return ev.applyGaloisInto(ct, gks.Conjugate, out)
+}
+
+// applyGaloisInto implements rotation (Section 3.4): apply the
+// automorphism to both components — yielding a ciphertext under s(X^g) —
+// then switch the second component back to s. Both permuted components
+// are pooled scratch: c1g is consumed by the key switch, whose tail
+// folds c0g in and writes directly into out.
+func (ev *Evaluator) applyGaloisInto(ct *Ciphertext, key *GaloisKey, out *Ciphertext) error {
 	if ct.Degree() != 1 {
-		return nil, fmt.Errorf("ckks: rotation requires a degree-1 ciphertext (got %d); relinearize first: %w", ct.Degree(), ErrDegreeMismatch)
+		return fmt.Errorf("ckks: rotation requires a degree-1 ciphertext (got %d); relinearize first: %w",
+			ct.Degree(), ErrDegreeMismatch)
+	}
+	if err := ev.prepareInto(out, 1, ct.Level, ct.Scale); err != nil {
+		return err
 	}
 	ctx := ev.ctx
 	rows := ct.Level + 1
 	table := ctx.AutomorphismNTTTable(key.GaloisElt)
-	// Both permuted components are scratch: c0g folds into the output via
-	// keySwitchAdd, c1g is consumed by the key switch.
 	c0g := ctx.GetPolyNoZero(rows)
 	c1g := ctx.GetPolyNoZero(rows)
 	defer ctx.PutPoly(c0g)
 	defer ctx.PutPoly(c1g)
 	ctx.AutomorphismNTTPair(ct.Polys[0], ct.Polys[1], table, c0g, c1g)
+	ev.keySwitchAddInto(c1g, &key.SwitchingKey, c0g, nil, out.Polys[0], out.Polys[1])
+	return nil
+}
 
-	out0, out1 := ev.keySwitchAdd(c1g, &key.SwitchingKey, c0g, nil)
-	return &Ciphertext{Polys: []*ring.Poly{out0, out1}, Scale: ct.Scale, Level: ct.Level}, nil
+// InnerSum replaces every slot of ct with the sum of the n2 slots
+// starting at it (stride 1), computed with log2(n2) rotations. n2 must be
+// a power of two; the required Galois keys are steps n2/2, n2/4, ..., 1.
+func (ev *Evaluator) InnerSum(ct *Ciphertext, n2 int, gks *GaloisKeySet) (*Ciphertext, error) {
+	out := &Ciphertext{}
+	return fresh(out, ev.InnerSumInto(ct, n2, gks, out))
+}
+
+// InnerSumInto is InnerSum landing in out, with the per-round rotation
+// in pooled scratch instead of fresh ciphertexts; out may alias ct.
+func (ev *Evaluator) InnerSumInto(ct *Ciphertext, n2 int, gks *GaloisKeySet, out *Ciphertext) error {
+	if n2 < 1 || n2&(n2-1) != 0 {
+		return fmt.Errorf("ckks: InnerSum width %d must be a power of two", n2)
+	}
+	// Resolve every span key before writing anything: out may alias ct,
+	// and a missing key discovered mid-accumulation would leave the
+	// caller's ciphertext partially overwritten.
+	for span := n2 >> 1; span >= 1; span >>= 1 {
+		if _, err := ev.rotationKeyFor(gks, span); err != nil {
+			return err
+		}
+	}
+	if err := ev.CopyInto(ct, out); err != nil {
+		return err
+	}
+	if n2 == 1 {
+		return nil
+	}
+	ctx := ev.ctx
+	rows := ct.Level + 1
+	//heax:owns both polys ride in rot and are released by the two defers below
+	rot := &Ciphertext{Polys: []*ring.Poly{ctx.GetPolyNoZero(rows), ctx.GetPolyNoZero(rows)}}
+	defer ctx.PutPoly(rot.Polys[0])
+	defer ctx.PutPoly(rot.Polys[1])
+	for span := n2 >> 1; span >= 1; span >>= 1 {
+		if err := ev.RotateLeftInto(out, span, gks, rot); err != nil {
+			return err
+		}
+		if err := ev.AddInto(out, rot, out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CopyInto deep-copies ct into out's backing storage (a no-op when they
+// already share components).
+func (ev *Evaluator) CopyInto(ct, out *Ciphertext) error {
+	if err := ev.prepareInto(out, ct.Degree(), ct.Level, ct.Scale); err != nil {
+		return err
+	}
+	for i, p := range ct.Polys {
+		copyRows(out.Polys[i], p, ct.Level+1)
+	}
+	return nil
 }
 
 // DropLevel truncates a ciphertext to the given level without scaling
@@ -384,5 +660,6 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
 	if level < 0 || level > ct.Level {
 		return nil, fmt.Errorf("ckks: cannot drop from level %d to %d: %w", ct.Level, level, ErrLevelMismatch)
 	}
-	return CopyOf(ev.atLevel(ct, level)), nil
+	out := &Ciphertext{}
+	return fresh(out, ev.CopyInto(ev.atLevel(ct, level), out))
 }

@@ -145,22 +145,3 @@ func TestRotateHoistedIntoMatchesRotateHoisted(t *testing.T) {
 		t.Fatal("length mismatch must fail")
 	}
 }
-
-func TestScaleLadder(t *testing.T) {
-	params := MustParams(smallSpec)
-	ladder := params.ScaleLadder()
-	if len(ladder) != params.K() {
-		t.Fatalf("ladder length %d, want %d", len(ladder), params.K())
-	}
-	if ladder[params.MaxLevel()] != params.DefaultScale() {
-		t.Fatal("top rung must be the default scale")
-	}
-	for l := params.MaxLevel(); l > 0; l-- {
-		if got := ladder[l] * ladder[l] / float64(params.Q[l]); got != ladder[l-1] {
-			t.Fatalf("rung %d: %g, want %g", l-1, ladder[l-1], got)
-		}
-		if ladder[l-1] < 1 {
-			t.Fatalf("rung %d underflowed: %g", l-1, ladder[l-1])
-		}
-	}
-}

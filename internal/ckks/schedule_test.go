@@ -90,24 +90,41 @@ func TestPipelinedHoistedMatchesSequential(t *testing.T) {
 
 	add := schedRandomPoly(ctx, params.K(), rng)
 
+	// decompose and keySwitchHoistedInto are the two halves of
+	// RotateHoistedInto; driving them directly lets the test compare the
+	// cached digits and cover the table-less MAC grid.
+	decompose := func() *HoistedDecomposition {
+		hd := &HoistedDecomposition{level: c.Level(), digits: make([]*ring.Poly, params.K())}
+		for i := range hd.digits {
+			hd.digits[i] = ctx.NewPoly(params.K() + 1)
+		}
+		ev.decompose(c, hd, c.Level())
+		return hd
+	}
+	keySwitch := func(hd *HoistedDecomposition, table []int, add *ring.Poly) (*ring.Poly, *ring.Poly) {
+		out0, out1 := ctx.NewPolyPair(params.K())
+		ev.keySwitchHoistedInto(hd, &rlk.SwitchingKey, table, add, nil, out0, out1)
+		return out0, out1
+	}
+
 	ctx.SetWorkers(1)
-	hdSeq := ev.DecomposeForKeySwitch(c)
-	want0, want1 := ev.keySwitchHoisted(hdSeq, &rlk.SwitchingKey, table, add, nil)
-	wantPlain0, wantPlain1 := ev.keySwitchHoisted(hdSeq, &rlk.SwitchingKey, nil, nil, nil)
+	hdSeq := decompose()
+	want0, want1 := keySwitch(hdSeq, table, add)
+	wantPlain0, wantPlain1 := keySwitch(hdSeq, nil, nil)
 
 	for _, workers := range []int{2, 8} {
 		ctx.SetWorkers(workers)
-		hd := ev.DecomposeForKeySwitch(c)
+		hd := decompose()
 		for i := range hd.digits {
 			if !hd.digits[i].Equal(hdSeq.digits[i]) {
 				t.Fatalf("workers %d: hoisted decomposition digit %d differs", workers, i)
 			}
 		}
-		got0, got1 := ev.keySwitchHoisted(hd, &rlk.SwitchingKey, table, add, nil)
+		got0, got1 := keySwitch(hd, table, add)
 		if !got0.Equal(want0) || !got1.Equal(want1) {
 			t.Fatalf("workers %d: hoisted key switch (permuted, fused add) differs", workers)
 		}
-		got0, got1 = ev.keySwitchHoisted(hd, &rlk.SwitchingKey, nil, nil, nil)
+		got0, got1 = keySwitch(hd, nil, nil)
 		if !got0.Equal(wantPlain0) || !got1.Equal(wantPlain1) {
 			t.Fatalf("workers %d: hoisted key switch differs", workers)
 		}

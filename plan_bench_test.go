@@ -2,9 +2,8 @@ package heax_test
 
 // Compiled-plan benchmarks: compile latency, single-run latency on the
 // logistic example circuit, and — the acceptance metric of the circuit
-// API — RunBatch throughput on the same per-op workload as the
-// imperative Session_SubmitMulRelin baseline (both report ns per
-// MulRelin, so the two benches compare directly in BENCH_4.json).
+// API — RunBatch throughput in ns per MulRelin, directly comparable
+// with the imperative API_MulRelinInto row.
 
 import (
 	"fmt"

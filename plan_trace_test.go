@@ -95,6 +95,9 @@ func TestPlanTracerObservesEverySteps(t *testing.T) {
 // tracer — installing and removing one leaves no residue, and the nil
 // check itself allocates nothing.
 func TestPlanTracerDisabledZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race; alloc counts are not meaningful")
+	}
 	k := newAPIKit(t)
 	pristine, err := traceCircuit().Compile(k.params, k.evk)
 	if err != nil {

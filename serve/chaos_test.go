@@ -193,15 +193,17 @@ func (k *chaosKit) batches(t testing.TB, seed int64, n int) []map[string]*heax.C
 	return in
 }
 
-// encodeLegacyRun serializes a Run request in the original reqRun
-// layout (no request id, no deadline budget).
-func encodeLegacyRun(t testing.TB, tenant string, id PlanID, in []map[string]*heax.Ciphertext) []byte {
+// encodeRun serializes a reqRunEx payload with no request id and no
+// deadline budget, for tests that write the frame themselves.
+func encodeRun(t testing.TB, tenant string, id PlanID, in []map[string]*heax.Ciphertext) []byte {
 	t.Helper()
 	var pw payloadWriter
 	if err := pw.str(tenant); err != nil {
 		t.Fatal(err)
 	}
 	pw.bytes(id[:])
+	pw.bytes(make([]byte, len(requestID{})))
+	pw.u64(0)
 	pw.u32(uint32(len(in)))
 	var buf bytes.Buffer
 	for _, batch := range in {
@@ -429,7 +431,7 @@ func TestChaosStalledClient(t *testing.T) {
 	// executes, but the response is never read — everything the server
 	// writes backs up into the socket.
 	in := kit.batches(t, 122, 256)
-	if err := writeFrame(stalled.bw, reqRun, encodeLegacyRun(t, "stall", info.ID, in)); err != nil {
+	if err := writeFrame(stalled.bw, reqRunEx, encodeRun(t, "stall", info.ID, in)); err != nil {
 		t.Fatal(err)
 	}
 	if err := stalled.bw.Flush(); err != nil {
@@ -716,9 +718,10 @@ func TestChaosMidRunDeadline(t *testing.T) {
 	auditZeroLeak(t, srv)
 }
 
-// TestChaosLegacyRunFrame: the original reqRun layout (no request id,
-// no deadline) still round-trips bit-identically — protocol revision 2
-// is backward compatible.
+// TestChaosLegacyRunFrame: the retired 0x05 Run frame is answered like
+// any unknown request type — ErrCorrupt on that connection, nothing
+// executed — and the server keeps serving, on that connection and on
+// others.
 func TestChaosLegacyRunFrame(t *testing.T) {
 	srv, addr := startChaosServer(t, chaosParams(t), 0)
 	cl, _ := dialChaos(t, addr)
@@ -732,15 +735,25 @@ func TestChaosLegacyRunFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := kit.batches(t, 182, 2)
-	resp, err := cl.roundTrip(context.Background(), reqRun, encodeLegacyRun(t, "legacy", info.ID, in), respBatches)
-	if err != nil {
-		t.Fatal(err)
+	const retiredRun byte = 0x05
+	_, err = cl.roundTrip(context.Background(), retiredRun, encodeRun(t, "legacy", info.ID, in), respBatches)
+	if !errors.Is(err, heax.ErrCorrupt) {
+		t.Fatalf("retired 0x05 frame: got %v, want ErrCorrupt", err)
 	}
-	got, err := cl.parseRunResponse(resp, len(in))
-	if err != nil {
-		t.Fatal(err)
+	if n := srv.adm.tenantCompleted("legacy"); n != 0 {
+		t.Fatalf("retired frame executed %d input sets", n)
 	}
-	kit.assertOracle(t, in, got)
+
+	other, _ := dialChaos(t, addr)
+	defer other.Close()
+	for _, c := range []*Client{other, cl} {
+		got, err := c.Run("legacy", info.ID, in)
+		if err != nil {
+			t.Fatalf("run after a retired frame: %v", err)
+		}
+		kit.assertOracle(t, in, got)
+	}
+	other.Close()
 	cl.Close()
 	auditZeroLeak(t, srv)
 }
@@ -826,9 +839,9 @@ func TestChaosWeightedFairWire(t *testing.T) {
 	auditZeroLeak(t, srv)
 }
 
-// FuzzParseRunRequest: both revisions of the Run frame must reject
-// malformed payloads with errors wrapping heax.ErrCorrupt — never a
-// panic, hang, or oversized allocation.
+// FuzzParseRunRequest: the Run frame parser must reject malformed
+// payloads with errors wrapping heax.ErrCorrupt — never a panic, hang,
+// or oversized allocation.
 func FuzzParseRunRequest(f *testing.F) {
 	params := heax.MustParams(chaosSpec)
 	s, err := NewServer(params, WithAdmissionWindow(1))
@@ -845,16 +858,19 @@ func FuzzParseRunRequest(f *testing.F) {
 	var pw payloadWriter
 	pw.str("t")
 	pw.bytes(make([]byte, len(PlanID{})))
+	head := len(pw.buf)
 	pw.bytes(make([]byte, len(requestID{})))
 	pw.u64(1_000_000)
+	tail := len(pw.buf)
 	pw.u32(1)
 	pw.blob(buf.Bytes())
-	f.Add(pw.buf, false)
-	f.Add(pw.buf[:len(pw.buf)/2], false)
-	f.Add(pw.buf, true)
-	f.Add([]byte{}, true)
-	f.Fuzz(func(t *testing.T, data []byte, legacy bool) {
-		req, err := s.parseRunRequest(data, legacy)
+	f.Add(pw.buf)
+	f.Add(pw.buf[:len(pw.buf)/2])
+	// The retired 0x05 layout: no request id, no budget.
+	f.Add(append(append([]byte{}, pw.buf[:head]...), pw.buf[tail:]...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := s.parseRunRequest(data)
 		if err != nil {
 			if !errors.Is(err, heax.ErrCorrupt) {
 				t.Fatalf("malformed run request must wrap ErrCorrupt, got %v", err)

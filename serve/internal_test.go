@@ -220,7 +220,7 @@ func TestWatchDisconnect(t *testing.T) {
 // arbitrary bytes.
 func FuzzReadFrame(f *testing.F) {
 	var buf bytes.Buffer
-	writeFrame(&buf, reqRun, bytes.Repeat([]byte{7}, 32))
+	writeFrame(&buf, reqRunEx, bytes.Repeat([]byte{7}, 32))
 	valid := buf.Bytes()
 	f.Add(valid)
 	for _, cut := range []int{0, 4, 5, 8, 9, len(valid) - 1} {

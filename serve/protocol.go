@@ -33,12 +33,11 @@ const (
 	reqRegister   byte = 0x02
 	reqUnregister byte = 0x03
 	reqCompile    byte = 0x04
-	reqRun        byte = 0x05
-	// reqRunEx is the extended Run request (protocol revision 2): the
-	// legacy fields plus a 16-byte client request id (zero = none) and a
-	// u64 deadline budget in microseconds (0 = none). Servers keep
-	// accepting the legacy reqRun, so old clients interoperate; new
-	// clients always send reqRunEx.
+	// reqRunEx is the Run request: tenant, plan id, a 16-byte client
+	// request id (zero = none), a u64 deadline budget in microseconds
+	// (0 = none) and the input batches. Type 0x05 was the first Run
+	// layout, without request id or budget; it is retired and answered
+	// like any other unknown request type.
 	reqRunEx byte = 0x06
 
 	respOK      byte = 0x80

@@ -649,13 +649,13 @@ func (s *Server) handleConn(conn net.Conn) {
 					return gerr
 				})
 			}
-		case reqRun, reqRunEx:
+		case reqRunEx:
 			// The whole run — admission, execution, response flush — is
 			// tracked by runWG so a graceful drain never cuts a response
 			// mid-frame.
 			if err = s.beginRun(); err == nil {
 				err = s.guard(func() (gerr error) {
-					rpayload, gerr = s.handleRun(ctx, cancel, conn, br, payload, typ == reqRun)
+					rpayload, gerr = s.handleRun(ctx, cancel, conn, br, payload)
 					return gerr
 				})
 				if err == nil {
@@ -898,7 +898,7 @@ func compileResponse(id PlanID, steps int, cached bool) []byte {
 	return pw.buf
 }
 
-// runRequest is one parsed Run request (legacy or extended frame).
+// runRequest is one parsed Run request.
 type runRequest struct {
 	tenant  string
 	id      PlanID
@@ -911,10 +911,9 @@ type runRequest struct {
 // values are a corrupt frame, not a quiet Duration overflow.
 const maxBudgetUS = uint64(1) << 53
 
-// parseRunRequest decodes a Run payload. legacy selects the original
-// reqRun layout (no request id / deadline fields); malformed input of
-// either revision fails with an error wrapping heax.ErrCorrupt.
-func (s *Server) parseRunRequest(payload []byte, legacy bool) (*runRequest, error) {
+// parseRunRequest decodes a Run payload; malformed input fails with an
+// error wrapping heax.ErrCorrupt.
+func (s *Server) parseRunRequest(payload []byte) (*runRequest, error) {
 	pr := payloadReader{buf: payload}
 	name, err := pr.str("tenant name")
 	if err != nil {
@@ -926,21 +925,19 @@ func (s *Server) parseRunRequest(payload []byte, legacy bool) (*runRequest, erro
 		return nil, err
 	}
 	copy(req.id[:], idBytes)
-	if !legacy {
-		rid, err := pr.take(len(requestID{}), "request id")
-		if err != nil {
-			return nil, err
-		}
-		copy(req.reqID[:], rid)
-		budgetUS, err := pr.u64("deadline budget")
-		if err != nil {
-			return nil, err
-		}
-		if budgetUS > maxBudgetUS {
-			return nil, fmt.Errorf("serve: deadline budget %d µs out of range: %w", budgetUS, heax.ErrCorrupt)
-		}
-		req.budget = time.Duration(budgetUS) * time.Microsecond
+	rid, err := pr.take(len(requestID{}), "request id")
+	if err != nil {
+		return nil, err
 	}
+	copy(req.reqID[:], rid)
+	budgetUS, err := pr.u64("deadline budget")
+	if err != nil {
+		return nil, err
+	}
+	if budgetUS > maxBudgetUS {
+		return nil, fmt.Errorf("serve: deadline budget %d µs out of range: %w", budgetUS, heax.ErrCorrupt)
+	}
+	req.budget = time.Duration(budgetUS) * time.Microsecond
 	n, err := pr.u32("batch count")
 	if err != nil {
 		return nil, err
@@ -963,8 +960,8 @@ func (s *Server) parseRunRequest(payload []byte, legacy bool) (*runRequest, erro
 	return req, nil
 }
 
-func (s *Server) handleRun(ctx context.Context, cancel context.CancelFunc, conn net.Conn, br *bufio.Reader, payload []byte, legacy bool) (resp []byte, err error) {
-	req, perr := s.parseRunRequest(payload, legacy)
+func (s *Server) handleRun(ctx context.Context, cancel context.CancelFunc, conn net.Conn, br *bufio.Reader, payload []byte) (resp []byte, err error) {
+	req, perr := s.parseRunRequest(payload)
 	if perr != nil {
 		return nil, perr
 	}
