@@ -157,12 +157,10 @@ func BenchmarkTable7_CPU_Dyadic(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))
 			x, y := randomRow(params, rng), randomRow(params, rng)
 			out := make([]uint64, params.N)
-			mod := params.RingQP.Basis.Mods[0]
+			ctx := params.RingQP
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for j := range out {
-					out[j] = mod.MulMod(x[j], y[j])
-				}
+				ctx.MulCoeffsRow(x, y, out, 0)
 			}
 		})
 	}

@@ -53,12 +53,7 @@ func MeasureCPU(quick bool) (CPUMeasurements, error) {
 
 		a := append([]uint64(nil), poly...)
 		out := make([]uint64, params.N)
-		mod := tb.Mod
-		m.Dyadic[spec.Name] = opsPerSec(window, func() {
-			for i := range out {
-				out[i] = mod.MulMod(a[i], poly[i])
-			}
-		})
+		m.Dyadic[spec.Name] = opsPerSec(window, func() { ctx.MulCoeffsRow(a, poly, out, 0) })
 
 		// High-level ops (Table 8) at the top level.
 		c := randomPoly(ctx, params.K(), rng)

@@ -322,9 +322,11 @@ func (ev *Evaluator) MulPlainInto(ct *Ciphertext, pt *Plaintext, out *Ciphertext
 	if err := ev.prepareInto(out, in.Degree(), level, ct.Scale*pt.Scale); err != nil {
 		return err
 	}
+	// Both components in one row pass (a ciphertext has two or three).
 	ctx := ev.ctx
-	for i, p := range in.Polys {
-		ctx.MulCoeffs(p, ptv, out.Polys[i])
+	ctx.MulCoeffsPair(in.Polys[0], in.Polys[1], ptv, out.Polys[0], out.Polys[1])
+	for i := 2; i < len(in.Polys); i++ {
+		ctx.MulCoeffs(in.Polys[i], ptv, out.Polys[i])
 	}
 	return nil
 }

@@ -67,38 +67,21 @@ func TestMulAddLazyMatchesMulCoeffsAdd(t *testing.T) {
 }
 
 func TestWorkerParity(t *testing.T) {
-	// Every row-wise op must produce identical results serial and
-	// parallel. Use a large enough ring to clear the parallel threshold.
+	// The row-parallel NTT must produce identical results serial and
+	// parallel (the elementwise ops have their own serial/parallel check
+	// against a scalar reference in dyadic_test.go). 4·4096 coefficients
+	// clear parallelThreshold.
 	rng := rand.New(rand.NewSource(33))
 	ctx := testContext(t, 4096, 4, 45)
 	a := randPoly(ctx, 4, rng)
-	b := randPoly(ctx, 4, rng)
-
-	type op func(c *Context, out *Poly)
-	ops := map[string]op{
-		"Add":       func(c *Context, out *Poly) { c.Add(a, b, out) },
-		"Sub":       func(c *Context, out *Poly) { c.Sub(a, b, out) },
-		"Neg":       func(c *Context, out *Poly) { c.Neg(a, out) },
-		"MulCoeffs": func(c *Context, out *Poly) { c.MulCoeffs(a, b, out) },
-		"MulScalar": func(c *Context, out *Poly) { c.MulScalar(a, 12345, out) },
-		"NTT": func(c *Context, out *Poly) {
-			for i := range out.Coeffs {
-				copy(out.Coeffs[i], a.Coeffs[i])
-			}
-			c.NTT(out)
-		},
-	}
-	for name, f := range ops {
-		serial := ctx.NewPoly(4)
-		ctx.SetWorkers(1)
-		f(ctx, serial)
-		parallel := ctx.NewPoly(4)
-		ctx.SetWorkers(4)
-		f(ctx, parallel)
-		ctx.SetWorkers(1)
-		if !serial.Equal(parallel) {
-			t.Fatalf("%s: parallel result diverges from serial", name)
-		}
+	serial, parallel := CopyOf(a), CopyOf(a)
+	ctx.SetWorkers(1)
+	ctx.NTT(serial)
+	ctx.SetWorkers(4)
+	ctx.NTT(parallel)
+	ctx.SetWorkers(1)
+	if !serial.Equal(parallel) {
+		t.Fatal("NTT: parallel result diverges from serial")
 	}
 }
 

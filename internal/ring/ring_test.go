@@ -158,20 +158,6 @@ func TestMulCoeffsAdd(t *testing.T) {
 	}
 }
 
-func TestMulScalar(t *testing.T) {
-	ctx := testContext(t, 32, 2, 30)
-	s := NewSampler(ctx, 4)
-	a := s.Uniform(2)
-	out := ctx.NewPoly(2)
-	ctx.MulScalar(a, 3, out)
-	sum := ctx.NewPoly(2)
-	ctx.Add(a, a, sum)
-	ctx.Add(sum, a, sum)
-	if !out.Equal(sum) {
-		t.Fatal("3a != a+a+a")
-	}
-}
-
 func TestAutomorphismCoeffDomain(t *testing.T) {
 	n := 16
 	ctx := testContext(t, n, 1, 30)

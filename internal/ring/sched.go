@@ -223,18 +223,25 @@ var rowJobPool = sync.Pool{New: func() any { return new(rowJob) }}
 // exported so higher layers (the CKKS evaluator's key-switch loops) can
 // reuse the same worker policy for their own row-shaped work.
 func (c *Context) RunRows(rows int, fn func(i int)) {
-	c.runRowsWorkers(rows, c.workers, false, fn)
+	c.runRowsWorkers(rows, c.workers, parallelThreshold, fn)
+}
+
+// runDyadicRows is RunRows for the elementwise ops, whose rows are cheap
+// enough to need dyadicThreshold coefficients before a fan-out pays.
+func (c *Context) runDyadicRows(rows int, fn func(i int)) {
+	c.runRowsWorkers(rows, c.workers, dyadicThreshold, fn)
 }
 
 // runRowsWorkers fans rows out to at most workers participants (the
-// caller plus workers-1 pool workers). force skips the size threshold —
-// callers with an explicit worker request (NTTParallel, the CPU-threads
-// ablation) get the fan-out they asked for even on small jobs.
-func (c *Context) runRowsWorkers(rows, workers int, force bool, fn func(i int)) {
+// caller plus workers-1 pool workers) when the job has at least
+// threshold coefficients. Callers with an explicit worker request
+// (NTTParallel, the CPU-threads ablation) pass 0 and get the fan-out
+// they asked for even on small jobs.
+func (c *Context) runRowsWorkers(rows, workers, threshold int, fn func(i int)) {
 	if workers > rows {
 		workers = rows
 	}
-	if workers <= 1 || (!force && rows*c.N < parallelThreshold) {
+	if workers <= 1 || rows*c.N < threshold {
 		for i := 0; i < rows; i++ {
 			fn(i)
 		}

@@ -57,7 +57,7 @@ func TestRunRowsAllWorkerCounts(t *testing.T) {
 	const rows = 37
 	for _, workers := range []int{1, 2, 3, 8, 64} {
 		hits := make([]atomic.Int32, rows)
-		ctx.runRowsWorkers(rows, workers, true, func(i int) {
+		ctx.runRowsWorkers(rows, workers, 0, func(i int) {
 			hits[i].Add(1)
 		})
 		for i := range hits {
@@ -78,7 +78,7 @@ func TestRunRowsConcurrentCallers(t *testing.T) {
 	for c := 0; c < callers; c++ {
 		go func() {
 			var hits [rows]atomic.Int32
-			ctx.runRowsWorkers(rows, 4, true, func(i int) { hits[i].Add(1) })
+			ctx.runRowsWorkers(rows, 4, 0, func(i int) { hits[i].Add(1) })
 			var out [rows]int32
 			for i := range hits {
 				out[i] = hits[i].Load()

@@ -1,0 +1,253 @@
+package uintmod
+
+import (
+	"fmt"
+	"math/big"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// prevPrime returns the largest prime below x.
+func prevPrime(x uint64) uint64 {
+	for p := x - 1; ; p-- {
+		if new(big.Int).SetUint64(p).ProbablyPrime(20) {
+			return p
+		}
+	}
+}
+
+// dyadicPrimes covers every Table 2 prime size, the largest modulus the
+// kernels accept, and two small primes (the largest lane shifts).
+func dyadicPrimes() []uint64 {
+	ps := []uint64{257, 12289}
+	for _, bits := range []uint{36, 37, 43, 46, 49, 50} {
+		ps = append(ps, prevPrime(1<<bits))
+	}
+	return ps
+}
+
+// dyadicRow draws n residues mod p. The first nine lanes hold edge
+// values — edge[i%3], or edge[i/3] when byThrees — so a plain row and a
+// byThrees row meet in all nine pairings (eight when n = 8, the first
+// being edge[0] with edge[0]); the rest are uniform.
+func dyadicRow(rng *rand.Rand, n int, p uint64, edge [3]uint64, byThrees bool) []uint64 {
+	row := make([]uint64, n)
+	for i := range row {
+		switch {
+		case i >= 9:
+			row[i] = rng.Uint64() % p
+		case byThrees:
+			row[i] = edge[i/3]
+		default:
+			row[i] = edge[i%3]
+		}
+	}
+	return row
+}
+
+// forEachDyadicCase runs f for every (prime, n) the kernels are specified
+// for, with four operand rows: rows 0 and 1, and rows 2 and 3, pair up
+// {0, 1, p-1} in their leading lanes.
+func forEachDyadicCase(t *testing.T, f func(t *testing.T, m Modulus, rows [4][]uint64)) {
+	if !HasIFMA() {
+		t.Skip("no AVX-512 IFMA")
+	}
+	rng := rand.New(rand.NewSource(13))
+	for _, p := range dyadicPrimes() {
+		for _, n := range []int{8, 16, 64, 4096} {
+			if !IFMAUsable(p, n) {
+				t.Fatalf("IFMAUsable(%d, %d) = false", p, n)
+			}
+			t.Run(fmt.Sprintf("p=%d/n=%d", p, n), func(t *testing.T) {
+				e, f2 := [3]uint64{p - 1, 0, 1}, [3]uint64{1, p - 1, 0}
+				f(t, NewModulus(p), [4][]uint64{
+					dyadicRow(rng, n, p, e, false), dyadicRow(rng, n, p, e, true),
+					dyadicRow(rng, n, p, f2, false), dyadicRow(rng, n, p, f2, true),
+				})
+			})
+		}
+	}
+}
+
+func checkRow(t *testing.T, what string, got []uint64, want func(i int) uint64) {
+	t.Helper()
+	for i := range got {
+		if w := want(i); got[i] != w {
+			t.Fatalf("%s lane %d: got %d want %d", what, i, got[i], w)
+		}
+	}
+}
+
+// binaryKernel checks a two-operand kernel into a fresh row, in place on
+// x, in place on y, and squaring (all three the same slice).
+func binaryKernel(t *testing.T, name string, kernel func(out, x, y []uint64, p uint64),
+	ref func(m Modulus, x, y uint64) uint64) {
+	forEachDyadicCase(t, func(t *testing.T, m Modulus, rows [4][]uint64) {
+		x, y := rows[0], rows[1]
+		out := make([]uint64, len(x))
+		kernel(out, x, y, m.P)
+		checkRow(t, name, out, func(i int) uint64 { return ref(m, x[i], y[i]) })
+
+		ax := slices.Clone(x)
+		kernel(ax, ax, y, m.P)
+		checkRow(t, name+" out=x", ax, func(i int) uint64 { return ref(m, x[i], y[i]) })
+
+		ay := slices.Clone(y)
+		kernel(ay, x, ay, m.P)
+		checkRow(t, name+" out=y", ay, func(i int) uint64 { return ref(m, x[i], y[i]) })
+
+		sq := slices.Clone(x)
+		kernel(sq, sq, sq, m.P)
+		checkRow(t, name+" out=x=y", sq, func(i int) uint64 { return ref(m, x[i], x[i]) })
+	})
+}
+
+func TestVecMul(t *testing.T) {
+	binaryKernel(t, "VecMul", VecMul, func(m Modulus, x, y uint64) uint64 { return m.MulMod(x, y) })
+}
+
+func TestVecAdd(t *testing.T) {
+	binaryKernel(t, "VecAdd", VecAdd, func(m Modulus, x, y uint64) uint64 { return AddMod(x, y, m.P) })
+}
+
+func TestVecSub(t *testing.T) {
+	binaryKernel(t, "VecSub", VecSub, func(m Modulus, x, y uint64) uint64 { return SubMod(x, y, m.P) })
+}
+
+func TestVecNeg(t *testing.T) {
+	forEachDyadicCase(t, func(t *testing.T, m Modulus, rows [4][]uint64) {
+		x := rows[0]
+		out := make([]uint64, len(x))
+		VecNeg(out, x, m.P)
+		checkRow(t, "VecNeg", out, func(i int) uint64 { return NegMod(x[i], m.P) })
+		ax := slices.Clone(x)
+		VecNeg(ax, ax, m.P)
+		checkRow(t, "VecNeg out=x", ax, func(i int) uint64 { return NegMod(x[i], m.P) })
+	})
+}
+
+func TestVecMulPair(t *testing.T) {
+	forEachDyadicCase(t, func(t *testing.T, m Modulus, rows [4][]uint64) {
+		x0, y, x1 := rows[0], rows[1], rows[2]
+		out0, out1 := make([]uint64, len(y)), make([]uint64, len(y))
+		VecMulPair(out0, out1, x0, x1, y, m.P)
+		checkRow(t, "VecMulPair out0", out0, func(i int) uint64 { return m.MulMod(x0[i], y[i]) })
+		checkRow(t, "VecMulPair out1", out1, func(i int) uint64 { return m.MulMod(x1[i], y[i]) })
+
+		// In place on the ciphertext rows, as MulPlainInto(ct, pt, ct) runs it.
+		a0, a1 := slices.Clone(x0), slices.Clone(x1)
+		VecMulPair(a0, a1, a0, a1, y, m.P)
+		checkRow(t, "VecMulPair out0=x0", a0, func(i int) uint64 { return m.MulMod(x0[i], y[i]) })
+		checkRow(t, "VecMulPair out1=x1", a1, func(i int) uint64 { return m.MulMod(x1[i], y[i]) })
+
+		// The second output landing on the shared operand.
+		ay := slices.Clone(y)
+		VecMulPair(out0, ay, x0, x1, ay, m.P)
+		checkRow(t, "VecMulPair out1=y (out0)", out0, func(i int) uint64 { return m.MulMod(x0[i], y[i]) })
+		checkRow(t, "VecMulPair out1=y", ay, func(i int) uint64 { return m.MulMod(x1[i], y[i]) })
+	})
+}
+
+func TestVecMulAdd(t *testing.T) {
+	forEachDyadicCase(t, func(t *testing.T, m Modulus, rows [4][]uint64) {
+		x, y, acc := rows[0], rows[1], rows[2]
+		ref := func(a, x, y uint64) uint64 { return AddMod(a, m.MulMod(x, y), m.P) }
+		out := slices.Clone(acc)
+		VecMulAdd(out, x, y, m.P)
+		checkRow(t, "VecMulAdd", out, func(i int) uint64 { return ref(acc[i], x[i], y[i]) })
+
+		ax := slices.Clone(x)
+		VecMulAdd(ax, ax, y, m.P)
+		checkRow(t, "VecMulAdd out=x", ax, func(i int) uint64 { return ref(x[i], x[i], y[i]) })
+
+		ay := slices.Clone(y)
+		VecMulAdd(ay, x, ay, m.P)
+		checkRow(t, "VecMulAdd out=y", ay, func(i int) uint64 { return ref(y[i], x[i], y[i]) })
+	})
+}
+
+func TestVecMulTensor(t *testing.T) {
+	forEachDyadicCase(t, func(t *testing.T, m Modulus, rows [4][]uint64) {
+		a0, b0, a1, b1 := rows[0], rows[1], rows[2], rows[3]
+		want0 := func(i int) uint64 { return m.MulMod(a0[i], b0[i]) }
+		want1 := func(i int) uint64 {
+			return AddMod(m.MulMod(a0[i], b1[i]), m.MulMod(a1[i], b0[i]), m.P)
+		}
+		want2 := func(i int) uint64 { return m.MulMod(a1[i], b1[i]) }
+		n := len(a0)
+		c0, c1, c2 := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+		VecMulTensor(c0, c1, c2, a0, a1, b0, b1, m.P)
+		checkRow(t, "VecMulTensor c0", c0, want0)
+		checkRow(t, "VecMulTensor c1", c1, want1)
+		checkRow(t, "VecMulTensor c2", c2, want2)
+
+		// Outputs landing on the first operand's rows and on a b row.
+		x0, x1, y1 := slices.Clone(a0), slices.Clone(a1), slices.Clone(b1)
+		VecMulTensor(x0, x1, y1, x0, x1, b0, y1, m.P)
+		checkRow(t, "VecMulTensor c0=a0", x0, want0)
+		checkRow(t, "VecMulTensor c1=a1", x1, want1)
+		checkRow(t, "VecMulTensor c2=b1", y1, want2)
+
+		// The extreme of the fused middle term: both products (p-1)^2.
+		top := make([]uint64, n)
+		for i := range top {
+			top[i] = m.P - 1
+		}
+		VecMulTensor(c0, c1, c2, top, top, top, top, m.P)
+		checkRow(t, "VecMulTensor c1 at (p-1)^2", c1, func(int) uint64 { return 2 % m.P })
+	})
+}
+
+func TestBarrett52(t *testing.T) {
+	for _, p := range dyadicPrimes() {
+		mu, shift := barrett52(p)
+		k := uint(52 - shift)
+		if p>>(k-1) != 1 {
+			t.Fatalf("p=%d: shift %d does not match its bit length", p, shift)
+		}
+		// mu = floor(2^(k+51)/p) and fits an IFMA operand.
+		want := new(big.Int).Lsh(big.NewInt(1), k+51)
+		want.Div(want, new(big.Int).SetUint64(p))
+		if !want.IsUint64() || want.Uint64() != mu || mu>>52 != 0 {
+			t.Fatalf("p=%d: mu = %d, want %s below 2^52", p, mu, want)
+		}
+	}
+}
+
+// The quotient estimate must leave a remainder the two folds can finish:
+// below 5p/2 for one product, below 4p for the tensor's fused pair. Scalar
+// emulation of the lane arithmetic on the worst-case operands.
+func TestBarrett52Bounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, p := range dyadicPrimes() {
+		mu, shift := barrett52(p)
+		draw := func() uint64 {
+			switch rng.Intn(4) {
+			case 0:
+				return p - 1 - uint64(rng.Intn(3))
+			case 1:
+				return uint64(rng.Intn(3))
+			}
+			return rng.Uint64() % p
+		}
+		for iter := 0; iter < 20000; iter++ {
+			x0, y0, x1, y1 := draw(), draw(), draw(), draw()
+			c := mulHi52(2*x0, y0<<shift)
+			lo := mulLo52(x0, y0)
+			r := (lo + mulLo52(mulHi52(c, mu), (1<<52)-p)) & ((1 << 52) - 1)
+			if 2*r >= 5*p {
+				t.Fatalf("p=%d x=%d y=%d: remainder %d not below 5p/2", p, x0, y0, r)
+			}
+			c += mulHi52(2*x1, y1<<shift)
+			lo += mulLo52(x1, y1)
+			if c>>52 != 0 {
+				t.Fatalf("p=%d: fused quotient input %d exceeds 52 bits", p, c)
+			}
+			r = (lo + mulLo52(mulHi52(c, mu), (1<<52)-p)) & ((1 << 52) - 1)
+			if r >= 4*p {
+				t.Fatalf("p=%d: fused remainder %d not below 4p", p, r)
+			}
+		}
+	}
+}

@@ -11,6 +11,14 @@ func detectIFMA() bool
 func vecMulShoupIFMA(out, x, y, yShoup *uint64, n int, p uint64)
 func vecMulShoupAddLazyIFMA(out, x, y, yShoup *uint64, n int, p uint64)
 
+func vecMulIFMA(out, x, y *uint64, n int, p, mu, shift uint64)
+func vecMulPairIFMA(out0, out1, x0, x1, y *uint64, n int, p, mu, shift uint64)
+func vecMulAddIFMA(out, x, y *uint64, n int, p, mu, shift uint64)
+func vecMulTensorIFMA(c0, c1, c2, a0, a1, b0, b1 *uint64, n int, p, mu, shift uint64)
+func vecAddIFMA(out, x, y *uint64, n int, p uint64)
+func vecSubIFMA(out, x, y *uint64, n int, p uint64)
+func vecNegIFMA(out, x *uint64, n int, p uint64)
+
 // hasIFMA is fixed at startup; the dispatch never changes afterwards, so
 // a Context's choice of Shoup scale (2^52 vs 2^64) is stable.
 var hasIFMA = detectIFMA()
@@ -20,10 +28,11 @@ func HasIFMA() bool { return hasIFMA }
 
 // IFMAUsable reports whether the vector kernels can run for modulus p on
 // rows of n coefficients: the lazy range [0, 4p) must fit a 52-bit lane
-// (p < 2^50 — every Table 2 prime qualifies) and rows must be whole
-// 8-lane vectors.
+// (p < 2^50 — every Table 2 prime qualifies), p must be odd (the Barrett
+// constant of the general-operand kernels needs p above 2^(bitlen-1))
+// and rows must be whole 8-lane vectors.
 func IFMAUsable(p uint64, n int) bool {
-	return hasIFMA && bits.Len64(p) <= 50 && n >= 8 && n%8 == 0
+	return hasIFMA && bits.Len64(p) <= 50 && p&1 == 1 && n >= 8 && n%8 == 0
 }
 
 // VecMulShoup sets out[i] = x[i]·y[i] mod p (fully reduced) using the
@@ -47,4 +56,76 @@ func VecMulShoupAddLazy(out, x, y, yShoup []uint64, p uint64) {
 	_ = y[n-1]
 	_ = yShoup[n-1]
 	vecMulShoupAddLazyIFMA(&out[0], &x[0], &y[0], &yShoup[0], n, p)
+}
+
+// The general-operand kernels below take fully reduced rows (every
+// element < p) and return fully reduced rows, bit-identical to the scalar
+// Modulus.MulMod/AddMod/SubMod/NegMod loops. All require
+// IFMAUsable(p, len(out)); an output may be the same slice as an input.
+
+// VecMul sets out[i] = x[i]·y[i] mod p.
+func VecMul(out, x, y []uint64, p uint64) {
+	n := len(out)
+	_ = x[n-1]
+	_ = y[n-1]
+	mu, shift := barrett52(p)
+	vecMulIFMA(&out[0], &x[0], &y[0], n, p, mu, shift)
+}
+
+// VecMulPair sets out0[i] = x0[i]·y[i] mod p and out1[i] = x1[i]·y[i]
+// mod p, reading the shared operand once.
+func VecMulPair(out0, out1, x0, x1, y []uint64, p uint64) {
+	n := len(out0)
+	_ = out1[n-1]
+	_ = x0[n-1]
+	_ = x1[n-1]
+	_ = y[n-1]
+	mu, shift := barrett52(p)
+	vecMulPairIFMA(&out0[0], &out1[0], &x0[0], &x1[0], &y[0], n, p, mu, shift)
+}
+
+// VecMulAdd sets out[i] = (out[i] + x[i]·y[i]) mod p.
+func VecMulAdd(out, x, y []uint64, p uint64) {
+	n := len(out)
+	_ = x[n-1]
+	_ = y[n-1]
+	mu, shift := barrett52(p)
+	vecMulAddIFMA(&out[0], &x[0], &y[0], n, p, mu, shift)
+}
+
+// VecMulTensor sets c0 = a0·b0, c1 = a0·b1 + a1·b0, c2 = a1·b1 (mod p),
+// the Algorithm 5 tensor, in one pass over the four operands.
+func VecMulTensor(c0, c1, c2, a0, a1, b0, b1 []uint64, p uint64) {
+	n := len(c0)
+	_ = c1[n-1]
+	_ = c2[n-1]
+	_ = a0[n-1]
+	_ = a1[n-1]
+	_ = b0[n-1]
+	_ = b1[n-1]
+	mu, shift := barrett52(p)
+	vecMulTensorIFMA(&c0[0], &c1[0], &c2[0], &a0[0], &a1[0], &b0[0], &b1[0], n, p, mu, shift)
+}
+
+// VecAdd sets out[i] = (x[i] + y[i]) mod p.
+func VecAdd(out, x, y []uint64, p uint64) {
+	n := len(out)
+	_ = x[n-1]
+	_ = y[n-1]
+	vecAddIFMA(&out[0], &x[0], &y[0], n, p)
+}
+
+// VecSub sets out[i] = (x[i] - y[i]) mod p.
+func VecSub(out, x, y []uint64, p uint64) {
+	n := len(out)
+	_ = x[n-1]
+	_ = y[n-1]
+	vecSubIFMA(&out[0], &x[0], &y[0], n, p)
+}
+
+// VecNeg sets out[i] = -x[i] mod p.
+func VecNeg(out, x []uint64, p uint64) {
+	n := len(out)
+	_ = x[n-1]
+	vecNegIFMA(&out[0], &x[0], n, p)
 }

@@ -120,3 +120,306 @@ loop:
 	JNZ  loop
 	VZEROUPPER
 	RET
+
+// ---- general-operand kernels (Barrett by halves) ------------------------
+//
+// The kernels above need a per-coefficient Shoup constant of one operand.
+// The dyadic ops of the evaluator (MulPlain, the Algorithm 5 tensor,
+// decrypt's multiply-add) multiply two variable rows, so the kernels below
+// reduce the 104-bit product with one Barrett constant per row instead —
+// the scheme Intel HEXL uses for its 52-bit path. Inputs and outputs are
+// fully reduced, so every result equals Modulus.MulMod/AddMod bit for bit.
+//
+// Let k = bitlen(p), so 2^(k-1) < p < 2^k (p is odd) and k <= 50, and let
+// x, y < p with z = x*y < 2^(2k). Per row the Go wrapper computes
+//
+//	mu    = floor(2^(k+51) / p)   < 2^52   (p > 2^(k-1))
+//	shift = 52 - k
+//
+// and the loop evaluates, per lane,
+//
+//	c  = hi52(2x * (y << shift)) = floor(z / 2^(k-1))   < 2^(k+1) <= 2^51
+//	lo = lo52(x * y)
+//	q  = hi52(c * mu)
+//	r  = (lo + lo52(q * (2^52 - p))) mod 2^52  =  (z - q*p) mod 2^52
+//
+// Both IFMA operands of the first product fit 52 bits (2x < 2^51,
+// y << shift < 2^52) and the product is exact, so c is the exact floor.
+// q never overestimates floor(z/p) because c <= z/2^(k-1) and
+// mu <= 2^(k+51)/p. From below, c > z/2^(k-1) - 1 and mu > 2^(k+51)/p - 1
+// give
+//
+//	c*mu/2^52 > z/p - z/2^(k+51) - 2^(k-1)/p > z/p - 2^(k-51) - 1 >= z/p - 3/2
+//
+// and the floor costs less than one more, so 0 <= z - q*p < 5p/2 < 2^52:
+// the value mod 2^52 is the value, and two VPMINUQ folds (by 2p, then p)
+// give the canonical residue.
+//
+// The tensor's middle term a0*b1 + a1*b0 is reduced once: both products
+// accumulate in the same hi/lo lanes (VPMADD52 adds into its destination).
+// Then z < 2^(2k+1), c is the sum of two floors — at least
+// z/2^(k-1) - 2 and below 2^(k+2) <= 2^52 — and lo < 2^53. The same chain
+// of inequalities gives c*mu/2^52 > z/p - 2^(k-50) - 2 >= z/p - 3, hence
+// 0 <= z - q*p < 4p < 2^52, still inside what the two folds reduce.
+// The multiply-add adds the accumulator (< p) to r < 5p/2 before folding.
+//
+// Every iteration loads all of its inputs before its first store, so an
+// output row may be the same slice as an input row (partial overlap is
+// not supported). Constants live in Z10-Z15 for the whole loop:
+//
+//	Z10 mu   Z11 shift   Z12 p   Z13 2p   Z14 2^52-1   Z15 2^52-p
+
+// DYADCONST loads the loop constants from AX = p, DX = mu, BX = shift.
+#define DYADCONST \
+	VPBROADCASTQ AX, Z12; \
+	VPADDQ Z12, Z12, Z13; \
+	VPBROADCASTQ DX, Z10; \
+	VPBROADCASTQ BX, Z11; \
+	MOVQ $0x000FFFFFFFFFFFFF, DX; \
+	VPBROADCASTQ DX, Z14; \
+	INCQ DX; \
+	SUBQ AX, DX; \
+	VPBROADCASTQ DX, Z15
+
+// PRODUCT sets c = floor(x*y/2^(k-1)), lo = lo52(x*y) from x, x2 = 2x,
+// y, ys = y << shift; PRODUCTACC adds a second product into the same lanes.
+#define PRODUCTACC(x, x2, y, ys, c, lo) \
+	VPMADD52HUQ ys, x2, c; \
+	VPMADD52LUQ y, x, lo
+#define PRODUCT(x, x2, y, ys, c, lo) \
+	VPXORQ c, c, c; \
+	VPXORQ lo, lo, lo; \
+	PRODUCTACC(x, x2, y, ys, c, lo)
+
+// BARRETT sets lo = z - floor(c*mu/2^52)*p in [0, 4p); t is scratch.
+#define BARRETT(c, lo, t) \
+	VPXORQ t, t, t; \
+	VPMADD52HUQ Z10, c, t; \
+	VPMADD52LUQ Z15, t, lo; \
+	VPANDQ Z14, lo, lo
+
+// FOLD maps r in [0, 4p) to [0, p); t is scratch.
+#define FOLD(r, t) \
+	VPSUBQ Z13, r, t; \
+	VPMINUQ t, r, r; \
+	VPSUBQ Z12, r, t; \
+	VPMINUQ t, r, r
+
+// func vecMulIFMA(out, x, y *uint64, n int, p, mu, shift uint64)
+// out[i] = x[i]*y[i] mod p for x[i], y[i] < p.
+TEXT ·vecMulIFMA(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), R8
+	MOVQ n+24(FP), CX
+	MOVQ p+32(FP), AX
+	MOVQ mu+40(FP), DX
+	MOVQ shift+48(FP), BX
+	DYADCONST
+	SHRQ $3, CX
+loop:
+	VMOVDQU64 (SI), Z0              // x
+	VMOVDQU64 (R8), Z1              // y
+	VPADDQ Z0, Z0, Z2               // 2x
+	VPSLLVQ Z11, Z1, Z3             // y << shift
+	PRODUCT(Z0, Z2, Z1, Z3, Z4, Z5)
+	BARRETT(Z4, Z5, Z6)
+	FOLD(Z5, Z6)
+	VMOVDQU64 Z5, (DI)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	ADDQ $64, R8
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+
+// func vecMulPairIFMA(out0, out1, x0, x1, y *uint64, n int, p, mu, shift uint64)
+// out0[i] = x0[i]*y[i] mod p, out1[i] = x1[i]*y[i] mod p: the shared
+// operand (MulPlain's plaintext row) is loaded and shifted once.
+TEXT ·vecMulPairIFMA(SB), NOSPLIT, $0-72
+	MOVQ out0+0(FP), DI
+	MOVQ out1+8(FP), R10
+	MOVQ x0+16(FP), SI
+	MOVQ x1+24(FP), R9
+	MOVQ y+32(FP), R8
+	MOVQ n+40(FP), CX
+	MOVQ p+48(FP), AX
+	MOVQ mu+56(FP), DX
+	MOVQ shift+64(FP), BX
+	DYADCONST
+	SHRQ $3, CX
+loop:
+	VMOVDQU64 (SI), Z0              // x0
+	VMOVDQU64 (R9), Z7              // x1
+	VMOVDQU64 (R8), Z1              // y
+	VPSLLVQ Z11, Z1, Z3             // y << shift
+	VPADDQ Z0, Z0, Z2               // 2*x0
+	VPADDQ Z7, Z7, Z8               // 2*x1
+	PRODUCT(Z0, Z2, Z1, Z3, Z4, Z5)
+	PRODUCT(Z7, Z8, Z1, Z3, Z16, Z17)
+	BARRETT(Z4, Z5, Z6)
+	BARRETT(Z16, Z17, Z18)
+	FOLD(Z5, Z6)
+	FOLD(Z17, Z18)
+	VMOVDQU64 Z5, (DI)
+	VMOVDQU64 Z17, (R10)
+	ADDQ $64, DI
+	ADDQ $64, R10
+	ADDQ $64, SI
+	ADDQ $64, R9
+	ADDQ $64, R8
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+
+// func vecMulAddIFMA(out, x, y *uint64, n int, p, mu, shift uint64)
+// out[i] = (out[i] + x[i]*y[i]) mod p for out[i], x[i], y[i] < p.
+TEXT ·vecMulAddIFMA(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), R8
+	MOVQ n+24(FP), CX
+	MOVQ p+32(FP), AX
+	MOVQ mu+40(FP), DX
+	MOVQ shift+48(FP), BX
+	DYADCONST
+	SHRQ $3, CX
+loop:
+	VMOVDQU64 (SI), Z0              // x
+	VMOVDQU64 (R8), Z1              // y
+	VPADDQ Z0, Z0, Z2
+	VPSLLVQ Z11, Z1, Z3
+	PRODUCT(Z0, Z2, Z1, Z3, Z4, Z5)
+	BARRETT(Z4, Z5, Z6)             // [0, 5p/2)
+	VPADDQ (DI), Z5, Z5             // + acc: [0, 7p/2)
+	FOLD(Z5, Z6)
+	VMOVDQU64 Z5, (DI)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	ADDQ $64, R8
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+
+// func vecMulTensorIFMA(c0, c1, c2, a0, a1, b0, b1 *uint64, n int, p, mu, shift uint64)
+// Algorithm 5 in one pass: c0 = a0*b0, c1 = a0*b1 + a1*b0, c2 = a1*b1
+// (mod p, fully reduced), three reductions for four products.
+TEXT ·vecMulTensorIFMA(SB), NOSPLIT, $0-88
+	MOVQ c0+0(FP), DI
+	MOVQ c1+8(FP), R10
+	MOVQ c2+16(FP), R11
+	MOVQ a0+24(FP), SI
+	MOVQ a1+32(FP), R9
+	MOVQ b0+40(FP), R8
+	MOVQ b1+48(FP), R12
+	MOVQ n+56(FP), CX
+	MOVQ p+64(FP), AX
+	MOVQ mu+72(FP), DX
+	MOVQ shift+80(FP), BX
+	DYADCONST
+	SHRQ $3, CX
+loop:
+	VMOVDQU64 (SI), Z0              // a0
+	VMOVDQU64 (R9), Z1              // a1
+	VMOVDQU64 (R8), Z2              // b0
+	VMOVDQU64 (R12), Z3             // b1
+	VPADDQ Z0, Z0, Z4               // 2*a0
+	VPADDQ Z1, Z1, Z5               // 2*a1
+	VPSLLVQ Z11, Z2, Z6             // b0 << shift
+	VPSLLVQ Z11, Z3, Z7             // b1 << shift
+	PRODUCT(Z0, Z4, Z2, Z6, Z16, Z17)       // a0*b0
+	PRODUCT(Z1, Z5, Z3, Z7, Z19, Z20)       // a1*b1
+	PRODUCT(Z0, Z4, Z3, Z7, Z22, Z23)       // a0*b1
+	PRODUCTACC(Z1, Z5, Z2, Z6, Z22, Z23)    //  + a1*b0
+	BARRETT(Z16, Z17, Z18)
+	BARRETT(Z19, Z20, Z21)
+	BARRETT(Z22, Z23, Z24)
+	FOLD(Z17, Z18)
+	FOLD(Z20, Z21)
+	FOLD(Z23, Z24)
+	VMOVDQU64 Z17, (DI)
+	VMOVDQU64 Z23, (R10)
+	VMOVDQU64 Z20, (R11)
+	ADDQ $64, DI
+	ADDQ $64, R10
+	ADDQ $64, R11
+	ADDQ $64, SI
+	ADDQ $64, R9
+	ADDQ $64, R8
+	ADDQ $64, R12
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+
+// func vecAddIFMA(out, x, y *uint64, n int, p uint64)
+// out[i] = (x[i] + y[i]) mod p for x[i], y[i] < p.
+TEXT ·vecAddIFMA(SB), NOSPLIT, $0-40
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), R8
+	MOVQ n+24(FP), CX
+	MOVQ p+32(FP), AX
+	VPBROADCASTQ AX, Z12
+	SHRQ $3, CX
+loop:
+	VMOVDQU64 (SI), Z0
+	VPADDQ (R8), Z0, Z0             // x + y in [0, 2p)
+	VPSUBQ Z12, Z0, Z1              // wraps when x + y < p
+	VPMINUQ Z1, Z0, Z0
+	VMOVDQU64 Z0, (DI)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	ADDQ $64, R8
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+
+// func vecSubIFMA(out, x, y *uint64, n int, p uint64)
+// out[i] = (x[i] - y[i]) mod p for x[i], y[i] < p.
+TEXT ·vecSubIFMA(SB), NOSPLIT, $0-40
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), R8
+	MOVQ n+24(FP), CX
+	MOVQ p+32(FP), AX
+	VPBROADCASTQ AX, Z12
+	SHRQ $3, CX
+loop:
+	VMOVDQU64 (SI), Z0
+	VPSUBQ (R8), Z0, Z0             // x - y, wraps when x < y
+	VPADDQ Z12, Z0, Z1              // ... and this is then the residue
+	VPMINUQ Z1, Z0, Z0
+	VMOVDQU64 Z0, (DI)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	ADDQ $64, R8
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+
+// func vecNegIFMA(out, x *uint64, n int, p uint64)
+// out[i] = -x[i] mod p for x[i] < p.
+TEXT ·vecNegIFMA(SB), NOSPLIT, $0-32
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ p+24(FP), AX
+	VPBROADCASTQ AX, Z12
+	SHRQ $3, CX
+loop:
+	VPSUBQ (SI), Z12, Z0            // p - x in (0, p]
+	VPSUBQ Z12, Z0, Z1              // 0 when x = 0, wraps otherwise
+	VPMINUQ Z1, Z0, Z0
+	VMOVDQU64 Z0, (DI)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+	RET

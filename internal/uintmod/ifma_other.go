@@ -18,3 +18,38 @@ func VecMulShoup(out, x, y, yShoup []uint64, p uint64) {
 func VecMulShoupAddLazy(out, x, y, yShoup []uint64, p uint64) {
 	panic("uintmod: VecMulShoupAddLazy without IFMA support")
 }
+
+// VecMul must not be called when IFMAUsable is false.
+func VecMul(out, x, y []uint64, p uint64) {
+	panic("uintmod: VecMul without IFMA support")
+}
+
+// VecMulPair must not be called when IFMAUsable is false.
+func VecMulPair(out0, out1, x0, x1, y []uint64, p uint64) {
+	panic("uintmod: VecMulPair without IFMA support")
+}
+
+// VecMulAdd must not be called when IFMAUsable is false.
+func VecMulAdd(out, x, y []uint64, p uint64) {
+	panic("uintmod: VecMulAdd without IFMA support")
+}
+
+// VecMulTensor must not be called when IFMAUsable is false.
+func VecMulTensor(c0, c1, c2, a0, a1, b0, b1 []uint64, p uint64) {
+	panic("uintmod: VecMulTensor without IFMA support")
+}
+
+// VecAdd must not be called when IFMAUsable is false.
+func VecAdd(out, x, y []uint64, p uint64) {
+	panic("uintmod: VecAdd without IFMA support")
+}
+
+// VecSub must not be called when IFMAUsable is false.
+func VecSub(out, x, y []uint64, p uint64) {
+	panic("uintmod: VecSub without IFMA support")
+}
+
+// VecNeg must not be called when IFMAUsable is false.
+func VecNeg(out, x []uint64, p uint64) {
+	panic("uintmod: VecNeg without IFMA support")
+}

@@ -279,6 +279,15 @@ func ShoupPrecomp52(y, p uint64) uint64 {
 	return q
 }
 
+// barrett52 returns the per-row constants of the general-operand kernels
+// (ifma_amd64.s, "Barrett by halves") for an odd p < 2^50 with
+// k = bitlen(p): mu = floor(2^(k+51)/p) — the 2^52-scaled Shoup constant
+// of 2^(k-1), which is below p — and shift = 52-k.
+func barrett52(p uint64) (mu, shift uint64) {
+	k := uint(bits.Len64(p))
+	return ShoupPrecomp52(1<<(k-1), p), uint64(52 - k)
+}
+
 // --- w = 54 emulation ------------------------------------------------
 
 // Word54 is the HEAX native word width.
