@@ -101,6 +101,7 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet, opts ...Compile
 		escapes:   make([]bool, k.nSlots),
 		inputSlot: make([]bool, k.nSlots),
 		sem:       make(chan struct{}, cfg.inFlight),
+		lookahead: lookaheadPerInFlight * cfg.inFlight,
 		window:    cfg.batchWindow,
 	}
 	for _, st := range p.steps {
@@ -128,6 +129,14 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet, opts ...Compile
 	}}}
 	return p, nil
 }
+
+// lookaheadPerInFlight sizes a plan's reorder window from its in-flight
+// bound: wide enough that a window of interleaved dependent and
+// independent steps still keeps every in-flight place busy (a single
+// BSGS matvec run, Set-A, 2 CPUs: 4 costs ~30 % latency, 8 is level
+// with no window within this host's spread, 16 is level, and all three
+// hold the same memory under load).
+const lookaheadPerInFlight = 16
 
 // CompileOption configures Compile.
 type CompileOption func(*compileConfig)
@@ -157,7 +166,9 @@ func WithoutHoisting() CompileOption {
 // WithPlanInFlight bounds how many plan steps may execute concurrently
 // across all Run/RunBatch calls on the compiled plan — the software
 // analogue of the paper's bounded device buffers (double buffering for
-// MULT, f1-deep for KeySwitch). Defaults to 2×GOMAXPROCS.
+// MULT, f1-deep for KeySwitch). Defaults to 2×GOMAXPROCS. The plan's
+// reorder window (how far past a run's oldest unfinished step, in plan
+// order, a step may start) is 16 times this bound.
 func WithPlanInFlight(n int) CompileOption {
 	return func(cfg *compileConfig) {
 		if n < 1 {

@@ -162,6 +162,15 @@ func WriteCiphertextBatch(w io.Writer, batch map[string]*Ciphertext) error {
 	return ckks.WriteCiphertextBatch(w, batch)
 }
 
+// CiphertextBatchSize returns the exact number of bytes
+// WriteCiphertextBatch produces for batch, or the error it would fail
+// with for a batch the wire format cannot carry (too many entries, an
+// empty or over-long name) — what a framing layer needs to announce a
+// batch's length before streaming it.
+func CiphertextBatchSize(batch map[string]*Ciphertext) (int, error) {
+	return ckks.CiphertextBatchSize(batch)
+}
+
 // ReadCiphertextBatch reconstructs a batch written by
 // WriteCiphertextBatch; corrupted or truncated blobs fail with
 // ErrCorrupt.

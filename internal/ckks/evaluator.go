@@ -266,10 +266,14 @@ func (ev *Evaluator) SubInto(ct0, ct1, out *Ciphertext) error {
 	for i := range out.Polys {
 		var p, q *ring.Poly
 		if i < len(a.Polys) {
-			p = a.Polys[i].Resize(rows)
+			if p = a.Polys[i]; p.Rows() != rows {
+				p = p.Resize(rows)
+			}
 		}
 		if i < len(b.Polys) {
-			q = b.Polys[i].Resize(rows)
+			if q = b.Polys[i]; q.Rows() != rows {
+				q = q.Resize(rows)
+			}
 		}
 		switch {
 		case p != nil && q != nil:

@@ -17,6 +17,17 @@ import (
 // network (Section 5.2 moves exactly these objects). Format: magic,
 // version, then little-endian fixed-width fields; polynomials are raw
 // rows of 64-bit words.
+//
+// The codec moves each polynomial byte once. A residue row goes to the
+// writer, and arrives from the reader, as the byte image of the row's
+// own memory (ring.WriteRow / ring.ReadRow), so a large row bypasses the
+// bufio layer entirely and lands in (or leaves from) the polynomial it
+// belongs to. The small fixed-width fields are encoded in place in the
+// bufio buffers (AvailableBuffer on the way out, Peek on the way in):
+// no reflection, no boxing, no per-field scratch. Every public entry
+// wraps its stream in bufio — which returns the stream itself when it
+// already is a large enough bufio.Writer/Reader, so a caller streaming
+// onto a connection's own buffer pays for no second one.
 
 const (
 	serialMagic   uint32 = 0x48454158 // "HEAX"
@@ -48,6 +59,13 @@ const (
 	maxGaloisKeys   = 1 << 14
 )
 
+// Encoded sizes of the fixed parts, for CiphertextBatchSize.
+const (
+	headerSize         = 12        // magic, version, kind
+	polyShapeSize      = 8         // rows, degree
+	ciphertextMetaSize = 8 + 4 + 4 // scale bits, level, component count
+)
+
 // corrupted normalizes low-level read failures into the ErrCorrupt
 // sentinel: a stream that ends (io.EOF / io.ErrUnexpectedEOF) in the
 // middle of an object is a truncated blob, and any other transport
@@ -60,26 +78,64 @@ func corrupted(what string, err error) error {
 	return fmt.Errorf("ckks: %s: %w: %w", what, err, ErrCorrupt)
 }
 
-func readValue(r io.Reader, what string, v any) error {
-	return corrupted(what, binary.Read(r, binary.LittleEndian, v))
-}
-
-func writeHeader(w io.Writer, kind objectKind) error {
-	for _, v := range []uint32{serialMagic, serialVersion, uint32(kind)} {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+// writeU32 and writeU64 encode fixed-width fields straight into the
+// writer's buffer.
+func writeU32(bw *bufio.Writer, vs ...uint32) error {
+	if bw.Available() < 4*len(vs) {
+		if err := bw.Flush(); err != nil {
 			return err
 		}
 	}
-	return nil
+	b := bw.AvailableBuffer()
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	_, err := bw.Write(b)
+	return err
 }
 
-func readHeader(r io.Reader, want objectKind) error {
-	var magic, version, kind uint32
-	for _, p := range []*uint32{&magic, &version, &kind} {
-		if err := readValue(r, "object header", p); err != nil {
+func writeU64(bw *bufio.Writer, v uint64) error {
+	if bw.Available() < 8 {
+		if err := bw.Flush(); err != nil {
 			return err
 		}
 	}
+	_, err := bw.Write(binary.LittleEndian.AppendUint64(bw.AvailableBuffer(), v))
+	return err
+}
+
+// readU32 and readU64 decode fixed-width fields in the reader's buffer.
+func readU32(br *bufio.Reader, what string) (uint32, error) {
+	b, err := br.Peek(4)
+	if err != nil {
+		return 0, corrupted(what, err)
+	}
+	v := binary.LittleEndian.Uint32(b)
+	br.Discard(4)
+	return v, nil
+}
+
+func readU64(br *bufio.Reader, what string) (uint64, error) {
+	b, err := br.Peek(8)
+	if err != nil {
+		return 0, corrupted(what, err)
+	}
+	v := binary.LittleEndian.Uint64(b)
+	br.Discard(8)
+	return v, nil
+}
+
+func writeHeader(bw *bufio.Writer, kind objectKind) error {
+	return writeU32(bw, serialMagic, serialVersion, uint32(kind))
+}
+
+func readHeader(br *bufio.Reader, want objectKind) error {
+	b, err := br.Peek(headerSize)
+	if err != nil {
+		return corrupted("object header", err)
+	}
+	magic, version, kind := binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:]), binary.LittleEndian.Uint32(b[8:])
+	br.Discard(headerSize)
 	if magic != serialMagic {
 		return fmt.Errorf("ckks: bad magic %#x: %w", magic, ErrCorrupt)
 	}
@@ -92,27 +148,29 @@ func readHeader(r io.Reader, want objectKind) error {
 	return nil
 }
 
-func writePoly(w io.Writer, p *ring.Poly) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(p.Rows())); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(p.Coeffs[0]))); err != nil {
+func polySize(p *ring.Poly) int {
+	return polyShapeSize + 8*p.Rows()*len(p.Coeffs[0])
+}
+
+func writePoly(bw *bufio.Writer, p *ring.Poly) error {
+	if err := writeU32(bw, uint32(p.Rows()), uint32(len(p.Coeffs[0]))); err != nil {
 		return err
 	}
 	for _, row := range p.Coeffs {
-		if err := binary.Write(w, binary.LittleEndian, row); err != nil {
+		if err := ring.WriteRow(bw, row); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func readPoly(r io.Reader, ctx *ring.Context) (*ring.Poly, error) {
-	var rows, n uint32
-	if err := readValue(r, "polynomial shape", &rows); err != nil {
+func readPoly(br *bufio.Reader, ctx *ring.Context) (*ring.Poly, error) {
+	rows, err := readU32(br, "polynomial shape")
+	if err != nil {
 		return nil, err
 	}
-	if err := readValue(r, "polynomial shape", &n); err != nil {
+	n, err := readU32(br, "polynomial shape")
+	if err != nil {
 		return nil, err
 	}
 	// Shape checks precede any allocation, so an oversized prefix can
@@ -124,13 +182,13 @@ func readPoly(r io.Reader, ctx *ring.Context) (*ring.Poly, error) {
 		return nil, fmt.Errorf("ckks: polynomial rows %d out of range: %w", rows, ErrCorrupt)
 	}
 	p := ctx.NewPoly(int(rows))
-	for _, row := range p.Coeffs {
-		if err := readValue(r, "polynomial row", row); err != nil {
-			return nil, err
-		}
-	}
-	// Validate residues against the basis so corrupted blobs fail fast.
 	for i, row := range p.Coeffs {
+		if err := ring.ReadRow(br, row); err != nil {
+			return nil, corrupted("polynomial row", err)
+		}
+		// Validate residues against the basis while the row is still in
+		// cache, so corrupted blobs fail fast; p is dropped on failure,
+		// so no out-of-range residue is ever observable.
 		prime := ctx.Basis.Primes[i]
 		for _, v := range row {
 			if v >= prime {
@@ -148,19 +206,13 @@ func WriteParams(w io.Writer, p *Params) error {
 	if err := writeHeader(bw, kindParams); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(p.LogN)); err != nil {
+	if err := writeU32(bw, uint32(p.LogN), uint32(p.LogScale), uint32(len(p.Q))); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(p.LogScale)); err != nil {
+	if err := ring.WriteRow(bw, p.Q); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(p.Q))); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, p.Q); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, p.P); err != nil {
+	if err := writeU64(bw, p.P); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -172,25 +224,27 @@ func ReadParams(r io.Reader) (*Params, error) {
 	if err := readHeader(br, kindParams); err != nil {
 		return nil, err
 	}
-	var logN, logScale, k uint32
-	if err := readValue(br, "params", &logN); err != nil {
+	logN, err := readU32(br, "params")
+	if err != nil {
 		return nil, err
 	}
-	if err := readValue(br, "params", &logScale); err != nil {
+	logScale, err := readU32(br, "params")
+	if err != nil {
 		return nil, err
 	}
-	if err := readValue(br, "params", &k); err != nil {
+	k, err := readU32(br, "params")
+	if err != nil {
 		return nil, err
 	}
 	if k == 0 || k > 64 {
 		return nil, fmt.Errorf("ckks: implausible prime count %d: %w", k, ErrCorrupt)
 	}
 	q := make([]uint64, k)
-	if err := readValue(br, "params primes", q); err != nil {
-		return nil, err
+	if err := ring.ReadRow(br, q); err != nil {
+		return nil, corrupted("params primes", err)
 	}
-	var special uint64
-	if err := readValue(br, "params special prime", &special); err != nil {
+	special, err := readU64(br, "params special prime")
+	if err != nil {
 		return nil, err
 	}
 	return ParamsFromRaw(int(logN), q, special, int(logScale))
@@ -228,18 +282,15 @@ func WriteCiphertext(w io.Writer, ct *Ciphertext) error {
 
 // writeCiphertextBody is the header-less ciphertext encoding, shared by
 // WriteCiphertext and the batch codec.
-func writeCiphertextBody(w io.Writer, ct *Ciphertext) error {
-	if err := binary.Write(w, binary.LittleEndian, math.Float64bits(ct.Scale)); err != nil {
+func writeCiphertextBody(bw *bufio.Writer, ct *Ciphertext) error {
+	if err := writeU64(bw, math.Float64bits(ct.Scale)); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(ct.Level)); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(ct.Polys))); err != nil {
+	if err := writeU32(bw, uint32(ct.Level), uint32(len(ct.Polys))); err != nil {
 		return err
 	}
 	for _, p := range ct.Polys {
-		if err := writePoly(w, p); err != nil {
+		if err := writePoly(bw, p); err != nil {
 			return err
 		}
 	}
@@ -256,16 +307,17 @@ func ReadCiphertext(r io.Reader, params *Params) (*Ciphertext, error) {
 }
 
 // readCiphertextBody deserializes the header-less ciphertext encoding.
-func readCiphertextBody(br io.Reader, params *Params) (*Ciphertext, error) {
-	var scaleBits uint64
-	if err := readValue(br, "ciphertext scale", &scaleBits); err != nil {
+func readCiphertextBody(br *bufio.Reader, params *Params) (*Ciphertext, error) {
+	scaleBits, err := readU64(br, "ciphertext scale")
+	if err != nil {
 		return nil, err
 	}
-	var level, np uint32
-	if err := readValue(br, "ciphertext level", &level); err != nil {
+	level, err := readU32(br, "ciphertext level")
+	if err != nil {
 		return nil, err
 	}
-	if err := readValue(br, "ciphertext arity", &np); err != nil {
+	np, err := readU32(br, "ciphertext arity")
+	if err != nil {
 		return nil, err
 	}
 	if np < 2 || np > 3 {
@@ -343,15 +395,15 @@ func ReadPublicKey(r io.Reader, params *Params) (*PublicKey, error) {
 	return &PublicKey{B: b, A: a}, nil
 }
 
-func writeSwitchingKey(w io.Writer, swk *SwitchingKey) error {
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(swk.Digits))); err != nil {
+func writeSwitchingKey(bw *bufio.Writer, swk *SwitchingKey) error {
+	if err := writeU32(bw, uint32(len(swk.Digits))); err != nil {
 		return err
 	}
 	for _, d := range swk.Digits {
-		if err := writePoly(w, d[0]); err != nil {
+		if err := writePoly(bw, d[0]); err != nil {
 			return err
 		}
-		if err := writePoly(w, d[1]); err != nil {
+		if err := writePoly(bw, d[1]); err != nil {
 			return err
 		}
 	}
@@ -360,9 +412,9 @@ func writeSwitchingKey(w io.Writer, swk *SwitchingKey) error {
 
 // readSwitchingKey fills swk in place (the key carries a sync.Once and
 // must not be copied).
-func readSwitchingKey(r io.Reader, params *Params, swk *SwitchingKey) error {
-	var n uint32
-	if err := readValue(r, "switching key digits", &n); err != nil {
+func readSwitchingKey(r *bufio.Reader, params *Params, swk *SwitchingKey) error {
+	n, err := readU32(r, "switching key digits")
+	if err != nil {
 		return err
 	}
 	if int(n) != params.K() {
@@ -416,10 +468,7 @@ func WriteGaloisKey(w io.Writer, gk *GaloisKey) error {
 	if err := writeHeader(bw, kindGaloisKey); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, gk.GaloisElt); err != nil {
-		return err
-	}
-	if err := writeSwitchingKey(bw, &gk.SwitchingKey); err != nil {
+	if err := writeGaloisKeyBody(bw, gk); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -462,7 +511,7 @@ func WriteEvaluationKeys(w io.Writer, rlk *RelinearizationKey, gks *GaloisKeySet
 			flags |= 4
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, flags); err != nil {
+	if err := writeU32(bw, flags); err != nil {
 		return err
 	}
 	if rlk != nil {
@@ -483,26 +532,19 @@ func WriteEvaluationKeys(w io.Writer, rlk *RelinearizationKey, gks *GaloisKeySet
 			pairs = append(pairs, stepKey{s, gk})
 		}
 		sort.Slice(pairs, func(i, j int) bool { return pairs[i].step < pairs[j].step })
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(pairs))); err != nil {
+		if err := writeU32(bw, uint32(len(pairs))); err != nil {
 			return err
 		}
 		for _, p := range pairs {
-			s, gk := p.step, p.gk
-			if err := binary.Write(bw, binary.LittleEndian, int64(s)); err != nil {
+			if err := writeU64(bw, uint64(int64(p.step))); err != nil {
 				return err
 			}
-			if err := binary.Write(bw, binary.LittleEndian, gk.GaloisElt); err != nil {
-				return err
-			}
-			if err := writeSwitchingKey(bw, &gk.SwitchingKey); err != nil {
+			if err := writeGaloisKeyBody(bw, p.gk); err != nil {
 				return err
 			}
 		}
 		if gks.Conjugate != nil {
-			if err := binary.Write(bw, binary.LittleEndian, gks.Conjugate.GaloisElt); err != nil {
-				return err
-			}
-			if err := writeSwitchingKey(bw, &gks.Conjugate.SwitchingKey); err != nil {
+			if err := writeGaloisKeyBody(bw, gks.Conjugate); err != nil {
 				return err
 			}
 		}
@@ -510,11 +552,20 @@ func WriteEvaluationKeys(w io.Writer, rlk *RelinearizationKey, gks *GaloisKeySet
 	return bw.Flush()
 }
 
-// readGaloisKeyBody reads the header-less Galois key encoding (element
-// plus switching key), validating the element against the ring.
-func readGaloisKeyBody(r io.Reader, params *Params) (*GaloisKey, error) {
-	var elt uint64
-	if err := readValue(r, "Galois element", &elt); err != nil {
+// writeGaloisKeyBody writes the header-less Galois key encoding:
+// element, then switching key.
+func writeGaloisKeyBody(bw *bufio.Writer, gk *GaloisKey) error {
+	if err := writeU64(bw, gk.GaloisElt); err != nil {
+		return err
+	}
+	return writeSwitchingKey(bw, &gk.SwitchingKey)
+}
+
+// readGaloisKeyBody reads the header-less Galois key encoding,
+// validating the element against the ring.
+func readGaloisKeyBody(r *bufio.Reader, params *Params) (*GaloisKey, error) {
+	elt, err := readU64(r, "Galois element")
+	if err != nil {
 		return nil, err
 	}
 	if elt&1 == 0 || elt >= uint64(2*params.N) {
@@ -535,8 +586,8 @@ func ReadEvaluationKeys(r io.Reader, params *Params) (*RelinearizationKey, *Galo
 	if err := readHeader(br, kindEvalKeys); err != nil {
 		return nil, nil, err
 	}
-	var flags uint32
-	if err := readValue(br, "evaluation keys flags", &flags); err != nil {
+	flags, err := readU32(br, "evaluation keys flags")
+	if err != nil {
 		return nil, nil, err
 	}
 	if flags&^7 != 0 || (flags&4 != 0 && flags&2 == 0) {
@@ -551,8 +602,8 @@ func ReadEvaluationKeys(r io.Reader, params *Params) (*RelinearizationKey, *Galo
 	}
 	var gks *GaloisKeySet
 	if flags&2 != 0 {
-		var n uint32
-		if err := readValue(br, "rotation key count", &n); err != nil {
+		n, err := readU32(br, "rotation key count")
+		if err != nil {
 			return nil, nil, err
 		}
 		// Steps are unique in [1, Slots()), so the count is bounded by
@@ -562,10 +613,11 @@ func ReadEvaluationKeys(r io.Reader, params *Params) (*RelinearizationKey, *Galo
 		}
 		gks = &GaloisKeySet{Rotations: make(map[int]*GaloisKey, n)}
 		for i := 0; i < int(n); i++ {
-			var step int64
-			if err := readValue(br, "rotation step", &step); err != nil {
+			stepBits, err := readU64(br, "rotation step")
+			if err != nil {
 				return nil, nil, err
 			}
+			step := int64(stepBits)
 			if step <= 0 || step >= int64(params.Slots()) {
 				return nil, nil, fmt.Errorf("ckks: rotation step %d out of range [1, %d): %w", step, params.Slots(), ErrCorrupt)
 			}
@@ -596,18 +648,48 @@ func ReadEvaluationKeys(r io.Reader, params *Params) (*RelinearizationKey, *Galo
 	return rlk, gks, nil
 }
 
-// WriteCiphertextBatch serializes one named input (or output) set — the
-// unit a plan-serving request streams — as a single framed object,
-// entries in sorted name order for deterministic bytes.
-func WriteCiphertextBatch(w io.Writer, batch map[string]*Ciphertext) error {
+// checkBatch reports whether the wire format can carry batch: the entry
+// count and every name length are within the caps readers enforce.
+func checkBatch(batch map[string]*Ciphertext) error {
 	if len(batch) > maxBatchEntries {
 		return fmt.Errorf("ckks: batch has %d entries, the wire format allows %d", len(batch), maxBatchEntries)
 	}
-	names := make([]string, 0, len(batch))
 	for name := range batch {
 		if len(name) == 0 || len(name) > maxEntryNameLen {
 			return fmt.Errorf("ckks: batch entry name %q has length %d, the wire format allows [1, %d]", name, len(name), maxEntryNameLen)
 		}
+	}
+	return nil
+}
+
+// CiphertextBatchSize returns the exact number of bytes
+// WriteCiphertextBatch produces for batch, or the error it would fail
+// with for a batch the format cannot carry — so a caller framing
+// batches can announce lengths, and refuse an unsendable batch, before
+// the first byte is written.
+func CiphertextBatchSize(batch map[string]*Ciphertext) (int, error) {
+	if err := checkBatch(batch); err != nil {
+		return 0, err
+	}
+	size := headerSize + 4
+	for name, ct := range batch {
+		size += 4 + len(name) + ciphertextMetaSize
+		for _, p := range ct.Polys {
+			size += polySize(p)
+		}
+	}
+	return size, nil
+}
+
+// WriteCiphertextBatch serializes one named input (or output) set — the
+// unit a plan-serving request streams — as a single framed object,
+// entries in sorted name order for deterministic bytes.
+func WriteCiphertextBatch(w io.Writer, batch map[string]*Ciphertext) error {
+	if err := checkBatch(batch); err != nil {
+		return err
+	}
+	names := make([]string, 0, len(batch))
+	for name := range batch {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -615,11 +697,11 @@ func WriteCiphertextBatch(w io.Writer, batch map[string]*Ciphertext) error {
 	if err := writeHeader(bw, kindCiphertextBatch); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(names))); err != nil {
+	if err := writeU32(bw, uint32(len(names))); err != nil {
 		return err
 	}
 	for _, name := range names {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(len(name))); err != nil {
+		if err := writeU32(bw, uint32(len(name))); err != nil {
 			return err
 		}
 		if _, err := bw.WriteString(name); err != nil {
@@ -640,8 +722,8 @@ func ReadCiphertextBatch(r io.Reader, params *Params) (map[string]*Ciphertext, e
 	if err := readHeader(br, kindCiphertextBatch); err != nil {
 		return nil, err
 	}
-	var n uint32
-	if err := readValue(br, "batch entry count", &n); err != nil {
+	n, err := readU32(br, "batch entry count")
+	if err != nil {
 		return nil, err
 	}
 	if n > maxBatchEntries {
@@ -649,18 +731,19 @@ func ReadCiphertextBatch(r io.Reader, params *Params) (map[string]*Ciphertext, e
 	}
 	batch := make(map[string]*Ciphertext, n)
 	for i := 0; i < int(n); i++ {
-		var nameLen uint32
-		if err := readValue(br, "batch entry name length", &nameLen); err != nil {
+		nameLen, err := readU32(br, "batch entry name length")
+		if err != nil {
 			return nil, err
 		}
 		if nameLen == 0 || nameLen > maxEntryNameLen {
 			return nil, fmt.Errorf("ckks: batch entry name length %d out of range [1, %d]: %w", nameLen, maxEntryNameLen, ErrCorrupt)
 		}
-		nameBytes := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nameBytes); err != nil {
+		nameBytes, err := br.Peek(int(nameLen))
+		if err != nil {
 			return nil, corrupted("batch entry name", err)
 		}
 		name := string(nameBytes)
+		br.Discard(int(nameLen))
 		if _, dup := batch[name]; dup {
 			return nil, fmt.Errorf("ckks: duplicate batch entry %q: %w", name, ErrCorrupt)
 		}

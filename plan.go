@@ -60,7 +60,10 @@ func StepKinds() []string {
 // 5.2): steps execute as their operands resolve, out of order across
 // independent branches, on the evaluator's worker-pool scheduler, and
 // every intermediate lives in a pooled buffer reshaped in place by the
-// *Into kernels.
+// *Into kernels. Out of order, but not arbitrarily far: a step starts
+// only once every step more than lookahead places before it in plan
+// order has finished (a reorder window), so a wide DAG holds the
+// buffers of one window, not of its whole width.
 type Plan struct {
 	params  *Params
 	eval    *Evaluator
@@ -79,6 +82,15 @@ type Plan struct {
 	inputSlot []bool
 	// sem bounds concurrently executing steps across all runs.
 	sem chan struct{}
+	// lookahead bounds how far past a run's oldest unfinished step (in
+	// plan order, which is the order the circuit was written in) its
+	// steps may start. Without it every ready step races for sem the
+	// moment its operands resolve: a BSGS matvec ran all 256 of its
+	// MulPlain steps ahead of the Add chain that consumes them, held
+	// ~100 buffers per run where ~15 suffice, and left sync.Pool
+	// retaining a working set whose size depended on scheduler and GC
+	// timing.
+	lookahead int
 	// window bounds how many input sets RunBatch keeps in flight.
 	window int
 	// bufs pools full-basis intermediate ciphertexts. Ownership protocol
@@ -323,6 +335,16 @@ func (p *Plan) RunContext(ctx context.Context, in map[string]*Ciphertext) (map[s
 	for _, pi := range p.inputs {
 		slots[pi.slot].ct = in[pi.name]
 	}
+	// fin[i] is closed once steps 0..i have all finished; step
+	// i+lookahead waits for it. Plans no longer than the window need
+	// none.
+	var fin []chan struct{}
+	if n := len(p.steps) - p.lookahead; n > 0 {
+		fin = make([]chan struct{}, n)
+		for i := range fin {
+			fin[i] = make(chan struct{})
+		}
+	}
 	// Every step but the last gets a goroutine; the last (which nothing
 	// depends on, by topological order) runs inline, so a single-step
 	// plan spawns nothing.
@@ -332,10 +354,10 @@ func (p *Plan) RunContext(ctx context.Context, in map[string]*Ciphertext) (map[s
 	for i := 0; i < last; i++ {
 		go func(idx int) {
 			defer wg.Done()
-			p.runStep(ctx, idx, slots)
+			p.runStep(ctx, idx, slots, fin)
 		}(i)
 	}
-	p.runStep(ctx, last, slots)
+	p.runStep(ctx, last, slots, fin)
 	wg.Wait()
 	// The first failing step in plan order is the root cause: dependents
 	// always appear after the step that poisoned them.
@@ -416,7 +438,23 @@ func (p *Plan) RunBatchContext(ctx context.Context, batches []map[string]*Cipher
 	return results, nil
 }
 
-func (p *Plan) runStep(ctx context.Context, idx int, slots []runSlot) {
+func (p *Plan) runStep(ctx context.Context, idx int, slots []runSlot, fin []chan struct{}) {
+	// The reorder window: wait until every step more than lookahead
+	// places back has finished, and on the way out (operands released)
+	// extend the finished prefix. Steps always run to the end — poisoned
+	// and cancelled ones only skip their kernel — and wait only on lower
+	// indices, so the chain cannot stall.
+	if idx >= p.lookahead {
+		<-fin[idx-p.lookahead]
+	}
+	if idx < len(fin) {
+		defer func() {
+			if idx > 0 {
+				<-fin[idx-1]
+			}
+			close(fin[idx])
+		}()
+	}
 	st := &p.steps[idx]
 	var inBuf [2]*Ciphertext
 	in := inBuf[:0]

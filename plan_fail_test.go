@@ -28,6 +28,7 @@ type auditPool struct {
 	inPool map[*Ciphertext]bool
 	gets   int
 	puts   int
+	peak   int // most buffers ever outstanding at once
 }
 
 func newAuditPool(t *testing.T, params *Params) *auditPool {
@@ -38,6 +39,7 @@ func (a *auditPool) get() *Ciphertext {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.gets++
+	a.peak = max(a.peak, a.gets-a.puts)
 	if n := len(a.free); n > 0 {
 		ct := a.free[n-1]
 		a.free = a.free[:n-1]
@@ -231,6 +233,108 @@ func TestPlanCancellationKeepsPoolClean(t *testing.T) {
 	plan.failStep = nil
 	if _, err := plan.RunContext(context.Background(), map[string]*Ciphertext{"x": k.encrypt(t, []float64{1})}); err != nil {
 		t.Fatalf("clean run after cancellation: %v", err)
+	}
+	if n := pool.outstanding(); n != 0 {
+		t.Fatalf("clean run: %d pooled buffers leaked", n)
+	}
+}
+
+// widePlan compiles a sum of terms plaintext products of one input:
+// every MulPlain is ready the moment the run starts, while the Add
+// chain that consumes them is sequential — the shape of a BSGS matvec's
+// inner sums. inFlight 2 makes the reorder window 32 steps.
+func widePlan(t *testing.T, terms int) (*oracleKit, *Plan, *auditPool) {
+	t.Helper()
+	k := newOracleKit(t, SetA, nil, false)
+	c := NewCircuit()
+	x := c.Input("x")
+	acc := c.MulPlain(x, []float64{1})
+	for i := 1; i < terms; i++ {
+		acc = c.Add(acc, c.MulPlain(x, []float64{float64(i + 1)}))
+	}
+	c.Output("y", acc)
+	plan, err := c.Compile(k.params, k.evk, WithPlanInFlight(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.NumSteps() < 4*plan.lookahead {
+		t.Fatalf("plan of %d steps does not exercise a window of %d", plan.NumSteps(), plan.lookahead)
+	}
+	pool := newAuditPool(t, k.params)
+	plan.bufs = pool
+	return k, plan, pool
+}
+
+// TestPlanLookaheadBoundsBuffers: the reorder window keeps a run from
+// holding a buffer per term. Live values are the window's own outputs
+// plus what crosses its lower edge (here the running sum and one term),
+// however the scheduler orders the step goroutines; and the window
+// changes when steps run, never what they compute.
+func TestPlanLookaheadBoundsBuffers(t *testing.T) {
+	const terms = 128
+	k, plan, pool := widePlan(t, terms)
+	in := map[string]*Ciphertext{"x": k.encrypt(t, []float64{0.5, -0.25})}
+	got, err := plan.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := pool.outstanding(); n != 0 {
+		t.Fatalf("%d pooled buffers leaked", n)
+	}
+	if bound := plan.lookahead + 2; pool.peak > bound {
+		t.Fatalf("run held %d buffers at once, want at most %d (window %d) for %d terms", pool.peak, bound, plan.lookahead, terms)
+	}
+
+	plan.lookahead = plan.NumSteps() // no window: the executor as it was
+	want, err := plan.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ctBitEqual(got["y"], want["y"]) {
+		t.Fatal("windowed run differs from the unwindowed run")
+	}
+}
+
+// TestPlanLookaheadSurvivesFailureAndCancel: a fault or a cancellation
+// in the middle of a plan much longer than its window must still let
+// every later step through the window (they only skip their kernels),
+// so the run returns, the pool balances and the plan reruns.
+func TestPlanLookaheadSurvivesFailureAndCancel(t *testing.T) {
+	k, plan, pool := widePlan(t, 96)
+	in := map[string]*Ciphertext{"x": k.encrypt(t, []float64{1, 2})}
+	mid := plan.NumSteps() / 2
+
+	plan.failStep = func(i int) error {
+		if i == mid {
+			return errInjected
+		}
+		return nil
+	}
+	if _, err := plan.Run(in); !errors.Is(err, errInjected) {
+		t.Fatalf("want the injected fault as root cause, got %v", err)
+	}
+	if n := pool.outstanding(); n != 0 {
+		t.Fatalf("fault: %d pooled buffers leaked", n)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	plan.failStep = func(i int) error {
+		if i == mid {
+			cancel()
+		}
+		return nil
+	}
+	if _, err := plan.RunContext(ctx, in); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if n := pool.outstanding(); n != 0 {
+		t.Fatalf("cancel: %d pooled buffers leaked", n)
+	}
+
+	plan.failStep = nil
+	if _, err := plan.Run(in); err != nil {
+		t.Fatalf("clean run after fault and cancel: %v", err)
 	}
 	if n := pool.outstanding(); n != 0 {
 		t.Fatalf("clean run: %d pooled buffers leaked", n)

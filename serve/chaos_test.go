@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -197,23 +198,8 @@ func (k *chaosKit) batches(t testing.TB, seed int64, n int) []map[string]*heax.C
 // deadline budget, for tests that write the frame themselves.
 func encodeRun(t testing.TB, tenant string, id PlanID, in []map[string]*heax.Ciphertext) []byte {
 	t.Helper()
-	var pw payloadWriter
-	if err := pw.str(tenant); err != nil {
-		t.Fatal(err)
-	}
-	pw.bytes(id[:])
-	pw.bytes(make([]byte, len(requestID{})))
-	pw.u64(0)
-	pw.u32(uint32(len(in)))
-	var buf bytes.Buffer
-	for _, batch := range in {
-		buf.Reset()
-		if err := heax.WriteCiphertextBatch(&buf, batch); err != nil {
-			t.Fatal(err)
-		}
-		pw.blob(buf.Bytes())
-	}
-	return pw.buf
+	blobs, lens := encodeBatches(t, in)
+	return runPayload(t, tenant, id, len(in), blobs, lens)
 }
 
 func chaosCtEqual(a, b *heax.Ciphertext) bool {
@@ -870,7 +856,7 @@ func FuzzParseRunRequest(f *testing.F) {
 	f.Add(append(append([]byte{}, pw.buf[:head]...), pw.buf[tail:]...))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := s.parseRunRequest(data)
+		req, err := s.parseRunRequest(&io.LimitedReader{R: bytes.NewReader(data), N: int64(len(data))})
 		if err != nil {
 			if !errors.Is(err, heax.ErrCorrupt) {
 				t.Fatalf("malformed run request must wrap ErrCorrupt, got %v", err)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -256,16 +257,22 @@ func (c *Client) roundTrip(ctx context.Context, req byte, payload []byte, want b
 	if err != nil {
 		return nil, c.abandonErr(ctx, err)
 	}
+	return resp, responseErr(typ, resp, want)
+}
+
+// responseErr maps an error frame back to its sentinel and refuses a
+// response of any type but want.
+func responseErr(typ byte, resp []byte, want byte) error {
 	if typ == respErr {
 		if len(resp) < 1 {
-			return nil, fmt.Errorf("serve: malformed error frame: %w", heax.ErrCorrupt)
+			return fmt.Errorf("serve: malformed error frame: %w", heax.ErrCorrupt)
 		}
-		return nil, codeToErr(resp[0], string(resp[1:]))
+		return codeToErr(resp[0], string(resp[1:]))
 	}
 	if typ != want {
-		return nil, fmt.Errorf("serve: expected response %#x, got %#x: %w", want, typ, heax.ErrCorrupt)
+		return fmt.Errorf("serve: expected response %#x, got %#x: %w", want, typ, heax.ErrCorrupt)
 	}
-	return resp, nil
+	return nil
 }
 
 // Register uploads a tenant's evaluation key set. The name must be
@@ -382,8 +389,8 @@ func (c *Client) RunContext(ctx context.Context, tenant string, id PlanID, batch
 	}
 	pw.bytes(id[:])
 	// Only retry-enabled clients claim dedup state on the server: a
-	// zero id means "no retry coming", so the server keeps no response
-	// bytes around for it.
+	// zero id means "no retry coming", so the server keeps no outputs
+	// around for it.
 	var reqID requestID
 	if c.cfg.retries > 0 {
 		reqID = newRequestID()
@@ -391,21 +398,14 @@ func (c *Client) RunContext(ctx context.Context, tenant string, id PlanID, batch
 	pw.bytes(reqID[:])
 	budgetOff := len(pw.buf)
 	pw.u64(0) // deadline budget, patched per attempt
-	pw.u32(uint32(len(batches)))
-	var buf bytes.Buffer
-	for _, batch := range batches {
-		buf.Reset()
-		if err := heax.WriteCiphertextBatch(&buf, batch); err != nil {
-			return nil, err
-		}
-		pw.blob(buf.Bytes())
-	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
+		// Every attempt streams the request from the caller's
+		// ciphertexts again; no encoded copy is kept between tries.
 		patchBudget(pw.buf[budgetOff:], ctx)
-		resp, err := c.roundTrip(ctx, reqRunEx, pw.buf, respBatches)
+		out, err := c.runOnce(ctx, pw.buf, batches)
 		if err == nil {
-			return c.parseRunResponse(resp, len(batches))
+			return out, nil
 		}
 		lastErr = err
 		if attempt >= c.cfg.retries || ctx.Err() != nil || !retryable(err) {
@@ -432,31 +432,47 @@ func (c *Client) RunContext(ctx context.Context, tenant string, id PlanID, batch
 	}
 }
 
-func (c *Client) parseRunResponse(resp []byte, sent int) ([]map[string]*heax.Ciphertext, error) {
-	pr := payloadReader{buf: resp}
-	n, err := pr.u32("batch count")
+// runOnce is one Run attempt: the request is streamed from the batches'
+// own memory behind head, and the response's batches are decoded
+// straight off the connection.
+func (c *Client) runOnce(ctx context.Context, head []byte, batches []map[string]*heax.Ciphertext) ([]map[string]*heax.Ciphertext, error) {
+	stop := c.applyCtx(ctx)
+	defer stop()
+	if err := writeBatchFrame(c.bw, reqRunEx, head, batches); err != nil {
+		return nil, c.abandonErr(ctx, err)
+	}
+	typ, n, err := readFrameHeader(c.br, c.maxFrame)
 	if err != nil {
-		return nil, err
+		return nil, c.abandonErr(ctx, err)
 	}
-	if int(n) != sent {
-		return nil, fmt.Errorf("serve: sent %d batches, received %d: %w", sent, n, heax.ErrCorrupt)
-	}
-	out := make([]map[string]*heax.Ciphertext, 0, sent)
-	for i := 0; i < int(n); i++ {
-		blob, err := pr.blob("output batch")
+	if typ != respBatches {
+		// An error frame is small: read it whole, as roundTrip does.
+		resp, err := readFrameBody(c.br, n)
 		if err != nil {
-			return nil, err
+			return nil, c.abandonErr(ctx, err)
 		}
-		batch, err := heax.ReadCiphertextBatch(bytes.NewReader(blob), c.params)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, batch)
+		return nil, responseErr(typ, resp, respBatches)
 	}
-	if err := pr.done("run response"); err != nil {
-		return nil, err
+	out, err := readRunResponse(&io.LimitedReader{R: c.br, N: int64(n)}, c.params, len(batches))
+	if err != nil {
+		// The frame is part-read, so the stream position is unknown:
+		// abandon the connection, as after any desync. A retrying
+		// client redials.
+		c.conn.Close()
+		return nil, c.abandonErr(ctx, err)
 	}
 	return out, nil
+}
+
+func readRunResponse(frame *io.LimitedReader, params *heax.Params, sent int) ([]map[string]*heax.Ciphertext, error) {
+	var count [4]byte
+	if _, err := io.ReadFull(frame, count[:]); err != nil {
+		return nil, fmt.Errorf("serve: truncated batch count: %w: %w", err, heax.ErrCorrupt)
+	}
+	if n := binary.LittleEndian.Uint32(count[:]); int64(n) != int64(sent) {
+		return nil, fmt.Errorf("serve: sent %d batches, received %d: %w", sent, n, heax.ErrCorrupt)
+	}
+	return readBatches(frame, params, sent, "run response")
 }
 
 // backoff sleeps the jittered exponential delay for attempt, capped at

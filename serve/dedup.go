@@ -5,7 +5,7 @@ package serve
 // 16-byte request id; the first arrival claims the id and executes,
 // and a retry of the same id — after a connection drop ate the
 // response — either joins the in-flight execution or is answered from
-// the cached response bytes. A Run is therefore never executed to
+// the cached outputs. A Run is therefore never executed to
 // completion twice: the only re-execution is of an attempt that was
 // cancelled mid-run (deterministic FHE compute, so a re-run is merely
 // repeated work, and the aborted attempt produced nothing).
@@ -13,13 +13,18 @@ package serve
 // Only successful responses are cached (errors are not idempotency
 // decisions), in-flight entries are pinned (never evicted, so a
 // concurrent retry can always join rather than double-execute), and
-// completed entries live in a bounded LRU. Entries hold only response
-// bytes — no registry or plan-cache references — so the dedup layer
-// cannot leak key material.
+// completed entries live in a bounded LRU. Entries hold the run's
+// output batches themselves — the memory the run produced, not an
+// encoded copy; every answer, first or replayed, goes through the one
+// streaming response encoder, and the batches are only ever read once
+// cached. They hold no registry or plan-cache references, so the dedup
+// layer cannot leak key material.
 
 import (
 	"container/list"
 	"sync"
+
+	"heax"
 )
 
 type requestID [16]byte
@@ -32,8 +37,11 @@ type dedupKey struct {
 type dedupEntry struct {
 	key  dedupKey
 	done chan struct{} // closed when the owning execution completes
-	resp []byte        // response payload, valid after done if err == nil
-	err  error
+	// out is the run's output batches, valid after done if err == nil
+	// and read-only from then on (several connections may encode them
+	// at once).
+	out []map[string]*heax.Ciphertext
+	err error
 	// purged marks entries whose tenant was evicted while the run was
 	// in flight: the stale-key result must not be cached for a retry
 	// under a fresh registration of the same name.
@@ -71,14 +79,14 @@ func (d *dedupCache) claim(key dedupKey) (*dedupEntry, bool) {
 	return e, true
 }
 
-// complete finishes an owned entry: a successful response is cached
+// complete finishes an owned entry: a successful run's outputs are cached
 // (evicting the oldest completed entries beyond capacity), an error —
 // cancellation, shed, anything — is handed to current joiners but not
 // cached, so a later retry re-executes rather than replaying a
 // transient failure.
-func (d *dedupCache) complete(e *dedupEntry, resp []byte, err error) {
+func (d *dedupCache) complete(e *dedupEntry, out []map[string]*heax.Ciphertext, err error) {
 	d.mu.Lock()
-	e.resp, e.err = resp, err
+	e.out, e.err = out, err
 	if err != nil || e.purged {
 		if d.byKey[e.key] == e {
 			delete(d.byKey, e.key)

@@ -6,11 +6,29 @@ package serve
 //
 // Payloads are built from the heax serialization codecs (params, key
 // sets, ciphertext batches) plus small length-prefixed strings. Every
-// length is checked against the negotiated frame cap before anything
-// is allocated; a malformed frame fails with an error wrapping
-// heax.ErrCorrupt.
+// length is checked against the negotiated frame cap, and memory is
+// only ever reserved for bytes that have arrived: a control frame's
+// buffer grows with the payload (readFrameBody), and a Run frame is
+// never buffered at all. A malformed frame fails with an error
+// wrapping heax.ErrCorrupt.
+//
+// Run frames are streamed. The sender computes every batch length up
+// front (heax.CiphertextBatchSize), writes the frame header and the
+// small head, then encodes each batch from the ciphertexts' own memory
+// onto the connection's bufio.Writer (writeBatchFrame). The receiver
+// decodes each length-prefixed batch through an io.LimitedReader
+// straight off the connection's bufio.Reader into freshly allocated
+// polynomials (readBatches). Each ciphertext byte is therefore copied
+// once per side — by the socket write and by the socket read.
+//
+// A streamed frame can be abandoned part-read (parse error in a later
+// batch, draining server). The server then discards the rest of the
+// frame before it replies, so the connection stays synchronized
+// exactly as it would had the frame been read whole; a client whose
+// response fails to decode mid-frame closes the connection.
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -177,45 +195,80 @@ func codeToErr(code byte, msg string) error {
 	}
 }
 
-// writeFrame emits one frame. The payload is fully assembled first so
-// a failed encoder never leaves a half-written frame on the socket; a
-// payload the u32 length field cannot carry is refused rather than
-// silently truncated into a desynchronized stream.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	if int64(len(payload)) > int64(^uint32(0)) {
-		return fmt.Errorf("serve: frame payload of %d bytes exceeds the wire format's 4 GiB limit: %w", len(payload), ErrFrameTooLarge)
+const frameHeaderLen = 9
+
+// writeFrameHeader announces a frame of n payload bytes; a payload the
+// u32 length field cannot carry is refused rather than silently
+// truncated into a desynchronized stream.
+func writeFrameHeader(w io.Writer, typ byte, n int64) error {
+	if n > int64(^uint32(0)) {
+		return fmt.Errorf("serve: frame payload of %d bytes exceeds the wire format's 4 GiB limit: %w", n, ErrFrameTooLarge)
 	}
-	var hdr [9]byte
+	var hdr [frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], frameMagic)
 	hdr[4] = typ
-	binary.LittleEndian.PutUint32(hdr[5:9], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.LittleEndian.PutUint32(hdr[5:9], uint32(n))
+	_, err := w.Write(hdr[:])
+	return err
+}
+
+// writeFrame emits one control frame from a fully assembled payload.
+func writeFrame(w io.Writer, typ byte, payload []byte) error {
+	if err := writeFrameHeader(w, typ, int64(len(payload))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
-// readFrame reads one frame, rejecting bad magic and payloads larger
-// than maxFrame before allocating.
-func readFrame(r io.Reader, maxFrame int) (byte, []byte, error) {
-	var hdr [9]byte
+// readFrameHeader reads one frame header, rejecting bad magic and a
+// payload length above maxFrame. It allocates nothing.
+func readFrameHeader(r io.Reader, maxFrame int) (typ byte, n int, err error) {
+	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err // clean EOF at a frame boundary is not corruption
+		return 0, 0, err // clean EOF at a frame boundary is not corruption
 	}
 	if got := binary.LittleEndian.Uint32(hdr[0:4]); got != frameMagic {
-		return 0, nil, fmt.Errorf("serve: bad frame magic %#x: %w", got, heax.ErrCorrupt)
+		return 0, 0, fmt.Errorf("serve: bad frame magic %#x: %w", got, heax.ErrCorrupt)
 	}
-	typ := hdr[4]
-	n := binary.LittleEndian.Uint32(hdr[5:9])
-	if int64(n) > int64(maxFrame) {
-		return 0, nil, fmt.Errorf("serve: frame of %d bytes exceeds the %d-byte cap: %w", n, maxFrame, heax.ErrCorrupt)
+	size := binary.LittleEndian.Uint32(hdr[5:9])
+	if int64(size) > int64(maxFrame) {
+		return 0, 0, fmt.Errorf("serve: frame of %d bytes exceeds the %d-byte cap: %w", size, maxFrame, heax.ErrCorrupt)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("serve: truncated frame: %w: %w", err, heax.ErrCorrupt)
+	return hdr[4], int(size), nil
+}
+
+// bodyChunk is the first reservation for a control frame's payload.
+const bodyChunk = 64 << 10
+
+// readFrameBody reads an n-byte control-frame payload. The buffer
+// doubles as bytes arrive, so it never exceeds twice what the peer has
+// actually sent (nor n): a length prefix alone reserves bodyChunk, not
+// the frame cap.
+func readFrameBody(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, bodyChunk))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, buf[got:])
+		if got += m; err != nil {
+			return nil, fmt.Errorf("serve: truncated frame: %w: %w", err, heax.ErrCorrupt)
+		}
+		if got == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, buf)
+		buf = grown
 	}
-	return typ, payload, nil
+}
+
+// readFrame reads one control frame whole.
+func readFrame(r io.Reader, maxFrame int) (byte, []byte, error) {
+	typ, n, err := readFrameHeader(r, maxFrame)
+	if err != nil {
+		return 0, nil, err
+	}
+	payload, err := readFrameBody(r, n)
+	return typ, payload, err
 }
 
 // Payload encoding: frames embed strings as [u32 length | bytes] and
@@ -256,6 +309,86 @@ func (p *payloadWriter) str(s string) error {
 func (p *payloadWriter) blob(b []byte) {
 	p.u32(uint32(len(b)))
 	p.buf = append(p.buf, b...)
+}
+
+// batchPrefixes sizes a batch sequence — count, then each batch as a
+// length-prefixed blob. It returns the sequence's u32 fields (the
+// count, then every batch length) and its total encoded length, or the
+// codec's error for a batch the format cannot carry.
+func batchPrefixes(batches []map[string]*heax.Ciphertext) (prefixes []byte, total int64, err error) {
+	prefixes = binary.LittleEndian.AppendUint32(make([]byte, 0, 4+4*len(batches)), uint32(len(batches)))
+	for _, batch := range batches {
+		n, err := heax.CiphertextBatchSize(batch)
+		if err != nil {
+			return nil, 0, err
+		}
+		prefixes = binary.LittleEndian.AppendUint32(prefixes, uint32(n))
+		total += int64(n)
+	}
+	return prefixes, total + int64(len(prefixes)), nil
+}
+
+// writeBatchFrame streams one frame whose payload is head followed by
+// the batch sequence, straight from the ciphertexts' memory, and
+// flushes it. An unsendable frame (a batch the codec cannot carry, a
+// payload over 4 GiB) is refused before the first byte is written, so
+// any later failure is the transport's.
+func writeBatchFrame(bw *bufio.Writer, typ byte, head []byte, batches []map[string]*heax.Ciphertext) error {
+	prefixes, size, err := batchPrefixes(batches)
+	if err != nil {
+		return err
+	}
+	if err := writeFrameHeader(bw, typ, int64(len(head))+size); err != nil {
+		return err
+	}
+	if _, err := bw.Write(head); err != nil {
+		return err
+	}
+	if _, err := bw.Write(prefixes[:4]); err != nil {
+		return err
+	}
+	for i, batch := range batches {
+		if _, err := bw.Write(prefixes[4+4*i:][:4]); err != nil {
+			return err
+		}
+		if err := heax.WriteCiphertextBatch(bw, batch); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// readBatches decodes the n length-prefixed batches that make up the
+// rest of a frame, each through its own io.LimitedReader over lr so a
+// batch decoder can neither read past its blob nor past the frame.
+// Bytes a blob carries beyond its batch are skipped; bytes the frame
+// carries beyond its batches are corrupt. On error part of the frame
+// may be unread: the caller discards lr or abandons the connection.
+func readBatches(lr *io.LimitedReader, params *heax.Params, n int, what string) ([]map[string]*heax.Ciphertext, error) {
+	batches := make([]map[string]*heax.Ciphertext, 0, min(n, 1024))
+	var prefix [4]byte
+	for i := 0; i < n; i++ {
+		if _, err := io.ReadFull(lr, prefix[:]); err != nil {
+			return nil, fmt.Errorf("serve: truncated ciphertext batch length: %w: %w", err, heax.ErrCorrupt)
+		}
+		size := int64(binary.LittleEndian.Uint32(prefix[:]))
+		if size > lr.N {
+			return nil, fmt.Errorf("serve: ciphertext batch claims %d bytes, %d remain: %w", size, lr.N, heax.ErrCorrupt)
+		}
+		blob := &io.LimitedReader{R: lr, N: size}
+		batch, err := heax.ReadCiphertextBatch(blob, params)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := io.CopyN(io.Discard, blob, blob.N); err != nil {
+			return nil, fmt.Errorf("serve: truncated ciphertext batch: %w: %w", err, heax.ErrCorrupt)
+		}
+		batches = append(batches, batch)
+	}
+	if lr.N != 0 {
+		return nil, fmt.Errorf("serve: %s carries %d trailing bytes: %w", what, lr.N, heax.ErrCorrupt)
+	}
+	return batches, nil
 }
 
 // payloadReader parses a frame payload in place: strings and blobs are

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"heax"
 	"heax/obs"
 )
 
@@ -26,7 +27,7 @@ import (
 // request id while churn goroutines complete enough other entries to
 // cycle the 2-entry LRU many times over. The pinned in-flight entry
 // must survive every eviction sweep, and when the owner completes,
-// every joiner must observe the owner's exact response bytes.
+// every joiner must observe the owner's exact output batches.
 func TestDedupInFlightJoinRacesEviction(t *testing.T) {
 	d := newDedupCache(2)
 	hot := dedupKey{tenant: "t", id: requestID{1}}
@@ -36,7 +37,7 @@ func TestDedupInFlightJoinRacesEviction(t *testing.T) {
 	}
 
 	const joiners, churners, churnPerG = 8, 4, 200
-	want := []byte("the one true response")
+	want := []map[string]*heax.Ciphertext{{"y": {Scale: 42}}}
 	var wg, claimed sync.WaitGroup
 	claimed.Add(joiners)
 	for j := 0; j < joiners; j++ {
@@ -50,8 +51,8 @@ func TestDedupInFlightJoinRacesEviction(t *testing.T) {
 				return
 			}
 			<-je.done
-			if je.err != nil || string(je.resp) != string(want) {
-				t.Errorf("joiner observed resp=%q err=%v, want the owner's response", je.resp, je.err)
+			if je.err != nil || len(je.out) != 1 || je.out[0]["y"] != want[0]["y"] {
+				t.Errorf("joiner observed out=%v err=%v, want the owner's outputs", je.out, je.err)
 			}
 		}()
 	}
@@ -65,7 +66,7 @@ func TestDedupInFlightJoinRacesEviction(t *testing.T) {
 				key := dedupKey{tenant: "churn", id: requestID{2, byte(c), byte(i), byte(i >> 8)}}
 				ce, cOwner := d.claim(key)
 				if cOwner {
-					d.complete(ce, []byte{byte(i)}, nil)
+					d.complete(ce, []map[string]*heax.Ciphertext{{"y": {Level: i}}}, nil)
 				}
 				if i%16 == 0 {
 					d.purgeTenant("other")
@@ -100,7 +101,7 @@ func TestDedupInFlightJoinRacesEviction(t *testing.T) {
 				mu.Lock()
 				owners++
 				mu.Unlock()
-				d.complete(re, []byte("second try"), nil)
+				d.complete(re, want, nil)
 			} else {
 				<-re.done
 			}

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -618,7 +620,13 @@ func (s *Server) handleConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	for {
-		typ, payload, err := readFrame(br, s.opts.maxFrame)
+		typ, n, err := readFrameHeader(br, s.opts.maxFrame)
+		var payload []byte
+		if err == nil && typ != reqRunEx {
+			// Control frames are read whole; a Run frame is decoded
+			// straight off the connection, never buffered.
+			payload, err = readFrameBody(br, n)
+		}
 		if err != nil {
 			// Corrupt framing gets a best-effort error frame; a clean
 			// EOF or closed connection just ends the handler.
@@ -650,27 +658,10 @@ func (s *Server) handleConn(conn net.Conn) {
 				})
 			}
 		case reqRunEx:
-			// The whole run — admission, execution, response flush — is
-			// tracked by runWG so a graceful drain never cuts a response
-			// mid-frame.
-			if err = s.beginRun(); err == nil {
-				err = s.guard(func() (gerr error) {
-					rpayload, gerr = s.handleRun(ctx, cancel, conn, br, payload)
-					return gerr
-				})
-				if err == nil {
-					werr := writeFrame(bw, respBatches, rpayload)
-					if werr == nil {
-						werr = bw.Flush()
-					}
-					s.endRun()
-					if werr != nil {
-						return
-					}
-					continue
-				}
-				s.endRun()
+			if !s.serveRun(ctx, cancel, conn, br, bw, n) {
+				return
 			}
+			continue
 		default:
 			err = fmt.Errorf("serve: unknown request type %#x: %w", typ, heax.ErrCorrupt)
 		}
@@ -687,6 +678,34 @@ func (s *Server) handleConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// serveRun handles one Run frame whose n payload bytes are still on the
+// wire, and reports whether the connection is still usable. The whole
+// run — admission, execution, response flush — is tracked by runWG so a
+// graceful drain never cuts a response mid-frame.
+func (s *Server) serveRun(ctx context.Context, cancel context.CancelFunc, conn net.Conn, br *bufio.Reader, bw *bufio.Writer, n int) bool {
+	frame := &io.LimitedReader{R: br, N: int64(n)}
+	var out []map[string]*heax.Ciphertext
+	err := s.beginRun()
+	if err == nil {
+		defer s.endRun()
+		err = s.guard(func() (gerr error) {
+			out, gerr = s.handleRun(ctx, cancel, conn, br, frame)
+			return gerr
+		})
+	}
+	// Resynchronize before replying: whatever an early-out (draining,
+	// a parse error in a later batch, a recovered panic) left unread of
+	// this frame is dropped, so the next frame header is where the
+	// reader expects it. A failure here is the connection's.
+	if _, derr := io.CopyN(io.Discard, frame, frame.N); derr != nil {
+		return false
+	}
+	if err != nil {
+		return s.writeErr(bw, err)
+	}
+	return writeBatchFrame(bw, respBatches, nil, out) == nil
 }
 
 // guard is the per-request recover boundary: a panic anywhere in a
@@ -911,10 +930,28 @@ type runRequest struct {
 // values are a corrupt frame, not a quiet Duration overflow.
 const maxBudgetUS = uint64(1) << 53
 
-// parseRunRequest decodes a Run payload; malformed input fails with an
-// error wrapping heax.ErrCorrupt.
-func (s *Server) parseRunRequest(payload []byte) (*runRequest, error) {
-	pr := payloadReader{buf: payload}
+// runHeadFixedLen is the fixed-width tail of a Run head: plan id,
+// request id, deadline budget, batch count.
+const runHeadFixedLen = len(PlanID{}) + len(requestID{}) + 8 + 4
+
+// parseRunRequest decodes a Run payload from the frame it arrives in,
+// batch by batch; malformed input fails with an error wrapping
+// heax.ErrCorrupt and may leave part of the frame unread.
+func (s *Server) parseRunRequest(frame *io.LimitedReader) (*runRequest, error) {
+	// The head is small and bounded: the tenant name's length prefix,
+	// then (for a plausible length) the name and the fixed-width fields
+	// in one read.
+	head := make([]byte, 4, 4+maxStringLen+runHeadFixedLen)
+	if _, err := io.ReadFull(frame, head); err != nil {
+		return nil, fmt.Errorf("serve: truncated tenant name: %w: %w", err, heax.ErrCorrupt)
+	}
+	if n := binary.LittleEndian.Uint32(head); n <= maxStringLen {
+		head = head[:4+int(n)+runHeadFixedLen]
+		if _, err := io.ReadFull(frame, head[4:]); err != nil {
+			return nil, fmt.Errorf("serve: truncated run request head: %w: %w", err, heax.ErrCorrupt)
+		}
+	}
+	pr := payloadReader{buf: head}
 	name, err := pr.str("tenant name")
 	if err != nil {
 		return nil, err
@@ -942,26 +979,15 @@ func (s *Server) parseRunRequest(payload []byte) (*runRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	req.batches = make([]map[string]*heax.Ciphertext, 0, min(int(n), 1024))
-	for i := 0; i < int(n); i++ {
-		blob, err := pr.blob("ciphertext batch")
-		if err != nil {
-			return nil, err
-		}
-		batch, err := heax.ReadCiphertextBatch(bytes.NewReader(blob), s.params)
-		if err != nil {
-			return nil, err
-		}
-		req.batches = append(req.batches, batch)
-	}
-	if err := pr.done("run request"); err != nil {
+	req.batches, err = readBatches(frame, s.params, int(n), "run request")
+	if err != nil {
 		return nil, err
 	}
 	return req, nil
 }
 
-func (s *Server) handleRun(ctx context.Context, cancel context.CancelFunc, conn net.Conn, br *bufio.Reader, payload []byte) (resp []byte, err error) {
-	req, perr := s.parseRunRequest(payload)
+func (s *Server) handleRun(ctx context.Context, cancel context.CancelFunc, conn net.Conn, br *bufio.Reader, frame *io.LimitedReader) (out []map[string]*heax.Ciphertext, err error) {
+	req, perr := s.parseRunRequest(frame)
 	if perr != nil {
 		return nil, perr
 	}
@@ -987,9 +1013,9 @@ func (s *Server) handleRun(ctx context.Context, cancel context.CancelFunc, conn 
 	for {
 		e, owner := s.dedup.claim(key)
 		if owner {
-			resp, err := s.executeRun(ctx, cancel, conn, br, req)
-			s.dedup.complete(e, resp, err)
-			return resp, err
+			out, err := s.executeRun(ctx, cancel, conn, br, req)
+			s.dedup.complete(e, out, err)
+			return out, err
 		}
 		select {
 		case <-e.done:
@@ -999,14 +1025,14 @@ func (s *Server) handleRun(ctx context.Context, cancel context.CancelFunc, conn 
 			}
 			s.dedupHits.Add(1)
 			s.metrics.dedupHits.With(req.tenant).Inc()
-			return e.resp, nil
+			return e.out, nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
 }
 
-func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn net.Conn, br *bufio.Reader, req *runRequest) ([]byte, error) {
+func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn net.Conn, br *bufio.Reader, req *runRequest) ([]map[string]*heax.Ciphertext, error) {
 	// lookup, not get: run-path plan fetches must not dilute the
 	// compile-path hit rate.
 	cp, ok := s.cache.lookup(cacheKey{tenant: req.tenant, id: req.id})
@@ -1070,24 +1096,18 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 			return nil, fmt.Errorf("serve: batch %d: %w", i, err)
 		}
 	}
-	var pw payloadWriter
-	pw.u32(uint32(len(out)))
-	var buf bytes.Buffer
-	for _, batch := range out {
-		buf.Reset()
-		if err := heax.WriteCiphertextBatch(&buf, batch); err != nil {
-			return nil, err
-		}
-		pw.blob(buf.Bytes())
-		// Bound the response by the same frame cap requests obey: an
-		// explicit, actionable error beats shipping a frame the peer
-		// must reject as corrupt (both sides share one cap contract).
-		if len(pw.buf) > s.opts.maxFrame {
-			return nil, fmt.Errorf("serve: response of %d+ bytes exceeds the %d-byte frame cap (raise it on both sides or send fewer batches per request): %w",
-				len(pw.buf), s.opts.maxFrame, ErrFrameTooLarge)
-		}
+	// Bound the response by the same frame cap requests obey: an
+	// explicit, actionable error beats shipping a frame the peer
+	// must reject as corrupt (both sides share one cap contract).
+	_, size, err := batchPrefixes(out)
+	if err != nil {
+		return nil, err
 	}
-	return pw.buf, nil
+	if size > int64(s.opts.maxFrame) {
+		return nil, fmt.Errorf("serve: response of %d bytes exceeds the %d-byte frame cap (raise it on both sides or send fewer batches per request): %w",
+			size, s.opts.maxFrame, ErrFrameTooLarge)
+	}
+	return out, nil
 }
 
 // watchDisconnect peeks the connection while a request is processed:
