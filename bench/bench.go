@@ -26,11 +26,6 @@ func MeasureCPU(quick bool) (CPUMeasurements, error) { return ibench.MeasureCPU(
 // columns blank).
 func AllTables(cpu CPUMeasurements) (string, error) { return ibench.AllTables(cpu) }
 
-// WorkerSweepTable sweeps the ring worker count (1, 2, 4, ..., NumCPU)
-// and reports KeySwitch/MulRelin scaling for the pipelined tile
-// scheduler.
-func WorkerSweepTable(quick bool) (Table, error) { return ibench.WorkerSweepTable(quick) }
-
 // EmptyCPUMeasurements returns a CPUMeasurements with all maps
 // initialized and no samples — the -nocpu path of heax-bench.
 func EmptyCPUMeasurements() CPUMeasurements {

@@ -6,7 +6,6 @@
 package heax_test
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -410,25 +409,6 @@ func BenchmarkScalability(b *testing.B) {
 		if _, err := bench.ScalabilityTable(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Multithreaded CPU ablation -------------------------------------------
-// The paper's CPU baseline is single-threaded SEAL; full-RNS rows
-// parallelize trivially (Section 2), so a multicore CPU closes part of
-// the gap. This bench quantifies it for the full-basis NTT of Set-C.
-
-func BenchmarkAblation_CPUThreads(b *testing.B) {
-	params := getParams(b, ckks.SetC)
-	ctx := params.RingQP
-	rng := rand.New(rand.NewSource(7))
-	poly := randomPoly(params, params.QPRows(), rng)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx.NTTParallel(poly, workers)
-			}
-		})
 	}
 }
 

@@ -6,13 +6,10 @@
 //
 // Usage:
 //
-//	heax-bench [-quick] [-nocpu] [-sweep-workers]
+//	heax-bench [-quick] [-nocpu]
 //
 // -quick shortens the CPU measurement windows; -nocpu skips the CPU
-// baseline entirely (the model/paper columns still print);
-// -sweep-workers additionally sweeps the ring worker count (1, 2, 4,
-// ..., NumCPU) and prints a KeySwitch/MulRelin scaling table for the
-// pipelined tile scheduler.
+// baseline entirely (the model/paper columns still print).
 package main
 
 import (
@@ -29,17 +26,7 @@ func main() {
 	log.SetPrefix("heax-bench: ")
 	quick := flag.Bool("quick", false, "shorter CPU measurement windows")
 	nocpu := flag.Bool("nocpu", false, "skip CPU baseline measurement")
-	sweep := flag.Bool("sweep-workers", false, "sweep worker counts (1,2,4,...,NumCPU) and print KeySwitch/MulRelin scaling")
 	flag.Parse()
-
-	if *sweep {
-		fmt.Fprintln(os.Stderr, "sweeping worker counts (Set-A, Set-B, Set-C)...")
-		tb, err := bench.WorkerSweepTable(*quick)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(tb.Render())
-	}
 
 	cpu := bench.EmptyCPUMeasurements()
 	if !*nocpu {

@@ -733,10 +733,9 @@ func (k *compiler) bindOutputs() ([]planOutput, error) {
 // hoistRotations merges rotation steps sharing a source slot into one
 // hoisted-decomposition batch: the merged step pays the per-digit INTT
 // and cross-modulus NTTs of Algorithm 7 once for the whole group
-// (Halevi–Shoup hoisting on the PR-2 tile scheduler). Merging at the
-// group's earliest position is dependency-safe: every member depends
-// only on the shared source, and every consumer appears after its
-// member's original position.
+// (Halevi–Shoup hoisting). Merging at the group's earliest position is
+// dependency-safe: every member depends only on the shared source, and
+// every consumer appears after its member's original position.
 func (k *compiler) hoistRotations() {
 	groups := make(map[int][]int) // source slot -> step indices
 	for i, s := range k.steps {

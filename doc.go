@@ -1,6 +1,6 @@
 // Package heax is the public face of this HEAX reproduction: a full-RNS
 // CKKS engine (encode, encrypt, evaluate, decrypt) built on the lazy-
-// reduction NTT core and the pipelined key-switch scheduler of the
+// reduction NTT core and the row-parallel key switch of the
 // internal packages, exposed through four coordinated layers.
 //
 // # Key-bound evaluators

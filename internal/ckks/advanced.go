@@ -27,11 +27,10 @@ type HoistedDecomposition struct {
 // keySwitchHoistedInto runs the multiply-accumulate and flooring tail of
 // Algorithm 7 over a cached decomposition into the caller-provided
 // output polynomials, optionally permuting each digit with an
-// NTT-domain automorphism table first. All tiles are independent (the
-// expensive transforms are already cached), so the scheduler dispatches
-// the full 2-D digit×prime grid at once. As with keySwitchAddInto,
-// optional add operands are folded into the flooring row pass (the
-// rotation epilogue ks0 + permuted c0).
+// NTT-domain automorphism table first. The expensive transforms are
+// already cached, so the MAC phase is a single pass over the accumulator
+// rows. As with keySwitchAddInto, optional add operands are folded into
+// the flooring row pass (the rotation epilogue ks0 + permuted c0).
 func (ev *Evaluator) keySwitchHoistedInto(hd *HoistedDecomposition, swk *SwitchingKey, table []int, add0, add1, out0, out1 *ring.Poly) {
 	ctx := ev.ctx
 	level := hd.level

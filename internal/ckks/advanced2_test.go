@@ -3,8 +3,6 @@ package ckks
 import (
 	"math/rand"
 	"testing"
-
-	"heax/internal/ring"
 )
 
 // Noise must be (a) small for a fresh encryption, (b) larger after a
@@ -38,32 +36,5 @@ func TestMeasureNoise(t *testing.T) {
 	}
 	if after <= fresh {
 		t.Fatalf("noise should grow after multiplication: %.1f vs %.1f", after, fresh)
-	}
-}
-
-// The parallel NTT must be bit-identical to the sequential one.
-func TestNTTParallelMatches(t *testing.T) {
-	kit := newTestKit(t, smallSpec)
-	ctx := kit.params.RingQP
-	rng := rand.New(rand.NewSource(63))
-	p := ctx.NewPoly(kit.params.QPRows())
-	for i := range p.Coeffs {
-		prime := ctx.Basis.Primes[i]
-		for j := range p.Coeffs[i] {
-			p.Coeffs[i][j] = rng.Uint64() % prime
-		}
-	}
-	seq := ring.CopyOf(p)
-	par := ring.CopyOf(p)
-	ctx.NTT(seq)
-	ctx.NTTParallel(par, 4)
-	if !seq.Equal(par) {
-		t.Fatal("parallel forward differs")
-	}
-	// workers <= 1 falls back to sequential.
-	ctx.NTTParallel(par, 1)
-	ctx.NTT(seq)
-	if !seq.Equal(par) {
-		t.Fatal("single-worker path differs")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"heax/internal/ring"
 )
@@ -35,11 +34,8 @@ type Evaluator struct {
 	// flooring path over a basis prefix, precomputed for the same reason.
 	seqIdx [][]int
 
-	// jobs pools the key-switch scheduler state (schedule.go).
+	// jobs pools the per-call key-switch state (schedule.go).
 	jobs sync.Pool
-	// trace, when non-nil, records scheduler events for the hwsim
-	// pipeline cross-checks.
-	trace atomic.Pointer[scheduleTrace]
 }
 
 // NewEvaluator builds an evaluator for params.
@@ -362,15 +358,13 @@ func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 // implements exactly this computation and the hardware-vs-software tests
 // compare against it.
 //
-// This is the hot path of Table 8, run as a software analogue of the
-// HEAX pipeline (schedule.go): all per-digit INTTs execute concurrently,
-// each (digit, targetPrime) base-convert+MAC tile is dispatched as soon
-// as its digit's INTT completes, and tiles accumulate into lazy [0, 2p)
-// accumulators under per-row locks — no barrier between digits. The MAC
-// itself is a fused dual Shoup multiply against the key's precomputed
-// constants, all scratch comes from the ring's buffer pool, and with a
-// single worker the whole graph degenerates to the sequential oracle
-// loop (bit-identical either way).
+// This is the hot path of Table 8, run as three row-parallel passes
+// (schedule.go): the per-digit INTTs, then one pass over the lazy
+// [0, 2p) accumulator rows — each row base-converts every digit to its
+// prime and MACs it in, owning its row outright — then the flooring
+// tail. The MAC itself is a fused dual Shoup multiply against the key's
+// precomputed constants, all scratch comes from the ring's buffer pool,
+// and the result is bit-identical at every worker count.
 func (ev *Evaluator) KeySwitchPoly(c *ring.Poly, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
 	return ev.keySwitchAdd(c, swk, nil, nil)
 }
@@ -403,9 +397,8 @@ func (ev *Evaluator) keySwitchAddInto(c *ring.Poly, swk *SwitchingKey, add0, add
 	ev.keySwitchMAC(c, nil, nil, swk.Digits, swk.ensureShoup(ctx), acc0, acc1, level)
 	// Line 19: modulus switching — divide by the special prime. The pair
 	// variant folds the closing reduction of the lazy accumulators into
-	// its own row pass. This is the pipeline's one true barrier, as in
-	// the hardware (the bank-set handoff of Fig. 8).
-	ev.trace.Load().add(ScheduleFloor, -1, -1)
+	// its own row pass; it starts once every accumulator row is complete,
+	// as the hardware's does (the bank-set handoff of Fig. 8).
 	if add0 != nil && add0.Rows() != level+1 {
 		add0 = add0.Resize(level + 1)
 	}

@@ -1,124 +1,41 @@
 package ckks
 
-// This file is the CPU realization of HEAX's pipelined key-switch
-// datapath (Section 5, Fig. 6-8). The hardware pipelines three kinds of
-// work with no global barrier between decomposition digits:
+// This file is the CPU realization of HEAX's key-switch datapath
+// (Section 5, Fig. 6-8). The hardware streams three kinds of work
+// through FIFOs:
 //
 //   INTT0   — per-digit inverse transform of the input polynomial,
 //   NTT0+DyadMult — per (digit, targetPrime) base-conversion + key MAC,
 //   INTT1/NTT1/MS — the modulus-switching tail.
 //
-// On CPU the same dependency graph is expressed as tasks on the ring
-// context's persistent worker pool (ring/sched.go): all per-digit INTTs
-// are submitted up front, each (digit, targetPrime) tile is dispatched
-// the moment its digit's INTT completes (the digit-diagonal tiles, which
-// reuse the NTT-form input directly — Algorithm 7 line 9, the paper's
-// "input-poly dyad needs no NTT" — are dispatched immediately), and
-// tiles accumulate into the two lazy accumulators under per-row locks,
-// so digits never synchronize globally. The modulus-switching tail
-// (FloorDropRowsPair) remains the one true barrier, exactly as the
-// hardware's bank-set handoff is (Fig. 8's "Data Dependency 2").
+// On a CPU the same work is bandwidth-bound, so it runs as three
+// row-parallel passes on the ring context's RunRows, with a join where
+// the board has a FIFO: the level+1 digit INTTs, then the level+2
+// accumulator rows, then the flooring tail (FloorDropRowsPairAddInto).
+// Each accumulator row belongs to one participant, which base-converts
+// the digits to its prime in cache-sized chunks (ForwardBatch shares
+// the target prime's twiddle stream across a chunk), consumes each
+// chunk while it is cache-hot, and keeps its lazy acc0/acc1 row
+// resident across all digits. Rows are disjoint, so nothing is locked,
+// and with one worker RunRows simply runs the same rows inline.
 //
-// Correctness under reordering: a tile's MAC adds a deterministic
-// product term to the accumulator row modulo 2p (uintmod.MulAddLazy is
-// an exact mod-2p addition), so accumulation is commutative and
-// associative — any tile interleaving yields bit-identical accumulators,
-// and therefore bit-identical results to the sequential oracle. The
-// equivalence tests in schedule_test.go assert this across all Table 2
-// parameter sets.
+// A row's MACs add deterministic product terms modulo 2p
+// (uintmod.MulAddLazy is an exact mod-2p addition), so the result does
+// not depend on which participant runs which row; schedule_test.go and
+// hwsim's independent Algorithm 7 model pin it bit for bit at every
+// level and worker count.
 
-import (
-	"sync"
+import "heax/internal/ring"
 
-	"heax/internal/ring"
-)
-
-// ScheduleEventKind labels one entry of a key-switch schedule trace.
-type ScheduleEventKind uint8
-
-const (
-	// ScheduleINTT records completion of a digit's INTT0 stage.
-	ScheduleINTT ScheduleEventKind = iota
-	// ScheduleTile records the start of a (digit, row) base-convert+MAC
-	// tile.
-	ScheduleTile
-	// ScheduleFloor records the start of the modulus-switching tail.
-	ScheduleFloor
-)
-
-// ScheduleEvent is one observed scheduler action; Seq is the global
-// observation order. The hwsim package validates sequences of these
-// against the dependency structure of the hardware pipeline model.
-type ScheduleEvent struct {
-	Kind  ScheduleEventKind
-	Digit int // decomposition digit, -1 for ScheduleFloor
-	Row   int // target accumulator row, -1 for ScheduleINTT/ScheduleFloor
-	Seq   int
-}
-
-// scheduleTrace collects events under a mutex; tracing is off (nil
-// pointer, one atomic load) on the hot path.
-type scheduleTrace struct {
-	mu     sync.Mutex
-	events []ScheduleEvent
-}
-
-func (tr *scheduleTrace) add(kind ScheduleEventKind, digit, row int) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	tr.events = append(tr.events, ScheduleEvent{kind, digit, row, len(tr.events)})
-	tr.mu.Unlock()
-}
-
-// StartScheduleTrace begins recording the scheduler's INTT/tile/floor
-// ordering for subsequent KeySwitchPoly calls (used by the hwsim
-// cross-checks). Tracing adds a mutex per event; leave it off in
-// production.
-func (ev *Evaluator) StartScheduleTrace() {
-	ev.trace.Store(&scheduleTrace{})
-}
-
-// StopScheduleTrace stops recording and returns the captured events.
-func (ev *Evaluator) StopScheduleTrace() []ScheduleEvent {
-	tr := ev.trace.Swap(nil)
-	if tr == nil {
-		return nil
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.events
-}
-
-// ksTaskKind discriminates the pooled scheduler task structs.
-type ksTaskKind uint8
-
-const (
-	ksINTT       ksTaskKind = iota // digit INTT, then fan out its tiles
-	ksTile                         // base-convert + MAC into accumulators
-	ksDecompINTT                   // digit INTT for hoisted decomposition
-	ksDecompTile                   // base-convert into the cached digit
-)
-
-// ksTask is one node of the tile graph; it lives in ksJob.tasks so a
-// whole key-switch submits zero per-task allocations.
-type ksTask struct {
-	job   *ksJob
-	kind  ksTaskKind
-	digit int
-	row   int // accumulator/digit row index jj; -1 for INTT tasks
-}
-
-// ksJob carries the shared state of one pipelined key-switch MAC phase
-// (or hoisted decomposition). Jobs are pooled on the evaluator; all
-// polynomial scratch comes from the ring context's buffer pool.
+// ksJob carries the state of one key-switch MAC phase (or hoisted
+// decomposition). Jobs are pooled on the evaluator; all polynomial
+// scratch comes from the ring context's buffer pool.
 type ksJob struct {
 	ev  *Evaluator
 	ctx *ring.Context
 
-	// Inputs. Exactly one of c (direct path) or hd (hoisted MAC path) or
-	// out (decomposition path) is set.
+	// Inputs. Exactly one of c (direct path) or hd (hoisted MAC path) is
+	// set, or c and out (decomposition path).
 	c     *ring.Poly
 	hd    *HoistedDecomposition
 	out   *HoistedDecomposition
@@ -129,133 +46,25 @@ type ksJob struct {
 	intt          *ring.Poly // per-digit INTT outputs, level+1 rows
 	level         int
 
-	g     *ring.Group
-	locks []sync.Mutex
-	tasks []ksTask
-	batch [][]uint64 // scratch row list for the batched sequential path
-	trace *scheduleTrace
+	// lists holds one ForwardBatch row list per decomposition target
+	// row (level+1 entries each), so rows share no scratch.
+	lists [][]uint64
+
+	// The row passes as func values, bound once per pooled job: a method
+	// value made at the RunRows call would allocate on every key switch.
+	inttRow, macRow, hoistedRow, decompRow func(int)
 }
 
-// tileIdx flattens the 2-D (digit, row) coordinates into j.tasks: tiles
-// first, then the level+1 INTT tasks.
-func (j *ksJob) tileIdx(digit, row int) int { return digit*(j.level+2) + row }
-func (j *ksJob) inttIdx(digit int) int      { return (j.level+1)*(j.level+2) + digit }
-
-func (t *ksTask) Run() {
-	j := t.job
-	switch t.kind {
-	case ksINTT, ksDecompINTT:
-		a := j.intt.Coeffs[t.digit]
-		copy(a, j.c.Coeffs[t.digit])
-		j.ctx.Tables[t.digit].Inverse(a)
-		if t.kind == ksINTT {
-			j.trace.add(ScheduleINTT, t.digit, -1)
-		}
-		// The digit is ready: dispatch its cross-prime tiles. (The MAC
-		// path's diagonal tile was dispatched at submit time.)
-		for jj := 0; jj <= j.level+1; jj++ {
-			if jj != t.digit {
-				j.g.Go(&j.tasks[j.tileIdx(t.digit, jj)])
-			}
-		}
-	case ksTile:
-		j.runTile(t.digit, t.row)
-	case ksDecompTile:
-		j.runDecompTile(t.digit, t.row)
-	}
-}
-
-// runTile executes one (digit, row) base-convert + MAC tile: lines 5-10
-// (conversion) and 11-12/16-17 (the fused dual MAC) of Algorithm 7.
-func (j *ksJob) runTile(digit, jj int) {
-	ctx := j.ctx
-	if j.hd == nil {
-		// Hoisted MAC grids have no INTT/floor stages, so their tiles
-		// are excluded from the trace — a trace must stay validatable
-		// by hwsim.ValidateKeySwitchSchedule.
-		j.trace.add(ScheduleTile, digit, jj)
-	}
-	basisIdx := j.ev.rowIdx[j.level][jj]
-	var b []uint64
-	var bBuf *ring.Poly
-	switch {
-	case j.hd != nil:
-		src := j.hd.digits[digit].Coeffs[jj]
-		if j.table != nil {
-			bBuf = ctx.GetPolyNoZero(1)
-			perm := bBuf.Coeffs[0]
-			for t, idx := range j.table {
-				perm[t] = src[idx]
-			}
-			b = perm
-		} else {
-			b = src
-		}
-	case basisIdx == digit:
-		// Line 9: the digit's own prime reuses the NTT-form input.
-		b = j.c.Coeffs[digit]
-	default:
-		bBuf = ctx.GetPolyNoZero(1)
-		bRow := bBuf.Coeffs[0]
-		m := ctx.Basis.Mods[basisIdx]
-		a := j.intt.Coeffs[digit]
-		for t := range bRow {
-			bRow[t] = m.Reduce(a[t])
-		}
-		ctx.Tables[basisIdx].Forward(bRow)
-		b = bRow
-	}
-	d0, d1 := j.digits[digit][0], j.digits[digit][1]
-	s0, s1 := j.shoup[digit][0], j.shoup[digit][1]
-	j.locks[jj].Lock()
-	ctx.MulAddLazyRow2(b,
-		d0.Coeffs[basisIdx], s0.Coeffs[basisIdx], j.acc0.Coeffs[jj],
-		d1.Coeffs[basisIdx], s1.Coeffs[basisIdx], j.acc1.Coeffs[jj], basisIdx)
-	j.locks[jj].Unlock()
-	if bBuf != nil {
-		// Scratch is released per tile, not at job end, so the pool's
-		// live set stays O(workers) rather than O(digits × primes).
-		ctx.PutPoly(bBuf)
-	}
-}
-
-// runDecompTile converts digit `digit` to accumulator row jj and stores
-// it in the cached decomposition (lines 3-10 of Algorithm 7, hoisted).
-// Rows of the output digit are disjoint, so no locking is needed.
-func (j *ksJob) runDecompTile(digit, jj int) {
-	ctx := j.ctx
-	basisIdx := j.ev.rowIdx[j.level][jj]
-	row := j.out.digits[digit].Coeffs[jj]
-	if basisIdx == digit {
-		copy(row, j.c.Coeffs[digit])
-		return
-	}
-	m := ctx.Basis.Mods[basisIdx]
-	a := j.intt.Coeffs[digit]
-	for t := range row {
-		row[t] = m.Reduce(a[t])
-	}
-	ctx.Tables[basisIdx].Forward(row)
-}
-
-// getJob draws a pooled job and sizes its task/lock slices for level.
 func (ev *Evaluator) getJob(level int) *ksJob {
 	j, _ := ev.jobs.Get().(*ksJob)
 	if j == nil {
 		j = &ksJob{}
+		j.inttRow, j.macRow = j.runINTTRow, j.runMACRow
+		j.hoistedRow, j.decompRow = j.runHoistedRow, j.runDecompRow
 	}
 	j.ev = ev
 	j.ctx = ev.ctx
 	j.level = level
-	nTasks := (level+1)*(level+2) + level + 1
-	if cap(j.tasks) < nTasks {
-		j.tasks = make([]ksTask, nTasks)
-	}
-	j.tasks = j.tasks[:nTasks]
-	if cap(j.locks) < level+2 {
-		j.locks = make([]sync.Mutex, level+2)
-	}
-	j.locks = j.locks[:level+2]
 	return j
 }
 
@@ -263,19 +72,30 @@ func (ev *Evaluator) putJob(j *ksJob) {
 	j.c, j.hd, j.out, j.table = nil, nil, nil, nil
 	j.digits, j.shoup = nil, nil
 	j.acc0, j.acc1, j.intt = nil, nil, nil
-	j.g, j.trace = nil, nil
-	b := j.batch[:cap(j.batch)]
-	for i := range b {
-		b[i] = nil // drop references into pooled scratch
-	}
-	j.batch = b[:0]
+	clear(j.lists[:cap(j.lists)]) // drop references into pooled scratch
 	ev.jobs.Put(j)
 }
 
-// macTile runs the fused dual MAC of digit i into accumulator row jj
-// from the already-converted (NTT-form, mod target prime) row b.
-func (j *ksJob) macTile(i, jj, basisIdx int, b []uint64) {
-	j.trace.add(ScheduleTile, i, jj)
+// runINTTRow is INTT0 for digit i: the coefficient form of input row i.
+func (j *ksJob) runINTTRow(i int) {
+	a := j.intt.Coeffs[i]
+	copy(a, j.c.Coeffs[i])
+	j.ctx.Tables[i].Inverse(a)
+}
+
+// convert reduces digit i's coefficient form modulo the target prime
+// into dst (Algorithm 7 line 6); the caller transforms dst.
+func (j *ksJob) convert(i, basisIdx int, dst []uint64) {
+	m := j.ctx.Basis.Mods[basisIdx]
+	a := j.intt.Coeffs[i]
+	for t := range dst {
+		dst[t] = m.Reduce(a[t])
+	}
+}
+
+// mac runs the fused dual MAC of digit i into accumulator row jj from
+// the already-converted (NTT-form, mod target prime) row b.
+func (j *ksJob) mac(i, jj, basisIdx int, b []uint64) {
 	d0, d1 := j.digits[i][0], j.digits[i][1]
 	s0, s1 := j.shoup[i][0], j.shoup[i][1]
 	j.ctx.MulAddLazyRow2(b,
@@ -283,198 +103,123 @@ func (j *ksJob) macTile(i, jj, basisIdx int, b []uint64) {
 		d1.Coeffs[basisIdx], s1.Coeffs[basisIdx], j.acc1.Coeffs[jj], basisIdx)
 }
 
-// runRowMajorMAC is the single-worker schedule of the MAC phase: with
-// every digit's INTT already done, it walks accumulator rows outermost
-// and digits in cache-sized chunks, so the base-conversion NTTs of a
-// chunk run through ForwardBatch sharing the target prime's twiddle
-// stream, each chunk is MAC-consumed while still cache-hot, and the
-// lazy accumulator row stays resident across all digits. Tile order
-// differs from the digit-major pipeline, but accumulation is commutative
-// mod 2p, so the results are bit-identical.
-func (j *ksJob) runRowMajorMAC() {
-	ctx := j.ctx
-	level := j.level
-	conv := ctx.GetPolyNoZero(level + 1)
+// runMACRow fills accumulator row jj: lines 5-10 (conversion) and
+// 11-12/16-17 (the fused dual MAC) of Algorithm 7 for every digit.
+func (j *ksJob) runMACRow(jj int) {
+	ctx, level := j.ctx, j.level
+	basisIdx := j.ev.rowIdx[level][jj]
+	tb := ctx.Tables[basisIdx]
+	chunk := min(tb.BatchRows(), level+1)
+	conv := ctx.GetPolyNoZero(chunk)
 	defer ctx.PutPoly(conv)
-	for jj := 0; jj <= level+1; jj++ {
-		basisIdx := j.ev.rowIdx[level][jj]
-		m := ctx.Basis.Mods[basisIdx]
-		tb := ctx.Tables[basisIdx]
-		chunk := tb.BatchRows()
-		batch := j.batch[:0]
-		first := 0 // first digit of the pending chunk (skipping basisIdx)
-		flush := func(next int) {
-			tb.ForwardBatch(batch...)
-			k := 0
-			for i := first; i < next; i++ {
-				if i == basisIdx {
-					continue
-				}
-				j.macTile(i, jj, basisIdx, batch[k])
+	for i := 0; i <= level; {
+		first, k := i, 0
+		for ; i <= level && k < chunk; i++ {
+			if i != basisIdx {
+				j.convert(i, basisIdx, conv.Coeffs[k])
 				k++
 			}
-			batch = batch[:0]
-			first = next
 		}
-		for i := 0; i <= level; i++ {
-			if i == basisIdx {
-				// Line 9: the digit's own prime reuses the NTT-form input.
-				j.macTile(i, jj, basisIdx, j.c.Coeffs[i])
-				continue
+		tb.ForwardBatch(conv.Coeffs[:k]...)
+		k = 0
+		for d := first; d < i; d++ {
+			// Line 9: the digit's own prime reuses the NTT-form input.
+			b := j.c.Coeffs[d]
+			if d != basisIdx {
+				b = conv.Coeffs[k]
+				k++
 			}
-			row := conv.Coeffs[i]
-			a := j.intt.Coeffs[i]
-			for t := range row {
-				row[t] = m.Reduce(a[t])
-			}
-			batch = append(batch, row)
-			if len(batch) == chunk {
-				flush(i + 1)
-			}
+			j.mac(d, jj, basisIdx, b)
 		}
-		flush(level + 1)
-		j.batch = batch[:0]
 	}
 }
 
-// runRowMajorDecomp is runRowMajorMAC's counterpart for the hoisted
-// decomposition: per target row, batch-convert the digits in cache-sized
-// chunks through the shared target-prime twiddles into the cached digit
-// polynomials.
-func (j *ksJob) runRowMajorDecomp() {
+// runHoistedRow is runMACRow over a cached decomposition: the digits
+// are already converted, so a row only permutes them (when the rotation
+// supplies an automorphism table) and MACs.
+func (j *ksJob) runHoistedRow(jj int) {
 	ctx := j.ctx
-	level := j.level
-	for jj := 0; jj <= level+1; jj++ {
-		basisIdx := j.ev.rowIdx[level][jj]
-		m := ctx.Basis.Mods[basisIdx]
-		tb := ctx.Tables[basisIdx]
-		chunk := tb.BatchRows()
-		batch := j.batch[:0]
-		for i := 0; i <= level; i++ {
-			row := j.out.digits[i].Coeffs[jj]
-			if i == basisIdx {
-				copy(row, j.c.Coeffs[i])
-				continue
+	basisIdx := j.ev.rowIdx[j.level][jj]
+	var perm []uint64
+	if j.table != nil {
+		buf := ctx.GetPolyNoZero(1)
+		defer ctx.PutPoly(buf)
+		perm = buf.Coeffs[0]
+	}
+	for i := 0; i <= j.level; i++ {
+		b := j.hd.digits[i].Coeffs[jj]
+		if perm != nil {
+			for t, idx := range j.table {
+				perm[t] = b[idx]
 			}
-			a := j.intt.Coeffs[i]
-			for t := range row {
-				row[t] = m.Reduce(a[t])
-			}
-			batch = append(batch, row)
-			if len(batch) == chunk {
-				tb.ForwardBatch(batch...)
-				batch = batch[:0]
-			}
+			b = perm
 		}
-		tb.ForwardBatch(batch...)
-		j.batch = batch[:0]
+		j.mac(i, jj, basisIdx, b)
 	}
 }
 
-// initTasks fills the task table for the given kinds.
-func (j *ksJob) initTasks(inttKind, tileKind ksTaskKind) {
-	for i := 0; i <= j.level; i++ {
-		for jj := 0; jj <= j.level+1; jj++ {
-			j.tasks[j.tileIdx(i, jj)] = ksTask{job: j, kind: tileKind, digit: i, row: jj}
+// runDecompRow is runMACRow's counterpart for the hoisted decomposition
+// (lines 3-10 of Algorithm 7): it converts every digit to target row jj
+// straight into the cached digit polynomials.
+func (j *ksJob) runDecompRow(jj int) {
+	level := j.level
+	basisIdx := j.ev.rowIdx[level][jj]
+	tb := j.ctx.Tables[basisIdx]
+	chunk := min(tb.BatchRows(), level+1)
+	list := j.lists[jj*(level+1) : jj*(level+1) : (jj+1)*(level+1)]
+	for i := 0; i <= level; i++ {
+		row := j.out.digits[i].Coeffs[jj]
+		if i == basisIdx {
+			copy(row, j.c.Coeffs[i])
+			continue
 		}
-		j.tasks[j.inttIdx(i)] = ksTask{job: j, kind: inttKind, digit: i, row: -1}
+		j.convert(i, basisIdx, row)
+		list = append(list, row)
+		if len(list) == chunk {
+			tb.ForwardBatch(list...)
+			list = list[:0]
+		}
 	}
+	tb.ForwardBatch(list...)
 }
 
 // keySwitchMAC runs the multiply-accumulate phase of Algorithm 7 over
 // either a direct input polynomial c or a cached hoisted decomposition
-// hd, into the lazy accumulators acc0/acc1. With a single worker it runs
-// the sequential oracle loop (digit-major, bit-identical by the
-// commutativity argument above); otherwise it runs the pipelined tile
-// graph.
+// hd, into the lazy accumulators acc0/acc1.
 func (ev *Evaluator) keySwitchMAC(c *ring.Poly, hd *HoistedDecomposition, table []int,
 	digits, shoup [][2]*ring.Poly, acc0, acc1 *ring.Poly, level int) {
 	ctx := ev.ctx
-
 	j := ev.getJob(level)
 	j.c, j.hd, j.table = c, hd, table
 	j.digits, j.shoup = digits, shoup
 	j.acc0, j.acc1 = acc0, acc1
-	j.trace = ev.trace.Load()
-
-	needINTT := hd == nil
-	if needINTT {
+	if hd != nil {
+		ctx.RunRows(level+2, j.hoistedRow)
+	} else {
 		//heax:owns the job owns it; PutPoly(j.intt) runs before putJob below
 		j.intt = ctx.GetPolyNoZero(level + 1)
-	}
-
-	if ctx.Workers() <= 1 {
-		if needINTT {
-			// Sequential schedule: all INTTs, then row-major batched
-			// conversion + MAC (bit-identical to any other tile order).
-			for i := 0; i <= level; i++ {
-				a := j.intt.Coeffs[i]
-				copy(a, c.Coeffs[i])
-				ctx.Tables[i].Inverse(a)
-				j.trace.add(ScheduleINTT, i, -1)
-			}
-			j.runRowMajorMAC()
-		} else {
-			// Hoisted MAC: no transforms left, digit-major tile loop.
-			for i := 0; i <= level; i++ {
-				for jj := 0; jj <= level+1; jj++ {
-					j.runTile(i, jj)
-				}
-			}
-		}
-	} else {
-		j.initTasks(ksINTT, ksTile)
-		g := ctx.NewGroup()
-		j.g = g
-		for i := 0; i <= level; i++ {
-			if needINTT {
-				// The diagonal tile reads the NTT-form input directly —
-				// dispatch it now; the INTT task fans out the rest.
-				g.Go(&j.tasks[j.tileIdx(i, i)])
-				g.Go(&j.tasks[j.inttIdx(i)])
-			} else {
-				for jj := 0; jj <= level+1; jj++ {
-					g.Go(&j.tasks[j.tileIdx(i, jj)])
-				}
-			}
-		}
-		g.Wait()
-		ctx.PutGroup(g)
-	}
-
-	if needINTT {
+		ctx.RunRows(level+1, j.inttRow)
+		ctx.RunRows(level+2, j.macRow)
 		ctx.PutPoly(j.intt)
 	}
 	ev.putJob(j)
 }
 
 // decompose fills hd with the per-digit conversions of c (lines 3-10 of
-// Algorithm 7 for every digit), pipelined over the worker pool.
+// Algorithm 7 for every digit).
 func (ev *Evaluator) decompose(c *ring.Poly, hd *HoistedDecomposition, level int) {
 	ctx := ev.ctx
 	j := ev.getJob(level)
 	j.c, j.out = c, hd
-
+	if n := (level + 2) * (level + 1); cap(j.lists) < n {
+		j.lists = make([][]uint64, n)
+	} else {
+		j.lists = j.lists[:n]
+	}
 	//heax:owns the job owns it; PutPoly(j.intt) runs before putJob below
 	j.intt = ctx.GetPolyNoZero(level + 1)
-	if ctx.Workers() <= 1 {
-		for i := 0; i <= level; i++ {
-			a := j.intt.Coeffs[i]
-			copy(a, c.Coeffs[i])
-			ctx.Tables[i].Inverse(a)
-		}
-		j.runRowMajorDecomp()
-	} else {
-		j.initTasks(ksDecompINTT, ksDecompTile)
-		g := ctx.NewGroup()
-		j.g = g
-		for i := 0; i <= level; i++ {
-			g.Go(&j.tasks[j.tileIdx(i, i)]) // diagonal: plain copy
-			g.Go(&j.tasks[j.inttIdx(i)])
-		}
-		g.Wait()
-		ctx.PutGroup(g)
-	}
+	ctx.RunRows(level+1, j.inttRow)
+	ctx.RunRows(level+2, j.decompRow)
 	ctx.PutPoly(j.intt)
 	ev.putJob(j)
 }

@@ -1,6 +1,8 @@
 package ckks
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,9 +11,10 @@ import (
 )
 
 // schedSpec is a small HEAX-shaped parameter set so the equivalence
-// matrix stays fast; the full Table 2 sets are covered by
-// TestPipelinedKeySwitchTable2.
-var schedSpec = ParamSpec{Name: "sched-test", LogN: 10, QBits: []int{43, 40, 40, 40}, PBits: 46, LogScale: 40}
+// matrix stays fast, yet large enough (2 rows x 2^12 coefficients) that
+// RunRows really fans out at every level, level 0 included; the full
+// Table 2 sets are covered by TestKeySwitchWorkerInvariantTable2.
+var schedSpec = ParamSpec{Name: "sched-test", LogN: 12, QBits: []int{43, 40, 40, 40}, PBits: 46, LogScale: 40}
 
 func schedKit(t testing.TB, spec ParamSpec) (*Params, *RelinearizationKey, *Evaluator) {
 	t.Helper()
@@ -35,10 +38,29 @@ func schedRandomPoly(ctx *ring.Context, rows int, rng *rand.Rand) *ring.Poly {
 	return p
 }
 
-// The pipelined tile scheduler must produce bit-identical key-switch
-// results to the sequential oracle (SetWorkers(1)) at every level and
-// several worker counts.
-func TestPipelinedKeySwitchMatchesSequential(t *testing.T) {
+// polyHash is FNV-1a over the rows of the given polynomials.
+func polyHash(ps ...*ring.Poly) uint64 {
+	h := fnv.New64a()
+	var w [8]byte
+	for _, p := range ps {
+		for _, row := range p.Coeffs {
+			for _, v := range row {
+				binary.LittleEndian.PutUint64(w[:], v)
+				h.Write(w[:])
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// The key switch must not depend on how its rows are spread over
+// participants: inline (one worker) and fanned out (2, 3, 8 workers —
+// more than the level+2 rows there are to hand out, at every level of
+// this set) give the same bits at every level, level 0 included. Each
+// level is also pinned to the hash the two-schedule implementation this
+// one replaced produced for the same seeds at 1, 2, 3 and 8 workers.
+func TestKeySwitchWorkerInvariant(t *testing.T) {
+	wantHash := []uint64{0x52cba9d192c585ff, 0x907fce69e0abafc1, 0x152dea03043deb14, 0xbeb3a9231bcb0de0}
 	params, rlk, ev := schedKit(t, schedSpec)
 	ctx := params.RingQP
 	rng := rand.New(rand.NewSource(3))
@@ -46,20 +68,21 @@ func TestPipelinedKeySwitchMatchesSequential(t *testing.T) {
 		c := schedRandomPoly(ctx, level+1, rng)
 		ctx.SetWorkers(1)
 		want0, want1 := ev.KeySwitchPoly(c, &rlk.SwitchingKey)
+		if got := polyHash(want0, want1); got != wantHash[level] {
+			t.Fatalf("level %d: key switch hashes to %#x, want %#x", level, got, wantHash[level])
+		}
 		for _, workers := range []int{2, 3, 8} {
 			ctx.SetWorkers(workers)
 			got0, got1 := ev.KeySwitchPoly(c, &rlk.SwitchingKey)
 			if !got0.Equal(want0) || !got1.Equal(want1) {
-				t.Fatalf("level %d workers %d: pipelined key switch differs from sequential oracle", level, workers)
+				t.Fatalf("level %d workers %d: key switch differs from the one-worker result", level, workers)
 			}
 		}
-		ctx.SetWorkers(1)
 	}
 }
 
-// Same equivalence across every Table 2 parameter set at top level —
-// the acceptance gate for the scheduler rewrite.
-func TestPipelinedKeySwitchTable2(t *testing.T) {
+// Same invariance across every Table 2 parameter set at top level.
+func TestKeySwitchWorkerInvariantTable2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full parameter sets skipped in -short mode")
 	}
@@ -72,64 +95,70 @@ func TestPipelinedKeySwitchTable2(t *testing.T) {
 		want0, want1 := ev.KeySwitchPoly(c, &rlk.SwitchingKey)
 		ctx.SetWorkers(4)
 		got0, got1 := ev.KeySwitchPoly(c, &rlk.SwitchingKey)
-		ctx.SetWorkers(1)
 		if !got0.Equal(want0) || !got1.Equal(want1) {
-			t.Fatalf("%s: pipelined key switch differs from sequential oracle", spec.Name)
+			t.Fatalf("%s: key switch at 4 workers differs from the one-worker result", spec.Name)
 		}
 	}
 }
 
 // The hoisted paths (decomposition and MAC-over-decomposition) must also
-// be worker-count invariant, including with an automorphism table.
-func TestPipelinedHoistedMatchesSequential(t *testing.T) {
+// be worker-count invariant, with and without an automorphism table, at
+// the top level and at level 0 (two accumulator rows for up to eight
+// workers).
+func TestHoistedWorkerInvariant(t *testing.T) {
 	params, rlk, ev := schedKit(t, schedSpec)
 	ctx := params.RingQP
 	rng := rand.New(rand.NewSource(9))
-	c := schedRandomPoly(ctx, params.K(), rng)
 	table := ctx.AutomorphismNTTTable(ring.GaloisElement(3, params.N))
+	for _, level := range []int{params.MaxLevel(), 0} {
+		c := schedRandomPoly(ctx, level+1, rng)
+		add := schedRandomPoly(ctx, level+1, rng)
 
-	add := schedRandomPoly(ctx, params.K(), rng)
-
-	// decompose and keySwitchHoistedInto are the two halves of
-	// RotateHoistedInto; driving them directly lets the test compare the
-	// cached digits and cover the table-less MAC grid.
-	decompose := func() *HoistedDecomposition {
-		hd := &HoistedDecomposition{level: c.Level(), digits: make([]*ring.Poly, params.K())}
-		for i := range hd.digits {
-			hd.digits[i] = ctx.NewPoly(params.K() + 1)
+		// decompose and keySwitchHoistedInto are the two halves of
+		// RotateHoistedInto; driving them directly lets the test compare
+		// the cached digits and cover the table-less MAC.
+		decompose := func() *HoistedDecomposition {
+			hd := &HoistedDecomposition{level: level, digits: make([]*ring.Poly, level+1)}
+			for i := range hd.digits {
+				hd.digits[i] = ctx.NewPoly(level + 2)
+			}
+			ev.decompose(c, hd, level)
+			return hd
 		}
-		ev.decompose(c, hd, c.Level())
-		return hd
-	}
-	keySwitch := func(hd *HoistedDecomposition, table []int, add *ring.Poly) (*ring.Poly, *ring.Poly) {
-		out0, out1 := ctx.NewPolyPair(params.K())
-		ev.keySwitchHoistedInto(hd, &rlk.SwitchingKey, table, add, nil, out0, out1)
-		return out0, out1
-	}
+		keySwitch := func(hd *HoistedDecomposition, table []int, add *ring.Poly) (*ring.Poly, *ring.Poly) {
+			out0, out1 := ctx.NewPolyPair(level + 1)
+			ev.keySwitchHoistedInto(hd, &rlk.SwitchingKey, table, add, nil, out0, out1)
+			return out0, out1
+		}
 
-	ctx.SetWorkers(1)
-	hdSeq := decompose()
-	want0, want1 := keySwitch(hdSeq, table, add)
-	wantPlain0, wantPlain1 := keySwitch(hdSeq, nil, nil)
+		ctx.SetWorkers(1)
+		hdOne := decompose()
+		want0, want1 := keySwitch(hdOne, table, add)
+		wantPlain0, wantPlain1 := keySwitch(hdOne, nil, nil)
+		// Decomposing and MACing is the direct key switch in two halves.
+		ks0, ks1 := ev.KeySwitchPoly(c, &rlk.SwitchingKey)
+		if !wantPlain0.Equal(ks0) || !wantPlain1.Equal(ks1) {
+			t.Fatalf("level %d: hoisted key switch differs from the direct one", level)
+		}
 
-	for _, workers := range []int{2, 8} {
-		ctx.SetWorkers(workers)
-		hd := decompose()
-		for i := range hd.digits {
-			if !hd.digits[i].Equal(hdSeq.digits[i]) {
-				t.Fatalf("workers %d: hoisted decomposition digit %d differs", workers, i)
+		for _, workers := range []int{2, 3, 8} {
+			ctx.SetWorkers(workers)
+			hd := decompose()
+			for i := range hd.digits {
+				if !hd.digits[i].Equal(hdOne.digits[i]) {
+					t.Fatalf("level %d workers %d: hoisted decomposition digit %d differs", level, workers, i)
+				}
+			}
+			got0, got1 := keySwitch(hd, table, add)
+			if !got0.Equal(want0) || !got1.Equal(want1) {
+				t.Fatalf("level %d workers %d: hoisted key switch (permuted, fused add) differs", level, workers)
+			}
+			got0, got1 = keySwitch(hd, nil, nil)
+			if !got0.Equal(wantPlain0) || !got1.Equal(wantPlain1) {
+				t.Fatalf("level %d workers %d: hoisted key switch differs", level, workers)
 			}
 		}
-		got0, got1 := keySwitch(hd, table, add)
-		if !got0.Equal(want0) || !got1.Equal(want1) {
-			t.Fatalf("workers %d: hoisted key switch (permuted, fused add) differs", workers)
-		}
-		got0, got1 = keySwitch(hd, nil, nil)
-		if !got0.Equal(wantPlain0) || !got1.Equal(wantPlain1) {
-			t.Fatalf("workers %d: hoisted key switch differs", workers)
-		}
 	}
-	ctx.SetWorkers(1)
 }
 
 // The fused MulRelin must agree bit-for-bit with Mul followed by
@@ -170,9 +199,9 @@ func TestFusedMulRelinMatchesComposition(t *testing.T) {
 	ctx.SetWorkers(1)
 }
 
-// SetWorkers(1) must take the degenerate sequential path for every
-// evaluator entry point without touching the worker pool (this is also
-// the configuration the BENCH baselines pin).
+// SetWorkers(1) must run every evaluator entry point inline, without
+// touching the worker pool (this is also the configuration the ladder's
+// ckks.keyswitch_w1_ms pins).
 func TestDegenerateSingleWorker(t *testing.T) {
 	params, rlk, ev := schedKit(t, schedSpec)
 	ctx := params.RingQP
@@ -194,9 +223,9 @@ func TestDegenerateSingleWorker(t *testing.T) {
 	}
 }
 
-// One Evaluator hammered from concurrent goroutines (the -race test of
-// the satellite checklist): every goroutine must reproduce the
-// single-threaded reference results bit for bit.
+// One Evaluator hammered from concurrent goroutines, each key switch
+// fanning its rows out over the shared pool (run under -race in CI):
+// every goroutine must reproduce the one-worker results bit for bit.
 func TestEvaluatorConcurrentUse(t *testing.T) {
 	params, rlk, ev := schedKit(t, schedSpec)
 	ctx := params.RingQP

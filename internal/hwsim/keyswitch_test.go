@@ -10,8 +10,9 @@ import (
 )
 
 // hwSpec is HEAX-shaped (all primes < 2^52) but small enough for unit
-// tests.
-var hwSpec = ckks.ParamSpec{Name: "hw-test", LogN: 10, QBits: []int{43, 40, 40, 40}, PBits: 46, LogScale: 40}
+// tests, and large enough (2 rows x 2^12 coefficients) that the
+// evaluator's RunRows passes fan out at every level.
+var hwSpec = ckks.ParamSpec{Name: "hw-test", LogN: 12, QBits: []int{43, 40, 40, 40}, PBits: 46, LogScale: 40}
 
 func hwKit(t testing.TB) (*ckks.Params, *ckks.KeyGenerator, *ckks.SecretKey, *ckks.RelinearizationKey, *ckks.Evaluator) {
 	t.Helper()
@@ -25,8 +26,10 @@ func hwKit(t testing.TB) (*ckks.Params, *ckks.KeyGenerator, *ckks.SecretKey, *ck
 	return params, kg, sk, rlk, ckks.NewEvaluator(params)
 }
 
-// The hardware KeySwitch dataflow must agree bit for bit with the
-// software evaluator's Algorithm 7 at every level.
+// The hardware KeySwitch dataflow — an independent implementation of
+// Algorithm 7 — must agree bit for bit with the software evaluator at
+// every level, both when the evaluator runs its rows inline (one worker)
+// and when it fans them out (three workers).
 func TestKeySwitchSimMatchesEvaluator(t *testing.T) {
 	params, _, _, rlk, eval := hwKit(t)
 	arch := core.DeriveArch(core.BoardStratix10, core.ParamSet{Name: "hw", LogN: hwSpec.LogN, K: len(hwSpec.QBits)}, 8)
@@ -41,19 +44,21 @@ func TestKeySwitchSimMatchesEvaluator(t *testing.T) {
 				c.Coeffs[i][j] = rng.Uint64() % p
 			}
 		}
-		wantKs0, wantKs1 := eval.KeySwitchPoly(c, &rlk.SwitchingKey)
-
 		sim := NewKeySwitchSim(ctx, arch)
-		gotKs0, gotKs1, err := sim.Run(ring.CopyOf(c), rlk.SwitchingKey.Digits)
+		wantKs0, wantKs1, err := sim.Run(ring.CopyOf(c), rlk.SwitchingKey.Digits)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !gotKs0.Equal(wantKs0) || !gotKs1.Equal(wantKs1) {
-			t.Fatalf("level %d: hardware KeySwitch differs from software", level)
 		}
 		if sim.INTT0Cycles == 0 || sim.NTT0Cycles == 0 || sim.DyadCycles == 0 ||
 			sim.INTT1Cycles == 0 || sim.NTT1Cycles == 0 || sim.MSCycles == 0 {
 			t.Fatalf("level %d: some module did no work: %+v", level, sim)
+		}
+		for _, workers := range []int{1, 3} {
+			eval.SetWorkers(workers)
+			gotKs0, gotKs1 := eval.KeySwitchPoly(c, &rlk.SwitchingKey)
+			if !gotKs0.Equal(wantKs0) || !gotKs1.Equal(wantKs1) {
+				t.Fatalf("level %d workers %d: software KeySwitch differs from hardware", level, workers)
+			}
 		}
 	}
 }

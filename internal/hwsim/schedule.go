@@ -1,8 +1,8 @@
 package hwsim
 
-// Schedule cross-checking: the software tile scheduler (ckks/schedule.go)
-// and the cycle-accurate pipeline model (pipeline.go) realize the same
-// HEAX dataflow (Fig. 6-8), so their event orders must satisfy the same
+// Schedule checking: the cycle-accurate pipeline model (pipeline.go)
+// realizes the HEAX key-switch dataflow (Fig. 6-8), so the event order
+// of every operation it schedules must satisfy that dataflow's
 // dependency structure:
 //
 //   - a (digit, targetPrime) base-convert+MAC tile whose target differs
@@ -16,8 +16,10 @@ package hwsim
 //     pipelined datapath.
 //
 // ValidateKeySwitchSchedule checks an event sequence against these
-// rules; the tests feed it both the software scheduler's trace and the
-// per-op events extracted from the cycle model's Gantt segments.
+// rules; the tests feed it the per-op events extracted from the cycle
+// model's Gantt segments. (The software key switch, ckks/schedule.go,
+// joins between its INTT, MAC and flooring passes, so it satisfies the
+// rules by construction and has no trace to check.)
 
 import (
 	"fmt"
@@ -49,8 +51,7 @@ type SchedEvent struct {
 
 // ValidateKeySwitchSchedule checks one key-switch's schedule against the
 // pipeline dependency rules for `digits` decomposition digits and `rows`
-// tiles per digit (level+2 on the software side; k+1 in the full-level
-// hardware model).
+// tiles per digit (k+1 in the full-level hardware model).
 func ValidateKeySwitchSchedule(events []SchedEvent, digits, rows int) error {
 	sorted := append([]SchedEvent(nil), events...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Seq < sorted[j].Seq })
@@ -104,13 +105,13 @@ func ValidateKeySwitchSchedule(events []SchedEvent, digits, rows int) error {
 	return nil
 }
 
-// PipelineScheduleEvents extracts the schedule events of one KeySwitch
+// PipelineSchedEvents extracts the schedule events of one KeySwitch
 // operation from a traced cycle-model run (SimulateKeySwitchPipeline
 // with trace enabled): INTT0 completions, DyadMult tile starts (Dyad.in
 // is the digit-diagonal tile), and the first modulus-switching segment.
 // Events are ordered by cycle time, INTT completions winning ties so
 // that a tile admitted the same cycle its dependency retires validates.
-func PipelineScheduleEvents(rep PipelineReport, op int) []SchedEvent {
+func PipelineSchedEvents(rep PipelineReport, op int) []SchedEvent {
 	type timed struct {
 		ev   SchedEvent
 		time int64

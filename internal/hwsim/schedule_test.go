@@ -1,69 +1,14 @@
 package hwsim
 
 import (
-	"math/rand"
 	"testing"
 
-	"heax/internal/ckks"
 	"heax/internal/core"
 )
 
-// ckksScheduleEvents converts the software scheduler's trace into the
-// neutral event form the validator consumes.
-func ckksScheduleEvents(t *testing.T, events []ckks.ScheduleEvent) []SchedEvent {
-	t.Helper()
-	out := make([]SchedEvent, len(events))
-	for i, e := range events {
-		var kind SchedEventKind
-		switch e.Kind {
-		case ckks.ScheduleINTT:
-			kind = SchedINTT
-		case ckks.ScheduleTile:
-			kind = SchedTile
-		case ckks.ScheduleFloor:
-			kind = SchedFloor
-		default:
-			t.Fatalf("unknown software schedule event kind %d", e.Kind)
-		}
-		out[i] = SchedEvent{Kind: kind, Digit: e.Digit, Row: e.Row, Seq: e.Seq}
-	}
-	return out
-}
-
-// The software tile scheduler's observed order must satisfy the same
-// dependency structure as the HEAX pipeline model, at every worker
-// count (sequential and pipelined paths alike).
-func TestSoftwareScheduleMatchesPipelineDependencies(t *testing.T) {
-	params, _, _, rlk, ev := hwKit(t)
-	ctx := params.RingQP
-	rng := rand.New(rand.NewSource(31))
-	c := ctx.NewPoly(params.K())
-	for i := 0; i < params.K(); i++ {
-		p := ctx.Basis.Primes[i]
-		for j := range c.Coeffs[i] {
-			c.Coeffs[i][j] = rng.Uint64() % p
-		}
-	}
-	level := c.Level()
-	for _, workers := range []int{1, 4, 8} {
-		ctx.SetWorkers(workers)
-		ev.StartScheduleTrace()
-		ev.KeySwitchPoly(c, &rlk.SwitchingKey)
-		trace := ev.StopScheduleTrace()
-		if len(trace) == 0 {
-			t.Fatalf("workers=%d: empty schedule trace", workers)
-		}
-		events := ckksScheduleEvents(t, trace)
-		if err := ValidateKeySwitchSchedule(events, level+1, level+2); err != nil {
-			t.Fatalf("workers=%d: software schedule violates pipeline dependencies: %v", workers, err)
-		}
-	}
-	ctx.SetWorkers(1)
-}
-
-// The cycle-accurate pipeline model's own trace must satisfy the same
-// rules for every architecture/parameter pairing the paper evaluates —
-// the two schedulers are cross-checked against one invariant set.
+// The cycle-accurate pipeline model's own trace must satisfy the
+// pipeline's dependency rules for every architecture/parameter pairing
+// the paper evaluates.
 func TestPipelineModelScheduleDependencies(t *testing.T) {
 	for _, cfg := range core.PaperArchitectures {
 		var set core.ParamSet
@@ -74,7 +19,7 @@ func TestPipelineModelScheduleDependencies(t *testing.T) {
 		}
 		rep := SimulateKeySwitchPipeline(PipelineConfig{Arch: cfg.Arch, Set: set}, 4, true)
 		for op := 0; op < 4; op++ {
-			events := PipelineScheduleEvents(rep, op)
+			events := PipelineSchedEvents(rep, op)
 			if err := ValidateKeySwitchSchedule(events, set.K, set.K+1); err != nil {
 				t.Fatalf("%s/%s op %d: pipeline model schedule invalid: %v",
 					cfg.Board, cfg.Set, op, err)

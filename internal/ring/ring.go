@@ -35,9 +35,8 @@ type Context struct {
 	// Defaults to GOMAXPROCS; SetWorkers(1) forces serial execution.
 	workers int
 
-	// sched is the persistent worker pool behind RunRows and the task
-	// groups of sched.go; workers are started lazily and live for the
-	// context's lifetime.
+	// sched is the persistent worker pool behind RunRows (sched.go);
+	// workers are started lazily and live for the context's lifetime.
 	sched *scheduler
 
 	// pool recycles full-basis Poly buffers so evaluator hot paths
@@ -269,16 +268,6 @@ func (c *Context) NTT(p *Poly) {
 func (c *Context) INTT(p *Poly) {
 	c.RunRows(len(p.Coeffs), func(i int) {
 		c.Tables[i].Inverse(p.Coeffs[i])
-	})
-}
-
-// NTTParallel is NTT with an explicit worker count, overriding the
-// context-level setting — the multithreaded-baseline knob the CPU-threads
-// ablation bench sweeps. NTT itself already parallelizes; this remains
-// for callers that need a specific fan-out.
-func (c *Context) NTTParallel(p *Poly, workers int) {
-	c.runRowsWorkers(len(p.Coeffs), workers, 0, func(i int) {
-		c.Tables[i].Forward(p.Coeffs[i])
 	})
 }
 
@@ -529,7 +518,7 @@ func (c *Context) MulAddLazyRow(a, b, bShoup, out []uint64, i int) {
 }
 
 // MulAddLazyRow2 fuses the two key-switch MACs of one (digit, prime)
-// tile: out0 += a ⊙ b0 and out1 += a ⊙ b1 in a single pass, loading the
+// pair: out0 += a ⊙ b0 and out1 += a ⊙ b1 in a single pass, loading the
 // shared operand a once. On IFMA rows it falls back to the two vector
 // kernels (which already stream at full width).
 //

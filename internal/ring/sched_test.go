@@ -6,70 +6,44 @@ import (
 	"time"
 )
 
-// The group must run every task exactly once, including tasks submitted
-// from inside other tasks (the digit→tiles fan-out pattern).
-func TestGroupNestedSubmission(t *testing.T) {
-	ctx := testContext(t, 64, 2, 30)
-	for _, workers := range []int{1, 2, 4, 8} {
-		ctx.SetWorkers(workers)
-		var count atomic.Int64
-		g := ctx.NewGroup()
-		const outer, inner = 7, 13
-		for i := 0; i < outer; i++ {
-			g.GoFunc(func() {
-				count.Add(1)
-				for j := 0; j < inner; j++ {
-					g.GoFunc(func() { count.Add(1) })
-				}
-			})
-		}
-		g.Wait()
-		ctx.PutGroup(g)
-		if got := count.Load(); got != outer*(1+inner) {
-			t.Fatalf("workers=%d: ran %d tasks, want %d", workers, got, outer*(1+inner))
-		}
-	}
-}
+// These tests drive runRows with threshold 0, so a 64-coefficient test
+// ring fans out exactly as a production-sized one does through RunRows.
 
-// Group reuse through the pool must not leak completion state between
-// batches (a stale wake signal may only cost a spurious wakeup).
-func TestGroupReuse(t *testing.T) {
-	ctx := testContext(t, 64, 2, 30)
-	ctx.SetWorkers(4)
-	for round := 0; round < 50; round++ {
-		var count atomic.Int64
-		g := ctx.NewGroup()
-		for i := 0; i < 20; i++ {
-			g.GoFunc(func() { count.Add(1) })
+func countRows(t *testing.T, ctx *Context, rows int, what string) {
+	t.Helper()
+	hits := make([]atomic.Int32, rows)
+	ctx.runRows(rows, 0, func(i int) { hits[i].Add(1) })
+	for i := range hits {
+		if h := hits[i].Load(); h != 1 {
+			t.Fatalf("%s: row %d hit %d times", what, i, h)
 		}
-		g.Wait()
-		if got := count.Load(); got != 20 {
-			t.Fatalf("round %d: ran %d tasks, want 20", round, got)
-		}
-		ctx.PutGroup(g)
 	}
 }
 
 // RunRows must hit every row exactly once at any worker count, including
-// explicit fan-out requests larger than GOMAXPROCS.
+// caps larger than GOMAXPROCS and larger than the row count.
 func TestRunRowsAllWorkerCounts(t *testing.T) {
 	ctx := testContext(t, 64, 2, 30)
-	const rows = 37
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		hits := make([]atomic.Int32, rows)
-		ctx.runRowsWorkers(rows, workers, 0, func(i int) {
-			hits[i].Add(1)
-		})
-		for i := range hits {
-			if hits[i].Load() != 1 {
-				t.Fatalf("workers=%d: row %d hit %d times", workers, i, hits[i].Load())
-			}
-		}
+		ctx.SetWorkers(workers)
+		countRows(t, ctx, 37, "37 rows")
+		countRows(t, ctx, 2, "2 rows")
 	}
 }
 
-// Concurrent RunRows calls from independent goroutines must not
-// interfere (the caller-assisted Wait may execute other groups' tasks).
+// Pooled rowJobs must not leak completion state between calls (a stale
+// wake signal may only cost a spurious wakeup).
+func TestRunRowsJobReuse(t *testing.T) {
+	ctx := testContext(t, 64, 2, 30)
+	ctx.SetWorkers(4)
+	for round := 0; round < 50; round++ {
+		countRows(t, ctx, 20, "reused job")
+	}
+}
+
+// Concurrent RunRows calls from independent goroutines must each see
+// every row exactly once (the caller-assisted join may run other
+// callers' rows).
 func TestRunRowsConcurrentCallers(t *testing.T) {
 	ctx := testContext(t, 64, 2, 30)
 	ctx.SetWorkers(4)
@@ -78,7 +52,7 @@ func TestRunRowsConcurrentCallers(t *testing.T) {
 	for c := 0; c < callers; c++ {
 		go func() {
 			var hits [rows]atomic.Int32
-			ctx.runRowsWorkers(rows, 4, 0, func(i int) { hits[i].Add(1) })
+			ctx.runRows(rows, 0, func(i int) { hits[i].Add(1) })
 			var out [rows]int32
 			for i := range hits {
 				out[i] = hits[i].Load()
@@ -96,77 +70,88 @@ func TestRunRowsConcurrentCallers(t *testing.T) {
 	}
 }
 
-// A full queue must degrade to inline execution, never deadlock: submit
-// far more tasks than the queue holds from a single goroutine.
-func TestGroupQueueOverflowRunsInline(t *testing.T) {
+// A row that itself calls RunRows (a key-switch row running under a plan
+// step's fan-out) must not deadlock, whoever ends up running it.
+func TestRunRowsNestedDoesNotDeadlock(t *testing.T) {
 	ctx := testContext(t, 64, 2, 30)
-	ctx.SetWorkers(2)
-	var count atomic.Int64
-	g := ctx.NewGroup()
-	const n = 10000 // queue capacity is 512
-	for i := 0; i < n; i++ {
-		g.GoFunc(func() { count.Add(1) })
-	}
-	g.Wait()
-	ctx.PutGroup(g)
-	if got := count.Load(); got != n {
-		t.Fatalf("ran %d tasks, want %d", got, n)
+	for _, workers := range []int{1, 2, 4, 8} {
+		ctx.SetWorkers(workers)
+		const outer, inner = 7, 13
+		var count atomic.Int64
+		finished := make(chan struct{})
+		go func() {
+			defer close(finished)
+			ctx.runRows(outer, 0, func(int) {
+				ctx.runRows(inner, 0, func(int) { count.Add(1) })
+			})
+		}()
+		select {
+		case <-finished:
+		case <-timeAfter():
+			t.Fatalf("workers=%d: nested RunRows did not return", workers)
+		}
+		if got := count.Load(); got != outer*inner {
+			t.Fatalf("workers=%d: ran %d inner rows, want %d", workers, got, outer*inner)
+		}
 	}
 }
 
-// A group on a fresh multi-worker context must actually start pool
-// workers: a long-running task submitted first must not serialize the
-// whole graph behind it (regression test — NewGroup must ensure the
-// worker complement, not rely on a prior RunRows having started them).
-func TestFreshContextGroupStartsWorkers(t *testing.T) {
+// The first RunRows on a fresh multi-worker context must really use pool
+// workers: two rows that each wait for the other can only both finish if
+// two goroutines are inside the call at once.
+func TestFreshContextRunRowsStartsWorkers(t *testing.T) {
 	ctx := testContext(t, 64, 2, 30)
 	ctx.SetWorkers(4)
-	g := ctx.NewGroup()
-	release := make(chan struct{})
-	ran := make(chan struct{}, 1)
-	g.GoFunc(func() { <-release }) // parks one worker
-	g.GoFunc(func() { ran <- struct{}{} })
-	// The second task must complete while the first is still blocked —
-	// impossible if everything drains inline on one goroutine at Wait.
-	select {
-	case <-ran:
-	case <-timeAfter(t):
-		t.Fatal("second task never ran while first was blocked: no pool workers started")
-	}
-	close(release)
-	g.Wait()
-	ctx.PutGroup(g)
+	var arrived atomic.Int32
+	both := make(chan struct{})
+	ctx.runRows(2, 0, func(i int) {
+		if arrived.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+		case <-timeAfter():
+			t.Errorf("row %d never saw the other row start: no pool worker joined", i)
+		}
+	})
 }
 
-// Close must release the pool; subsequent operations still complete
-// (caller-side), and closing twice is harmless.
+// A full queue must cost helpers, never rows or a deadlock: with every
+// queue slot taken by another job's handles, RunRows still runs each
+// row once, caller-side.
+func TestRunRowsQueueFullRunsCallerSide(t *testing.T) {
+	ctx := testContext(t, 64, 2, 30)
+	ctx.SetWorkers(2)
+	ctx.Close() // nobody but callers drains the queue
+	idle := &rowJob{wake: make(chan struct{}, 1)}
+	idle.pending.Store(int64(cap(ctx.sched.jobs)))
+	for i := 0; i < cap(ctx.sched.jobs); i++ {
+		ctx.sched.jobs <- idle
+	}
+	countRows(t, ctx, 9, "full queue")
+	if n := len(ctx.sched.jobs); n != cap(ctx.sched.jobs) {
+		t.Fatalf("queue holds %d handles, want it still full (%d)", n, cap(ctx.sched.jobs))
+	}
+}
+
+// Close must release the pool; RunRows afterwards still completes
+// (caller-side, starting no worker), and closing twice is harmless.
 func TestContextClose(t *testing.T) {
 	ctx := testContext(t, 64, 2, 30)
 	ctx.SetWorkers(4)
-	var count atomic.Int64
-	g := ctx.NewGroup()
-	for i := 0; i < 10; i++ {
-		g.GoFunc(func() { count.Add(1) })
-	}
-	g.Wait()
-	ctx.PutGroup(g)
+	countRows(t, ctx, 10, "before Close")
 	ctx.Close()
 	ctx.Close()
-	g = ctx.NewGroup()
-	for i := 0; i < 10; i++ {
-		g.GoFunc(func() { count.Add(1) })
-	}
-	g.Wait()
-	ctx.PutGroup(g)
-	if got := count.Load(); got != 20 {
-		t.Fatalf("ran %d tasks, want 20", got)
+	countRows(t, ctx, 10, "after Close")
+	ctx.sched.mu.Lock()
+	started := ctx.sched.started
+	ctx.sched.mu.Unlock()
+	if started != 0 {
+		t.Fatalf("%d workers alive after Close", started)
 	}
 }
 
-func timeAfter(t *testing.T) <-chan time.Time {
-	t.Helper()
-	return time.After(5 * time.Second)
-}
+func timeAfter() <-chan time.Time { return time.After(5 * time.Second) }
 
 // Row-parallel ops must produce identical results at every worker count.
 func TestRowOpsWorkerEquivalence(t *testing.T) {

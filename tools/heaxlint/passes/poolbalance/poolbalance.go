@@ -1,13 +1,13 @@
 // Package poolbalance enforces the single-owner pooled-buffer protocol
 // (DESIGN.md): a buffer taken from a pool (ring.Context.GetPoly /
-// GetPolyNoZero, plan ctBufPool.get, getSlots, digit-decomposition
-// NewGroup) must, on every control-flow path, be returned to the pool
-// (PutPoly / put / putSlots / PutGroup), returned to the caller
-// (ownership transfer by convention), or stored somewhere marked
-// `//heax:owns`. A path that reaches function exit still holding the
-// buffer is a leak: the pool refills from the heap and the zero-alloc
-// steady state erodes — exactly the class of bug the runtime alloc
-// tests only catch on the inputs they drive.
+// GetPolyNoZero, plan ctBufPool.get, getSlots) must, on every
+// control-flow path, be returned to the pool (PutPoly / put /
+// putSlots), returned to the caller (ownership transfer by
+// convention), or stored somewhere marked `//heax:owns`. A path that
+// reaches function exit still holding the buffer is a leak: the pool
+// refills from the heap and the zero-alloc steady state erodes —
+// exactly the class of bug the runtime alloc tests only catch on the
+// inputs they drive.
 //
 // The check is path-sensitive about nil guards: having observed
 // `v = GetPoly()` it knows v is non-nil, so the false edge of
@@ -43,7 +43,6 @@ var Packages = map[string]bool{
 var pairs = map[string]string{
 	"GetPoly":       "PutPoly",
 	"GetPolyNoZero": "PutPoly",
-	"NewGroup":      "PutGroup",
 	"Get":           "Put",
 	"get":           "put",
 	"getSlots":      "putSlots",
