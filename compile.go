@@ -47,7 +47,7 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet, opts ...Compile
 	if evk == nil {
 		evk = &EvaluationKeySet{}
 	}
-	cfg := compileConfig{hoist: true, inFlight: 2 * runtime.GOMAXPROCS(0), batchWindow: 2}
+	cfg := compileConfig{hoist: true}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -90,6 +90,7 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet, opts ...Compile
 		k.hoistRotations()
 	}
 
+	crew := crewPerProc * runtime.GOMAXPROCS(0)
 	p := &Plan{
 		params:    params,
 		eval:      NewEvaluator(params, evk, evalOpts(cfg)...),
@@ -99,22 +100,32 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet, opts ...Compile
 		outputs:   outputs,
 		consumers: make([]int, k.nSlots),
 		escapes:   make([]bool, k.nSlots),
-		inputSlot: make([]bool, k.nSlots),
-		sem:       make(chan struct{}, cfg.inFlight),
-		lookahead: lookaheadPerInFlight * cfg.inFlight,
-		window:    cfg.batchWindow,
+		producer:  make([]int, k.nSlots),
+		needs:     make([]int, len(k.steps)),
+		readers:   make([][]int, len(k.steps)),
+		crew:      crew,
+		lookahead: lookaheadPerCrew * crew,
 	}
-	for _, st := range p.steps {
+	for _, in := range p.inputs {
+		p.producer[in.slot] = -1
+	}
+	// Steps are in topological order: an operand's producer comes first.
+	for i, st := range p.steps {
 		for _, a := range st.args {
 			p.consumers[a]++
+			if src := p.producer[a]; src >= 0 {
+				p.needs[i]++
+				p.readers[src] = append(p.readers[src], i)
+			}
+		}
+		for _, o := range st.outs {
+			p.producer[o] = i
 		}
 	}
 	for _, o := range p.outputs {
 		p.escapes[o.slot] = true
 	}
-	for _, in := range p.inputs {
-		p.inputSlot[in.slot] = true
-	}
+	p.footprint = p.windowSlots()
 	// Prove the pool's buffer shape constructible once, here, where an
 	// error can still be returned; the pool's New then runs panic-free
 	// on the request path (a plan buffer that cannot be represented is a
@@ -130,22 +141,24 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet, opts ...Compile
 	return p, nil
 }
 
-// lookaheadPerInFlight sizes a plan's reorder window from its in-flight
-// bound: wide enough that a window of interleaved dependent and
-// independent steps still keeps every in-flight place busy (a single
-// BSGS matvec run, Set-A, 2 CPUs: 4 costs ~30 % latency, 8 is level
-// with no window within this host's spread, 16 is level, and all three
-// hold the same memory under load).
-const lookaheadPerInFlight = 16
+// The executor's fixed shape: crewPerProc goroutines per processor work
+// one run, RunBatch keeps batchWindow input sets in flight (the paper's
+// double-buffered host queue), and the reorder window is lookaheadPerCrew
+// steps per crew member — wide enough that interleaved dependent and
+// independent steps keep every member busy (one BSGS matvec run, Set-A,
+// 2 CPUs: 4 costs ~30 % latency, 8 and 16 are level with no window).
+const (
+	crewPerProc      = 2
+	batchWindow      = 2
+	lookaheadPerCrew = 16
+)
 
 // CompileOption configures Compile.
 type CompileOption func(*compileConfig)
 
 type compileConfig struct {
-	hoist       bool
-	inFlight    int
-	batchWindow int
-	workers     int
+	hoist   bool
+	workers int
 }
 
 func evalOpts(cfg compileConfig) []EvaluatorOption {
@@ -163,36 +176,10 @@ func WithoutHoisting() CompileOption {
 	return func(cfg *compileConfig) { cfg.hoist = false }
 }
 
-// WithPlanInFlight bounds how many plan steps may execute concurrently
-// across all Run/RunBatch calls on the compiled plan — the software
-// analogue of the paper's bounded device buffers (double buffering for
-// MULT, f1-deep for KeySwitch). Defaults to 2×GOMAXPROCS. The plan's
-// reorder window (how far past a run's oldest unfinished step, in plan
-// order, a step may start) is 16 times this bound.
-func WithPlanInFlight(n int) CompileOption {
-	return func(cfg *compileConfig) {
-		if n < 1 {
-			n = 1
-		}
-		cfg.inFlight = n
-	}
-}
-
 // WithPlanWorkers caps the row-level worker fan-out of the plan's
 // internal evaluator (per-evaluator, as WithWorkers).
 func WithPlanWorkers(n int) CompileOption {
 	return func(cfg *compileConfig) { cfg.workers = n }
-}
-
-// WithBatchWindow sets how many input sets RunBatch keeps in flight at
-// once. Defaults to 2 — the paper's double-buffered host queue.
-func WithBatchWindow(n int) CompileOption {
-	return func(cfg *compileConfig) {
-		if n < 1 {
-			n = 1
-		}
-		cfg.batchWindow = n
-	}
 }
 
 // --- CSE and pruning -------------------------------------------------------

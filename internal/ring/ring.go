@@ -286,9 +286,8 @@ func rowsOf(ps ...*Poly) int {
 
 // Add sets out = a + b.
 func (c *Context) Add(a, b, out *Poly) {
-	c.runDyadicRows(rowsOf(a, b, out), func(i int) {
-		c.addRow(a.Coeffs[i], b.Coeffs[i], out.Coeffs[i], i)
-	})
+	c.runDyadic(rowsOf(a, b, out), dyadicRows{a0: a.Coeffs, b0: b.Coeffs, c0: out.Coeffs},
+		func(c *Context, v dyadicRows, i int) { c.addRow(v.a0[i], v.b0[i], v.c0[i], i) })
 }
 
 //heax:noalloc
@@ -305,9 +304,8 @@ func (c *Context) addRow(a, b, out []uint64, i int) {
 
 // Sub sets out = a - b.
 func (c *Context) Sub(a, b, out *Poly) {
-	c.runDyadicRows(rowsOf(a, b, out), func(i int) {
-		c.subRow(a.Coeffs[i], b.Coeffs[i], out.Coeffs[i], i)
-	})
+	c.runDyadic(rowsOf(a, b, out), dyadicRows{a0: a.Coeffs, b0: b.Coeffs, c0: out.Coeffs},
+		func(c *Context, v dyadicRows, i int) { c.subRow(v.a0[i], v.b0[i], v.c0[i], i) })
 }
 
 //heax:noalloc
@@ -324,9 +322,8 @@ func (c *Context) subRow(a, b, out []uint64, i int) {
 
 // Neg sets out = -a.
 func (c *Context) Neg(a, out *Poly) {
-	c.runDyadicRows(rowsOf(a, out), func(i int) {
-		c.negRow(a.Coeffs[i], out.Coeffs[i], i)
-	})
+	c.runDyadic(rowsOf(a, out), dyadicRows{a0: a.Coeffs, c0: out.Coeffs},
+		func(c *Context, v dyadicRows, i int) { c.negRow(v.a0[i], v.c0[i], i) })
 }
 
 //heax:noalloc
@@ -345,9 +342,8 @@ func (c *Context) negRow(a, out []uint64, i int) {
 // same domain, normally NTT). Operands are fully reduced and so is the
 // result; out may alias either operand.
 func (c *Context) MulCoeffs(a, b, out *Poly) {
-	c.runDyadicRows(rowsOf(a, b, out), func(i int) {
-		c.MulCoeffsRow(a.Coeffs[i], b.Coeffs[i], out.Coeffs[i], i)
-	})
+	c.runDyadic(rowsOf(a, b, out), dyadicRows{a0: a.Coeffs, b0: b.Coeffs, c0: out.Coeffs},
+		func(c *Context, v dyadicRows, i int) { c.MulCoeffsRow(v.a0[i], v.b0[i], v.c0[i], i) })
 }
 
 // MulCoeffsRow is MulCoeffs for a single RNS row (basis index i): the
@@ -370,8 +366,9 @@ func (c *Context) MulCoeffsRow(a, b, out []uint64, i int) {
 // the two components of a ciphertext times one plaintext, reading each
 // plaintext row once and fanning out once.
 func (c *Context) MulCoeffsPair(a0, a1, b, out0, out1 *Poly) {
-	c.runDyadicRows(rowsOf(a0, a1, b, out0, out1), func(i int) {
-		c.mulCoeffsPairRow(a0.Coeffs[i], a1.Coeffs[i], b.Coeffs[i], out0.Coeffs[i], out1.Coeffs[i], i)
+	v := dyadicRows{a0: a0.Coeffs, a1: a1.Coeffs, b0: b.Coeffs, c0: out0.Coeffs, c1: out1.Coeffs}
+	c.runDyadic(rowsOf(a0, a1, b, out0, out1), v, func(c *Context, v dyadicRows, i int) {
+		c.mulCoeffsPairRow(v.a0[i], v.a1[i], v.b0[i], v.c0[i], v.c1[i], i)
 	})
 }
 
@@ -393,9 +390,8 @@ func (c *Context) mulCoeffsPairRow(a0, a1, b, out0, out1 []uint64, i int) {
 // (fully reduced in and out; the key-switching inner loop uses the lazy
 // MulAddLazy instead).
 func (c *Context) MulCoeffsAdd(a, b, out *Poly) {
-	c.runDyadicRows(rowsOf(a, b, out), func(i int) {
-		c.mulCoeffsAddRow(a.Coeffs[i], b.Coeffs[i], out.Coeffs[i], i)
-	})
+	c.runDyadic(rowsOf(a, b, out), dyadicRows{a0: a.Coeffs, b0: b.Coeffs, c0: out.Coeffs},
+		func(c *Context, v dyadicRows, i int) { c.mulCoeffsAddRow(v.a0[i], v.b0[i], v.c0[i], i) })
 }
 
 //heax:noalloc
@@ -416,9 +412,9 @@ func (c *Context) mulCoeffsAddRow(a, b, out []uint64, i int) {
 // c1 = a0 ⊙ b1 + a1 ⊙ b0, c2 = a1 ⊙ b1. One fan-out and one sweep over
 // the four operands instead of four.
 func (c *Context) MulCoeffsTensor(a0, a1, b0, b1, c0, c1, c2 *Poly) {
-	c.runDyadicRows(rowsOf(a0, a1, b0, b1, c0, c1, c2), func(i int) {
-		c.mulCoeffsTensorRow(a0.Coeffs[i], a1.Coeffs[i], b0.Coeffs[i], b1.Coeffs[i],
-			c0.Coeffs[i], c1.Coeffs[i], c2.Coeffs[i], i)
+	v := dyadicRows{a0.Coeffs, a1.Coeffs, b0.Coeffs, b1.Coeffs, c0.Coeffs, c1.Coeffs, c2.Coeffs}
+	c.runDyadic(rowsOf(a0, a1, b0, b1, c0, c1, c2), v, func(c *Context, v dyadicRows, i int) {
+		c.mulCoeffsTensorRow(v.a0[i], v.a1[i], v.b0[i], v.b1[i], v.c0[i], v.c1[i], v.c2[i], i)
 	})
 }
 

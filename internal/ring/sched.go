@@ -142,23 +142,42 @@ func (c *Context) RunRows(rows int, fn func(i int)) {
 	c.runRows(rows, parallelThreshold, fn)
 }
 
-// runDyadicRows is RunRows for the elementwise ops, whose rows are cheap
+// dyadicRows carries the operand rows of one elementwise op by value, so
+// no poly is captured and a Poly.Resize view stays on its caller's stack.
+type dyadicRows struct{ a0, a1, b0, b1, c0, c1, c2 [][]uint64 }
+
+// runDyadic is RunRows for the elementwise ops, whose rows are cheap
 // enough to need dyadicThreshold coefficients before a fan-out pays.
-func (c *Context) runDyadicRows(rows int, fn func(i int)) {
-	c.runRows(rows, dyadicThreshold, fn)
+// row captures nothing, so the inline case allocates nothing; the
+// fan-out's closure captures a copy made on its own branch.
+func (c *Context) runDyadic(rows int, v dyadicRows, row func(*Context, dyadicRows, int)) {
+	if !c.fansOut(rows, dyadicThreshold) {
+		for i := 0; i < rows; i++ {
+			row(c, v, i)
+		}
+		return
+	}
+	shared := v
+	c.runRows(rows, dyadicThreshold, func(i int) { row(c, shared, i) })
+}
+
+// fansOut reports whether a job of rows rows has the threshold
+// coefficients, and the context the workers, for a fan-out to pay.
+func (c *Context) fansOut(rows, threshold int) bool {
+	return min(c.workers, rows) > 1 && rows*c.N >= threshold
 }
 
 // runRows fans rows out to at most c.workers participants (the caller
 // plus workers-1 helpers) when the job has at least threshold
 // coefficients.
 func (c *Context) runRows(rows, threshold int, fn func(i int)) {
-	workers := min(c.workers, rows)
-	if workers <= 1 || rows*c.N < threshold {
+	if !c.fansOut(rows, threshold) {
 		for i := 0; i < rows; i++ {
 			fn(i)
 		}
 		return
 	}
+	workers := min(c.workers, rows)
 	s := c.sched
 	s.ensureWorkers(workers - 1)
 	j := rowJobPool.Get().(*rowJob)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,8 +21,8 @@ import (
 // counters: aggregate step latency tells you which kernel class bounds
 // a circuit's throughput. Implementations must be safe for concurrent
 // use — steps from one run (and from overlapping runs) report in
-// parallel. ObserveStep must be cheap; it runs inside the executor's
-// kernel slot.
+// parallel. ObserveStep must be cheap; it runs on the crew member that
+// executed the step, before it takes the next one.
 type Tracer interface {
 	ObserveStep(kind string, d time.Duration)
 }
@@ -55,15 +56,14 @@ func StepKinds() []string {
 // Plan is a compiled circuit: an immutable step list with every level,
 // scale, rescale and rotation batch fixed at compile time. A Plan is
 // safe for concurrent use — Run may be called from many goroutines and
-// RunBatch streams many input sets through the same bounded in-flight
-// window, mirroring the paper's double-buffered host queue (Section
-// 5.2): steps execute as their operands resolve, out of order across
-// independent branches, on the evaluator's worker-pool scheduler, and
+// RunBatch streams input sets through it two at a time, mirroring the
+// paper's double-buffered host queue (Section 5.2). Parallelism is fixed
+// at Compile, as HEAX fixes its cores when the design is generated: a
+// crew of 2×GOMAXPROCS goroutines (the caller among them) works each
+// run, taking steps from one ready list as their operands resolve, and
 // every intermediate lives in a pooled buffer reshaped in place by the
-// *Into kernels. Out of order, but not arbitrarily far: a step starts
-// only once every step more than lookahead places before it in plan
-// order has finished (a reorder window), so a wide DAG holds the
-// buffers of one window, not of its whole width.
+// *Into kernels. Steps run out of order, but only inside a reorder window
+// of lookahead steps, so a wide DAG holds one window's buffers at a time.
 type Plan struct {
 	params  *Params
 	eval    *Evaluator
@@ -71,49 +71,41 @@ type Plan struct {
 	nSlots  int
 	inputs  []planInput
 	outputs []planOutput
-	// consumers[slot] is how many steps read the slot; the executor
-	// refcounts it down and recycles non-escaping buffers at zero.
+	// consumers[slot] is how many step operands read the slot; a run
+	// counts it down and recycles non-escaping buffers at zero.
 	consumers []int
-	// escapes[slot]: the slot is a named output, so its ciphertext is
-	// caller-owned and never pooled.
+	// escapes[slot]: a named output — caller-owned, never pooled.
 	escapes []bool
-	// inputSlot[slot]: the slot is fed by a caller ciphertext and needs
-	// no per-run signalling state.
-	inputSlot []bool
-	// sem bounds concurrently executing steps across all runs.
-	sem chan struct{}
+	// producer[slot] is the step that writes the slot, -1 for a circuit
+	// input (resolved before the run starts, and never pooled).
+	producer []int
+	// needs[step] counts the step's operands that earlier steps produce
+	// (a run counts it down as they finish); readers[step] lists the
+	// steps reading its outputs, ascending, once per operand read.
+	needs   []int
+	readers [][]int
+	crew    int // goroutines working one run, the caller included
 	// lookahead bounds how far past a run's oldest unfinished step (in
 	// plan order, which is the order the circuit was written in) its
-	// steps may start. Without it every ready step races for sem the
-	// moment its operands resolve: a BSGS matvec ran all 256 of its
-	// MulPlain steps ahead of the Add chain that consumes them, held
-	// ~100 buffers per run where ~15 suffice, and left sync.Pool
-	// retaining a working set whose size depended on scheduler and GC
-	// timing.
+	// steps may start. Without it a BSGS matvec ran all 256 of its
+	// MulPlain steps ahead of the Add chain that consumes them and held
+	// ~100 buffers per run where ~15 suffice (DESIGN.md, "Execution").
 	lookahead int
-	// window bounds how many input sets RunBatch keeps in flight.
-	window int
+	footprint int // windowSlots() as of Compile, for FootprintBytes
 	// bufs pools full-basis intermediate ciphertexts. Ownership protocol
-	// (audited by TestPlanFailingStepPoolIntegrity with an instrumented
-	// pool): a buffer is held by exactly one party at a time — the pool,
-	// exec between get and the slot handoff (on kernel failure exec puts
-	// it straight back), or the run slot until the last consumer's
-	// refcount decrement puts it back. Poisoned steps never draw
-	// buffers, and failed steps publish no ciphertext, so dependents
-	// can never return a buffer their producer already reclaimed.
+	// (audited by plan_fail_test.go's instrumented pool): a buffer is held
+	// by exactly one party at a time — the pool, exec between get and the
+	// slot handoff (on kernel failure exec puts it straight back), or the
+	// run slot until the last consumer's refcount decrement puts it back.
+	// Poisoned steps never draw buffers and failed steps publish none, so
+	// dependents can never return a buffer their producer reclaimed.
 	bufs ctBufPool
-	// slotStates recycles the per-run slot-state slices across Run
-	// calls, so a steady serving loop does not reallocate executor
-	// state per request (the done channels are per-run by construction:
-	// a closed channel cannot be reused).
-	slotStates sync.Pool
 	// tracer, when set, observes per-step kernel latency. Held boxed
 	// behind an atomic pointer so the untraced hot path costs one load.
 	tracer atomic.Pointer[tracerBox]
-	// failStep, when non-nil, injects an error into the named step
-	// after its output buffers are drawn — a test seam for exercising
-	// the executor's error paths (buffer recycling, ErrDependency
-	// poisoning) with real kernels otherwise unable to fail.
+	// failStep, when non-nil, injects an error into the named step after
+	// its output buffers are drawn — a test seam for the executor's error
+	// paths (recycling, poisoning) with kernels otherwise unable to fail.
 	failStep func(idx int) error
 }
 
@@ -263,22 +255,6 @@ func (p *Plan) Describe() string {
 	return b.String()
 }
 
-// runSlot is the per-run state of one value slot.
-type runSlot struct {
-	done   chan struct{}
-	ct     *Ciphertext
-	err    error
-	refs   int32
-	pooled bool
-}
-
-// resolvedSlot is the shared already-closed done channel of input slots.
-var resolvedSlot = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
 func (p *Plan) validateInputs(in map[string]*Ciphertext) error {
 	for _, pi := range p.inputs {
 		ct, ok := in[pi.name]
@@ -302,99 +278,179 @@ func (p *Plan) validateInputs(in map[string]*Ciphertext) error {
 
 // Run executes the plan on one input set and returns the named output
 // ciphertexts (always freshly allocated — inputs are never modified).
-// Concurrent Runs share the plan's in-flight window and buffer pool.
+// Concurrent Runs each bring their own crew and share the buffer pool.
 func (p *Plan) Run(in map[string]*Ciphertext) (map[string]*Ciphertext, error) {
 	return p.RunContext(context.Background(), in)
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled, steps
-// that have not started skip their kernels and resolve with ctx's
-// error (wrapping context.Canceled / DeadlineExceeded), steps already
+// that have not started skip their kernels and resolve with ctx's error
+// (wrapping context.Canceled / DeadlineExceeded), steps already
 // executing run to completion, and every pooled buffer is still
 // reclaimed — cancellation aborts the dataflow, never its accounting.
-// This is how a serving front end drops a plan mid-flight when the
-// client disconnects.
+// This is how a serving front end drops a plan when a client disconnects.
 func (p *Plan) RunContext(ctx context.Context, in map[string]*Ciphertext) (map[string]*Ciphertext, error) {
 	if err := p.validateInputs(in); err != nil {
 		return nil, err
 	}
-	slots := p.getSlots()
-	defer p.putSlots(slots)
-	for i := range slots {
-		slots[i].refs = int32(p.consumers[i])
-		// Input slots share the one resolved channel; slots nobody reads
-		// (pure outputs) need no signal at all — wg.Wait already orders
-		// the final scan after every step.
-		switch {
-		case p.inputSlot[i]:
-			slots[i].done = resolvedSlot
-		case p.consumers[i] > 0:
-			slots[i].done = make(chan struct{})
-		}
+	n := len(p.steps) // always >= 1: binding an output emits at least one step
+	r := &planRun{
+		p:       p,
+		ctx:     ctx,
+		pending: slices.Clone(p.needs),
+		errs:    make([]error, n),
+		vals:    make([]*Ciphertext, p.nSlots),
+		refs:    slices.Clone(p.consumers),
+		ready:   make([]int, 0, n),
 	}
+	r.wake.L = &r.mu
 	for _, pi := range p.inputs {
-		slots[pi.slot].ct = in[pi.name]
+		r.vals[pi.slot] = in[pi.name]
 	}
-	// fin[i] is closed once steps 0..i have all finished; step
-	// i+lookahead waits for it. Plans no longer than the window need
-	// none.
-	var fin []chan struct{}
-	if n := len(p.steps) - p.lookahead; n > 0 {
-		fin = make([]chan struct{}, n)
-		for i := range fin {
-			fin[i] = make(chan struct{})
+	for i, need := range p.needs {
+		if need == 0 {
+			r.ready = append(r.ready, i)
 		}
 	}
-	// Every step but the last gets a goroutine; the last (which nothing
-	// depends on, by topological order) runs inline, so a single-step
-	// plan spawns nothing.
-	var wg sync.WaitGroup
-	last := len(p.steps) - 1 // always >= 0: binding an output emits at least one step
-	wg.Add(last)
-	for i := 0; i < last; i++ {
-		go func(idx int) {
-			defer wg.Done()
-			p.runStep(ctx, idx, slots, fin)
-		}(i)
+	crew := min(p.crew, n)
+	r.crew.Add(crew)
+	for m := 1; m < crew; m++ {
+		go r.work()
 	}
-	p.runStep(ctx, last, slots, fin)
-	wg.Wait()
+	r.work()
+	r.crew.Wait()
 	// The first failing step in plan order is the root cause: dependents
 	// always appear after the step that poisoned them.
-	for i := range p.steps {
-		if err := slots[p.steps[i].outs[0]].err; err != nil {
+	for _, err := range r.errs {
+		if err != nil {
 			return nil, err
 		}
 	}
 	out := make(map[string]*Ciphertext, len(p.outputs))
 	for _, o := range p.outputs {
-		out[o.name] = slots[o.slot].ct
+		out[o.name] = r.vals[o.slot]
 	}
 	return out, nil
 }
 
-// getSlots draws a zeroed per-run slot-state slice from the recycler.
-func (p *Plan) getSlots() []runSlot {
-	if s, ok := p.slotStates.Get().([]runSlot); ok {
-		return s
-	}
-	return make([]runSlot, p.nSlots)
+// planRun is one RunContext call: a fixed crew working one ready list
+// under one lock. Kernels run with the lock released; the fields below
+// mu are otherwise touched only with it held, except that a step reads
+// its operands' vals and errs (published before it became ready, never
+// rewritten) and writes its own outputs' vals (unread until it has
+// finished) unlocked.
+type planRun struct {
+	p    *Plan
+	ctx  context.Context
+	crew sync.WaitGroup
+
+	mu   sync.Mutex
+	wake sync.Cond // members with nothing to take wait here
+	// Per step: producers still to finish (-1: the step has finished), its error.
+	pending []int
+	errs    []error
+	// Per slot: the published ciphertext, operand reads still to come.
+	vals []*Ciphertext
+	refs []int
+	// ready: steps whose producers have all finished and that no member
+	// has taken, ascending, so the earliest in plan order goes first.
+	// oldest ends the finished prefix; step oldest is always ready or
+	// running (its producers precede it), so the window cannot stall.
+	ready  []int
+	oldest int
 }
 
-// putSlots clears a run's slot states (dropping ciphertext and channel
-// references so they do not outlive the run) and recycles the slice.
-func (p *Plan) putSlots(slots []runSlot) {
-	for i := range slots {
-		slots[i] = runSlot{}
+// work is one crew member: take the earliest ready step inside the
+// reorder window, run it, publish it; wait when there is none.
+func (r *planRun) work() {
+	defer r.crew.Done()
+	r.mu.Lock()
+	for r.oldest < len(r.p.steps) {
+		if len(r.ready) == 0 || r.ready[0] >= r.oldest+r.p.lookahead {
+			r.wake.Wait()
+			continue
+		}
+		idx := r.ready[0]
+		r.ready = slices.Delete(r.ready, 0, 1)
+		r.mu.Unlock()
+		err := r.step(idx)
+		r.mu.Lock()
+		r.finish(idx, err)
 	}
-	p.slotStates.Put(slots)
+	r.mu.Unlock()
 }
 
-// RunBatch streams many input sets through the plan, keeping the
-// configured window of them in flight at once (WithBatchWindow,
-// default 2 — double buffering). Results are returned in input order;
-// on failure the first failing batch's error is returned and the
-// corresponding result entries are nil.
+// step runs step idx with the lock released. Every step passes through
+// here and through finish — a poisoned or cancelled one only skips its
+// kernel — so the accounting never depends on how a step ended.
+func (r *planRun) step(idx int) error {
+	p, st := r.p, &r.p.steps[idx]
+	var inBuf [2]*Ciphertext
+	in := inBuf[:0]
+	var err error
+	for _, a := range st.args {
+		if src := p.producer[a]; err == nil && src >= 0 && r.errs[src] != nil {
+			err = errors.Join(ErrDependency, r.errs[src])
+		}
+		in = append(in, r.vals[a])
+	}
+	if err == nil {
+		err = r.ctx.Err() // a cancelled run admits no more kernels
+	}
+	if err == nil {
+		// Timed only around the kernel, so the tracer sees compute
+		// latency, not the wait for a crew member.
+		if tb := p.tracer.Load(); tb != nil {
+			t0 := time.Now()
+			err = p.exec(idx, st, in, r.vals)
+			tb.t.ObserveStep(stepKindNames[st.kind], time.Since(t0))
+		} else {
+			err = p.exec(idx, st, in, r.vals)
+		}
+	}
+	if err != nil {
+		err = fmt.Errorf("heax: plan step %d (%s): %w", idx, stepKindNames[st.kind], err)
+	}
+	return err
+}
+
+// finish publishes step idx with the lock held. Its operand releases
+// are the ONLY place consumed buffers are reclaimed, on every path —
+// success, kernel failure, poisoning and cancellation: a non-escaping
+// buffer with no reads left returns to the pool, and since a failed
+// producer put its own drawn outputs back in exec and published nil,
+// the guard cannot return a buffer twice.
+func (r *planRun) finish(idx int, err error) {
+	p := r.p
+	r.errs[idx], r.pending[idx] = err, -1
+	for _, a := range p.steps[idx].args {
+		if r.refs[a]--; r.refs[a] == 0 && p.producer[a] >= 0 && !p.escapes[a] && r.vals[a] != nil {
+			p.bufs.put(r.vals[a])
+		}
+	}
+	for _, rd := range p.readers[idx] {
+		if r.pending[rd]--; r.pending[rd] == 0 {
+			at, _ := slices.BinarySearch(r.ready, rd)
+			r.ready = slices.Insert(r.ready, at, rd)
+		}
+	}
+	for r.oldest < len(p.steps) && r.pending[r.oldest] < 0 {
+		r.oldest++
+	}
+	if r.oldest == len(p.steps) {
+		r.wake.Broadcast() // the run is over
+	}
+	// This member takes the earliest ready step itself; each further one
+	// inside the window is worth waking a waiting member for.
+	for i := 1; i < min(len(r.ready), p.crew) && r.ready[i] < r.oldest+p.lookahead; i++ {
+		r.wake.Signal()
+	}
+}
+
+// RunBatch streams many input sets through the plan, keeping two of
+// them in flight at once (double buffering). Results are returned in
+// input order; on failure the first failing batch's error is returned
+// and the corresponding result entries are nil.
 func (p *Plan) RunBatch(batches []map[string]*Ciphertext) ([]map[string]*Ciphertext, error) {
 	return p.RunBatchContext(context.Background(), batches)
 }
@@ -405,12 +461,12 @@ func (p *Plan) RunBatch(batches []map[string]*Ciphertext) ([]map[string]*Ciphert
 func (p *Plan) RunBatchContext(ctx context.Context, batches []map[string]*Ciphertext) ([]map[string]*Ciphertext, error) {
 	results := make([]map[string]*Ciphertext, len(batches))
 	errs := make([]error, len(batches))
-	// A fixed crew of window workers drains the queue in order — the
-	// double-buffered host loop: while one input set executes, the next
-	// is already being fed in.
+	// batchWindow workers drain the queue in order — the double-buffered
+	// host loop: while one input set executes, the next is already being
+	// fed in.
 	var next atomic.Int64
 	next.Store(-1)
-	workers := min(p.window, len(batches))
+	workers := min(batchWindow, len(batches))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -438,93 +494,9 @@ func (p *Plan) RunBatchContext(ctx context.Context, batches []map[string]*Cipher
 	return results, nil
 }
 
-func (p *Plan) runStep(ctx context.Context, idx int, slots []runSlot, fin []chan struct{}) {
-	// The reorder window: wait until every step more than lookahead
-	// places back has finished, and on the way out (operands released)
-	// extend the finished prefix. Steps always run to the end — poisoned
-	// and cancelled ones only skip their kernel — and wait only on lower
-	// indices, so the chain cannot stall.
-	if idx >= p.lookahead {
-		<-fin[idx-p.lookahead]
-	}
-	if idx < len(fin) {
-		defer func() {
-			if idx > 0 {
-				<-fin[idx-1]
-			}
-			close(fin[idx])
-		}()
-	}
-	st := &p.steps[idx]
-	var inBuf [2]*Ciphertext
-	in := inBuf[:0]
-	if len(st.args) > len(inBuf) {
-		in = make([]*Ciphertext, 0, len(st.args))
-	}
-	// Always wait for every operand, even when poisoned or cancelled:
-	// the refcount release below must not race the producer's handoff,
-	// and upstream steps resolve promptly under cancellation anyway.
-	var depErr error
-	for _, a := range st.args {
-		<-slots[a].done
-		if err := slots[a].err; err != nil && depErr == nil {
-			depErr = err
-		}
-		in = append(in, slots[a].ct)
-	}
-	var err error
-	if depErr != nil {
-		err = fmt.Errorf("heax: plan step %d (%s): %w", idx, stepKindNames[st.kind], errors.Join(ErrDependency, depErr))
-	} else {
-		select {
-		case p.sem <- struct{}{}:
-			// Re-check after the (possibly long) semaphore wait so a
-			// cancelled run stops admitting kernels.
-			if err = ctx.Err(); err == nil {
-				// Timed only around kernel execution (inside the
-				// semaphore), so the tracer sees compute latency, not
-				// queueing.
-				if tb := p.tracer.Load(); tb != nil {
-					t0 := time.Now()
-					err = p.exec(idx, st, in, slots)
-					tb.t.ObserveStep(stepKindNames[st.kind], time.Since(t0))
-				} else {
-					err = p.exec(idx, st, in, slots)
-				}
-			}
-			<-p.sem
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
-		if err != nil {
-			err = fmt.Errorf("heax: plan step %d (%s): %w", idx, stepKindNames[st.kind], err)
-		}
-	}
-	for _, o := range st.outs {
-		if err != nil {
-			slots[o].err = err
-		}
-		if slots[o].done != nil {
-			close(slots[o].done)
-		}
-	}
-	// Release operand references; a non-escaping buffer with no readers
-	// left returns to the pool for a later step (or the next run). This
-	// runs on every path — success, kernel failure, poisoning and
-	// cancellation — and is the ONLY place consumed buffers are
-	// reclaimed: a failed producer puts its own drawn outputs back in
-	// exec and publishes ct == nil, so the guard below cannot return a
-	// buffer twice.
-	for _, a := range st.args {
-		if atomic.AddInt32(&slots[a].refs, -1) == 0 && slots[a].pooled && slots[a].ct != nil {
-			p.bufs.put(slots[a].ct)
-		}
-	}
-}
-
 // exec runs one step's kernel, drawing output storage from the buffer
 // pool (intermediates) or allocating it fresh (named outputs).
-func (p *Plan) exec(idx int, st *planStep, in []*Ciphertext, slots []runSlot) error {
+func (p *Plan) exec(idx int, st *planStep, in, vals []*Ciphertext) error {
 	var outBuf [1]*Ciphertext
 	outs := outBuf[:0]
 	if len(st.outs) > len(outBuf) {
@@ -557,8 +529,7 @@ func (p *Plan) exec(idx int, st *planStep, in []*Ciphertext, slots []runSlot) er
 		return err
 	}
 	for i, o := range st.outs {
-		slots[o].ct = outs[i]
-		slots[o].pooled = !p.escapes[o]
+		vals[o] = outs[i]
 	}
 	return nil
 }
@@ -567,8 +538,8 @@ func (p *Plan) exec(idx int, st *planStep, in []*Ciphertext, slots []runSlot) er
 // boundary: a panicking kernel (or injected fault) becomes a returned
 // error wrapping ErrInternal, so the run poisons through the normal
 // dependency path — buffers recycled, dependents resolved — instead of
-// killing the process. This is the step-goroutine's own boundary; a
-// serving front end cannot recover for it.
+// killing the process. This is the crew's own boundary; a serving front
+// end cannot recover for it.
 func (p *Plan) execKernel(idx int, st *planStep, in, outs []*Ciphertext) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -613,11 +584,37 @@ func (p *Plan) execKernel(idx int, st *planStep, in, outs []*Ciphertext) (err er
 	return err
 }
 
-// FootprintBytes is a conservative estimate of one run's working set:
-// every value slot holding a pooled full-basis degree-1 ciphertext at
-// once (2 polynomials × K rows × N coefficients × 8 bytes). Serving
-// front ends budget per-tenant memory against it before admitting a
-// run.
+// FootprintBytes bounds one run's working set: the most pooled
+// full-basis degree-1 ciphertexts (2 polynomials × K rows × N
+// coefficients × 8 bytes) the reorder window lets it hold at once, plus
+// its named outputs. Serving front ends budget tenant memory against it.
 func (p *Plan) FootprintBytes() int64 {
-	return int64(p.nSlots) * 2 * int64(p.params.K()) * int64(p.params.N) * 8
+	return int64(p.footprint) * 2 * int64(p.params.K()) * int64(p.params.N) * 8
+}
+
+// windowSlots counts the buffers behind FootprintBytes. While step i is
+// the oldest unfinished, only steps before i+lookahead have started and
+// every read by a step before i is over, so the live pooled slots are
+// among those produced before i+lookahead and last read at or after i:
+// a slot counts from i = producer−lookahead+1 through i = its last reader.
+func (p *Plan) windowSlots() int {
+	last := make([]int, p.nSlots)
+	for i, st := range p.steps {
+		for _, a := range st.args {
+			last[a] = i
+		}
+	}
+	delta := make([]int, len(p.steps)+1) // change in the count from i−1 to i
+	for s, src := range p.producer {
+		if src >= 0 && !p.escapes[s] {
+			delta[max(src-p.lookahead+1, 0)]++
+			delta[last[s]+1]--
+		}
+	}
+	peak, held := 0, 0
+	for _, d := range delta {
+		held += d
+		peak = max(peak, held)
+	}
+	return peak + len(p.outputs)
 }

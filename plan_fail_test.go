@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -29,6 +30,40 @@ type auditPool struct {
 	gets   int
 	puts   int
 	peak   int // most buffers ever outstanding at once
+}
+
+// setCrew resizes a compiled plan's crew, and with it the reorder window
+// and the footprint bound, as Compile would have on crew/2 processors.
+func setCrew(p *Plan, crew int) {
+	p.crew = crew
+	p.lookahead = lookaheadPerCrew * crew
+	p.footprint = p.windowSlots()
+}
+
+// execShapes are the executor shapes the failure, cancel and window
+// tests all run under: as built, a crew of one (the caller alone, so
+// nobody can be woken), and a window of one (strict plan order however
+// many members wait) — the corners in which a lost wake-up or a step
+// stuck outside the window would hang the run instead of failing it.
+var execShapes = []struct {
+	name  string
+	apply func(*Plan)
+}{
+	{"as-built", func(*Plan) {}},
+	{"crew=1", func(p *Plan) { p.crew = 1 }},
+	{"lookahead=1", func(p *Plan) { p.lookahead = 1 }},
+	{"crew=1,lookahead=1", func(p *Plan) { p.crew, p.lookahead = 1, 1 }},
+}
+
+// forEachShape runs f once per executor shape on a plan from build.
+func forEachShape(t *testing.T, build func(*testing.T) (*oracleKit, *Plan, *auditPool), f func(*testing.T, *oracleKit, *Plan, *auditPool)) {
+	for _, shape := range execShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			k, plan, pool := build(t)
+			shape.apply(plan)
+			f(t, k, plan, pool)
+		})
+	}
 }
 
 func newAuditPool(t *testing.T, params *Params) *auditPool {
@@ -112,7 +147,10 @@ func (k *oracleKit) failureInputs(t *testing.T, n int) []map[string]*Ciphertext 
 // buffer leaked or was returned twice, and (3) the same plan then
 // completes a clean, correct second run.
 func TestPlanFailingStepPoolIntegrity(t *testing.T) {
-	k, plan, pool := failurePlan(t)
+	forEachShape(t, failurePlan, testFailingStepPoolIntegrity)
+}
+
+func testFailingStepPoolIntegrity(t *testing.T, k *oracleKit, plan *Plan, pool *auditPool) {
 	for idx := 0; idx < plan.NumSteps(); idx++ {
 		plan.failStep = func(i int) error {
 			if i == idx {
@@ -156,10 +194,13 @@ func TestPlanFailingStepPoolIntegrity(t *testing.T) {
 // into a typed error wrapping ErrInternal, keep the pool balanced, and
 // leave the plan fully reusable — a panicking kernel poisons one run,
 // never the process. This is the seam a crash-only serving daemon
-// leans on: plan steps run on their own goroutines, so no caller-side
+// leans on: plan steps run on crew goroutines, so no caller-side
 // recover could catch these.
 func TestPlanPanickingStepRecovers(t *testing.T) {
-	k, plan, pool := failurePlan(t)
+	forEachShape(t, failurePlan, testPanickingStepRecovers)
+}
+
+func testPanickingStepRecovers(t *testing.T, k *oracleKit, plan *Plan, pool *auditPool) {
 	for idx := 0; idx < plan.NumSteps(); idx++ {
 		plan.failStep = func(i int) error {
 			if i == idx {
@@ -190,7 +231,10 @@ func TestPlanPanickingStepRecovers(t *testing.T) {
 // and the poisoned steps' reference releases must still retire every
 // in-flight pooled buffer exactly once.
 func TestPlanDependencyPoisoningKeepsPoolClean(t *testing.T) {
-	k, plan, pool := failurePlan(t)
+	forEachShape(t, failurePlan, testDependencyPoisoningKeepsPoolClean)
+}
+
+func testDependencyPoisoningKeepsPoolClean(t *testing.T, k *oracleKit, plan *Plan, pool *auditPool) {
 	plan.failStep = func(i int) error {
 		if i == 0 {
 			return errInjected
@@ -210,7 +254,10 @@ func TestPlanDependencyPoisoningKeepsPoolClean(t *testing.T) {
 // inside a step, so cancellation lands while dependents are in every
 // phase) and asserts the pool balances and the plan reruns cleanly.
 func TestPlanCancellationKeepsPoolClean(t *testing.T) {
-	k, plan, pool := failurePlan(t)
+	forEachShape(t, failurePlan, testCancellationKeepsPoolClean)
+}
+
+func testCancellationKeepsPoolClean(t *testing.T, k *oracleKit, plan *Plan, pool *auditPool) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	plan.failStep = func(i int) error {
@@ -239,13 +286,11 @@ func TestPlanCancellationKeepsPoolClean(t *testing.T) {
 	}
 }
 
-// widePlan compiles a sum of terms plaintext products of one input:
-// every MulPlain is ready the moment the run starts, while the Add
-// chain that consumes them is sequential — the shape of a BSGS matvec's
-// inner sums. inFlight 2 makes the reorder window 32 steps.
-func widePlan(t *testing.T, terms int) (*oracleKit, *Plan, *auditPool) {
-	t.Helper()
-	k := newOracleKit(t, SetA, nil, false)
+// WideCircuit is a sum of terms plaintext products of one input: every
+// MulPlain is ready the moment the run starts, while the Add chain that
+// consumes them is sequential — the shape of a BSGS matvec's inner sums,
+// 2·terms−1 steps. Exported for the external allocation test.
+func WideCircuit(terms int) *Circuit {
 	c := NewCircuit()
 	x := c.Input("x")
 	acc := c.MulPlain(x, []float64{1})
@@ -253,10 +298,19 @@ func widePlan(t *testing.T, terms int) (*oracleKit, *Plan, *auditPool) {
 		acc = c.Add(acc, c.MulPlain(x, []float64{float64(i + 1)}))
 	}
 	c.Output("y", acc)
-	plan, err := c.Compile(k.params, k.evk, WithPlanInFlight(2))
+	return c
+}
+
+// widePlan compiles WideCircuit for a crew of 2 (a reorder window of 32
+// steps) on an instrumented pool.
+func widePlan(t *testing.T, terms int) (*oracleKit, *Plan, *auditPool) {
+	t.Helper()
+	k := newOracleKit(t, SetA, nil, false)
+	plan, err := WideCircuit(terms).Compile(k.params, k.evk)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setCrew(plan, 2)
 	if plan.NumSteps() < 4*plan.lookahead {
 		t.Fatalf("plan of %d steps does not exercise a window of %d", plan.NumSteps(), plan.lookahead)
 	}
@@ -265,33 +319,103 @@ func widePlan(t *testing.T, terms int) (*oracleKit, *Plan, *auditPool) {
 	return k, plan, pool
 }
 
+// PeakFootprint runs a wide plan once per crew size on an instrumented
+// pool and fails the test if a run held more pooled buffers than
+// FootprintBytes promised for that crew, leaked one, or if the promise
+// is not window-sized. Exported for the external test that builds its
+// plan with heax/circuits.
+func PeakFootprint(t *testing.T, plan *Plan, in map[string]*Ciphertext, crews ...int) {
+	t.Helper()
+	bufBytes := 2 * int64(plan.params.K()) * int64(plan.params.N) * 8
+	for _, crew := range crews {
+		setCrew(plan, crew)
+		pool := newAuditPool(t, plan.params)
+		plan.bufs = pool
+		if _, err := plan.Run(in); err != nil {
+			t.Fatal(err)
+		}
+		if n := pool.outstanding(); n != 0 {
+			t.Fatalf("crew %d: %d pooled buffers leaked", crew, n)
+		}
+		held, bound := int64(pool.peak)*bufBytes, plan.FootprintBytes()
+		if held > bound {
+			t.Fatalf("crew %d: run held %d buffers (%d bytes), FootprintBytes promised %d", crew, pool.peak, held, bound)
+		}
+		if plan.footprint > plan.nSlots/4 {
+			t.Fatalf("crew %d: footprint of %d slots is not window-sized (the plan has %d)", crew, plan.footprint, plan.nSlots)
+		}
+		t.Logf("crew %d: peak %d buffers, footprint %d slots (plan has %d)", crew, pool.peak, plan.footprint, plan.nSlots)
+	}
+}
+
 // TestPlanLookaheadBoundsBuffers: the reorder window keeps a run from
 // holding a buffer per term. Live values are the window's own outputs
 // plus what crosses its lower edge (here the running sum and one term),
-// however the scheduler orders the step goroutines; and the window
+// whichever crew member runs which step; FootprintBytes is computed
+// from the same invariant and must cover the peak; and the window
 // changes when steps run, never what they compute.
 func TestPlanLookaheadBoundsBuffers(t *testing.T) {
 	const terms = 128
-	k, plan, pool := widePlan(t, terms)
-	in := map[string]*Ciphertext{"x": k.encrypt(t, []float64{0.5, -0.25})}
-	got, err := plan.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := pool.outstanding(); n != 0 {
-		t.Fatalf("%d pooled buffers leaked", n)
-	}
-	if bound := plan.lookahead + 2; pool.peak > bound {
-		t.Fatalf("run held %d buffers at once, want at most %d (window %d) for %d terms", pool.peak, bound, plan.lookahead, terms)
-	}
+	forEachShape(t, func(t *testing.T) (*oracleKit, *Plan, *auditPool) { return widePlan(t, terms) },
+		func(t *testing.T, k *oracleKit, plan *Plan, pool *auditPool) {
+			plan.footprint = plan.windowSlots() // the shape may have moved the window
+			in := map[string]*Ciphertext{"x": k.encrypt(t, []float64{0.5, -0.25})}
+			got, err := plan.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := pool.outstanding(); n != 0 {
+				t.Fatalf("%d pooled buffers leaked", n)
+			}
+			if bound := plan.lookahead + 2; pool.peak > bound {
+				t.Fatalf("run held %d buffers at once, want at most %d (window %d) for %d terms", pool.peak, bound, plan.lookahead, terms)
+			}
+			bufBytes := 2 * int64(k.params.K()) * int64(k.params.N) * 8
+			if held := int64(pool.peak) * bufBytes; held > plan.FootprintBytes() {
+				t.Fatalf("run held %d bytes, FootprintBytes promised %d", held, plan.FootprintBytes())
+			}
+			if all := int64(plan.nSlots) * bufBytes; plan.FootprintBytes() >= all/2 {
+				t.Fatalf("FootprintBytes %d is not window-sized (every slot at once: %d)", plan.FootprintBytes(), all)
+			}
 
-	plan.lookahead = plan.NumSteps() // no window: the executor as it was
-	want, err := plan.Run(in)
-	if err != nil {
+			plan.lookahead = plan.NumSteps() // no window
+			want, err := plan.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ctBitEqual(got["y"], want["y"]) {
+				t.Fatal("windowed run differs from the unwindowed run")
+			}
+		})
+}
+
+// TestPlanRunSpawnsCrewNotSteps: a run of the 255-step plan is worked
+// by its crew — the caller and crew−1 goroutines it starts — whatever
+// the step count. Sampled from inside every step, where the goroutine
+// count is at its highest.
+func TestPlanRunSpawnsCrewNotSteps(t *testing.T) {
+	k, plan, _ := widePlan(t, 128)
+	setCrew(plan, 4)
+	in := map[string]*Ciphertext{"x": k.encrypt(t, []float64{1, 2})}
+	var mu sync.Mutex
+	most := 0
+	plan.failStep = func(int) error {
+		n := runtime.NumGoroutine()
+		mu.Lock()
+		most = max(most, n)
+		mu.Unlock()
+		return nil
+	}
+	baseline := runtime.NumGoroutine()
+	if _, err := plan.Run(in); err != nil {
 		t.Fatal(err)
 	}
-	if !ctBitEqual(got["y"], want["y"]) {
-		t.Fatal("windowed run differs from the unwindowed run")
+	if most > baseline+plan.crew-1 {
+		t.Fatalf("%d goroutines during a %d-step run, want at most %d (baseline %d + crew %d − the caller)",
+			most, plan.NumSteps(), baseline+plan.crew-1, baseline, plan.crew)
+	}
+	if most <= baseline {
+		t.Fatalf("no crew member was started: %d goroutines during the run, %d before", most, baseline)
 	}
 }
 
@@ -300,7 +424,11 @@ func TestPlanLookaheadBoundsBuffers(t *testing.T) {
 // every later step through the window (they only skip their kernels),
 // so the run returns, the pool balances and the plan reruns.
 func TestPlanLookaheadSurvivesFailureAndCancel(t *testing.T) {
-	k, plan, pool := widePlan(t, 96)
+	build := func(t *testing.T) (*oracleKit, *Plan, *auditPool) { return widePlan(t, 96) }
+	forEachShape(t, build, testLookaheadSurvivesFailureAndCancel)
+}
+
+func testLookaheadSurvivesFailureAndCancel(t *testing.T, k *oracleKit, plan *Plan, pool *auditPool) {
 	in := map[string]*Ciphertext{"x": k.encrypt(t, []float64{1, 2})}
 	mid := plan.NumSteps() / 2
 

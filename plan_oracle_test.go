@@ -9,6 +9,8 @@ package heax
 // -race in CI.
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -268,11 +270,11 @@ func TestPlanOracleExampleCircuits(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := newOracleKit(t, tc.spec, tc.steps, tc.conjugate)
-			plan, err := tc.circuit.Compile(k.params, k.evk,
-				WithPlanWorkers(2), WithPlanInFlight(4))
+			plan, err := tc.circuit.Compile(k.params, k.evk, WithPlanWorkers(2))
 			if err != nil {
 				t.Fatal(err)
 			}
+			setCrew(plan, 4)
 			in := tc.inputs(t, k)
 			want := replayPlan(t, plan, in)
 			for run := 0; run < 2; run++ {
@@ -301,4 +303,145 @@ func TestPlanOracleExampleCircuits(t *testing.T) {
 			}
 		})
 	}
+}
+
+// randomCircuit draws one DAG over the ops a plan step can be: operands
+// are picked from everything built so far (so subexpressions are shared,
+// sometimes verbatim, for CSE to merge), multiplications nest up to one
+// level past what Set-A can rescale, rotations include denormalised and
+// keyless steps, and 1–3 outputs may alias each other or an input.
+func randomCircuit(rng *rand.Rand, slots int) *Circuit {
+	c := NewCircuit()
+	nodes := []Node{c.Input("x"), c.Input("y")}
+	pick := func() Node { return nodes[rng.Intn(len(nodes))] }
+	vals := func() []float64 {
+		v := make([]float64, 1+rng.Intn(4))
+		for i := range v {
+			v[i] = rng.Float64()*2 - 1
+		}
+		return v
+	}
+	rots := []int{1, 2, 3, -1, slots + 1, 2 - slots, 0, 5} // 5 has no key
+	for ops := 3 + rng.Intn(12); ops > 0; ops-- {
+		var n Node
+		switch a := pick(); rng.Intn(12) {
+		case 0, 1, 2:
+			n = c.Add(a, pick())
+		case 3, 4:
+			n = c.Sub(a, pick())
+		case 5, 6:
+			n = c.MulPlain(a, vals())
+		case 7:
+			n = c.AddPlain(a, vals())
+		case 8, 9:
+			n = c.Rotate(a, rots[rng.Intn(len(rots)-rng.Intn(2))])
+		case 10:
+			n = c.MulRelin(a, pick())
+		default:
+			n = c.Add(c.Rotate(a, 1), c.Rotate(a, 2)) // a hoistable pair
+		}
+		nodes = append(nodes, n)
+	}
+	for o := 1 + rng.Intn(3); o > 0; o-- {
+		// Mostly the latest values, so most of the DAG is live.
+		at := len(nodes) - 1 - rng.Intn(min(len(nodes), 4))
+		c.Output(fmt.Sprintf("out%d", o), nodes[at])
+	}
+	return c
+}
+
+// TestPlanRandomDAGs is the property behind the executor: for any
+// circuit, Compile either refuses with a typed sentinel or yields a plan
+// whose runs — a crew of one, a crew of four, and RunBatch — all equal
+// the sequential replay of its step list bit for bit; and a fault or a
+// cancellation at any step leaves every pooled buffer back in the pool.
+func TestPlanRandomDAGs(t *testing.T) {
+	circuitCount := 200
+	if testing.Short() {
+		circuitCount = 40
+	}
+	k := newOracleKit(t, SetA, []int{1, 2, 3, -1}, false)
+	slots := k.params.Slots()
+	rng := rand.New(rand.NewSource(18))
+	in := map[string]*Ciphertext{
+		"x": k.encrypt(t, []float64{0.5, -0.25, 0.75, 1}),
+		"y": k.encrypt(t, []float64{-1, 0.125, 0.5, -0.5}),
+	}
+	sentinels := []error{ErrLevelMismatch, ErrScaleMismatch, ErrKeyMissing, ErrUnencodable, ErrInvalidCircuit}
+	compiled, refused := 0, make(map[error]int)
+	for n := 0; n < circuitCount; n++ {
+		plan, err := randomCircuit(rng, slots).Compile(k.params, k.evk)
+		if err != nil {
+			typed := false
+			for _, s := range sentinels {
+				if errors.Is(err, s) {
+					typed = true
+					refused[s]++
+				}
+			}
+			if !typed {
+				t.Fatalf("circuit %d: compile failed without a typed sentinel: %v", n, err)
+			}
+			continue
+		}
+		compiled++
+		want := replayPlan(t, plan, in)
+		same := func(what string, got map[string]*Ciphertext, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("circuit %d, %s: %v\n%s", n, what, err, plan.Describe())
+			}
+			for name, ct := range want {
+				if !ctBitEqual(ct, got[name]) {
+					t.Fatalf("circuit %d, %s: output %q differs from the sequential replay\n%s", n, what, name, plan.Describe())
+				}
+			}
+		}
+		pool := newAuditPool(t, k.params)
+		plan.bufs = pool
+		for _, crew := range []int{1, 4} {
+			setCrew(plan, crew)
+			got, err := plan.Run(in)
+			same(fmt.Sprintf("crew %d", crew), got, err)
+		}
+		batch, err := plan.RunBatch([]map[string]*Ciphertext{in, in})
+		for _, got := range batch {
+			same("RunBatch", got, err)
+		}
+		if held := pool.outstanding(); held != 0 {
+			t.Fatalf("circuit %d: %d pooled buffers leaked by clean runs\n%s", n, held, plan.Describe())
+		}
+
+		// A fault or a cancel at a random step, under a random shape.
+		at := rng.Intn(plan.NumSteps())
+		plan.crew, plan.lookahead = 1+rng.Intn(4), 1+rng.Intn(2*plan.NumSteps())
+		ctx, cancel := context.WithCancel(context.Background())
+		wantErr := errInjected
+		if rng.Intn(2) == 0 {
+			wantErr = context.Canceled
+		}
+		plan.failStep = func(i int) error {
+			if i != at {
+				return nil
+			}
+			if wantErr == context.Canceled {
+				cancel()
+				return nil
+			}
+			return errInjected
+		}
+		// Cancelling from inside the last step cancels nothing any more.
+		if _, err := plan.RunContext(ctx, in); !errors.Is(err, wantErr) && !(err == nil && wantErr == context.Canceled) {
+			t.Fatalf("circuit %d: %v at step %d reported %v\n%s", n, wantErr, at, err, plan.Describe())
+		}
+		cancel()
+		if held := pool.outstanding(); held != 0 {
+			t.Fatalf("circuit %d: %d pooled buffers leaked by %v at step %d\n%s", n, held, wantErr, at, plan.Describe())
+		}
+	}
+	// The generator must exercise both sides of the property.
+	if compiled < circuitCount/4 || compiled > circuitCount*9/10 {
+		t.Fatalf("%d of %d random circuits compiled: the generator no longer covers both outcomes", compiled, circuitCount)
+	}
+	t.Logf("%d of %d random circuits compiled; refused: %v", compiled, circuitCount, refused)
 }

@@ -7,10 +7,12 @@ package heax_test
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"heax"
+	"heax/circuits"
 )
 
 func encryptVals(t testing.TB, k *apiKit, vals []float64) *heax.Ciphertext {
@@ -296,7 +298,7 @@ func TestPlanRunBatch(t *testing.T) {
 	x := c.Input("x")
 	y := c.Input("y")
 	c.Output("z", c.AddConst(c.MulRelin(x, y), -0.5))
-	plan, err := c.Compile(k.params, k.evk, heax.WithBatchWindow(3))
+	plan, err := c.Compile(k.params, k.evk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,4 +361,85 @@ func TestPlanOutputAliases(t *testing.T) {
 	if got := k.decodeReal(t, out["echo"], 1); math.Abs(got[0]-1.5) > 1e-4 {
 		t.Fatalf("echo output: got %g, want 1.5", got[0])
 	}
+}
+
+// TestPlanRunAllocations: what the executor allocates for a run does not
+// depend on how many steps the plan has — a fixed crew, one ready list
+// and a handful of per-run slices, nothing per step — and the dyadic
+// kernels the steps call allocate nothing at all.
+func TestPlanRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race; alloc counts are not meaningful")
+	}
+	k := newAPIKit(t)
+	in := map[string]*heax.Ciphertext{"x": encryptVals(t, k, []float64{0.5, -0.75})}
+	measure := func(terms int) float64 {
+		plan, err := heax.WideCircuit(terms).Compile(k.params, k.evk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := plan.Run(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	narrow, wide := measure(128), measure(256)
+	if wide-narrow > 8 {
+		t.Fatalf("a 511-step run allocates %.0f times, a 255-step run %.0f: the executor pays per step", wide, narrow)
+	}
+	t.Logf("allocations per run: %.0f at 255 steps, %.0f at 511", narrow, wide)
+}
+
+// TestPlanFootprintCoversMatVec: on the 256×256 BSGS matvec that
+// heax/circuits builds (the benchmark's matvec-serve-A plan) no run, at
+// crew 1, 2 or 4, holds more pooled buffers than FootprintBytes admits
+// it for — and that bound is the window's, not the plan's whole width.
+func TestPlanFootprintCoversMatVec(t *testing.T) {
+	params, err := heax.NewParams(heax.SetA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	const n = 256
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+		for j := range m[i] {
+			m[i][j] = rng.Float64()*2 - 1
+		}
+	}
+	lt, err := circuits.FromRealMatrix(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := heax.NewCircuit()
+	y, err := lt.Apply(c, c.Input("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Output("y", y)
+	steps, err := c.RequiredRotations(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := heax.NewKeyGenerator(params, 3)
+	sk := kg.GenSecretKey()
+	plan, err := c.Compile(params, heax.GenEvaluationKeys(kg, sk, steps, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := circuits.ReplicateReal(make([]float64, n), n, params.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := heax.NewEncoder(params).Encode(x, params.MaxLevel(), params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := heax.NewEncryptor(params, kg.GenPublicKey(sk), 4).Encrypt(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heax.PeakFootprint(t, plan, map[string]*heax.Ciphertext{"x": ct}, 1, 2, 4)
 }
