@@ -38,8 +38,8 @@ func (ev *Evaluator) keySwitchHoistedInto(hd *HoistedDecomposition, swk *Switchi
 	acc1 := ctx.GetPoly(level + 2)
 	defer ctx.PutPoly(acc0)
 	defer ctx.PutPoly(acc1)
-	ev.keySwitchMAC(nil, hd, table, swk.Digits, swk.ensureShoup(ctx), acc0, acc1, level)
-	ctx.FloorDropRowsPairAddInto(acc0, acc1, out0, out1, add0, add1, ev.rowIdx[level], false, true)
+	ev.keySwitchMAC(nil, hd, table, swk.Digits, acc0, acc1, level)
+	ctx.FloorDropRowsPairAddInto(acc0, acc1, out0, out1, add0, add1, ev.rowIdx[level], false)
 }
 
 // RotateHoisted rotates one ciphertext by many steps, sharing a single

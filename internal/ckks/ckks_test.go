@@ -282,7 +282,12 @@ func TestAddScaleMismatchFails(t *testing.T) {
 }
 
 func TestMulRelinRescale(t *testing.T) {
-	kit := newTestKit(t, smallSpec)
+	mulRelinRescale(t, smallSpec)
+	mulRelinRescale(t, mixedSpec) // scalar and IFMA rows in one key switch
+}
+
+func mulRelinRescale(t *testing.T, spec ParamSpec) {
+	kit := newTestKit(t, spec)
 	rng := rand.New(rand.NewSource(7))
 	v1 := randomComplex(rng, kit.params.Slots(), 1)
 	v2 := randomComplex(rng, kit.params.Slots(), 1)
@@ -376,7 +381,12 @@ func TestMulDepthChain(t *testing.T) {
 }
 
 func TestRotation(t *testing.T) {
-	kit := newTestKit(t, smallSpec)
+	rotation(t, smallSpec)
+	rotation(t, mixedSpec) // scalar and IFMA rows in one key switch
+}
+
+func rotation(t *testing.T, spec ParamSpec) {
+	kit := newTestKit(t, spec)
 	rng := rand.New(rand.NewSource(9))
 	slots := kit.params.Slots()
 	values := randomComplex(rng, slots, 1)

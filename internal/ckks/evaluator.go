@@ -359,12 +359,12 @@ func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {
 // compare against it.
 //
 // This is the hot path of Table 8, run as three row-parallel passes
-// (schedule.go): the per-digit INTTs, then one pass over the lazy
-// [0, 2p) accumulator rows — each row base-converts every digit to its
-// prime and MACs it in, owning its row outright — then the flooring
-// tail. The MAC itself is a fused dual Shoup multiply against the key's
-// precomputed constants, all scratch comes from the ring's buffer pool,
-// and the result is bit-identical at every worker count.
+// (schedule.go): the per-digit INTTs, then one pass over the
+// accumulator rows — each row base-converts every digit to its prime
+// and MACs it in, owning its row outright — then the flooring tail. The
+// MAC is the ring's fully reduced multiply-add row against the key
+// polynomials as they are, all scratch comes from the ring's buffer
+// pool, and the result is bit-identical at every worker count.
 func (ev *Evaluator) KeySwitchPoly(c *ring.Poly, swk *SwitchingKey) (*ring.Poly, *ring.Poly) {
 	return ev.keySwitchAdd(c, swk, nil, nil)
 }
@@ -389,23 +389,22 @@ func (ev *Evaluator) keySwitchAddInto(c *ring.Poly, swk *SwitchingKey, add0, add
 	ctx := ev.ctx
 	level := c.Level()
 	// Accumulators over (q_0..q_level, P); row level+1 is the special
-	// prime. Rows hold lazy [0, 2p) values until the closing reduction.
+	// prime.
 	acc0 := ctx.GetPoly(level + 2)
 	acc1 := ctx.GetPoly(level + 2)
 	defer ctx.PutPoly(acc0)
 	defer ctx.PutPoly(acc1)
-	ev.keySwitchMAC(c, nil, nil, swk.Digits, swk.ensureShoup(ctx), acc0, acc1, level)
-	// Line 19: modulus switching — divide by the special prime. The pair
-	// variant folds the closing reduction of the lazy accumulators into
-	// its own row pass; it starts once every accumulator row is complete,
-	// as the hardware's does (the bank-set handoff of Fig. 8).
+	ev.keySwitchMAC(c, nil, nil, swk.Digits, acc0, acc1, level)
+	// Line 19: modulus switching — divide by the special prime. It starts
+	// once every accumulator row is complete, as the hardware's does (the
+	// bank-set handoff of Fig. 8).
 	if add0 != nil && add0.Rows() != level+1 {
 		add0 = add0.Resize(level + 1)
 	}
 	if add1 != nil && add1.Rows() != level+1 {
 		add1 = add1.Resize(level + 1)
 	}
-	ctx.FloorDropRowsPairAddInto(acc0, acc1, out0, out1, add0, add1, ev.rowIdx[level], false, true)
+	ctx.FloorDropRowsPairAddInto(acc0, acc1, out0, out1, add0, add1, ev.rowIdx[level], false)
 }
 
 // Relinearize transforms a degree-2 ciphertext back to degree 1 using the
@@ -509,11 +508,11 @@ func (ev *Evaluator) RescaleInto(ct, out *Ciphertext) error {
 	ctx := ev.ctx
 	idx := ev.seqIdx[inRows]
 	for i := 0; i+1 < len(ins); i += 2 {
-		ctx.FloorDropRowsPairInto(ins[i], ins[i+1], out.Polys[i], out.Polys[i+1], idx, true, false)
+		ctx.FloorDropRowsPairAddInto(ins[i], ins[i+1], out.Polys[i], out.Polys[i+1], nil, nil, idx, true)
 	}
 	if len(ins)%2 == 1 {
 		last := len(ins) - 1
-		ctx.FloorDropRowsInto(ins[last], out.Polys[last], idx, true, false)
+		ctx.FloorDropRowsInto(ins[last], out.Polys[last], idx, true)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package ckks
 
 import (
 	"fmt"
-	"sync"
 
 	"heax/internal/ring"
 	"heax/internal/uintmod"
@@ -26,32 +25,6 @@ type PublicKey struct {
 type SwitchingKey struct {
 	// Digits[i] = (d_{i,0}, d_{i,1}).
 	Digits [][2]*ring.Poly
-
-	// shoup caches the per-coefficient Shoup constants of the digits —
-	// the keys are the fixed operands of the key-switch inner loop, so
-	// precomputing once turns every MAC into a fused lazy Shoup multiply.
-	// Keys from KeyGenerator or the deserializer arrive with this
-	// populated; hand-built keys get it on first use, guarded by
-	// shoupOnce so one switching key may serve concurrent evaluator
-	// calls.
-	shoup     [][2]*ring.Poly
-	shoupOnce sync.Once
-}
-
-// ensureShoup returns the digit Shoup tables, building them if absent.
-// Safe for concurrent first use.
-func (swk *SwitchingKey) ensureShoup(ctx *ring.Context) [][2]*ring.Poly {
-	swk.shoupOnce.Do(func() {
-		if swk.shoup != nil {
-			return
-		}
-		shoup := make([][2]*ring.Poly, len(swk.Digits))
-		for i, d := range swk.Digits {
-			shoup[i] = [2]*ring.Poly{ctx.ShoupPoly(d[0]), ctx.ShoupPoly(d[1])}
-		}
-		swk.shoup = shoup
-	})
-	return swk.shoup
 }
 
 // RelinearizationKey switches s^2 → s (CKKS.RlkGen).
@@ -110,14 +83,12 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 // genSwitchingKey implements KskGen(s', s): for each digit i,
 // (d_{i,0}, d_{i,1}) = (-a_i·s + e_i + g_i·s', a_i) over QP. Because
 // g_i ≡ P (mod p_i) and ≡ 0 elsewhere, adding g_i·s' touches only RNS row
-// i, where it adds [P]_{p_i}·s'. The key is filled in place (it carries
-// a sync.Once and must not be copied).
-func (kg *KeyGenerator) genSwitchingKey(sPrime, s *ring.Poly, swk *SwitchingKey) {
+// i, where it adds [P]_{p_i}·s'.
+func (kg *KeyGenerator) genSwitchingKey(sPrime, s *ring.Poly) SwitchingKey {
 	ctx := kg.params.RingQP
 	rows := kg.params.QPRows()
-	k := kg.params.K()
-	swk.Digits = make([][2]*ring.Poly, k)
-	for i := 0; i < k; i++ {
+	digits := make([][2]*ring.Poly, kg.params.K())
+	for i := range digits {
 		a := kg.sampler.Uniform(rows)
 		e := kg.sampler.Error(rows)
 		ctx.NTT(e)
@@ -133,9 +104,9 @@ func (kg *KeyGenerator) genSwitchingKey(sPrime, s *ring.Poly, swk *SwitchingKey)
 		for j := range row {
 			row[j] = uintmod.AddMod(row[j], uintmod.MulRed(sp[j], pModPi, pShoup, pi), pi)
 		}
-		swk.Digits[i] = [2]*ring.Poly{d0, a}
+		digits[i] = [2]*ring.Poly{d0, a}
 	}
-	swk.ensureShoup(ctx)
+	return SwitchingKey{Digits: digits}
 }
 
 // GenSwitchingKey returns the key that re-encrypts ciphertexts under
@@ -143,9 +114,8 @@ func (kg *KeyGenerator) genSwitchingKey(sPrime, s *ring.Poly, swk *SwitchingKey)
 // primitive behind relinearization, rotation, and key rotation/re-keying
 // in a multi-tenant cloud).
 func (kg *KeyGenerator) GenSwitchingKey(skFrom, skTo *SecretKey) *SwitchingKey {
-	swk := &SwitchingKey{}
-	kg.genSwitchingKey(skFrom.Value, skTo.Value, swk)
-	return swk
+	swk := kg.genSwitchingKey(skFrom.Value, skTo.Value)
+	return &swk
 }
 
 // GenRelinearizationKey returns rlk = KskGen(s², s).
@@ -153,9 +123,7 @@ func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey
 	ctx := kg.params.RingQP
 	s2 := ctx.NewPoly(kg.params.QPRows())
 	ctx.MulCoeffs(sk.Value, sk.Value, s2)
-	rlk := &RelinearizationKey{}
-	kg.genSwitchingKey(s2, sk.Value, &rlk.SwitchingKey)
-	return rlk
+	return &RelinearizationKey{SwitchingKey: kg.genSwitchingKey(s2, sk.Value)}
 }
 
 // GenGaloisKey returns the key switching s(X^g) → s for the Galois
@@ -174,9 +142,7 @@ func (kg *KeyGenerator) genGaloisKeyForElt(sk *SecretKey, g uint64) *GaloisKey {
 	ctx := kg.params.RingQP
 	sG := ctx.NewPoly(kg.params.QPRows())
 	ctx.AutomorphismNTT(sk.Value, ctx.AutomorphismNTTTable(g), sG)
-	gk := &GaloisKey{GaloisElt: g}
-	kg.genSwitchingKey(sG, sk.Value, &gk.SwitchingKey)
-	return gk
+	return &GaloisKey{SwitchingKey: kg.genSwitchingKey(sG, sk.Value), GaloisElt: g}
 }
 
 // GenGaloisKeySet generates rotation keys for the given steps and,

@@ -15,15 +15,17 @@ package ckks
 // Each accumulator row belongs to one participant, which base-converts
 // the digits to its prime in cache-sized chunks (ForwardBatch shares
 // the target prime's twiddle stream across a chunk), consumes each
-// chunk while it is cache-hot, and keeps its lazy acc0/acc1 row
-// resident across all digits. Rows are disjoint, so nothing is locked,
-// and with one worker RunRows simply runs the same rows inline.
+// chunk while it is cache-hot, and keeps its acc0/acc1 row resident
+// across all digits. Rows are disjoint, so nothing is locked, and with
+// one worker RunRows simply runs the same rows inline.
 //
-// A row's MACs add deterministic product terms modulo 2p
-// (uintmod.MulAddLazy is an exact mod-2p addition), so the result does
-// not depend on which participant runs which row; schedule_test.go and
-// hwsim's independent Algorithm 7 model pin it bit for bit at every
-// level and worker count.
+// The MAC is the ring's general multiply-add row (MulCoeffsAddRow):
+// fully reduced in and out, no per-key constants, so the key rows it
+// streams — the one operand that never fits in cache — are read once and
+// held once. A row's MACs add deterministic product terms modulo p, so
+// the result does not depend on which participant runs which row;
+// schedule_test.go and hwsim's independent Algorithm 7 model pin it bit
+// for bit at every level and worker count.
 
 import "heax/internal/ring"
 
@@ -41,10 +43,10 @@ type ksJob struct {
 	out   *HoistedDecomposition
 	table []int // optional NTT-domain automorphism permutation
 
-	digits, shoup [][2]*ring.Poly
-	acc0, acc1    *ring.Poly
-	intt          *ring.Poly // per-digit INTT outputs, level+1 rows
-	level         int
+	digits     [][2]*ring.Poly
+	acc0, acc1 *ring.Poly
+	intt       *ring.Poly // per-digit INTT outputs, level+1 rows
+	level      int
 
 	// lists holds one ForwardBatch row list per decomposition target
 	// row (level+1 entries each), so rows share no scratch.
@@ -70,7 +72,7 @@ func (ev *Evaluator) getJob(level int) *ksJob {
 
 func (ev *Evaluator) putJob(j *ksJob) {
 	j.c, j.hd, j.out, j.table = nil, nil, nil, nil
-	j.digits, j.shoup = nil, nil
+	j.digits = nil
 	j.acc0, j.acc1, j.intt = nil, nil, nil
 	clear(j.lists[:cap(j.lists)]) // drop references into pooled scratch
 	ev.jobs.Put(j)
@@ -93,18 +95,16 @@ func (j *ksJob) convert(i, basisIdx int, dst []uint64) {
 	}
 }
 
-// mac runs the fused dual MAC of digit i into accumulator row jj from
-// the already-converted (NTT-form, mod target prime) row b.
+// mac adds digit i's two key products into accumulator row jj from the
+// already-converted (NTT-form, mod target prime) row b.
 func (j *ksJob) mac(i, jj, basisIdx int, b []uint64) {
-	d0, d1 := j.digits[i][0], j.digits[i][1]
-	s0, s1 := j.shoup[i][0], j.shoup[i][1]
-	j.ctx.MulAddLazyRow2(b,
-		d0.Coeffs[basisIdx], s0.Coeffs[basisIdx], j.acc0.Coeffs[jj],
-		d1.Coeffs[basisIdx], s1.Coeffs[basisIdx], j.acc1.Coeffs[jj], basisIdx)
+	d := j.digits[i]
+	j.ctx.MulCoeffsAddRow(b, d[0].Coeffs[basisIdx], j.acc0.Coeffs[jj], basisIdx)
+	j.ctx.MulCoeffsAddRow(b, d[1].Coeffs[basisIdx], j.acc1.Coeffs[jj], basisIdx)
 }
 
 // runMACRow fills accumulator row jj: lines 5-10 (conversion) and
-// 11-12/16-17 (the fused dual MAC) of Algorithm 7 for every digit.
+// 11-12/16-17 (the two MACs) of Algorithm 7 for every digit.
 func (j *ksJob) runMACRow(jj int) {
 	ctx, level := j.ctx, j.level
 	basisIdx := j.ev.rowIdx[level][jj]
@@ -185,13 +185,13 @@ func (j *ksJob) runDecompRow(jj int) {
 
 // keySwitchMAC runs the multiply-accumulate phase of Algorithm 7 over
 // either a direct input polynomial c or a cached hoisted decomposition
-// hd, into the lazy accumulators acc0/acc1.
+// hd, into the zeroed accumulators acc0/acc1.
 func (ev *Evaluator) keySwitchMAC(c *ring.Poly, hd *HoistedDecomposition, table []int,
-	digits, shoup [][2]*ring.Poly, acc0, acc1 *ring.Poly, level int) {
+	digits [][2]*ring.Poly, acc0, acc1 *ring.Poly, level int) {
 	ctx := ev.ctx
 	j := ev.getJob(level)
 	j.c, j.hd, j.table = c, hd, table
-	j.digits, j.shoup = digits, shoup
+	j.digits = digits
 	j.acc0, j.acc1 = acc0, acc1
 	if hd != nil {
 		ctx.RunRows(level+2, j.hoistedRow)

@@ -16,6 +16,12 @@ import (
 // Table 2 sets are covered by TestKeySwitchWorkerInvariantTable2.
 var schedSpec = ParamSpec{Name: "sched-test", LogN: 12, QBits: []int{43, 40, 40, 40}, PBits: 46, LogScale: 40}
 
+// mixedSpec puts rows 0 and P above 2^50 and rows 1-2 below, so one key
+// switch runs the MAC's scalar branch and its IFMA branch side by side
+// on an IFMA host; every other spec in this package (and every Table 2
+// set) is below 2^50 throughout.
+var mixedSpec = ParamSpec{Name: "sched-mixed", LogN: 12, QBits: []int{55, 45, 45}, PBits: 58, LogScale: 45}
+
 func schedKit(t testing.TB, spec ParamSpec) (*Params, *RelinearizationKey, *Evaluator) {
 	t.Helper()
 	params, err := NewParams(spec)
@@ -56,12 +62,17 @@ func polyHash(ps ...*ring.Poly) uint64 {
 // The key switch must not depend on how its rows are spread over
 // participants: inline (one worker) and fanned out (2, 3, 8 workers —
 // more than the level+2 rows there are to hand out, at every level of
-// this set) give the same bits at every level, level 0 included. Each
-// level is also pinned to the hash the two-schedule implementation this
-// one replaced produced for the same seeds at 1, 2, 3 and 8 workers.
+// these sets) give the same bits at every level, level 0 included. Each
+// level is also pinned to a hash: schedSpec's are what the two-schedule
+// implementation produced for the same seeds at 1, 2, 3 and 8 workers,
+// mixedSpec's what the Shoup/lazy MAC this one replaced did.
 func TestKeySwitchWorkerInvariant(t *testing.T) {
-	wantHash := []uint64{0x52cba9d192c585ff, 0x907fce69e0abafc1, 0x152dea03043deb14, 0xbeb3a9231bcb0de0}
-	params, rlk, ev := schedKit(t, schedSpec)
+	keySwitchWorkerInvariant(t, schedSpec, []uint64{0x52cba9d192c585ff, 0x907fce69e0abafc1, 0x152dea03043deb14, 0xbeb3a9231bcb0de0})
+	keySwitchWorkerInvariant(t, mixedSpec, []uint64{0x7d85e2dc2ec79bde, 0xc1086491c39235b4, 0xca14ee787cbc7763})
+}
+
+func keySwitchWorkerInvariant(t *testing.T, spec ParamSpec, wantHash []uint64) {
+	params, rlk, ev := schedKit(t, spec)
 	ctx := params.RingQP
 	rng := rand.New(rand.NewSource(3))
 	for level := 0; level <= params.MaxLevel(); level++ {
@@ -69,13 +80,13 @@ func TestKeySwitchWorkerInvariant(t *testing.T) {
 		ctx.SetWorkers(1)
 		want0, want1 := ev.KeySwitchPoly(c, &rlk.SwitchingKey)
 		if got := polyHash(want0, want1); got != wantHash[level] {
-			t.Fatalf("level %d: key switch hashes to %#x, want %#x", level, got, wantHash[level])
+			t.Fatalf("%s level %d: key switch hashes to %#x, want %#x", spec.Name, level, got, wantHash[level])
 		}
 		for _, workers := range []int{2, 3, 8} {
 			ctx.SetWorkers(workers)
 			got0, got1 := ev.KeySwitchPoly(c, &rlk.SwitchingKey)
 			if !got0.Equal(want0) || !got1.Equal(want1) {
-				t.Fatalf("level %d workers %d: key switch differs from the one-worker result", level, workers)
+				t.Fatalf("%s level %d workers %d: key switch differs from the one-worker result", spec.Name, level, workers)
 			}
 		}
 	}
@@ -103,14 +114,19 @@ func TestKeySwitchWorkerInvariantTable2(t *testing.T) {
 
 // The hoisted paths (decomposition and MAC-over-decomposition) must also
 // be worker-count invariant, with and without an automorphism table, at
-// the top level and at level 0 (two accumulator rows for up to eight
+// every level down to level 0 (two accumulator rows for up to eight
 // workers).
 func TestHoistedWorkerInvariant(t *testing.T) {
-	params, rlk, ev := schedKit(t, schedSpec)
+	hoistedWorkerInvariant(t, schedSpec)
+	hoistedWorkerInvariant(t, mixedSpec)
+}
+
+func hoistedWorkerInvariant(t *testing.T, spec ParamSpec) {
+	params, rlk, ev := schedKit(t, spec)
 	ctx := params.RingQP
 	rng := rand.New(rand.NewSource(9))
 	table := ctx.AutomorphismNTTTable(ring.GaloisElement(3, params.N))
-	for _, level := range []int{params.MaxLevel(), 0} {
+	for level := params.MaxLevel(); level >= 0; level-- {
 		c := schedRandomPoly(ctx, level+1, rng)
 		add := schedRandomPoly(ctx, level+1, rng)
 
@@ -138,7 +154,7 @@ func TestHoistedWorkerInvariant(t *testing.T) {
 		// Decomposing and MACing is the direct key switch in two halves.
 		ks0, ks1 := ev.KeySwitchPoly(c, &rlk.SwitchingKey)
 		if !wantPlain0.Equal(ks0) || !wantPlain1.Equal(ks1) {
-			t.Fatalf("level %d: hoisted key switch differs from the direct one", level)
+			t.Fatalf("%s level %d: hoisted key switch differs from the direct one", spec.Name, level)
 		}
 
 		for _, workers := range []int{2, 3, 8} {
@@ -146,16 +162,16 @@ func TestHoistedWorkerInvariant(t *testing.T) {
 			hd := decompose()
 			for i := range hd.digits {
 				if !hd.digits[i].Equal(hdOne.digits[i]) {
-					t.Fatalf("level %d workers %d: hoisted decomposition digit %d differs", level, workers, i)
+					t.Fatalf("%s level %d workers %d: hoisted decomposition digit %d differs", spec.Name, level, workers, i)
 				}
 			}
 			got0, got1 := keySwitch(hd, table, add)
 			if !got0.Equal(want0) || !got1.Equal(want1) {
-				t.Fatalf("level %d workers %d: hoisted key switch (permuted, fused add) differs", level, workers)
+				t.Fatalf("%s level %d workers %d: hoisted key switch (permuted, fused add) differs", spec.Name, level, workers)
 			}
 			got0, got1 = keySwitch(hd, nil, nil)
 			if !got0.Equal(wantPlain0) || !got1.Equal(wantPlain1) {
-				t.Fatalf("level %d workers %d: hoisted key switch differs", level, workers)
+				t.Fatalf("%s level %d workers %d: hoisted key switch differs", spec.Name, level, workers)
 			}
 		}
 	}
@@ -291,26 +307,3 @@ func (e mismatchError) Error() string {
 }
 
 func errMismatch(op string, gor, iter int) error { return mismatchError{op, gor, iter} }
-
-// ensureShoup must be safe for concurrent first use on a hand-built key.
-func TestEnsureShoupConcurrent(t *testing.T) {
-	params, rlk, _ := schedKit(t, schedSpec)
-	// Strip the precomputed tables to simulate a hand-built key.
-	bare := &SwitchingKey{Digits: rlk.Digits}
-	var wg sync.WaitGroup
-	results := make([][][2]*ring.Poly, 8)
-	for i := range results {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i] = bare.ensureShoup(params.RingQP)
-		}()
-	}
-	wg.Wait()
-	for i := 1; i < len(results); i++ {
-		if &results[i][0] != &results[0][0] {
-			t.Fatal("concurrent ensureShoup built more than one table set")
-		}
-	}
-}

@@ -410,8 +410,6 @@ func writeSwitchingKey(bw *bufio.Writer, swk *SwitchingKey) error {
 	return nil
 }
 
-// readSwitchingKey fills swk in place (the key carries a sync.Once and
-// must not be copied).
 func readSwitchingKey(r *bufio.Reader, params *Params, swk *SwitchingKey) error {
 	n, err := readU32(r, "switching key digits")
 	if err != nil {
@@ -432,9 +430,6 @@ func readSwitchingKey(r *bufio.Reader, params *Params, swk *SwitchingKey) error 
 		}
 		swk.Digits[i] = [2]*ring.Poly{d0, d1}
 	}
-	// Rebuild the digit Shoup tables eagerly so deserialized keys are as
-	// hot-path-ready (and as concurrency-safe) as freshly generated ones.
-	swk.ensureShoup(params.RingQP)
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -72,6 +73,48 @@ func TestEvaluationKeysRoundTrip(t *testing.T) {
 	if err != nil || r0 != nil || g0 != nil {
 		t.Fatalf("empty key set round trip: %v %v %v", r0, g0, err)
 	}
+}
+
+// A decoded key set occupies what its wire blob does. The serve layer
+// charges a tenant's byte budget the blob length, so anything a decoder
+// builds beside the key polynomials is resident memory nobody counted.
+func TestDecodedKeySetIsBlobSized(t *testing.T) {
+	params := MustParams(SetB)
+	// Generated in a call of its own, so no stack slot of this frame
+	// keeps the originals alive across the first measurement.
+	blob := func() []byte {
+		kg := NewKeyGenerator(params, 5)
+		sk := kg.GenSecretKey()
+		var buf bytes.Buffer
+		if err := WriteEvaluationKeys(&buf, kg.GenRelinearizationKey(sk), kg.GenGaloisKeySet(sk, []int{1, 2, 4, 8}, false)); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}()
+
+	// Two collections each: a sync.Pool entry (the ring's scratch polys)
+	// survives the first in the pool's victim cache.
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := liveHeap()
+	rlk, gks, err := ReadEvaluationKeys(bytes.NewReader(blob), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grew := liveHeap() - before
+	if limit := int64(len(blob)) * 5 / 4; grew > limit {
+		t.Fatalf("decoding a %d-byte key set left %d bytes live, want at most %d", len(blob), grew, limit)
+	}
+	// Whatever the first measurement counted stays live for the second.
+	runtime.KeepAlive(params)
+	runtime.KeepAlive(blob)
+	runtime.KeepAlive(rlk)
+	runtime.KeepAlive(gks)
 }
 
 func TestCiphertextBatchRoundTrip(t *testing.T) {

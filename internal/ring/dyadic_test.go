@@ -180,6 +180,11 @@ func BenchmarkDyadic_MulCoeffsPair(b *testing.B) {
 	})
 }
 
+// The key-switch MAC row (and decrypt's multiply-add), whole-poly form.
+func BenchmarkDyadic_MulCoeffsAdd(b *testing.B) {
+	benchDyadic(b, func(c *Context, in [4]*Poly, out [3]*Poly) { c.MulCoeffsAdd(in[0], in[1], out[0]) })
+}
+
 func BenchmarkDyadic_Tensor(b *testing.B) {
 	benchDyadic(b, func(c *Context, in [4]*Poly, out [3]*Poly) {
 		c.MulCoeffsTensor(in[0], in[1], in[2], in[3], out[0], out[1], out[2])

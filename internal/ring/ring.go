@@ -387,15 +387,19 @@ func (c *Context) mulCoeffsPairRow(a0, a1, b, out0, out1 []uint64, i int) {
 }
 
 // MulCoeffsAdd sets out += a ⊙ b, the multiply-accumulate of decryption
-// (fully reduced in and out; the key-switching inner loop uses the lazy
-// MulAddLazy instead).
+// (fully reduced in and out).
 func (c *Context) MulCoeffsAdd(a, b, out *Poly) {
 	c.runDyadic(rowsOf(a, b, out), dyadicRows{a0: a.Coeffs, b0: b.Coeffs, c0: out.Coeffs},
-		func(c *Context, v dyadicRows, i int) { c.mulCoeffsAddRow(v.a0[i], v.b0[i], v.c0[i], i) })
+		func(c *Context, v dyadicRows, i int) { c.MulCoeffsAddRow(v.a0[i], v.b0[i], v.c0[i], i) })
 }
 
+// MulCoeffsAddRow is MulCoeffsAdd for a single RNS row (basis index i) —
+// the key-switching inner loop (Algorithm 7 lines 11-12, 16-17). Neither
+// operand needs a precomputed constant, so a switching key is held as its
+// polynomials and nothing else.
+//
 //heax:noalloc
-func (c *Context) mulCoeffsAddRow(a, b, out []uint64, i int) {
+func (c *Context) MulCoeffsAddRow(a, b, out []uint64, i int) {
 	p := c.Basis.Primes[i]
 	if c.RowIFMA(i) {
 		uintmod.VecMulAdd(out, a, b, p)
@@ -435,123 +439,9 @@ func (c *Context) mulCoeffsTensorRow(a0, a1, b0, b1, c0, c1, c2 []uint64, i int)
 }
 
 // RowIFMA reports whether row i's dyadic ops run on the AVX-512 IFMA
-// kernels; it also decides which scale ShoupPoly precomputes at.
+// kernels.
 func (c *Context) RowIFMA(i int) bool {
 	return uintmod.IFMAUsable(c.Basis.Primes[i], c.N)
-}
-
-// ShoupPoly precomputes the per-coefficient Shoup constants of b for use
-// as the fixed operand of MulCoeffsLazy/MulAddLazy. b must be fully
-// reduced. The scale (2^52 for IFMA rows, 2^64 otherwise) matches what
-// the dyadic kernels of this context consume — always pair a ShoupPoly
-// with the context that produced it.
-func (c *Context) ShoupPoly(b *Poly) *Poly {
-	out := c.NewPoly(len(b.Coeffs))
-	c.RunRows(len(b.Coeffs), func(i int) {
-		p := c.Basis.Primes[i]
-		bi, oi := b.Coeffs[i], out.Coeffs[i]
-		if c.RowIFMA(i) {
-			for j := range oi {
-				oi[j] = uintmod.ShoupPrecomp52(bi[j], p)
-			}
-		} else {
-			for j := range oi {
-				oi[j] = uintmod.ShoupPrecomp(bi[j], p)
-			}
-		}
-	})
-	return out
-}
-
-// MulCoeffsLazy sets out = a ⊙ b with b's Shoup constants precomputed by
-// ShoupPoly: one fused Shoup multiplication per coefficient instead of a
-// full Barrett reduction. a may hold lazy values in [0, 4p); the output
-// is fully reduced.
-func (c *Context) MulCoeffsLazy(a, b, bShoup, out *Poly) {
-	c.RunRows(rowsOf(a, b, bShoup, out), func(i int) {
-		c.MulCoeffsLazyRow(a.Coeffs[i], b.Coeffs[i], bShoup.Coeffs[i], out.Coeffs[i], i)
-	})
-}
-
-// MulCoeffsLazyRow is MulCoeffsLazy for a single RNS row (basis index i).
-//
-//heax:noalloc
-func (c *Context) MulCoeffsLazyRow(a, b, bShoup, out []uint64, i int) {
-	p := c.Basis.Primes[i]
-	if c.RowIFMA(i) {
-		uintmod.VecMulShoup(out, a, b, bShoup, p)
-		return
-	}
-	for j := range out {
-		out[j] = uintmod.MulRed(a[j], b[j], bShoup[j], p)
-	}
-}
-
-// MulAddLazy sets out += a ⊙ b with lazy reduction: the accumulator rows
-// stay in [0, 2p) across any chain length, deferring the final reduction
-// to one ReduceLazy pass. This is the key-switching inner loop
-// (Algorithm 7 lines 11-12) with the per-coefficient Barrett reduction
-// and modular addition both gone.
-func (c *Context) MulAddLazy(a, b, bShoup, out *Poly) {
-	c.RunRows(rowsOf(a, b, bShoup, out), func(i int) {
-		c.MulAddLazyRow(a.Coeffs[i], b.Coeffs[i], bShoup.Coeffs[i], out.Coeffs[i], i)
-	})
-}
-
-// MulAddLazyRow is MulAddLazy for a single RNS row (basis index i).
-//
-//heax:noalloc
-func (c *Context) MulAddLazyRow(a, b, bShoup, out []uint64, i int) {
-	p := c.Basis.Primes[i]
-	if c.RowIFMA(i) {
-		uintmod.VecMulShoupAddLazy(out, a, b, bShoup, p)
-		return
-	}
-	twoP := 2 * p
-	for j := range out {
-		out[j] = uintmod.MulAddLazy(out[j], a[j], b[j], bShoup[j], p, twoP)
-	}
-}
-
-// MulAddLazyRow2 fuses the two key-switch MACs of one (digit, prime)
-// pair: out0 += a ⊙ b0 and out1 += a ⊙ b1 in a single pass, loading the
-// shared operand a once. On IFMA rows it falls back to the two vector
-// kernels (which already stream at full width).
-//
-//heax:noalloc
-func (c *Context) MulAddLazyRow2(a, b0, b0Shoup, out0, b1, b1Shoup, out1 []uint64, i int) {
-	p := c.Basis.Primes[i]
-	if c.RowIFMA(i) {
-		uintmod.VecMulShoupAddLazy(out0, a, b0, b0Shoup, p)
-		uintmod.VecMulShoupAddLazy(out1, a, b1, b1Shoup, p)
-		return
-	}
-	twoP := 2 * p
-	for j := range a {
-		aj := a[j]
-		out0[j] = uintmod.MulAddLazy(out0[j], aj, b0[j], b0Shoup[j], p, twoP)
-		out1[j] = uintmod.MulAddLazy(out1[j], aj, b1[j], b1Shoup[j], p, twoP)
-	}
-}
-
-// ReduceLazy maps rows with lazy values in [0, 2p) to fully reduced
-// values; a and out may alias.
-func (c *Context) ReduceLazy(a, out *Poly) {
-	c.RunRows(rowsOf(a, out), func(i int) {
-		c.ReduceLazyRow(a.Coeffs[i], out.Coeffs[i], i)
-	})
-}
-
-// ReduceLazyRow is ReduceLazy for a single RNS row (basis index i).
-func (c *Context) ReduceLazyRow(a, out []uint64, i int) {
-	p := c.Basis.Primes[i]
-	for j := range out {
-		x := a[j]
-		if x >= p {
-			x -= p
-		}
-		out[j] = x
-	}
 }
 
 // GaloisElement returns the Galois group element used to rotate CKKS slots
@@ -678,48 +568,38 @@ func (c *Context) FloorDropLast(a *Poly, round bool) *Poly {
 // level.
 func (c *Context) FloorDropRows(a *Poly, rowPrimes []int, round bool) *Poly {
 	out := c.NewPoly(a.Rows() - 1)
-	c.floorDrop(a, nil, out, nil, nil, nil, rowPrimes, round, false)
+	c.floorDrop(a, nil, out, nil, nil, nil, rowPrimes, round)
 	return out
 }
 
-// FloorDropRowsPair runs FloorDropRows on the two key-switch accumulators
-// at once, sharing a single worker fan-out and tail pass. When lazy is
-// true the inputs may hold lazily reduced rows in [0, 2p) — they are
-// fully reduced in place on the way through, so the callers' closing
-// reduction pass disappears. The inputs are treated as scratch (mutated
-// when lazy).
-func (c *Context) FloorDropRowsPair(a0, a1 *Poly, rowPrimes []int, round, lazy bool) (*Poly, *Poly) {
-	out0, out1 := c.NewPolyPair(a0.Rows() - 1)
-	c.floorDrop(a0, a1, out0, out1, nil, nil, rowPrimes, round, lazy)
-	return out0, out1
-}
-
-// FloorDropRowsPairAddInto is FloorDropRowsPair writing into the
-// caller-provided output pair, with an optional final addition folded
-// into the flooring row pass: out0 = floor(a0) + add0, out1 = floor(a1)
-// + add1 (add operands over the output rows, NTT form; either may be
-// nil). This is the CKKS key-switch epilogue (ks0 + c0, ks1 + c1)
-// landing directly in the result ciphertext without intermediate polys
-// or a separate addition sweep.
-func (c *Context) FloorDropRowsPairAddInto(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []int, round, lazy bool) {
-	c.floorDrop(a0, a1, out0, out1, add0, add1, rowPrimes, round, lazy)
+// FloorDropRowsPairAddInto runs FloorDropRows on the two key-switch
+// accumulators at once, sharing a single worker fan-out and tail pass,
+// and writes into the caller-provided output pair with an optional final
+// addition folded into the flooring row pass: out0 = floor(a0) + add0,
+// out1 = floor(a1) + add1 (add operands over the output rows, NTT form;
+// either may be nil). This is the CKKS key-switch epilogue (ks0 + c0,
+// ks1 + c1) landing directly in the result ciphertext without
+// intermediate polys or a separate addition sweep.
+func (c *Context) FloorDropRowsPairAddInto(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []int, round bool) {
+	c.floorDrop(a0, a1, out0, out1, add0, add1, rowPrimes, round)
 }
 
 // FloorDropRowsInto is FloorDropRows landing in the caller-provided
 // output polynomial (out must have a.Rows()-1 rows) — the single-poly
 // tail of an in-place rescale on a ciphertext with an odd component
 // count.
-func (c *Context) FloorDropRowsInto(a, out *Poly, rowPrimes []int, round, lazy bool) {
-	c.floorDrop(a, nil, out, nil, nil, nil, rowPrimes, round, lazy)
+func (c *Context) FloorDropRowsInto(a, out *Poly, rowPrimes []int, round bool) {
+	c.floorDrop(a, nil, out, nil, nil, nil, rowPrimes, round)
 }
 
-// FloorDropRowsPairInto is FloorDropRowsPair landing in the caller-
-// provided output pair — the in-place rescale hot path.
-func (c *Context) FloorDropRowsPairInto(a0, a1, out0, out1 *Poly, rowPrimes []int, round, lazy bool) {
-	c.floorDrop(a0, a1, out0, out1, nil, nil, rowPrimes, round, lazy)
+// FloorDropRowsPairInto is FloorDropRowsPairAddInto with no addition.
+// The trailing bool is ignored: it stays only because benchmark/layers.go,
+// which a PR may not edit, passes one.
+func (c *Context) FloorDropRowsPairInto(a0, a1, out0, out1 *Poly, rowPrimes []int, round, _ bool) {
+	c.floorDrop(a0, a1, out0, out1, nil, nil, rowPrimes, round)
 }
 
-func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []int, round, lazy bool) {
+func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []int, round bool) {
 	rows := a0.Rows()
 	if rows < 2 {
 		panic("ring: FloorDropRows needs at least two rows")
@@ -737,19 +617,12 @@ func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []in
 	// prime's twiddles are loaded once.
 	tailBuf := c.GetPolyNoZero(2)
 	defer c.PutPoly(tailBuf)
-	prepTail := func(a *Poly, tail []uint64) {
-		if lazy {
-			c.ReduceLazyRow(a.Coeffs[rows-1], tail, last)
-		} else {
-			copy(tail, a.Coeffs[rows-1])
-		}
-	}
 	tail0 := tailBuf.Coeffs[0]
-	prepTail(a0, tail0)
+	copy(tail0, a0.Coeffs[rows-1])
 	var tail1 []uint64
 	if a1 != nil {
 		tail1 = tailBuf.Coeffs[1]
-		prepTail(a1, tail1)
+		copy(tail1, a1.Coeffs[rows-1])
 		c.Tables[last].InverseBatch(tail0, tail1)
 	} else {
 		c.Tables[last].Inverse(tail0)
@@ -801,9 +674,6 @@ func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []in
 		}
 		floorRow := func(a *Poly, r []uint64, out, add *Poly) {
 			ai, oi := a.Coeffs[i], out.Coeffs[i]
-			if lazy {
-				c.ReduceLazyRow(ai, ai, basisIdx)
-			}
 			if add != nil {
 				di := add.Coeffs[i]
 				for j := range oi {

@@ -8,9 +8,6 @@ import "math/bits"
 // IFMA with ZMM state enabled (implemented in ifma_amd64.s).
 func detectIFMA() bool
 
-func vecMulShoupIFMA(out, x, y, yShoup *uint64, n int, p uint64)
-func vecMulShoupAddLazyIFMA(out, x, y, yShoup *uint64, n int, p uint64)
-
 func vecMulIFMA(out, x, y *uint64, n int, p, mu, shift uint64)
 func vecMulPairIFMA(out0, out1, x0, x1, y *uint64, n int, p, mu, shift uint64)
 func vecMulAddIFMA(out, x, y *uint64, n int, p, mu, shift uint64)
@@ -19,8 +16,7 @@ func vecAddIFMA(out, x, y *uint64, n int, p uint64)
 func vecSubIFMA(out, x, y *uint64, n int, p uint64)
 func vecNegIFMA(out, x *uint64, n int, p uint64)
 
-// hasIFMA is fixed at startup; the dispatch never changes afterwards, so
-// a Context's choice of Shoup scale (2^52 vs 2^64) is stable.
+// hasIFMA is fixed at startup; the dispatch never changes afterwards.
 var hasIFMA = detectIFMA()
 
 // HasIFMA reports whether the AVX-512 IFMA row kernels are available.
@@ -33,29 +29,6 @@ func HasIFMA() bool { return hasIFMA }
 // and rows must be whole 8-lane vectors.
 func IFMAUsable(p uint64, n int) bool {
 	return hasIFMA && bits.Len64(p) <= 50 && p&1 == 1 && n >= 8 && n%8 == 0
-}
-
-// VecMulShoup sets out[i] = x[i]·y[i] mod p (fully reduced) using the
-// IFMA kernel. Requires IFMAUsable(p, len(out)), yShoup[i] =
-// ShoupPrecomp52(y[i], p), and x[i] < 2^52 (lazy operands up to 4p are
-// fine), y[i] < p.
-func VecMulShoup(out, x, y, yShoup []uint64, p uint64) {
-	n := len(out)
-	_ = x[n-1]
-	_ = y[n-1]
-	_ = yShoup[n-1]
-	vecMulShoupIFMA(&out[0], &x[0], &y[0], &yShoup[0], n, p)
-}
-
-// VecMulShoupAddLazy sets out[i] = fold2p(out[i] + x[i]·y[i]) with the
-// accumulator kept in [0, 2p). Same requirements as VecMulShoup, plus
-// out[i] < 2p on entry.
-func VecMulShoupAddLazy(out, x, y, yShoup []uint64, p uint64) {
-	n := len(out)
-	_ = x[n-1]
-	_ = y[n-1]
-	_ = yShoup[n-1]
-	vecMulShoupAddLazyIFMA(&out[0], &x[0], &y[0], &yShoup[0], n, p)
 }
 
 // The general-operand kernels below take fully reduced rows (every

@@ -1,14 +1,11 @@
-// AVX-512 IFMA row kernels (w = 52 Shoup arithmetic).
+// AVX-512 IFMA row kernels for the dyadic ring operations.
 //
 // HEAX picks 52-bit moduli because four 27-bit DSP multipliers make one
 // 54-bit product (paper Section 4); Intel's IFMA extension makes the same
 // argument on CPUs: VPMADD52{L,H}UQ multiply eight 52-bit lanes at once.
-// Every Table 2 prime is below 2^50, so the whole lazy range [0, 4p) fits
-// a 52-bit lane and these kernels implement exactly the Shoup arithmetic
-// of Algorithm 2 with the scale 2^52 instead of 2^64.
 //
-// All kernels require: p < 2^50, n > 0 and n % 8 == 0, yShoup[i] =
-// floor(y[i]*2^52/p) (ShoupPrecomp52). Callers gate on IFMAUsable.
+// All kernels require: p odd and below 2^50 (every Table 2 prime
+// qualifies), n > 0 and n % 8 == 0. Callers gate on IFMAUsable.
 
 #include "textflag.h"
 
@@ -42,92 +39,13 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func vecMulShoupIFMA(out, x, y, yShoup *uint64, n int, p uint64)
-// out[i] = x[i]*y[i] mod p, fully reduced, for x[i] < 2^52 and y[i] < p.
-TEXT ·vecMulShoupIFMA(SB), NOSPLIT, $0-48
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), R8
-	MOVQ yShoup+24(FP), R9
-	MOVQ n+32(FP), CX
-	MOVQ p+40(FP), AX
-	VPBROADCASTQ AX, Z12            // p
-	VPADDQ Z12, Z12, Z13            // 2p (unused bound, kept for symmetry)
-	MOVQ $0x000FFFFFFFFFFFFF, AX
-	VPBROADCASTQ AX, Z14            // 2^52 - 1
-	SHRQ $3, CX
-loop:
-	VMOVDQU64 (SI), Z1              // x
-	VMOVDQU64 (R8), Z2              // y
-	VMOVDQU64 (R9), Z3              // y'
-	VPXORQ Z4, Z4, Z4
-	VPMADD52HUQ Z3, Z1, Z4          // t = floor(x*y'/2^52)
-	VPXORQ Z5, Z5, Z5
-	VPMADD52LUQ Z2, Z1, Z5          // lo52(x*y)
-	VPXORQ Z6, Z6, Z6
-	VPMADD52LUQ Z12, Z4, Z6         // lo52(t*p)
-	VPSUBQ Z6, Z5, Z5
-	VPANDQ Z14, Z5, Z5              // z = x*y - t*p in [0, 2p)
-	VPSUBQ Z12, Z5, Z6              // z - p (wraps when z < p)
-	VPMINUQ Z6, Z5, Z5              // fully reduced
-	VMOVDQU64 Z5, (DI)
-	ADDQ $64, DI
-	ADDQ $64, SI
-	ADDQ $64, R8
-	ADDQ $64, R9
-	DECQ CX
-	JNZ  loop
-	VZEROUPPER
-	RET
-
-// func vecMulShoupAddLazyIFMA(out, x, y, yShoup *uint64, n int, p uint64)
-// out[i] = fold2p(out[i] + x[i]*y[i] - t*p): the lazily reduced
-// multiply-accumulate; out stays in [0, 2p) across any chain length.
-TEXT ·vecMulShoupAddLazyIFMA(SB), NOSPLIT, $0-48
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), R8
-	MOVQ yShoup+24(FP), R9
-	MOVQ n+32(FP), CX
-	MOVQ p+40(FP), AX
-	VPBROADCASTQ AX, Z12            // p
-	VPADDQ Z12, Z12, Z13            // 2p
-	MOVQ $0x000FFFFFFFFFFFFF, AX
-	VPBROADCASTQ AX, Z14
-	SHRQ $3, CX
-loop:
-	VMOVDQU64 (SI), Z1              // x
-	VMOVDQU64 (R8), Z2              // y
-	VMOVDQU64 (R9), Z3              // y'
-	VPXORQ Z4, Z4, Z4
-	VPMADD52HUQ Z3, Z1, Z4          // t
-	VPXORQ Z5, Z5, Z5
-	VPMADD52LUQ Z2, Z1, Z5          // lo52(x*y)
-	VPXORQ Z6, Z6, Z6
-	VPMADD52LUQ Z12, Z4, Z6         // lo52(t*p)
-	VPSUBQ Z6, Z5, Z5
-	VPANDQ Z14, Z5, Z5              // product in [0, 2p)
-	VMOVDQU64 (DI), Z0              // acc in [0, 2p)
-	VPADDQ Z5, Z0, Z0               // acc + product in [0, 4p)
-	VPSUBQ Z13, Z0, Z6
-	VPMINUQ Z6, Z0, Z0              // fold to [0, 2p)
-	VMOVDQU64 Z0, (DI)
-	ADDQ $64, DI
-	ADDQ $64, SI
-	ADDQ $64, R8
-	ADDQ $64, R9
-	DECQ CX
-	JNZ  loop
-	VZEROUPPER
-	RET
-
 // ---- general-operand kernels (Barrett by halves) ------------------------
 //
-// The kernels above need a per-coefficient Shoup constant of one operand.
-// The dyadic ops of the evaluator (MulPlain, the Algorithm 5 tensor,
-// decrypt's multiply-add) multiply two variable rows, so the kernels below
-// reduce the 104-bit product with one Barrett constant per row instead —
-// the scheme Intel HEXL uses for its 52-bit path. Inputs and outputs are
+// The dyadic ops of the evaluator (MulPlain, the Algorithm 5 tensor, the
+// key-switch and decrypt multiply-adds) multiply two variable rows, so
+// the kernels reduce the 104-bit product with one Barrett constant per
+// row and need no per-coefficient constant of either operand — the
+// scheme Intel HEXL uses for its 52-bit path. Inputs and outputs are
 // fully reduced, so every result equals Modulus.MulMod/AddMod bit for bit.
 //
 // Let k = bitlen(p), so 2^(k-1) < p < 2^k (p is odd) and k <= 50, and let

@@ -9,16 +9,6 @@ func HasIFMA() bool { return false }
 // IFMAUsable always reports false on non-amd64 builds.
 func IFMAUsable(p uint64, n int) bool { return false }
 
-// VecMulShoup must not be called when IFMAUsable is false.
-func VecMulShoup(out, x, y, yShoup []uint64, p uint64) {
-	panic("uintmod: VecMulShoup without IFMA support")
-}
-
-// VecMulShoupAddLazy must not be called when IFMAUsable is false.
-func VecMulShoupAddLazy(out, x, y, yShoup []uint64, p uint64) {
-	panic("uintmod: VecMulShoupAddLazy without IFMA support")
-}
-
 // VecMul must not be called when IFMAUsable is false.
 func VecMul(out, x, y []uint64, p uint64) {
 	panic("uintmod: VecMul without IFMA support")

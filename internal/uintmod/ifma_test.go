@@ -9,72 +9,6 @@ import (
 // ifmaPrime is a 49-bit NTT-friendly-sized prime for kernel tests.
 const ifmaPrime = uint64(1<<49) - 69
 
-func TestVecMulShoup(t *testing.T) {
-	p := ifmaPrime
-	if !IFMAUsable(p, 64) {
-		t.Skip("no AVX-512 IFMA")
-	}
-	m := NewModulus(p)
-	rng := rand.New(rand.NewSource(1))
-	n := 64
-	x := make([]uint64, n)
-	y := make([]uint64, n)
-	ys := make([]uint64, n)
-	out := make([]uint64, n)
-	for i := range x {
-		x[i] = rng.Uint64() % (4 * p) // lazy operands allowed
-		y[i] = rng.Uint64() % p
-		ys[i] = ShoupPrecomp52(y[i], p)
-	}
-	VecMulShoup(out, x, y, ys, p)
-	for i := range out {
-		want := m.MulMod(m.Reduce(x[i]), y[i])
-		if out[i] != want {
-			t.Fatalf("lane %d: got %d want %d", i, out[i], want)
-		}
-	}
-}
-
-func TestVecMulShoupAddLazy(t *testing.T) {
-	p := ifmaPrime
-	if !IFMAUsable(p, 8) {
-		t.Skip("no AVX-512 IFMA")
-	}
-	m := NewModulus(p)
-	rng := rand.New(rand.NewSource(2))
-	n := 32
-	acc := make([]uint64, n)
-	ref := make([]uint64, n)
-	x := make([]uint64, n)
-	y := make([]uint64, n)
-	ys := make([]uint64, n)
-	// Chain many accumulations; the lazy accumulator must stay in [0, 2p)
-	// and agree with the strict sum mod p.
-	for round := 0; round < 50; round++ {
-		for i := range x {
-			x[i] = rng.Uint64() % p
-			y[i] = rng.Uint64() % p
-			ys[i] = ShoupPrecomp52(y[i], p)
-		}
-		VecMulShoupAddLazy(acc, x, y, ys, p)
-		for i := range ref {
-			ref[i] = AddMod(ref[i], m.MulMod(x[i], y[i]), p)
-		}
-		for i := range acc {
-			if acc[i] >= 2*p {
-				t.Fatalf("round %d lane %d: accumulator %d escaped [0, 2p)", round, i, acc[i])
-			}
-			got := acc[i]
-			if got >= p {
-				got -= p
-			}
-			if got != ref[i] {
-				t.Fatalf("round %d lane %d: got %d want %d", round, i, got, ref[i])
-			}
-		}
-	}
-}
-
 func TestShoupPrecomp52(t *testing.T) {
 	p := ifmaPrime
 	rng := rand.New(rand.NewSource(3))

@@ -53,26 +53,6 @@ func FuzzMulRedLazy(f *testing.F) {
 	})
 }
 
-func FuzzMulAddLazy(f *testing.F) {
-	f.Add(uint64(7), uint64(12345), uint64(678), uint64(1)<<40+9)
-	f.Fuzz(func(t *testing.T, accRaw, x, yRaw, pRaw uint64) {
-		p := (pRaw >> 2) | 3
-		twoP := 2 * p
-		acc := accRaw % twoP
-		y := yRaw % p
-		ys := ShoupPrecomp(y, p)
-		m := NewModulus(p)
-		z := MulAddLazy(acc, x, y, ys, p, twoP)
-		if z >= twoP {
-			t.Fatalf("MulAddLazy escaped [0, 2p): %d for p=%d", z, p)
-		}
-		want := AddMod(m.Reduce(acc), m.MulMod(m.Reduce(x), y), p)
-		if m.Reduce(z) != want {
-			t.Fatalf("MulAddLazy(%d, %d, %d) mod %d incongruent", acc, x, y, p)
-		}
-	})
-}
-
 func FuzzMulRedLazy54(f *testing.F) {
 	f.Add(uint64(12345), uint64(678), uint64(1)<<40+9)
 	f.Fuzz(func(t *testing.T, xRaw, yRaw, pRaw uint64) {

@@ -255,20 +255,6 @@ func AddLazy(x, y uint64) uint64 { return x + y }
 // x-y in (0, 4p) without a branch. twoP must be 2*p.
 func SubLazy(x, y, twoP uint64) uint64 { return x + twoP - y }
 
-// MulAddLazy returns acc + x·y mod' 2p for an accumulator acc in [0, 2p)
-// and yShoup = ShoupPrecomp(y, p): the lazily reduced multiply-accumulate
-// at the heart of the key-switching inner loop. The result stays in
-// [0, 2p), so chains of any length never overflow. x may itself be lazy
-// (any 64-bit value); y must be < p.
-func MulAddLazy(acc, x, y, yShoup, p, twoP uint64) uint64 {
-	t, _ := bits.Mul64(x, yShoup)
-	z := acc + x*y - t*p // acc < 2p plus a [0,2p) product: < 4p
-	if z >= twoP {
-		z -= twoP
-	}
-	return z
-}
-
 // ShoupPrecomp52 returns y' = floor(y * 2^52 / p), the Shoup constant at
 // the scale the AVX-512 IFMA kernels multiply at (52-bit lanes). Requires
 // y < p < 2^50. With this scale, t = floor(x·y'/2^52) underestimates

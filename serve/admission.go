@@ -45,11 +45,11 @@ type TenantPolicy struct {
 	// ErrOverloaded immediately instead of blocking.
 	MaxQueued int
 	// MaxBytes caps the tenant's server-side memory footprint: uploaded
-	// evaluation-key bytes plus the estimated working set of every
-	// queued and executing run (0 = unlimited). Work that would exceed
-	// the cap is shed with ErrResourceExhausted before any allocation,
-	// so one tenant's key set and backlog cannot squeeze the others out
-	// of memory.
+	// evaluation-key bytes (the serialized size is the resident size)
+	// plus the estimated working set of every queued and executing run
+	// (0 = unlimited). Work over the cap is shed with
+	// ErrResourceExhausted before any allocation, so one tenant's key
+	// set and backlog cannot squeeze the others out of memory.
 	MaxBytes int64
 }
 

@@ -35,8 +35,9 @@ type registry struct {
 type tenantEntry struct {
 	name string
 	evk  *heax.EvaluationKeySet
-	// keyBytes is the serialized size of the uploaded key set, charged
-	// against TenantPolicy.MaxBytes.
+	// keyBytes is the serialized size of the uploaded key set, which is
+	// also what evk occupies in memory (framing aside); charged against
+	// TenantPolicy.MaxBytes.
 	keyBytes int64
 
 	// refs counts the registration itself plus one per holder (cached
@@ -158,8 +159,9 @@ func (r *registry) len() int {
 	return len(r.tenants)
 }
 
-// keyBytes reports the serialized key footprint of every currently
-// registered tenant — the registration half of the MaxBytes budget.
+// keyBytes reports the key footprint — serialized and, framing aside,
+// resident — of every currently registered tenant: the registration
+// half of the MaxBytes budget.
 // Keys kept live past unregister by in-flight holders are excluded:
 // this is the admitted footprint, not the transient one.
 func (r *registry) keyBytes() int64 {

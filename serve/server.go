@@ -265,7 +265,7 @@ func NewServer(params *heax.Params, opts ...Option) (*Server, error) {
 		"Currently registered tenants.",
 		func() float64 { return float64(s.reg.len()) })
 	mreg.NewGaugeFunc("heax_serve_key_bytes",
-		"Serialized evaluation-key bytes held for registered tenants.",
+		"Evaluation-key bytes held for registered tenants (serialized size = resident size).",
 		func() float64 { return float64(s.reg.keyBytes()) })
 	mreg.NewGaugeFunc("heax_serve_cached_plans",
 		"Compiled plans resident in the LRU cache.",
@@ -539,8 +539,8 @@ type Stats struct {
 	CacheHits      int64
 	CacheMisses    int64
 	CacheEvictions int64
-	// KeyBytes is the serialized evaluation-key footprint of every
-	// currently registered tenant.
+	// KeyBytes is the serialized — and, framing aside, resident —
+	// evaluation-key footprint of every currently registered tenant.
 	KeyBytes int64
 	// Draining reports a graceful shutdown in progress (new work is
 	// being rejected while admitted runs finish) — the signal a
@@ -751,8 +751,9 @@ func (s *Server) handleRegister(payload []byte) error {
 		return err
 	}
 	// Budget the key bytes BEFORE deserializing: an oversized key set is
-	// shed while it is still one wire blob, not after it has been
-	// expanded into live polynomial memory.
+	// shed while it is still one wire blob, not after a second copy of
+	// the same size exists as live polynomials (decoding adds nothing
+	// beyond the blob's own rows, so the blob length is the charge).
 	if limit := s.adm.policyFor(name).MaxBytes; limit > 0 && int64(len(blob)) > limit {
 		return fmt.Errorf("%w: tenant %q key set of %d bytes exceeds the %d-byte budget",
 			ErrResourceExhausted, name, len(blob), limit)
