@@ -10,18 +10,17 @@
 // Usage:
 //
 //	heax-serve [-addr :7609] [-params B] [-cache 64] [-admission 0]
-//	           [-max-frame-mb 1024] [-plan-workers 0] [-drain 30s]
+//	           [-max-frame-mb 1024] [-drain 30s]
 //	           [-tenant-weights alice=3,bob=1] [-tenant-queue 64]
 //	           [-tenant-inflight 0] [-dedup 256]
 //	           [-state-dir DIR] [-fsync always] [-max-tenant-bytes 0]
-//	           [-metrics-addr :9090] [-trace-steps] [-slow-run 0]
+//	           [-metrics-addr :9090] [-slow-run 0]
 //	           [-version]
 //
 // -params picks the paper's Table 2 parameter set (A, B or C) — one
 // set per daemon, like one synthesized accelerator. -admission 0 means
-// GOMAXPROCS concurrent input sets; -plan-workers 0 leaves each plan's
-// row-level fan-out at the evaluator default. See examples/client for
-// the matching client flow.
+// GOMAXPROCS concurrent input sets. See examples/client for the
+// matching client flow.
 //
 // -state-dir makes tenant registrations durable: every register and
 // unregister is appended to a checksummed write-ahead log (snapshotted
@@ -38,9 +37,9 @@
 // surface: /metrics (Prometheus text exposition — per-tenant admission
 // counters, plan-cache hit rate, per-plan and per-step-kind latency
 // histograms), /healthz (200 while serving, 503 while draining), and
-// /debug/pprof. -trace-steps (default on) times every executed plan
-// step by kind; -slow-run logs any Run slower than the given threshold
-// with tenant, plan id and duration.
+// /debug/pprof. Every executed plan step is timed by kind; -slow-run
+// logs any Run slower than the given threshold with tenant, plan id and
+// duration.
 //
 // On SIGTERM the daemon drains gracefully: listeners close, in-flight
 // runs finish and flush their responses, new work is refused with the
@@ -173,7 +172,6 @@ func main() {
 	cache := flag.Int("cache", 64, "compiled-plan cache capacity (LRU, all tenants)")
 	admission := flag.Int("admission", 0, "concurrent input sets across all tenants (0 = GOMAXPROCS)")
 	maxFrameMB := flag.Int("max-frame-mb", serve.DefaultMaxFrame>>20, "maximum protocol frame size in MiB")
-	planWorkers := flag.Int("plan-workers", 0, "row-level worker cap per compiled plan (0 = evaluator default)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful drain window on SIGTERM before a hard stop")
 	tenantWeights := flag.String("tenant-weights", "", "per-tenant admission weights, e.g. alice=3,bob=1 (others get weight 1)")
 	tenantQueue := flag.Int("tenant-queue", serve.DefaultTenantQueue, "queued input sets allowed per tenant before shedding")
@@ -183,7 +181,6 @@ func main() {
 	fsyncMode := flag.String("fsync", "always", "tenant-log fsync policy: always (crash-safe per record) or never (leave flushing to the OS)")
 	maxTenantBytes := flag.Int64("max-tenant-bytes", 0, "per-tenant memory budget in bytes: keys + live run working set (0 = unlimited)")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address for /metrics, /healthz and /debug/pprof (empty = disabled)")
-	traceSteps := flag.Bool("trace-steps", true, "record per-step-kind execution latency on every compiled plan")
 	slowRun := flag.Duration("slow-run", 0, "log any Run request slower than this threshold (0 = disabled)")
 	showVersion := flag.Bool("version", false, "print version and revision, then exit")
 	flag.Parse()
@@ -219,7 +216,6 @@ func main() {
 			MaxBytes:    *maxTenantBytes,
 		}),
 		serve.WithDedupCapacity(*dedup),
-		serve.WithStepTracing(*traceSteps),
 	}
 	if *slowRun > 0 {
 		opts = append(opts, serve.WithSlowRunLog(*slowRun, log.Printf))
@@ -250,9 +246,6 @@ func main() {
 		window = runtime.GOMAXPROCS(0)
 	}
 	opts = append(opts, serve.WithAdmissionWindow(window))
-	if *planWorkers > 0 {
-		opts = append(opts, serve.WithCompileOptions(heax.WithPlanWorkers(*planWorkers)))
-	}
 	weights, err := parseTenantWeights(*tenantWeights, *tenantQueue, *tenantInflight)
 	if err != nil {
 		log.Fatal(err)

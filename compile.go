@@ -37,7 +37,7 @@ import (
 // level's modulus or underflowing 1, a key the EvaluationKeySet lacks
 // — fails here, before anything runs, with the usual sentinels
 // (ErrLevelMismatch, ErrScaleMismatch, ErrKeyMissing).
-func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet, opts ...CompileOption) (*Plan, error) {
+func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
@@ -46,10 +46,6 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet, opts ...Compile
 	}
 	if evk == nil {
 		evk = &EvaluationKeySet{}
-	}
-	cfg := compileConfig{hoist: true}
-	for _, opt := range opts {
-		opt(&cfg)
 	}
 
 	rep := c.eliminateCommon(params)
@@ -86,14 +82,12 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet, opts ...Compile
 	if err != nil {
 		return nil, err
 	}
-	if cfg.hoist {
-		k.hoistRotations()
-	}
+	k.hoistRotations()
 
 	crew := crewPerProc * runtime.GOMAXPROCS(0)
 	p := &Plan{
 		params:    params,
-		eval:      NewEvaluator(params, evk, evalOpts(cfg)...),
+		eval:      NewEvaluator(params, evk),
 		steps:     k.steps,
 		nSlots:    k.nSlots,
 		inputs:    k.inputSlots,
@@ -152,35 +146,6 @@ const (
 	batchWindow      = 2
 	lookaheadPerCrew = 16
 )
-
-// CompileOption configures Compile.
-type CompileOption func(*compileConfig)
-
-type compileConfig struct {
-	hoist   bool
-	workers int
-}
-
-func evalOpts(cfg compileConfig) []EvaluatorOption {
-	if cfg.workers > 0 {
-		return []EvaluatorOption{WithWorkers(cfg.workers)}
-	}
-	return nil
-}
-
-// WithoutHoisting disables the grouping of same-source rotations into
-// hoisted-decomposition batches (the hoisted kernel is numerically
-// equivalent but not bit-identical to step-by-step rotation; disable it
-// to compare against the plain path).
-func WithoutHoisting() CompileOption {
-	return func(cfg *compileConfig) { cfg.hoist = false }
-}
-
-// WithPlanWorkers caps the row-level worker fan-out of the plan's
-// internal evaluator (per-evaluator, as WithWorkers).
-func WithPlanWorkers(n int) CompileOption {
-	return func(cfg *compileConfig) { cfg.workers = n }
-}
 
 // --- CSE and pruning -------------------------------------------------------
 

@@ -12,12 +12,11 @@ package ckks
 // row-parallel passes on the ring context's RunRows, with a join where
 // the board has a FIFO: the level+1 digit INTTs, then the level+2
 // accumulator rows, then the flooring tail (FloorDropRowsPairAddInto).
-// Each accumulator row belongs to one participant, which base-converts
-// the digits to its prime in cache-sized chunks (ForwardBatch shares
-// the target prime's twiddle stream across a chunk), consumes each
-// chunk while it is cache-hot, and keeps its acc0/acc1 row resident
-// across all digits. Rows are disjoint, so nothing is locked, and with
-// one worker RunRows simply runs the same rows inline.
+// Each accumulator row belongs to one participant, which takes the
+// digits one at a time — base-convert to its prime into one scratch row,
+// transform, MAC while the row is cache-hot — and keeps its acc0/acc1
+// row resident across all digits. Rows are disjoint, so nothing is
+// locked, and with one worker RunRows simply runs the same rows inline.
 //
 // The MAC is the ring's general multiply-add row (MulCoeffsAddRow):
 // fully reduced in and out, no per-key constants, so the key rows it
@@ -48,10 +47,6 @@ type ksJob struct {
 	intt       *ring.Poly // per-digit INTT outputs, level+1 rows
 	level      int
 
-	// lists holds one ForwardBatch row list per decomposition target
-	// row (level+1 entries each), so rows share no scratch.
-	lists [][]uint64
-
 	// The row passes as func values, bound once per pooled job: a method
 	// value made at the RunRows call would allocate on every key switch.
 	inttRow, macRow, hoistedRow, decompRow func(int)
@@ -74,7 +69,6 @@ func (ev *Evaluator) putJob(j *ksJob) {
 	j.c, j.hd, j.out, j.table = nil, nil, nil, nil
 	j.digits = nil
 	j.acc0, j.acc1, j.intt = nil, nil, nil
-	clear(j.lists[:cap(j.lists)]) // drop references into pooled scratch
 	ev.jobs.Put(j)
 }
 
@@ -85,14 +79,16 @@ func (j *ksJob) runINTTRow(i int) {
 	j.ctx.Tables[i].Inverse(a)
 }
 
-// convert reduces digit i's coefficient form modulo the target prime
-// into dst (Algorithm 7 line 6); the caller transforms dst.
+// convert writes digit i in NTT form modulo the target prime into dst:
+// the coefficient form reduced (Algorithm 7 line 6), then transformed
+// (line 7).
 func (j *ksJob) convert(i, basisIdx int, dst []uint64) {
 	m := j.ctx.Basis.Mods[basisIdx]
 	a := j.intt.Coeffs[i]
 	for t := range dst {
 		dst[t] = m.Reduce(a[t])
 	}
+	j.ctx.Tables[basisIdx].Forward(dst)
 }
 
 // mac adds digit i's two key products into accumulator row jj from the
@@ -106,31 +102,19 @@ func (j *ksJob) mac(i, jj, basisIdx int, b []uint64) {
 // runMACRow fills accumulator row jj: lines 5-10 (conversion) and
 // 11-12/16-17 (the two MACs) of Algorithm 7 for every digit.
 func (j *ksJob) runMACRow(jj int) {
-	ctx, level := j.ctx, j.level
-	basisIdx := j.ev.rowIdx[level][jj]
-	tb := ctx.Tables[basisIdx]
-	chunk := min(tb.BatchRows(), level+1)
-	conv := ctx.GetPolyNoZero(chunk)
-	defer ctx.PutPoly(conv)
-	for i := 0; i <= level; {
-		first, k := i, 0
-		for ; i <= level && k < chunk; i++ {
-			if i != basisIdx {
-				j.convert(i, basisIdx, conv.Coeffs[k])
-				k++
-			}
+	ctx := j.ctx
+	basisIdx := j.ev.rowIdx[j.level][jj]
+	buf := ctx.GetPolyNoZero(1)
+	defer ctx.PutPoly(buf)
+	conv := buf.Coeffs[0]
+	for i := 0; i <= j.level; i++ {
+		// Line 9: the digit's own prime reuses the NTT-form input.
+		b := j.c.Coeffs[i]
+		if i != basisIdx {
+			j.convert(i, basisIdx, conv)
+			b = conv
 		}
-		tb.ForwardBatch(conv.Coeffs[:k]...)
-		k = 0
-		for d := first; d < i; d++ {
-			// Line 9: the digit's own prime reuses the NTT-form input.
-			b := j.c.Coeffs[d]
-			if d != basisIdx {
-				b = conv.Coeffs[k]
-				k++
-			}
-			j.mac(d, jj, basisIdx, b)
-		}
+		j.mac(i, jj, basisIdx, b)
 	}
 }
 
@@ -162,25 +146,15 @@ func (j *ksJob) runHoistedRow(jj int) {
 // (lines 3-10 of Algorithm 7): it converts every digit to target row jj
 // straight into the cached digit polynomials.
 func (j *ksJob) runDecompRow(jj int) {
-	level := j.level
-	basisIdx := j.ev.rowIdx[level][jj]
-	tb := j.ctx.Tables[basisIdx]
-	chunk := min(tb.BatchRows(), level+1)
-	list := j.lists[jj*(level+1) : jj*(level+1) : (jj+1)*(level+1)]
-	for i := 0; i <= level; i++ {
+	basisIdx := j.ev.rowIdx[j.level][jj]
+	for i := 0; i <= j.level; i++ {
 		row := j.out.digits[i].Coeffs[jj]
 		if i == basisIdx {
 			copy(row, j.c.Coeffs[i])
-			continue
-		}
-		j.convert(i, basisIdx, row)
-		list = append(list, row)
-		if len(list) == chunk {
-			tb.ForwardBatch(list...)
-			list = list[:0]
+		} else {
+			j.convert(i, basisIdx, row)
 		}
 	}
-	tb.ForwardBatch(list...)
 }
 
 // keySwitchMAC runs the multiply-accumulate phase of Algorithm 7 over
@@ -211,11 +185,6 @@ func (ev *Evaluator) decompose(c *ring.Poly, hd *HoistedDecomposition, level int
 	ctx := ev.ctx
 	j := ev.getJob(level)
 	j.c, j.out = c, hd
-	if n := (level + 2) * (level + 1); cap(j.lists) < n {
-		j.lists = make([][]uint64, n)
-	} else {
-		j.lists = j.lists[:n]
-	}
 	//heax:owns the job owns it; PutPoly(j.intt) runs before putJob below
 	j.intt = ctx.GetPolyNoZero(level + 1)
 	ctx.RunRows(level+1, j.inttRow)

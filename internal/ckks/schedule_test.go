@@ -307,3 +307,29 @@ func (e mismatchError) Error() string {
 }
 
 func errMismatch(op string, gor, iter int) error { return mismatchError{op, gor, iter} }
+
+// BenchmarkKeySwitch_ScalarRows prices one key switch on all-55-bit
+// primes under a 58-bit special prime: rows the IFMA kernels cannot
+// take, so every transform and MAC runs the scalar path — the platform
+// path (any non-IFMA host) that no BENCHMARK.json workload reaches.
+func BenchmarkKeySwitch_ScalarRows(b *testing.B) {
+	for _, spec := range []ParamSpec{
+		{Name: "LogN12", LogN: 12, QBits: []int{55, 55}, PBits: 58, LogScale: 45},
+		{Name: "LogN14", LogN: 14, QBits: []int{55, 55, 55, 55}, PBits: 58, LogScale: 45},
+	} {
+		params, rlk, ev := schedKit(b, spec)
+		c := schedRandomPoly(params.RingQP, params.K(), rand.New(rand.NewSource(5)))
+		for _, w := range []struct {
+			name string
+			n    int
+		}{{"w1", 1}, {"default", ev.Workers()}} {
+			ev.SetWorkers(w.n)
+			b.Run(spec.Name+"/"+w.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ev.KeySwitchPoly(c, &rlk.SwitchingKey)
+				}
+			})
+		}
+	}
+}

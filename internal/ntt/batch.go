@@ -1,228 +1,18 @@
 package ntt
 
-// Batched multi-row transform entry points: transform several rows that
-// share one modulus in a single stage-major sweep, loading each stage's
-// twiddle factors once for the whole batch instead of once per row. This
-// is the software analogue of HEAX's shared twiddle BRAMs feeding many
-// butterfly cores (Section 4.2): the twiddle stream is the reused
-// operand, the rows are the parallel lanes.
-//
-// The batch paths use exactly the same lazy butterflies as Forward and
-// Inverse, applied in the same per-element order, so their outputs are
-// bit-identical to the per-row transforms (asserted by batch_test.go).
-// Call sites with a single row, tiny rings, or the IFMA kernels (which
-// already stream twiddles at full vector width) fall back to the
-// per-row hot path.
+// Forward and Inverse are the only transforms. A stage-major sweep that
+// shared each stage's twiddles across several rows (the software copy of
+// HEAX's shared twiddle BRAMs, Section 4.2) was tried and dropped: never
+// reached on IFMA rows, 1.45-1.6x slower than the per-row transform on
+// scalar ones (DESIGN.md, "Tried and dropped"). The two names below stay
+// only because benchmark/layers.go, which a PR may not edit, calls them.
 
-// batchCacheBudget bounds the row data a stage-major sweep touches per
-// stage (bytes). Beyond it, walking every row once per stage evicts the
-// rows between stages and the shared-twiddle win turns into a cache
-// loss, so oversized batches are split into resident chunks.
-const batchCacheBudget = 1 << 18
+// BatchRows returns 1: rows are transformed one at a time.
+func (t *Tables) BatchRows() int { return 1 }
 
-// batchChunk returns how many rows of length n fit the stage-major
-// cache budget (at least 2 — a chunk of 1 falls back to the per-row
-// transform anyway).
-func batchChunk(n int) int {
-	c := batchCacheBudget / (8 * n)
-	if c < 2 {
-		c = 2
-	}
-	return c
-}
-
-// BatchRows returns the preferred batch size for this table: callers
-// producing many rows to transform get the best locality by preparing
-// and transforming (and consuming) BatchRows rows at a time.
-func (t *Tables) BatchRows() int {
-	if t.N < 16 || t.ifma {
-		return 1
-	}
-	return batchChunk(t.N)
-}
-
-// ForwardBatch computes the in-place negacyclic NTT of every row
-// (Algorithm 3). All rows must have length N and fully reduced inputs;
-// outputs are bit-identical to calling Forward on each row.
+// ForwardBatch calls Forward on each row.
 func (t *Tables) ForwardBatch(rows ...[]uint64) {
-	if len(rows) == 0 {
-		return
-	}
-	if len(rows) == 1 || t.N < 16 || t.ifma {
-		for _, a := range rows {
-			t.Forward(a)
-		}
-		return
-	}
-	if chunk := batchChunk(t.N); len(rows) > chunk {
-		for len(rows) > 0 {
-			c := chunk
-			if c > len(rows) {
-				c = len(rows)
-			}
-			t.ForwardBatch(rows[:c]...)
-			rows = rows[c:]
-		}
-		return
-	}
 	for _, a := range rows {
-		if len(a) != t.N {
-			panic("ntt: length mismatch")
-		}
-	}
-	n := t.N
-	p := t.Mod.P
-	twoP := 2 * p
-	psi := t.psiRev
-	psiShoup := t.psiRevShoup
-
-	// First stage (m = 1): one twiddle across the two halves of every
-	// row; inputs are < p, so the entry fold is skipped.
-	{
-		w, ws := psi[1], psiShoup[1]
-		h := n >> 1
-		for _, a := range rows {
-			for j := 0; j < h; j += 8 {
-				x := a[j : j+8 : j+8]
-				y := a[j+h : j+h+8 : j+h+8]
-				for k := 0; k < 8; k++ {
-					x[k], y[k] = butterflyFirst(x[k], y[k], w, ws, p, twoP)
-				}
-			}
-		}
-	}
-
-	step := n >> 1
-	for m := 2; m < n; m <<= 1 {
-		step >>= 1
-		switch {
-		case step >= 8:
-			for i := 0; i < m; i++ {
-				j1 := 2 * i * step
-				w, ws := psi[m+i], psiShoup[m+i]
-				for _, a := range rows {
-					X := a[j1 : j1+step : j1+step]
-					Y := a[j1+step : j1+2*step : j1+2*step]
-					for j := 0; j < step; j += 8 {
-						x := X[j : j+8 : j+8]
-						y := Y[j : j+8 : j+8]
-						for k := 0; k < 8; k++ {
-							x[k], y[k] = butterfly(x[k], y[k], w, ws, p, twoP)
-						}
-					}
-				}
-			}
-		case step > 1:
-			for i := 0; i < m; i++ {
-				j1 := 2 * i * step
-				w, ws := psi[m+i], psiShoup[m+i]
-				for _, a := range rows {
-					for j := j1; j < j1+step; j++ {
-						a[j], a[j+step] = butterfly(a[j], a[j+step], w, ws, p, twoP)
-					}
-				}
-			}
-		default:
-			// Last stage (step == 1): adjacent pairs, fully reduced
-			// outputs.
-			for i := 0; i < m; i++ {
-				w, ws := psi[m+i], psiShoup[m+i]
-				for _, a := range rows {
-					a[2*i], a[2*i+1] = butterflyLast(a[2*i], a[2*i+1], w, ws, p, twoP)
-				}
-			}
-		}
-	}
-}
-
-// InverseBatch computes the in-place negacyclic INTT of every
-// bit-reversed-order row (Algorithm 4), returning fully reduced
-// standard-order coefficients with the 1/n factor applied — bit-identical
-// to calling Inverse on each row.
-func (t *Tables) InverseBatch(rows ...[]uint64) {
-	if len(rows) == 0 {
-		return
-	}
-	if len(rows) == 1 || t.N < 16 || t.ifma {
-		for _, a := range rows {
-			t.Inverse(a)
-		}
-		return
-	}
-	if chunk := batchChunk(t.N); len(rows) > chunk {
-		for len(rows) > 0 {
-			c := chunk
-			if c > len(rows) {
-				c = len(rows)
-			}
-			t.InverseBatch(rows[:c]...)
-			rows = rows[c:]
-		}
-		return
-	}
-	for _, a := range rows {
-		if len(a) != t.N {
-			panic("ntt: length mismatch")
-		}
-	}
-	n := t.N
-	p := t.Mod.P
-	twoP := 2 * p
-	psi := t.psiInvRev
-	psiShoup := t.psiInvRevShoup
-	h := n >> 1
-
-	// First stage (step = 1): adjacent pairs; inputs are < p, so the sum
-	// needs no fold.
-	for i := 0; i < h; i++ {
-		w, ws := psi[h+i], psiShoup[h+i]
-		for _, a := range rows {
-			a[2*i], a[2*i+1] = invButterflyFirst(a[2*i], a[2*i+1], w, ws, p, twoP)
-		}
-	}
-
-	step := 2
-	for m := n >> 2; m >= 2; m >>= 1 {
-		if step >= 8 {
-			for i := 0; i < m; i++ {
-				j1 := 2 * i * step
-				w, ws := psi[m+i], psiShoup[m+i]
-				for _, a := range rows {
-					X := a[j1 : j1+step : j1+step]
-					Y := a[j1+step : j1+2*step : j1+2*step]
-					for j := 0; j < step; j += 8 {
-						x := X[j : j+8 : j+8]
-						y := Y[j : j+8 : j+8]
-						for k := 0; k < 8; k++ {
-							x[k], y[k] = invButterfly(x[k], y[k], w, ws, p, twoP)
-						}
-					}
-				}
-			}
-		} else {
-			for i := 0; i < m; i++ {
-				j1 := 2 * i * step
-				w, ws := psi[m+i], psiShoup[m+i]
-				for _, a := range rows {
-					for j := j1; j < j1+step; j++ {
-						a[j], a[j+step] = invButterfly(a[j], a[j+step], w, ws, p, twoP)
-					}
-				}
-			}
-		}
-		step <<= 1
-	}
-
-	// Last stage (m = 1): fused n^{-1} twiddles, fully reduced outputs.
-	nInv, nInvShoup := t.nInv, t.nInvShoup
-	wLast, wLastShoup := t.psi1NInv, t.psi1NInvShoup
-	for _, a := range rows {
-		for j := 0; j < h; j += 8 {
-			x := a[j : j+8 : j+8]
-			y := a[j+h : j+h+8 : j+h+8]
-			for k := 0; k < 8; k++ {
-				x[k], y[k] = invButterflyLast(x[k], y[k], nInv, nInvShoup, wLast, wLastShoup, p, twoP)
-			}
-		}
+		t.Forward(a)
 	}
 }

@@ -613,19 +613,16 @@ func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []in
 	last := rowPrimes[rows-1]
 	pLast := c.Basis.Primes[last]
 	// Line 1: bring the dropped-prime residues to the coefficient domain.
-	// Both accumulators' tails go through one batched INTT so the special
-	// prime's twiddles are loaded once.
 	tailBuf := c.GetPolyNoZero(2)
 	defer c.PutPoly(tailBuf)
 	tail0 := tailBuf.Coeffs[0]
 	copy(tail0, a0.Coeffs[rows-1])
+	c.Tables[last].Inverse(tail0)
 	var tail1 []uint64
 	if a1 != nil {
 		tail1 = tailBuf.Coeffs[1]
 		copy(tail1, a1.Coeffs[rows-1])
-		c.Tables[last].InverseBatch(tail0, tail1)
-	} else {
-		c.Tables[last].Inverse(tail0)
+		c.Tables[last].Inverse(tail1)
 	}
 	if round {
 		half := pLast >> 1
@@ -637,8 +634,9 @@ func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []in
 		}
 	}
 	c.RunRows(rows-1, func(i int) {
-		rBuf := c.GetPolyNoZero(2)
+		rBuf := c.GetPolyNoZero(1)
 		defer c.PutPoly(rBuf)
+		r := rBuf.Coeffs[0]
 		basisIdx := rowPrimes[i]
 		m := c.Basis.Mods[basisIdx]
 		p := c.Basis.Primes[basisIdx]
@@ -649,30 +647,19 @@ func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []in
 		// Lines 5-6: (a_i - r̃) * p^{-1} mod p_i, with the cross-prime
 		// inverse precomputed at basis construction.
 		pinv, pinvShoup := c.Basis.InvCross(last, basisIdx)
-		// Lines 3-4: r = [a (+⌊p/2⌋)]_{p} reduced mod p_i, then NTT.
-		// In rounding mode, subtract the ⌊p/2⌋ shift again per
-		// coefficient here (in the coefficient domain), so that
-		// a_i - r̃ below equals (a+⌊p/2⌋) - [a+⌊p/2⌋]_p, i.e. the
-		// rounded numerator.
-		reduceRow := func(r, tail []uint64) {
+		floorRow := func(a *Poly, tail []uint64, out, add *Poly) {
+			// Lines 3-4: r = [a (+⌊p/2⌋)]_{p} reduced mod p_i, then NTT.
+			// In rounding mode, subtract the ⌊p/2⌋ shift again per
+			// coefficient here (in the coefficient domain), so that
+			// a_i - r̃ below equals (a+⌊p/2⌋) - [a+⌊p/2⌋]_p, i.e. the
+			// rounded numerator.
 			for j := range r {
 				r[j] = m.Reduce(tail[j])
 				if round {
 					r[j] = uintmod.SubMod(r[j], halfModPi, p)
 				}
 			}
-		}
-		r0 := rBuf.Coeffs[0]
-		reduceRow(r0, tail0)
-		var r1 []uint64
-		if a1 != nil {
-			r1 = rBuf.Coeffs[1]
-			reduceRow(r1, tail1)
-			c.Tables[basisIdx].ForwardBatch(r0, r1)
-		} else {
-			c.Tables[basisIdx].Forward(r0)
-		}
-		floorRow := func(a *Poly, r []uint64, out, add *Poly) {
+			c.Tables[basisIdx].Forward(r)
 			ai, oi := a.Coeffs[i], out.Coeffs[i]
 			if add != nil {
 				di := add.Coeffs[i]
@@ -687,9 +674,9 @@ func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []in
 				oi[j] = uintmod.MulRed(v, pinv, pinvShoup, p)
 			}
 		}
-		floorRow(a0, r0, out0, add0)
+		floorRow(a0, tail0, out0, add0)
 		if a1 != nil {
-			floorRow(a1, r1, out1, add1)
+			floorRow(a1, tail1, out1, add1)
 		}
 	})
 }

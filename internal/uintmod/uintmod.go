@@ -64,10 +64,6 @@ func NewModulus(p uint64) Modulus {
 	return Modulus{P: p, ratio: [2]uint64{qlo, qhi}}
 }
 
-// BarrettHi returns the high word of floor(2^128/P), the constant used by
-// single-word Barrett reduction.
-func (m Modulus) BarrettHi() uint64 { return m.ratio[1] }
-
 // Reduce returns x mod P for any single-word x using Barrett reduction
 // with the precomputed ratio (Algorithm 1 specialised to one word).
 func (m Modulus) Reduce(x uint64) uint64 {
@@ -219,24 +215,11 @@ func MulRedLazy(x, y, yShoup, p uint64) uint64 {
 	return x*y - t*p
 }
 
-// --- lazy-reduction helpers (Harvey butterflies) ----------------------
-//
-// The lazy NTT keeps operands in [0, 4p) through the forward transform
-// and [0, 2p) through the inverse, deferring full reduction to a single
-// final pass. These helpers are the word-level pieces of that invariant;
-// all of them require p < 2^62 so that 4p fits in a 64-bit word.
-
-// LazyReduce2P maps x in [0, 4p) to x mod' 2p in [0, 2p) with one
-// conditional subtraction. twoP must be 2*p.
-func LazyReduce2P(x, twoP uint64) uint64 {
-	if x >= twoP {
-		x -= twoP
-	}
-	return x
-}
-
 // LazyReduce maps x in [0, 4p) to the fully reduced x mod p with two
-// conditional subtractions. twoP must be 2*p.
+// conditional subtractions — the single final pass of the lazy NTT
+// (Harvey butterflies), which keeps operands in [0, 4p) through the
+// forward transform and [0, 2p) through the inverse. twoP must be 2*p,
+// and p < 2^62 so that 4p fits in a 64-bit word.
 func LazyReduce(x, p, twoP uint64) uint64 {
 	if x >= twoP {
 		x -= twoP
@@ -246,14 +229,6 @@ func LazyReduce(x, p, twoP uint64) uint64 {
 	}
 	return x
 }
-
-// AddLazy returns x+y without any reduction: for x, y in [0, 2p) the sum
-// lies in [0, 4p), the forward-butterfly upper bound.
-func AddLazy(x, y uint64) uint64 { return x + y }
-
-// SubLazy returns x-y+2p, mapping x, y in [0, 2p) to a representative of
-// x-y in (0, 4p) without a branch. twoP must be 2*p.
-func SubLazy(x, y, twoP uint64) uint64 { return x + twoP - y }
 
 // ShoupPrecomp52 returns y' = floor(y * 2^52 / p), the Shoup constant at
 // the scale the AVX-512 IFMA kernels multiply at (52-bit lanes). Requires
@@ -304,19 +279,6 @@ func MulRed54(x, y, yShoup, p uint64) uint64 {
 		z -= p
 	}
 	return z
-}
-
-// MulRedLazy54 is MulRed54 without the final conditional subtraction: the
-// result lies in [0, 2p) and every intermediate stays a 54-bit word. As
-// with MulRedLazy, x need not be reduced — any x < 2^54 works, and since
-// p < 2^52 the whole lazy range [0, 4p) fits the 54-bit datapath word, so
-// a HEAX-style dyadic core can chain lazy operations exactly as the w=64
-// path does.
-func MulRedLazy54(x, y, yShoup, p uint64) uint64 {
-	z := (x * y) & mask54
-	hi, lo := bits.Mul64(x, yShoup)
-	t := hi<<(64-Word54) | lo>>Word54
-	return (z - (t*p)&mask54) & mask54
 }
 
 // Reduce54 performs Barrett reduction (Algorithm 1) on a two-word 54-bit

@@ -270,10 +270,11 @@ func TestPlanOracleExampleCircuits(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := newOracleKit(t, tc.spec, tc.steps, tc.conjugate)
-			plan, err := tc.circuit.Compile(k.params, k.evk, WithPlanWorkers(2))
+			plan, err := tc.circuit.Compile(k.params, k.evk)
 			if err != nil {
 				t.Fatal(err)
 			}
+			plan.eval.inner.SetWorkers(2)
 			setCrew(plan, 4)
 			in := tc.inputs(t, k)
 			want := replayPlan(t, plan, in)

@@ -167,48 +167,43 @@ func TestPlanCSEAndPruning(t *testing.T) {
 }
 
 // TestPlanRotationHoisting: rotations sharing a source compile into one
-// hoisted-decomposition batch; disabling hoisting keeps them separate.
+// hoisted-decomposition batch, which agrees with rotating step by step
+// on the imperative evaluator.
 func TestPlanRotationHoisting(t *testing.T) {
 	k := newAPIKit(t)
-	build := func() *heax.Circuit {
-		c := heax.NewCircuit()
-		x := c.Input("x")
-		s := c.Add(c.Rotate(x, 1), c.Rotate(x, 2))
-		c.Output("y", c.Add(s, x))
-		return c
-	}
-	hoisted, err := build().Compile(k.params, k.evk)
+	c := heax.NewCircuit()
+	x := c.Input("x")
+	s := c.Add(c.Rotate(x, 1), c.Rotate(x, 2))
+	c.Output("y", c.Add(s, x))
+	hoisted, err := c.Compile(k.params, k.evk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := build().Compile(k.params, k.evk, heax.WithoutHoisting())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(hoisted.Describe(), "RotateHoisted") {
-		t.Fatalf("expected a hoisted batch:\n%s", hoisted.Describe())
-	}
-	if strings.Contains(plain.Describe(), "RotateHoisted") {
-		t.Fatalf("WithoutHoisting must keep plain rotations:\n%s", plain.Describe())
-	}
-	if hoisted.NumSteps() != plain.NumSteps()-1 {
-		t.Fatalf("hoisting should merge 2 rotations into 1 step: %d vs %d", hoisted.NumSteps(), plain.NumSteps())
+	if n := strings.Count(hoisted.Describe(), "RotateHoisted"); n != 1 || hoisted.NumSteps() != 3 {
+		t.Fatalf("hoisting should merge 2 rotations into 1 step beside the 2 additions: %d hoisted, %d steps\n%s",
+			n, hoisted.NumSteps(), hoisted.Describe())
 	}
 
-	in := map[string]*heax.Ciphertext{"x": encryptVals(t, k, []float64{1, 2, 3, 4})}
-	outH, err := hoisted.Run(in)
+	ct := encryptVals(t, k, []float64{1, 2, 3, 4})
+	out, err := hoisted.Run(map[string]*heax.Ciphertext{"x": ct})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outP, err := plain.Run(in)
-	if err != nil {
-		t.Fatal(err)
+	want := ct
+	for _, step := range []int{1, 2} {
+		r, err := k.eval.RotateLeft(ct, step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err = k.eval.Add(want, r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	gotH := k.decodeReal(t, outH["y"], 4)
-	gotP := k.decodeReal(t, outP["y"], 4)
+	gotH := k.decodeReal(t, out["y"], 4)
+	gotP := k.decodeReal(t, want, 4)
 	for i := range gotH {
 		if math.Abs(gotH[i]-gotP[i]) > 1e-4 {
-			t.Fatalf("hoisted and plain plans diverge at slot %d: %g vs %g", i, gotH[i], gotP[i])
+			t.Fatalf("hoisted plan and step-by-step rotation diverge at slot %d: %g vs %g", i, gotH[i], gotP[i])
 		}
 	}
 }

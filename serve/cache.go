@@ -65,14 +65,9 @@ type planCache struct {
 	order *list.List // front = most recently used
 	byKey map[cacheKey]*list.Element
 
-	// Hit/miss/eviction counts live under c.mu and are mirrored to the
-	// obs counters inside the same critical section — Stats and a
-	// /metrics scrape can disagree only by scrape timing, never by a
-	// lost or double-counted event.
-	hits      int64
-	misses    int64
-	evictions int64
-	m         *serveMetrics
+	// Hits, misses and evictions are counted once, on m's obs counters,
+	// which both Stats and a /metrics scrape read.
+	m *serveMetrics
 }
 
 func newPlanCache(capacity int, m *serveMetrics) *planCache {
@@ -91,11 +86,9 @@ func (c *planCache) get(key cacheKey) (*cachedPlan, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		c.misses++
 		c.m.cacheMisses.Inc()
 		return nil, false
 	}
-	c.hits++
 	c.m.cacheHits.Inc()
 	c.order.MoveToFront(el)
 	return el.Value.(*cachedPlan), true
@@ -131,7 +124,6 @@ func (c *planCache) add(cp *cachedPlan) (evicted []*cachedPlan) {
 		c.order.Remove(oldest)
 		old := oldest.Value.(*cachedPlan)
 		delete(c.byKey, old.key)
-		c.evictions++
 		c.m.cacheEvictions.Inc()
 		evicted = append(evicted, old)
 	}
@@ -150,7 +142,6 @@ func (c *planCache) removeEntry(cp *cachedPlan) bool {
 	}
 	c.order.Remove(el)
 	delete(c.byKey, cp.key)
-	c.evictions++
 	c.m.cacheEvictions.Inc()
 	return true
 }
@@ -166,7 +157,6 @@ func (c *planCache) purgeTenant(tenant string) (purged []*cachedPlan) {
 		if cp.key.tenant == tenant {
 			c.order.Remove(el)
 			delete(c.byKey, cp.key)
-			c.evictions++
 			c.m.cacheEvictions.Inc()
 			purged = append(purged, cp)
 		}
@@ -179,11 +169,4 @@ func (c *planCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// stats snapshots the cache counters for Stats.
-func (c *planCache) stats() (hits, misses, evictions int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
 }

@@ -34,7 +34,7 @@ type serveMetrics struct {
 	completed  *obs.CounterVec // heax_serve_runs_completed_total
 	shed       *obs.CounterVec // heax_serve_runs_shed_total{tenant,reason}
 
-	// Plan cache (mirrored into Stats under cache.mu).
+	// Plan cache (Stats reads these too).
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
 	cacheEvictions *obs.Counter

@@ -154,36 +154,6 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeMetricsTracingDisabled: WithStepTracing(false) leaves every
-// step histogram empty — the seam is really off, not merely unsampled.
-func TestServeMetricsTracingDisabled(t *testing.T) {
-	reg := obs.NewRegistry()
-	_, addr := startServerWithRegistry(t, testParams(t),
-		serve.WithMetricsRegistry(reg), serve.WithStepTracing(false))
-	cl, err := serve.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	kit := newTenantKit(t, cl.Params(), 98)
-	if err := cl.Register("quiet", kit.evk); err != nil {
-		t.Fatal(err)
-	}
-	info, err := cl.Compile("quiet", kit.matvecCircuit())
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, _ := kit.batches(t, 8, 2)
-	if _, err := cl.Run("quiet", info.ID, in); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(scrape(t, reg), "\n") {
-		if strings.HasPrefix(line, "heax_plan_step_seconds_count") && !strings.HasSuffix(line, " 0") {
-			t.Errorf("tracing disabled but steps were observed: %s", line)
-		}
-	}
-}
-
 // TestServeMetricsShedCounter: an overloaded tenant's rejections land
 // on the per-reason shed counter and in Stats.ShedRuns alike.
 func TestServeMetricsShedCounter(t *testing.T) {

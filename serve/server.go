@@ -60,10 +60,8 @@ type Server struct {
 	// response flush; Shutdown drains it before closing connections.
 	runWG sync.WaitGroup
 
-	canceledRuns    atomic.Int64
-	completedRuns   atomic.Int64
-	dedupHits       atomic.Int64
-	panicsRecovered atomic.Int64
+	completedRuns atomic.Int64
+	dedupHits     atomic.Int64
 
 	// testRunDelay stretches every executed run (set by tests before
 	// Serve to saturate the admission layer deterministically).
@@ -89,18 +87,16 @@ type TenantLog interface {
 }
 
 type serverOptions struct {
-	cacheCap    int
-	admission   int
-	maxFrame    int
-	dedupCap    int
-	defPolicy   TenantPolicy
-	policies    map[string]TenantPolicy
-	compileOpts []heax.CompileOption
-	tlog        TenantLog
-	metricsReg  *obs.Registry
-	traceSteps  bool
-	slowRun     time.Duration
-	slowLogf    func(format string, args ...any)
+	cacheCap   int
+	admission  int
+	maxFrame   int
+	dedupCap   int
+	defPolicy  TenantPolicy
+	policies   map[string]TenantPolicy
+	tlog       TenantLog
+	metricsReg *obs.Registry
+	slowRun    time.Duration
+	slowLogf   func(format string, args ...any)
 }
 
 // Option configures a Server at construction.
@@ -134,12 +130,6 @@ func WithMaxFrameBytes(n int) Option {
 		}
 		o.maxFrame = n
 	}
-}
-
-// WithCompileOptions forwards compile options (worker caps, batch
-// window, hoisting) to every plan the server compiles.
-func WithCompileOptions(opts ...heax.CompileOption) Option {
-	return func(o *serverOptions) { o.compileOpts = append(o.compileOpts, opts...) }
 }
 
 // WithTenantPolicy pins one tenant's admission policy (weight,
@@ -192,15 +182,6 @@ func WithMetricsRegistry(r *obs.Registry) Option {
 	return func(o *serverOptions) { o.metricsReg = r }
 }
 
-// WithStepTracing toggles per-step execution tracing on every plan the
-// server compiles (default on): step-kind latency histograms feed
-// heax_plan_step_seconds. The traced path adds one clock read pair per
-// executed step; turn it off to shave that from latency-critical
-// deployments.
-func WithStepTracing(on bool) Option {
-	return func(o *serverOptions) { o.traceSteps = on }
-}
-
 // WithSlowRunLog logs every Run request slower than threshold through
 // logf (e.g. log.Printf) with tenant, plan id, batch count, duration
 // and outcome — the structured breadcrumb for tail-latency triage.
@@ -224,11 +205,10 @@ func NewServer(params *heax.Params, opts ...Option) (*Server, error) {
 		return nil, errNilParams
 	}
 	o := serverOptions{
-		cacheCap:   64,
-		admission:  runtime.GOMAXPROCS(0),
-		maxFrame:   DefaultMaxFrame,
-		dedupCap:   256,
-		traceSteps: true,
+		cacheCap:  64,
+		admission: runtime.GOMAXPROCS(0),
+		maxFrame:  DefaultMaxFrame,
+		dedupCap:  256,
 	}
 	for _, opt := range opts {
 		opt(&o)
@@ -319,7 +299,6 @@ func (s *Server) runOne(job *runJob, tq *tenantQueue) {
 	defer func() {
 		if r := recover(); r != nil {
 			job.errs[job.idx] = fmt.Errorf("%w: recovered executor panic: %v", ErrInternal, r)
-			s.panicsRecovered.Add(1)
 			s.metrics.panics.Inc()
 		}
 		s.adm.done(tq, job.bytes)
@@ -329,7 +308,6 @@ func (s *Server) runOne(job *runJob, tq *tenantQueue) {
 		// Expired or cancelled while queued: surface the typed error
 		// without burning executor time.
 		job.errs[job.idx] = err
-		s.canceledRuns.Add(1)
 		s.metrics.canceled.Inc()
 		return
 	}
@@ -348,7 +326,6 @@ func (s *Server) runOne(job *runJob, tq *tenantQueue) {
 		s.completedRuns.Add(1)
 		tq.mCompleted.Inc()
 	} else if errors.Is(job.errs[job.idx], context.Canceled) {
-		s.canceledRuns.Add(1)
 		s.metrics.canceled.Inc()
 	}
 }
@@ -533,9 +510,8 @@ type Stats struct {
 	// CacheHits / CacheMisses count compile-path plan-cache lookups (a
 	// Run's plan fetch is deliberately uncounted); CacheEvictions counts
 	// plans dropped for capacity, tenant eviction or staleness. All
-	// three are kept under the cache mutex in the same critical section
-	// as the obs counters, so Stats and a /metrics scrape never diverge
-	// by more than scrape timing.
+	// three read the obs counters a /metrics scrape reports, so the two
+	// never diverge by more than scrape timing.
 	CacheHits      int64
 	CacheMisses    int64
 	CacheEvictions int64
@@ -551,7 +527,6 @@ type Stats struct {
 // Stats snapshots registry, cache and admission occupancy.
 func (s *Server) Stats() Stats {
 	queued, shed := s.adm.snapshot()
-	hits, misses, evictions := s.cache.stats()
 	s.mu.Lock()
 	draining := s.draining || s.closed
 	s.mu.Unlock()
@@ -559,15 +534,15 @@ func (s *Server) Stats() Stats {
 		Tenants:         s.reg.len(),
 		CachedPlans:     s.cache.len(),
 		QueuedRuns:      queued,
-		CanceledRuns:    s.canceledRuns.Load(),
+		CanceledRuns:    int64(s.metrics.canceled.Value()),
 		CompletedRuns:   s.completedRuns.Load(),
 		ShedRuns:        shed,
 		DedupHits:       s.dedupHits.Load(),
-		PanicsRecovered: s.panicsRecovered.Load(),
+		PanicsRecovered: int64(s.metrics.panics.Value()),
 		RefcountBugs:    s.reg.bugs.Load(),
-		CacheHits:       hits,
-		CacheMisses:     misses,
-		CacheEvictions:  evictions,
+		CacheHits:       int64(s.metrics.cacheHits.Value()),
+		CacheMisses:     int64(s.metrics.cacheMisses.Value()),
+		CacheEvictions:  int64(s.metrics.cacheEvictions.Value()),
 		KeyBytes:        s.reg.keyBytes(),
 		Draining:        draining,
 	}
@@ -605,7 +580,6 @@ func (s *Server) handleConn(conn net.Conn) {
 		// request guard (framing, response encoding) tears down this one
 		// connection, never the daemon.
 		if r := recover(); r != nil {
-			s.panicsRecovered.Add(1)
 			s.metrics.panics.Inc()
 		}
 		conn.Close()
@@ -715,7 +689,6 @@ func (s *Server) serveRun(ctx context.Context, cancel context.CancelFunc, conn n
 func (s *Server) guard(f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.panicsRecovered.Add(1)
 			s.metrics.panics.Inc()
 			err = fmt.Errorf("%w: recovered request panic: %v", ErrInternal, r)
 		}
@@ -876,7 +849,7 @@ func (s *Server) handleCompile(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := circ.Compile(s.params, entry.evk, s.opts.compileOpts...)
+	plan, err := circ.Compile(s.params, entry.evk)
 	if err != nil {
 		s.reg.release(entry)
 		if errors.Is(err, heax.ErrKeyMissing) {
@@ -886,9 +859,7 @@ func (s *Server) handleCompile(payload []byte) ([]byte, error) {
 	}
 	cp := &cachedPlan{key: key, plan: plan, tenant: entry, steps: plan.NumSteps(), tag: planTag(id)}
 	cp.hist = s.metrics.runSeconds.With(name, cp.tag)
-	if s.opts.traceSteps {
-		plan.SetTracer(s.metrics.tracer)
-	}
+	plan.SetTracer(s.metrics.tracer)
 	for _, old := range s.cache.add(cp) {
 		s.reg.release(old.tenant)
 		s.dropPlanMetrics(old, cp)
