@@ -34,8 +34,8 @@ type HoistedDecomposition struct {
 func (ev *Evaluator) keySwitchHoistedInto(hd *HoistedDecomposition, swk *SwitchingKey, table []int, add0, add1, out0, out1 *ring.Poly) {
 	ctx := ev.ctx
 	level := hd.level
-	acc0 := ctx.GetPoly(level + 2)
-	acc1 := ctx.GetPoly(level + 2)
+	acc0 := ctx.GetPolyNoZero(level + 2)
+	acc1 := ctx.GetPolyNoZero(level + 2)
 	defer ctx.PutPoly(acc0)
 	defer ctx.PutPoly(acc1)
 	ev.keySwitchMAC(nil, hd, table, swk.Digits, acc0, acc1, level)
@@ -87,7 +87,7 @@ func (ev *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, gks *GaloisK
 	level := ct.Level
 	hd := &HoistedDecomposition{level: level, digits: make([]*ring.Poly, level+1)}
 	for i := range hd.digits {
-		hd.digits[i] = ctx.GetPoly(level + 2)
+		hd.digits[i] = ctx.GetPolyNoZero(level + 2) // decompose writes every row
 		defer ctx.PutPoly(hd.digits[i])
 	}
 	ev.decompose(ct.Polys[1], hd, level)

@@ -389,9 +389,9 @@ func (ev *Evaluator) keySwitchAddInto(c *ring.Poly, swk *SwitchingKey, add0, add
 	ctx := ev.ctx
 	level := c.Level()
 	// Accumulators over (q_0..q_level, P); row level+1 is the special
-	// prime.
-	acc0 := ctx.GetPoly(level + 2)
-	acc1 := ctx.GetPoly(level + 2)
+	// prime. Unzeroed: the MAC's first digit stores into every row.
+	acc0 := ctx.GetPolyNoZero(level + 2)
+	acc1 := ctx.GetPolyNoZero(level + 2)
 	defer ctx.PutPoly(acc0)
 	defer ctx.PutPoly(acc1)
 	ev.keySwitchMAC(c, nil, nil, swk.Digits, acc0, acc1, level)

@@ -13,10 +13,13 @@ package ckks
 // the board has a FIFO: the level+1 digit INTTs, then the level+2
 // accumulator rows, then the flooring tail (FloorDropRowsPairAddInto).
 // Each accumulator row belongs to one participant, which takes the
-// digits one at a time — base-convert to its prime into one scratch row,
-// transform, MAC while the row is cache-hot — and keeps its acc0/acc1
-// row resident across all digits. Rows are disjoint, so nothing is
-// locked, and with one worker RunRows simply runs the same rows inline.
+// digits one at a time — base-convert to its prime into one scratch row
+// and transform (ring.Context.ReduceNTTRow, the conversion the flooring
+// tail shares), MAC while the row is cache-hot — and keeps its acc0/acc1
+// row resident across all digits. The accumulators come from the pool
+// unzeroed: digit 0 stores its products, the rest add. Rows are
+// disjoint, so nothing is locked, and with one worker RunRows simply
+// runs the same rows inline.
 //
 // The MAC is the ring's general multiply-add row (MulCoeffsAddRow):
 // fully reduced in and out, no per-key constants, so the key rows it
@@ -79,22 +82,17 @@ func (j *ksJob) runINTTRow(i int) {
 	j.ctx.Tables[i].Inverse(a)
 }
 
-// convert writes digit i in NTT form modulo the target prime into dst:
-// the coefficient form reduced (Algorithm 7 line 6), then transformed
-// (line 7).
-func (j *ksJob) convert(i, basisIdx int, dst []uint64) {
-	m := j.ctx.Basis.Mods[basisIdx]
-	a := j.intt.Coeffs[i]
-	for t := range dst {
-		dst[t] = m.Reduce(a[t])
-	}
-	j.ctx.Tables[basisIdx].Forward(dst)
-}
-
 // mac adds digit i's two key products into accumulator row jj from the
-// already-converted (NTT-form, mod target prime) row b.
+// already-converted (NTT-form, mod target prime) row b. The accumulators
+// arrive unzeroed, so digit 0 stores its products instead: 0 + x mod p is
+// x, bit for bit what adding into a cleared row gave.
 func (j *ksJob) mac(i, jj, basisIdx int, b []uint64) {
 	d := j.digits[i]
+	if i == 0 {
+		j.ctx.MulCoeffsRow(b, d[0].Coeffs[basisIdx], j.acc0.Coeffs[jj], basisIdx)
+		j.ctx.MulCoeffsRow(b, d[1].Coeffs[basisIdx], j.acc1.Coeffs[jj], basisIdx)
+		return
+	}
 	j.ctx.MulCoeffsAddRow(b, d[0].Coeffs[basisIdx], j.acc0.Coeffs[jj], basisIdx)
 	j.ctx.MulCoeffsAddRow(b, d[1].Coeffs[basisIdx], j.acc1.Coeffs[jj], basisIdx)
 }
@@ -111,7 +109,7 @@ func (j *ksJob) runMACRow(jj int) {
 		// Line 9: the digit's own prime reuses the NTT-form input.
 		b := j.c.Coeffs[i]
 		if i != basisIdx {
-			j.convert(i, basisIdx, conv)
+			ctx.ReduceNTTRow(conv, j.intt.Coeffs[i], i, basisIdx, 0)
 			b = conv
 		}
 		j.mac(i, jj, basisIdx, b)
@@ -152,14 +150,14 @@ func (j *ksJob) runDecompRow(jj int) {
 		if i == basisIdx {
 			copy(row, j.c.Coeffs[i])
 		} else {
-			j.convert(i, basisIdx, row)
+			j.ctx.ReduceNTTRow(row, j.intt.Coeffs[i], i, basisIdx, 0)
 		}
 	}
 }
 
 // keySwitchMAC runs the multiply-accumulate phase of Algorithm 7 over
 // either a direct input polynomial c or a cached hoisted decomposition
-// hd, into the zeroed accumulators acc0/acc1.
+// hd, into the accumulators acc0/acc1, every row of which it overwrites.
 func (ev *Evaluator) keySwitchMAC(c *ring.Poly, hd *HoistedDecomposition, table []int,
 	digits [][2]*ring.Poly, acc0, acc1 *ring.Poly, level int) {
 	ctx := ev.ctx

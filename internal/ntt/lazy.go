@@ -23,6 +23,12 @@ package ntt
 // Inner loops are 8-way unrolled; the re-slicing (x := a[j:j+8:j+8])
 // pins the slice length so the compiler proves the eight constant indices
 // in range and drops all bounds checks.
+//
+// A row whose tables carry the ifma flag (AVX-512 IFMA CPU, p < 2^50,
+// n >= 16 — every Table 2 row) never reaches those loops: Forward and
+// Inverse hand every stage to the kernels of ifma_amd64.s, which keep the
+// same ranges. The scalar stages are the only path on other hosts and for
+// wider primes.
 
 import "heax/internal/uintmod"
 
@@ -86,29 +92,36 @@ func (t *Tables) Forward(a []uint64) {
 	}
 	n := t.N
 	p := t.Mod.P
-	twoP := p * 2
 	psi := t.psiRev
+	if t.ifma {
+		// Every stage on the vector kernels (ifma_amd64.s): one stage
+		// kernel call per stride from n/2 down to 8, then the strides 4,
+		// 2 and 1 fused in one pass that also emits the reduced outputs.
+		shoup := t.psiRevShoup52
+		for m := 1; m <= n>>4; m <<= 1 {
+			fwdStageIFMA(&a[0], &psi[m], &shoup[m], m, n/(2*m), p)
+		}
+		fwdTailIFMA(&a[0], &psi[0], &shoup[0], n, p)
+		return
+	}
+	twoP := p * 2
 	psiShoup := t.psiRevShoup
 
 	// First stage (m = 1): a single twiddle across the two array halves;
 	// inputs are < p, so the entry fold is skipped.
-	if t.ifma {
-		fwdStageIFMA(&a[0], &psi[1], &t.psiRevShoup52[1], 1, n>>1, p)
-	} else {
-		w, ws := psi[1], psiShoup[1]
-		h := n >> 1
-		for j := 0; j < h; j += 8 {
-			x := a[j : j+8 : j+8]
-			y := a[j+h : j+h+8 : j+h+8]
-			x[0], y[0] = butterflyFirst(x[0], y[0], w, ws, p, twoP)
-			x[1], y[1] = butterflyFirst(x[1], y[1], w, ws, p, twoP)
-			x[2], y[2] = butterflyFirst(x[2], y[2], w, ws, p, twoP)
-			x[3], y[3] = butterflyFirst(x[3], y[3], w, ws, p, twoP)
-			x[4], y[4] = butterflyFirst(x[4], y[4], w, ws, p, twoP)
-			x[5], y[5] = butterflyFirst(x[5], y[5], w, ws, p, twoP)
-			x[6], y[6] = butterflyFirst(x[6], y[6], w, ws, p, twoP)
-			x[7], y[7] = butterflyFirst(x[7], y[7], w, ws, p, twoP)
-		}
+	w, ws := psi[1], psiShoup[1]
+	h := n >> 1
+	for j := 0; j < h; j += 8 {
+		x := a[j : j+8 : j+8]
+		y := a[j+h : j+h+8 : j+h+8]
+		x[0], y[0] = butterflyFirst(x[0], y[0], w, ws, p, twoP)
+		x[1], y[1] = butterflyFirst(x[1], y[1], w, ws, p, twoP)
+		x[2], y[2] = butterflyFirst(x[2], y[2], w, ws, p, twoP)
+		x[3], y[3] = butterflyFirst(x[3], y[3], w, ws, p, twoP)
+		x[4], y[4] = butterflyFirst(x[4], y[4], w, ws, p, twoP)
+		x[5], y[5] = butterflyFirst(x[5], y[5], w, ws, p, twoP)
+		x[6], y[6] = butterflyFirst(x[6], y[6], w, ws, p, twoP)
+		x[7], y[7] = butterflyFirst(x[7], y[7], w, ws, p, twoP)
 	}
 
 	step := n >> 1
@@ -116,10 +129,6 @@ func (t *Tables) Forward(a []uint64) {
 		step >>= 1
 		switch {
 		case step >= 8:
-			if t.ifma {
-				fwdStageIFMA(&a[0], &psi[m], &t.psiRevShoup52[m], m, step, p)
-				continue
-			}
 			for i := 0; i < m; i++ {
 				j1 := 2 * i * step
 				w, ws := psi[m+i], psiShoup[m+i]
@@ -202,8 +211,20 @@ func (t *Tables) Inverse(a []uint64) {
 	}
 	n := t.N
 	p := t.Mod.P
-	twoP := p * 2
 	psi := t.psiInvRev
+	if t.ifma {
+		// Forward's schedule mirrored: strides 1, 2 and 4 fused, one stage
+		// kernel call per stride from 8 up to n/4, then the closing stage
+		// with its fused n^-1 twiddles.
+		shoup := t.psiInvRevShoup52
+		invHeadIFMA(&a[0], &psi[0], &shoup[0], n, p)
+		for m := n >> 4; m >= 2; m >>= 1 {
+			invStageIFMA(&a[0], &psi[m], &shoup[m], m, n/(2*m), p)
+		}
+		invLastIFMA(&a[0], n, p, t.nInv, t.nInvShoup52, t.psi1NInv, t.psi1NInvShoup52)
+		return
+	}
+	twoP := p * 2
 	psiShoup := t.psiInvRevShoup
 
 	// First stage (step = 1): adjacent pairs, twiddles ψ^{-bitrev(h+i)};
@@ -227,11 +248,6 @@ func (t *Tables) Inverse(a []uint64) {
 	for m := n >> 2; m >= 2; m >>= 1 {
 		switch {
 		case step >= 8:
-			if t.ifma {
-				invStageIFMA(&a[0], &psi[m], &t.psiInvRevShoup52[m], m, step, p)
-				step <<= 1
-				continue
-			}
 			for i := 0; i < m; i++ {
 				j1 := 2 * i * step
 				w, ws := psi[m+i], psiShoup[m+i]

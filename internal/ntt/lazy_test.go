@@ -8,25 +8,53 @@ package ntt
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"heax/internal/uintmod"
 )
 
-func TestLazyForwardMatchesStrict(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, bitsize := range []int{30, 36, 43, 49, 52, 60, 62} {
-		for _, n := range []int{16, 64, 1024, 4096} {
+// oracleRows returns the rows every lazy-vs-strict comparison runs: four
+// random ones and the edge rows that reach the top of the lazy range —
+// all 0, all p-1, a single 1, and 0/p-1 alternating.
+func oracleRows(rng *rand.Rand, n int, p uint64) [][]uint64 {
+	rows := [][]uint64{make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)}
+	for j := 0; j < n; j++ {
+		rows[1][j] = p - 1
+		rows[3][j] = uint64(j&1) * (p - 1)
+	}
+	rows[2][n/2+1] = 1
+	for trial := 0; trial < 4; trial++ {
+		rows = append(rows, randomPoly(rng, n, p))
+	}
+	return rows
+}
+
+// checkLazyMatchesStrict runs lazy against strict on every oracle row at
+// the ring degrees the workloads run (Table 2: 2^12-2^14) and the
+// smallest the kernels accept. Tables built for the IFMA kernels run a
+// second time through a copy with the dispatch cleared, so one host
+// compares the kernels and the scalar lazy stages on one prime.
+func checkLazyMatchesStrict(t *testing.T, seed int64, lazy, strict func(*Tables, []uint64)) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, bitsize := range []int{30, 36, 43, 49, 50, 52, 60, 62} {
+		for _, n := range []int{16, 32, 64, 1024, 4096, 8192, 16384} {
 			tb := newTestTables(t, bitsize, n)
-			for trial := 0; trial < 4; trial++ {
-				a := randomPoly(rng, n, tb.Mod.P)
-				want := append([]uint64(nil), a...)
-				tb.ForwardStrict(want)
-				tb.Forward(a)
-				for i := range a {
-					if a[i] != want[i] {
-						t.Fatalf("bits=%d n=%d (ifma=%v): forward mismatch at %d: %d != %d",
-							bitsize, n, tb.ifma, i, a[i], want[i])
+			paths := []*Tables{tb}
+			if tb.ifma {
+				scalar := *tb
+				scalar.ifma = false
+				paths = append(paths, &scalar)
+			}
+			for r, row := range oracleRows(rng, n, tb.Mod.P) {
+				want := slices.Clone(row)
+				strict(tb, want)
+				for _, path := range paths {
+					got := slices.Clone(row)
+					lazy(path, got)
+					if i := firstDiff(got, want); i >= 0 {
+						t.Fatalf("bits=%d n=%d row %d (ifma=%v): mismatch at %d: %d != %d",
+							bitsize, n, r, path.ifma, i, got[i], want[i])
 					}
 				}
 			}
@@ -34,25 +62,21 @@ func TestLazyForwardMatchesStrict(t *testing.T) {
 	}
 }
 
-func TestLazyInverseMatchesStrict(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, bitsize := range []int{30, 36, 43, 49, 52, 60, 62} {
-		for _, n := range []int{16, 64, 1024, 4096} {
-			tb := newTestTables(t, bitsize, n)
-			for trial := 0; trial < 4; trial++ {
-				a := randomPoly(rng, n, tb.Mod.P)
-				want := append([]uint64(nil), a...)
-				tb.InverseStrict(want)
-				tb.Inverse(a)
-				for i := range a {
-					if a[i] != want[i] {
-						t.Fatalf("bits=%d n=%d (ifma=%v): inverse mismatch at %d: %d != %d",
-							bitsize, n, tb.ifma, i, a[i], want[i])
-					}
-				}
-			}
+func firstDiff(a, b []uint64) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
 		}
 	}
+	return -1
+}
+
+func TestLazyForwardMatchesStrict(t *testing.T) {
+	checkLazyMatchesStrict(t, 11, (*Tables).Forward, (*Tables).ForwardStrict)
+}
+
+func TestLazyInverseMatchesStrict(t *testing.T) {
+	checkLazyMatchesStrict(t, 12, (*Tables).Inverse, (*Tables).InverseStrict)
 }
 
 // The IFMA dispatch must be exercised on eligible primes when the CPU

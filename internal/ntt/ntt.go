@@ -16,12 +16,12 @@
 //     operands in [0, 2p) and folds both the final reduction and the 1/n
 //     scaling into the last stage's fused twiddles. Inner loops are 8-way
 //     unrolled with re-sliced operands so the compiler drops bounds
-//     checks, the first and last stages (where the butterfly stride
-//     degenerates) have specialized code paths, and stages whose stride
-//     is a vector multiple run on AVX-512 IFMA kernels when the CPU and
-//     modulus allow (see lazy.go and ifma_amd64.s). Requires p < 2^62 so
-//     4p fits a word — which MaxModulusBits64 already guarantees for
-//     every modulus here.
+//     checks, and the first and last stages (where the butterfly stride
+//     degenerates) have specialized code paths. When the CPU and modulus
+//     allow, every stage runs on AVX-512 IFMA kernels instead, the three
+//     narrowest fused in one in-register pass (see lazy.go and
+//     ifma_amd64.s). Requires p < 2^62 so 4p fits a word — which
+//     MaxModulusBits64 already guarantees for every modulus here.
 //
 //   - ForwardStrict/InverseStrict: the original per-butterfly
 //     strict-reduction transforms, retained verbatim as the test oracle
@@ -76,11 +76,13 @@ type Tables struct {
 	psiRevShoup54        []uint64
 	psiInvRevHalfShoup54 []uint64
 
-	// 2^52-scaled Shoup twiddles for the AVX-512 IFMA stage kernels,
-	// populated when p < 2^50 (every Table 2 prime); ifma additionally
-	// requires CPU support and n >= 16.
+	// 2^52-scaled Shoup constants for the AVX-512 IFMA kernels, populated
+	// when p < 2^50 (every Table 2 prime); ifma additionally requires CPU
+	// support and n >= 16.
 	psiRevShoup52    []uint64
 	psiInvRevShoup52 []uint64
+	nInvShoup52      uint64
+	psi1NInvShoup52  uint64
 	ifma             bool
 }
 
@@ -146,6 +148,8 @@ func NewTables(p uint64, n int) (*Tables, error) {
 			t.psiRevShoup52[i] = uintmod.ShoupPrecomp52(t.psiRev[i], p)
 			t.psiInvRevShoup52[i] = uintmod.ShoupPrecomp52(t.psiInvRev[i], p)
 		}
+		t.nInvShoup52 = uintmod.ShoupPrecomp52(t.nInv, p)
+		t.psi1NInvShoup52 = uintmod.ShoupPrecomp52(t.psi1NInv, p)
 	}
 	return t, nil
 }

@@ -235,28 +235,32 @@ func TestTwiddleAccessors(t *testing.T) {
 	}
 }
 
-func BenchmarkForward4096(b *testing.B)  { benchForward(b, 1<<12) }
-func BenchmarkForward8192(b *testing.B)  { benchForward(b, 1<<13) }
-func BenchmarkForward16384(b *testing.B) { benchForward(b, 1<<14) }
-
-func benchForward(b *testing.B, n int) {
-	tb := newTestTables(b, 52, n)
-	rng := rand.New(rand.NewSource(7))
-	a := randomPoly(rng, n, tb.Mod.P)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb.Forward(a)
-	}
+// benchShapes are Table 2's three (prime width, ring degree) pairs — the
+// rows every workload transforms, all on the IFMA kernels where the CPU
+// has them — and one 52-bit lane, which only the scalar lazy stages take.
+var benchShapes = []struct {
+	name    string
+	bits, n int
+}{
+	{"SetA_36bit_4096", 36, 1 << 12},
+	{"SetB_43bit_8192", 43, 1 << 13},
+	{"SetC_49bit_16384", 49, 1 << 14},
+	{"Scalar_52bit_16384", 52, 1 << 14},
 }
 
-func BenchmarkInverse4096(b *testing.B) {
-	tb := newTestTables(b, 52, 1<<12)
-	rng := rand.New(rand.NewSource(8))
-	a := randomPoly(rng, 1<<12, tb.Mod.P)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb.Inverse(a)
+func BenchmarkForward(b *testing.B) { benchTransform(b, (*Tables).Forward) }
+func BenchmarkInverse(b *testing.B) { benchTransform(b, (*Tables).Inverse) }
+
+func benchTransform(b *testing.B, transform func(*Tables, []uint64)) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			tb := newTestTables(b, sh.bits, sh.n)
+			a := randomPoly(rand.New(rand.NewSource(7)), sh.n, tb.Mod.P)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				transform(tb, a)
+			}
+		})
 	}
 }

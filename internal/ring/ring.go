@@ -138,7 +138,8 @@ func (c *Context) GetPoly(rows int) *Poly {
 
 // GetPolyNoZero is GetPoly without the zeroing pass: the rows hold
 // whatever a previous user left behind. Only for scratch that is fully
-// overwritten before being read (accumulators must use GetPoly).
+// overwritten before being read — an accumulator qualifies when its
+// first term is stored, as the key switch's is.
 func (c *Context) GetPolyNoZero(rows int) *Poly {
 	if rows < 1 || rows > c.K() {
 		panic(fmt.Sprintf("ring: rows %d out of range [1,%d]", rows, c.K()))
@@ -638,45 +639,81 @@ func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []in
 		defer c.PutPoly(rBuf)
 		r := rBuf.Coeffs[0]
 		basisIdx := rowPrimes[i]
-		m := c.Basis.Mods[basisIdx]
-		p := c.Basis.Primes[basisIdx]
 		var halfModPi uint64
 		if round {
-			halfModPi = m.Reduce(pLast >> 1)
+			halfModPi = c.Basis.Mods[basisIdx].Reduce(pLast >> 1)
 		}
-		// Lines 5-6: (a_i - r̃) * p^{-1} mod p_i, with the cross-prime
-		// inverse precomputed at basis construction.
-		pinv, pinvShoup := c.Basis.InvCross(last, basisIdx)
 		floorRow := func(a *Poly, tail []uint64, out, add *Poly) {
 			// Lines 3-4: r = [a (+⌊p/2⌋)]_{p} reduced mod p_i, then NTT.
 			// In rounding mode, subtract the ⌊p/2⌋ shift again per
-			// coefficient here (in the coefficient domain), so that
-			// a_i - r̃ below equals (a+⌊p/2⌋) - [a+⌊p/2⌋]_p, i.e. the
-			// rounded numerator.
-			for j := range r {
-				r[j] = m.Reduce(tail[j])
-				if round {
-					r[j] = uintmod.SubMod(r[j], halfModPi, p)
-				}
-			}
-			c.Tables[basisIdx].Forward(r)
-			ai, oi := a.Coeffs[i], out.Coeffs[i]
+			// coefficient (in the coefficient domain), so that a_i - r̃
+			// below equals (a+⌊p/2⌋) - [a+⌊p/2⌋]_p, i.e. the rounded
+			// numerator.
+			c.ReduceNTTRow(r, tail, last, basisIdx, halfModPi)
+			var addRow []uint64
 			if add != nil {
-				di := add.Coeffs[i]
-				for j := range oi {
-					v := uintmod.SubMod(ai[j], r[j], p)
-					oi[j] = uintmod.AddMod(uintmod.MulRed(v, pinv, pinvShoup, p), di[j], p)
-				}
-				return
+				addRow = add.Coeffs[i]
 			}
-			for j := range oi {
-				v := uintmod.SubMod(ai[j], r[j], p)
-				oi[j] = uintmod.MulRed(v, pinv, pinvShoup, p)
-			}
+			c.floorCloseRow(a.Coeffs[i], r, addRow, out.Coeffs[i], last, basisIdx)
 		}
 		floorRow(a0, tail0, out0, add0)
 		if a1 != nil {
 			floorRow(a1, tail1, out1, add1)
 		}
 	})
+}
+
+// ReduceNTTRow moves a coefficient-form row from one basis prime to
+// another: dst = NTT_to([src]_to − sub), where src holds residues modulo
+// prime from and sub < p_to is a constant (0 for a plain conversion; the
+// rounding shift ⌊p/2⌋ mod p_to when flooring rounds). It is the base
+// conversion of key switching (Algorithm 7 lines 6-7) and of RNS flooring
+// (Algorithm 6 lines 3-4). The reduction runs on the IFMA kernel when the
+// target row does and the source residues fit its 52-bit lanes — a wider
+// source prime takes the scalar loop even into an IFMA target —
+// bit-identical either way.
+//
+//heax:noalloc
+func (c *Context) ReduceNTTRow(dst, src []uint64, from, to int, sub uint64) {
+	p, m := c.Basis.Primes[to], c.Basis.Mods[to]
+	src = src[:len(dst)]
+	switch {
+	case c.RowIFMA(to) && bits.Len64(c.Basis.Primes[from]) <= 52:
+		uintmod.VecReduce(dst, src, sub, p)
+	case sub == 0:
+		for j := range dst {
+			dst[j] = m.Reduce(src[j])
+		}
+	default:
+		for j := range dst {
+			dst[j] = uintmod.SubMod(m.Reduce(src[j]), sub, p)
+		}
+	}
+	c.Tables[to].Forward(dst)
+}
+
+// floorCloseRow is the closing pass of RNS flooring on one row (Algorithm
+// 6 lines 5-6): out = (a − r)·p_last^{-1} (+ add) modulo basis prime i,
+// with the cross-prime inverse precomputed at basis construction; add may
+// be nil.
+//
+//heax:noalloc
+func (c *Context) floorCloseRow(a, r, add, out []uint64, last, i int) {
+	p := c.Basis.Primes[i]
+	pinv, pinvShoup := c.Basis.InvCross(last, i)
+	if c.RowIFMA(i) {
+		uintmod.VecSubMulAdd(out, a, r, add, pinv, p)
+		return
+	}
+	if add != nil {
+		for j := range out {
+			v := uintmod.SubMod(a[j], r[j], p)
+			out[j] = uintmod.AddMod(uintmod.MulRed(v, pinv, pinvShoup, p), add[j], p)
+		}
+		return
+	}
+	for j := range out {
+		v := uintmod.SubMod(a[j], r[j], p)
+		out[j] = uintmod.MulRed(v, pinv, pinvShoup, p)
+	}
 }

@@ -199,6 +199,60 @@ func TestVecMulTensor(t *testing.T) {
 	})
 }
 
+// VecReduce takes any word below 2^52 — a residue of another prime — so
+// its leading lanes walk the multiples of p and the top of the range
+// instead of dyadicRow's reduced edges; sub covers no rounding shift, the
+// smallest, the largest and an arbitrary one.
+func TestVecReduce(t *testing.T) {
+	forEachDyadicCase(t, func(t *testing.T, m Modulus, rows [4][]uint64) {
+		p := m.P
+		x := slices.Clone(rows[0])
+		rng := rand.New(rand.NewSource(int64(p)))
+		for i := range x {
+			x[i] = rng.Uint64() >> 12
+		}
+		copy(x, []uint64{0, p - 1, p, p + 1, 2*p - 1, 1<<52 - 1, 1<<52 - p, 3 * p})
+		for _, sub := range []uint64{0, 1, p - 1, rows[1][len(x)-1]} {
+			want := func(i int) uint64 { return SubMod(m.Reduce(x[i]), sub, p) }
+			out := make([]uint64, len(x))
+			VecReduce(out, x, sub, p)
+			checkRow(t, fmt.Sprintf("VecReduce sub=%d", sub), out, want)
+			ax := slices.Clone(x)
+			VecReduce(ax, ax, sub, p)
+			checkRow(t, fmt.Sprintf("VecReduce out=x sub=%d", sub), ax, want)
+		}
+	})
+}
+
+func TestVecSubMulAdd(t *testing.T) {
+	forEachDyadicCase(t, func(t *testing.T, m Modulus, rows [4][]uint64) {
+		p := m.P
+		a, r, add := rows[0], rows[1], rows[2]
+		for _, w := range []uint64{0, 1, p - 1, rows[3][len(a)-1]} {
+			ws := ShoupPrecomp(w, p)
+			mul := func(i int) uint64 { return MulRed(SubMod(a[i], r[i], p), w, ws, p) }
+			sum := func(i int) uint64 { return AddMod(mul(i), add[i], p) }
+			out := make([]uint64, len(a))
+			VecSubMulAdd(out, a, r, nil, w, p)
+			checkRow(t, fmt.Sprintf("VecSubMulAdd w=%d", w), out, mul)
+			VecSubMulAdd(out, a, r, add, w, p)
+			checkRow(t, fmt.Sprintf("VecSubMulAdd w=%d +add", w), out, sum)
+
+			// In place on each operand, as the flooring tail may land on
+			// its accumulator row or on the add operand's.
+			aa := slices.Clone(a)
+			VecSubMulAdd(aa, aa, r, add, w, p)
+			checkRow(t, "VecSubMulAdd out=a", aa, sum)
+			ar := slices.Clone(r)
+			VecSubMulAdd(ar, a, ar, nil, w, p)
+			checkRow(t, "VecSubMulAdd out=r", ar, mul)
+			ad := slices.Clone(add)
+			VecSubMulAdd(ad, a, r, ad, w, p)
+			checkRow(t, "VecSubMulAdd out=add", ad, sum)
+		}
+	})
+}
+
 func TestBarrett52(t *testing.T) {
 	for _, p := range dyadicPrimes() {
 		mu, shift := barrett52(p)

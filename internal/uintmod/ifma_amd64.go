@@ -15,6 +15,8 @@ func vecMulTensorIFMA(c0, c1, c2, a0, a1, b0, b1 *uint64, n int, p, mu, shift ui
 func vecAddIFMA(out, x, y *uint64, n int, p uint64)
 func vecSubIFMA(out, x, y *uint64, n int, p uint64)
 func vecNegIFMA(out, x *uint64, n int, p uint64)
+func vecReduceIFMA(out, x *uint64, n int, p, mu, sub uint64)
+func vecSubMulAddIFMA(out, a, r, add *uint64, n int, p, w, wShoup uint64)
 
 // hasIFMA is fixed at startup; the dispatch never changes afterwards.
 var hasIFMA = detectIFMA()
@@ -101,4 +103,33 @@ func VecNeg(out, x []uint64, p uint64) {
 	n := len(out)
 	_ = x[n-1]
 	vecNegIFMA(&out[0], &x[0], n, p)
+}
+
+// The constant-operand kernels below serve the RNS base conversion and
+// flooring, where a row changes prime: they take one constant per row
+// and, like the rest, return fully reduced rows bit-identical to the
+// scalar loops they replace.
+
+// VecReduce sets out[i] = (x[i] mod p - sub) mod p — Modulus.Reduce, then
+// SubMod by a constant sub < p (0 for a plain reduction). Every x[i]
+// must be below 2^52: a row of residues of a prime of at most 52 bits.
+func VecReduce(out, x []uint64, sub, p uint64) {
+	n := len(out)
+	_ = x[n-1]
+	vecReduceIFMA(&out[0], &x[0], n, p, ShoupPrecomp52(1, p), sub)
+}
+
+// VecSubMulAdd sets out[i] = ((a[i] - r[i])·w + add[i]) mod p for a
+// constant w < p — the closing pass of RNS flooring (Algorithm 6 lines
+// 5-6, w the dropped prime's inverse). add may be nil for no addition.
+func VecSubMulAdd(out, a, r, add []uint64, w, p uint64) {
+	n := len(out)
+	_ = a[n-1]
+	_ = r[n-1]
+	var addPtr *uint64
+	if add != nil {
+		_ = add[n-1]
+		addPtr = &add[0]
+	}
+	vecSubMulAddIFMA(&out[0], &a[0], &r[0], addPtr, n, p, w, ShoupPrecomp52(w, p))
 }

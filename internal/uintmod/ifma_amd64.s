@@ -87,7 +87,8 @@ no:
 //
 //	Z10 mu   Z11 shift   Z12 p   Z13 2p   Z14 2^52-1   Z15 2^52-p
 
-// DYADCONST loads the loop constants from AX = p, DX = mu, BX = shift.
+// DYADCONST loads the loop constants from AX = p and a kernel's two row
+// constants from DX and BX (mu and shift for the kernels of this section).
 #define DYADCONST \
 	VPBROADCASTQ AX, Z12; \
 	VPADDQ Z12, Z12, Z13; \
@@ -116,12 +117,14 @@ no:
 	VPMADD52LUQ Z15, t, lo; \
 	VPANDQ Z14, lo, lo
 
-// FOLD maps r in [0, 4p) to [0, p); t is scratch.
+// FOLDP maps r in [0, 2p) to [0, p), FOLD r in [0, 4p); t is scratch.
+#define FOLDP(r, t) \
+	VPSUBQ Z12, r, t; \
+	VPMINUQ t, r, r
 #define FOLD(r, t) \
 	VPSUBQ Z13, r, t; \
 	VPMINUQ t, r, r; \
-	VPSUBQ Z12, r, t; \
-	VPMINUQ t, r, r
+	FOLDP(r, t)
 
 // func vecMulIFMA(out, x, y *uint64, n int, p, mu, shift uint64)
 // out[i] = x[i]*y[i] mod p for x[i], y[i] < p.
@@ -337,6 +340,90 @@ loop:
 	VMOVDQU64 Z0, (DI)
 	ADDQ $64, DI
 	ADDQ $64, SI
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+
+// ---- constant-operand kernels (the RNS base conversion and flooring) ----
+//
+// Key switching and rescaling move a coefficient row from one prime to
+// another (Algorithm 7 line 6, Algorithm 6 lines 3-6): reduce it modulo
+// the target prime before the transform, and after it subtract, scale by
+// the dropped prime's inverse and add. Both multiply by one constant per
+// row, so they use the single-word forms: Barrett with mu = floor(2^52/p)
+// and Shoup with w' = floor(w*2^52/p) (ShoupPrecomp52). DYADCONST puts the
+// two row constants in Z10 and Z11.
+
+// func vecReduceIFMA(out, x *uint64, n int, p, mu, sub uint64)
+// out[i] = (x[i] mod p - sub) mod p for x[i] < 2^52 and sub < p.
+// q = hi52(x*mu) is at least x/p - 2 and never above it (mu <= 2^52/p,
+// and mu > 2^52/p - 1 costs x/2^52 < 1, the floor less than one more),
+// so x - q*p lies in [0, 2p): below 2^52, hence equal to its value modulo
+// 2^52, which is lo52(q*(2^52-p)) added to x and masked.
+TEXT ·vecReduceIFMA(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ p+24(FP), AX
+	MOVQ mu+32(FP), DX
+	MOVQ sub+40(FP), BX
+	DYADCONST
+	SHRQ $3, CX
+loop:
+	VMOVDQU64 (SI), Z0              // x < 2^52
+	VPXORQ Z1, Z1, Z1
+	VPMADD52HUQ Z10, Z0, Z1         // q = hi52(x*mu)
+	VPMADD52LUQ Z15, Z1, Z0         // x - q*p (mod 2^52)
+	VPANDQ Z14, Z0, Z0              // in [0, 2p)
+	FOLDP(Z0, Z2)
+	VPSUBQ Z11, Z0, Z0              // - sub, wraps when negative
+	VPADDQ Z12, Z0, Z2              // ... and this is then the residue
+	VPMINUQ Z2, Z0, Z0
+	VMOVDQU64 Z0, (DI)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+
+// func vecSubMulAddIFMA(out, a, r, add *uint64, n int, p, w, wShoup uint64)
+// out[i] = ((a[i] - r[i])*w + add[i]) mod p for a[i], r[i], add[i], w < p;
+// add may be nil (no addition). d = a - r + p lies in (0, 2p), and for any
+// d < 2^52 the Shoup product d*w - hi52(d*w')*p lies in [0, 2p)
+// (ShoupPrecomp52), so one fold reduces it and one more the sum.
+TEXT ·vecSubMulAddIFMA(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ r+16(FP), R8
+	MOVQ add+24(FP), R9
+	MOVQ n+32(FP), CX
+	MOVQ p+40(FP), AX
+	MOVQ w+48(FP), DX
+	MOVQ wShoup+56(FP), BX
+	DYADCONST
+	SHRQ $3, CX
+loop:
+	VPADDQ (SI), Z12, Z0
+	VPSUBQ (R8), Z0, Z0             // d = a - r + p
+	VPXORQ Z1, Z1, Z1
+	VPMADD52HUQ Z11, Z0, Z1         // t = hi52(d*w')
+	VPXORQ Z2, Z2, Z2
+	VPMADD52LUQ Z10, Z0, Z2         // lo52(d*w)
+	VPMADD52LUQ Z15, Z1, Z2         // - t*p (mod 2^52)
+	VPANDQ Z14, Z2, Z2              // in [0, 2p)
+	FOLDP(Z2, Z3)
+	TESTQ R9, R9
+	JZ   store
+	VPADDQ (R9), Z2, Z2             // + add: [0, 2p)
+	FOLDP(Z2, Z3)
+	ADDQ $64, R9
+store:
+	VMOVDQU64 Z2, (DI)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	ADDQ $64, R8
 	DECQ CX
 	JNZ  loop
 	VZEROUPPER

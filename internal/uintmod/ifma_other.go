@@ -43,3 +43,13 @@ func VecSub(out, x, y []uint64, p uint64) {
 func VecNeg(out, x []uint64, p uint64) {
 	panic("uintmod: VecNeg without IFMA support")
 }
+
+// VecReduce must not be called when IFMAUsable is false.
+func VecReduce(out, x []uint64, sub, p uint64) {
+	panic("uintmod: VecReduce without IFMA support")
+}
+
+// VecSubMulAdd must not be called when IFMAUsable is false.
+func VecSubMulAdd(out, a, r, add []uint64, w, p uint64) {
+	panic("uintmod: VecSubMulAdd without IFMA support")
+}
