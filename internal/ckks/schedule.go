@@ -10,16 +10,18 @@ package ckks
 //
 // On a CPU the same work is bandwidth-bound, so it runs as three
 // row-parallel passes on the ring context's RunRows, with a join where
-// the board has a FIFO: the level+1 digit INTTs, then the level+2
+// the board has a FIFO: the level+1 digit INTTs (each transformed out of
+// the input row into scratch; nothing is copied first), then the level+2
 // accumulator rows, then the flooring tail (FloorDropRowsPairAddInto).
 // Each accumulator row belongs to one participant, which takes the
 // digits one at a time — base-convert to its prime into one scratch row
 // and transform (ring.Context.ReduceNTTRow, the conversion the flooring
-// tail shares), MAC while the row is cache-hot — and keeps its acc0/acc1
-// row resident across all digits. The accumulators come from the pool
-// unzeroed: digit 0 stores its products, the rest add. Rows are
-// disjoint, so nothing is locked, and with one worker RunRows simply
-// runs the same rows inline.
+// tail shares; between primes of about one size it is the transform
+// alone, reading the digit where it lies), MAC while the row is
+// cache-hot — and keeps its acc0/acc1 row resident across all digits.
+// The accumulators come from the pool unzeroed: digit 0 stores its
+// products, the rest add. Rows are disjoint, so nothing is locked, and
+// with one worker RunRows simply runs the same rows inline.
 //
 // The MAC is the ring's general multiply-add row (MulCoeffsAddRow):
 // fully reduced in and out, no per-key constants, so the key rows it
@@ -75,11 +77,10 @@ func (ev *Evaluator) putJob(j *ksJob) {
 	ev.jobs.Put(j)
 }
 
-// runINTTRow is INTT0 for digit i: the coefficient form of input row i.
+// runINTTRow is INTT0 for digit i: the coefficient form of input row i,
+// transformed straight out of the input polynomial into the job's scratch.
 func (j *ksJob) runINTTRow(i int) {
-	a := j.intt.Coeffs[i]
-	copy(a, j.c.Coeffs[i])
-	j.ctx.Tables[i].Inverse(a)
+	j.ctx.Tables[i].InverseTo(j.intt.Coeffs[i], j.c.Coeffs[i])
 }
 
 // mac adds digit i's two key products into accumulator row jj from the

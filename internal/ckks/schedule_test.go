@@ -11,9 +11,11 @@ import (
 )
 
 // schedSpec is a small HEAX-shaped parameter set so the equivalence
-// matrix stays fast, yet large enough (2 rows x 2^12 coefficients) that
-// RunRows really fans out at every level, level 0 included; the full
-// Table 2 sets are covered by TestKeySwitchWorkerInvariantTable2.
+// matrix stays fast, yet large enough that RunRows really fans out: a
+// pass needs 4 rows x 2^12 coefficients, which the MAC pass has at the
+// top two levels and the INTT and flooring passes at the top one (below
+// that every pass runs inline at any worker count). The full Table 2
+// sets are covered by TestKeySwitchWorkerInvariantTable2.
 var schedSpec = ParamSpec{Name: "sched-test", LogN: 12, QBits: []int{43, 40, 40, 40}, PBits: 46, LogScale: 40}
 
 // mixedSpec puts rows 0 and P above 2^50 and rows 1-2 below, so one key

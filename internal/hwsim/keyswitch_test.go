@@ -10,8 +10,8 @@ import (
 )
 
 // hwSpec is HEAX-shaped (all primes < 2^52) but small enough for unit
-// tests, and large enough (2 rows x 2^12 coefficients) that the
-// evaluator's RunRows passes fan out at every level.
+// tests, and large enough (4 rows x 2^12 coefficients at the top level)
+// that the evaluator's RunRows passes fan out there.
 var hwSpec = ckks.ParamSpec{Name: "hw-test", LogN: 12, QBits: []int{43, 40, 40, 40}, PBits: 46, LogScale: 40}
 
 func hwKit(t testing.TB) (*ckks.Params, *ckks.KeyGenerator, *ckks.SecretKey, *ckks.RelinearizationKey, *ckks.Evaluator) {

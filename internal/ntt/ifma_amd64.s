@@ -1,21 +1,29 @@
 // AVX-512 IFMA butterfly kernels: an IFMA-eligible row's transform is
 // vector code from its first stage to its last.
 //
-// A stage whose butterfly stride (step) is a multiple of 8 runs on a
-// stage kernel (fwdStageIFMA / invStageIFMA): the m groups are walked in
-// assembly, the group twiddle (value + 2^52-scaled Shoup constant) is
-// broadcast once per group, and the inner loop does eight Harvey
-// butterflies per iteration. The three stages of stride 4, 2 and 1 —
-// where a butterfly's two operands sit inside one vector — run fused in
-// one pass (fwdTailIFMA / invHeadIFMA): sixteen coefficients are loaded
-// once, shuffled in registers between the stages, and stored once. The
+// The stages whose butterfly stride is a multiple of 8 run two at a time
+// on a radix-4 pass (fwdStage4IFMA / invStage4IFMA): a block of four
+// quarters is loaded once, put through the two stages' four butterflies
+// and stored once, so a row larger than L1 crosses L2 once per two stages.
+// The stages of stride 4, 2 and 1 — where a butterfly's two operands sit
+// inside one vector — run fused in one pass (fwdTailIFMA / invHeadIFMA):
+// sixteen coefficients are loaded once, shuffled in registers between the
+// stages, and stored once. When the number of strided stages is odd, the
+// stride 8 stage joins that pass (the two vectors of a 16-coefficient
+// block are its operands), so there is no radix-2 stage kernel. The
 // closing inverse stage, which multiplies by n^-1, is invLastIFMA.
+//
+// The first kernel of each direction (the first forward pass, the inverse
+// head) loads from src and stores to dst; every later one works on dst in
+// place, and src == dst is the in-place transform.
 //
 // Lazy invariants are identical to the scalar path in lazy.go: forward
 // keeps coefficients in [0, 4p), inverse in [0, 2p), and the last stage
 // of each direction emits fully reduced outputs, so every kernel's
-// result equals the scalar stages' bit for bit. Requires p < 2^50 so
-// the whole lazy range fits a 52-bit lane.
+// result equals the scalar stages' bit for bit. No forward butterfly
+// assumes more of its input than that range, so a forward row may enter
+// anywhere below 4p. Requires p < 2^50 so the whole lazy range fits a
+// 52-bit lane.
 //
 // Constants live in Z12-Z15 for a whole kernel:
 //
@@ -73,10 +81,24 @@
 	VPSUBQ Z12, r, t; \
 	VPMINUQ t, r, r
 
+// STRIDE8PTRS points AX and BX at the stride 8 stage's twiddles when the
+// fused kernel runs it (SI = stages == 4), from R8 = w, R9 = wShoup and
+// CX = n, and clears AX otherwise (clobbers R10). That stage has n/16
+// groups, one per 16-coefficient block, so block b's twiddle is table
+// entry n/16 + b and the pointers advance one entry per block.
+#define STRIDE8PTRS \
+	MOVQ CX, BX; \
+	SHRQ $1, BX; \
+	LEAQ (R8)(BX*1), AX; \
+	ADDQ R9, BX; \
+	XORQ R10, R10; \
+	CMPQ SI, $4; \
+	CMOVQNE R10, AX
+
 // Lane orders of the fused kernels. A 16-coefficient block lives in two
 // vectors; "pairs" are the operand vectors (u | v) of a stage.
 //
-//	memory    (0 1 2 3 4 5 6 7       | 8 9 10 11 12 13 14 15)
+//	memory    (0 1 2 3 4 5 6 7       | 8 9 10 11 12 13 14 15)   also the stride 8 pairs
 //	stride 4  (0 1 2 3 8 9 10 11     | 4 5 6 7 12 13 14 15)   VSHUFI64X2 $0x44 / $0xEE
 //	stride 2  (0 1 4 5 8 9 12 13     | 2 3 6 7 10 11 14 15)   VPERMI2Q/VPERMT2Q by permLo/permHi
 //	stride 1  (0 2 4 6 8 10 12 14    | 1 3 5 7 9 11 13 15)    VPUNPCKLQDQ / VPUNPCKHQDQ
@@ -173,52 +195,77 @@ DATA oddIdx<>+48(SB)/8, $13
 DATA oddIdx<>+56(SB)/8, $15
 GLOBL oddIdx<>(SB), RODATA|NOPTR, $64
 
-// func fwdStageIFMA(a, w, wShoup *uint64, m, step int, p uint64)
-// a is the polynomial base; w and wShoup point at the stage's first
-// twiddle (&psi[m], &psiShoup52[m]); the stage has m groups of stride
-// step (step % 8 == 0).
-TEXT ·fwdStageIFMA(SB), NOSPLIT, $0-48
-	MOVQ a+0(FP), DI
-	MOVQ w+8(FP), R8
-	MOVQ wShoup+16(FP), R9
-	MOVQ m+24(FP), DX
-	MOVQ step+32(FP), R10
-	MOVQ p+40(FP), AX
+// func fwdStage4IFMA(dst, src, w, wShoup *uint64, m, q int, p uint64)
+// Two forward stages in one pass over m blocks of four quarters x0..x3 of
+// q coefficients each (4mq = n, q % 8 == 0): the stage with m groups of
+// stride 2q — (x0, x2) and (x1, x3) by block i's twiddle, table entry
+// m+i — then the stage with 2m groups of stride q — (x0, x1) by entry
+// 2m+2i and (x2, x3) by entry 2m+2i+1. w and wShoup are the table bases
+// (&psi[0], &psiShoup52[0]). Loads come from src and stores go to dst.
+TEXT ·fwdStage4IFMA(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ w+16(FP), R8
+	MOVQ wShoup+24(FP), R9
+	MOVQ m+32(FP), DX
+	MOVQ q+40(FP), R10
+	MOVQ p+48(FP), AX
 	NTTCONST
-group:
-	VPBROADCASTQ (R8), Z10          // w
-	VPBROADCASTQ (R9), Z11          // w' (2^52 scale)
+	LEAQ (R8)(DX*8), R8             // first stage's twiddles, entry m
+	LEAQ (R9)(DX*8), R9
+	LEAQ (R8)(DX*8), R11            // second stage's, entry 2m
+	LEAQ (R9)(DX*8), R12
+	SHLQ $3, R10                    // one quarter in bytes
+	LEAQ (R10)(R10*2), R13          // three quarters
+block:
+	VPBROADCASTQ (R8), Z6
+	VPBROADCASTQ (R9), Z7
+	VPBROADCASTQ (R11), Z8
+	VPBROADCASTQ (R12), Z9
+	VPBROADCASTQ 8(R11), Z10
+	VPBROADCASTQ 8(R12), Z11
 	ADDQ $8, R8
 	ADDQ $8, R9
-	LEAQ (DI)(R10*8), SI            // y half starts step words in
+	ADDQ $16, R11
+	ADDQ $16, R12
 	MOVQ R10, CX
-	SHRQ $3, CX
+	SHRQ $6, CX
 inner:
-	VMOVDQU64 (DI), Z0              // u in [0, 4p)
-	VMOVDQU64 (SI), Z1              // v in [0, 4p)
-	FWDBFLY(Z0, Z1, Z10, Z11, Z2, Z3)
+	VMOVDQU64 (SI), Z0
+	VMOVDQU64 (SI)(R10*1), Z1
+	VMOVDQU64 (SI)(R10*2), Z2
+	VMOVDQU64 (SI)(R13*1), Z3
+	FWDBFLY(Z0, Z2, Z6, Z7, Z4, Z5)
+	FWDBFLY(Z1, Z3, Z6, Z7, Z16, Z17)
+	FWDBFLY(Z0, Z1, Z8, Z9, Z4, Z5)
+	FWDBFLY(Z2, Z3, Z10, Z11, Z16, Z17)
 	VMOVDQU64 Z0, (DI)
-	VMOVDQU64 Z1, (SI)
-	ADDQ $64, DI
+	VMOVDQU64 Z1, (DI)(R10*1)
+	VMOVDQU64 Z2, (DI)(R10*2)
+	VMOVDQU64 Z3, (DI)(R13*1)
 	ADDQ $64, SI
+	ADDQ $64, DI
 	DECQ CX
 	JNZ  inner
-	MOVQ SI, DI                     // next group starts where y ended
+	ADDQ R13, SI                    // next block starts where x3 ended
+	ADDQ R13, DI
 	DECQ DX
-	JNZ  group
+	JNZ  block
 	VZEROUPPER
 	RET
 
-// func fwdTailIFMA(a, w, wShoup *uint64, n int, p uint64)
-// The last three forward stages (stride 4, 2, 1) of an n-coefficient row
-// in one pass; w and wShoup are the table bases (&psi[0], &psiShoup52[0]).
-// Inputs in [0, 4p), outputs fully reduced. n % 16 == 0.
-TEXT ·fwdTailIFMA(SB), NOSPLIT, $0-40
+// func fwdTailIFMA(a, w, wShoup *uint64, n, stages int, p uint64)
+// The last forward stages of an n-coefficient row in one pass: strides 4,
+// 2 and 1 (stages == 3), preceded by stride 8 when stages == 4. w and
+// wShoup are the table bases (&psi[0], &psiShoup52[0]). Inputs in
+// [0, 4p), outputs fully reduced. n % 16 == 0.
+TEXT ·fwdTailIFMA(SB), NOSPLIT, $0-48
 	MOVQ a+0(FP), DI
 	MOVQ w+8(FP), R8
 	MOVQ wShoup+16(FP), R9
 	MOVQ n+24(FP), CX
-	MOVQ p+32(FP), AX
+	MOVQ stages+32(FP), SI
+	MOVQ p+40(FP), AX
 	NTTCONST
 	VMOVDQU64 spread4<>(SB), Z16
 	VMOVDQU64 spread2<>(SB), Z17
@@ -226,6 +273,7 @@ TEXT ·fwdTailIFMA(SB), NOSPLIT, $0-40
 	VMOVDQU64 permHi<>(SB), Z19
 	VMOVDQU64 zipLo<>(SB), Z20
 	VMOVDQU64 zipHi<>(SB), Z21
+	STRIDE8PTRS
 	// The stage with stride s has n/(2s) groups, so its twiddles start at
 	// table entry n/(2s): byte offset n, 2n and 4n for s = 4, 2, 1. Block b
 	// (byte offset 128b in a) uses 2, 4 and 8 of them, so with DX = 16b all
@@ -240,6 +288,14 @@ TEXT ·fwdTailIFMA(SB), NOSPLIT, $0-40
 block:
 	VMOVDQU64 (DI)(DX*8), Z0
 	VMOVDQU64 64(DI)(DX*8), Z1
+	TESTQ AX, AX
+	JZ   narrow
+	VPBROADCASTQ (AX), Z10
+	VPBROADCASTQ (BX), Z11
+	ADDQ $8, AX
+	ADDQ $8, BX
+	FWDBFLY(Z0, Z1, Z10, Z11, Z4, Z5)       // stride 8
+narrow:
 	VSHUFI64X2 $0x44, Z1, Z0, Z2
 	VSHUFI64X2 $0xEE, Z1, Z0, Z3
 	VPERMQ (R8)(DX*1), Z16, Z10
@@ -273,50 +329,72 @@ block:
 	VZEROUPPER
 	RET
 
-// func invStageIFMA(a, w, wShoup *uint64, m, step int, p uint64)
-// The Gentleman–Sande counterpart of fwdStageIFMA.
-TEXT ·invStageIFMA(SB), NOSPLIT, $0-48
+// func invStage4IFMA(a, w, wShoup *uint64, m, q int, p uint64)
+// The Gentleman–Sande counterpart of fwdStage4IFMA, in place: over the
+// same m blocks of four quarters, the stage with 2m groups of stride q —
+// (x0, x1) by table entry 2m+2i and (x2, x3) by entry 2m+2i+1 — then the
+// stage with m groups of stride 2q — (x0, x2) and (x1, x3) by entry m+i.
+TEXT ·invStage4IFMA(SB), NOSPLIT, $0-48
 	MOVQ a+0(FP), DI
 	MOVQ w+8(FP), R8
 	MOVQ wShoup+16(FP), R9
 	MOVQ m+24(FP), DX
-	MOVQ step+32(FP), R10
+	MOVQ q+32(FP), R10
 	MOVQ p+40(FP), AX
 	NTTCONST
-group:
-	VPBROADCASTQ (R8), Z10          // w
-	VPBROADCASTQ (R9), Z11          // w'
+	LEAQ (R8)(DX*8), R8             // second stage's twiddles, entry m
+	LEAQ (R9)(DX*8), R9
+	LEAQ (R8)(DX*8), R11            // first stage's, entry 2m
+	LEAQ (R9)(DX*8), R12
+	SHLQ $3, R10                    // one quarter in bytes
+	LEAQ (R10)(R10*2), R13          // three quarters
+block:
+	VPBROADCASTQ (R11), Z6
+	VPBROADCASTQ (R12), Z7
+	VPBROADCASTQ 8(R11), Z8
+	VPBROADCASTQ 8(R12), Z9
+	VPBROADCASTQ (R8), Z10
+	VPBROADCASTQ (R9), Z11
 	ADDQ $8, R8
 	ADDQ $8, R9
-	LEAQ (DI)(R10*8), SI
+	ADDQ $16, R11
+	ADDQ $16, R12
 	MOVQ R10, CX
-	SHRQ $3, CX
+	SHRQ $6, CX
 inner:
-	VMOVDQU64 (DI), Z0              // u in [0, 2p)
-	VMOVDQU64 (SI), Z1              // v in [0, 2p)
-	INVBFLY(Z0, Z1, Z10, Z11, Z2, Z3)
+	VMOVDQU64 (DI), Z0
+	VMOVDQU64 (DI)(R10*1), Z1
+	VMOVDQU64 (DI)(R10*2), Z2
+	VMOVDQU64 (DI)(R13*1), Z3
+	INVBFLY(Z0, Z1, Z6, Z7, Z4, Z5)
+	INVBFLY(Z2, Z3, Z8, Z9, Z16, Z17)
+	INVBFLY(Z0, Z2, Z10, Z11, Z4, Z5)
+	INVBFLY(Z1, Z3, Z10, Z11, Z16, Z17)
 	VMOVDQU64 Z0, (DI)
-	VMOVDQU64 Z1, (SI)
+	VMOVDQU64 Z1, (DI)(R10*1)
+	VMOVDQU64 Z2, (DI)(R10*2)
+	VMOVDQU64 Z3, (DI)(R13*1)
 	ADDQ $64, DI
-	ADDQ $64, SI
 	DECQ CX
 	JNZ  inner
-	MOVQ SI, DI
+	ADDQ R13, DI                    // next block starts where x3 ended
 	DECQ DX
-	JNZ  group
+	JNZ  block
 	VZEROUPPER
 	RET
 
-// func invHeadIFMA(a, w, wShoup *uint64, n int, p uint64)
-// The first three inverse stages (stride 1, 2, 4) of an n-coefficient row
-// in one pass — fwdTailIFMA's data flow run backwards. Inputs below 2p,
-// outputs in [0, 2p). n % 16 == 0.
-TEXT ·invHeadIFMA(SB), NOSPLIT, $0-40
-	MOVQ a+0(FP), DI
-	MOVQ w+8(FP), R8
-	MOVQ wShoup+16(FP), R9
-	MOVQ n+24(FP), CX
-	MOVQ p+32(FP), AX
+// func invHeadIFMA(dst, src, w, wShoup *uint64, n, stages int, p uint64)
+// The first inverse stages of an n-coefficient row in one pass —
+// fwdTailIFMA's data flow run backwards: strides 1, 2 and 4 (stages == 3),
+// followed by stride 8 when stages == 4. Loads come from src and stores
+// go to dst. Inputs below 2p, outputs in [0, 2p). n % 16 == 0.
+TEXT ·invHeadIFMA(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ w+16(FP), R8
+	MOVQ wShoup+24(FP), R9
+	MOVQ n+32(FP), CX
+	MOVQ stages+40(FP), SI
+	MOVQ p+48(FP), AX
 	NTTCONST
 	VMOVDQU64 spread4<>(SB), Z16
 	VMOVDQU64 spread2<>(SB), Z17
@@ -324,6 +402,8 @@ TEXT ·invHeadIFMA(SB), NOSPLIT, $0-40
 	VMOVDQU64 permHi<>(SB), Z19
 	VMOVDQU64 evenIdx<>(SB), Z20
 	VMOVDQU64 oddIdx<>(SB), Z21
+	STRIDE8PTRS
+	MOVQ src+8(FP), SI
 	ADDQ CX, R8                     // stride 4 twiddles, as in fwdTailIFMA
 	ADDQ CX, R9
 	LEAQ (R8)(CX*1), R10            // stride 2
@@ -332,8 +412,8 @@ TEXT ·invHeadIFMA(SB), NOSPLIT, $0-40
 	LEAQ (R11)(CX*2), R13
 	XORQ DX, DX
 block:
-	VMOVDQU64 (DI)(DX*8), Z1
-	VMOVDQU64 64(DI)(DX*8), Z3
+	VMOVDQU64 (SI)(DX*8), Z1
+	VMOVDQU64 64(SI)(DX*8), Z3
 	VMOVDQA64 Z20, Z0
 	VPERMI2Q Z3, Z1, Z0
 	VPERMT2Q Z3, Z21, Z1
@@ -353,6 +433,14 @@ block:
 	INVBFLY(Z0, Z2, Z10, Z11, Z4, Z5)       // stride 4
 	VSHUFI64X2 $0x44, Z2, Z0, Z1
 	VSHUFI64X2 $0xEE, Z2, Z0, Z3
+	TESTQ AX, AX
+	JZ   store
+	VPBROADCASTQ (AX), Z10
+	VPBROADCASTQ (BX), Z11
+	ADDQ $8, AX
+	ADDQ $8, BX
+	INVBFLY(Z1, Z3, Z10, Z11, Z4, Z5)       // stride 8
+store:
 	VMOVDQU64 Z1, (DI)(DX*8)
 	VMOVDQU64 Z3, 64(DI)(DX*8)
 	ADDQ $16, DX

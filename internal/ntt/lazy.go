@@ -25,12 +25,16 @@ package ntt
 // in range and drops all bounds checks.
 //
 // A row whose tables carry the ifma flag (AVX-512 IFMA CPU, p < 2^50,
-// n >= 16 — every Table 2 row) never reaches those loops: Forward and
-// Inverse hand every stage to the kernels of ifma_amd64.s, which keep the
-// same ranges. The scalar stages are the only path on other hosts and for
-// wider primes.
+// n >= 16 — every Table 2 row) never reaches those loops: ForwardTo and
+// InverseTo hand every stage to the kernels of ifma_amd64.s, which keep
+// the same ranges, two strided stages to a pass. The scalar stages are the
+// only path on other hosts and for wider primes.
 
-import "heax/internal/uintmod"
+import (
+	"math/bits"
+
+	"heax/internal/uintmod"
+)
 
 // butterfly is the forward (Cooley–Tukey) lazy butterfly:
 // (u, v) → (u + w·v, u − w·v) with inputs in [0, 4p), outputs in [0, 4p),
@@ -80,28 +84,57 @@ func invButterflyFirst(u, v, w, wShoup, p, twoP uint64) (uint64, uint64) {
 // Forward computes the in-place negacyclic NTT of a (Algorithm 3) on the
 // lazy hot path. Input coefficients must be < p; the output is in
 // bit-reversed order, fully reduced, and bit-identical to ForwardStrict.
-func (t *Tables) Forward(a []uint64) {
-	if len(a) != t.N {
-		panic("ntt: length mismatch")
+func (t *Tables) Forward(a []uint64) { t.ForwardTo(a, a) }
+
+// InputBound is the exclusive upper bound on ForwardTo's input
+// coefficients: 4p where the IFMA kernels run, whose every butterfly
+// takes its operands from the whole lazy range, and p elsewhere (the
+// scalar first stage skips the entry fold). A congruent input below the
+// bound gives the output its canonical residues would, bit for bit, since
+// the transform's outputs are fully reduced.
+func (t *Tables) InputBound() uint64 {
+	if t.ifma {
+		return 4 * t.Mod.P
 	}
-	if t.N < 16 {
-		// The unrolled kernels need at least 16 coefficients; tiny rings
-		// (tests, toy examples) take the strict path, which is exact.
-		t.ForwardStrict(a)
-		return
+	return t.Mod.P
+}
+
+// ForwardTo is Forward from src into dst: src is only read (the first
+// pass loads from it and stores to dst), and dst may be src itself but
+// must not otherwise overlap it. Input coefficients must be below
+// InputBound.
+func (t *Tables) ForwardTo(dst, src []uint64) {
+	if len(dst) != t.N || len(src) != t.N {
+		panic("ntt: length mismatch")
 	}
 	n := t.N
 	p := t.Mod.P
 	psi := t.psiRev
 	if t.ifma {
-		// Every stage on the vector kernels (ifma_amd64.s): one stage
-		// kernel call per stride from n/2 down to 8, then the strides 4,
-		// 2 and 1 fused in one pass that also emits the reduced outputs.
+		// The log2(n)-3 stages of stride n/2 down to 8 run two to a pass;
+		// an odd one out (log2 n even) is the stride 8 stage, which joins
+		// strides 4, 2 and 1 in the fused tail. Only a 16-coefficient row
+		// has no pass to take it out of place.
 		shoup := t.psiRevShoup52
-		for m := 1; m <= n>>4; m <<= 1 {
-			fwdStageIFMA(&a[0], &psi[m], &shoup[m], m, n/(2*m), p)
+		stages := 4 - bits.TrailingZeros(uint(n))&1
+		if n == 16 {
+			copy(dst, src)
 		}
-		fwdTailIFMA(&a[0], &psi[0], &shoup[0], n, p)
+		for m := 1; m <= n>>(stages+2); m <<= 2 {
+			fwdStage4IFMA(&dst[0], &src[0], &psi[0], &shoup[0], m, n/(4*m), p)
+			src = dst
+		}
+		fwdTailIFMA(&dst[0], &psi[0], &shoup[0], n, stages, p)
+		return
+	}
+	a := dst
+	if &dst[0] != &src[0] {
+		copy(dst, src)
+	}
+	if n < 16 {
+		// The unrolled kernels need at least 16 coefficients; tiny rings
+		// (tests, toy examples) take the strict path, which is exact.
+		t.ForwardStrict(a)
 		return
 	}
 	twoP := p * 2
@@ -200,28 +233,38 @@ func (t *Tables) Forward(a []uint64) {
 // Inverse computes the in-place negacyclic INTT of a bit-reversed-order
 // input (Algorithm 4) on the lazy hot path, returning fully reduced
 // standard-order coefficients with the 1/n factor applied — bit-identical
-// to InverseStrict.
-func (t *Tables) Inverse(a []uint64) {
-	if len(a) != t.N {
+// to InverseStrict. Input coefficients must be < p.
+func (t *Tables) Inverse(a []uint64) { t.InverseTo(a, a) }
+
+// InverseTo is Inverse from src into dst, with ForwardTo's aliasing rule:
+// src is only read, and dst may be src itself.
+func (t *Tables) InverseTo(dst, src []uint64) {
+	if len(dst) != t.N || len(src) != t.N {
 		panic("ntt: length mismatch")
-	}
-	if t.N < 16 {
-		t.InverseStrict(a)
-		return
 	}
 	n := t.N
 	p := t.Mod.P
 	psi := t.psiInvRev
 	if t.ifma {
-		// Forward's schedule mirrored: strides 1, 2 and 4 fused, one stage
-		// kernel call per stride from 8 up to n/4, then the closing stage
-		// with its fused n^-1 twiddles.
+		// ForwardTo's schedule mirrored: strides 1, 2 and 4 fused (and
+		// stride 8 when log2 n is odd, so that an even number of strided
+		// stages is left), the log2(n)-4 stages up to stride n/4 two to a
+		// pass, then the closing stage with its fused n^-1 twiddles.
 		shoup := t.psiInvRevShoup52
-		invHeadIFMA(&a[0], &psi[0], &shoup[0], n, p)
-		for m := n >> 4; m >= 2; m >>= 1 {
-			invStageIFMA(&a[0], &psi[m], &shoup[m], m, n/(2*m), p)
+		stages := 3 + bits.TrailingZeros(uint(n))&1
+		invHeadIFMA(&dst[0], &src[0], &psi[0], &shoup[0], n, stages, p)
+		for m := n >> (stages + 2); m >= 2; m >>= 2 {
+			invStage4IFMA(&dst[0], &psi[0], &shoup[0], m, n/(4*m), p)
 		}
-		invLastIFMA(&a[0], n, p, t.nInv, t.nInvShoup52, t.psi1NInv, t.psi1NInvShoup52)
+		invLastIFMA(&dst[0], n, p, t.nInv, t.nInvShoup52, t.psi1NInv, t.psi1NInvShoup52)
+		return
+	}
+	a := dst
+	if &dst[0] != &src[0] {
+		copy(dst, src)
+	}
+	if n < 16 {
+		t.InverseStrict(a)
 		return
 	}
 	twoP := p * 2

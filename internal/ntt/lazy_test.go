@@ -30,22 +30,33 @@ func oracleRows(rng *rand.Rand, n int, p uint64) [][]uint64 {
 	return rows
 }
 
+// oracleSizes are the ring degrees the workloads run (Table 2: 2^12-2^14)
+// and every shape of the IFMA pass schedule below them: the fused kernel
+// alone (16), one radix-4 pass (32, 64) and several (128 up), with both
+// parities of the strided stage count — log2 n even puts the stride 8
+// stage in the forward tail, odd in the inverse head.
+var oracleSizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
+
+// lazyPaths returns tb and, when it runs the IFMA kernels, a copy with
+// the dispatch cleared, so one host compares the kernels and the scalar
+// lazy stages on one prime.
+func lazyPaths(tb *Tables) []*Tables {
+	if !tb.ifma {
+		return []*Tables{tb}
+	}
+	scalar := *tb
+	scalar.ifma = false
+	return []*Tables{tb, &scalar}
+}
+
 // checkLazyMatchesStrict runs lazy against strict on every oracle row at
-// the ring degrees the workloads run (Table 2: 2^12-2^14) and the
-// smallest the kernels accept. Tables built for the IFMA kernels run a
-// second time through a copy with the dispatch cleared, so one host
-// compares the kernels and the scalar lazy stages on one prime.
+// every oracle size, on each path the prime has.
 func checkLazyMatchesStrict(t *testing.T, seed int64, lazy, strict func(*Tables, []uint64)) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, bitsize := range []int{30, 36, 43, 49, 50, 52, 60, 62} {
-		for _, n := range []int{16, 32, 64, 1024, 4096, 8192, 16384} {
+		for _, n := range oracleSizes {
 			tb := newTestTables(t, bitsize, n)
-			paths := []*Tables{tb}
-			if tb.ifma {
-				scalar := *tb
-				scalar.ifma = false
-				paths = append(paths, &scalar)
-			}
+			paths := lazyPaths(tb)
 			for r, row := range oracleRows(rng, n, tb.Mod.P) {
 				want := slices.Clone(row)
 				strict(tb, want)
@@ -77,6 +88,86 @@ func TestLazyForwardMatchesStrict(t *testing.T) {
 
 func TestLazyInverseMatchesStrict(t *testing.T) {
 	checkLazyMatchesStrict(t, 12, (*Tables).Inverse, (*Tables).InverseStrict)
+}
+
+// ForwardTo and InverseTo into a separate row must give what the in-place
+// transform gives and leave the source as it was (no kernel mutates an
+// input it was not told to alias), on the kernels, the scalar stages and
+// the strict path of a ring below 16.
+func TestTransformToLeavesSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, bitsize := range []int{45, 49, 55} {
+		for _, n := range append([]int{8}, oracleSizes...) {
+			for _, tb := range lazyPaths(newTestTables(t, bitsize, n)) {
+				for _, dir := range []struct {
+					name    string
+					to      func(*Tables, []uint64, []uint64)
+					inPlace func(*Tables, []uint64)
+				}{
+					{"ForwardTo", (*Tables).ForwardTo, (*Tables).Forward},
+					{"InverseTo", (*Tables).InverseTo, (*Tables).Inverse},
+				} {
+					src := randomPoly(rng, n, tb.Mod.P)
+					want := slices.Clone(src)
+					dir.inPlace(tb, want)
+					kept := slices.Clone(src)
+					dst := randomPoly(rng, n, tb.Mod.P) // stale scratch, as a pooled row is
+					dir.to(tb, dst, src)
+					if i := firstDiff(dst, want); i >= 0 {
+						t.Fatalf("%s bits=%d n=%d ifma=%v: differs from in place at %d", dir.name, bitsize, n, tb.ifma, i)
+					}
+					if i := firstDiff(src, kept); i >= 0 {
+						t.Fatalf("%s bits=%d n=%d ifma=%v: source modified at %d", dir.name, bitsize, n, tb.ifma, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// ForwardTo takes any input below InputBound — on the IFMA kernels the
+// whole lazy range, which is what lets a base conversion skip its
+// reduction — and must return the transform of the canonical residues:
+// rows at the top of the range, 0 and the top alternating, and random
+// ones, at every pass schedule, in place and out of place.
+func TestForwardUnreducedInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, bitsize := range []int{36, 46, 49, 50, 52} {
+		for _, n := range oracleSizes {
+			tb := newTestTables(t, bitsize, n)
+			p, bound := tb.Mod.P, tb.InputBound()
+			want := p
+			if tb.ifma {
+				want = 4 * p
+			}
+			if bound != want {
+				t.Fatalf("bits=%d n=%d ifma=%v: InputBound = %d, want %d", bitsize, n, tb.ifma, bound, want)
+			}
+			rows := [][]uint64{make([]uint64, n), make([]uint64, n), make([]uint64, n)}
+			for j := 0; j < n; j++ {
+				rows[0][j] = bound - 1
+				rows[1][j] = uint64(j&1) * (bound - 1)
+				rows[2][j] = rng.Uint64() % bound
+			}
+			for r, row := range rows {
+				want := make([]uint64, n)
+				for j, v := range row {
+					want[j] = v % p
+				}
+				tb.ForwardStrict(want)
+				got := make([]uint64, n)
+				tb.ForwardTo(got, row)
+				inPlace := slices.Clone(row)
+				tb.Forward(inPlace)
+				if i := firstDiff(got, want); i >= 0 {
+					t.Fatalf("bits=%d n=%d row %d: ForwardTo mismatch at %d", bitsize, n, r, i)
+				}
+				if i := firstDiff(inPlace, want); i >= 0 {
+					t.Fatalf("bits=%d n=%d row %d: Forward mismatch at %d", bitsize, n, r, i)
+				}
+			}
+		}
+	}
 }
 
 // The IFMA dispatch must be exercised on eligible primes when the CPU

@@ -10,7 +10,8 @@
 //
 // Two implementations coexist:
 //
-//   - Forward/Inverse: the production hot path, using Harvey-style lazy
+//   - Forward/Inverse, and ForwardTo/InverseTo which read one row and
+//     write another: the production hot path, using Harvey-style lazy
 //     reduction. Forward keeps operands in [0, 4p) through every stage,
 //     with the last stage emitting fully reduced outputs; Inverse keeps
 //     operands in [0, 2p) and folds both the final reduction and the 1/n
@@ -18,10 +19,12 @@
 //     unrolled with re-sliced operands so the compiler drops bounds
 //     checks, and the first and last stages (where the butterfly stride
 //     degenerates) have specialized code paths. When the CPU and modulus
-//     allow, every stage runs on AVX-512 IFMA kernels instead, the three
-//     narrowest fused in one in-register pass (see lazy.go and
-//     ifma_amd64.s). Requires p < 2^62 so 4p fits a word — which
-//     MaxModulusBits64 already guarantees for every modulus here.
+//     allow, every stage runs on AVX-512 IFMA kernels instead: the
+//     strided stages two to a pass, the narrowest three or four fused in
+//     one in-register pass, the first pass loading straight from the
+//     source row (see lazy.go and ifma_amd64.s). Requires p < 2^62 so 4p
+//     fits a word — which MaxModulusBits64 already guarantees for every
+//     modulus here.
 //
 //   - ForwardStrict/InverseStrict: the original per-butterfly
 //     strict-reduction transforms, retained verbatim as the test oracle

@@ -19,7 +19,7 @@ func TestWorkerParity(t *testing.T) {
 	// The row-parallel NTT must produce identical results serial and
 	// parallel (the elementwise ops have their own serial/parallel check
 	// against a scalar reference in dyadic_test.go). 4·4096 coefficients
-	// clear parallelThreshold.
+	// reach either parallel threshold.
 	rng := rand.New(rand.NewSource(33))
 	ctx := testContext(t, 4096, 4, 45)
 	a := randPoly(ctx, 4, rng)
@@ -36,27 +36,32 @@ func TestWorkerParity(t *testing.T) {
 
 func TestPolyPoolRecycles(t *testing.T) {
 	ctx := testContext(t, 64, 3, 45)
-	p1 := ctx.GetPoly(2)
+	p1 := ctx.GetPolyNoZero(2)
 	if p1.Rows() != 2 {
-		t.Fatalf("GetPoly(2) returned %d rows", p1.Rows())
+		t.Fatalf("GetPolyNoZero(2) returned %d rows", p1.Rows())
 	}
 	p1.Coeffs[0][0] = 42
 	p1.Coeffs[1][63] = 7
 	ctx.PutPoly(p1)
-	p2 := ctx.GetPoly(3)
+	// Whether or not the pool hands the same buffer back (its contents
+	// are unspecified either way), a poly drawn at a larger row count
+	// must come with every row at full length.
+	p2 := ctx.GetPolyNoZero(3)
 	if p2.Rows() != 3 {
-		t.Fatalf("GetPoly(3) after PutPoly returned %d rows", p2.Rows())
+		t.Fatalf("GetPolyNoZero(3) after PutPoly returned %d rows", p2.Rows())
 	}
 	for i := range p2.Coeffs {
-		for j, v := range p2.Coeffs[i] {
-			if v != 0 {
-				t.Fatalf("recycled poly not zeroed at [%d][%d] = %d", i, j, v)
-			}
+		if len(p2.Coeffs[i]) != ctx.N {
+			t.Fatalf("recycled poly row %d has %d coefficients", i, len(p2.Coeffs[i]))
 		}
 	}
+	ctx.PutPoly(p2)
 	// Foreign polys must be dropped, not recycled.
 	ctx.PutPoly(&Poly{Coeffs: [][]uint64{make([]uint64, 8)}})
 	ctx.PutPoly(nil)
+	if p := ctx.GetPolyNoZero(1); len(p.Coeffs[0]) != ctx.N {
+		t.Fatalf("pool recycled a foreign poly: row of %d coefficients", len(p.Coeffs[0]))
+	}
 }
 
 func TestFloorDropRowsPairMatchesSingle(t *testing.T) {

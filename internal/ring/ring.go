@@ -39,6 +39,10 @@ type Context struct {
 	// workers are started lazily and live for the context's lifetime.
 	sched *scheduler
 
+	// parallelThreshold is the coefficient count from which RunRows fans
+	// out: parallelThresholdIFMA or parallelThresholdScalar.
+	parallelThreshold int
+
 	// pool recycles full-basis Poly buffers so evaluator hot paths
 	// (key switching, rescale) allocate nothing per call. Held by
 	// pointer so Fork views share one pool.
@@ -73,12 +77,16 @@ func NewContext(n int, primeList []uint64) (*Context, error) {
 		autoTables: &sync.Map{},
 	}
 	ctx.Tables = make([]*ntt.Tables, basis.K())
+	ctx.parallelThreshold = parallelThresholdIFMA
 	for i, p := range basis.Primes {
 		t, err := ntt.NewTables(p, n)
 		if err != nil {
 			return nil, fmt.Errorf("ring: prime %d: %w", p, err)
 		}
 		ctx.Tables[i] = t
+		if !ctx.RowIFMA(i) {
+			ctx.parallelThreshold = parallelThresholdScalar
+		}
 	}
 	return ctx, nil
 }
@@ -111,35 +119,44 @@ func (c *Context) Fork(workers int) *Context {
 	return &cc
 }
 
-// parallelThreshold is the minimum total coefficient count (rows*N) at
-// which fanning out to the worker pool beats running serially; below it
-// the scheduling overhead dominates the row work. Sized for rows that
-// cost an NTT each (transforms, flooring, automorphisms).
-const parallelThreshold = 1 << 13
+// The parallel thresholds are the minimum total coefficient count
+// (rows*N) at which fanning out to the worker pool beats running
+// serially; below it the scheduling overhead dominates the row work.
+// They are sized for rows that cost an NTT each (transforms, flooring,
+// automorphisms), and what such a row costs depends on whether it runs
+// on the IFMA kernels, so NewContext picks one for the context:
+// parallelThresholdIFMA when every row does, parallelThresholdScalar
+// when any row takes the scalar stages.
+//
+// An IFMA row of 2^12 coefficients transforms in about 7 µs, less than
+// the hand-off to the pool, so no Set-A pass (two or three such rows)
+// fans out: with two workers BenchmarkAPI_RotateInto/Set-A ran
+// 161-171 µs fanned out (the threshold at 2^13) against 122-149 µs
+// inline, 128-135 µs on one; BenchmarkAPI_MulRelinInto/Set-B, whose
+// passes are 2^14 coefficients and up, ran 675-745 µs on two workers
+// against 800-820 µs on one. A scalar row of that size takes about
+// 45 µs, and two of them are worth handing out:
+// BenchmarkKeySwitch_ScalarRows/LogN12 (two 55-bit q rows) runs
+// 0.83-0.86 ms at the default workers against 0.88-1.00 ms on one.
+const (
+	parallelThresholdIFMA   = 1 << 14
+	parallelThresholdScalar = 1 << 13
+)
 
-// dyadicThreshold is parallelThreshold for the elementwise ops (Add, Sub,
-// Neg, MulCoeffs*). A vectorised row costs about a microsecond per 2^12
+// dyadicThreshold is the parallel threshold of the elementwise ops (Add,
+// Sub, Neg, MulCoeffs*), on any row. A vectorised row costs about a microsecond per 2^12
 // coefficients, less than the hand-off to the pool: with two workers
 // BenchmarkDyadic_* ran 1.1-2x slower fanned out at 2^13, 2^15 and 2^16
 // coefficients and 5-30 % faster at 2^17 (a top-level Set-C polynomial).
 const dyadicThreshold = 1 << 17
 
-// GetPoly returns a zeroed rows-row polynomial drawn from the context's
-// buffer pool. Callers that return it with PutPoly when done make the
+// GetPolyNoZero returns a rows-row polynomial drawn from the context's
+// buffer pool, not zeroed: the rows hold whatever a previous user left
+// behind. Only for scratch that is fully overwritten before being read —
+// an accumulator qualifies when its first term is stored, as the key
+// switch's is. Callers that return it with PutPoly when done make the
 // surrounding operation allocation-free; callers that let it escape
 // simply pay one allocation, as with NewPoly.
-func (c *Context) GetPoly(rows int) *Poly {
-	p := c.GetPolyNoZero(rows)
-	for i := 0; i < rows; i++ {
-		clear(p.Coeffs[i])
-	}
-	return p
-}
-
-// GetPolyNoZero is GetPoly without the zeroing pass: the rows hold
-// whatever a previous user left behind. Only for scratch that is fully
-// overwritten before being read — an accumulator qualifies when its
-// first term is stored, as the key switch's is.
 func (c *Context) GetPolyNoZero(rows int) *Poly {
 	if rows < 1 || rows > c.K() {
 		panic(fmt.Sprintf("ring: rows %d out of range [1,%d]", rows, c.K()))
@@ -155,7 +172,7 @@ func (c *Context) GetPolyNoZero(rows int) *Poly {
 	return p
 }
 
-// PutPoly returns a GetPoly buffer to the pool. The poly must not be
+// PutPoly returns a GetPolyNoZero buffer to the pool. The poly must not be
 // used afterwards. Polys that were not drawn from this context's pool
 // (wrong backing shape) are dropped rather than recycled.
 func (c *Context) PutPoly(p *Poly) {
@@ -617,13 +634,11 @@ func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []in
 	tailBuf := c.GetPolyNoZero(2)
 	defer c.PutPoly(tailBuf)
 	tail0 := tailBuf.Coeffs[0]
-	copy(tail0, a0.Coeffs[rows-1])
-	c.Tables[last].Inverse(tail0)
+	c.Tables[last].InverseTo(tail0, a0.Coeffs[rows-1])
 	var tail1 []uint64
 	if a1 != nil {
 		tail1 = tailBuf.Coeffs[1]
-		copy(tail1, a1.Coeffs[rows-1])
-		c.Tables[last].Inverse(tail1)
+		c.Tables[last].InverseTo(tail1, a1.Coeffs[rows-1])
 	}
 	if round {
 		half := pLast >> 1
@@ -668,17 +683,28 @@ func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []in
 // prime from and sub < p_to is a constant (0 for a plain conversion; the
 // rounding shift ⌊p/2⌋ mod p_to when flooring rounds). It is the base
 // conversion of key switching (Algorithm 7 lines 6-7) and of RNS flooring
-// (Algorithm 6 lines 3-4). The reduction runs on the IFMA kernel when the
-// target row does and the source residues fit its 52-bit lanes — a wider
-// source prime takes the scalar loop even into an IFMA target —
-// bit-identical either way.
+// (Algorithm 6 lines 3-4). src is only read.
+//
+// With no shift to subtract, a source prime no larger than the
+// transform's input bound needs no reduction at all: the transform reads
+// src where it lies and its fully reduced outputs are those of the
+// canonical residues. On an IFMA row that bound is 4·p_to, so primes of
+// about one size never reduce; on a scalar row it is p_to itself.
+// Otherwise the reduction runs on the IFMA kernel when the target row
+// does and the source residues fit its 52-bit lanes — a wider source
+// prime takes the scalar loop even into an IFMA target — bit-identical
+// either way.
 //
 //heax:noalloc
 func (c *Context) ReduceNTTRow(dst, src []uint64, from, to int, sub uint64) {
-	p, m := c.Basis.Primes[to], c.Basis.Mods[to]
+	p, m, t := c.Basis.Primes[to], c.Basis.Mods[to], c.Tables[to]
+	pFrom := c.Basis.Primes[from]
 	src = src[:len(dst)]
 	switch {
-	case c.RowIFMA(to) && bits.Len64(c.Basis.Primes[from]) <= 52:
+	case sub == 0 && pFrom <= t.InputBound():
+		t.ForwardTo(dst, src)
+		return
+	case c.RowIFMA(to) && bits.Len64(pFrom) <= 52:
 		uintmod.VecReduce(dst, src, sub, p)
 	case sub == 0:
 		for j := range dst {
@@ -689,7 +715,7 @@ func (c *Context) ReduceNTTRow(dst, src []uint64, from, to int, sub uint64) {
 			dst[j] = uintmod.SubMod(m.Reduce(src[j]), sub, p)
 		}
 	}
-	c.Tables[to].Forward(dst)
+	t.Forward(dst)
 }
 
 // floorCloseRow is the closing pass of RNS flooring on one row (Algorithm

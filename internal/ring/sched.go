@@ -139,7 +139,7 @@ var rowJobPool = sync.Pool{New: func() any { return &rowJob{wake: make(chan stru
 // exported so higher layers (the CKKS evaluator's key-switch passes) can
 // reuse the same worker policy for their own row-shaped work.
 func (c *Context) RunRows(rows int, fn func(i int)) {
-	c.runRows(rows, parallelThreshold, fn)
+	c.runRows(rows, c.parallelThreshold, fn)
 }
 
 // dyadicRows carries the operand rows of one elementwise op by value, so

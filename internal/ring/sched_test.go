@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"heax/internal/uintmod"
 )
 
 // These tests drive runRows with threshold 0, so a 64-coefficient test
@@ -16,6 +18,68 @@ func countRows(t *testing.T, ctx *Context, rows int, what string) {
 	for i := range hits {
 		if h := hits[i].Load(); h != 1 {
 			t.Fatalf("%s: row %d hit %d times", what, i, h)
+		}
+	}
+}
+
+// The parallel threshold decides which NTT-cost passes reach the pool:
+// with a second worker to give them to, from 2^14 coefficients on a
+// context whose rows all run the IFMA kernels and from 2^13 when any row
+// is scalar. No IFMA Set-A pass fans out (its rows cost less than the
+// hand-off), every multi-row Set-B and Set-C pass does, and so do the
+// 4-row passes of the IFMA LogN 12 test specs and the passes of the
+// scalar and mixed-width ones, which the worker-invariance and race
+// tests rely on.
+func TestFansOutShapes(t *testing.T) {
+	const ifma, scalar = parallelThresholdIFMA, parallelThresholdScalar
+	for _, tc := range []struct {
+		what                        string
+		n, rows, workers, threshold int
+		want                        bool
+	}{
+		{"Set-A INTT and flooring passes", 1 << 12, 2, 2, ifma, false},
+		{"Set-A MAC pass", 1 << 12, 3, 2, ifma, false},
+		{"Set-A MAC pass, eight workers", 1 << 12, 3, 8, ifma, false},
+		{"schedSpec 3-row pass", 1 << 12, 3, 4, ifma, false},
+		{"schedSpec 4-row pass", 1 << 12, 4, 2, ifma, true},
+		{"Set-B single row", 1 << 13, 1, 2, ifma, false},
+		{"Set-B level 0 MAC pass", 1 << 13, 2, 2, ifma, true},
+		{"Set-B top level MAC pass", 1 << 13, 5, 2, ifma, true},
+		{"Set-C single row", 1 << 14, 1, 2, ifma, false},
+		{"Set-C level 0 MAC pass", 1 << 14, 2, 2, ifma, true},
+		{"Set-C top level INTT pass", 1 << 14, 8, 2, ifma, true},
+		{"Set-C top level MAC pass", 1 << 14, 9, 2, ifma, true},
+		{"Set-C top level MAC pass, one worker", 1 << 14, 9, 1, ifma, false},
+		{"scalar LogN 12 single row", 1 << 12, 1, 2, scalar, false},
+		{"scalar LogN 12 INTT pass", 1 << 12, 2, 2, scalar, true},
+		{"mixedSpec 3-row INTT pass", 1 << 12, 3, 2, scalar, true},
+		{"scalar LogN 11 MAC pass", 1 << 11, 3, 2, scalar, false},
+	} {
+		ctx := &Context{N: tc.n, workers: tc.workers}
+		if got := ctx.fansOut(tc.rows, tc.threshold); got != tc.want {
+			t.Errorf("%s (%d rows of %d, %d workers, threshold %d): fansOut = %v, want %v",
+				tc.what, tc.rows, tc.n, tc.workers, tc.threshold, got, tc.want)
+		}
+	}
+	// NewContext picks by whether every row runs the kernels.
+	narrow := scalar
+	if uintmod.HasIFMA() {
+		narrow = ifma
+	}
+	for _, tc := range []struct {
+		what string
+		ctx  *Context
+		want int
+	}{
+		{"45-bit rows", testContext(t, 64, 2, 45), narrow},
+		{"55-bit rows", testContext(t, 64, 2, 55), scalar},
+		{"45- to 58-bit rows", mixedContext(t, 64), scalar},
+	} {
+		if got := tc.ctx.parallelThreshold; got != tc.want {
+			t.Errorf("%s: parallelThreshold = %d, want %d", tc.what, got, tc.want)
+		}
+		if got := tc.ctx.Fork(1).parallelThreshold; got != tc.want {
+			t.Errorf("%s: parallelThreshold = %d on a Fork, want %d", tc.what, got, tc.want)
 		}
 	}
 }

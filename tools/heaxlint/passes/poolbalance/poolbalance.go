@@ -1,16 +1,15 @@
 // Package poolbalance enforces the single-owner pooled-buffer protocol
-// (DESIGN.md): a buffer taken from a pool (ring.Context.GetPoly /
-// GetPolyNoZero, plan ctBufPool.get, getSlots) must, on every
-// control-flow path, be returned to the pool (PutPoly / put /
-// putSlots), returned to the caller (ownership transfer by
-// convention), or stored somewhere marked `//heax:owns`. A path that
-// reaches function exit still holding the buffer is a leak: the pool
-// refills from the heap and the zero-alloc steady state erodes —
-// exactly the class of bug the runtime alloc tests only catch on the
-// inputs they drive.
+// (DESIGN.md): a buffer taken from a pool (ring.Context.GetPolyNoZero,
+// plan ctBufPool.get, getSlots) must, on every control-flow path, be
+// returned to the pool (PutPoly / put / putSlots), returned to the
+// caller (ownership transfer by convention), or stored somewhere marked
+// `//heax:owns`. A path that reaches function exit still holding the
+// buffer is a leak: the pool refills from the heap and the zero-alloc
+// steady state erodes — exactly the class of bug the runtime alloc tests
+// only catch on the inputs they drive.
 //
 // The check is path-sensitive about nil guards: having observed
-// `v = GetPoly()` it knows v is non-nil, so the false edge of
+// `v = GetPolyNoZero()` it knows v is non-nil, so the false edge of
 // `if v != nil { ctx.PutPoly(v) }` is pruned rather than reported.
 // Calls that merely receive the buffer as an argument are borrows, not
 // transfers — the repo's Into-kernel convention — so an early error
@@ -41,7 +40,6 @@ var Packages = map[string]bool{
 
 // pairs maps each Get-style method name to the Put that balances it.
 var pairs = map[string]string{
-	"GetPoly":       "PutPoly",
 	"GetPolyNoZero": "PutPoly",
 	"Get":           "Put",
 	"get":           "put",

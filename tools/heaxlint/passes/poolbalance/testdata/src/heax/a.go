@@ -7,7 +7,6 @@ type Poly struct{ Coeffs [][]uint64 }
 
 type Context struct{}
 
-func (c *Context) GetPoly(n int) *Poly       { return &Poly{} }
 func (c *Context) GetPolyNoZero(n int) *Poly { return &Poly{} }
 func (c *Context) PutPoly(p *Poly)           {}
 
@@ -15,7 +14,7 @@ var errBad = errors.New("heax: bad")
 
 // The classic leak: an early error return between Get and Put.
 func leaky(ctx *Context, fail bool) error {
-	p := ctx.GetPoly(4) // want `can reach function exit without PutPoly`
+	p := ctx.GetPolyNoZero(4) // want `can reach function exit without PutPoly`
 	if fail {
 		return errBad
 	}
@@ -24,7 +23,7 @@ func leaky(ctx *Context, fail bool) error {
 }
 
 func deferred(ctx *Context, fail bool) error {
-	p := ctx.GetPoly(4)
+	p := ctx.GetPolyNoZero(4)
 	defer ctx.PutPoly(p)
 	if fail {
 		return errBad
@@ -33,7 +32,7 @@ func deferred(ctx *Context, fail bool) error {
 }
 
 func allPaths(ctx *Context, fail bool) error {
-	p := ctx.GetPoly(4)
+	p := ctx.GetPolyNoZero(4)
 	if fail {
 		ctx.PutPoly(p)
 		return errBad
@@ -56,7 +55,7 @@ func nilGuarded(ctx *Context, want bool) {
 
 // Returning the buffer transfers ownership to the caller.
 func transferByReturn(ctx *Context) *Poly {
-	p := ctx.GetPoly(4)
+	p := ctx.GetPolyNoZero(4)
 	return p
 }
 
@@ -64,34 +63,34 @@ type holder struct{ p *Poly }
 
 // Storing into a field is a transfer (the holder now owns it).
 func transferByStore(ctx *Context, h *holder) {
-	p := ctx.GetPoly(4)
+	p := ctx.GetPolyNoZero(4)
 	h.p = p
 }
 
 // A direct field store needs a matching defer or //heax:owns.
 func storeUnbalanced(ctx *Context, h *holder) {
-	h.p = ctx.GetPoly(4) // want `stored into h.p with no matching defer PutPoly`
+	h.p = ctx.GetPolyNoZero(4) // want `stored into h.p with no matching defer PutPoly`
 }
 
 func storeDeferred(ctx *Context, h *holder) {
-	h.p = ctx.GetPoly(4)
+	h.p = ctx.GetPolyNoZero(4)
 	defer ctx.PutPoly(h.p)
 }
 
 func storeOwned(ctx *Context, h *holder) {
 	//heax:owns the holder releases it
-	h.p = ctx.GetPoly(4)
+	h.p = ctx.GetPolyNoZero(4)
 }
 
 // A Get buried in a composite literal is unprovable without //heax:owns.
 func subexpression(ctx *Context) {
-	h := &holder{p: ctx.GetPoly(4)} // want `used as a subexpression`
+	h := &holder{p: ctx.GetPolyNoZero(4)} // want `used as a subexpression`
 	_ = h
 }
 
 func subexpressionOwned(ctx *Context) *holder {
 	//heax:owns rides in the holder
-	return &holder{p: ctx.GetPoly(4)}
+	return &holder{p: ctx.GetPolyNoZero(4)}
 }
 
 // Put inside a loop body still covers the path out of the loop.
