@@ -6,6 +6,7 @@ package circuits_test
 // scripts/bench.sh records both into the benchmark snapshot.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -14,37 +15,15 @@ import (
 )
 
 // BenchmarkCircuits_MatVec: 256×256 encrypted matrix-vector product on
-// Set-A via the BSGS diagonal method — one hoisted baby batch plus the
-// giant rotations per run.
+// Set-A via the BSGS diagonal method. BabyDim=16 is the split the
+// transform picks for itself — one hoisted batch of 15 baby rotations, 16
+// inner sums of 16 plaintext products, 15 giant rotations — and
+// BabyDim=256 the other end: 255 baby rotations in one batch and a single
+// 256-term sum, the shape with no step-level parallelism left.
 func BenchmarkCircuits_MatVec(b *testing.B) {
 	k := newKit(b, heax.SetA)
 	rng := rand.New(rand.NewSource(11))
 	const n = 256
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
-		for j := range m[i] {
-			m[i][j] = rng.Float64()*2 - 1
-		}
-	}
-	lt, err := circuits.FromRealMatrix(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := heax.NewCircuit()
-	out, err := lt.Apply(c, c.Input("x"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	c.Output("y", out)
-	steps, err := c.RequiredRotations(k.params)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := c.Compile(k.params, k.keys(b, steps))
-	if err != nil {
-		b.Fatal(err)
-	}
 	xv := make([]float64, n)
 	for i := range xv {
 		xv[i] = rng.Float64()*2 - 1
@@ -54,11 +33,15 @@ func BenchmarkCircuits_MatVec(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := map[string]*heax.Ciphertext{"x": k.encrypt(b, x)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plan.Run(in); err != nil {
-			b.Fatal(err)
-		}
+	for _, babyDim := range []int{16, 256} {
+		plan := matVecPlan(b, k, rng, babyDim)
+		b.Run(fmt.Sprintf("BabyDim=%d", babyDim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := plan.Run(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -104,6 +104,10 @@ func TestEncryptedSigmoid(t *testing.T) {
 	if counts["Rotate"] != 0 || counts["RotateHoisted"] != 0 {
 		t.Fatalf("polynomial evaluation should need no rotations:\n%s", plan.Describe())
 	}
+	// The block sums Σ cⱼ·uʲ are sums of plaintext products.
+	if left := unfusedSums(t, plan.Describe()); len(left) != 0 || counts["MulPlainSum"] == 0 {
+		t.Fatalf("the Chebyshev block sums should compile to MulPlainSum steps:\n%s", plan.Describe())
+	}
 	lv, err := plan.OutputLevel("y")
 	if err != nil {
 		t.Fatal(err)

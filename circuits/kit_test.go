@@ -7,11 +7,14 @@ package circuits_test
 
 import (
 	"math/rand"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"heax"
+	"heax/circuits"
 )
 
 type kit struct {
@@ -91,6 +94,41 @@ func randComplex(rng *rand.Rand, n int) []complex128 {
 	return v
 }
 
+// matVecPlan compiles the dense 256×256 BSGS matvec (the benchmark's
+// matvec-serve-A circuit) with a matrix drawn from rng and the given
+// baby-step count, 0 for the transform's own choice.
+func matVecPlan(t testing.TB, k *kit, rng *rand.Rand, babyDim int) *heax.Plan {
+	t.Helper()
+	const n = 256
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+		for j := range m[i] {
+			m[i][j] = rng.Float64()*2 - 1
+		}
+	}
+	lt, err := circuits.FromRealMatrix(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt.BabyDim = babyDim
+	c := heax.NewCircuit()
+	out, err := lt.Apply(c, c.Input("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Output("y", out)
+	steps, err := c.RequiredRotations(k.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := c.Compile(k.params, k.keys(t, steps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 // stepCounts tallies Plan.Describe lines by step kind name.
 func stepCounts(desc string) map[string]int {
 	counts := make(map[string]int)
@@ -101,4 +139,68 @@ func stepCounts(desc string) map[string]int {
 		}
 	}
 	return counts
+}
+
+var describeStep = regexp.MustCompile(`^\s*\d+\s+(\w+)\s+\[([\d ]*)\] -> \[([\d ]*)\]\s+@L(\d+) `)
+
+// unfusedSums lists the Add lines of a Plan.Describe listing that the
+// compiler should have fused and did not: both operands produced at the
+// Add's level by a MulPlain or a MulPlainSum, read by nothing else and
+// not named outputs. One lowering means the list is empty for every plan.
+func unfusedSums(t testing.TB, desc string) []string {
+	t.Helper()
+	type step struct {
+		line, kind string
+		args       []int
+		level      int
+	}
+	ints := func(s string) []int {
+		var out []int
+		for _, f := range strings.Fields(s) {
+			n, err := strconv.Atoi(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, n)
+		}
+		return out
+	}
+	var steps []step
+	producer, reads := map[int]int{}, map[int]int{}
+	for _, line := range strings.Split(desc, "\n") {
+		if rest, ok := strings.CutPrefix(line, "outputs: "); ok {
+			for _, o := range strings.Fields(rest) { // name=s<slot>@L<level>
+				slot, _, _ := strings.Cut(o[strings.LastIndex(o, "=s")+2:], "@")
+				reads[ints(slot)[0]]++
+			}
+			continue
+		}
+		m := describeStep.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		st := step{line: line, kind: m[1], args: ints(m[2]), level: ints(m[4])[0]}
+		for _, a := range st.args {
+			reads[a]++
+		}
+		for _, o := range ints(m[3]) {
+			producer[o] = len(steps)
+		}
+		steps = append(steps, st)
+	}
+	if len(steps) == 0 {
+		t.Fatalf("no steps parsed from:\n%s", desc)
+	}
+	var unfused []string
+	for _, st := range steps {
+		product := func(slot int) bool {
+			src, ok := producer[slot]
+			return ok && reads[slot] == 1 && steps[src].level == st.level &&
+				(steps[src].kind == "MulPlain" || steps[src].kind == "MulPlainSum")
+		}
+		if st.kind == "Add" && product(st.args[0]) && product(st.args[1]) {
+			unfused = append(unfused, st.line)
+		}
+	}
+	return unfused
 }

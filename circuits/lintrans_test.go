@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"heax"
@@ -165,6 +166,45 @@ func TestMatVecDenseAtSlotWidth(t *testing.T) {
 	}
 }
 
+// TestMatVecFusesInnerSums: the 256×256 BSGS matvec (the benchmark's
+// matvec-serve-A plan) compiles to one hoisted batch of the 15 baby
+// rotations, one 16-term MulPlainSum per giant group, and the 15 giant
+// rotations with the 15 additions that join them — 47 steps where every
+// product and partial sum once had its own (527). With BabyDim = 256 it is
+// two steps: 255 rotations in one batch and a single 256-term sum.
+func TestMatVecFusesInnerSums(t *testing.T) {
+	k := newKit(t, heax.SetA)
+	rng := rand.New(rand.NewSource(13))
+	for _, shape := range []struct {
+		babyDim int
+		want    map[string]int
+		terms   string
+	}{
+		{0, map[string]int{"RotateHoisted": 1, "Rotate": 15, "MulPlainSum": 16, "Add": 15}, " terms=16\n"},
+		{256, map[string]int{"RotateHoisted": 1, "MulPlainSum": 1}, " terms=256\n"},
+	} {
+		plan := matVecPlan(t, k, rng, shape.babyDim)
+		desc := plan.Describe()
+		counts := stepCounts(desc)
+		total := 0
+		for kind, want := range shape.want {
+			if counts[kind] != want {
+				t.Fatalf("BabyDim=%d: %d %s steps, want %d\n%s", shape.babyDim, counts[kind], kind, want, desc)
+			}
+			total += want
+		}
+		if plan.NumSteps() != total {
+			t.Fatalf("BabyDim=%d: %d steps, want %d\n%s", shape.babyDim, plan.NumSteps(), total, desc)
+		}
+		if got := strings.Count(desc, shape.terms); got != shape.want["MulPlainSum"] {
+			t.Fatalf("BabyDim=%d: %d sums of%swant %d\n%s", shape.babyDim, got, shape.terms, shape.want["MulPlainSum"], desc)
+		}
+		if left := unfusedSums(t, desc); len(left) != 0 {
+			t.Fatalf("BabyDim=%d: sums of plaintext products left unfused:\n%s", shape.babyDim, strings.Join(left, "\n"))
+		}
+	}
+}
+
 // TestBatchedDot scores slots/8 samples against one weight vector in a
 // single transform and checks both the values and the rotation set the
 // n1 picker selects.
@@ -208,6 +248,9 @@ func TestBatchedDot(t *testing.T) {
 	plan, err := c.Compile(k.params, k.keys(t, steps))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if left := unfusedSums(t, plan.Describe()); len(left) != 0 || !strings.Contains(plan.Describe(), "MulPlainSum") {
+		t.Fatalf("BatchedDot's inner sums should each be one MulPlainSum step:\n%s", plan.Describe())
 	}
 
 	// One sample's features per 8-slot block, no replication.

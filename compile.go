@@ -83,6 +83,8 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) 
 		return nil, err
 	}
 	k.hoistRotations()
+	k.fusePlainSums(outputs)
+	k.renumberSlots(outputs) // so nSlots and the footprint describe the fused plan
 
 	crew := crewPerProc * runtime.GOMAXPROCS(0)
 	p := &Plan{
@@ -97,6 +99,7 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) 
 		producer:  make([]int, k.nSlots),
 		needs:     make([]int, len(k.steps)),
 		readers:   make([][]int, len(k.steps)),
+		argOff:    make([]int, len(k.steps)+1),
 		crew:      crew,
 		lookahead: lookaheadPerCrew * crew,
 	}
@@ -105,6 +108,7 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) 
 	}
 	// Steps are in topological order: an operand's producer comes first.
 	for i, st := range p.steps {
+		p.argOff[i+1] = p.argOff[i] + len(st.args)
 		for _, a := range st.args {
 			p.consumers[a]++
 			if src := p.producer[a]; src >= 0 {
@@ -724,4 +728,106 @@ func (k *compiler) hoistRotations() {
 		}
 	}
 	k.steps = kept
+}
+
+// fusePlainSums turns every sum of single-use plaintext products into
+// one step: an Add whose two operands each come from a MulPlain (a
+// compiler lift is one too) or from an already fused sum at the Add's
+// level, are read by nothing else and are not named outputs becomes a
+// MulPlainSum over its operands' terms in order, at the Add's position —
+// after every term's own operand, so the list stays topological — and the
+// producers go. The kernel behind it reduces the sum of the products
+// once, which is the same canonical residue as reducing each product and
+// each partial sum, so no output bit changes; it only stops writing the
+// products and partial sums out.
+func (k *compiler) fusePlainSums(outputs []planOutput) {
+	reads := make([]int, k.nSlots)
+	producer := make([]int, k.nSlots)
+	for i := range producer {
+		producer[i] = -1
+	}
+	for i, s := range k.steps {
+		for _, a := range s.args {
+			reads[a]++
+		}
+		for _, o := range s.outs {
+			producer[o] = i
+		}
+	}
+	for _, o := range outputs {
+		reads[o.slot]++ // a named output is read by the caller
+	}
+	dropped := make([]bool, len(k.steps))
+	for i := range k.steps {
+		add := &k.steps[i]
+		if add.kind != stepAdd {
+			continue
+		}
+		var terms [2]*planStep
+		for j, a := range add.args {
+			if src := producer[a]; src >= 0 && reads[a] == 1 {
+				if t := &k.steps[src]; (t.kind == stepMulPlain || t.kind == stepMulPlainSum) && t.level == add.level {
+					terms[j] = t
+				}
+			}
+		}
+		if terms[0] == nil || terms[1] == nil {
+			continue
+		}
+		// The left operand is dropped, so the sum takes its lists over and
+		// a chain of n terms fuses in O(n).
+		dropped[producer[add.args[0]]], dropped[producer[add.args[1]]] = true, true
+		*add = planStep{
+			kind: stepMulPlainSum, outs: add.outs, level: add.level, scale: add.scale,
+			args: append(terms[0].args, terms[1].args...),
+			pts:  append(plainFactors(terms[0]), plainFactors(terms[1])...),
+		}
+	}
+
+	kept := k.steps[:0]
+	for i, s := range k.steps {
+		if !dropped[i] {
+			kept = append(kept, s)
+		}
+	}
+	k.steps = kept
+}
+
+// plainFactors lists the plaintexts of a MulPlain or MulPlainSum step.
+func plainFactors(s *planStep) []*Plaintext {
+	if s.kind == stepMulPlain {
+		return []*Plaintext{s.pt}
+	}
+	return s.pts
+}
+
+// renumberSlots numbers the slots the final step list uses in order of
+// appearance (the inputs first), dropping those whose producers fusion
+// removed.
+func (k *compiler) renumberSlots(outputs []planOutput) {
+	renum := make([]int, k.nSlots)
+	for i := range renum {
+		renum[i] = -1
+	}
+	k.nSlots = 0
+	slot := func(old int) int {
+		if renum[old] < 0 {
+			renum[old] = k.newSlot()
+		}
+		return renum[old]
+	}
+	for i := range k.inputSlots {
+		k.inputSlots[i].slot = slot(k.inputSlots[i].slot)
+	}
+	for _, s := range k.steps {
+		for j, a := range s.args {
+			s.args[j] = slot(a)
+		}
+		for j, o := range s.outs {
+			s.outs[j] = slot(o)
+		}
+	}
+	for i := range outputs {
+		outputs[i].slot = slot(outputs[i].slot)
+	}
 }

@@ -125,6 +125,10 @@ func TestKernelsDoNotMutateInputs(t *testing.T) {
 			into:  func(ev *Evaluator, o []*Ciphertext) error { return ev.MulPlainInto(ct, pt, o[0]) },
 			alloc: func(ev *Evaluator) ([]*Ciphertext, error) { return one(ev.MulPlain(ct, pt)) }})
 	}
+	add(kernelCase{name: "MulPlainSum/L3,L1", cts: []*Ciphertext{x, yLow}, pt: pt,
+		into: func(ev *Evaluator, o []*Ciphertext) error {
+			return ev.MulPlainSumInto([]*Ciphertext{yLow, x, yLow}, []*Plaintext{pt, ptLow, pt}, o[0])
+		}})
 	for _, ct := range []*Ciphertext{x, yLow, deg2} {
 		ct := ct // go.mod says go 1.21: loop variables are shared
 		shape := fmt.Sprintf("L%dd%d", ct.Level, ct.Degree())

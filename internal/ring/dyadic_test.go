@@ -136,6 +136,77 @@ func TestMulCoeffsRowMatchesMulCoeffs(t *testing.T) {
 	}
 }
 
+// dotTerms draws terms dot-product terms of rows rows, every row led by
+// the extremes of its prime so the unreduced sums run as high as they can.
+func dotTerms(ctx *Context, rows, terms int, rng *rand.Rand) []DotTerm {
+	ts := make([]DotTerm, terms)
+	for t := range ts {
+		ts[t] = DotTerm{randPoly(ctx, rows, rng), randPoly(ctx, rows, rng), randPoly(ctx, rows, rng)}
+		for i := 0; i < rows; i++ {
+			p := ctx.Basis.Primes[i]
+			for _, x := range []*Poly{ts[t].X0, ts[t].X1, ts[t].Y} {
+				copy(x.Coeffs[i], []uint64{p - 1, p - 1, p - 1, p - 1, 0, 1})
+			}
+		}
+	}
+	return ts
+}
+
+// MulCoeffsDotPair must equal the MulMod/AddMod loop on every row of the
+// mixed basis — the IFMA kernel on the 45- to 49-bit rows (block limits
+// of 64 down to 4 products, so the lists below end inside a block, on its
+// edge and past it), the scalar loop on the 52- to 58-bit rows — serial
+// and fanned out, with and without a sum carried in, reading only the
+// rows the output has and leaving its operands alone.
+func TestDotPairMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, n := range []int{64, 4096} {
+		ctx := mixedContext(t, n)
+		full := ctx.K()
+		for _, rows := range []int{full, 3} {
+			for _, count := range []int{1, 2, 4, 5, 9, DotChunk} {
+				terms := dotTerms(ctx, full, count, rng)
+				saved := make([]DotTerm, count)
+				for i, tm := range terms {
+					saved[i] = DotTerm{CopyOf(tm.X0), CopyOf(tm.X1), CopyOf(tm.Y)}
+				}
+				carry0, carry1 := randPoly(ctx, rows, rng), randPoly(ctx, rows, rng)
+				for _, acc := range []bool{false, true} {
+					want := func(x func(DotTerm) *Poly, carry *Poly) *Poly {
+						return scalarRows(ctx, rows, func(m uintmod.Modulus, i, j int) uint64 {
+							var s uint64
+							if acc {
+								s = carry.Coeffs[i][j]
+							}
+							for _, tm := range terms {
+								s = uintmod.AddMod(s, m.MulMod(x(tm).Coeffs[i][j], tm.Y.Coeffs[i][j]), m.P)
+							}
+							return s
+						})
+					}
+					want0 := want(func(tm DotTerm) *Poly { return tm.X0 }, carry0)
+					want1 := want(func(tm DotTerm) *Poly { return tm.X1 }, carry1)
+					for _, workers := range []int{1, 4} {
+						c := ctx.Fork(workers)
+						out0, out1 := CopyOf(carry0), CopyOf(carry1)
+						c.MulCoeffsDotPair(terms, acc, out0, out1)
+						if !out0.Equal(want0) || !out1.Equal(want1) {
+							t.Fatalf("n=%d rows=%d terms=%d acc=%v workers=%d: differs from the scalar reference",
+								n, rows, count, acc, workers)
+						}
+					}
+				}
+				for i, tm := range terms {
+					if !tm.X0.Equal(saved[i].X0) || !tm.X1.Equal(saved[i].X1) || !tm.Y.Equal(saved[i].Y) {
+						t.Fatalf("n=%d terms=%d: term %d was modified", n, count, i)
+					}
+				}
+			}
+		}
+		ctx.Close()
+	}
+}
+
 // --- micro-benchmarks for paired parent/change runs ---------------------
 
 // dyadicSink keeps the measured calls' results alive.
@@ -193,4 +264,31 @@ func BenchmarkDyadic_Tensor(b *testing.B) {
 
 func BenchmarkDyadic_Add(b *testing.B) {
 	benchDyadic(b, func(c *Context, in [4]*Poly, out [3]*Poly) { c.Add(in[0], in[1], out[0]) })
+}
+
+// One Σ ctₜ ⊙ ptₜ at the three Table 2 shapes, reported per term and row
+// so it reads against the MulCoeffsPair plus two Add rows it replaces.
+// Distinct operands per term, as a BSGS inner sum has: 16 terms are 3 MB
+// at Set-A, 8 terms 25 MB at Set-C.
+func BenchmarkDyadic_DotPair(b *testing.B) {
+	for _, shape := range []struct {
+		name                 string
+		n, rows, bits, terms int
+	}{{"Set-A", 1 << 12, 2, 36, 16}, {"Set-B", 1 << 13, 4, 43, 16}, {"Set-C", 1 << 14, 8, 49, 8}} {
+		ctx := testContext(b, shape.n, shape.rows, shape.bits)
+		terms := dotTerms(ctx, shape.rows, shape.terms, rand.New(rand.NewSource(45)))
+		out0, out1 := ctx.NewPoly(shape.rows), ctx.NewPoly(shape.rows)
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			c := ctx.Fork(workers)
+			b.Run(fmt.Sprintf("%s/terms=%d/workers=%d", shape.name, shape.terms, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c.MulCoeffsDotPair(terms, false, out0, out1)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shape.terms*shape.rows), "ns/term-row")
+				dyadicSink = out0
+			})
+		}
+		ctx.Close()
+	}
 }

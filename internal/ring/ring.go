@@ -429,6 +429,79 @@ func (c *Context) MulCoeffsAddRow(a, b, out []uint64, i int) {
 	}
 }
 
+// DotTerm is one term of a ciphertext-plaintext dot product: the two
+// components of a degree-1 ciphertext and the plaintext they multiply.
+// Only the rows the output has are read, so a term may hold more.
+type DotTerm struct{ X0, X1, Y *Poly }
+
+// DotChunk is the most terms one MulCoeffsDotPair call takes; a longer
+// sum chains calls, every one after the first with acc set. The row
+// primitive gathers each term's row into an array of this size on its
+// stack, and the kernel then reads 3·DotChunk rows side by side: 48
+// streams cost the same per term as 24, 96 cost 1.6× (Set-A and Set-B
+// rows, operands out of cache).
+const DotChunk = 16
+
+// MulCoeffsDotPair sets out0 = Σ X0ₜ ⊙ Yₜ and out1 = Σ X1ₜ ⊙ Yₜ over the
+// terms — Σ ctₜ ⊙ ptₜ, each operand row read once and each output row
+// written once — adding to what out0 and out1 hold when acc is set. The
+// outputs must not be operands. Rows fan out by runDyadic's rule, spelled
+// out here so the term list is copied to the heap only when they do and a
+// caller's list can live on its stack.
+func (c *Context) MulCoeffsDotPair(terms []DotTerm, acc bool, out0, out1 *Poly) {
+	rows := rowsOf(out0, out1)
+	if len(terms) == 0 || len(terms) > DotChunk {
+		panic("ring: dot product takes 1 to DotChunk terms")
+	}
+	for _, t := range terms {
+		if min(len(t.X0.Coeffs), len(t.X1.Coeffs), len(t.Y.Coeffs)) < rows {
+			panic("ring: operand row mismatch")
+		}
+	}
+	if !c.fansOut(rows, dyadicThreshold) {
+		for i := 0; i < rows; i++ {
+			c.MulCoeffsDotPairRow(terms, acc, out0.Coeffs[i], out1.Coeffs[i], i)
+		}
+		return
+	}
+	shared := make([]DotTerm, len(terms))
+	copy(shared, terms)
+	o0, o1 := out0.Coeffs, out1.Coeffs
+	c.runRows(rows, dyadicThreshold, func(i int) { c.MulCoeffsDotPairRow(shared, acc, o0[i], o1[i], i) })
+}
+
+// MulCoeffsDotPairRow is MulCoeffsDotPair for a single RNS row (basis
+// index i): the deferred-reduction IFMA kernel on eligible rows, the
+// MulMod/AddMod loop otherwise — bit-identical either way, and to
+// mulCoeffsPairRow followed by addRow term by term.
+//
+//heax:noalloc
+func (c *Context) MulCoeffsDotPairRow(terms []DotTerm, acc bool, out0, out1 []uint64, i int) {
+	p := c.Basis.Primes[i]
+	if c.RowIFMA(i) {
+		var rows [DotChunk][3][]uint64
+		for t := range terms {
+			rows[t][0], rows[t][1], rows[t][2] = terms[t].X0.Coeffs[i], terms[t].X1.Coeffs[i], terms[t].Y.Coeffs[i]
+		}
+		uintmod.VecDotPair(out0, out1, rows[:len(terms)], acc, p)
+		return
+	}
+	m := c.Basis.Mods[i]
+	for t := range terms {
+		x0, x1, y := terms[t].X0.Coeffs[i], terms[t].X1.Coeffs[i], terms[t].Y.Coeffs[i]
+		first := t == 0 && !acc
+		for j := range out0 {
+			s0, s1 := out0[j], out1[j]
+			if first {
+				s0, s1 = 0, 0
+			}
+			yj := y[j]
+			out0[j] = uintmod.AddMod(s0, m.MulMod(x0[j], yj), p)
+			out1[j] = uintmod.AddMod(s1, m.MulMod(x1[j], yj), p)
+		}
+	}
+}
+
 // MulCoeffsTensor computes the degree-2 tensor product of two degree-1
 // ciphertexts (Algorithm 5) in a single row pass: c0 = a0 ⊙ b0,
 // c1 = a0 ⊙ b1 + a1 ⊙ b0, c2 = a1 ⊙ b1. One fan-out and one sweep over
@@ -642,11 +715,16 @@ func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []in
 	}
 	if round {
 		half := pLast >> 1
-		for j := range tail0 {
-			tail0[j] = uintmod.AddMod(tail0[j], half, pLast)
-		}
-		for j := range tail1 {
-			tail1[j] = uintmod.AddMod(tail1[j], half, pLast)
+		for _, tail := range [][]uint64{tail0, tail1} {
+			if c.RowIFMA(last) && tail != nil {
+				// Adding ⌊p/2⌋ is subtracting p − ⌊p/2⌋, which the
+				// reduction kernel does on its way.
+				uintmod.VecReduce(tail, tail, pLast-half, pLast)
+				continue
+			}
+			for j := range tail {
+				tail[j] = uintmod.AddMod(tail[j], half, pLast)
+			}
 		}
 	}
 	c.RunRows(rows-1, func(i int) {

@@ -167,6 +167,74 @@ func TestVecMulAdd(t *testing.T) {
 	})
 }
 
+// TestVecDotPair: the deferred-reduction dot product equals the
+// MulMod/AddMod loop at every prime size and on both sides of each
+// prime's block limit, with every lane at p-1 (the largest unreduced
+// sums), lanes alternating 0 and p-1, and random lanes; with and without
+// an accumulator carried in.
+func TestVecDotPair(t *testing.T) {
+	if !HasIFMA() {
+		t.Skip("no AVX-512 IFMA")
+	}
+	rng := rand.New(rand.NewSource(29))
+	const n = 16
+	fills := map[string]func(i int, p uint64) uint64{
+		"max":         func(_ int, p uint64) uint64 { return p - 1 },
+		"alternating": func(i int, p uint64) uint64 { return uint64(i&1) * (p - 1) },
+		"random":      func(_ int, p uint64) uint64 { return rng.Uint64() % p },
+	}
+	for _, bitlen := range []uint{30, 36, 43, 46, 49, 50} {
+		p := prevPrime(1 << bitlen)
+		m := NewModulus(p)
+		limit := dotPairLimit(p)
+		for _, count := range []int{1, 2, 3, limit - 1, limit, limit + 1, 300} {
+			if count < 1 {
+				continue
+			}
+			for name, fill := range fills {
+				terms := make([][3][]uint64, count)
+				for j := range terms {
+					for r := range terms[j] {
+						terms[j][r] = make([]uint64, n)
+						for i := range terms[j][r] {
+							terms[j][r][i] = fill(i+j+r, p)
+						}
+					}
+				}
+				for _, acc := range []bool{false, true} {
+					out0, out1 := make([]uint64, n), make([]uint64, n)
+					want0, want1 := make([]uint64, n), make([]uint64, n)
+					if acc {
+						for i := range out0 {
+							out0[i], out1[i] = fill(i, p), p-1
+							want0[i], want1[i] = out0[i], out1[i]
+						}
+					}
+					for _, tm := range terms {
+						for i := range want0 {
+							want0[i] = AddMod(want0[i], m.MulMod(tm[0][i], tm[2][i]), p)
+							want1[i] = AddMod(want1[i], m.MulMod(tm[1][i], tm[2][i]), p)
+						}
+					}
+					VecDotPair(out0, out1, terms, acc, p)
+					what := fmt.Sprintf("%d bits, %d terms (limit %d), %s, acc=%v", bitlen, count, limit, name, acc)
+					checkRow(t, what+" out0", out0, func(i int) uint64 { return want0[i] })
+					checkRow(t, what+" out1", out1, func(i int) uint64 { return want1[i] })
+				}
+			}
+		}
+	}
+}
+
+// TestDotPairLimit pins the block limits DESIGN.md tabulates.
+func TestDotPairLimit(t *testing.T) {
+	for bitlen, want := range map[uint]int{30: 4095, 36: 4095, 37: 4095, 39: 4095, 40: 2048, 43: 256, 46: 32, 48: 8, 49: 4, 50: 1} {
+		if got := dotPairLimit(prevPrime(1 << bitlen)); got != want {
+			t.Errorf("dotPairLimit(%d bits) = %d, want %d", bitlen, got, want)
+		}
+	}
+}
+
 func TestVecMulTensor(t *testing.T) {
 	forEachDyadicCase(t, func(t *testing.T, m Modulus, rows [4][]uint64) {
 		a0, b0, a1, b1 := rows[0], rows[1], rows[2], rows[3]

@@ -18,6 +18,11 @@ func vecNegIFMA(out, x *uint64, n int, p uint64)
 func vecReduceIFMA(out, x *uint64, n int, p, mu, sub uint64)
 func vecSubMulAddIFMA(out, a, r, add *uint64, n int, p, w, wShoup uint64)
 
+// noescape: callers gather the term list into a stack array.
+//
+//go:noescape
+func vecDotPairIFMA(out0, out1 *uint64, terms *[3][]uint64, t, limit, folds, n int, p, mu, shift uint64, acc bool)
+
 // hasIFMA is fixed at startup; the dispatch never changes afterwards.
 var hasIFMA = detectIFMA()
 
@@ -66,6 +71,26 @@ func VecMulAdd(out, x, y []uint64, p uint64) {
 	_ = y[n-1]
 	mu, shift := barrett52(p)
 	vecMulAddIFMA(&out[0], &x[0], &y[0], n, p, mu, shift)
+}
+
+// VecDotPair sets out0[i] = Σ x0[i]·y[i] mod p and out1[i] = Σ x1[i]·y[i]
+// mod p over the terms (x0, x1, y) — the two components of Σ ctⱼ ⊙ ptⱼ —
+// added to what out0 and out1 hold when acc is set. Every operand is
+// read once and each output written once; products accumulate unreduced
+// as far as p allows, so the result is the canonical residue the
+// VecMulPair/VecAdd sequence gives. The outputs must not be operands.
+func VecDotPair(out0, out1 []uint64, terms [][3][]uint64, acc bool, p uint64) {
+	n := len(out0)
+	_ = out1[n-1]
+	for i := range terms {
+		_ = terms[i][0][n-1]
+		_ = terms[i][1][n-1]
+		_ = terms[i][2][n-1]
+	}
+	mu, shift := barrett52(p)
+	limit := dotPairLimit(p)
+	folds := bits.Len(uint(min(limit, len(terms)) + 2))
+	vecDotPairIFMA(&out0[0], &out1[0], &terms[0], len(terms), limit, folds, n, p, mu, shift, acc)
 }
 
 // VecMulTensor sets c0 = a0·b0, c1 = a0·b1 + a1·b0, c2 = a1·b1 (mod p),

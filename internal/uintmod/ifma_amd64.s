@@ -41,12 +41,13 @@ no:
 
 // ---- general-operand kernels (Barrett by halves) ------------------------
 //
-// The dyadic ops of the evaluator (MulPlain, the Algorithm 5 tensor, the
-// key-switch and decrypt multiply-adds) multiply two variable rows, so
-// the kernels reduce the 104-bit product with one Barrett constant per
-// row and need no per-coefficient constant of either operand — the
-// scheme Intel HEXL uses for its 52-bit path. Inputs and outputs are
-// fully reduced, so every result equals Modulus.MulMod/AddMod bit for bit.
+// The dyadic ops of the evaluator (MulPlain and sums of them, the
+// Algorithm 5 tensor, the key-switch and decrypt multiply-adds) multiply
+// two variable rows, so the kernels reduce the 104-bit product with one
+// Barrett constant per row and need no per-coefficient constant of either
+// operand — the scheme Intel HEXL uses for its 52-bit path. Inputs and
+// outputs are fully reduced, so every result equals Modulus.MulMod/AddMod
+// bit for bit.
 //
 // Let k = bitlen(p), so 2^(k-1) < p < 2^k (p is odd) and k <= 50, and let
 // x, y < p with z = x*y < 2^(2k). Per row the Go wrapper computes
@@ -81,6 +82,26 @@ no:
 // 0 <= z - q*p < 4p < 2^52, still inside what the two folds reduce.
 // The multiply-add adds the accumulator (< p) to r < 5p/2 before folding.
 //
+// The dot product defers the reduction across T products. With Z = sum z_i:
+// c = sum c_i lies in (Z/2^(k-1) - T, Z/2^(k-1)] and is an IFMA operand, so
+// it must stay below 2^52: c < T*2^(k+1) <= 2^52 asks T <= 2^(51-k). lo
+// adds T values below 2^52 and then one more, lo52(q*(2^52-p)), in a 64-bit
+// lane: (T+1)*(2^52-1) < 2^64 asks T <= 4095. q = hi52(c*mu) still never
+// overestimates floor(Z/p), and from below
+//
+//	c*mu/2^52 > Z/p - Z/2^(k+51) - T*2^(k-1)/p > Z/p - T*2^(k-51) - T >= Z/p - T - 1
+//
+// (Z < T*2^(2k), and T*2^(k-51) <= 1 by the first condition); the floor
+// costs less than one more, so 0 <= Z - q*p < (T+2)p, and with an addend
+// below p the value to fold is below (T+3)p, which must fit a lane:
+// (T+3)*2^k <= 2^52 asks T <= 2^(52-k) - 3. The three conditions give the
+// most products one reduction may absorb (dotPairLimit):
+//
+//	k       <= 39   40    43   46  48  49  50
+//	limit   4095  2048   256   32   8   4   1
+//
+// A value below 2^f*p takes f folds, by 2^(f-1)*p down to p.
+//
 // Every iteration loads all of its inputs before its first store, so an
 // output row may be the same slice as an input row (partial overlap is
 // not supported). Constants live in Z10-Z15 for the whole loop:
@@ -110,7 +131,8 @@ no:
 	VPXORQ lo, lo, lo; \
 	PRODUCTACC(x, x2, y, ys, c, lo)
 
-// BARRETT sets lo = z - floor(c*mu/2^52)*p in [0, 4p); t is scratch.
+// BARRETT sets lo = z - floor(c*mu/2^52)*p, in [0, 4p) for one or two
+// accumulated products and [0, (T+2)p) for T; t is scratch.
 #define BARRETT(c, lo, t) \
 	VPXORQ t, t, t; \
 	VPMADD52HUQ Z10, c, t; \
@@ -222,6 +244,91 @@ loop:
 	ADDQ $64, R8
 	DECQ CX
 	JNZ  loop
+	VZEROUPPER
+	RET
+
+// func vecDotPairIFMA(out0, out1 *uint64, terms *[3][]uint64, t, limit, folds, n int, p, mu, shift uint64, acc bool)
+// out0[i] = sum_j x0_j[i]*y_j[i] mod p, out1[i] = sum_j x1_j[i]*y_j[i] mod p
+// over the t triples (x0_j, x1_j, y_j) at terms, added to what out0/out1
+// hold when acc is set. Per 8-lane block the products of up to limit
+// terms accumulate unreduced in four registers (PRODUCTACC, as in the
+// tensor's middle term), one BARRETT and folds folds reduce them, and the
+// reduced pair enters the next limit terms as the addend: each operand is
+// read once and each output written once, whatever t and p are. Requires
+// 1 <= limit <= dotPairLimit(p) and 2^folds >= min(limit, t) + 3.
+TEXT ·vecDotPairIFMA(SB), NOSPLIT, $0-81
+	MOVQ out0+0(FP), DI
+	MOVQ out1+8(FP), R10
+	MOVQ terms+16(FP), R14
+	MOVQ t+24(FP), R11
+	MOVQ limit+32(FP), R12
+	MOVQ folds+40(FP), R15
+	MOVQ n+48(FP), CX
+	MOVQ p+56(FP), AX
+	MOVQ mu+64(FP), DX
+	MOVQ shift+72(FP), BX
+	DYADCONST
+	MOVBQZX acc+80(FP), R9
+	LEAQ -1(R15), BX
+	VPBROADCASTQ BX, Z21
+	VPSLLVQ Z21, Z12, Z21           // 2^(folds-1) * p
+	SHLQ $3, CX                     // row bytes
+	XORQ R13, R13                   // block offset
+outer:
+	VPXORQ Z19, Z19, Z19            // addend
+	VPXORQ Z20, Z20, Z20
+	TESTQ R9, R9
+	JZ   first
+	VMOVDQU64 (DI)(R13*1), Z19
+	VMOVDQU64 (R10)(R13*1), Z20
+first:
+	MOVQ R14, SI                    // next triple
+	MOVQ R11, DX                    // terms left
+block:
+	MOVQ DX, BX
+	CMPQ BX, R12
+	CMOVQGT R12, BX                 // min(left, limit) terms this reduction
+	SUBQ BX, DX
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z16, Z16, Z16
+	VPXORQ Z17, Z17, Z17
+term:
+	MOVQ 0(SI), R8
+	MOVQ 24(SI), AX
+	VMOVDQU64 (R8)(R13*1), Z0       // x0
+	VMOVDQU64 (AX)(R13*1), Z7       // x1
+	MOVQ 48(SI), R8
+	VMOVDQU64 (R8)(R13*1), Z1       // y
+	VPSLLVQ Z11, Z1, Z3             // y << shift
+	VPADDQ Z0, Z0, Z2               // 2*x0
+	VPADDQ Z7, Z7, Z8               // 2*x1
+	PRODUCTACC(Z0, Z2, Z1, Z3, Z4, Z5)
+	PRODUCTACC(Z7, Z8, Z1, Z3, Z16, Z17)
+	ADDQ $72, SI
+	DECQ BX
+	JNZ  term
+	BARRETT(Z4, Z5, Z6)
+	BARRETT(Z16, Z17, Z18)
+	VPADDQ Z19, Z5, Z19             // + addend: [0, 2^folds * p)
+	VPADDQ Z20, Z17, Z20
+	VMOVDQA64 Z21, Z22
+	MOVQ R15, BX
+fold:
+	VPSUBQ Z22, Z19, Z6
+	VPMINUQ Z6, Z19, Z19
+	VPSUBQ Z22, Z20, Z18
+	VPMINUQ Z18, Z20, Z20
+	VPSRLQ $1, Z22, Z22
+	DECQ BX
+	JNZ  fold
+	TESTQ DX, DX
+	JNZ  block
+	VMOVDQU64 Z19, (DI)(R13*1)
+	VMOVDQU64 Z20, (R10)(R13*1)
+	ADDQ $64, R13
+	CMPQ R13, CX
+	JB   outer
 	VZEROUPPER
 	RET
 

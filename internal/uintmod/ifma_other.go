@@ -24,6 +24,11 @@ func VecMulAdd(out, x, y []uint64, p uint64) {
 	panic("uintmod: VecMulAdd without IFMA support")
 }
 
+// VecDotPair must not be called when IFMAUsable is false.
+func VecDotPair(out0, out1 []uint64, terms [][3][]uint64, acc bool, p uint64) {
+	panic("uintmod: VecDotPair without IFMA support")
+}
+
 // VecMulTensor must not be called when IFMAUsable is false.
 func VecMulTensor(c0, c1, c2, a0, a1, b0, b1 []uint64, p uint64) {
 	panic("uintmod: VecMulTensor without IFMA support")

@@ -249,6 +249,16 @@ func barrett52(p uint64) (mu, shift uint64) {
 	return ShoupPrecomp52(1<<(k-1), p), uint64(52 - k)
 }
 
+// dotPairLimit is the number of products of residues of p that one
+// deferred reduction of the dot-product kernel may absorb (derived at the
+// head of ifma_amd64.s, k = bitlen(p) <= 50): the sum of the products'
+// high halves must stay an IFMA operand, the low halves a 64-bit lane,
+// and the remainder plus an addend, below (T+3)p, a 52-bit lane.
+func dotPairLimit(p uint64) int {
+	k := bits.Len64(p)
+	return min(1<<(51-k), 1<<(52-k)-3, 4095)
+}
+
 // --- w = 54 emulation ------------------------------------------------
 
 // Word54 is the HEAX native word width.

@@ -84,12 +84,17 @@ type Plan struct {
 	// steps reading its outputs, ascending, once per operand read.
 	needs   []int
 	readers [][]int
-	crew    int // goroutines working one run, the caller included
+	// argOff[step] is where the step's operands start in a run's gather
+	// array (planRun.ins); argOff[len(steps)] is its length.
+	argOff []int
+	crew   int // goroutines working one run, the caller included
 	// lookahead bounds how far past a run's oldest unfinished step (in
 	// plan order, which is the order the circuit was written in) its
-	// steps may start. Without it a BSGS matvec ran all 256 of its
-	// MulPlain steps ahead of the Add chain that consumes them and held
-	// ~100 buffers per run where ~15 suffice (DESIGN.md, "Execution").
+	// steps may start, so a circuit with many terms ready at once and a
+	// serial chain consuming them holds one window's buffers, not one per
+	// term (DESIGN.md, "Execution"). Sums of plaintext products — a BSGS
+	// matvec's 256 MulPlains, the shape this was built for — no longer
+	// need it: Compile fuses each into one MulPlainSum step.
 	lookahead int
 	footprint int // windowSlots() as of Compile, for FootprintBytes
 	// bufs pools full-basis intermediate ciphertexts. Ownership protocol
@@ -148,6 +153,7 @@ const (
 	stepConjugate
 	stepInnerSum
 	stepCopy
+	stepMulPlainSum
 )
 
 var stepKindNames = [...]string{
@@ -162,6 +168,7 @@ var stepKindNames = [...]string{
 	stepConjugate:     "ConjugateSlots",
 	stepInnerSum:      "InnerSum",
 	stepCopy:          "Copy",
+	stepMulPlainSum:   "MulPlainSum",
 }
 
 // planStep is one executable operation of a compiled plan.
@@ -170,8 +177,10 @@ type planStep struct {
 	args []int
 	outs []int
 	// pt is the payload of plain operations, encoded once at compile
-	// time at the inferred level and scale.
+	// time at the inferred level and scale; a fused sum of plaintext
+	// products holds one per operand in pts.
 	pt     *Plaintext
+	pts    []*Plaintext
 	rots   []int // rotation step (len 1) or hoisted batch (len > 1)
 	n2     int
 	level  int
@@ -241,6 +250,9 @@ func (p *Plan) Describe() string {
 		if s.n2 > 0 {
 			fmt.Fprintf(&b, " n2=%d", s.n2)
 		}
+		if len(s.pts) > 0 {
+			fmt.Fprintf(&b, " terms=%d", len(s.pts))
+		}
 		if s.lifted {
 			b.WriteString(" (lift)")
 		}
@@ -294,12 +306,16 @@ func (p *Plan) RunContext(ctx context.Context, in map[string]*Ciphertext) (map[s
 		return nil, err
 	}
 	n := len(p.steps) // always >= 1: binding an output emits at least one step
+	// One array holds the slot values and, behind them, every step's
+	// operand list.
+	vals := make([]*Ciphertext, p.nSlots+p.argOff[n])
 	r := &planRun{
 		p:       p,
 		ctx:     ctx,
 		pending: slices.Clone(p.needs),
 		errs:    make([]error, n),
-		vals:    make([]*Ciphertext, p.nSlots),
+		vals:    vals[:p.nSlots:p.nSlots],
+		ins:     vals[p.nSlots:],
 		refs:    slices.Clone(p.consumers),
 		ready:   make([]int, 0, n),
 	}
@@ -352,6 +368,10 @@ type planRun struct {
 	// Per slot: the published ciphertext, operand reads still to come.
 	vals []*Ciphertext
 	refs []int
+	// ins holds every step's gathered operands, step i's at
+	// argOff[i]:argOff[i+1] — written and read by that step alone, so a
+	// step of any fan-in allocates nothing.
+	ins []*Ciphertext
 	// ready: steps whose producers have all finished and that no member
 	// has taken, ascending, so the earliest in plan order goes first.
 	// oldest ends the finished prefix; step oldest is always ready or
@@ -385,14 +405,13 @@ func (r *planRun) work() {
 // kernel — so the accounting never depends on how a step ended.
 func (r *planRun) step(idx int) error {
 	p, st := r.p, &r.p.steps[idx]
-	var inBuf [2]*Ciphertext
-	in := inBuf[:0]
+	in := r.ins[p.argOff[idx]:p.argOff[idx+1]]
 	var err error
-	for _, a := range st.args {
+	for i, a := range st.args {
 		if src := p.producer[a]; err == nil && src >= 0 && r.errs[src] != nil {
 			err = errors.Join(ErrDependency, r.errs[src])
 		}
-		in = append(in, r.vals[a])
+		in[i] = r.vals[a]
 	}
 	if err == nil {
 		err = r.ctx.Err() // a cancelled run admits no more kernels
@@ -577,6 +596,8 @@ func (p *Plan) execKernel(idx int, st *planStep, in, outs []*Ciphertext) (err er
 			err = e.inner.InnerSumInto(in[0], st.n2, e.keys.Galois, outs[0])
 		case stepCopy:
 			err = e.inner.CopyInto(in[0], outs[0])
+		case stepMulPlainSum:
+			err = e.inner.MulPlainSumInto(in, st.pts, outs[0])
 		default:
 			err = fmt.Errorf("unknown step kind %d: %w", st.kind, ErrInternal)
 		}

@@ -144,3 +144,29 @@ func TestPlanPassThroughOutput(t *testing.T) {
 		t.Fatal("distinct outputs must be distinct ciphertexts")
 	}
 }
+
+// TestPlanWithoutProductSumsIsUntouched: the fusion of plaintext-product
+// sums and the slot renumbering after it leave a plan with nothing to
+// fuse exactly as it was lowered — here the benchmark's wire-addsub-C
+// circuit, whose listing is pinned to what it was before the pass existed.
+func TestPlanWithoutProductSumsIsUntouched(t *testing.T) {
+	params, err := heax.NewParams(heax.SetC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := heax.NewCircuit()
+	x, y := c.Input("x"), c.Input("y")
+	c.Output("s", c.Add(x, y))
+	c.Output("d", c.Sub(x, y))
+	plan, err := c.Compile(params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "plan: 2 steps, 4 slots, inputs [x y]\n" +
+		"  0  Add            [0 1] -> [2]  @L7 scale=2^40.00\n" +
+		"  1  Sub            [0 1] -> [3]  @L7 scale=2^40.00\n" +
+		"outputs: d=s3@L7 s=s2@L7\n"
+	if got := plan.Describe(); got != want {
+		t.Fatalf("listing changed:\n%s\nwant:\n%s", got, want)
+	}
+}

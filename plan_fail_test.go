@@ -286,16 +286,17 @@ func testCancellationKeepsPoolClean(t *testing.T, k *oracleKit, plan *Plan, pool
 	}
 }
 
-// WideCircuit is a sum of terms plaintext products of one input: every
-// MulPlain is ready the moment the run starts, while the Add chain that
-// consumes them is sequential — the shape of a BSGS matvec's inner sums,
-// 2·terms−1 steps. Exported for the external allocation test.
+// WideCircuit is a sum of terms plaintext-shifted copies of one input:
+// every AddPlain is ready the moment the run starts, while the Add chain
+// that consumes them is sequential — wide and serial at once, 2·terms−1
+// steps. The terms are sums, not products, because a sum of MulPlains
+// compiles to a single step. Exported for the external allocation test.
 func WideCircuit(terms int) *Circuit {
 	c := NewCircuit()
 	x := c.Input("x")
-	acc := c.MulPlain(x, []float64{1})
+	acc := c.AddPlain(x, []float64{1})
 	for i := 1; i < terms; i++ {
-		acc = c.Add(acc, c.MulPlain(x, []float64{float64(i + 1)}))
+		acc = c.Add(acc, c.AddPlain(x, []float64{float64(i + 1)}))
 	}
 	c.Output("y", acc)
 	return c
@@ -319,15 +320,16 @@ func widePlan(t *testing.T, terms int) (*oracleKit, *Plan, *auditPool) {
 	return k, plan, pool
 }
 
-// PeakFootprint runs a wide plan once per crew size on an instrumented
-// pool and fails the test if a run held more pooled buffers than
-// FootprintBytes promised for that crew, leaked one, or if the promise
-// is not window-sized. Exported for the external test that builds its
-// plan with heax/circuits.
-func PeakFootprint(t *testing.T, plan *Plan, in map[string]*Ciphertext, crews ...int) {
+// PeakFootprint runs a plan once per {crew size, most slots} pair on an
+// instrumented pool and fails the test if a run held more pooled buffers
+// than FootprintBytes promised for that crew, leaked one, or if the
+// promise counts more slots than the pair allows. Exported for the
+// external test that builds its plan with heax/circuits.
+func PeakFootprint(t *testing.T, plan *Plan, in map[string]*Ciphertext, crewMost ...[2]int) {
 	t.Helper()
 	bufBytes := 2 * int64(plan.params.K()) * int64(plan.params.N) * 8
-	for _, crew := range crews {
+	for _, cm := range crewMost {
+		crew, most := cm[0], cm[1]
 		setCrew(plan, crew)
 		pool := newAuditPool(t, plan.params)
 		plan.bufs = pool
@@ -341,8 +343,8 @@ func PeakFootprint(t *testing.T, plan *Plan, in map[string]*Ciphertext, crews ..
 		if held > bound {
 			t.Fatalf("crew %d: run held %d buffers (%d bytes), FootprintBytes promised %d", crew, pool.peak, held, bound)
 		}
-		if plan.footprint > plan.nSlots/4 {
-			t.Fatalf("crew %d: footprint of %d slots is not window-sized (the plan has %d)", crew, plan.footprint, plan.nSlots)
+		if plan.footprint > most {
+			t.Fatalf("crew %d: footprint of %d slots, want at most %d (the plan has %d)", crew, plan.footprint, most, plan.nSlots)
 		}
 		t.Logf("crew %d: peak %d buffers, footprint %d slots (plan has %d)", crew, pool.peak, plan.footprint, plan.nSlots)
 	}

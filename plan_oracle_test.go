@@ -109,6 +109,18 @@ func replayPlan(t *testing.T, p *Plan, in map[string]*Ciphertext) map[string]*Ci
 			slots[st.outs[0]], err = e.InnerSum(a, st.n2)
 		case stepCopy:
 			slots[st.outs[0]] = CopyOf(a)
+		case stepMulPlainSum:
+			// What the step was fused from: each product, then the sum so
+			// far plus it, in term order.
+			var sum *Ciphertext
+			for j := 0; j < len(st.args) && err == nil; j++ {
+				var term *Ciphertext
+				if term, err = e.MulPlain(slots[st.args[j]], st.pts[j]); err == nil && j > 0 {
+					term, err = e.Add(sum, term)
+				}
+				sum = term
+			}
+			slots[st.outs[0]] = sum
 		default:
 			t.Fatalf("replay: unknown step kind %d", st.kind)
 		}
@@ -310,7 +322,10 @@ func TestPlanOracleExampleCircuits(t *testing.T) {
 // are picked from everything built so far (so subexpressions are shared,
 // sometimes verbatim, for CSE to merge), multiplications nest up to one
 // level past what Set-A can rescale, rotations include denormalised and
-// keyless steps, and 1–3 outputs may alias each other or an input.
+// keyless steps, and 1–3 outputs may alias each other or an input. Sums
+// of 2–40 plaintext products of two shared operands come up too — what
+// the compiler fuses into one step — some with a term that is also a
+// named output or is added twice, which must keep a step of its own.
 func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 	c := NewCircuit()
 	nodes := []Node{c.Input("x"), c.Input("y")}
@@ -325,7 +340,7 @@ func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 	rots := []int{1, 2, 3, -1, slots + 1, 2 - slots, 0, 5} // 5 has no key
 	for ops := 3 + rng.Intn(12); ops > 0; ops-- {
 		var n Node
-		switch a := pick(); rng.Intn(12) {
+		switch a := pick(); rng.Intn(13) {
 		case 0, 1, 2:
 			n = c.Add(a, pick())
 		case 3, 4:
@@ -338,6 +353,21 @@ func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 			n = c.Rotate(a, rots[rng.Intn(len(rots)-rng.Intn(2))])
 		case 10:
 			n = c.MulRelin(a, pick())
+		case 11:
+			operands := [2]Node{a, pick()}
+			n = c.MulPlain(a, vals())
+			for terms := 1 + rng.Intn(40); terms > 1; terms-- {
+				n = c.Add(n, c.MulPlain(operands[rng.Intn(2)], vals()))
+			}
+			if rng.Intn(4) == 0 { // a term that is an output as well
+				term := c.MulPlain(a, vals())
+				c.Output(fmt.Sprintf("term%d", len(nodes)), term)
+				n = c.Add(n, term)
+			}
+			if rng.Intn(4) == 0 { // a term added twice
+				term := c.MulPlain(a, vals())
+				n = c.Add(c.Add(n, term), term)
+			}
 		default:
 			n = c.Add(c.Rotate(a, 1), c.Rotate(a, 2)) // a hoistable pair
 		}
@@ -370,6 +400,7 @@ func TestPlanRandomDAGs(t *testing.T) {
 	}
 	sentinels := []error{ErrLevelMismatch, ErrScaleMismatch, ErrKeyMissing, ErrUnencodable, ErrInvalidCircuit}
 	compiled, refused := 0, make(map[error]int)
+	fused, widest, kept := 0, 0, 0 // MulPlainSum steps, the most terms in one, MulPlain steps left
 	for n := 0; n < circuitCount; n++ {
 		plan, err := randomCircuit(rng, slots).Compile(k.params, k.evk)
 		if err != nil {
@@ -386,6 +417,15 @@ func TestPlanRandomDAGs(t *testing.T) {
 			continue
 		}
 		compiled++
+		for _, st := range plan.steps {
+			switch st.kind {
+			case stepMulPlainSum:
+				fused++
+				widest = max(widest, len(st.pts))
+			case stepMulPlain:
+				kept++
+			}
+		}
 		want := replayPlan(t, plan, in)
 		same := func(what string, got map[string]*Ciphertext, err error) {
 			t.Helper()
@@ -444,5 +484,10 @@ func TestPlanRandomDAGs(t *testing.T) {
 	if compiled < circuitCount/4 || compiled > circuitCount*9/10 {
 		t.Fatalf("%d of %d random circuits compiled: the generator no longer covers both outcomes", compiled, circuitCount)
 	}
-	t.Logf("%d of %d random circuits compiled; refused: %v", compiled, circuitCount, refused)
+	if fused < compiled/8 || widest < 16 || kept == 0 {
+		t.Fatalf("%d fused sums (the widest of %d terms) and %d unfused products in %d plans: the generator no longer covers the fusion",
+			fused, widest, kept, compiled)
+	}
+	t.Logf("%d of %d random circuits compiled (%d fused sums, the widest of %d terms, %d products unfused); refused: %v",
+		compiled, circuitCount, fused, widest, kept, refused)
 }

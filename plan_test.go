@@ -389,7 +389,11 @@ func TestPlanRunAllocations(t *testing.T) {
 // TestPlanFootprintCoversMatVec: on the 256×256 BSGS matvec that
 // heax/circuits builds (the benchmark's matvec-serve-A plan) no run, at
 // crew 1, 2 or 4, holds more pooled buffers than FootprintBytes admits
-// it for — and that bound is the window's, not the plan's whole width.
+// it for. With its inner sums fused the plan is 47 steps and 62 slots —
+// shorter than the window of a crew of 4 — so the bound is absolute: no
+// more than the 35, 51 and 83 slots the plan was admitted for when every
+// product and partial sum had a slot of its own (542), which a fusion
+// that dropped the steps but kept their slots would overshoot.
 func TestPlanFootprintCoversMatVec(t *testing.T) {
 	params, err := heax.NewParams(heax.SetA)
 	if err != nil {
@@ -436,5 +440,8 @@ func TestPlanFootprintCoversMatVec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heax.PeakFootprint(t, plan, map[string]*heax.Ciphertext{"x": ct}, 1, 2, 4)
+	if plan.NumSteps() > 50 {
+		t.Fatalf("matvec plan has %d steps, want at most 50:\n%s", plan.NumSteps(), plan.Describe())
+	}
+	heax.PeakFootprint(t, plan, map[string]*heax.Ciphertext{"x": ct}, [2]int{1, 35}, [2]int{2, 51}, [2]int{4, 83})
 }

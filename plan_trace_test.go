@@ -27,12 +27,14 @@ func (c *countingTracer) ObserveStep(kind string, d time.Duration) {
 	c.mu.Unlock()
 }
 
-// traceCircuit exercises several step kinds: rotate, plain multiply,
-// relinearized square, rescale.
+// traceCircuit exercises several step kinds: an addition of two inputs
+// (nothing to fuse), a relinearized product, a rotation, rescales, and a
+// sum of two plaintext products — the rotated value lifted to the other's
+// scale, and a plain multiply — which compiles to one MulPlainSum.
 func traceCircuit() *heax.Circuit {
 	c := heax.NewCircuit()
 	x := c.Input("x")
-	sq := c.MulRelin(x, x)
+	sq := c.MulRelin(c.Add(x, x), x)
 	c.Output("y", c.Add(c.Rotate(sq, 1), c.MulPlain(sq, []float64{0.5, 0.25})))
 	return c
 }
@@ -56,7 +58,7 @@ func TestPlanTracerObservesEverySteps(t *testing.T) {
 	if observed != plan.NumSteps() {
 		t.Fatalf("tracer observed %d steps of %d", observed, plan.NumSteps())
 	}
-	for _, kind := range []string{"MulRelin", "Rotate", "MulPlain", "Add"} {
+	for _, kind := range []string{"MulRelin", "Rotate", "MulPlain", "Add", "MulPlainSum"} {
 		if tr.kinds[kind] == 0 {
 			t.Errorf("no %s step observed; got %v", kind, tr.kinds)
 		}

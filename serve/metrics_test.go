@@ -117,10 +117,11 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 	if ok, _ := regexp.MatchString(`heax_serve_run_seconds_count\{tenant="demo",plan="[0-9a-f]{16}"\}`, exp); !ok {
 		t.Errorf("run_seconds sample lacks the hex plan label:\n%s", exp)
 	}
-	// Step tracing is on by default: the matvec plan executed real
-	// MulPlain steps whose kernels must have been timed.
-	if got := sampleValue(t, exp, `heax_plan_step_seconds_count{kind="MulPlain"}`); got == 0 {
-		t.Error("step tracing on by default, but MulPlain observed no steps")
+	// Step tracing is on by default: the matvec plan's products compile
+	// to MulPlainSum steps — a kind this package never names; it reaches
+	// the family through heax.StepKinds — whose kernels must have been timed.
+	if got := sampleValue(t, exp, `heax_plan_step_seconds_count{kind="MulPlainSum"}`); got == 0 {
+		t.Error("step tracing on by default, but MulPlainSum observed no steps")
 	}
 
 	// Stats and obs agree exactly — one mutex discipline.
