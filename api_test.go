@@ -28,15 +28,21 @@ type apiKit struct {
 var (
 	apiKitMu    sync.Mutex
 	apiKitCache *apiKit
+	apiKitProcs int // GOMAXPROCS when apiKitCache was built
 )
 
+// newAPIKit returns the shared kit, rebuilt when GOMAXPROCS has changed
+// since it was built: a parameter set's worker cap is fixed when it is
+// created, so under a -cpu list a kit kept from the first value would
+// run every later one on that value's workers.
 func newAPIKit(t testing.TB) *apiKit {
 	t.Helper()
 	apiKitMu.Lock()
 	defer apiKitMu.Unlock()
-	if apiKitCache != nil {
+	if apiKitCache != nil && apiKitProcs == runtime.GOMAXPROCS(0) {
 		return apiKitCache
 	}
+	apiKitProcs = runtime.GOMAXPROCS(0)
 	params, err := heax.NewParams(heax.SetB)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -86,10 +85,10 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) 
 	k.fusePlainSums(outputs)
 	k.renumberSlots(outputs) // so nSlots and the footprint describe the fused plan
 
-	crew := crewPerProc * runtime.GOMAXPROCS(0)
+	eval := NewEvaluator(params, evk)
 	p := &Plan{
 		params:    params,
-		eval:      NewEvaluator(params, evk),
+		eval:      eval,
 		steps:     k.steps,
 		nSlots:    k.nSlots,
 		inputs:    k.inputSlots,
@@ -100,8 +99,8 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) 
 		needs:     make([]int, len(k.steps)),
 		readers:   make([][]int, len(k.steps)),
 		argOff:    make([]int, len(k.steps)+1),
-		crew:      crew,
-		lookahead: lookaheadPerCrew * crew,
+		crew:      eval.Workers(),
+		lookahead: windowPerWorker * eval.Workers(),
 	}
 	for _, in := range p.inputs {
 		p.producer[in.slot] = -1
@@ -139,16 +138,19 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) 
 	return p, nil
 }
 
-// The executor's fixed shape: crewPerProc goroutines per processor work
-// one run, RunBatch keeps batchWindow input sets in flight (the paper's
-// double-buffered host queue), and the reorder window is lookaheadPerCrew
-// steps per crew member — wide enough that interleaved dependent and
-// independent steps keep every member busy (one BSGS matvec run, Set-A,
-// 2 CPUs: 4 costs ~30 % latency, 8 and 16 are level with no window).
+// The executor's fixed shape. The computing is done by one set of
+// workers, the ring pool's: a run has at most as many members as its
+// evaluator has workers (the caller and the pool workers that join it),
+// and callers only decide how many input sets are in flight — RunBatch
+// keeps batchWindow of them (the paper's double-buffered host queue; the
+// two goroutines it starts are callers, and bound its memory), a server
+// its admission count. The reorder window is windowPerWorker steps per
+// worker — wide enough that interleaved dependent and independent steps
+// keep every member busy (one BSGS matvec run, Set-A, 2 CPUs: 8 per
+// worker costs ~30 % latency, 16 and 32 are level with no window).
 const (
-	crewPerProc      = 2
-	batchWindow      = 2
-	lookaheadPerCrew = 16
+	batchWindow     = 2
+	windowPerWorker = 32
 )
 
 // --- CSE and pruning -------------------------------------------------------

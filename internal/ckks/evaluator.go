@@ -73,6 +73,13 @@ func (ev *Evaluator) SetWorkers(n int) {
 // Workers returns the evaluator's current worker cap.
 func (ev *Evaluator) Workers() int { return ev.ctx.Workers() }
 
+// Offer and HelpUntil are the ring pool's (ring.Context.Offer,
+// HelpUntil) under this evaluator's worker cap, so whatever schedules
+// whole operations above the evaluator borrows the workers its kernels
+// fan their rows out to, and SetWorkers bounds both with one number.
+func (ev *Evaluator) Offer(h interface{ Help() }) bool { return ev.ctx.Offer(h) }
+func (ev *Evaluator) HelpUntil(wake <-chan struct{})   { ev.ctx.HelpUntil(wake) }
+
 // scalesClose reports whether two scales are equal up to floating-point
 // noise; CKKS addition on mismatched scales silently corrupts results
 // (Section 3.3), so we refuse it.

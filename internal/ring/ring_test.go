@@ -355,27 +355,6 @@ func TestInfNormSigned(t *testing.T) {
 	}
 }
 
-func TestConstPoly(t *testing.T) {
-	ctx := testContext(t, 16, 2, 30)
-	p := ctx.ConstPoly(-5, 2)
-	for i := 0; i < 2; i++ {
-		want := ctx.Basis.Primes[i] - 5
-		if p.Coeffs[i][0] != want {
-			t.Fatalf("row %d const = %d want %d", i, p.Coeffs[i][0], want)
-		}
-	}
-}
-
-func TestMulRedRow(t *testing.T) {
-	ctx := testContext(t, 16, 1, 30)
-	p := ctx.Basis.Primes[0]
-	row := []uint64{1, 2, 3}
-	MulRedRow(row, 5, p)
-	if row[0] != 5 || row[1] != 10 || row[2] != 15 {
-		t.Fatalf("MulRedRow wrong: %v", row)
-	}
-}
-
 func BenchmarkMulCoeffs(b *testing.B) {
 	ctx := testContext(b, 1<<13, 4, 44)
 	s := NewSampler(ctx, 9)

@@ -3,8 +3,6 @@ package ring
 import (
 	"math/big"
 	"math/rand"
-
-	"heax/internal/uintmod"
 )
 
 // Sampler draws the random polynomials the CKKS key-generation and
@@ -96,17 +94,7 @@ func (s *Sampler) Error(rows int) *Poly {
 	return p
 }
 
-// ConstPoly returns the polynomial with constant coefficient v (signed)
-// and zeros elsewhere, over rows primes.
-func (c *Context) ConstPoly(v int64, rows int) *Poly {
-	p := c.NewPoly(rows)
-	for i := 0; i < rows; i++ {
-		p.Coeffs[i][0] = c.Basis.ReduceInt64(v, i)
-	}
-	return p
-}
-
-// SetCoeffBigRows is a helper for tests: sets coefficient j of every row
+// SetCoeffInt64 is a helper for tests: sets coefficient j of every row
 // from the signed word v.
 func (c *Context) SetCoeffInt64(p *Poly, j int, v int64) {
 	for i := range p.Coeffs {
@@ -139,13 +127,4 @@ func (c *Context) InfNormSigned(p *Poly) float64 {
 		}
 	}
 	return max
-}
-
-// MulRedRow multiplies one residue row in place by a scalar with Shoup
-// precomputation: row = row * v mod p.
-func MulRedRow(row []uint64, v uint64, p uint64) {
-	vs := uintmod.ShoupPrecomp(v, p)
-	for j := range row {
-		row[j] = uintmod.MulRed(row[j], v, vs, p)
-	}
 }

@@ -1,9 +1,11 @@
 package ring
 
-// This file is the worker pool behind RunRows, the one parallel
-// primitive of the ring layer: every fan-out above it (NTT rows,
-// flooring rows, the key switch's INTT and accumulator rows) is "call
-// fn(i) for each row, rows are disjoint".
+// This file is the process's one set of compute workers. Two kinds of
+// work reach it: rows — RunRows, the one parallel primitive of the ring
+// layer: every fan-out above it (NTT rows, flooring rows, the key
+// switch's INTT and accumulator rows) is "call fn(i) for each row, rows
+// are disjoint" — and steps, whole units of work a higher layer (a Plan
+// run) would like one more pair of hands for.
 //
 // Design points:
 //
@@ -15,10 +17,18 @@ package ring
 //     per helper it wants, then claims rows from the job's atomic
 //     counter itself, so it contributes a full worker's throughput and
 //     the call completes even if no helper ever arrives.
-//   - The join is caller-assisted: while helpers are outstanding the
-//     caller drains the shared queue instead of blocking, so a row that
-//     itself calls RunRows cannot deadlock, and RunRows after Close
-//     completes caller-side.
+//   - The join is caller-assisted (HelpUntil): while helpers are
+//     outstanding the caller drains the row lane instead of blocking, so
+//     a row that itself calls RunRows cannot deadlock, and RunRows after
+//     Close completes caller-side.
+//   - Steps wait in a second lane that a worker looks at only when no
+//     row handle is queued: a row belongs to a fan-out somebody is
+//     already waiting on, a step is one more thing to start. An Offer is
+//     a request for extra hands, never a hand-off — whoever offers keeps
+//     working its own list — so a dropped or late offer costs
+//     parallelism, not progress. A join serves rows only: a joiner that
+//     picked up a step would suspend its own for a whole kernel, nest
+//     without bound, and hold buffers past the window its plan promised.
 
 import (
 	"sync"
@@ -29,36 +39,41 @@ import (
 // start, however large a SetWorkers request is.
 const maxPoolWorkers = 256
 
-// scheduler owns the persistent workers and the shared job queue.
+// scheduler owns the persistent workers and the two shared lanes.
 type scheduler struct {
 	// jobs carries one handle per requested helper. When it is full the
 	// caller just gets fewer helpers, so its size bounds queueing, not
 	// correctness: 512 is a few handles for every worker a context may
-	// start.
-	jobs chan *rowJob
-	stop chan struct{}
+	// start. steps is the same for offered steps.
+	jobs  chan *rowJob
+	steps chan interface{ Help() }
+	stop  chan struct{}
 
-	mu      sync.Mutex
-	started int // background workers currently alive
+	mu      sync.Mutex   // held to start workers and to close
+	started atomic.Int32 // background workers currently alive; 0 once closed
 	closed  bool
 }
 
 func newScheduler() *scheduler {
-	return &scheduler{jobs: make(chan *rowJob, 512), stop: make(chan struct{})}
+	return &scheduler{jobs: make(chan *rowJob, 512), steps: make(chan interface{ Help() }, 512), stop: make(chan struct{})}
 }
 
 // ensureWorkers starts background workers until at least n are alive
-// (capped at maxPoolWorkers). Idle workers cost one blocked goroutine.
-func (s *scheduler) ensureWorkers(n int) {
-	if n > maxPoolWorkers {
-		n = maxPoolWorkers
+// (capped at maxPoolWorkers) and reports whether the pool is open. Idle
+// workers cost one blocked goroutine. Every fan-out and offer comes
+// through here, so the pool at size is one atomic load.
+func (s *scheduler) ensureWorkers(n int) bool {
+	n = min(n, maxPoolWorkers)
+	if int(s.started.Load()) >= n {
+		return true
 	}
 	s.mu.Lock()
-	for !s.closed && s.started < n {
-		s.started++
+	defer s.mu.Unlock()
+	for !s.closed && int(s.started.Load()) < n {
+		s.started.Add(1)
 		go s.worker()
 	}
-	s.mu.Unlock()
+	return !s.closed
 }
 
 func (s *scheduler) worker() {
@@ -66,6 +81,14 @@ func (s *scheduler) worker() {
 		select {
 		case j := <-s.jobs:
 			j.help()
+			continue
+		default:
+		}
+		select {
+		case j := <-s.jobs:
+			j.help()
+		case h := <-s.steps:
+			h.Help()
 		case <-s.stop:
 			return
 		}
@@ -76,15 +99,16 @@ func (s *scheduler) worker() {
 // retained for the context's lifetime — a long-lived server rotating
 // many contexts should Close the retired ones). Parallel operations
 // already in flight still complete: their callers drain any queued
-// handles themselves. Operations submitted after Close simply run
-// caller-side, as with SetWorkers(1).
+// row handles themselves, and whoever offered a step runs it itself.
+// Operations submitted after Close simply run caller-side, as with
+// SetWorkers(1).
 func (c *Context) Close() {
 	s := c.sched
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
 		close(s.stop)
-		s.started = 0
+		s.started.Store(0)
 	}
 	s.mu.Unlock()
 }
@@ -161,6 +185,40 @@ func (c *Context) runDyadic(rows int, v dyadicRows, row func(*Context, dyadicRow
 	c.runRows(rows, dyadicThreshold, func(i int) { row(c, shared, i) })
 }
 
+// Offer asks the pool for one more pair of hands: an idle worker will
+// call h.Help, once, when no row handle is waiting. Offer never blocks
+// and never runs h itself; it reports false, having queued nothing, when
+// the context has no second worker, after Close, and when the step lane
+// is full. Help must tolerate arriving late — after the work it was
+// offered for is done — by returning at once.
+func (c *Context) Offer(h interface{ Help() }) bool {
+	if c.workers <= 1 || !c.sched.ensureWorkers(c.workers-1) {
+		return false
+	}
+	select {
+	case c.sched.steps <- h:
+		return true
+	default:
+		return false
+	}
+}
+
+// HelpUntil serves the row lane on the calling goroutine until wake
+// fires: what a goroutine does instead of sleeping while others hold
+// the work it waits for — RunRows' join, and a plan run's caller whose
+// steps are all in pool workers' hands, whose kernels then find it here
+// to take their rows.
+func (c *Context) HelpUntil(wake <-chan struct{}) {
+	for {
+		select {
+		case q := <-c.sched.jobs:
+			q.help()
+		case <-wake:
+			return
+		}
+	}
+}
+
 // fansOut reports whether a job of rows rows has the threshold
 // coefficients, and the context the workers, for a fan-out to pay.
 func (c *Context) fansOut(rows, threshold int) bool {
@@ -195,13 +253,9 @@ func (c *Context) runRows(rows, threshold int, fn func(i int)) {
 	j.run() // caller participates
 	// Join. A handle may outlive the rows (a busy helper picks it up
 	// late and finds nothing to claim), so wait for the handles, running
-	// whatever is queued — this job's or another caller's — meanwhile.
+	// whatever rows are queued — this job's or another caller's — meanwhile.
 	for j.pending.Load() > 0 {
-		select {
-		case q := <-s.jobs:
-			q.help()
-		case <-j.wake:
-		}
+		c.HelpUntil(j.wake)
 	}
 	j.fn = nil
 	rowJobPool.Put(j)

@@ -207,11 +207,151 @@ func TestContextClose(t *testing.T) {
 	ctx.Close()
 	ctx.Close()
 	countRows(t, ctx, 10, "after Close")
-	ctx.sched.mu.Lock()
-	started := ctx.sched.started
-	ctx.sched.mu.Unlock()
-	if started != 0 {
+	if started := ctx.sched.started.Load(); started != 0 {
 		t.Fatalf("%d workers alive after Close", started)
+	}
+}
+
+// helpFunc is a step handle: whatever a higher layer wants one more
+// pair of hands for.
+type helpFunc func()
+
+func (f helpFunc) Help() { f() }
+
+// queueRows puts one handle of a rows-row job straight into the row
+// lane, as RunRows would for one helper, and returns the job.
+func queueRows(ctx *Context, rows int, fn func(int)) *rowJob {
+	j := &rowJob{rows: rows, fn: fn, wake: make(chan struct{}, 1)}
+	j.next.Store(-1)
+	j.pending.Store(1)
+	ctx.sched.jobs <- j
+	return j
+}
+
+func waitFor(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-timeAfter():
+		t.Fatalf("%s: timed out", what)
+	}
+}
+
+// Rows of a fan-out already started outrank one more step: with a row
+// handle and a step handle both queued before the only worker looks,
+// the row handle is taken first.
+func TestOfferedStepWaitsForQueuedRows(t *testing.T) {
+	ctx := testContext(t, 64, 2, 30)
+	ctx.SetWorkers(2)
+	s := ctx.sched
+	var order []string
+	done := make(chan struct{})
+	// Queued directly, step first: no worker is alive until
+	// ensureWorkers starts one, so both wait when it first looks.
+	s.steps <- helpFunc(func() { order = append(order, "step"); close(done) })
+	queueRows(ctx, 1, func(int) { order = append(order, "row") })
+	s.ensureWorkers(1)
+	waitFor(t, done, "offered step")
+	if len(order) != 2 || order[0] != "row" {
+		t.Fatalf("worker took %v, want the row handle before the step handle", order)
+	}
+}
+
+// A step that itself fans out rows completes when the only pool worker
+// is the one running it: its join serves its own rows.
+func TestOfferedStepMayRunRows(t *testing.T) {
+	ctx := testContext(t, 64, 2, 30)
+	ctx.SetWorkers(2)
+	done := make(chan struct{})
+	if !ctx.Offer(helpFunc(func() { countRows(t, ctx, 9, "rows under a step"); close(done) })) {
+		t.Fatal("Offer refused on an idle 2-worker context")
+	}
+	waitFor(t, done, "step calling RunRows on the only pool worker")
+}
+
+// An offer is a request for extra hands and may always be refused: on a
+// context with no second worker, after Close, and when the lane is full
+// it reports false and queues nothing.
+func TestOfferRefusals(t *testing.T) {
+	never := helpFunc(func() { t.Error("a refused handle was run") })
+	serial := testContext(t, 64, 2, 30)
+	serial.SetWorkers(1)
+	if serial.Offer(never) || len(serial.sched.steps) != 0 || serial.sched.started.Load() != 0 {
+		t.Fatal("Offer on a one-worker context queued a handle or started a worker")
+	}
+	closed := testContext(t, 64, 2, 30)
+	closed.SetWorkers(4)
+	closed.Close()
+	if closed.Offer(never) || len(closed.sched.steps) != 0 || closed.sched.started.Load() != 0 {
+		t.Fatal("Offer after Close queued a handle or started a worker")
+	}
+
+	full := testContext(t, 64, 2, 30)
+	full.SetWorkers(2)
+	release, running := make(chan struct{}), make(chan struct{})
+	var stale atomic.Int32
+	if !full.Offer(helpFunc(func() { close(running); <-release })) { // holds the only worker
+		t.Fatal("Offer refused on an idle 2-worker context")
+	}
+	waitFor(t, running, "first offered step")
+	for i := 0; i < cap(full.sched.steps); i++ {
+		// Stale handles: answered after whatever they were offered for
+		// is over, each a no-op.
+		if !full.Offer(helpFunc(func() { stale.Add(1) })) {
+			t.Fatalf("Offer %d refused with room in the lane", i)
+		}
+	}
+	if full.Offer(never) || len(full.sched.steps) != cap(full.sched.steps) {
+		t.Fatal("Offer on a full lane queued a handle")
+	}
+	countRows(t, full, 9, "rows beside a full step lane") // a join serves rows only
+	if n := stale.Load(); n != 0 {
+		t.Fatalf("a RunRows join ran %d step handles", n)
+	}
+	close(release)
+	last := make(chan struct{})
+	for !full.Offer(helpFunc(func() { close(last) })) {
+		time.Sleep(time.Millisecond) // until the worker has made room
+	}
+	waitFor(t, last, "handle behind the stale ones")
+	if n := int(stale.Load()); n != cap(full.sched.steps) {
+		t.Fatalf("%d of %d queued handles answered", n, cap(full.sched.steps))
+	}
+}
+
+// HelpUntil serves rows until wake fires and takes no step: a handle
+// queued meanwhile is still there for the pool, not stranded with the
+// goroutine that left. Fork views share both lanes.
+func TestHelpUntil(t *testing.T) {
+	ctx := testContext(t, 64, 2, 30)
+	ctx.SetWorkers(2)
+	ctx.Close() // nobody but HelpUntil serves the lanes
+	view := ctx.Fork(3)
+	var ranRows atomic.Int32
+	rows := queueRows(ctx, 5, func(int) { ranRows.Add(1) })
+	ctx.sched.steps <- helpFunc(func() { t.Error("HelpUntil ran a step handle") })
+	returned := make(chan struct{})
+	go func() {
+		view.HelpUntil(rows.wake) // fires when the queued handle retires
+		close(returned)
+	}()
+	waitFor(t, returned, "HelpUntil")
+	if n := ranRows.Load(); n != 5 {
+		t.Fatalf("HelpUntil ran %d of 5 queued rows before its wake", n)
+	}
+	if len(view.sched.jobs) != 0 || len(view.sched.steps) != 1 {
+		t.Fatalf("lanes hold %d row and %d step handles, want 0 and the 1 step left for the pool", len(view.sched.jobs), len(view.sched.steps))
+	}
+
+	open := testContext(t, 64, 2, 30)
+	open.SetWorkers(2)
+	done := make(chan struct{})
+	if !open.Fork(2).Offer(helpFunc(func() { close(done) })) {
+		t.Fatal("Offer through a Fork refused")
+	}
+	waitFor(t, done, "handle offered through a Fork, answered by the parent's worker")
+	if n := open.sched.started.Load(); n != 1 {
+		t.Fatalf("%d workers alive on the shared pool, want 1", n)
 	}
 }
 

@@ -142,15 +142,6 @@ func (b *Basis) DecomposeSigned(x *big.Int) []uint64 {
 	return b.Decompose(t)
 }
 
-// DecomposeInt64 maps a signed word to residues, avoiding big.Int.
-func (b *Basis) DecomposeInt64(x int64) []uint64 {
-	out := make([]uint64, len(b.Primes))
-	for i := range b.Primes {
-		out[i] = b.ReduceInt64(x, i)
-	}
-	return out
-}
-
 // ReduceInt64 returns x mod p_i in [0, p_i).
 func (b *Basis) ReduceInt64(x int64, i int) uint64 {
 	p := b.Primes[i]
@@ -187,19 +178,6 @@ func (b *Basis) ComposeCentered(residues []uint64) *big.Int {
 		x.Sub(x, b.q)
 	}
 	return x
-}
-
-// CrossReduce returns [p_i]_{p_j}: the prime at index i reduced modulo the
-// prime at index j. The key-switching inner loop (Algorithm 7, line 6)
-// reduces residues of one prime modulo another; callers precompute with
-// this helper.
-func (b *Basis) CrossReduce(i, j int) uint64 {
-	return b.Mods[j].Reduce(b.Primes[i])
-}
-
-// InvOf returns [x^{-1}]_{p_j} for an arbitrary value x (reduced first).
-func (b *Basis) InvOf(x uint64, j int) uint64 {
-	return b.Mods[j].InvMod(b.Mods[j].Reduce(x))
 }
 
 // GadgetVector returns the RNS gadget vector of Section 3.4 for the first

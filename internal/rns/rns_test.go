@@ -59,23 +59,6 @@ func TestComposeCentered(t *testing.T) {
 	}
 }
 
-func TestDecomposeInt64MatchesBig(t *testing.T) {
-	b := testBasis(t, 36, 4096, 3)
-	f := func(x int64) bool {
-		a := b.DecomposeInt64(x)
-		c := b.DecomposeSigned(big.NewInt(x))
-		for i := range a {
-			if a[i] != c[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 // CRT ring homomorphism: compose(a)*compose(b) mod q == compose(a .* b).
 func TestQuickCRTHomomorphism(t *testing.T) {
 	b := testBasis(t, 40, 4096, 3)
@@ -136,24 +119,6 @@ func TestGadgetIdentity(t *testing.T) {
 			acc.Mod(acc, q)
 			if acc.Cmp(a) != 0 {
 				t.Fatalf("level %d: gadget identity failed", level)
-			}
-		}
-	}
-}
-
-func TestCrossReduceAndInv(t *testing.T) {
-	b := testBasis(t, 40, 4096, 3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			want := b.Primes[i] % b.Primes[j]
-			if got := b.CrossReduce(i, j); got != want {
-				t.Fatalf("CrossReduce(%d,%d) = %d, want %d", i, j, got, want)
-			}
-			if i != j {
-				inv := b.InvOf(b.Primes[i], j)
-				if b.Mods[j].MulMod(inv, b.CrossReduce(i, j)) != 1 {
-					t.Fatalf("InvOf(%d,%d) not an inverse", i, j)
-				}
 			}
 		}
 	}

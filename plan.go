@@ -21,7 +21,7 @@ import (
 // counters: aggregate step latency tells you which kernel class bounds
 // a circuit's throughput. Implementations must be safe for concurrent
 // use — steps from one run (and from overlapping runs) report in
-// parallel. ObserveStep must be cheap; it runs on the crew member that
+// parallel. ObserveStep must be cheap; it runs on the goroutine that
 // executed the step, before it takes the next one.
 type Tracer interface {
 	ObserveStep(kind string, d time.Duration)
@@ -58,12 +58,14 @@ func StepKinds() []string {
 // safe for concurrent use — Run may be called from many goroutines and
 // RunBatch streams input sets through it two at a time, mirroring the
 // paper's double-buffered host queue (Section 5.2). Parallelism is fixed
-// at Compile, as HEAX fixes its cores when the design is generated: a
-// crew of 2×GOMAXPROCS goroutines (the caller among them) works each
-// run, taking steps from one ready list as their operands resolve, and
-// every intermediate lives in a pooled buffer reshaped in place by the
-// *Into kernels. Steps run out of order, but only inside a reorder window
-// of lookahead steps, so a wide DAG holds one window's buffers at a time.
+// at Compile, as HEAX fixes its cores when the design is generated, and
+// the cores are shared: a run starts no goroutine. Its caller takes steps
+// from one ready list as their operands resolve, and idle workers of the
+// pool the kernels fan their rows out to (one per processor, the caller
+// among them) join it for as long as more than one step is ready. Every
+// intermediate lives in a pooled buffer reshaped in place by the *Into
+// kernels. Steps run out of order, but only inside a reorder window of
+// lookahead steps, so a wide DAG holds one window's buffers at a time.
 type Plan struct {
 	params  *Params
 	eval    *Evaluator
@@ -87,7 +89,7 @@ type Plan struct {
 	// argOff[step] is where the step's operands start in a run's gather
 	// array (planRun.ins); argOff[len(steps)] is its length.
 	argOff []int
-	crew   int // goroutines working one run, the caller included
+	crew   int // most members working one run: the caller and pool workers
 	// lookahead bounds how far past a run's oldest unfinished step (in
 	// plan order, which is the order the circuit was written in) its
 	// steps may start, so a circuit with many terms ready at once and a
@@ -290,7 +292,7 @@ func (p *Plan) validateInputs(in map[string]*Ciphertext) error {
 
 // Run executes the plan on one input set and returns the named output
 // ciphertexts (always freshly allocated — inputs are never modified).
-// Concurrent Runs each bring their own crew and share the buffer pool.
+// Concurrent Runs share the buffer pool and the process's workers.
 func (p *Plan) Run(in map[string]*Ciphertext) (map[string]*Ciphertext, error) {
 	return p.RunContext(context.Background(), in)
 }
@@ -318,8 +320,8 @@ func (p *Plan) RunContext(ctx context.Context, in map[string]*Ciphertext) (map[s
 		ins:     vals[p.nSlots:],
 		refs:    slices.Clone(p.consumers),
 		ready:   make([]int, 0, n),
+		wake:    make(chan struct{}, 1),
 	}
-	r.wake.L = &r.mu
 	for _, pi := range p.inputs {
 		r.vals[pi.slot] = in[pi.name]
 	}
@@ -328,13 +330,18 @@ func (p *Plan) RunContext(ctx context.Context, in map[string]*Ciphertext) (map[s
 			r.ready = append(r.ready, i)
 		}
 	}
-	crew := min(p.crew, n)
-	r.crew.Add(crew)
-	for m := 1; m < crew; m++ {
-		go r.work()
+	r.mu.Lock()
+	for r.work(); r.oldest < n; r.work() {
+		// Helpers hold every step that can run. Their kernels are fanning
+		// out rows, so serve those rather than sleep (on two processors
+		// the sleeping caller was the only other hands: -7 % lr-serve-C),
+		// until a helper has a step to give back or finishes the last.
+		r.parked = true
+		r.mu.Unlock()
+		p.eval.inner.HelpUntil(r.wake)
+		r.mu.Lock()
 	}
-	r.work()
-	r.crew.Wait()
+	r.mu.Unlock()
 	// The first failing step in plan order is the root cause: dependents
 	// always appear after the step that poisoned them.
 	for _, err := range r.errs {
@@ -349,19 +356,32 @@ func (p *Plan) RunContext(ctx context.Context, in map[string]*Ciphertext) (map[s
 	return out, nil
 }
 
-// planRun is one RunContext call: a fixed crew working one ready list
-// under one lock. Kernels run with the lock released; the fields below
-// mu are otherwise touched only with it held, except that a step reads
-// its operands' vals and errs (published before it became ready, never
+// planRun is one RunContext call: its members — the caller, and the
+// pool workers that answered an offer — working one ready list under one
+// lock. Kernels run with the lock released; the fields below mu are
+// otherwise touched only with it held, except that a step reads its
+// operands' vals and errs (published before it became ready, never
 // rewritten) and writes its own outputs' vals (unread until it has
 // finished) unlocked.
+//
+// Why no offer is ever needed for progress: a step becomes ready only
+// inside some member's finish, and that member's loop in work takes it
+// next; step oldest is always ready or running; so a ready step inside
+// the window always has a member coming for it, and a plan of one member
+// or a window of one step runs to the end on the caller alone.
 type planRun struct {
-	p    *Plan
-	ctx  context.Context
-	crew sync.WaitGroup
+	p   *Plan
+	ctx context.Context
 
-	mu   sync.Mutex
-	wake sync.Cond // members with nothing to take wait here
+	mu sync.Mutex
+	// helpers counts the handles offered to the pool and not yet done with
+	// (queued, or a worker inside Help), so the members never exceed
+	// p.crew and a burst of finishes does not flood the pool's lane.
+	// parked: the caller has nothing to take and is serving rows until
+	// wake, which is sent to exactly once per parking.
+	helpers int
+	parked  bool
+	wake    chan struct{}
 	// Per step: producers still to finish (-1: the step has finished), its error.
 	pending []int
 	errs    []error
@@ -380,24 +400,44 @@ type planRun struct {
 	oldest int
 }
 
-// work is one crew member: take the earliest ready step inside the
-// reorder window, run it, publish it; wait when there is none.
-func (r *planRun) work() {
-	defer r.crew.Done()
+// Help is a pool worker answering an offer: a member until the run has
+// nothing ready, which is at once if the run is already over.
+func (r *planRun) Help() {
 	r.mu.Lock()
-	for r.oldest < len(r.p.steps) {
-		if len(r.ready) == 0 || r.ready[0] >= r.oldest+r.p.lookahead {
-			r.wake.Wait()
-			continue
-		}
+	r.work()
+	r.helpers--
+	r.mu.Unlock()
+}
+
+// work is one member, entered and left with the lock held: take the
+// earliest ready step inside the reorder window, run it, publish it;
+// return when there is none.
+func (r *planRun) work() {
+	p := r.p
+	for len(r.ready) > 0 && r.ready[0] < r.oldest+p.lookahead {
 		idx := r.ready[0]
 		r.ready = slices.Delete(r.ready, 0, 1)
+		// Each further ready step inside the window is worth one more
+		// member: the parked caller first, then a pool worker.
+		for i := 0; i < len(r.ready) && r.ready[i] < r.oldest+p.lookahead; i++ {
+			if r.parked {
+				r.unpark()
+			} else if r.helpers+1 < p.crew && p.eval.inner.Offer(r) {
+				r.helpers++
+			} else {
+				break
+			}
+		}
 		r.mu.Unlock()
 		err := r.step(idx)
 		r.mu.Lock()
 		r.finish(idx, err)
 	}
-	r.mu.Unlock()
+}
+
+func (r *planRun) unpark() {
+	r.parked = false
+	r.wake <- struct{}{}
 }
 
 // step runs step idx with the lock released. Every step passes through
@@ -418,7 +458,7 @@ func (r *planRun) step(idx int) error {
 	}
 	if err == nil {
 		// Timed only around the kernel, so the tracer sees compute
-		// latency, not the wait for a crew member.
+		// latency, not the wait for a member.
 		if tb := p.tracer.Load(); tb != nil {
 			t0 := time.Now()
 			err = p.exec(idx, st, in, r.vals)
@@ -456,13 +496,8 @@ func (r *planRun) finish(idx int, err error) {
 	for r.oldest < len(p.steps) && r.pending[r.oldest] < 0 {
 		r.oldest++
 	}
-	if r.oldest == len(p.steps) {
-		r.wake.Broadcast() // the run is over
-	}
-	// This member takes the earliest ready step itself; each further one
-	// inside the window is worth waking a waiting member for.
-	for i := 1; i < min(len(r.ready), p.crew) && r.ready[i] < r.oldest+p.lookahead; i++ {
-		r.wake.Signal()
+	if r.oldest == len(p.steps) && r.parked {
+		r.unpark() // the run is over
 	}
 }
 
@@ -557,8 +592,8 @@ func (p *Plan) exec(idx int, st *planStep, in, vals []*Ciphertext) error {
 // boundary: a panicking kernel (or injected fault) becomes a returned
 // error wrapping ErrInternal, so the run poisons through the normal
 // dependency path — buffers recycled, dependents resolved — instead of
-// killing the process. This is the crew's own boundary; a serving front
-// end cannot recover for it.
+// killing the process. This is the executor's own boundary: the step
+// may be running on a pool worker, where no caller could recover for it.
 func (p *Plan) execKernel(idx int, st *planStep, in, outs []*Ciphertext) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 var errInjected = errors.New("injected kernel fault")
@@ -32,19 +33,24 @@ type auditPool struct {
 	peak   int // most buffers ever outstanding at once
 }
 
-// setCrew resizes a compiled plan's crew, and with it the reorder window
-// and the footprint bound, as Compile would have on crew/2 processors.
+// setCrew sets a compiled plan's member cap — the caller plus the pool
+// workers one run may borrow — and with it the reorder window and the
+// footprint bound: 16 steps per member, half of what Compile gives a
+// worker, so that the 191- to 255-step test plans are several windows
+// long. The members beyond the caller are whatever pool workers the
+// evaluator's own cap (GOMAXPROCS, so -cpu sizes it) provides.
 func setCrew(p *Plan, crew int) {
 	p.crew = crew
-	p.lookahead = lookaheadPerCrew * crew
+	p.lookahead = windowPerWorker / 2 * crew
 	p.footprint = p.windowSlots()
 }
 
 // execShapes are the executor shapes the failure, cancel and window
-// tests all run under: as built, a crew of one (the caller alone, so
-// nobody can be woken), and a window of one (strict plan order however
-// many members wait) — the corners in which a lost wake-up or a step
-// stuck outside the window would hang the run instead of failing it.
+// tests all run under: as built, a member cap of one (the caller alone:
+// nothing is offered and nobody can wake it), and a window of one
+// (strict plan order however many members come) — the corners in which a
+// lost wake-up or a step stuck outside the window would hang the run
+// instead of failing it.
 var execShapes = []struct {
 	name  string
 	apply func(*Plan)
@@ -194,7 +200,7 @@ func testFailingStepPoolIntegrity(t *testing.T, k *oracleKit, plan *Plan, pool *
 // into a typed error wrapping ErrInternal, keep the pool balanced, and
 // leave the plan fully reusable — a panicking kernel poisons one run,
 // never the process. This is the seam a crash-only serving daemon
-// leans on: plan steps run on crew goroutines, so no caller-side
+// leans on: plan steps may run on pool workers, where no caller-side
 // recover could catch these.
 func TestPlanPanickingStepRecovers(t *testing.T) {
 	forEachShape(t, failurePlan, testPanickingStepRecovers)
@@ -302,7 +308,7 @@ func WideCircuit(terms int) *Circuit {
 	return c
 }
 
-// widePlan compiles WideCircuit for a crew of 2 (a reorder window of 32
+// widePlan compiles WideCircuit for two members (a reorder window of 32
 // steps) on an instrumented pool.
 func widePlan(t *testing.T, terms int) (*oracleKit, *Plan, *auditPool) {
 	t.Helper()
@@ -353,7 +359,7 @@ func PeakFootprint(t *testing.T, plan *Plan, in map[string]*Ciphertext, crewMost
 // TestPlanLookaheadBoundsBuffers: the reorder window keeps a run from
 // holding a buffer per term. Live values are the window's own outputs
 // plus what crosses its lower edge (here the running sum and one term),
-// whichever crew member runs which step; FootprintBytes is computed
+// whichever member runs which step; FootprintBytes is computed
 // from the same invariant and must cover the peak; and the window
 // changes when steps run, never what they compute.
 func TestPlanLookaheadBoundsBuffers(t *testing.T) {
@@ -391,33 +397,119 @@ func TestPlanLookaheadBoundsBuffers(t *testing.T) {
 		})
 }
 
-// TestPlanRunSpawnsCrewNotSteps: a run of the 255-step plan is worked
-// by its crew — the caller and crew−1 goroutines it starts — whatever
-// the step count. Sampled from inside every step, where the goroutine
-// count is at its highest.
-func TestPlanRunSpawnsCrewNotSteps(t *testing.T) {
+// TestPlanRunStartsNoGoroutines: a run of the 255-step plan is worked by
+// its caller and the ring pool's workers, which exist once per process.
+// On a plan capped at one worker a run adds no goroutine at all (the
+// kit's pool is fresh, so an offer would have shown); at the default cap
+// the most a first run can add is the pool itself (workers − 1, started
+// by the first offer), two steps really do run at once, and a second run
+// adds nothing. Sampled from inside every step, where the goroutine count
+// is at its highest.
+func TestPlanRunStartsNoGoroutines(t *testing.T) {
 	k, plan, _ := widePlan(t, 128)
 	setCrew(plan, 4)
 	in := map[string]*Ciphertext{"x": k.encrypt(t, []float64{1, 2})}
 	var mu sync.Mutex
-	most := 0
+	most, arrived := 0, 0
+	both := make(chan struct{})
 	plan.failStep = func(int) error {
-		n := runtime.NumGoroutine()
 		mu.Lock()
-		most = max(most, n)
+		most = max(most, runtime.NumGoroutine())
+		meet := plan.eval.Workers() > 1
+		if meet {
+			if arrived++; arrived == 2 {
+				close(both)
+			}
+		}
 		mu.Unlock()
+		if meet { // the first such step holds on until a second is in here with it
+			select {
+			case <-both:
+			case <-time.After(5 * time.Second):
+				t.Error("no second step started while one was running: no pool worker joined the run")
+			}
+		}
 		return nil
 	}
+	run := func() int {
+		most = 0
+		if _, err := plan.Run(in); err != nil {
+			t.Fatal(err)
+		}
+		return most
+	}
+	workers := plan.eval.Workers()
 	baseline := runtime.NumGoroutine()
-	if _, err := plan.Run(in); err != nil {
+	plan.eval.inner.SetWorkers(1)
+	if serial := run(); serial != baseline {
+		t.Fatalf("%d goroutines during a run capped at one worker, %d before it", serial, baseline)
+	}
+	plan.eval.inner.SetWorkers(workers)
+	if first := run(); first > baseline+workers-1 {
+		t.Fatalf("%d goroutines during a %d-step run, want at most %d (baseline %d + the pool's %d workers − the caller)",
+			first, plan.NumSteps(), baseline+workers-1, baseline, workers)
+	}
+	started := runtime.NumGoroutine()
+	if second := run(); second > started {
+		t.Fatalf("a second run raised the goroutine count from %d to %d", started, second)
+	}
+}
+
+// TestPlanConcurrentRunsShareTwoWorkers is the deadlock probe for runs
+// that borrow the pool: eight callers on one key-switching Set-B plan
+// with a single pool worker between them, so every step that worker
+// holds fans rows out to whoever is parked or joining, and every caller
+// at some point waits on a step in its hands. All must finish, agree
+// bit for bit, and leave the pool balanced.
+func TestPlanConcurrentRunsShareTwoWorkers(t *testing.T) {
+	k := newOracleKit(t, SetB, []int{1, 2, 3}, false)
+	c := NewCircuit()
+	x := c.Input("x")
+	acc := c.MulRelin(x, x)
+	for _, r := range []int{1, 2, 3} {
+		acc = c.Add(acc, c.MulRelin(c.Rotate(x, r), x))
+	}
+	c.Output("y", acc)
+	plan, err := c.Compile(k.params, k.evk)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if most > baseline+plan.crew-1 {
-		t.Fatalf("%d goroutines during a %d-step run, want at most %d (baseline %d + crew %d − the caller)",
-			most, plan.NumSteps(), baseline+plan.crew-1, baseline, plan.crew)
+	plan.eval.inner.SetWorkers(2) // whatever -cpu says
+	setCrew(plan, 2)
+	pool := newAuditPool(t, k.params)
+	plan.bufs = pool
+	in := map[string]*Ciphertext{"x": k.encrypt(t, []float64{0.5, -0.25, 0.125})}
+	const callers = 8
+	outs := make([]*Ciphertext, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var out map[string]*Ciphertext
+			if out, errs[i] = plan.RunContext(context.Background(), in); errs[i] == nil {
+				outs[i] = out["y"]
+			}
+		}(i)
 	}
-	if most <= baseline {
-		t.Fatalf("no crew member was started: %d goroutines during the run, %d before", most, baseline)
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(60 * time.Second):
+		t.Fatal("concurrent runs on a 2-worker context did not finish")
+	}
+	for i := range outs {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if !ctBitEqual(outs[i], outs[0]) {
+			t.Fatalf("caller %d differs from caller 0", i)
+		}
+	}
+	if n := pool.outstanding(); n != 0 {
+		t.Fatalf("%d pooled buffers leaked", n)
 	}
 }
 

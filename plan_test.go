@@ -359,7 +359,7 @@ func TestPlanOutputAliases(t *testing.T) {
 }
 
 // TestPlanRunAllocations: what the executor allocates for a run does not
-// depend on how many steps the plan has — a fixed crew, one ready list
+// depend on how many steps the plan has — no goroutine, one ready list
 // and a handful of per-run slices, nothing per step — and the dyadic
 // kernels the steps call allocate nothing at all.
 func TestPlanRunAllocations(t *testing.T) {

@@ -17,7 +17,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"runtime/pprof"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -822,6 +826,100 @@ func TestChaosWeightedFairWire(t *testing.T) {
 		t.Fatalf("drain incomplete: heavy=%d light=%d, want %d each", h, l, conns*rounds)
 	}
 	reg.Close()
+	auditZeroLeak(t, srv)
+}
+
+// gateTracer holds every step that reports to it until open is closed,
+// so a test can look at a server with all its admitted runs mid-step.
+type gateTracer struct {
+	arrived atomic.Int32
+	open    chan struct{}
+}
+
+func (g *gateTracer) ObserveStep(string, time.Duration) {
+	g.arrived.Add(1)
+	<-g.open
+}
+
+// computeGoroutines counts the goroutines that are executors, plan run
+// members or ring pool workers, from their stacks.
+func computeGoroutines(t *testing.T) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 2); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, stack := range strings.Split(buf.String(), "\n\n") {
+		if strings.Contains(stack, "serve.(*Server).executor") || strings.Contains(stack, "heax.(*planRun).") ||
+			strings.Contains(stack, "ring.(*scheduler).worker") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestServeComputeGoroutinesBounded: the process has one set of compute
+// workers. With every admission slot holding a run of a wide plan and
+// every member stopped inside a step, the goroutines that compute are
+// the admission executors (the runs' callers) and the ring pool's P − 1
+// workers they borrow — not a crew per run.
+func TestServeComputeGoroutinesBounded(t *testing.T) {
+	const admission, terms = 4, 24
+	params := heax.MustParams(chaosSpec) // not the shared one: its pool is sized by this run's GOMAXPROCS
+	before := computeGoroutines(t)       // idle pools of parameter sets earlier tests left behind
+	srv, addr := startChaosServer(t, params, 0, WithAdmissionWindow(admission))
+	cl, _ := dialChaos(t, addr)
+	defer cl.Close()
+	kit := newChaosKit(t, cl.Params(), 211)
+	if err := cl.Register("wide", kit.evk); err != nil {
+		t.Fatal(err)
+	}
+	// Every AddPlain is ready at once, so a run always has a step to
+	// offer; sums, because a sum of MulPlains compiles to one step.
+	c := heax.NewCircuit()
+	x := c.Input("x")
+	acc := c.AddPlain(x, []float64{1})
+	for i := 1; i < terms; i++ {
+		acc = c.Add(acc, c.AddPlain(x, []float64{float64(i + 1)}))
+	}
+	c.Output("y", acc)
+	info, err := cl.Compile("wide", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, ok := srv.cache.get(cacheKey{tenant: "wide", id: info.ID})
+	if !ok {
+		t.Fatal("compiled plan not cached")
+	}
+	gate := &gateTracer{open: make(chan struct{})}
+	cp.plan.SetTracer(gate)
+
+	if idle := computeGoroutines(t) - before; idle != admission {
+		t.Fatalf("idle server holds %d compute goroutines, want its %d executors", idle, admission)
+	}
+	done := make(chan error, 1)
+	in := kit.batches(t, 212, admission)
+	go func() {
+		_, err := cl.Run("wide", info.ID, in)
+		done <- err
+	}()
+	want := admission + runtime.GOMAXPROCS(0) - 1
+	for deadline := time.Now().Add(10 * time.Second); int(gate.arrived.Load()) < want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(gate.open)
+			t.Fatalf("%d members reached a step, want %d (%d admitted callers + the pool)", gate.arrived.Load(), want, admission)
+		}
+	}
+	busy := computeGoroutines(t) - before
+	close(gate.open)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if busy != want {
+		t.Fatalf("%d compute goroutines with %d runs admitted, want %d (admission + P − 1)", busy, admission, want)
+	}
+	cl.Close()
 	auditZeroLeak(t, srv)
 }
 

@@ -15,9 +15,13 @@
 //     across connections of the same tenant — each plan carrying an
 //     EWMA estimate of its per-input-set run time;
 //   - weighted-fair admission (admission.go): per-tenant bounded queues
-//     drained by a fixed executor pool under stride scheduling, so a
+//     drained by a fixed set of executors under stride scheduling, so a
 //     TenantPolicy weight buys a proportional share under saturation
-//     and an idle tenant's first job dispatches promptly. Overflowing
+//     and an idle tenant's first job dispatches promptly. An executor
+//     is a plan run's caller: it decides how many input sets are in
+//     flight (the admission window), while the computing is done by it
+//     and the one worker pool every plan and kernel in the process
+//     shares — admission + GOMAXPROCS − 1 goroutines in all. Overflowing
 //     a queue sheds with ErrOverloaded; a client deadline the backlog
 //     cannot meet sheds with ErrDeadlineExceeded before queuing;
 //   - a retry-dedup cache (dedup.go): runs carry an optional client
