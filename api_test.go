@@ -297,6 +297,12 @@ func TestIntoAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The row shape a Plan stores a block-constant multiplier in: one
+	// value per 8-lane block.
+	compact := &heax.Plaintext{Value: &heax.Poly{Coeffs: make([][]uint64, pt.Value.Rows())}, Scale: pt.Scale}
+	for i, row := range pt.Value.Coeffs {
+		compact.Value.Coeffs[i] = row[:len(row)/8]
+	}
 
 	cases := []struct {
 		name string
@@ -306,6 +312,7 @@ func TestIntoAllocations(t *testing.T) {
 		{"AddInto", 0, func() error { return k.eval.AddInto(x, y, out) }},
 		{"SubInto", 0, func() error { return k.eval.SubInto(x, y, out) }},
 		{"MulPlainInto", 0, func() error { return k.eval.MulPlainInto(x, pt, out) }},
+		{"MulPlainIntoCompact", 0, func() error { return k.eval.MulPlainInto(x, compact, out) }},
 		{"MulRelinInto", 2, func() error { return k.eval.MulRelinInto(x, y, out) }},
 		{"RescaleInto", 2, func() error { return k.eval.RescaleInto(prod, res) }},
 		{"RotateInto", 2, func() error { return k.eval.RotateInto(x, 1, out) }},

@@ -1,9 +1,11 @@
 package circuits_test
 
-// Shared per-parameter-set test fixture. Parameter realization (prime
-// search + ring contexts) is the expensive part, so kits are cached for
-// the whole package run; evaluation keys are generated per test from
-// the exact rotation set the circuit under test reports.
+// Per-parameter-set test fixture. Parameter realization (prime search +
+// ring contexts) is the expensive part, so parameters are cached for the
+// whole package run; every newKit call draws its keys and encryption
+// noise from the same seeds, so a test's errors do not depend on which
+// tests ran before it (-count, -cpu lists). Evaluation keys are generated
+// per test from the exact rotation set the circuit under test reports.
 
 import (
 	"math/rand"
@@ -27,25 +29,32 @@ type kit struct {
 }
 
 var (
-	kitMu  sync.Mutex
-	kitMap = map[string]*kit{}
+	paramsMu  sync.Mutex
+	paramsMap = map[string]*heax.Params{}
 )
 
-func newKit(t testing.TB, spec heax.ParamSpec) *kit {
+func cachedParams(t testing.TB, spec heax.ParamSpec) *heax.Params {
 	t.Helper()
-	kitMu.Lock()
-	defer kitMu.Unlock()
-	if k, ok := kitMap[spec.Name]; ok {
-		return k
+	paramsMu.Lock()
+	defer paramsMu.Unlock()
+	if params, ok := paramsMap[spec.Name]; ok {
+		return params
 	}
 	params, err := heax.NewParams(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	paramsMap[spec.Name] = params
+	return params
+}
+
+func newKit(t testing.TB, spec heax.ParamSpec) *kit {
+	t.Helper()
+	params := cachedParams(t, spec)
 	kg := heax.NewKeyGenerator(params, 1)
 	sk := kg.GenSecretKey()
 	pk := kg.GenPublicKey(sk)
-	k := &kit{
+	return &kit{
 		params:    params,
 		kg:        kg,
 		sk:        sk,
@@ -53,8 +62,6 @@ func newKit(t testing.TB, spec heax.ParamSpec) *kit {
 		encryptor: heax.NewEncryptor(params, pk, 2),
 		decryptor: heax.NewDecryptor(params, sk),
 	}
-	kitMap[spec.Name] = k
-	return k
 }
 
 // keys generates an evaluation key set with the given Galois steps (and

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"heax/internal/ckks"
+	"heax/internal/uintmod"
 )
 
 // Compile is the middle stage of build → compile → run: it runs scale
@@ -374,6 +375,7 @@ func (k *compiler) liftBy(v valState, t float64) (valState, error) {
 	if err != nil {
 		return v, err
 	}
+	compactRows(pt)
 	out := valState{level: v.level, scale: v.scale * t, tier: tierProduct}
 	if err := k.checkScale("lift", out.level, out.scale); err != nil {
 		return v, err
@@ -514,6 +516,40 @@ func (k *compiler) encodeConst(v float64, level int, scale float64) (*Plaintext,
 	return k.enc.EncodeReal(vals, level, scale)
 }
 
+// compactRows stores a multiplying plaintext as one value per aligned
+// block of uintmod.Lanes coefficients when every row of it is exactly
+// constant on those blocks, and leaves it full otherwise. A payload of
+// period n in the slots encodes to rows constant on blocks of N/(2n)
+// lanes, so a BSGS diagonal (n ≤ N/16) and every constant qualify. The
+// plaintext kernels broadcast each stored value into the lanes it
+// stands for, so results are bit-identical, and the plan holds and
+// streams an eighth of the bytes (DESIGN.md, "Plaintext rows"). It runs
+// as each plaintext is encoded, so only one full plaintext is ever live.
+func compactRows(pt *Plaintext) {
+	rows := pt.Value.Coeffs
+	for _, row := range rows {
+		if len(row)%uintmod.Lanes != 0 {
+			return
+		}
+		for j := 0; j < len(row); j += uintmod.Lanes {
+			for _, v := range row[j+1 : j+uintmod.Lanes] {
+				if v != row[j] {
+					return
+				}
+			}
+		}
+	}
+	n := len(rows[0]) / uintmod.Lanes
+	backing := make([]uint64, len(rows)*n)
+	for i, row := range rows {
+		short := backing[i*n : (i+1)*n : (i+1)*n]
+		for j := range short {
+			short[j] = row[j*uintmod.Lanes]
+		}
+		rows[i] = short
+	}
+}
+
 func (k *compiler) paramName() string { return fmt.Sprintf("LogN=%d", k.params.LogN) }
 
 func (k *compiler) rotationKeyPresent(step int) error {
@@ -596,6 +632,7 @@ func (k *compiler) lower(id int) error {
 		if err != nil {
 			return err
 		}
+		compactRows(pt)
 		scale := a.scale * t
 		if err := k.checkScale(name, a.level, scale); err != nil {
 			return err

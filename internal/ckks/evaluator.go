@@ -321,7 +321,9 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 	return fresh(out, ev.MulPlainInto(ct, pt, out))
 }
 
-// MulPlainInto computes ct ⊙ pt into out; out may alias ct.
+// MulPlainInto computes ct ⊙ pt into out; out may alias ct. For a
+// degree-1 ct, pt's rows may be compact, one value per 8-lane block
+// (ring.MulCoeffsPair), as a Plan stores its block-constant multipliers.
 func (ev *Evaluator) MulPlainInto(ct *Ciphertext, pt *Plaintext, out *Ciphertext) error {
 	level := min(ct.Level, pt.Level())
 	in := ev.atLevel(ct, level)
@@ -344,7 +346,8 @@ func (ev *Evaluator) MulPlainInto(ct *Ciphertext, pt *Plaintext, out *Ciphertext
 // anywhere — bit-identical to MulPlain on each pair followed by Add in
 // order. Terms are degree-1, min(cts[i].Level, pts[i].Level()) is the
 // same for all, and every product scale is close (as Add requires) to the
-// first, whose scale the result takes. out must not alias a term.
+// first, whose scale the result takes. Each plaintext's rows may be full
+// or compact, as MulPlainInto takes them. out must not alias a term.
 func (ev *Evaluator) MulPlainSumInto(cts []*Ciphertext, pts []*Plaintext, out *Ciphertext) error {
 	if len(cts) == 0 || len(cts) != len(pts) {
 		return fmt.Errorf("ckks: MulPlainSum of %d ciphertexts and %d plaintexts", len(cts), len(pts))

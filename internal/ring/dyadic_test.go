@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"heax/internal/uintmod"
@@ -202,6 +203,86 @@ func TestDotPairMatchesScalar(t *testing.T) {
 					}
 				}
 			}
+		}
+		ctx.Close()
+	}
+}
+
+// compactPoly draws a compact plaintext of rows rows, N/8 values each
+// led by p-1, and returns it with the full rows it stands for.
+func compactPoly(ctx *Context, rows int, rng *rand.Rand) (compact, full *Poly) {
+	compact, full = &Poly{Coeffs: make([][]uint64, rows)}, ctx.NewPoly(rows)
+	for i := range compact.Coeffs {
+		p := ctx.Basis.Primes[i]
+		row := make([]uint64, ctx.N/uintmod.Lanes)
+		for j := range row {
+			row[j] = rng.Uint64() % p
+		}
+		row[0] = p - 1
+		for j := range full.Coeffs[i] {
+			full.Coeffs[i][j] = row[j/uintmod.Lanes]
+		}
+		compact.Coeffs[i] = row
+	}
+	return compact, full
+}
+
+// A compact plaintext operand must give what its expansion gives, in
+// MulCoeffsPair and in MulCoeffsDotPair with compact and full terms mixed,
+// on the IFMA rows and the scalar rows of the mixed basis, serial and
+// fanned out; an operand row of any other length panics.
+func TestCompactPlaintextRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for _, n := range []int{64, 4096} {
+		ctx := mixedContext(t, n)
+		rows := ctx.K()
+		for _, count := range []int{1, 2, 5, DotChunk} {
+			terms := dotTerms(ctx, rows, count, rng)
+			full := slices.Clone(terms)
+			for j := 0; j < count; j += 2 {
+				terms[j].Y, full[j].Y = compactPoly(ctx, rows, rng)
+			}
+			carry0, carry1 := randPoly(ctx, rows, rng), randPoly(ctx, rows, rng)
+			for _, workers := range []int{1, 4} {
+				c := ctx.Fork(workers)
+				name := fmt.Sprintf("n=%d terms=%d workers=%d", n, count, workers)
+				for _, acc := range []bool{false, true} {
+					want0, want1 := CopyOf(carry0), CopyOf(carry1)
+					c.MulCoeffsDotPair(full, acc, want0, want1)
+					out0, out1 := CopyOf(carry0), CopyOf(carry1)
+					c.MulCoeffsDotPair(terms, acc, out0, out1)
+					if !out0.Equal(want0) || !out1.Equal(want1) {
+						t.Fatalf("%s acc=%v: MulCoeffsDotPair with compact terms differs from the expanded ones", name, acc)
+					}
+				}
+				want0, want1 := c.NewPoly(rows), c.NewPoly(rows)
+				c.MulCoeffsPair(terms[0].X0, terms[0].X1, full[0].Y, want0, want1)
+				out0, out1 := c.NewPoly(rows), c.NewPoly(rows)
+				c.MulCoeffsPair(terms[0].X0, terms[0].X1, terms[0].Y, out0, out1)
+				if !out0.Equal(want0) || !out1.Equal(want1) {
+					t.Fatalf("%s: MulCoeffsPair with a compact operand differs from the expanded one", name)
+				}
+			}
+		}
+
+		half := &Poly{Coeffs: make([][]uint64, rows)}
+		for i := range half.Coeffs {
+			half.Coeffs[i] = make([]uint64, n/2)
+		}
+		x0, x1 := randPoly(ctx, rows, rng), randPoly(ctx, rows, rng)
+		out0, out1 := ctx.NewPoly(rows), ctx.NewPoly(rows)
+		for name, call := range map[string]func(){
+			"MulCoeffsPair":    func() { ctx.MulCoeffsPair(x0, x1, half, out0, out1) },
+			"MulCoeffsDotPair": func() { ctx.MulCoeffsDotPair([]DotTerm{{x0, x1, half}}, false, out0, out1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("n=%d: %s took an operand of N/2 values a row", n, name)
+					}
+				}()
+				call()
+			}()
 		}
 		ctx.Close()
 	}

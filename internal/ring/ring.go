@@ -382,7 +382,9 @@ func (c *Context) MulCoeffsRow(a, b, out []uint64, i int) {
 
 // MulCoeffsPair sets out0 = a0 ⊙ b and out1 = a1 ⊙ b in one row pass —
 // the two components of a ciphertext times one plaintext, reading each
-// plaintext row once and fanning out once.
+// plaintext row once and fanning out once. A row of b is full (N values)
+// or compact (N/uintmod.Lanes, one value per aligned 8-lane block, as a
+// Plan stores a block-constant plaintext); any other length panics.
 func (c *Context) MulCoeffsPair(a0, a1, b, out0, out1 *Poly) {
 	v := dyadicRows{a0: a0.Coeffs, a1: a1.Coeffs, b0: b.Coeffs, c0: out0.Coeffs, c1: out1.Coeffs}
 	c.runDyadic(rowsOf(a0, a1, b, out0, out1), v, func(c *Context, v dyadicRows, i int) {
@@ -397,8 +399,9 @@ func (c *Context) mulCoeffsPairRow(a0, a1, b, out0, out1 []uint64, i int) {
 		return
 	}
 	m := c.Basis.Mods[i]
+	s := uintmod.OperandShift(b, len(out0))
 	for j := range out0 {
-		bj := b[j]
+		bj := b[j>>s]
 		out0[j] = m.MulMod(a0[j], bj)
 		out1[j] = m.MulMod(a1[j], bj)
 	}
@@ -431,7 +434,8 @@ func (c *Context) MulCoeffsAddRow(a, b, out []uint64, i int) {
 
 // DotTerm is one term of a ciphertext-plaintext dot product: the two
 // components of a degree-1 ciphertext and the plaintext they multiply.
-// Only the rows the output has are read, so a term may hold more.
+// Only the rows the output has are read, so a term may hold more. Y's
+// rows are full or compact, as MulCoeffsPair takes them, term by term.
 type DotTerm struct{ X0, X1, Y *Poly }
 
 // DotChunk is the most terms one MulCoeffsDotPair call takes; a longer
@@ -490,12 +494,13 @@ func (c *Context) MulCoeffsDotPairRow(terms []DotTerm, acc bool, out0, out1 []ui
 	for t := range terms {
 		x0, x1, y := terms[t].X0.Coeffs[i], terms[t].X1.Coeffs[i], terms[t].Y.Coeffs[i]
 		first := t == 0 && !acc
+		s := uintmod.OperandShift(y, len(out0))
 		for j := range out0 {
 			s0, s1 := out0[j], out1[j]
 			if first {
 				s0, s1 = 0, 0
 			}
-			yj := y[j]
+			yj := y[j>>s]
 			out0[j] = uintmod.AddMod(s0, m.MulMod(x0[j], yj), p)
 			out1[j] = uintmod.AddMod(s1, m.MulMod(x1[j], yj), p)
 		}

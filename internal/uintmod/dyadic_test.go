@@ -226,6 +226,100 @@ func TestVecDotPair(t *testing.T) {
 	}
 }
 
+// expandRow returns the full row of n lanes a compact row stands for.
+func expandRow(y []uint64, n int) []uint64 {
+	full := make([]uint64, n)
+	for i := range full {
+		full[i] = y[i/Lanes]
+	}
+	return full
+}
+
+// TestCompactOperand: a compact y (one value per 8-lane block) gives what
+// the same call gives with y expanded to a full row, in VecMulPair (also
+// in place) and in VecDotPair for every term count up to DotChunk, with
+// compact and full terms mixed, with and without a carried sum, on the
+// Set-A/B/C primes (36/37-, 43/46- and 49-bit) and the largest kernel
+// prime, whose one-product blocks change which term starts a reduction.
+func TestCompactOperand(t *testing.T) {
+	if !HasIFMA() {
+		t.Skip("no AVX-512 IFMA")
+	}
+	rng := rand.New(rand.NewSource(31))
+	const dotChunk = 16 // ring.DotChunk
+	for _, bitlen := range []uint{36, 37, 43, 46, 49, 50} {
+		p := prevPrime(1 << bitlen)
+		e := [3]uint64{p - 1, 0, 1}
+		for _, n := range []int{8, 64, 4096} {
+			row := func() []uint64 { return dyadicRow(rng, n, p, e, rng.Intn(2) == 0) }
+			what := fmt.Sprintf("%d bits, n=%d", bitlen, n)
+
+			x0, x1, y := row(), row(), dyadicRow(rng, n/Lanes, p, e, false)
+			yFull := expandRow(y, n)
+			want0, want1 := make([]uint64, n), make([]uint64, n)
+			VecMulPair(want0, want1, x0, x1, yFull, p)
+			out0, out1 := make([]uint64, n), make([]uint64, n)
+			VecMulPair(out0, out1, x0, x1, y, p)
+			checkRow(t, what+" VecMulPair out0", out0, func(i int) uint64 { return want0[i] })
+			checkRow(t, what+" VecMulPair out1", out1, func(i int) uint64 { return want1[i] })
+			a0, a1 := slices.Clone(x0), slices.Clone(x1)
+			VecMulPair(a0, a1, a0, a1, y, p)
+			checkRow(t, what+" VecMulPair out0=x0", a0, func(i int) uint64 { return want0[i] })
+			checkRow(t, what+" VecMulPair out1=x1", a1, func(i int) uint64 { return want1[i] })
+
+			for count := 1; count <= dotChunk; count++ {
+				// Every term compact, every term full but the first, and a
+				// random mix.
+				for mix := 0; mix < 3; mix++ {
+					terms := make([][3][]uint64, count)
+					full := make([][3][]uint64, count)
+					for j := range terms {
+						terms[j] = [3][]uint64{row(), row(), row()}
+						full[j] = terms[j]
+						if mix == 0 || mix == 1 && j == 0 || mix == 2 && rng.Intn(2) == 0 {
+							terms[j][2] = dyadicRow(rng, n/Lanes, p, e, j%2 == 0)
+							full[j][2] = expandRow(terms[j][2], n)
+						}
+					}
+					carry0, carry1 := row(), row()
+					for _, acc := range []bool{false, true} {
+						want0, want1 := slices.Clone(carry0), slices.Clone(carry1)
+						VecDotPair(want0, want1, full, acc, p)
+						out0, out1 := slices.Clone(carry0), slices.Clone(carry1)
+						VecDotPair(out0, out1, terms, acc, p)
+						name := fmt.Sprintf("%s, %d terms, mix %d, acc=%v: VecDotPair", what, count, mix, acc)
+						checkRow(t, name+" out0", out0, func(i int) uint64 { return want0[i] })
+						checkRow(t, name+" out1", out1, func(i int) uint64 { return want1[i] })
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOperandShift: a row of n lanes takes an operand of n or n/8 values
+// and nothing else.
+func TestOperandShift(t *testing.T) {
+	for _, tc := range []struct {
+		len, n int
+		want   uint
+	}{{4096, 4096, 0}, {512, 4096, 3}, {1, 8, 3}, {8, 8, 0}} {
+		if got := OperandShift(make([]uint64, tc.len), tc.n); got != tc.want {
+			t.Errorf("OperandShift(len %d, n %d) = %d, want %d", tc.len, tc.n, got, tc.want)
+		}
+	}
+	for _, bad := range [][2]int{{2048, 4096}, {513, 4096}, {0, 4096}, {4097, 4096}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("OperandShift(len %d, n %d) did not panic", bad[0], bad[1])
+				}
+			}()
+			OperandShift(make([]uint64, bad[0]), bad[1])
+		}()
+	}
+}
+
 // TestDotPairLimit pins the block limits DESIGN.md tabulates.
 func TestDotPairLimit(t *testing.T) {
 	for bitlen, want := range map[uint]int{30: 4095, 36: 4095, 37: 4095, 39: 4095, 40: 2048, 43: 256, 46: 32, 48: 8, 49: 4, 50: 1} {

@@ -9,7 +9,7 @@ import "math/bits"
 func detectIFMA() bool
 
 func vecMulIFMA(out, x, y *uint64, n int, p, mu, shift uint64)
-func vecMulPairIFMA(out0, out1, x0, x1, y *uint64, n int, p, mu, shift uint64)
+func vecMulPairIFMA(out0, out1, x0, x1, y *uint64, n int, p, mu, shift uint64, compact bool)
 func vecMulAddIFMA(out, x, y *uint64, n int, p, mu, shift uint64)
 func vecMulTensorIFMA(c0, c1, c2, a0, a1, b0, b1 *uint64, n int, p, mu, shift uint64)
 func vecAddIFMA(out, x, y *uint64, n int, p uint64)
@@ -53,15 +53,16 @@ func VecMul(out, x, y []uint64, p uint64) {
 }
 
 // VecMulPair sets out0[i] = x0[i]·y[i] mod p and out1[i] = x1[i]·y[i]
-// mod p, reading the shared operand once.
+// mod p, reading the shared operand once. y may be compact (see Lanes):
+// y[i>>3] then takes the place of y[i].
 func VecMulPair(out0, out1, x0, x1, y []uint64, p uint64) {
 	n := len(out0)
 	_ = out1[n-1]
 	_ = x0[n-1]
 	_ = x1[n-1]
-	_ = y[n-1]
+	compact := OperandShift(y, n) != 0
 	mu, shift := barrett52(p)
-	vecMulPairIFMA(&out0[0], &out1[0], &x0[0], &x1[0], &y[0], n, p, mu, shift)
+	vecMulPairIFMA(&out0[0], &out1[0], &x0[0], &x1[0], &y[0], n, p, mu, shift, compact)
 }
 
 // VecMulAdd sets out[i] = (out[i] + x[i]·y[i]) mod p.
@@ -78,14 +79,15 @@ func VecMulAdd(out, x, y []uint64, p uint64) {
 // added to what out0 and out1 hold when acc is set. Every operand is
 // read once and each output written once; products accumulate unreduced
 // as far as p allows, so the result is the canonical residue the
-// VecMulPair/VecAdd sequence gives. The outputs must not be operands.
+// VecMulPair/VecAdd sequence gives. Each term's y may be full or compact
+// (Lanes), independently of the others. The outputs must not be operands.
 func VecDotPair(out0, out1 []uint64, terms [][3][]uint64, acc bool, p uint64) {
 	n := len(out0)
 	_ = out1[n-1]
 	for i := range terms {
 		_ = terms[i][0][n-1]
 		_ = terms[i][1][n-1]
-		_ = terms[i][2][n-1]
+		OperandShift(terms[i][2], n)
 	}
 	mu, shift := barrett52(p)
 	limit := dotPairLimit(p)

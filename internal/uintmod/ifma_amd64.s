@@ -177,10 +177,11 @@ loop:
 	VZEROUPPER
 	RET
 
-// func vecMulPairIFMA(out0, out1, x0, x1, y *uint64, n int, p, mu, shift uint64)
+// func vecMulPairIFMA(out0, out1, x0, x1, y *uint64, n int, p, mu, shift uint64, compact bool)
 // out0[i] = x0[i]*y[i] mod p, out1[i] = x1[i]*y[i] mod p: the shared
-// operand (MulPlain's plaintext row) is loaded and shifted once.
-TEXT ·vecMulPairIFMA(SB), NOSPLIT, $0-72
+// operand (MulPlain's plaintext row) is loaded and shifted once. A
+// compact y holds one value per 8-lane block, broadcast into the vector.
+TEXT ·vecMulPairIFMA(SB), NOSPLIT, $0-73
 	MOVQ out0+0(FP), DI
 	MOVQ out1+8(FP), R10
 	MOVQ x0+16(FP), SI
@@ -190,12 +191,17 @@ TEXT ·vecMulPairIFMA(SB), NOSPLIT, $0-72
 	MOVQ p+48(FP), AX
 	MOVQ mu+56(FP), DX
 	MOVQ shift+64(FP), BX
+	MOVBQZX compact+72(FP), R11
 	DYADCONST
 	SHRQ $3, CX
 loop:
 	VMOVDQU64 (SI), Z0              // x0
 	VMOVDQU64 (R9), Z7              // x1
+	TESTQ R11, R11
+	JNZ  bcast
 	VMOVDQU64 (R8), Z1              // y
+	ADDQ $64, R8
+loaded:
 	VPSLLVQ Z11, Z1, Z3             // y << shift
 	VPADDQ Z0, Z0, Z2               // 2*x0
 	VPADDQ Z7, Z7, Z8               // 2*x1
@@ -211,11 +217,14 @@ loop:
 	ADDQ $64, R10
 	ADDQ $64, SI
 	ADDQ $64, R9
-	ADDQ $64, R8
 	DECQ CX
 	JNZ  loop
 	VZEROUPPER
 	RET
+bcast:
+	VPBROADCASTQ (R8), Z1           // y[i/8] in all eight lanes
+	ADDQ $8, R8
+	JMP  loaded
 
 // func vecMulAddIFMA(out, x, y *uint64, n int, p, mu, shift uint64)
 // out[i] = (out[i] + x[i]*y[i]) mod p for out[i], x[i], y[i] < p.
@@ -254,8 +263,10 @@ loop:
 // terms accumulate unreduced in four registers (PRODUCTACC, as in the
 // tensor's middle term), one BARRETT and folds folds reduce them, and the
 // reduced pair enters the next limit terms as the addend: each operand is
-// read once and each output written once, whatever t and p are. Requires
-// 1 <= limit <= dotPairLimit(p) and 2^folds >= min(limit, t) + 3.
+// read once and each output written once, whatever t and p are. A term
+// whose y is shorter than n holds one value per 8-lane block (compact),
+// broadcast into the vector. Requires 1 <= limit <= dotPairLimit(p) and
+// 2^folds >= min(limit, t) + 3.
 TEXT ·vecDotPairIFMA(SB), NOSPLIT, $0-81
 	MOVQ out0+0(FP), DI
 	MOVQ out1+8(FP), R10
@@ -268,17 +279,17 @@ TEXT ·vecDotPairIFMA(SB), NOSPLIT, $0-81
 	MOVQ mu+64(FP), DX
 	MOVQ shift+72(FP), BX
 	DYADCONST
-	MOVBQZX acc+80(FP), R9
 	LEAQ -1(R15), BX
 	VPBROADCASTQ BX, Z21
 	VPSLLVQ Z21, Z12, Z21           // 2^(folds-1) * p
+	MOVQ CX, R9                     // n: the length of a full y
 	SHLQ $3, CX                     // row bytes
 	XORQ R13, R13                   // block offset
 outer:
 	VPXORQ Z19, Z19, Z19            // addend
 	VPXORQ Z20, Z20, Z20
-	TESTQ R9, R9
-	JZ   first
+	CMPB acc+80(FP), $0
+	JEQ  first
 	VMOVDQU64 (DI)(R13*1), Z19
 	VMOVDQU64 (R10)(R13*1), Z20
 first:
@@ -299,7 +310,10 @@ term:
 	VMOVDQU64 (R8)(R13*1), Z0       // x0
 	VMOVDQU64 (AX)(R13*1), Z7       // x1
 	MOVQ 48(SI), R8
+	CMPQ 56(SI), R9                 // len(y)
+	JNE  bcast
 	VMOVDQU64 (R8)(R13*1), Z1       // y
+loaded:
 	VPSLLVQ Z11, Z1, Z3             // y << shift
 	VPADDQ Z0, Z0, Z2               // 2*x0
 	VPADDQ Z7, Z7, Z8               // 2*x1
@@ -331,6 +345,11 @@ fold:
 	JB   outer
 	VZEROUPPER
 	RET
+bcast:
+	MOVQ R13, AX
+	SHRQ $3, AX                     // this block's value: byte offset / 8
+	VPBROADCASTQ (R8)(AX*1), Z1     // compact y
+	JMP  loaded
 
 // func vecMulTensorIFMA(c0, c1, c2, a0, a1, b0, b1 *uint64, n int, p, mu, shift uint64)
 // Algorithm 5 in one pass: c0 = a0*b0, c1 = a0*b1 + a1*b0, c2 = a1*b1

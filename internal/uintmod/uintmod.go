@@ -259,6 +259,26 @@ func dotPairLimit(p uint64) int {
 	return min(1<<(51-k), 1<<(52-k)-3, 4095)
 }
 
+// Lanes is the number of 64-bit lanes in an AVX-512 vector. The shared
+// operand y of VecMulPair and VecDotPair (a plaintext row) may be
+// compact: n/Lanes values for a row of n, value j standing for lanes
+// j·Lanes through j·Lanes+Lanes−1, which the kernels broadcast into a
+// vector instead of loading one.
+const Lanes = 8
+
+// OperandShift returns the right shift that maps a coefficient index of
+// a row of n to its index in the shared operand y: 0 when y is full (n
+// values), 3 when it is compact (n/Lanes). Any other length panics.
+func OperandShift(y []uint64, n int) uint {
+	switch {
+	case len(y) == n:
+		return 0
+	case len(y)*Lanes == n:
+		return 3
+	}
+	panic("uintmod: operand row of neither n nor n/8 values")
+}
+
 // --- w = 54 emulation ------------------------------------------------
 
 // Word54 is the HEAX native word width.

@@ -113,13 +113,18 @@ func TestZeroAllocFastPath(t *testing.T) {
 // TestConcurrentExposition hammers increments from many goroutines
 // while scraping mid-load (run under -race in CI): every scrape must
 // stay parseable with a monotonic bucket ladder and +Inf == _count,
-// and the final totals must be exact.
+// and the final totals must be exact. The workers wait at their halfway
+// mark until the first scrape has completed, so at least one scrape
+// overlaps the load however the goroutines are scheduled.
 func TestConcurrentExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("hits_total", "")
 	h := r.NewHistogram("lat_seconds", "", []float64{0.001, 0.01, 0.1})
 	cv := r.NewCounterVec("runs_total", "", "tenant")
 	const workers, perWorker = 8, 5000
+	scraped := make(chan struct{})
+	var release sync.Once
+	releaseWorkers := func() { release.Do(func() { close(scraped) }) }
 	var wg sync.WaitGroup
 	wg.Add(workers + 1)
 	for w := 0; w < workers; w++ {
@@ -127,6 +132,9 @@ func TestConcurrentExposition(t *testing.T) {
 			defer wg.Done()
 			mine := cv.With(fmt.Sprintf("tenant-%d", w%4))
 			for i := 0; i < perWorker; i++ {
+				if i == perWorker/2 {
+					<-scraped
+				}
 				c.Inc()
 				mine.Inc()
 				h.Observe(float64(i%200) / 1000)
@@ -136,7 +144,8 @@ func TestConcurrentExposition(t *testing.T) {
 	scrapes := 0
 	go func() {
 		defer wg.Done()
-		for c.Value() < workers*perWorker/2 {
+		defer releaseWorkers() // a failed scrape must not leave the workers waiting
+		for {
 			var buf bytes.Buffer
 			if _, err := r.WriteTo(&buf); err != nil {
 				t.Error(err)
@@ -144,6 +153,10 @@ func TestConcurrentExposition(t *testing.T) {
 			}
 			checkScrape(t, buf.Bytes())
 			scrapes++
+			releaseWorkers()
+			if c.Value() >= workers*perWorker/2 {
+				return
+			}
 		}
 	}()
 	wg.Wait()

@@ -180,7 +180,8 @@ type planStep struct {
 	outs []int
 	// pt is the payload of plain operations, encoded once at compile
 	// time at the inferred level and scale; a fused sum of plaintext
-	// products holds one per operand in pts.
+	// products holds one per operand in pts. A multiplier's rows may be
+	// compact (compactRows); an AddPlain payload's are always full.
 	pt     *Plaintext
 	pts    []*Plaintext
 	rots   []int // rotation step (len 1) or hoisted batch (len > 1)
@@ -255,6 +256,9 @@ func (p *Plan) Describe() string {
 		if len(s.pts) > 0 {
 			fmt.Fprintf(&b, " terms=%d", len(s.pts))
 		}
+		if s.kind == stepMulPlain || s.kind == stepMulPlainSum {
+			fmt.Fprintf(&b, " compact=%d", p.compactFactors(&s))
+		}
 		if s.lifted {
 			b.WriteString(" (lift)")
 		}
@@ -267,6 +271,18 @@ func (p *Plan) Describe() string {
 	sort.Strings(outs)
 	fmt.Fprintf(&b, "outputs: %s\n", strings.Join(outs, " "))
 	return b.String()
+}
+
+// compactFactors counts the plaintexts of a MulPlain or MulPlainSum step
+// that Compile stored compact (compactRows).
+func (p *Plan) compactFactors(s *planStep) int {
+	n := 0
+	for _, pt := range plainFactors(s) {
+		if len(pt.Value.Coeffs[0]) < p.params.N {
+			n++
+		}
+	}
+	return n
 }
 
 func (p *Plan) validateInputs(in map[string]*Ciphertext) error {

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -325,7 +326,9 @@ func TestPlanOracleExampleCircuits(t *testing.T) {
 // keyless steps, and 1–3 outputs may alias each other or an input. Sums
 // of 2–40 plaintext products of two shared operands come up too — what
 // the compiler fuses into one step — some with a term that is also a
-// named output or is added twice, which must keep a step of its own.
+// named output or is added twice, which must keep a step of its own. A
+// sum's factors are short vectors, periodic vectors of 1 to slots values
+// or constants, so full and compact plaintext rows meet in one sum.
 func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 	c := NewCircuit()
 	nodes := []Node{c.Input("x"), c.Input("y")}
@@ -336,6 +339,19 @@ func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 			v[i] = rng.Float64()*2 - 1
 		}
 		return v
+	}
+	factor := func(a Node) Node {
+		switch rng.Intn(3) {
+		case 0:
+			v := make([]complex128, 1<<rng.Intn(bits.Len(uint(slots))))
+			for i := range v {
+				v[i] = complex(rng.Float64()*2-1, 0)
+			}
+			return c.MulPlainPeriodic(a, v)
+		case 1:
+			return c.MulConst(a, rng.Float64()*2-1)
+		}
+		return c.MulPlain(a, vals())
 	}
 	rots := []int{1, 2, 3, -1, slots + 1, 2 - slots, 0, 5} // 5 has no key
 	for ops := 3 + rng.Intn(12); ops > 0; ops-- {
@@ -355,9 +371,9 @@ func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 			n = c.MulRelin(a, pick())
 		case 11:
 			operands := [2]Node{a, pick()}
-			n = c.MulPlain(a, vals())
+			n = factor(a)
 			for terms := 1 + rng.Intn(40); terms > 1; terms-- {
-				n = c.Add(n, c.MulPlain(operands[rng.Intn(2)], vals()))
+				n = c.Add(n, factor(operands[rng.Intn(2)]))
 			}
 			if rng.Intn(4) == 0 { // a term that is an output as well
 				term := c.MulPlain(a, vals())
@@ -401,6 +417,7 @@ func TestPlanRandomDAGs(t *testing.T) {
 	sentinels := []error{ErrLevelMismatch, ErrScaleMismatch, ErrKeyMissing, ErrUnencodable, ErrInvalidCircuit}
 	compiled, refused := 0, make(map[error]int)
 	fused, widest, kept := 0, 0, 0 // MulPlainSum steps, the most terms in one, MulPlain steps left
+	mixed := 0                     // MulPlainSum steps with compact and full plaintexts
 	for n := 0; n < circuitCount; n++ {
 		plan, err := randomCircuit(rng, slots).Compile(k.params, k.evk)
 		if err != nil {
@@ -422,6 +439,9 @@ func TestPlanRandomDAGs(t *testing.T) {
 			case stepMulPlainSum:
 				fused++
 				widest = max(widest, len(st.pts))
+				if compact := plan.compactFactors(&st); compact > 0 && compact < len(st.pts) {
+					mixed++
+				}
 			case stepMulPlain:
 				kept++
 			}
@@ -484,10 +504,10 @@ func TestPlanRandomDAGs(t *testing.T) {
 	if compiled < circuitCount/4 || compiled > circuitCount*9/10 {
 		t.Fatalf("%d of %d random circuits compiled: the generator no longer covers both outcomes", compiled, circuitCount)
 	}
-	if fused < compiled/8 || widest < 16 || kept == 0 {
-		t.Fatalf("%d fused sums (the widest of %d terms) and %d unfused products in %d plans: the generator no longer covers the fusion",
-			fused, widest, kept, compiled)
+	if fused < compiled/8 || widest < 16 || kept == 0 || mixed == 0 {
+		t.Fatalf("%d fused sums (the widest of %d terms, %d mixing row shapes) and %d unfused products in %d plans: the generator no longer covers the fusion",
+			fused, widest, mixed, kept, compiled)
 	}
-	t.Logf("%d of %d random circuits compiled (%d fused sums, the widest of %d terms, %d products unfused); refused: %v",
-		compiled, circuitCount, fused, widest, kept, refused)
+	t.Logf("%d of %d random circuits compiled (%d fused sums, the widest of %d terms, %d mixing row shapes, %d products unfused); refused: %v",
+		compiled, circuitCount, fused, widest, mixed, kept, refused)
 }

@@ -1,0 +1,46 @@
+package heax
+
+import "heax/internal/uintmod"
+
+// PlainRowShapes counts the multiplying plaintexts of p's MulPlain and
+// MulPlainSum steps, and how many of them are stored compact.
+func PlainRowShapes(p *Plan) (compact, total int) {
+	for i := range p.steps {
+		if st := &p.steps[i]; st.kind == stepMulPlain || st.kind == stepMulPlainSum {
+			compact += p.compactFactors(st)
+			total += len(plainFactors(st))
+		}
+	}
+	return compact, total
+}
+
+// ExpandPlainRows gives every compact multiplier of p a full copy: each
+// stored value written to the lanes it stands for. The compact
+// plaintexts themselves are left as they were.
+func ExpandPlainRows(p *Plan) {
+	expand := func(pt *Plaintext) *Plaintext {
+		if len(pt.Value.Coeffs[0]) == p.params.N {
+			return pt
+		}
+		full := p.params.RingQP.NewPoly(pt.Value.Rows())
+		for i, row := range pt.Value.Coeffs {
+			for j := range full.Coeffs[i] {
+				full.Coeffs[i][j] = row[j/uintmod.Lanes]
+			}
+		}
+		return &Plaintext{Value: full, Scale: pt.Scale}
+	}
+	for i := range p.steps {
+		st := &p.steps[i]
+		switch st.kind {
+		case stepMulPlain:
+			st.pt = expand(st.pt)
+		case stepMulPlainSum:
+			pts := make([]*Plaintext, len(st.pts))
+			for j, pt := range st.pts {
+				pts[j] = expand(pt)
+			}
+			st.pts = pts
+		}
+	}
+}

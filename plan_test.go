@@ -395,6 +395,43 @@ func TestPlanRunAllocations(t *testing.T) {
 // product and partial sum had a slot of its own (542), which a fusion
 // that dropped the steps but kept their slots would overshoot.
 func TestPlanFootprintCoversMatVec(t *testing.T) {
+	plan, in := denseMatVec(t)
+	if plan.NumSteps() > 50 {
+		t.Fatalf("matvec plan has %d steps, want at most 50:\n%s", plan.NumSteps(), plan.Describe())
+	}
+	heax.PeakFootprint(t, plan, in, [2]int{1, 35}, [2]int{2, 51}, [2]int{4, 83})
+}
+
+// TestPlanCompactRowsMatVec: every diagonal of the 256×256 BSGS matvec has
+// period 256 in the slots, so Compile stores all 256 of the plan's
+// plaintexts compact, and the plan gives bit for bit what it gives with
+// those plaintexts expanded back to full rows.
+func TestPlanCompactRowsMatVec(t *testing.T) {
+	plan, in := denseMatVec(t)
+	if compact, total := heax.PlainRowShapes(plan); compact != 256 || total != 256 {
+		t.Fatalf("%d of the matvec plan's %d plaintexts are compact, want 256 of 256:\n%s", compact, total, plan.Describe())
+	}
+	want, err := plan.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heax.ExpandPlainRows(plan)
+	if compact, total := heax.PlainRowShapes(plan); compact != 0 || total != 256 {
+		t.Fatalf("%d of %d plaintexts still compact after expanding", compact, total)
+	}
+	got, err := plan.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ctEqual(got["y"], want["y"]) || got["y"].Scale != want["y"].Scale {
+		t.Fatal("the matvec plan with its plaintexts expanded differs from the compact one")
+	}
+}
+
+// denseMatVec compiles the 256×256 BSGS matvec heax/circuits builds (the
+// benchmark's matvec-serve-A plan) on Set-A and encrypts an input for it.
+func denseMatVec(t *testing.T) (*heax.Plan, map[string]*heax.Ciphertext) {
+	t.Helper()
 	params, err := heax.NewParams(heax.SetA)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +465,11 @@ func TestPlanFootprintCoversMatVec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := circuits.ReplicateReal(make([]float64, n), n, params.Slots())
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.Float64()*2 - 1
+	}
+	x, err := circuits.ReplicateReal(v, n, params.Slots())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,8 +481,5 @@ func TestPlanFootprintCoversMatVec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.NumSteps() > 50 {
-		t.Fatalf("matvec plan has %d steps, want at most 50:\n%s", plan.NumSteps(), plan.Describe())
-	}
-	heax.PeakFootprint(t, plan, map[string]*heax.Ciphertext{"x": ct}, [2]int{1, 35}, [2]int{2, 51}, [2]int{4, 83})
+	return plan, map[string]*heax.Ciphertext{"x": ct}
 }
