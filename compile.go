@@ -371,7 +371,7 @@ func (k *compiler) liftBy(v valState, t float64) (valState, error) {
 	if cached, ok := k.lifted[key]; ok {
 		return cached, nil
 	}
-	pt, err := k.encodeConst(1, v.level, t)
+	pt, err := k.enc.EncodeConst(1, v.level, t)
 	if err != nil {
 		return v, err
 	}
@@ -442,12 +442,12 @@ func (k *compiler) reconcile(a, b valState) (valState, valState, error) {
 func (k *compiler) encodeVals(n *cnode, level int, scale float64) (*Plaintext, error) {
 	op := nodeKindNames[n.kind]
 	vals := n.vals
+	var pt *Plaintext
+	var err error
 	switch {
 	case n.broadcast:
-		vals = make([]complex128, k.params.Slots())
-		for i := range vals {
-			vals[i] = complex(n.scalar, 0)
-		}
+		vals = []complex128{complex(n.scalar, 0)} // for the zero-payload check
+		pt, err = k.enc.EncodeConst(n.scalar, level, scale)
 	case n.periodic:
 		if k.params.Slots()%len(vals) != 0 {
 			return nil, fmt.Errorf("heax: compile: %s: periodic payload of %d values does not divide the %d slots of %s: %w",
@@ -457,12 +457,13 @@ func (k *compiler) encodeVals(n *cnode, level int, scale float64) (*Plaintext, e
 		for i := range tiled {
 			tiled[i] = vals[i%len(vals)]
 		}
-		vals = tiled
+		pt, err = k.enc.Encode(tiled, level, scale)
 	case len(vals) > k.params.Slots():
 		return nil, fmt.Errorf("heax: compile: %d plaintext values exceed the %d slots of %s: %w",
 			len(vals), k.params.Slots(), k.paramName(), ErrInvalidCircuit)
+	default:
+		pt, err = k.enc.Encode(vals, level, scale)
 	}
-	pt, err := k.enc.Encode(vals, level, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -506,14 +507,6 @@ func zeroPlaintext(pt *Plaintext) bool {
 		}
 	}
 	return true
-}
-
-func (k *compiler) encodeConst(v float64, level int, scale float64) (*Plaintext, error) {
-	vals := make([]float64, k.params.Slots())
-	for i := range vals {
-		vals[i] = v
-	}
-	return k.enc.EncodeReal(vals, level, scale)
 }
 
 // compactRows stores a multiplying plaintext as one value per aligned

@@ -144,6 +144,18 @@ func WriteEvaluationKeySet(w io.Writer, evk *EvaluationKeySet) error {
 	return ckks.WriteEvaluationKeys(w, evk.Relin, evk.Galois)
 }
 
+// EvaluationKeySetSize returns the exact number of bytes
+// WriteEvaluationKeySet produces for evk, computed from the key shapes
+// without encoding them, or the error it would fail with for a set the
+// wire format cannot carry — what a framing layer needs to announce a
+// key set's length before streaming it.
+func EvaluationKeySetSize(evk *EvaluationKeySet) (int, error) {
+	if evk == nil {
+		evk = &EvaluationKeySet{}
+	}
+	return ckks.EvaluationKeysSize(evk.Relin, evk.Galois)
+}
+
 // ReadEvaluationKeySet reconstructs a key set written by
 // WriteEvaluationKeySet; corrupted or truncated blobs fail with
 // ErrCorrupt.

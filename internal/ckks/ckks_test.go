@@ -577,6 +577,53 @@ func TestEncodeHugeScale(t *testing.T) {
 	}
 }
 
+// TestEncodeConstMatchesEncode: EncodeConst skips Encode's transforms
+// and must still come out bit for bit as Encode makes the constant
+// vector — at scales from 2^9 to 2^50 and q_L, at the top and bottom
+// level, on both sides of the word-sized fast path, and with the same
+// verdict on a value Encode refuses.
+func TestEncodeConstMatchesEncode(t *testing.T) {
+	for _, spec := range []ParamSpec{SetA, SetC} {
+		t.Run(spec.Name, func(t *testing.T) {
+			params, err := NewParams(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := NewEncoder(params)
+			rng := rand.New(rand.NewSource(27))
+			vals := []float64{0, 1, -1, 0.5, -0.5, 1.5, 2.5, 1e-3, -7.25, 1 << 20, math.Pi,
+				math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.SmallestNonzeroFloat64}
+			for i := 0; i < 24; i++ {
+				vals = append(vals, (rng.Float64()*2-1)*math.Exp2(float64(rng.Intn(40)-20)))
+			}
+			scales := []float64{1 << 9, 1 << 30, 1 << 40, 1 << 50, float64(params.Q[params.MaxLevel()])}
+			for _, scale := range scales {
+				edge := wordCoeffBound / scale
+				cases := append(vals[:len(vals):len(vals)], math.Nextafter(edge, 0), edge, -math.Nextafter(edge, 0), 3*edge)
+				for _, level := range []int{params.MaxLevel(), 0} {
+					for _, v := range cases {
+						got, gerr := enc.EncodeConst(v, level, scale)
+						flat := make([]float64, params.Slots())
+						for i := range flat {
+							flat[i] = v
+						}
+						want, werr := enc.EncodeReal(flat, level, scale)
+						if (gerr == nil) != (werr == nil) {
+							t.Fatalf("v=%g scale=2^%.1f level %d: error %v, Encode %v", v, math.Log2(scale), level, gerr, werr)
+						}
+						if werr != nil {
+							continue
+						}
+						if got.Scale != want.Scale || !got.Value.Equal(want.Value) {
+							t.Fatalf("v=%g scale=2^%.1f level %d: EncodeConst differs from Encode", v, math.Log2(scale), level)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // Cross-level addition: after a rescale, operands at different levels can
 // still be combined (the evaluator aligns levels).
 func TestCrossLevelAdd(t *testing.T) {

@@ -114,6 +114,10 @@ func (e *Encoder) specialIFFT(v []complex128) {
 	}
 }
 
+// wordCoeffBound bounds the scaled coefficients Encode rounds straight to
+// an int64; larger ones take the arbitrary-precision path.
+const wordCoeffBound = 1 << 62
+
 // Encode embeds values (at most Slots of them; missing entries are zero)
 // into a fresh plaintext at the given level and scale. Encoding fails only
 // if a scaled coefficient overflows the 62-bit fast path; with sane scales
@@ -135,7 +139,7 @@ func (e *Encoder) Encode(values []complex128, level int, scale float64) (*Plaint
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return fmt.Errorf("ckks: non-finite coefficient at scale %g", scale)
 		}
-		if math.Abs(x) < math.Exp2(62) {
+		if math.Abs(x) < wordCoeffBound {
 			c := int64(math.Round(x))
 			for i := 0; i <= level; i++ {
 				pt.Coeffs[i][j] = ctx.Basis.ReduceInt64(c, i)
@@ -172,6 +176,35 @@ func (e *Encoder) EncodeReal(values []float64, level int, scale float64) (*Plain
 		cv[i] = complex(x, 0)
 	}
 	return e.Encode(cv, level, scale)
+}
+
+// EncodeConst encodes v in every slot at level and scale, bit for bit
+// what Encode makes of that vector, without its transforms. The special
+// IFFT of a constant real vector is exactly (v, 0, …, 0): every
+// butterfly difference is an exact zero and the power-of-two scalings
+// are exact. The NTT of the constant polynomial round(v·scale) is that
+// constant at every point, so each row is round(v·scale) mod q_i. A
+// value outside the word-sized fast path, a non-finite one and a level
+// out of range go through Encode, and fail or round there.
+func (e *Encoder) EncodeConst(v float64, level int, scale float64) (*Plaintext, error) {
+	x := v * scale
+	if !(math.Abs(v) < wordCoeffBound && math.Abs(x) < wordCoeffBound) || level < 0 || level > e.params.MaxLevel() {
+		vals := make([]complex128, e.slots)
+		for i := range vals {
+			vals[i] = complex(v, 0)
+		}
+		return e.Encode(vals, level, scale)
+	}
+	ctx := e.params.RingQP
+	c := int64(math.Round(x))
+	pt := ctx.NewPoly(level + 1)
+	for i, row := range pt.Coeffs {
+		r := ctx.Basis.ReduceInt64(c, i)
+		for j := range row {
+			row[j] = r
+		}
+	}
+	return &Plaintext{Value: pt, Scale: scale}, nil
 }
 
 // Decode recovers the complex message vector from a plaintext, using CRT

@@ -59,7 +59,8 @@ const (
 	maxGaloisKeys   = 1 << 14
 )
 
-// Encoded sizes of the fixed parts, for CiphertextBatchSize.
+// Encoded sizes of the fixed parts, for CiphertextBatchSize and
+// EvaluationKeysSize.
 const (
 	headerSize         = 12        // magic, version, kind
 	polyShapeSize      = 8         // rows, degree
@@ -395,6 +396,14 @@ func ReadPublicKey(r io.Reader, params *Params) (*PublicKey, error) {
 	return &PublicKey{B: b, A: a}, nil
 }
 
+func switchingKeySize(swk *SwitchingKey) int {
+	size := 4
+	for _, d := range swk.Digits {
+		size += polySize(d[0]) + polySize(d[1])
+	}
+	return size
+}
+
 func writeSwitchingKey(bw *bufio.Writer, swk *SwitchingKey) error {
 	if err := writeU32(bw, uint32(len(swk.Digits))); err != nil {
 		return err
@@ -487,11 +496,48 @@ func ReadGaloisKey(r io.Reader, params *Params) (*GaloisKey, error) {
 // validated aggregate or fails with ErrCorrupt — never a partial object
 // and never an attacker-sized allocation.
 
+// checkEvalKeys reports whether the wire format can carry gks: its
+// rotation count is within the cap readers enforce.
+func checkEvalKeys(gks *GaloisKeySet) error {
+	if gks != nil && len(gks.Rotations) > maxGaloisKeys {
+		return fmt.Errorf("ckks: %d rotation keys, the wire format allows %d", len(gks.Rotations), maxGaloisKeys)
+	}
+	return nil
+}
+
+// EvaluationKeysSize returns the exact number of bytes
+// WriteEvaluationKeys produces for rlk and gks, computed from the key
+// shapes, or the error it would fail with for a set the format cannot
+// carry — so a caller framing a key set can announce its length before
+// streaming it.
+func EvaluationKeysSize(rlk *RelinearizationKey, gks *GaloisKeySet) (int, error) {
+	if err := checkEvalKeys(gks); err != nil {
+		return 0, err
+	}
+	size := headerSize + 4 // flags
+	if rlk != nil {
+		size += switchingKeySize(&rlk.SwitchingKey)
+	}
+	if gks != nil {
+		size += 4 // rotation count
+		for _, gk := range gks.Rotations {
+			size += 8 + galoisKeyBodySize(gk) // step, key
+		}
+		if gks.Conjugate != nil {
+			size += galoisKeyBodySize(gks.Conjugate)
+		}
+	}
+	return size, nil
+}
+
 // WriteEvaluationKeys serializes a relinearization key and a Galois key
 // set as one framed object; either may be nil. Rotation entries are
 // written in sorted step order, so equal key sets serialize to equal
 // bytes.
 func WriteEvaluationKeys(w io.Writer, rlk *RelinearizationKey, gks *GaloisKeySet) error {
+	if err := checkEvalKeys(gks); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
 	if err := writeHeader(bw, kindEvalKeys); err != nil {
 		return err
@@ -545,6 +591,10 @@ func WriteEvaluationKeys(w io.Writer, rlk *RelinearizationKey, gks *GaloisKeySet
 		}
 	}
 	return bw.Flush()
+}
+
+func galoisKeyBodySize(gk *GaloisKey) int {
+	return 8 + switchingKeySize(&gk.SwitchingKey)
 }
 
 // writeGaloisKeyBody writes the header-less Galois key encoding:

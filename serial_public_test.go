@@ -112,6 +112,56 @@ func TestPublicSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEvaluationKeySetSize: the size a framing layer announces before
+// streaming a key set is exactly what WriteEvaluationKeySet writes, for
+// every combination of key kinds.
+func TestEvaluationKeySetSize(t *testing.T) {
+	k := newAPIKit(t)
+	rotations := &heax.GaloisKeySet{Rotations: k.evk.Galois.Rotations}
+	if k.evk.Galois.Conjugate == nil {
+		t.Fatal("the kit's key set must carry a conjugation key")
+	}
+	cases := []struct {
+		name string
+		evk  *heax.EvaluationKeySet
+	}{
+		{"nil", nil},
+		{"empty", &heax.EvaluationKeySet{}},
+		{"relinearization only", &heax.EvaluationKeySet{Relin: k.evk.Relin}},
+		{"rotations only", &heax.EvaluationKeySet{Galois: rotations}},
+		{"rotations with conjugation", &heax.EvaluationKeySet{Galois: k.evk.Galois}},
+		{"everything", k.evk},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		if err := heax.WriteEvaluationKeySet(&buf, tc.evk); err != nil {
+			t.Fatal(err)
+		}
+		size, err := heax.EvaluationKeySetSize(tc.evk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size != buf.Len() {
+			t.Errorf("%s: EvaluationKeySetSize = %d, WriteEvaluationKeySet wrote %d bytes", tc.name, size, buf.Len())
+		}
+	}
+
+	// More rotation keys than any reader accepts: both refuse the set
+	// before a byte is written.
+	many := &heax.GaloisKeySet{Rotations: make(map[int]*heax.GaloisKey)}
+	for step := 1; step <= 1<<14+1; step++ {
+		many.Rotations[step] = k.evk.Galois.Rotations[1]
+	}
+	tooMany := &heax.EvaluationKeySet{Galois: many}
+	if _, err := heax.EvaluationKeySetSize(tooMany); err == nil {
+		t.Error("EvaluationKeySetSize accepted more rotation keys than the wire format carries")
+	}
+	var buf bytes.Buffer
+	if err := heax.WriteEvaluationKeySet(&buf, tooMany); err == nil || buf.Len() != 0 {
+		t.Errorf("WriteEvaluationKeySet with too many rotation keys: error %v after %d bytes", err, buf.Len())
+	}
+}
+
 func TestPublicSerializationCorruption(t *testing.T) {
 	k := newAPIKit(t)
 	x := k.encrypt(t, []float64{1, 2, 3})

@@ -245,9 +245,15 @@ func (c *Client) abandonErr(ctx context.Context, err error) error {
 }
 
 func (c *Client) roundTrip(ctx context.Context, req byte, payload []byte, want byte) ([]byte, error) {
+	return c.exchange(ctx, func(bw *bufio.Writer) error { return writeFrame(bw, req, payload) }, want)
+}
+
+// exchange writes one request frame through send, flushes it and reads
+// the control-frame response, all under ctx.
+func (c *Client) exchange(ctx context.Context, send func(*bufio.Writer) error, want byte) ([]byte, error) {
 	stop := c.applyCtx(ctx)
 	defer stop()
-	if err := writeFrame(c.bw, req, payload); err != nil {
+	if err := send(c.bw); err != nil {
 		return nil, c.abandonErr(ctx, err)
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -283,6 +289,10 @@ func (c *Client) Register(tenant string, evk *heax.EvaluationKeySet) error {
 
 // RegisterContext is Register with a deadline: ctx bounds the upload's
 // socket writes and the wait for the server's acknowledgement.
+//
+// The key set is streamed: its length is computed from the key shapes,
+// and the keys are encoded straight from their polynomials onto the
+// connection, so no encoded copy of the set is ever held.
 func (c *Client) RegisterContext(ctx context.Context, tenant string, evk *heax.EvaluationKeySet) error {
 	ctx, cancel := c.callCtx(ctx)
 	defer cancel()
@@ -290,12 +300,20 @@ func (c *Client) RegisterContext(ctx context.Context, tenant string, evk *heax.E
 	if err := pw.str(tenant); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := heax.WriteEvaluationKeySet(&buf, evk); err != nil {
+	size, err := heax.EvaluationKeySetSize(evk)
+	if err != nil {
 		return err
 	}
-	pw.blob(buf.Bytes())
-	_, err := c.roundTrip(ctx, reqRegister, pw.buf, respOK)
+	pw.u32(uint32(size))
+	_, err = c.exchange(ctx, func(bw *bufio.Writer) error {
+		if err := writeFrameHeader(bw, reqRegister, int64(len(pw.buf))+int64(size)); err != nil {
+			return err
+		}
+		if _, err := bw.Write(pw.buf); err != nil {
+			return err
+		}
+		return heax.WriteEvaluationKeySet(bw, evk)
+	}, respOK)
 	return err
 }
 

@@ -30,7 +30,11 @@
 //   - a framed, length-checked protocol (protocol.go) whose payloads
 //     are the internal/ckks stream codecs; malformed frames fail with
 //     heax.ErrCorrupt and oversized frames are rejected before
-//     allocation.
+//     allocation. Run and Register frames are streamed: ciphertext
+//     batches and key sets are encoded from their polynomials onto the
+//     connection and decoded off it into fresh polynomials, so neither
+//     side ever holds an encoded copy of a request (a durable server
+//     keeps one copy of a key set, for its tenant log).
 //
 // A run in flight is bound to its connection and its deadline: when
 // the client disconnects or the propagated budget expires, the run's

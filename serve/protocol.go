@@ -8,9 +8,9 @@ package serve
 // sets, ciphertext batches) plus small length-prefixed strings. Every
 // length is checked against the negotiated frame cap, and memory is
 // only ever reserved for bytes that have arrived: a control frame's
-// buffer grows with the payload (readFrameBody), and a Run frame is
-// never buffered at all. A malformed frame fails with an error
-// wrapping heax.ErrCorrupt.
+// buffer grows with the payload (readFrameBody), and Run and Register
+// frames are never buffered at all. A malformed frame fails with an
+// error wrapping heax.ErrCorrupt.
 //
 // Run frames are streamed. The sender computes every batch length up
 // front (heax.CiphertextBatchSize), writes the frame header and the
@@ -21,11 +21,19 @@ package serve
 // polynomials (readBatches). Each ciphertext byte is therefore copied
 // once per side — by the socket write and by the socket read.
 //
+// Register frames are streamed the same way: tenant name, then the key
+// set as one length-prefixed blob whose length is computed from the
+// key shapes (heax.EvaluationKeySetSize) and must be the rest of the
+// frame. The client encodes the keys from their polynomials onto the
+// connection (Client.RegisterContext); the server decodes them off it
+// into the polynomials it registers (Server.parseRegisterRequest).
+//
 // A streamed frame can be abandoned part-read (parse error in a later
-// batch, draining server). The server then discards the rest of the
-// frame before it replies, so the connection stays synchronized
-// exactly as it would had the frame been read whole; a client whose
-// response fails to decode mid-frame closes the connection.
+// batch, a blown byte budget, draining server). The server then
+// discards the rest of the frame before it replies, so the connection
+// stays synchronized exactly as it would had the frame been read whole;
+// a client whose response fails to decode mid-frame closes the
+// connection.
 
 import (
 	"bufio"

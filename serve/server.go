@@ -596,9 +596,9 @@ func (s *Server) handleConn(conn net.Conn) {
 	for {
 		typ, n, err := readFrameHeader(br, s.opts.maxFrame)
 		var payload []byte
-		if err == nil && typ != reqRunEx {
-			// Control frames are read whole; a Run frame is decoded
-			// straight off the connection, never buffered.
+		if err == nil && typ != reqRunEx && typ != reqRegister {
+			// Control frames are read whole; Run and Register frames are
+			// decoded straight off the connection, never buffered.
 			payload, err = readFrameBody(br, n)
 		}
 		if err != nil {
@@ -615,10 +615,10 @@ func (s *Server) handleConn(conn net.Conn) {
 		case reqParams:
 			rtyp, rpayload = respParams, s.paramsBlob
 		case reqRegister:
-			rtyp = respOK
-			if err = s.stopErr(); err == nil {
-				err = s.guard(func() error { return s.handleRegister(payload) })
+			if !s.serveRegister(br, bw, n) {
+				return
 			}
+			continue
 		case reqUnregister:
 			// Allowed during drain: releasing keys is cleanup, not work.
 			rtyp = respOK
@@ -669,17 +669,40 @@ func (s *Server) serveRun(ctx context.Context, cancel context.CancelFunc, conn n
 			return gerr
 		})
 	}
-	// Resynchronize before replying: whatever an early-out (draining,
-	// a parse error in a later batch, a recovered panic) left unread of
-	// this frame is dropped, so the next frame header is where the
-	// reader expects it. A failure here is the connection's.
-	if _, derr := io.CopyN(io.Discard, frame, frame.N); derr != nil {
+	if !discardRest(frame) {
 		return false
 	}
 	if err != nil {
 		return s.writeErr(bw, err)
 	}
 	return writeBatchFrame(bw, respBatches, nil, out) == nil
+}
+
+// serveRegister handles one Register frame whose n payload bytes are
+// still on the wire, and reports whether the connection is still
+// usable.
+func (s *Server) serveRegister(br *bufio.Reader, bw *bufio.Writer, n int) bool {
+	frame := &io.LimitedReader{R: br, N: int64(n)}
+	err := s.stopErr()
+	if err == nil {
+		err = s.guard(func() error { return s.handleRegister(frame) })
+	}
+	if !discardRest(frame) {
+		return false
+	}
+	if err != nil {
+		return s.writeErr(bw, err)
+	}
+	return writeFrame(bw, respOK, nil) == nil && bw.Flush() == nil
+}
+
+// discardRest resynchronizes a streamed frame before the reply: whatever
+// an early exit (draining, budget, a parse error part-way, a recovered
+// panic) left unread of the frame is dropped, so the next frame header
+// is where the reader expects it. A failure here is the connection's.
+func discardRest(frame *io.LimitedReader) bool {
+	_, err := io.CopyN(io.Discard, frame, frame.N)
+	return err == nil
 }
 
 // guard is the per-request recover boundary: a panic anywhere in a
@@ -710,42 +733,107 @@ func (s *Server) writeErr(bw *bufio.Writer, err error) bool {
 	return bw.Flush() == nil
 }
 
-func (s *Server) handleRegister(payload []byte) error {
-	pr := payloadReader{buf: payload}
-	name, err := pr.str("tenant name")
+// registerRequest is one parsed Register request.
+type registerRequest struct {
+	tenant string
+	evk    *heax.EvaluationKeySet
+	// size is the encoded key set's length, which is also what the
+	// decoded keys occupy: the charge against the tenant's byte budget.
+	size int64
+	// blob is the encoded key set as it arrived, kept only for the
+	// tenant log.
+	blob []byte
+}
+
+// parseRegisterRequest decodes a Register payload — tenant name, key
+// set length, key set — from the frame it arrives in. The key set is
+// decoded off the frame straight into its polynomials, after the
+// tenant's byte budget has been checked against its length: an
+// oversized set is shed before one key byte is read. With a tenant log
+// the key set's bytes are also teed, as they pass, into a keyLog that
+// ends as one buffer of exactly that length for the log record.
+// Malformed input fails with an
+// error wrapping heax.ErrCorrupt and may leave part of the frame unread.
+func (s *Server) parseRegisterRequest(frame *io.LimitedReader) (*registerRequest, error) {
+	name, pr, err := readHead(frame, 4, "register request")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	blob, err := pr.blob("evaluation key set")
+	size, err := pr.u32("evaluation key set length")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := pr.done("register request"); err != nil {
-		return err
+	req := &registerRequest{tenant: name, size: int64(size)}
+	if req.size != frame.N {
+		return nil, fmt.Errorf("serve: evaluation key set claims %d bytes, the frame carries %d: %w", req.size, frame.N, heax.ErrCorrupt)
 	}
-	// Budget the key bytes BEFORE deserializing: an oversized key set is
-	// shed while it is still one wire blob, not after a second copy of
-	// the same size exists as live polynomials (decoding adds nothing
-	// beyond the blob's own rows, so the blob length is the charge).
-	if limit := s.adm.policyFor(name).MaxBytes; limit > 0 && int64(len(blob)) > limit {
-		return fmt.Errorf("%w: tenant %q key set of %d bytes exceeds the %d-byte budget",
-			ErrResourceExhausted, name, len(blob), limit)
+	if limit := s.adm.policyFor(name).MaxBytes; limit > 0 && req.size > limit {
+		return nil, fmt.Errorf("%w: tenant %q key set of %d bytes exceeds the %d-byte budget",
+			ErrResourceExhausted, name, req.size, limit)
 	}
-	evk, err := heax.ReadEvaluationKeySet(bytes.NewReader(blob), s.params)
+	var keys io.Reader = frame
+	var tee *keyLog
+	if s.opts.tlog != nil {
+		tee = &keyLog{size: int(req.size)}
+		keys = io.TeeReader(frame, tee)
+	}
+	if req.evk, err = heax.ReadEvaluationKeySet(keys, s.params); err != nil {
+		return nil, err
+	}
+	// The codec ignores bytes past the key set's end, as it always has.
+	// They are read (and logged) too, so the tenant is registered only
+	// once its whole frame has arrived.
+	if _, err := io.Copy(io.Discard, keys); err != nil {
+		return nil, fmt.Errorf("serve: reading the evaluation key set: %w: %w", err, heax.ErrCorrupt)
+	}
+	if frame.N != 0 {
+		return nil, fmt.Errorf("serve: evaluation key set truncated %d bytes short: %w", frame.N, heax.ErrCorrupt)
+	}
+	if tee != nil {
+		req.blob = tee.buf
+	}
+	return req, nil
+}
+
+// keyLog collects a key set's bytes for the tenant log as they pass. It
+// grows as bytes arrive, doubling but never past the announced length,
+// so what it holds follows what the peer has sent, never the length it
+// claims: a peer that announces a gigabyte and goes silent costs the
+// first 64 KB. A complete key set ends in one buffer of exactly its
+// length, with no slack past it: a tenant log may keep the buffer as the
+// tenant's state for as long as the tenant is registered.
+type keyLog struct {
+	buf  []byte
+	size int
+}
+
+func (l *keyLog) Write(p []byte) (int, error) {
+	if need := len(l.buf) + len(p); need > cap(l.buf) {
+		c := min(max(2*cap(l.buf), 64<<10), l.size)
+		grown := make([]byte, len(l.buf), max(c, need))
+		copy(grown, l.buf)
+		l.buf = grown
+	}
+	l.buf = append(l.buf, p...)
+	return len(p), nil
+}
+
+func (s *Server) handleRegister(frame *io.LimitedReader) error {
+	req, err := s.parseRegisterRequest(frame)
 	if err != nil {
 		return err
 	}
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	if err := s.reg.register(name, evk, int64(len(blob))); err != nil {
+	if err := s.reg.register(req.tenant, req.evk, req.size); err != nil {
 		return err
 	}
 	if s.opts.tlog != nil {
-		if lerr := s.opts.tlog.AppendRegister(name, blob); lerr != nil {
+		if lerr := s.opts.tlog.AppendRegister(req.tenant, req.blob); lerr != nil {
 			// Roll back: an unlogged registration must not be acknowledged,
 			// or a crash would silently forget a tenant the client believes
 			// is registered.
-			s.reg.unregister(name)
+			s.reg.unregister(req.tenant)
 			return fmt.Errorf("serve: tenant log append failed (registration rolled back): %w", lerr)
 		}
 	}
@@ -906,25 +994,35 @@ const maxBudgetUS = uint64(1) << 53
 // request id, deadline budget, batch count.
 const runHeadFixedLen = len(PlanID{}) + len(requestID{}) + 8 + 4
 
+// readHead reads the small, bounded head of a streamed request frame:
+// the tenant name's length prefix, then (for a plausible length) the
+// name and the fixed bytes that follow it in one read. It returns the
+// name and a parser over those fixed bytes; malformed input fails with
+// an error wrapping heax.ErrCorrupt.
+func readHead(frame *io.LimitedReader, fixed int, what string) (string, *payloadReader, error) {
+	head := make([]byte, 4, 4+maxStringLen+fixed)
+	if _, err := io.ReadFull(frame, head); err != nil {
+		return "", nil, fmt.Errorf("serve: truncated tenant name: %w: %w", err, heax.ErrCorrupt)
+	}
+	if n := binary.LittleEndian.Uint32(head); n <= maxStringLen {
+		head = head[:4+int(n)+fixed]
+		if _, err := io.ReadFull(frame, head[4:]); err != nil {
+			return "", nil, fmt.Errorf("serve: truncated %s head: %w: %w", what, err, heax.ErrCorrupt)
+		}
+	}
+	pr := &payloadReader{buf: head}
+	name, err := pr.str("tenant name")
+	if err != nil {
+		return "", nil, err
+	}
+	return name, pr, nil
+}
+
 // parseRunRequest decodes a Run payload from the frame it arrives in,
 // batch by batch; malformed input fails with an error wrapping
 // heax.ErrCorrupt and may leave part of the frame unread.
 func (s *Server) parseRunRequest(frame *io.LimitedReader) (*runRequest, error) {
-	// The head is small and bounded: the tenant name's length prefix,
-	// then (for a plausible length) the name and the fixed-width fields
-	// in one read.
-	head := make([]byte, 4, 4+maxStringLen+runHeadFixedLen)
-	if _, err := io.ReadFull(frame, head); err != nil {
-		return nil, fmt.Errorf("serve: truncated tenant name: %w: %w", err, heax.ErrCorrupt)
-	}
-	if n := binary.LittleEndian.Uint32(head); n <= maxStringLen {
-		head = head[:4+int(n)+runHeadFixedLen]
-		if _, err := io.ReadFull(frame, head[4:]); err != nil {
-			return nil, fmt.Errorf("serve: truncated run request head: %w: %w", err, heax.ErrCorrupt)
-		}
-	}
-	pr := payloadReader{buf: head}
-	name, err := pr.str("tenant name")
+	name, pr, err := readHead(frame, runHeadFixedLen, "run request")
 	if err != nil {
 		return nil, err
 	}

@@ -165,10 +165,11 @@ func TestStreamedRunResyncsAfterEarlyOut(t *testing.T) {
 	auditZeroLeak(t, srv)
 }
 
-// TestStreamedRunResyncsWhileDraining: a Run refused because the server
-// is draining leaves its whole frame unread. No Run can succeed during
-// a drain, so synchronization shows as the next frames on the same
-// connection each getting their own well-formed, typed reply.
+// TestStreamedRunResyncsWhileDraining: a Run or Register refused
+// because the server is draining leaves its whole frame unread. Neither
+// can succeed during a drain, so synchronization shows as the next
+// frames on the same connection each getting their own well-formed,
+// typed reply.
 func TestStreamedRunResyncsWhileDraining(t *testing.T) {
 	srv, addr := startChaosServer(t, chaosParams(t), 150*time.Millisecond, WithAdmissionWindow(1))
 	cl, _ := dialChaos(t, addr)
@@ -182,6 +183,7 @@ func TestStreamedRunResyncsWhileDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	peer := dialRaw(t, addr) // connected before the drain begins
+	register := wholeRegisterPayload(t, "late", newChaosKit(t, kit.params, 313).evk)
 
 	// Hold the drain open with a slow multi-batch run.
 	in := kit.batches(t, 312, 4)
@@ -222,10 +224,16 @@ func TestStreamedRunResyncsWhileDraining(t *testing.T) {
 			t.Fatalf("run %d during drain: got %v, want ErrServerDraining", i, err)
 		}
 	}
+	if _, err := peer.exchange(reqRegister, register, respOK); !errors.Is(err, ErrServerDraining) {
+		t.Fatalf("register during drain: got %v, want ErrServerDraining", err)
+	}
+	if srv.reg.has("late") {
+		t.Fatal("a Register refused during the drain was kept")
+	}
 	var pw payloadWriter
 	pw.str("nobody")
 	if _, err := peer.exchange(reqUnregister, pw.buf, respOK); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("unregister after refused runs: got %v, want ErrUnknownTenant", err)
+		t.Fatalf("unregister after refused runs and register: got %v, want ErrUnknownTenant", err)
 	}
 	if err := <-held; err != nil {
 		t.Fatalf("in-flight run must survive the drain: %v", err)
@@ -239,48 +247,52 @@ func TestStreamedRunResyncsWhileDraining(t *testing.T) {
 // TestFrameLengthAloneReservesNothing: a header announcing a frame as
 // large as the cap, followed by silence, must not make the server
 // reserve the announced size — memory follows the bytes that arrive.
-// Closing the connection ends its handler.
+// Closing the connection ends its handler. With a tenant log, a Register
+// frame's key set is teed for the log record as it arrives; the key
+// set's own announced length must not reserve that copy either.
 func TestFrameLengthAloneReservesNothing(t *testing.T) {
 	srv, addr := startChaosServer(t, chaosParams(t), 0)
+	for _, typ := range []byte{reqRegister, reqCompile, reqRunEx, 0x7f} {
+		silentFrame(t, srv, addr, typ, nil)
+	}
+
+	durableSrv, durableAddr := startChaosServer(t, chaosParams(t), 0, WithTenantLog(discardLog{}))
+	var pw payloadWriter
+	pw.str("silent")
+	pw.u32(uint32(DefaultMaxFrame - len(pw.buf) - 4))
+	silentFrame(t, durableSrv, durableAddr, reqRegister, pw.buf)
+}
+
+// silentFrame announces a frame of the largest allowed length, sends
+// the first bytes of its payload and goes silent, then fails t if the
+// server's heap grew by more than a megabyte meanwhile.
+func silentFrame(t *testing.T, srv *Server, addr string, typ byte, head []byte) {
+	t.Helper()
 	heap := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	waitConns := func(want int, what string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			srv.mu.Lock()
-			n := len(srv.conns)
-			srv.mu.Unlock()
-			if n == want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatal(what)
-			}
-			time.Sleep(time.Millisecond)
-		}
+	before := heap()
+	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, typ := range []byte{reqRegister, reqCompile, reqRunEx, 0x7f} {
-		before := heap()
-		conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeFrameHeader(conn, typ, DefaultMaxFrame); err != nil {
-			t.Fatal(err)
-		}
-		// Give the handler time to consume the header and block on a
-		// payload that never comes.
-		waitConns(1, "server never accepted the connection")
-		time.Sleep(50 * time.Millisecond)
-		if grown := int64(heap()) - int64(before); grown > 1<<20 {
-			t.Errorf("request type %#x: heap grew by %d bytes on a %d-byte length prefix", typ, grown, DefaultMaxFrame)
-		}
-		conn.Close()
-		waitConns(0, "handler still alive after its peer closed")
+	if err := writeFrameHeader(conn, typ, DefaultMaxFrame); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := conn.Write(head); err != nil {
+		t.Fatal(err)
+	}
+	// Give the handler time to consume what was sent and block on the
+	// rest of a payload that never comes.
+	waitConns(t, srv, 1)
+	time.Sleep(50 * time.Millisecond)
+	if grown := int64(heap()) - int64(before); grown > 1<<20 {
+		t.Errorf("request type %#x with %d payload bytes sent: heap grew by %d bytes on a %d-byte length prefix",
+			typ, len(head), grown, DefaultMaxFrame)
+	}
+	conn.Close()
+	waitConns(t, srv, 0)
 }
