@@ -3,9 +3,9 @@ package serve
 // The compiled-plan cache: LRU-bounded, keyed by (tenant, digest of
 // the canonicalized circuit DAG). Hitting the cache skips parsing,
 // validation and compilation entirely — the compile-once / run-many
-// contract across connections and sessions of a tenant. Each cached
-// plan holds one reference on its tenant's key registry entry;
-// eviction (capacity or tenant eviction) releases it.
+// contract across connections and sessions of a tenant. A cached plan
+// keeps its tenant's keys reachable, and removeLocked is the one place
+// a cached plan is torn down (capacity, tenant eviction or staleness).
 
 import (
 	"container/list"
@@ -35,7 +35,7 @@ type cacheKey struct {
 type cachedPlan struct {
 	key    cacheKey
 	plan   *heax.Plan
-	tenant *tenantEntry // the registry reference this plan holds
+	tenant *tenantEntry // the registration the plan was compiled against
 	steps  int
 	// hist is the plan's run-latency histogram child
 	// (heax_serve_run_seconds{tenant,plan}), cached at compile so the
@@ -106,63 +106,57 @@ func (c *planCache) lookup(key cacheKey) (*cachedPlan, bool) {
 	return el.Value.(*cachedPlan), true
 }
 
-// add inserts a plan (replacing any racing duplicate) and returns the
-// entries evicted to respect the capacity bound, so the caller can
-// release their registry references outside the cache lock.
-func (c *planCache) add(cp *cachedPlan) (evicted []*cachedPlan) {
+// add inserts a plan and evicts the least recently used plans past the
+// capacity bound. If two connections compiled the same circuit
+// concurrently, the incumbent stays, and with it the run-latency series
+// the two share; the newcomer is dropped.
+func (c *planCache) add(cp *cachedPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[cp.key]; ok {
-		// Two connections compiled the same circuit concurrently; keep
-		// the incumbent and retire the newcomer.
 		c.order.MoveToFront(el)
-		return []*cachedPlan{cp}
+		return
 	}
 	c.byKey[cp.key] = c.order.PushFront(cp)
 	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		old := oldest.Value.(*cachedPlan)
-		delete(c.byKey, old.key)
-		c.m.cacheEvictions.Inc()
-		evicted = append(evicted, old)
+		c.removeLocked(c.order.Back())
 	}
-	return evicted
 }
 
 // removeEntry drops one specific cached plan (pointer identity, so a
 // fresh entry that reused the key after a re-registration is left
-// alone) and reports whether it was present.
-func (c *planCache) removeEntry(cp *cachedPlan) bool {
+// alone).
+func (c *planCache) removeEntry(cp *cachedPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[cp.key]
-	if !ok || el.Value.(*cachedPlan) != cp {
-		return false
+	if el, ok := c.byKey[cp.key]; ok && el.Value.(*cachedPlan) == cp {
+		c.removeLocked(el)
 	}
-	c.order.Remove(el)
-	delete(c.byKey, cp.key)
-	c.m.cacheEvictions.Inc()
-	return true
 }
 
-// purgeTenant drops every plan of a tenant (on eviction) and returns
-// them for reference release.
-func (c *planCache) purgeTenant(tenant string) (purged []*cachedPlan) {
+// purgeTenant drops every plan of a tenant (on eviction).
+func (c *planCache) purgeTenant(tenant string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.order.Front(); el != nil; {
 		next := el.Next()
-		cp := el.Value.(*cachedPlan)
-		if cp.key.tenant == tenant {
-			c.order.Remove(el)
-			delete(c.byKey, cp.key)
-			c.m.cacheEvictions.Inc()
-			purged = append(purged, cp)
+		if el.Value.(*cachedPlan).key.tenant == tenant {
+			c.removeLocked(el)
 		}
 		el = next
 	}
-	return purged
+}
+
+// removeLocked tears a cached plan down: it leaves the cache, the
+// eviction is counted, and its heax_serve_run_seconds series is
+// deleted. Runs already holding the plan finish on it. Caller holds
+// c.mu.
+func (c *planCache) removeLocked(el *list.Element) {
+	cp := el.Value.(*cachedPlan)
+	c.order.Remove(el)
+	delete(c.byKey, cp.key)
+	c.m.cacheEvictions.Inc()
+	c.m.runSeconds.Delete(cp.key.tenant, cp.tag)
 }
 
 func (c *planCache) len() int {

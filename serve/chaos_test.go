@@ -6,8 +6,8 @@ package serve
 // response retried by request id — and asserts the same contract:
 // the client observes either a typed error or a result bit-identical
 // to the in-process oracle; the server never hangs, never serves a
-// corrupt frame, and leaks no key-registry or plan-cache reference
-// (refcounts audited to zero after every scenario).
+// corrupt frame, and leaks nothing: after every scenario each tenant's
+// evicted key set must be collected by the garbage collector.
 
 import (
 	"bufio"
@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"heax"
 )
@@ -255,8 +256,9 @@ func startChaosServer(t testing.TB, params *heax.Params, delay time.Duration, op
 
 // auditZeroLeak is the post-scenario invariant: once the scenario's
 // connections are gone, every run settles, and evicting all tenants
-// must retire every key-registry entry and empty the plan cache —
-// zero leaked references, whatever fault was injected.
+// must empty the registry and the plan cache and leave every evicted
+// key set unreachable — the garbage collector frees it, whatever fault
+// was injected.
 func auditZeroLeak(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -281,10 +283,10 @@ func auditZeroLeak(t *testing.T, s *Server) {
 	}
 	s.reg.mu.Lock()
 	names := make([]string, 0, len(s.reg.tenants))
-	entries := make([]*tenantEntry, 0, len(s.reg.tenants))
+	keys := make([]weak.Pointer[heax.EvaluationKeySet], 0, len(s.reg.tenants))
 	for name, e := range s.reg.tenants {
 		names = append(names, name)
-		entries = append(entries, e)
+		keys = append(keys, weak.Make(e.evk))
 	}
 	s.reg.mu.Unlock()
 	for _, name := range names {
@@ -295,15 +297,31 @@ func auditZeroLeak(t *testing.T, s *Server) {
 	if n := s.cache.len(); n != 0 {
 		t.Fatalf("plan cache leaks %d entries after evicting every tenant", n)
 	}
-	s.reg.mu.Lock()
-	defer s.reg.mu.Unlock()
-	for _, e := range entries {
-		if !e.retired {
-			t.Errorf("tenant %q keys not retired: %d references leaked", e.name, e.refs)
-		}
+	if n := s.reg.len(); n != 0 {
+		t.Fatalf("registry still holds %d tenants", n)
 	}
-	if len(s.reg.tenants) != 0 {
-		t.Fatalf("registry still holds %d tenants", len(s.reg.tenants))
+	awaitCollected(t, names, keys)
+}
+
+// awaitCollected runs the garbage collector until every key set in keys
+// (named by the parallel names) has been freed, and fails the test if
+// one is still reachable after a deadline.
+func awaitCollected(t *testing.T, names []string, keys []weak.Pointer[heax.EvaluationKeySet]) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		runtime.GC()
+		var live []string
+		for i, k := range keys {
+			if k.Value() != nil {
+				live = append(live, names[i])
+			}
+		}
+		if len(live) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("evicted key sets of %q still reachable", live)
+		}
 	}
 }
 
@@ -826,6 +844,94 @@ func TestChaosWeightedFairWire(t *testing.T) {
 		t.Fatalf("drain incomplete: heavy=%d light=%d, want %d each", h, l, conns*rounds)
 	}
 	reg.Close()
+	auditZeroLeak(t, srv)
+}
+
+// TestServeUnregisterDuringRun: a tenant is unregistered from a second
+// connection while a run of its plan executes. The held run finishes
+// bit-identical on the plan and keys it holds, the plan id is gone for
+// new runs, the name takes fresh keys at once, and the old key set is
+// collected once the held run has returned.
+func TestServeUnregisterDuringRun(t *testing.T) {
+	srv, addr := startChaosServer(t, chaosParams(t), 150*time.Millisecond, WithAdmissionWindow(1))
+	cl, _ := dialChaos(t, addr)
+	defer cl.Close()
+	admin, _ := dialChaos(t, addr)
+	defer admin.Close()
+	kit := newChaosKit(t, cl.Params(), 221)
+	if err := cl.Register("evict", kit.evk); err != nil {
+		t.Fatal(err)
+	}
+	info, err := cl.Compile("evict", chaosCircuit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := srv.reg.get("evict")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldKeys := weak.Make(e.evk)
+	e = nil
+
+	// Two input sets through one executor: when the eviction lands, one
+	// is executing and the other still queued.
+	in := kit.batches(t, 222, 2)
+	type runResult struct {
+		out []map[string]*heax.Ciphertext
+		err error
+	}
+	held := make(chan runResult, 1)
+	go func() {
+		out, err := cl.Run("evict", info.ID, in)
+		held <- runResult{out, err}
+	}()
+	for {
+		srv.adm.mu.Lock()
+		busy := srv.adm.inFlightTotal > 0
+		srv.adm.mu.Unlock()
+		if busy {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := admin.Unregister("evict"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held:
+		t.Fatal("the held run returned before the eviction landed")
+	default:
+	}
+	if _, err := admin.Run("evict", info.ID, kit.batches(t, 223, 1)); !errors.Is(err, ErrUnknownPlan) {
+		t.Fatalf("run of an evicted plan: got %v, want ErrUnknownPlan", err)
+	}
+
+	fresh := newChaosKit(t, admin.Params(), 224)
+	if err := admin.Register("evict", fresh.evk); err != nil {
+		t.Fatalf("re-registering the evicted name: %v", err)
+	}
+	finfo, err := admin.Compile("evict", chaosCircuit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if finfo.Cached {
+		t.Fatal("compile after re-registration was served the evicted plan")
+	}
+	fin := fresh.batches(t, 225, 1)
+	got, err := admin.Run("evict", finfo.ID, fin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.assertOracle(t, fin, got)
+
+	res := <-held
+	if res.err != nil {
+		t.Fatalf("a run in flight must survive its tenant's eviction, got %v", res.err)
+	}
+	kit.assertOracle(t, in, res.out)
+	awaitCollected(t, []string{"evict (first registration)"}, []weak.Pointer[heax.EvaluationKeySet]{oldKeys})
+	cl.Close()
+	admin.Close()
 	auditZeroLeak(t, srv)
 }
 

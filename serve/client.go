@@ -317,8 +317,9 @@ func (c *Client) RegisterContext(ctx context.Context, tenant string, evk *heax.E
 	return err
 }
 
-// Unregister evicts a tenant: its keys and cached plans are released
-// (in-flight requests finish on the retained references).
+// Unregister evicts a tenant: its name is freed and its cached plans
+// dropped. Runs already in flight finish on the plan and keys they
+// hold; the server frees the keys once the last of them returns.
 func (c *Client) Unregister(tenant string) error {
 	return c.UnregisterContext(context.Background(), tenant)
 }

@@ -123,7 +123,7 @@ func (d *dedupCache) drop(e *dedupEntry) {
 
 // purgeTenant drops a tenant's completed entries and poisons its
 // in-flight ones (eviction means fresh keys may reuse the name; a
-// request id must never resolve to a result under retired keys).
+// request id must never resolve to a result under evicted keys).
 func (d *dedupCache) purgeTenant(tenant string) {
 	d.mu.Lock()
 	for key, e := range d.byKey {

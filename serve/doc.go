@@ -7,9 +7,10 @@
 //
 // The server is built from five pieces:
 //
-//   - a tenant key registry (registry.go): uploaded EvaluationKeySets
-//     with ref-counted eviction, so unregistering a tenant never pulls
-//     keys out from under a cached plan or an in-flight request;
+//   - a tenant key registry (registry.go): a name → uploaded
+//     EvaluationKeySet map. Unregistering frees the name; the garbage
+//     collector frees the keys once no cached plan or in-flight request
+//     holds them, so eviction never pulls keys out from under either;
 //   - an LRU-bounded plan cache (cache.go) keyed by (tenant, digest of
 //     the canonicalized circuit DAG) — compile once, run many, shared
 //     across connections of the same tenant — each plan carrying an

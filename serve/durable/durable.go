@@ -132,8 +132,6 @@ type Options struct {
 	// CompactBytes triggers automatic compaction when the WAL grows
 	// past it (0 = DefaultCompactBytes, negative = never auto-compact).
 	CompactBytes int64
-	// MaxRecordBytes caps one record (0 = DefaultMaxRecordBytes).
-	MaxRecordBytes int
 }
 
 // EncodeRecord appends r's wire encoding to buf and returns the
@@ -248,9 +246,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.CompactBytes == 0 {
 		opts.CompactBytes = DefaultCompactBytes
 	}
-	if opts.MaxRecordBytes <= 0 {
-		opts.MaxRecordBytes = DefaultMaxRecordBytes
-	}
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("durable: creating state dir: %w", err)
 	}
@@ -288,7 +283,7 @@ func (s *Store) loadSnapshot() error {
 		return fmt.Errorf("%w: snapshot version %d, want %d", ErrCorrupt, b[4], snapVersion)
 	}
 	for off := 5; off < len(b); {
-		rec, n, err := DecodeRecord(b[off:], s.opts.MaxRecordBytes)
+		rec, n, err := DecodeRecord(b[off:], DefaultMaxRecordBytes)
 		if err != nil {
 			return fmt.Errorf("durable: snapshot record at offset %d: %w", off, err)
 		}
@@ -314,7 +309,7 @@ func (s *Store) replayWAL() error {
 	}
 	off := 0
 	for off < len(b) {
-		rec, n, err := DecodeRecord(b[off:], s.opts.MaxRecordBytes)
+		rec, n, err := DecodeRecord(b[off:], DefaultMaxRecordBytes)
 		if err != nil {
 			// The torn-tail rule: a record that cannot be applied —
 			// truncated, bit-flipped, half a header — is where the crash

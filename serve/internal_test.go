@@ -1,6 +1,6 @@
 package serve
 
-// White-box units: registry reference counting, LRU cache mechanics,
+// White-box units: registry eviction, LRU cache mechanics,
 // frame codec robustness, and the disconnect watcher.
 
 import (
@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"net"
+	"regexp"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,7 +18,10 @@ import (
 	"heax/obs"
 )
 
-func TestRegistryRefCountedEviction(t *testing.T) {
+// TestRegistryUnregisterFreesName: unregister frees the name at once;
+// an entry already handed out keeps its keys but is no longer live, and
+// a re-registration under the name gets a fresh entry.
+func TestRegistryUnregisterFreesName(t *testing.T) {
 	r := newRegistry()
 	evk := &heax.EvaluationKeySet{}
 	if err := r.register("a", evk, 0); err != nil {
@@ -25,82 +30,104 @@ func TestRegistryRefCountedEviction(t *testing.T) {
 	if err := r.register("a", evk, 0); !errors.Is(err, ErrTenantExists) {
 		t.Fatalf("want ErrTenantExists, got %v", err)
 	}
-	e1, err := r.acquire("a") // a cached plan's reference
+	e, err := r.get("a") // what a cached plan holds
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := r.acquire("a") // an in-flight compile's reference
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e1 != e2 {
-		t.Fatal("acquisitions must share the entry")
+	if again, _ := r.get("a"); again != e || !r.live(e) {
+		t.Fatal("gets of one registration must share its live entry")
 	}
 	if err := r.unregister("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.acquire("a"); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("acquire after eviction must fail, got %v", err)
+	if _, err := r.get("a"); !errors.Is(err, ErrUnknownTenant) {
+		t.Fatalf("get after eviction must fail, got %v", err)
 	}
-	if e1.retired {
-		t.Fatal("keys retired while references are outstanding")
+	if err := r.unregister("a"); !errors.Is(err, ErrUnknownTenant) {
+		t.Fatalf("second unregister must fail, got %v", err)
 	}
-	r.release(e1)
-	if e1.retired {
-		t.Fatal("keys retired before the last reference drained")
-	}
-	r.release(e2)
-	if !e1.retired {
-		t.Fatal("keys must retire when the last reference drains after eviction")
+	if r.live(e) || e.evk != evk {
+		t.Fatal("an evicted entry must be dead to the registry and untouched for its holder")
 	}
 	// The name is immediately reusable with fresh keys.
 	if err := r.register("a", &heax.EvaluationKeySet{}, 0); err != nil {
 		t.Fatal(err)
+	}
+	fresh, err := r.get("a")
+	if err != nil || fresh == e || r.live(e) || !r.live(fresh) {
+		t.Fatalf("re-registration must bind a fresh live entry (err %v)", err)
 	}
 	if r.len() != 1 {
 		t.Fatalf("registry holds %d tenants, want 1", r.len())
 	}
 }
 
+// TestPlanCacheLRU: capacity eviction takes the least recently used
+// plan, a duplicate add keeps the incumbent, purgeTenant and removeEntry
+// take exactly their plans — and each removal deletes the removed plan's
+// run-latency series and no other.
 func TestPlanCacheLRU(t *testing.T) {
-	c := newPlanCache(2, newServeMetrics(obs.NewRegistry()))
+	reg := obs.NewRegistry()
+	m := newServeMetrics(reg)
+	c := newPlanCache(2, m)
 	mk := func(tenant string, b byte) *cachedPlan {
 		var id PlanID
 		id[0] = b
-		return &cachedPlan{key: cacheKey{tenant: tenant, id: id}, tenant: &tenantEntry{name: tenant}}
+		cp := &cachedPlan{key: cacheKey{tenant: tenant, id: id}, tenant: &tenantEntry{name: tenant}, tag: planTag(id)}
+		cp.hist = m.runSeconds.With(tenant, cp.tag)
+		return cp
 	}
-	p1, p2, p3 := mk("t", 1), mk("t", 2), mk("u", 3)
-	if ev := c.add(p1); len(ev) != 0 {
-		t.Fatal("no eviction expected")
+	runSeries := regexp.MustCompile(`heax_serve_run_seconds_count\{tenant="([^"]*)",plan="([0-9a-f]*)"\}`)
+	check := func(step string, evictions uint64, want ...*cachedPlan) {
+		t.Helper()
+		if c.len() != len(want) {
+			t.Fatalf("%s: cache holds %d plans, want %d", step, c.len(), len(want))
+		}
+		var wantSeries []string
+		for _, cp := range want {
+			if got, ok := c.lookup(cp.key); !ok || got != cp {
+				t.Fatalf("%s: plan %s/%s not cached as itself", step, cp.key.tenant, cp.tag)
+			}
+			wantSeries = append(wantSeries, cp.key.tenant+"/"+cp.tag)
+		}
+		var exp bytes.Buffer
+		reg.WriteTo(&exp)
+		var gotSeries []string
+		for _, sm := range runSeries.FindAllStringSubmatch(exp.String(), -1) {
+			gotSeries = append(gotSeries, sm[1]+"/"+sm[2])
+		}
+		slices.Sort(wantSeries)
+		if !slices.Equal(gotSeries, wantSeries) {
+			t.Fatalf("%s: run-latency series %v, want %v", step, gotSeries, wantSeries)
+		}
+		if got := m.cacheEvictions.Value(); got != evictions {
+			t.Fatalf("%s: %d evictions counted, want %d", step, got, evictions)
+		}
 	}
-	if ev := c.add(p2); len(ev) != 0 {
-		t.Fatal("no eviction expected")
-	}
+	p1, p2 := mk("t", 1), mk("t", 2)
+	c.add(p1)
+	c.add(p2)
+	check("two adds", 0, p1, p2)
 	// Touch p1 so p2 is the LRU victim.
 	if _, ok := c.get(p1.key); !ok {
 		t.Fatal("p1 must be cached")
 	}
-	ev := c.add(p3)
-	if len(ev) != 1 || ev[0] != p2 {
-		t.Fatalf("LRU eviction should retire p2, got %v", ev)
-	}
-	if _, ok := c.get(p2.key); ok {
-		t.Fatal("p2 must be gone")
-	}
-	// Racing duplicate: the incumbent wins, the newcomer is returned
-	// for release.
-	dup := mk("t", 1)
-	if ev := c.add(dup); len(ev) != 1 || ev[0] != dup {
-		t.Fatal("duplicate add must retire the newcomer")
-	}
+	p3 := mk("u", 3)
+	c.add(p3)
+	check("LRU eviction", 1, p1, p3)
+	// Racing duplicate: the incumbent wins and keeps the series the two
+	// share.
+	c.add(mk("t", 1))
+	check("duplicate add", 1, p1, p3)
 	// purgeTenant removes only that tenant's plans.
-	purged := c.purgeTenant("t")
-	if len(purged) != 1 || purged[0] != p1 {
-		t.Fatalf("purge of t should return p1, got %v", purged)
-	}
-	if c.len() != 1 {
-		t.Fatalf("cache holds %d plans, want 1 (u)", c.len())
-	}
+	c.purgeTenant("t")
+	check("purge of t", 2, p3)
+	// removeEntry is pointer-precise: a plan that merely shares p3's key
+	// removes nothing.
+	c.removeEntry(mk("u", 3))
+	check("removal of a stranger", 2, p3)
+	c.removeEntry(p3)
+	check("removal of p3", 3)
 }
 
 func TestFrameCodec(t *testing.T) {
@@ -268,35 +295,4 @@ func FuzzHandleCompilePayload(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s.handleCompile(data) // must not panic
 	})
-}
-
-// TestRegistryRetainAcrossEviction: a run's retain keeps a specific
-// entry alive across unregister; retain after the references drain
-// fails.
-func TestRegistryRetainAcrossEviction(t *testing.T) {
-	r := newRegistry()
-	if err := r.register("a", &heax.EvaluationKeySet{}, 0); err != nil {
-		t.Fatal(err)
-	}
-	e, err := r.acquire("a") // the cached plan's reference
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.retain(e) { // an in-flight run's reference
-		t.Fatal("retain on a live entry must succeed")
-	}
-	if err := r.unregister("a"); err != nil {
-		t.Fatal(err)
-	}
-	r.release(e) // the cached plan is purged
-	if e.retired {
-		t.Fatal("keys retired while a run still holds them")
-	}
-	r.release(e) // the run finishes
-	if !e.retired {
-		t.Fatal("keys must retire once the run's reference drains")
-	}
-	if r.retain(e) {
-		t.Fatal("retain on a drained entry must fail")
-	}
 }

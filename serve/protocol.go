@@ -62,8 +62,8 @@ const (
 	// reqRunEx is the Run request: tenant, plan id, a 16-byte client
 	// request id (zero = none), a u64 deadline budget in microseconds
 	// (0 = none) and the input batches. Type 0x05 was the first Run
-	// layout, without request id or budget; it is retired and answered
-	// like any other unknown request type.
+	// layout, without request id or budget; it is no longer served and
+	// is answered like any other unknown request type.
 	reqRunEx byte = 0x06
 
 	respOK      byte = 0x80
@@ -131,10 +131,10 @@ var (
 	// (unregister, smaller plans, fewer concurrent batches) or raise
 	// the budget.
 	ErrResourceExhausted = errors.New("serve: tenant resource budget exhausted")
-	// ErrInternal: a panic or invariant violation inside the server was
-	// recovered and converted into this typed failure of the one
-	// request that hit it. The daemon keeps serving; the error is also
-	// counted in Stats (PanicsRecovered / RefcountBugs).
+	// ErrInternal: a panic inside the server was recovered and
+	// converted into this typed failure of the one request that hit it.
+	// The daemon keeps serving; the panic is also counted in
+	// Stats.PanicsRecovered.
 	ErrInternal = errors.New("serve: internal error")
 )
 

@@ -165,7 +165,7 @@ func TestStreamedRegisterBadFrames(t *testing.T) {
 			if _, err := peer.exchange(reqRegister, tc.payload, respOK); !errors.Is(err, heax.ErrCorrupt) {
 				t.Fatalf("got %v, want ErrCorrupt", err)
 			}
-			if srv.reg.has("bad") {
+			if _, err := srv.reg.get("bad"); err == nil {
 				t.Fatal("a malformed frame registered its tenant")
 			}
 			next := fmt.Sprintf("next-%d", i)
@@ -203,7 +203,7 @@ func TestChaosRegisterCut(t *testing.T) {
 		}
 		cl.Close()
 		waitConns(t, srv, 0)
-		if srv.reg.has("cut") {
+		if _, err := srv.reg.get("cut"); err == nil {
 			t.Fatalf("cut at +%d bytes: a torn frame registered its tenant", cutAt)
 		}
 	}
@@ -251,7 +251,7 @@ func TestRegisterBudgetShedsBeforeDecoding(t *testing.T) {
 	if !raceEnabled && grown > uint64(size)/16 {
 		t.Fatalf("shedding a %d-byte key set allocated %d bytes: keys were decoded or buffered", size, grown)
 	}
-	if srv.reg.has("capped") {
+	if _, err := srv.reg.get("capped"); err == nil {
 		t.Fatal("a shed key set was registered")
 	}
 	srv.SetTenantPolicy("capped", TenantPolicy{MaxBytes: int64(size)})
@@ -341,7 +341,7 @@ func TestRegisterLogFailureRollsBack(t *testing.T) {
 	if err := cl.Register("unlogged", kit.evk); !errors.Is(err, ErrInternal) {
 		t.Fatalf("Register with a failing log: got %v, want ErrInternal", err)
 	}
-	if srv.reg.has("unlogged") {
+	if _, err := srv.reg.get("unlogged"); err == nil {
 		t.Fatal("an unlogged registration was kept")
 	}
 	cl.Close()

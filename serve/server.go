@@ -503,10 +503,6 @@ type Stats struct {
 	// converted into a typed ErrInternal on one request. Nonzero means
 	// a bug fired and the daemon survived it.
 	PanicsRecovered int64
-	// RefcountBugs counts registry refcount invariant violations caught
-	// and refused (over-release, release without unregister) instead of
-	// panicking the process.
-	RefcountBugs int64
 	// CacheHits / CacheMisses count compile-path plan-cache lookups (a
 	// Run's plan fetch is deliberately uncounted); CacheEvictions counts
 	// plans dropped for capacity, tenant eviction or staleness. All
@@ -539,7 +535,6 @@ func (s *Server) Stats() Stats {
 		ShedRuns:        shed,
 		DedupHits:       s.dedupHits.Load(),
 		PanicsRecovered: int64(s.metrics.panics.Value()),
-		RefcountBugs:    s.reg.bugs.Load(),
 		CacheHits:       int64(s.metrics.cacheHits.Value()),
 		CacheMisses:     int64(s.metrics.cacheMisses.Value()),
 		CacheEvictions:  int64(s.metrics.cacheEvictions.Value()),
@@ -856,8 +851,8 @@ func (s *Server) handleUnregister(payload []byte) error {
 	// remains a faithful superset of acknowledged state), whereas
 	// evicting first would resurrect the tenant on restart.
 	if s.opts.tlog != nil {
-		if !s.reg.has(name) {
-			return fmt.Errorf("%w: %q", ErrUnknownTenant, name)
+		if _, err := s.reg.get(name); err != nil {
+			return err
 		}
 		if lerr := s.opts.tlog.AppendUnregister(name); lerr != nil {
 			return fmt.Errorf("serve: tenant log append failed (tenant stays registered): %w", lerr)
@@ -866,33 +861,20 @@ func (s *Server) handleUnregister(payload []byte) error {
 	return s.evictTenant(name)
 }
 
-// evictTenant unregisters a tenant and releases everything bound to
-// the registration: cached plans (each drops its key reference — the
-// keys retire when the last in-flight user finishes), admission-queue
-// state, and dedup entries (a request id must never resolve to a
-// result under retired keys after the name is re-registered).
+// evictTenant unregisters a tenant and drops everything bound to the
+// registration: cached plans (runs in flight finish on the plan they
+// hold, and the keys become garbage after the last of them),
+// admission-queue state, and dedup entries (a request id must never
+// resolve to a result under evicted keys after the name is
+// re-registered).
 func (s *Server) evictTenant(name string) error {
 	if err := s.reg.unregister(name); err != nil {
 		return err
 	}
-	for _, cp := range s.cache.purgeTenant(name) {
-		s.reg.release(cp.tenant)
-		s.dropPlanMetrics(cp, nil)
-	}
+	s.cache.purgeTenant(name)
 	s.dedup.purgeTenant(name)
 	s.adm.dropIdle(name)
 	return nil
-}
-
-// dropPlanMetrics deletes an evicted plan's run-latency series unless
-// keep (an entry staying cached) carries the same label values — the
-// racing-duplicate compile path retires the newcomer while the
-// incumbent must keep its (tenant, plan) series alive.
-func (s *Server) dropPlanMetrics(old, keep *cachedPlan) {
-	if keep != nil && old.key == keep.key {
-		return
-	}
-	s.metrics.runSeconds.Delete(old.key.tenant, old.tag)
 }
 
 func (s *Server) handleCompile(payload []byte) ([]byte, error) {
@@ -928,18 +910,14 @@ func (s *Server) handleCompile(payload []byte) ([]byte, error) {
 		if s.reg.live(cp.tenant) {
 			return compileResponse(id, cp.steps, true), nil
 		}
-		if s.cache.removeEntry(cp) {
-			s.reg.release(cp.tenant)
-			s.dropPlanMetrics(cp, nil)
-		}
+		s.cache.removeEntry(cp)
 	}
-	entry, err := s.reg.acquire(name)
+	entry, err := s.reg.get(name)
 	if err != nil {
 		return nil, err
 	}
 	plan, err := circ.Compile(s.params, entry.evk)
 	if err != nil {
-		s.reg.release(entry)
 		if errors.Is(err, heax.ErrKeyMissing) {
 			return nil, err
 		}
@@ -948,19 +926,13 @@ func (s *Server) handleCompile(payload []byte) ([]byte, error) {
 	cp := &cachedPlan{key: key, plan: plan, tenant: entry, steps: plan.NumSteps(), tag: planTag(id)}
 	cp.hist = s.metrics.runSeconds.With(name, cp.tag)
 	plan.SetTracer(s.metrics.tracer)
-	for _, old := range s.cache.add(cp) {
-		s.reg.release(old.tenant)
-		s.dropPlanMetrics(old, cp)
-	}
+	s.cache.add(cp)
 	// If the tenant was evicted while we compiled, the purge may have
-	// run before our insert landed; retire the entry ourselves rather
-	// than leave a stale plan under a (possibly re-registered) name.
-	// removeEntry is pointer-precise, so a plan the eviction already
-	// purged (or a racing duplicate add already retired) is not
-	// released twice.
-	if !s.reg.live(entry) && s.cache.removeEntry(cp) {
-		s.reg.release(entry)
-		s.dropPlanMetrics(cp, nil)
+	// run before our insert landed; drop the entry ourselves rather than
+	// let a stale plan keep evicted keys reachable. removeEntry is
+	// pointer-precise, so it leaves alone an incumbent that kept the key.
+	if !s.reg.live(entry) {
+		s.cache.removeEntry(cp)
 	}
 	return compileResponse(id, cp.steps, false), nil
 }
@@ -1110,21 +1082,14 @@ func (s *Server) executeRun(ctx context.Context, cancel context.CancelFunc, conn
 		// Stale entry from an evicted (possibly re-registered) tenant:
 		// never serve it — a fresh registration under the same name
 		// must recompile against its own keys.
-		if s.cache.removeEntry(cp) {
-			s.reg.release(cp.tenant)
-			s.dropPlanMetrics(cp, nil)
-		}
+		s.cache.removeEntry(cp)
 		ok = false
 	}
 	if !ok {
 		return nil, fmt.Errorf("%w: tenant %q plan %x (compile it first)", ErrUnknownPlan, req.tenant, req.id[:4])
 	}
-	// Hold a key reference for the whole run, so an eviction mid-run
-	// can purge the cache but never retire the keys under us.
-	if !s.reg.retain(cp.tenant) {
-		return nil, fmt.Errorf("%w: tenant %q plan %x (compile it first)", ErrUnknownPlan, req.tenant, req.id[:4])
-	}
-	defer s.reg.release(cp.tenant)
+	// From here the run holds cp, and through it the plan and the keys:
+	// an eviction mid-run purges the cache but cannot free them.
 
 	// The client's deadline budget propagates into every job context,
 	// so a mid-run expiry aborts the plan executor with a typed error.

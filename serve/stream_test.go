@@ -227,7 +227,7 @@ func TestStreamedRunResyncsWhileDraining(t *testing.T) {
 	if _, err := peer.exchange(reqRegister, register, respOK); !errors.Is(err, ErrServerDraining) {
 		t.Fatalf("register during drain: got %v, want ErrServerDraining", err)
 	}
-	if srv.reg.has("late") {
+	if _, err := srv.reg.get("late"); err == nil {
 		t.Fatal("a Register refused during the drain was kept")
 	}
 	var pw payloadWriter
