@@ -164,6 +164,18 @@ func TestSentinelErrors(t *testing.T) {
 	if err := k.eval.AddInto(x, y, small); !errors.Is(err, heax.ErrLevelMismatch) {
 		t.Fatalf("AddInto into too-small output: got %v, want ErrLevelMismatch", err)
 	}
+	// A RotateHoistedInto output that is the input, or is given twice,
+	// is refused before anything is written: the input's c0, which every
+	// step reads, would otherwise be overwritten by the first output.
+	aliased, other := heax.CopyOf(x), heax.CopyOf(y)
+	for name, outs := range map[string][]*heax.Ciphertext{"the input": {aliased, other}, "twice": {other, other}} {
+		if err := k.eval.RotateHoistedInto(aliased, []int{1, 2}, outs); !errors.Is(err, heax.ErrLevelMismatch) {
+			t.Fatalf("RotateHoistedInto with an output %s: got %v, want ErrLevelMismatch", name, err)
+		}
+		if !ctEqual(aliased, x) || !ctEqual(other, y) {
+			t.Fatalf("a refused RotateHoistedInto (an output %s) wrote its outputs", name)
+		}
+	}
 
 	// Missing keys.
 	keyless := heax.NewEvaluator(k.params, nil)
@@ -272,7 +284,8 @@ func TestIntoMatchesAllocating(t *testing.T) {
 
 // TestIntoAllocations is the zero-steady-state-allocation gate of the
 // serving loop: once pools are warm the dyadic *Into ops must not
-// allocate at all, and each key-switching one at most twice per op.
+// allocate at all, and each key-switching one at most twice per op. The
+// fused giant step of a compiled matvec allocates nothing either.
 func TestIntoAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; alloc counts are not meaningful")
@@ -297,25 +310,41 @@ func TestIntoAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sq, err := k.eval.MulPlain(x, pt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The row shape a Plan stores a block-constant multiplier in: one
 	// value per 8-lane block.
 	compact := &heax.Plaintext{Value: &heax.Poly{Coeffs: make([][]uint64, pt.Value.Rows())}, Scale: pt.Scale}
 	for i, row := range pt.Value.Coeffs {
 		compact.Value.Coeffs[i] = row[:len(row)/8]
 	}
+	// A compiled giant step: an unrotated bare addend and two rotated dot
+	// products, one of them on a compact plaintext.
+	sumCts, sumPts := []*heax.Ciphertext{sq, x, y}, []*heax.Plaintext{nil, pt, compact}
+	sumEnds, sumSteps := []int{1, 2, 3}, []int{0, 1, 2}
 
+	// retries: further windows a case may be measured in when one reads
+	// over max. Only the giant step has any: it offers itself to a pool
+	// worker on every call, and the polynomials a helper draws on the
+	// worker's processor go back to the caller's, so sync.Pool now and
+	// then grows a per-processor list from the heap. A steady allocation
+	// of its own shows in every window.
 	cases := []struct {
-		name string
-		max  float64
-		fn   func() error
+		name    string
+		max     float64
+		retries int
+		fn      func() error
 	}{
-		{"AddInto", 0, func() error { return k.eval.AddInto(x, y, out) }},
-		{"SubInto", 0, func() error { return k.eval.SubInto(x, y, out) }},
-		{"MulPlainInto", 0, func() error { return k.eval.MulPlainInto(x, pt, out) }},
-		{"MulPlainIntoCompact", 0, func() error { return k.eval.MulPlainInto(x, compact, out) }},
-		{"MulRelinInto", 2, func() error { return k.eval.MulRelinInto(x, y, out) }},
-		{"RescaleInto", 2, func() error { return k.eval.RescaleInto(prod, res) }},
-		{"RotateInto", 2, func() error { return k.eval.RotateInto(x, 1, out) }},
+		{"AddInto", 0, 0, func() error { return k.eval.AddInto(x, y, out) }},
+		{"SubInto", 0, 0, func() error { return k.eval.SubInto(x, y, out) }},
+		{"MulPlainInto", 0, 0, func() error { return k.eval.MulPlainInto(x, pt, out) }},
+		{"MulPlainIntoCompact", 0, 0, func() error { return k.eval.MulPlainInto(x, compact, out) }},
+		{"MulRelinInto", 2, 0, func() error { return k.eval.MulRelinInto(x, y, out) }},
+		{"RescaleInto", 2, 0, func() error { return k.eval.RescaleInto(prod, res) }},
+		{"RotateInto", 2, 0, func() error { return k.eval.RotateInto(x, 1, out) }},
+		{"RotateSumInto", 0, 3, func() error { return heax.RotateSumInto(k.eval, sumCts, sumPts, sumEnds, sumSteps, out) }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -326,11 +355,17 @@ func TestIntoAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			allocs := testing.AllocsPerRun(10, func() {
-				if err := tc.fn(); err != nil {
-					t.Fatal(err)
-				}
-			})
+			measure := func() float64 {
+				return testing.AllocsPerRun(10, func() {
+					if err := tc.fn(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			allocs := measure()
+			for try := 0; try < tc.retries && allocs > tc.max; try++ {
+				allocs = measure()
+			}
 			if allocs > tc.max {
 				t.Fatalf("%s: %.1f allocs/op, want <= %.0f", tc.name, allocs, tc.max)
 			}

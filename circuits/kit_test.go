@@ -10,6 +10,7 @@ package circuits_test
 import (
 	"math/rand"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -148,12 +149,32 @@ func stepCounts(desc string) map[string]int {
 	return counts
 }
 
+// sumRotations counts the rotated terms (the nonzero steps) of the
+// RotateSum steps in a Plan.Describe listing.
+func sumRotations(desc string) int {
+	n := 0
+	for _, line := range strings.Split(desc, "\n") {
+		if f := strings.Fields(line); len(f) < 2 || f[1] != "RotateSum" {
+			continue
+		}
+		_, rest, _ := strings.Cut(line, " rot[")
+		list, _, _ := strings.Cut(rest, "]")
+		for _, r := range strings.Fields(list) {
+			if r != "0" {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 var describeStep = regexp.MustCompile(`^\s*\d+\s+(\w+)\s+\[([\d ]*)\] -> \[([\d ]*)\]\s+@L(\d+) `)
 
 // unfusedSums lists the Add lines of a Plan.Describe listing that the
 // compiler should have fused and did not: both operands produced at the
-// Add's level by a MulPlain or a MulPlainSum, read by nothing else and
-// not named outputs. One lowering means the list is empty for every plan.
+// Add's level by a MulPlain or a MulPlainSum, or either operand by a
+// Rotate or a RotateSum, read by nothing else and not named outputs. One
+// lowering means the list is empty for every plan.
 func unfusedSums(t testing.TB, desc string) []string {
 	t.Helper()
 	type step struct {
@@ -200,12 +221,13 @@ func unfusedSums(t testing.TB, desc string) []string {
 	}
 	var unfused []string
 	for _, st := range steps {
-		product := func(slot int) bool {
+		single := func(slot int, kinds ...string) bool {
 			src, ok := producer[slot]
-			return ok && reads[slot] == 1 && steps[src].level == st.level &&
-				(steps[src].kind == "MulPlain" || steps[src].kind == "MulPlainSum")
+			return ok && reads[slot] == 1 && steps[src].level == st.level && slices.Contains(kinds, steps[src].kind)
 		}
-		if st.kind == "Add" && product(st.args[0]) && product(st.args[1]) {
+		product := func(slot int) bool { return single(slot, "MulPlain", "MulPlainSum") }
+		rotated := func(slot int) bool { return single(slot, "Rotate", "RotateSum") }
+		if st.kind == "Add" && (product(st.args[0]) && product(st.args[1]) || rotated(st.args[0]) || rotated(st.args[1])) {
 			unfused = append(unfused, st.line)
 		}
 	}

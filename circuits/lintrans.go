@@ -301,8 +301,10 @@ func (lt *LinearTransform) Apply(c *heax.Circuit, in heax.Node) (heax.Node, erro
 	babies[0] = in
 
 	// Each giant group's inner sum is a chain of Adds over MulPlains that
-	// nothing else reads, which Compile fuses into one MulPlainSum step:
-	// the products and partial sums written here are never materialized.
+	// nothing else reads, and the giant rotations and the Adds joining
+	// them read nothing else either: Compile fuses the whole giant step
+	// into one RotateSum, so the products, inner sums, rotations and
+	// partial sums written here are never materialized.
 	var acc heax.Node
 	accSet := false
 	for gi := 0; gi < len(p.order); {

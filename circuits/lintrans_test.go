@@ -104,7 +104,8 @@ func TestMatVecOracle(t *testing.T) {
 // TestMatVecDenseAtSlotWidth is the acceptance check for the BSGS
 // structure: a dense transform at n = slots (2048 on Set-A, all 2048
 // diagonals nonzero) must compile to O(√n) rotations — one hoisted
-// baby-step batch plus n/n1 − 1 giant-step rotations — not O(n).
+// baby-step batch plus n/n1 − 1 giant-step rotations, all of them terms of
+// one RotateSum — not O(n).
 func TestMatVecDenseAtSlotWidth(t *testing.T) {
 	k := newKit(t, heax.SetA)
 	n := k.params.Slots() // 2048
@@ -147,8 +148,9 @@ func TestMatVecDenseAtSlotWidth(t *testing.T) {
 	if counts["RotateHoisted"] != 1 {
 		t.Fatalf("baby-step rotations should compile to exactly 1 hoisted batch, got %d", counts["RotateHoisted"])
 	}
-	if counts["Rotate"] != 31 {
-		t.Fatalf("giant-step rotations should compile to 31 single Rotate steps, got %d", counts["Rotate"])
+	if counts["RotateSum"] != 1 || counts["Rotate"] != 0 || sumRotations(plan.Describe()) != 31 {
+		t.Fatalf("giant-step rotations should compile to 31 rotated terms of one RotateSum step, got %d in %d such steps and %d Rotate steps",
+			sumRotations(plan.Describe()), counts["RotateSum"], counts["Rotate"])
 	}
 
 	x := randComplex(rng, n)
@@ -175,12 +177,13 @@ func TestMatVecDenseAtSlotWidth(t *testing.T) {
 
 // TestMatVecFusesInnerSums: the 256×256 BSGS matvec (the benchmark's
 // matvec-serve-A plan) compiles to one hoisted batch of the 15 baby
-// rotations, one 16-term MulPlainSum per giant group, and the 15 giant
-// rotations with the 15 additions that join them — 47 steps where every
-// product and partial sum once had its own (527). With BabyDim = 256 it is
-// two steps: 255 rotations in one batch and a single 256-term sum. Every
-// diagonal has period 256 in the slots, so every sum's plaintexts are
-// stored compact.
+// rotations and one RotateSum: the 15 giant rotations of their groups'
+// 16-term inner sums plus the unrotated group — 2 steps where every
+// product and partial sum once had its own (527), and every inner sum, giant
+// rotation and join had one until the giant step fused too (47). With
+// BabyDim = 256 it is two steps: 255 rotations in one batch and a single
+// 256-term MulPlainSum. Every diagonal has period 256 in the slots, so
+// every plaintext is stored compact.
 func TestMatVecFusesInnerSums(t *testing.T) {
 	k := newKit(t, heax.SetA)
 	rng := rand.New(rand.NewSource(13))
@@ -189,7 +192,7 @@ func TestMatVecFusesInnerSums(t *testing.T) {
 		want    map[string]int
 		terms   string
 	}{
-		{0, map[string]int{"RotateHoisted": 1, "Rotate": 15, "MulPlainSum": 16, "Add": 15}, " terms=16 compact=16\n"},
+		{0, map[string]int{"RotateHoisted": 1, "RotateSum": 1}, " terms=16 factors=256 compact=256\n"},
 		{256, map[string]int{"RotateHoisted": 1, "MulPlainSum": 1}, " terms=256 compact=256\n"},
 	} {
 		plan := matVecPlan(t, k, rng, shape.babyDim)
@@ -205,8 +208,8 @@ func TestMatVecFusesInnerSums(t *testing.T) {
 		if plan.NumSteps() != total {
 			t.Fatalf("BabyDim=%d: %d steps, want %d\n%s", shape.babyDim, plan.NumSteps(), total, desc)
 		}
-		if got := strings.Count(desc, shape.terms); got != shape.want["MulPlainSum"] {
-			t.Fatalf("BabyDim=%d: %d sums of%swant %d\n%s", shape.babyDim, got, shape.terms, shape.want["MulPlainSum"], desc)
+		if got := strings.Count(desc, shape.terms); got != 1 {
+			t.Fatalf("BabyDim=%d: %d sums of%swant 1\n%s", shape.babyDim, got, shape.terms, desc)
 		}
 		if left := unfusedSums(t, desc); len(left) != 0 {
 			t.Fatalf("BabyDim=%d: sums of plaintext products left unfused:\n%s", shape.babyDim, strings.Join(left, "\n"))
@@ -258,8 +261,8 @@ func TestBatchedDot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if left := unfusedSums(t, plan.Describe()); len(left) != 0 || !strings.Contains(plan.Describe(), "MulPlainSum") {
-		t.Fatalf("BatchedDot's inner sums should each be one MulPlainSum step:\n%s", plan.Describe())
+	if left := unfusedSums(t, plan.Describe()); len(left) != 0 || stepCounts(plan.Describe())["RotateSum"] != 1 || sumRotations(plan.Describe()) != 1 {
+		t.Fatalf("BatchedDot's inner sums and its giant rotation should be one RotateSum step:\n%s", plan.Describe())
 	}
 
 	// One sample's features per 8-slot block, no replication.

@@ -4,8 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 
 	"heax/internal/ckks"
 	"heax/internal/uintmod"
@@ -84,6 +84,7 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) 
 	}
 	k.hoistRotations()
 	k.fusePlainSums(outputs)
+	k.fuseRotateSums(outputs)
 	k.renumberSlots(outputs) // so nSlots and the footprint describe the fused plan
 
 	eval := NewEvaluator(params, evk)
@@ -132,10 +133,7 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) 
 		return nil, fmt.Errorf("heax: compile: plan buffer shape (degree 1, level %d) rejected: %w",
 			params.MaxLevel(), errors.Join(ErrUnencodable, err))
 	}
-	p.bufs = &syncCtPool{p: sync.Pool{New: func() any {
-		ct, _ := NewCiphertext(params, 1, params.MaxLevel(), 0) // shape validated at compile time
-		return ct
-	}}}
+	p.bufs = sharedBufPool(params)
 	return p, nil
 }
 
@@ -773,8 +771,106 @@ func (k *compiler) hoistRotations() {
 // each partial sum, so no output bit changes; it only stops writing the
 // products and partial sums out.
 func (k *compiler) fusePlainSums(outputs []planOutput) {
+	single, producer := k.singleUse(outputs)
+	dropped := make([]bool, len(k.steps))
+	for i := range k.steps {
+		add := &k.steps[i]
+		if add.kind != stepAdd {
+			continue
+		}
+		var terms [2]*planStep
+		for j, a := range add.args {
+			terms[j] = single(a, add.level, stepMulPlain, stepMulPlainSum)
+		}
+		if terms[0] == nil || terms[1] == nil {
+			continue
+		}
+		// The left operand is dropped, so the sum takes its lists over and
+		// a chain of n terms fuses in O(n).
+		dropped[producer[add.args[0]]], dropped[producer[add.args[1]]] = true, true
+		*add = planStep{
+			kind: stepMulPlainSum, outs: add.outs, level: add.level, scale: add.scale,
+			args: append(terms[0].args, terms[1].args...),
+			pts:  append(plainFactors(terms[0]), plainFactors(terms[1])...),
+		}
+	}
+	k.dropSteps(dropped)
+}
+
+// fuseRotateSums turns every sum of single-use rotations into one step:
+// an Add whose operands come from a Rotate or an already fused sum at the
+// Add's level, read by nothing else and not named outputs — all of them
+// but at most one, the unrotated addend, which may be any value — becomes
+// a RotateSum over its operands' terms in order, at the Add's position,
+// and the producers go. A term whose value before rotation (or the addend
+// itself) is a single-use MulPlain or MulPlainSum at that level takes its
+// plaintext factors over too, so no inner sum of a giant step is ever a
+// plan buffer. The kernel behind it floors all the rotations once, which
+// is bit for bit flooring each (ckks/rotsum.go); RotateHoisted outputs,
+// Sub, and a rotation read twice or named an output stay as they were.
+func (k *compiler) fuseRotateSums(outputs []planOutput) {
+	single, producer := k.singleUse(outputs)
+	dropped := make([]bool, len(k.steps))
+	// term appends slot, rotated by rot, to the sum as a term of its own.
+	term := func(sum *planStep, slot, rot int) {
+		if f := single(slot, sum.level, stepMulPlain, stepMulPlainSum); f != nil {
+			dropped[producer[slot]] = true
+			sum.args = append(sum.args, f.args...)
+			sum.pts = append(sum.pts, plainFactors(f)...)
+		} else {
+			sum.args = append(sum.args, slot)
+			sum.pts = append(sum.pts, nil)
+		}
+		sum.ends = append(sum.ends, len(sum.args))
+		sum.rots = append(sum.rots, rot)
+	}
+	for i := range k.steps {
+		add := &k.steps[i]
+		if add.kind != stepAdd {
+			continue
+		}
+		var rotated [2]*planStep
+		for j, a := range add.args {
+			rotated[j] = single(a, add.level, stepRotate, stepRotateSum)
+		}
+		if rotated[0] == nil && rotated[1] == nil {
+			continue
+		}
+		sum := planStep{kind: stepRotateSum, outs: add.outs, level: add.level, scale: add.scale}
+		for j, a := range add.args {
+			switch t := rotated[j]; {
+			case t == nil:
+				term(&sum, a, 0)
+			case t.kind == stepRotate:
+				dropped[producer[a]] = true
+				term(&sum, t.args[0], t.rots[0])
+			case j == 0:
+				// A fused left operand is dropped, so the sum takes its lists
+				// over and a chain of n terms fuses in O(n).
+				dropped[producer[a]] = true
+				sum.args, sum.pts, sum.ends, sum.rots = t.args, t.pts, t.ends, t.rots
+			default:
+				dropped[producer[a]] = true
+				for _, e := range t.ends {
+					sum.ends = append(sum.ends, len(sum.args)+e)
+				}
+				sum.args = append(sum.args, t.args...)
+				sum.pts = append(sum.pts, t.pts...)
+				sum.rots = append(sum.rots, t.rots...)
+			}
+		}
+		*add = sum
+	}
+	k.dropSteps(dropped)
+}
+
+// singleUse indexes the step list for the fusion passes: single(slot,
+// level, kinds...) is the step producing slot when it is one of kinds at
+// level and slot has no other reader (a named output counts as one), and
+// producer maps each slot to its step, -1 for an input.
+func (k *compiler) singleUse(outputs []planOutput) (single func(slot, level int, kinds ...stepKind) *planStep, producer []int) {
 	reads := make([]int, k.nSlots)
-	producer := make([]int, k.nSlots)
+	producer = make([]int, k.nSlots)
 	for i := range producer {
 		producer[i] = -1
 	}
@@ -789,33 +885,19 @@ func (k *compiler) fusePlainSums(outputs []planOutput) {
 	for _, o := range outputs {
 		reads[o.slot]++ // a named output is read by the caller
 	}
-	dropped := make([]bool, len(k.steps))
-	for i := range k.steps {
-		add := &k.steps[i]
-		if add.kind != stepAdd {
-			continue
-		}
-		var terms [2]*planStep
-		for j, a := range add.args {
-			if src := producer[a]; src >= 0 && reads[a] == 1 {
-				if t := &k.steps[src]; (t.kind == stepMulPlain || t.kind == stepMulPlainSum) && t.level == add.level {
-					terms[j] = t
-				}
+	single = func(slot, level int, kinds ...stepKind) *planStep {
+		if src := producer[slot]; src >= 0 && reads[slot] == 1 {
+			if t := &k.steps[src]; t.level == level && slices.Contains(kinds, t.kind) {
+				return t
 			}
 		}
-		if terms[0] == nil || terms[1] == nil {
-			continue
-		}
-		// The left operand is dropped, so the sum takes its lists over and
-		// a chain of n terms fuses in O(n).
-		dropped[producer[add.args[0]]], dropped[producer[add.args[1]]] = true, true
-		*add = planStep{
-			kind: stepMulPlainSum, outs: add.outs, level: add.level, scale: add.scale,
-			args: append(terms[0].args, terms[1].args...),
-			pts:  append(plainFactors(terms[0]), plainFactors(terms[1])...),
-		}
+		return nil
 	}
+	return single, producer
+}
 
+// dropSteps removes the steps a fusion pass marked.
+func (k *compiler) dropSteps(dropped []bool) {
 	kept := k.steps[:0]
 	for i, s := range k.steps {
 		if !dropped[i] {
@@ -825,10 +907,20 @@ func (k *compiler) fusePlainSums(outputs []planOutput) {
 	k.steps = kept
 }
 
-// plainFactors lists the plaintexts of a MulPlain or MulPlainSum step.
+// plainFactors lists the plaintexts of a MulPlain, MulPlainSum or
+// RotateSum step.
 func plainFactors(s *planStep) []*Plaintext {
-	if s.kind == stepMulPlain {
+	switch s.kind {
+	case stepMulPlain:
 		return []*Plaintext{s.pt}
+	case stepRotateSum:
+		var pts []*Plaintext
+		for _, pt := range s.pts {
+			if pt != nil {
+				pts = append(pts, pt)
+			}
+		}
+		return pts
 	}
 	return s.pts
 }

@@ -16,7 +16,8 @@ var (
 	ErrScaleMismatch = ckks.ErrScaleMismatch
 	// ErrLevelMismatch: a level-shape violation — rescaling at level 0,
 	// dropping to an out-of-range level, or an *Into output whose
-	// components cannot hold the result's level.
+	// components cannot hold the result's level or share storage with an
+	// operand the operation must not overwrite.
 	ErrLevelMismatch = ckks.ErrLevelMismatch
 	// ErrDegreeMismatch: an operand's ciphertext degree is not what the
 	// operation requires.

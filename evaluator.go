@@ -235,8 +235,9 @@ func (e *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) (map[int]*Ciphert
 }
 
 // RotateHoistedInto is RotateHoisted landing in caller-owned outputs,
-// outs[i] receiving the rotation by steps[i]; outputs must not alias
-// the input.
+// outs[i] receiving the rotation by steps[i]. Outputs must be distinct
+// and must not share storage with the input; one that does is refused
+// with ErrLevelMismatch before anything is written.
 func (e *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, outs []*Ciphertext) error {
 	if e.keys.Galois == nil && len(steps) > 0 {
 		return fmt.Errorf("heax: evaluator has no Galois keys bound: %w", ErrKeyMissing)

@@ -38,7 +38,7 @@ func (ev *Evaluator) keySwitchHoistedInto(hd *HoistedDecomposition, swk *Switchi
 	acc1 := ctx.GetPolyNoZero(level + 2)
 	defer ctx.PutPoly(acc0)
 	defer ctx.PutPoly(acc1)
-	ev.keySwitchMAC(nil, hd, table, swk.Digits, acc0, acc1, level)
+	ev.keySwitchMAC(nil, hd, table, swk.Digits, acc0, acc1, level, false)
 	ctx.FloorDropRowsPairAddInto(acc0, acc1, out0, out1, add0, add1, ev.rowIdx[level], false)
 }
 
@@ -63,13 +63,28 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int, gks *GaloisKeySe
 // one decomposition across all steps, with the cached digits and every
 // other intermediate drawn from pooled scratch — the multi-rotation
 // execution path compiled plans batch same-source rotations onto.
-// Outputs must be distinct and must not alias ct; a step of 0 copies ct.
+// Outputs must be distinct and must not share storage with ct (every
+// step reads ct after the first output is written); one that does is
+// refused before anything is written. A step of 0 copies ct.
 func (ev *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, gks *GaloisKeySet, outs []*Ciphertext) error {
 	if len(steps) != len(outs) {
 		return fmt.Errorf("ckks: %d rotation steps for %d outputs", len(steps), len(outs))
 	}
 	if ct.Degree() != 1 {
 		return fmt.Errorf("ckks: rotation requires a degree-1 ciphertext (got %d): %w", ct.Degree(), ErrDegreeMismatch)
+	}
+	for i, out := range outs {
+		if out == nil {
+			return fmt.Errorf("ckks: nil output ciphertext %d", i)
+		}
+		if overlaps(out, ct) {
+			return fmt.Errorf("ckks: RotateHoistedInto output %d shares storage with the input: %w", i, ErrLevelMismatch)
+		}
+		for k := range outs[:i] {
+			if overlaps(out, outs[k]) {
+				return fmt.Errorf("ckks: RotateHoistedInto outputs %d and %d share storage: %w", k, i, ErrLevelMismatch)
+			}
+		}
 	}
 	// Resolve every key before writing any output, so a missing step
 	// leaves the outputs untouched. Steps normalize modulo the slot

@@ -14,7 +14,8 @@ var (
 
 	// ErrLevelMismatch: a level-shape violation — rescaling at level 0,
 	// dropping to an out-of-range level, or an *Into output ciphertext
-	// whose components cannot hold the result's level.
+	// whose components cannot hold the result's level or share storage
+	// with an operand the kernel must not overwrite.
 	ErrLevelMismatch = errors.New("level mismatch")
 
 	// ErrDegreeMismatch: an operand's ciphertext degree is not what the

@@ -34,8 +34,17 @@ type Evaluator struct {
 	// flooring path over a basis prefix, precomputed for the same reason.
 	seqIdx [][]int
 
-	// jobs pools the per-call key-switch state (schedule.go).
-	jobs sync.Pool
+	// jobs pools the per-call key-switch state (schedule.go); sums and
+	// parts the state of a RotateSumInto call and of its participants
+	// (rotsum.go).
+	jobs, sums, parts sync.Pool
+
+	// Test seams of RotateSumInto: sumOffer, when set, replaces Offer for
+	// its one offer to the pool, so a test can force a helper in or make
+	// it late; tailTerms, when nonzero, caps its tail sums below what
+	// ring.TailSumTerms allows, so a test can run the fold on any set.
+	sumOffer  func(interface{ Help() }) bool
+	tailTerms int
 }
 
 // NewEvaluator builds an evaluator for params.
@@ -194,6 +203,29 @@ func fresh(out *Ciphertext, err error) (*Ciphertext, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// overlaps reports whether two ciphertexts share storage: a row of one
+// starts where a row of the other does, as it does for one polynomial, a
+// view of it or rows sliced out of it at any offset (a row that starts
+// inside another row is not looked for). The kernels that read an operand
+// after writing part of their output refuse an output that overlaps it.
+func overlaps(a, b *Ciphertext) bool {
+	for _, p := range a.Polys {
+		for _, q := range b.Polys {
+			if p == nil || q == nil {
+				continue
+			}
+			for _, x := range p.Coeffs {
+				for _, y := range q.Coeffs {
+					if cap(x) > 0 && cap(y) > 0 && &x[:1][0] == &y[:1][0] {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
 }
 
 // copyRows copies the first rows rows of src into dst unless they are
@@ -441,7 +473,7 @@ func (ev *Evaluator) keySwitchAddInto(c *ring.Poly, swk *SwitchingKey, add0, add
 	acc1 := ctx.GetPolyNoZero(level + 2)
 	defer ctx.PutPoly(acc0)
 	defer ctx.PutPoly(acc1)
-	ev.keySwitchMAC(c, nil, nil, swk.Digits, acc0, acc1, level)
+	ev.keySwitchMAC(c, nil, nil, swk.Digits, acc0, acc1, level, false)
 	// Line 19: modulus switching — divide by the special prime. It starts
 	// once every accumulator row is complete, as the hardware's does (the
 	// bank-set handoff of Fig. 8).

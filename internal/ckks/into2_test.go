@@ -148,6 +148,27 @@ func TestRotateHoistedIntoMatchesRotateHoisted(t *testing.T) {
 	if err := kit.eval.RotateHoistedInto(ct, []int{1, 2}, gks, outs[:1]); err == nil {
 		t.Fatal("length mismatch must fail")
 	}
+
+	// An output sharing the input's storage would overwrite the c0 a later
+	// step still reads, and one output given twice would hold only the last
+	// step: both are refused before any output is written.
+	for name, bad := range map[string][]*Ciphertext{
+		"input":       {ct, outs[1]},
+		"input's c0":  {outs[0], {Polys: []*ring.Poly{ct.Polys[0].Resize(1), outs[1].Polys[1]}}},
+		"a view":      {outs[0], {Polys: []*ring.Poly{outs[1].Polys[0], &ring.Poly{Coeffs: ct.Polys[1].Coeffs[:2]}}}},
+		"a duplicate": {outs[1], outs[1]},
+		"later rows": {outs[0], {Polys: []*ring.Poly{
+			{Coeffs: append([][]uint64{make([]uint64, params.N)}, ct.Polys[0].Coeffs[1:]...)}, outs[1].Polys[1]}}},
+	} {
+		snaps := []*Ciphertext{CopyOf(ct), CopyOf(outs[0]), CopyOf(outs[1])}
+		err := kit.eval.RotateHoistedInto(ct, []int{1, 3}, gks, bad)
+		if !errors.Is(err, ErrLevelMismatch) {
+			t.Fatalf("an output aliasing %s: err = %v, want ErrLevelMismatch", name, err)
+		}
+		for i, c := range []*Ciphertext{ct, outs[0], outs[1]} {
+			polysEqual(t, "a refused RotateHoistedInto ("+name+")", snaps[i], c)
+		}
+	}
 }
 
 // MulPlainSumInto must equal MulPlain on each pair followed by Add in

@@ -129,6 +129,15 @@ func TestKernelsDoNotMutateInputs(t *testing.T) {
 		into: func(ev *Evaluator, o []*Ciphertext) error {
 			return ev.MulPlainSumInto([]*Ciphertext{yLow, x, yLow}, []*Plaintext{pt, ptLow, pt}, o[0])
 		}})
+	// A giant step: a bare unrotated product and two rotated dot products,
+	// at the top level and at level 1 (where the operands are views).
+	for _, p := range []struct{ bare, a, b *Ciphertext }{{sq, x, y}, {sqLow, yLow, yLow}} {
+		bare, a, b := p.bare, p.a, p.b
+		add(kernelCase{name: fmt.Sprintf("RotateSum/L%d", a.Level), cts: []*Ciphertext{bare, a, b}, pt: pt,
+			into: func(ev *Evaluator, o []*Ciphertext) error {
+				return ev.RotateSumInto([]*Ciphertext{bare, a, b}, []*Plaintext{nil, pt, pt}, []int{1, 2, 3}, []int{0, 1, 2}, gks, o[0])
+			}})
+	}
 	for _, ct := range []*Ciphertext{x, yLow, deg2} {
 		ct := ct // go.mod says go 1.21: loop variables are shared
 		shape := fmt.Sprintf("L%dd%d", ct.Level, ct.Degree())

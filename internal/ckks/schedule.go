@@ -51,6 +51,10 @@ type ksJob struct {
 	acc0, acc1 *ring.Poly
 	intt       *ring.Poly // per-digit INTT outputs, level+1 rows
 	level      int
+	// addQ: the q rows of acc0/acc1 (0..level) already hold a sum the
+	// MAC adds to, as a sum of rotations sharing one tail has them; the
+	// special row is always stored afresh.
+	addQ bool
 
 	// The row passes as func values, bound once per pooled job: a method
 	// value made at the RunRows call would allocate on every key switch.
@@ -74,6 +78,7 @@ func (ev *Evaluator) putJob(j *ksJob) {
 	j.c, j.hd, j.out, j.table = nil, nil, nil, nil
 	j.digits = nil
 	j.acc0, j.acc1, j.intt = nil, nil, nil
+	j.addQ = false
 	ev.jobs.Put(j)
 }
 
@@ -86,10 +91,11 @@ func (j *ksJob) runINTTRow(i int) {
 // mac adds digit i's two key products into accumulator row jj from the
 // already-converted (NTT-form, mod target prime) row b. The accumulators
 // arrive unzeroed, so digit 0 stores its products instead: 0 + x mod p is
-// x, bit for bit what adding into a cleared row gave.
+// x, bit for bit what adding into a cleared row gave. With addQ the q rows
+// arrive holding a sum, and digit 0 adds to them like the rest.
 func (j *ksJob) mac(i, jj, basisIdx int, b []uint64) {
 	d := j.digits[i]
-	if i == 0 {
+	if i == 0 && !(j.addQ && jj <= j.level) {
 		j.ctx.MulCoeffsRow(b, d[0].Coeffs[basisIdx], j.acc0.Coeffs[jj], basisIdx)
 		j.ctx.MulCoeffsRow(b, d[1].Coeffs[basisIdx], j.acc1.Coeffs[jj], basisIdx)
 		return
@@ -158,12 +164,14 @@ func (j *ksJob) runDecompRow(jj int) {
 
 // keySwitchMAC runs the multiply-accumulate phase of Algorithm 7 over
 // either a direct input polynomial c or a cached hoisted decomposition
-// hd, into the accumulators acc0/acc1, every row of which it overwrites.
+// hd, into the accumulators acc0/acc1, every row of which it overwrites —
+// except that with addQ it adds into the q rows (0..level) and overwrites
+// only the special row.
 func (ev *Evaluator) keySwitchMAC(c *ring.Poly, hd *HoistedDecomposition, table []int,
-	digits [][2]*ring.Poly, acc0, acc1 *ring.Poly, level int) {
+	digits [][2]*ring.Poly, acc0, acc1 *ring.Poly, level int, addQ bool) {
 	ctx := ev.ctx
 	j := ev.getJob(level)
-	j.c, j.hd, j.table = c, hd, table
+	j.c, j.hd, j.table, j.addQ = c, hd, table, addQ
 	j.digits = digits
 	j.acc0, j.acc1 = acc0, acc1
 	if hd != nil {

@@ -64,6 +64,26 @@ func TestPolyPoolRecycles(t *testing.T) {
 	}
 }
 
+// TestPolyPoolSharedByShape: contexts of one {n, K} hold one pool
+// whatever their primes (a poly is K rows of n words either way), and
+// any other shape gets its own.
+func TestPolyPoolSharedByShape(t *testing.T) {
+	a := testContext(t, 64, 3, 45)
+	b := testContext(t, 64, 3, 40)
+	if a.Basis.Primes[0] == b.Basis.Primes[0] {
+		t.Fatal("test contexts share primes")
+	}
+	if a.pool != b.pool || a.Fork(1).pool != a.pool {
+		t.Error("contexts of one shape hold different pools")
+	}
+	if c := testContext(t, 64, 2, 45); c.pool == a.pool {
+		t.Error("a 2-row context shares the 3-row pool")
+	}
+	if c := testContext(t, 128, 3, 45); c.pool == a.pool {
+		t.Error("an n = 128 context shares the n = 64 pool")
+	}
+}
+
 func TestFloorDropRowsPairMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	ctx := testContext(t, 64, 4, 45)

@@ -44,8 +44,8 @@ type Context struct {
 	parallelThreshold int
 
 	// pool recycles full-basis Poly buffers so evaluator hot paths
-	// (key switching, rescale) allocate nothing per call. Held by
-	// pointer so Fork views share one pool.
+	// (key switching, rescale) allocate nothing per call. Every context of
+	// one shape holds the same pool (shapePool), Fork views included.
 	pool *sync.Pool
 
 	// autoTables caches the NTT-domain automorphism permutation per
@@ -73,7 +73,7 @@ func NewContext(n int, primeList []uint64) (*Context, error) {
 		Basis:      basis,
 		workers:    runtime.GOMAXPROCS(0),
 		sched:      newScheduler(),
-		pool:       &sync.Pool{},
+		pool:       shapePool(n, basis.K()),
 		autoTables: &sync.Map{},
 	}
 	ctx.Tables = make([]*ntt.Tables, basis.K())
@@ -89,6 +89,21 @@ func NewContext(n int, primeList []uint64) (*Context, error) {
 		}
 	}
 	return ctx, nil
+}
+
+// shapePools holds one buffer pool per context shape {n, K}. A pooled
+// polynomial is K rows of n words whatever the primes, so contexts of one
+// shape share a pool: a process holding several Params of one set (a
+// server and an in-process client, say) keeps one stock of idle buffers,
+// and what a finished run on one context left behind serves the next run
+// on any of them instead of sitting beside that run's stock until two
+// garbage-collection cycles drop it (a cycle that caught both alive set
+// the process's peak heap).
+var shapePools sync.Map // [2]int{n, K} → *sync.Pool
+
+func shapePool(n, k int) *sync.Pool {
+	p, _ := shapePools.LoadOrStore([2]int{n, k}, new(sync.Pool))
+	return p.(*sync.Pool)
 }
 
 // K returns the number of primes in the context's basis.
@@ -630,14 +645,30 @@ func (c *Context) AutomorphismNTTPair(a0, a1 *Poly, table []int, out0, out1 *Pol
 		panic("ring: AutomorphismNTT cannot run in place")
 	}
 	c.RunRows(rowsOf(a0, a1, out0, out1), func(i int) {
-		x0, o0 := a0.Coeffs[i], out0.Coeffs[i]
-		x1, o1 := a1.Coeffs[i], out1.Coeffs[i]
-		for j := range o0 {
-			t := table[j]
-			o0[j] = x0[t]
-			o1[j] = x1[t]
-		}
+		c.AutomorphismNTTPairRow(a0.Coeffs[i], a1.Coeffs[i], table, out0.Coeffs[i], out1.Coeffs[i], false, i)
 	})
+}
+
+// AutomorphismNTTPairRow is row i (basis prime i) of AutomorphismNTTPair,
+// for a caller that runs its own row pass; with add0 the first component
+// is added into out0 instead of stored, out0 += σ(a0) — how a sum of
+// rotations folds each term's σ(c0) into its running sum while it keeps
+// σ(c1) for the key switch. No output may be an operand.
+//
+//heax:noalloc
+func (c *Context) AutomorphismNTTPairRow(a0, a1 []uint64, table []int, out0, out1 []uint64, add0 bool, i int) {
+	if !add0 {
+		for j, t := range table {
+			out0[j] = a0[t]
+			out1[j] = a1[t]
+		}
+		return
+	}
+	p := c.Basis.Primes[i]
+	for j, t := range table {
+		out0[j] = uintmod.AddMod(out0[j], a0[t], p)
+		out1[j] = a1[t]
+	}
 }
 
 // FloorDropLast implements RNS flooring (Algorithm 6): given a polynomial
@@ -780,14 +811,21 @@ func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []in
 //
 //heax:noalloc
 func (c *Context) ReduceNTTRow(dst, src []uint64, from, to int, sub uint64) {
+	c.reduceNTTRow(dst, src, c.Basis.Primes[from], to, sub)
+}
+
+// reduceNTTRow is ReduceNTTRow for a source row of any values below
+// bound, residues of one prime or sums of them.
+//
+//heax:noalloc
+func (c *Context) reduceNTTRow(dst, src []uint64, bound uint64, to int, sub uint64) {
 	p, m, t := c.Basis.Primes[to], c.Basis.Mods[to], c.Tables[to]
-	pFrom := c.Basis.Primes[from]
 	src = src[:len(dst)]
 	switch {
-	case sub == 0 && pFrom <= t.InputBound():
+	case sub == 0 && bound <= t.InputBound():
 		t.ForwardTo(dst, src)
 		return
-	case c.RowIFMA(to) && bits.Len64(pFrom) <= 52:
+	case c.RowIFMA(to) && bound <= 1<<52:
 		uintmod.VecReduce(dst, src, sub, p)
 	case sub == 0:
 		for j := range dst {
@@ -825,4 +863,57 @@ func (c *Context) floorCloseRow(a, r, add, out []uint64, last, i int) {
 		v := uintmod.SubMod(a[j], r[j], p)
 		out[j] = uintmod.MulRed(v, pinv, pinvShoup, p)
 	}
+}
+
+// A sum of key switches can share one flooring tail. The only non-linear
+// step of a floor is lifting the dropped-prime row out of NTT form into
+// [0, p_last); after that lift the rest of Algorithm 6 — the reduction
+// into each q prime, its forward NTT, the subtraction, the multiplication
+// by p_last⁻¹ and any addition — is linear modulo that prime. So a sum
+// keeps one inverse transform of the dropped row per term, adds the
+// lifted rows as integers (the tail sum) and lets the q rows of its
+// accumulators keep adding across terms; FloorSumRow then closes the
+// whole sum with one reduction and one forward NTT per row. Every step
+// returns canonical residues, so the result is bit for bit the sum of
+// the terms floored one by one.
+
+// TailSumTerms is how many lifted rows of prime last a tail sum may add
+// up before FoldTailRow has to take it into the accumulators: as many as
+// a 64-bit word holds. Its reduction picks the IFMA or the scalar route
+// by the bound of the sum it holds.
+func (c *Context) TailSumTerms(last int) int {
+	return int((^uint64(0) - 1) / (c.Basis.Primes[last] - 1))
+}
+
+// tailBound is the exclusive upper bound on a tail sum of terms lifted
+// rows of prime last.
+func (c *Context) tailBound(terms, last int) uint64 {
+	return uint64(terms)*(c.Basis.Primes[last]-1) + 1
+}
+
+// FoldTailRow takes a tail sum of terms lifted rows of prime last (at
+// most TailSumTerms) into row i of an accumulator, a −= NTT_i([tail]_{p_i}),
+// so the tail sum can start again from zero.
+//
+//heax:noalloc
+func (c *Context) FoldTailRow(a, tail []uint64, terms, last, i int) {
+	rBuf := c.GetPolyNoZero(1)
+	defer c.PutPoly(rBuf)
+	r := rBuf.Coeffs[0]
+	c.reduceNTTRow(r, tail, c.tailBound(terms, last), i, 0)
+	c.subRow(a, r, a, i)
+}
+
+// FloorSumRow is the closing pass of a sum of key switches on row i
+// (basis prime i): out = (a − NTT_i([tail]_{p_i}))·p_last⁻¹ + add, where
+// a is the row's accumulated sum and tail the tail sum of terms lifted
+// rows (at most TailSumTerms). add may be nil, and may be out.
+//
+//heax:noalloc
+func (c *Context) FloorSumRow(a, tail []uint64, terms int, add, out []uint64, last, i int) {
+	rBuf := c.GetPolyNoZero(1)
+	defer c.PutPoly(rBuf)
+	r := rBuf.Coeffs[0]
+	c.reduceNTTRow(r, tail, c.tailBound(terms, last), i, 0)
+	c.floorCloseRow(a, r, add, out, last, i)
 }

@@ -96,10 +96,12 @@ type Plan struct {
 	// serial chain consuming them holds one window's buffers, not one per
 	// term (DESIGN.md, "Execution"). Sums of plaintext products — a BSGS
 	// matvec's 256 MulPlains, the shape this was built for — no longer
-	// need it: Compile fuses each into one MulPlainSum step.
+	// need it: Compile fuses each into one MulPlainSum step, and a giant
+	// step with its inner sums into one RotateSum.
 	lookahead int
 	footprint int // windowSlots() as of Compile, for FootprintBytes
-	// bufs pools full-basis intermediate ciphertexts. Ownership protocol
+	// bufs pools top-level intermediate ciphertexts (sharedBufPool, shared
+	// by every plan of the shape). Ownership protocol
 	// (audited by plan_fail_test.go's instrumented pool): a buffer is held
 	// by exactly one party at a time — the pool, exec between get and the
 	// slot handoff (on kernel failure exec puts it straight back), or the
@@ -129,6 +131,38 @@ type syncCtPool struct{ p sync.Pool }
 func (s *syncCtPool) get() *Ciphertext   { return s.p.Get().(*Ciphertext) }
 func (s *syncCtPool) put(ct *Ciphertext) { s.p.Put(ct) }
 
+// bufPools holds one buffer pool per buffer shape {N, rows}, shared by
+// every plan of that shape whatever its Params: a server's cached plans
+// and an in-process plan of the same set keep one stock of idle buffers,
+// and what a finished run left behind serves the next run of any of
+// them, as the ring's polynomial pool does (ring.shapePool has why).
+var bufPools sync.Map // [2]int{N, rows} → *syncCtPool
+
+// sharedBufPool returns the pool of degree-1 buffers at params' top
+// level. Its New knows only the shape, so the pool pins no Params.
+func sharedBufPool(params *Params) *syncCtPool {
+	n, rows := params.N, params.MaxLevel()+1
+	p, _ := bufPools.LoadOrStore([2]int{n, rows}, &syncCtPool{p: sync.Pool{New: func() any {
+		return newBuffer(n, rows)
+	}}})
+	return p.(*syncCtPool)
+}
+
+// newBuffer is a zero degree-1 ciphertext of rows rows of n coefficients,
+// both components on one backing array.
+func newBuffer(n, rows int) *Ciphertext {
+	backing := make([]uint64, 2*rows*n)
+	ct := &Ciphertext{Polys: make([]*Poly, 2), Level: rows - 1}
+	for c := range ct.Polys {
+		q := &Poly{Coeffs: make([][]uint64, rows)}
+		for i := range q.Coeffs {
+			q.Coeffs[i], backing = backing[:n:n], backing[n:]
+		}
+		ct.Polys[c] = q
+	}
+	return ct
+}
+
 type planInput struct {
 	name string
 	slot int
@@ -156,6 +190,7 @@ const (
 	stepInnerSum
 	stepCopy
 	stepMulPlainSum
+	stepRotateSum
 )
 
 var stepKindNames = [...]string{
@@ -171,6 +206,7 @@ var stepKindNames = [...]string{
 	stepInnerSum:      "InnerSum",
 	stepCopy:          "Copy",
 	stepMulPlainSum:   "MulPlainSum",
+	stepRotateSum:     "RotateSum",
 }
 
 // planStep is one executable operation of a compiled plan.
@@ -180,11 +216,17 @@ type planStep struct {
 	outs []int
 	// pt is the payload of plain operations, encoded once at compile
 	// time at the inferred level and scale; a fused sum of plaintext
-	// products holds one per operand in pts. A multiplier's rows may be
-	// compact (compactRows); an AddPlain payload's are always full.
-	pt     *Plaintext
-	pts    []*Plaintext
-	rots   []int // rotation step (len 1) or hoisted batch (len > 1)
+	// products holds one per operand in pts, and a RotateSum one per
+	// operand of a dot-product term, nil for a bare one. A multiplier's
+	// rows may be compact (compactRows); an AddPlain payload's are always
+	// full.
+	pt  *Plaintext
+	pts []*Plaintext
+	// rots is the rotation step (len 1) or hoisted batch (len > 1), or a
+	// RotateSum's step per term (0: unrotated); a RotateSum's term t reads
+	// args[ends[t−1]:ends[t]].
+	rots   []int
+	ends   []int
 	n2     int
 	level  int
 	scale  float64
@@ -253,10 +295,13 @@ func (p *Plan) Describe() string {
 		if s.n2 > 0 {
 			fmt.Fprintf(&b, " n2=%d", s.n2)
 		}
-		if len(s.pts) > 0 {
+		switch s.kind {
+		case stepMulPlainSum:
 			fmt.Fprintf(&b, " terms=%d", len(s.pts))
+		case stepRotateSum:
+			fmt.Fprintf(&b, " terms=%d factors=%d", len(s.ends), len(plainFactors(&s)))
 		}
-		if s.kind == stepMulPlain || s.kind == stepMulPlainSum {
+		if s.kind == stepMulPlain || s.kind == stepMulPlainSum || s.kind == stepRotateSum {
 			fmt.Fprintf(&b, " compact=%d", p.compactFactors(&s))
 		}
 		if s.lifted {
@@ -273,8 +318,8 @@ func (p *Plan) Describe() string {
 	return b.String()
 }
 
-// compactFactors counts the plaintexts of a MulPlain or MulPlainSum step
-// that Compile stored compact (compactRows).
+// compactFactors counts the plaintexts of a MulPlain, MulPlainSum or
+// RotateSum step that Compile stored compact (compactRows).
 func (p *Plan) compactFactors(s *planStep) int {
 	n := 0
 	for _, pt := range plainFactors(s) {
@@ -649,6 +694,8 @@ func (p *Plan) execKernel(idx int, st *planStep, in, outs []*Ciphertext) (err er
 			err = e.inner.CopyInto(in[0], outs[0])
 		case stepMulPlainSum:
 			err = e.inner.MulPlainSumInto(in, st.pts, outs[0])
+		case stepRotateSum:
+			err = e.inner.RotateSumInto(in, st.pts, st.ends, st.rots, e.keys.Galois, outs[0])
 		default:
 			err = fmt.Errorf("unknown step kind %d: %w", st.kind, ErrInternal)
 		}

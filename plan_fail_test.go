@@ -397,6 +397,47 @@ func TestPlanLookaheadBoundsBuffers(t *testing.T) {
 		})
 }
 
+// TestPlanBufferPoolSharedByShape: plans compiled for two Params of one
+// set draw their buffers from one pool, a buffer is a degree-1 ciphertext
+// at the top level, and another set has a pool of its own.
+func TestPlanBufferPoolSharedByShape(t *testing.T) {
+	compile := func(spec ParamSpec) *Plan {
+		params, err := NewParams(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCircuit()
+		x := c.Input("x")
+		c.Output("y", c.Add(x, x))
+		plan, err := c.Compile(params, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	a, b, other := compile(SetA), compile(SetA), compile(SetB)
+	if a.params == b.params {
+		t.Fatal("NewParams returned one Params twice")
+	}
+	if a.bufs != b.bufs {
+		t.Error("plans of one set hold different buffer pools")
+	}
+	if other.bufs == a.bufs {
+		t.Error("a Set-B plan shares the Set-A buffer pool")
+	}
+	ct := a.bufs.get()
+	defer a.bufs.put(ct)
+	top := a.params.MaxLevel()
+	if ct.Degree() != 1 || ct.Level != top {
+		t.Fatalf("buffer of degree %d at level %d, want degree 1 at %d", ct.Degree(), ct.Level, top)
+	}
+	for _, q := range ct.Polys {
+		if q.Rows() != top+1 || len(q.Coeffs[top]) != a.params.N {
+			t.Fatalf("buffer component of %d rows of %d, want %d of %d", q.Rows(), len(q.Coeffs[top]), top+1, a.params.N)
+		}
+	}
+}
+
 // TestPlanRunStartsNoGoroutines: a run of the 255-step plan is worked by
 // its caller and the ring pool's workers, which exist once per process.
 // On a plan capped at one worker a run adds no goroutine at all (the

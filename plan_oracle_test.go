@@ -122,6 +122,30 @@ func replayPlan(t *testing.T, p *Plan, in map[string]*Ciphertext) map[string]*Ci
 				sum = term
 			}
 			slots[st.outs[0]] = sum
+		case stepRotateSum:
+			// What the step was fused from: each term's products and their
+			// sum (or its bare operand), its rotation, then the sum so far
+			// plus it, in term order.
+			var sum *Ciphertext
+			lo := 0
+			for j, hi := range st.ends {
+				term := slots[st.args[lo]]
+				for f := lo; f < hi && st.pts[lo] != nil && err == nil; f++ {
+					var prod *Ciphertext
+					if prod, err = e.MulPlain(slots[st.args[f]], st.pts[f]); err == nil && f > lo {
+						prod, err = e.Add(term, prod)
+					}
+					term = prod
+				}
+				if err == nil && st.rots[j] != 0 {
+					term, err = e.RotateLeft(term, st.rots[j])
+				}
+				if err == nil && j > 0 {
+					term, err = e.Add(sum, term)
+				}
+				sum, lo = term, hi
+			}
+			slots[st.outs[0]] = sum
 		default:
 			t.Fatalf("replay: unknown step kind %d", st.kind)
 		}
@@ -328,7 +352,11 @@ func TestPlanOracleExampleCircuits(t *testing.T) {
 // the compiler fuses into one step — some with a term that is also a
 // named output or is added twice, which must keep a step of its own. A
 // sum's factors are short vectors, periodic vectors of 1 to slots values
-// or constants, so full and compact plaintext rows meet in one sum.
+// or constants, so full and compact plaintext rows meet in one sum. So do
+// sums of 2–5 rotations of distinct values — what the compiler fuses into
+// one RotateSum — of plaintext products (one or two) and of bare values,
+// with an unrotated addend or none, at the top level or all below it, and
+// each with one more rotation that is also an output or is added twice.
 func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 	c := NewCircuit()
 	nodes := []Node{c.Input("x"), c.Input("y")}
@@ -354,9 +382,10 @@ func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 		return c.MulPlain(a, vals())
 	}
 	rots := []int{1, 2, 3, -1, slots + 1, 2 - slots, 0, 5} // 5 has no key
+	keyed := func() int { return rots[rng.Intn(6)] }       // the steps with a key
 	for ops := 3 + rng.Intn(12); ops > 0; ops-- {
 		var n Node
-		switch a := pick(); rng.Intn(13) {
+		switch a := pick(); rng.Intn(14) {
 		case 0, 1, 2:
 			n = c.Add(a, pick())
 		case 3, 4:
@@ -384,6 +413,44 @@ func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 				term := c.MulPlain(a, vals())
 				n = c.Add(c.Add(n, term), term)
 			}
+		case 12:
+			// Every value is a product of the inputs, so all the terms meet
+			// at one scale: at the top level, or with low set each factor
+			// rescaled first and the whole sum one level down.
+			in := func() Node { return nodes[rng.Intn(2)] }
+			low := rng.Intn(2) == 0
+			operand := func() Node {
+				if low {
+					return factor(in())
+				}
+				return in()
+			}
+			value := func() Node {
+				switch rng.Intn(3) {
+				case 0: // bare
+					return c.MulRelin(operand(), operand())
+				case 1:
+					return factor(operand())
+				}
+				return c.Add(factor(operand()), factor(operand()))
+			}
+			if rng.Intn(2) == 0 {
+				n = value() // the unrotated addend
+			}
+			for terms := 2 + rng.Intn(4); terms > 0; terms-- {
+				if r := c.Rotate(value(), keyed()); n == (Node{}) {
+					n = r
+				} else {
+					n = c.Add(n, r)
+				}
+			}
+			keep := c.Rotate(value(), keyed())
+			if rng.Intn(2) == 0 {
+				c.Output(fmt.Sprintf("rot%d", len(nodes)), keep)
+				n = c.Add(n, keep)
+			} else {
+				n = c.Add(c.Add(n, keep), keep)
+			}
 		default:
 			n = c.Add(c.Rotate(a, 1), c.Rotate(a, 2)) // a hoistable pair
 		}
@@ -402,112 +469,141 @@ func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 // whose runs — a crew of one, a crew of four, and RunBatch — all equal
 // the sequential replay of its step list bit for bit; and a fault or a
 // cancellation at any step leaves every pooled buffer back in the pool.
+// Set-A has no level below its top that a product can still reach, so a
+// quarter as many circuits run on Set-B's deeper chain, where sums of
+// rotations below the top level compile.
 func TestPlanRandomDAGs(t *testing.T) {
 	circuitCount := 200
 	if testing.Short() {
 		circuitCount = 40
 	}
-	k := newOracleKit(t, SetA, []int{1, 2, 3, -1}, false)
-	slots := k.params.Slots()
-	rng := rand.New(rand.NewSource(18))
-	in := map[string]*Ciphertext{
-		"x": k.encrypt(t, []float64{0.5, -0.25, 0.75, 1}),
-		"y": k.encrypt(t, []float64{-1, 0.125, 0.5, -0.5}),
-	}
 	sentinels := []error{ErrLevelMismatch, ErrScaleMismatch, ErrKeyMissing, ErrUnencodable, ErrInvalidCircuit}
-	compiled, refused := 0, make(map[error]int)
+	total, compiled, refused := 0, 0, make(map[error]int)
 	fused, widest, kept := 0, 0, 0 // MulPlainSum steps, the most terms in one, MulPlain steps left
 	mixed := 0                     // MulPlainSum steps with compact and full plaintexts
-	for n := 0; n < circuitCount; n++ {
-		plan, err := randomCircuit(rng, slots).Compile(k.params, k.evk)
-		if err != nil {
-			typed := false
-			for _, s := range sentinels {
-				if errors.Is(err, s) {
-					typed = true
-					refused[s]++
-				}
-			}
-			if !typed {
-				t.Fatalf("circuit %d: compile failed without a typed sentinel: %v", n, err)
-			}
-			continue
+	rotSums, lowSums := 0, 0       // RotateSum steps of two or more rotated terms; those below the top level
+	for _, pass := range []struct {
+		spec  ParamSpec
+		count int
+		seed  int64
+	}{{SetA, circuitCount, 18}, {SetB, circuitCount / 4, 19}} {
+		k := newOracleKit(t, pass.spec, []int{1, 2, 3, -1}, false)
+		slots := k.params.Slots()
+		rng := rand.New(rand.NewSource(pass.seed))
+		in := map[string]*Ciphertext{
+			"x": k.encrypt(t, []float64{0.5, -0.25, 0.75, 1}),
+			"y": k.encrypt(t, []float64{-1, 0.125, 0.5, -0.5}),
 		}
-		compiled++
-		for _, st := range plan.steps {
-			switch st.kind {
-			case stepMulPlainSum:
-				fused++
-				widest = max(widest, len(st.pts))
-				if compact := plan.compactFactors(&st); compact > 0 && compact < len(st.pts) {
-					mixed++
-				}
-			case stepMulPlain:
-				kept++
-			}
-		}
-		want := replayPlan(t, plan, in)
-		same := func(what string, got map[string]*Ciphertext, err error) {
-			t.Helper()
+		total += pass.count
+		for n := 0; n < pass.count; n++ {
+			plan, err := randomCircuit(rng, slots).Compile(k.params, k.evk)
 			if err != nil {
-				t.Fatalf("circuit %d, %s: %v\n%s", n, what, err, plan.Describe())
+				typed := false
+				for _, s := range sentinels {
+					if errors.Is(err, s) {
+						typed = true
+						refused[s]++
+					}
+				}
+				if !typed {
+					t.Fatalf("%s circuit %d: compile failed without a typed sentinel: %v", pass.spec.Name, n, err)
+				}
+				continue
 			}
-			for name, ct := range want {
-				if !ctBitEqual(ct, got[name]) {
-					t.Fatalf("circuit %d, %s: output %q differs from the sequential replay\n%s", n, what, name, plan.Describe())
+			compiled++
+			for _, st := range plan.steps {
+				switch st.kind {
+				case stepMulPlainSum:
+					fused++
+					widest = max(widest, len(st.pts))
+					if compact := plan.compactFactors(&st); compact > 0 && compact < len(st.pts) {
+						mixed++
+					}
+				case stepMulPlain:
+					kept++
+				case stepRotateSum:
+					rotated := 0
+					for _, r := range st.rots {
+						if r != 0 {
+							rotated++
+						}
+					}
+					if rotated >= 2 {
+						rotSums++
+						if st.level < k.params.MaxLevel() {
+							lowSums++
+						}
+					}
 				}
 			}
-		}
-		pool := newAuditPool(t, k.params)
-		plan.bufs = pool
-		for _, crew := range []int{1, 4} {
-			setCrew(plan, crew)
-			got, err := plan.Run(in)
-			same(fmt.Sprintf("crew %d", crew), got, err)
-		}
-		batch, err := plan.RunBatch([]map[string]*Ciphertext{in, in})
-		for _, got := range batch {
-			same("RunBatch", got, err)
-		}
-		if held := pool.outstanding(); held != 0 {
-			t.Fatalf("circuit %d: %d pooled buffers leaked by clean runs\n%s", n, held, plan.Describe())
-		}
+			want := replayPlan(t, plan, in)
+			same := func(what string, got map[string]*Ciphertext, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s circuit %d, %s: %v\n%s", pass.spec.Name, n, what, err, plan.Describe())
+				}
+				for name, ct := range want {
+					if !ctBitEqual(ct, got[name]) {
+						t.Fatalf("%s circuit %d, %s: output %q differs from the sequential replay\n%s", pass.spec.Name, n, what, name, plan.Describe())
+					}
+				}
+			}
+			pool := newAuditPool(t, k.params)
+			plan.bufs = pool
+			for _, crew := range []int{1, 4} {
+				setCrew(plan, crew)
+				got, err := plan.Run(in)
+				same(fmt.Sprintf("crew %d", crew), got, err)
+			}
+			batch, err := plan.RunBatch([]map[string]*Ciphertext{in, in})
+			for _, got := range batch {
+				same("RunBatch", got, err)
+			}
+			if held := pool.outstanding(); held != 0 {
+				t.Fatalf("%s circuit %d: %d pooled buffers leaked by clean runs\n%s", pass.spec.Name, n, held, plan.Describe())
+			}
 
-		// A fault or a cancel at a random step, under a random shape.
-		at := rng.Intn(plan.NumSteps())
-		plan.crew, plan.lookahead = 1+rng.Intn(4), 1+rng.Intn(2*plan.NumSteps())
-		ctx, cancel := context.WithCancel(context.Background())
-		wantErr := errInjected
-		if rng.Intn(2) == 0 {
-			wantErr = context.Canceled
-		}
-		plan.failStep = func(i int) error {
-			if i != at {
-				return nil
+			// A fault or a cancel at a random step, under a random shape.
+			at := rng.Intn(plan.NumSteps())
+			plan.crew, plan.lookahead = 1+rng.Intn(4), 1+rng.Intn(2*plan.NumSteps())
+			ctx, cancel := context.WithCancel(context.Background())
+			wantErr := errInjected
+			if rng.Intn(2) == 0 {
+				wantErr = context.Canceled
 			}
-			if wantErr == context.Canceled {
-				cancel()
-				return nil
+			plan.failStep = func(i int) error {
+				if i != at {
+					return nil
+				}
+				if wantErr == context.Canceled {
+					cancel()
+					return nil
+				}
+				return errInjected
 			}
-			return errInjected
-		}
-		// Cancelling from inside the last step cancels nothing any more.
-		if _, err := plan.RunContext(ctx, in); !errors.Is(err, wantErr) && !(err == nil && wantErr == context.Canceled) {
-			t.Fatalf("circuit %d: %v at step %d reported %v\n%s", n, wantErr, at, err, plan.Describe())
-		}
-		cancel()
-		if held := pool.outstanding(); held != 0 {
-			t.Fatalf("circuit %d: %d pooled buffers leaked by %v at step %d\n%s", n, held, wantErr, at, plan.Describe())
+			// Cancelling from inside the last step cancels nothing any more.
+			if _, err := plan.RunContext(ctx, in); !errors.Is(err, wantErr) && !(err == nil && wantErr == context.Canceled) {
+				t.Fatalf("%s circuit %d: %v at step %d reported %v\n%s", pass.spec.Name, n, wantErr, at, err, plan.Describe())
+			}
+			cancel()
+			if held := pool.outstanding(); held != 0 {
+				t.Fatalf("%s circuit %d: %d pooled buffers leaked by %v at step %d\n%s", pass.spec.Name, n, held, wantErr, at, plan.Describe())
+			}
 		}
 	}
 	// The generator must exercise both sides of the property.
-	if compiled < circuitCount/4 || compiled > circuitCount*9/10 {
-		t.Fatalf("%d of %d random circuits compiled: the generator no longer covers both outcomes", compiled, circuitCount)
+	if compiled < total/4 || compiled > total*9/10 {
+		t.Fatalf("%d of %d random circuits compiled: the generator no longer covers both outcomes", compiled, total)
 	}
 	if fused < compiled/8 || widest < 16 || kept == 0 || mixed == 0 {
 		t.Fatalf("%d fused sums (the widest of %d terms, %d mixing row shapes) and %d unfused products in %d plans: the generator no longer covers the fusion",
 			fused, widest, mixed, kept, compiled)
 	}
-	t.Logf("%d of %d random circuits compiled (%d fused sums, the widest of %d terms, %d mixing row shapes, %d products unfused); refused: %v",
-		compiled, circuitCount, fused, widest, mixed, kept, refused)
+	// A few dozen circuits may draw no sum of rotations that compiles.
+	if !testing.Short() && (rotSums == 0 || lowSums == 0) {
+		t.Fatalf("%d RotateSum steps of two or more rotations (%d below the top level) in %d plans: the generator no longer covers the fusion",
+			rotSums, lowSums, compiled)
+	}
+	t.Logf("%d of %d random circuits compiled (%d fused sums, the widest of %d terms, %d mixing row shapes, %d products unfused, %d sums of rotations, %d below the top level); refused: %v",
+		compiled, total, fused, widest, mixed, kept, rotSums, lowSums, refused)
 }

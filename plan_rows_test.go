@@ -2,11 +2,12 @@ package heax
 
 import "heax/internal/uintmod"
 
-// PlainRowShapes counts the multiplying plaintexts of p's MulPlain and
-// MulPlainSum steps, and how many of them are stored compact.
+// PlainRowShapes counts the multiplying plaintexts of p's MulPlain,
+// MulPlainSum and RotateSum steps, and how many of them are stored
+// compact.
 func PlainRowShapes(p *Plan) (compact, total int) {
 	for i := range p.steps {
-		if st := &p.steps[i]; st.kind == stepMulPlain || st.kind == stepMulPlainSum {
+		if st := &p.steps[i]; st.kind == stepMulPlain || st.kind == stepMulPlainSum || st.kind == stepRotateSum {
 			compact += p.compactFactors(st)
 			total += len(plainFactors(st))
 		}
@@ -19,7 +20,7 @@ func PlainRowShapes(p *Plan) (compact, total int) {
 // plaintexts themselves are left as they were.
 func ExpandPlainRows(p *Plan) {
 	expand := func(pt *Plaintext) *Plaintext {
-		if len(pt.Value.Coeffs[0]) == p.params.N {
+		if pt == nil || len(pt.Value.Coeffs[0]) == p.params.N {
 			return pt
 		}
 		full := p.params.RingQP.NewPoly(pt.Value.Rows())
@@ -35,7 +36,7 @@ func ExpandPlainRows(p *Plan) {
 		switch st.kind {
 		case stepMulPlain:
 			st.pt = expand(st.pt)
-		case stepMulPlainSum:
+		case stepMulPlainSum, stepRotateSum:
 			pts := make([]*Plaintext, len(st.pts))
 			for j, pt := range st.pts {
 				pts[j] = expand(pt)

@@ -389,8 +389,8 @@ func TestPlanRunAllocations(t *testing.T) {
 // TestPlanFootprintCoversMatVec: on the 256×256 BSGS matvec that
 // heax/circuits builds (the benchmark's matvec-serve-A plan) no run, at
 // crew 1, 2 or 4, holds more pooled buffers than FootprintBytes admits
-// it for. With its inner sums fused the plan is 47 steps and 62 slots —
-// shorter than the window of a crew of 4 — so the bound is absolute: no
+// it for. With its giant step fused the plan is 2 steps and 17 slots —
+// shorter than the window of a crew of 1 — so the bound is absolute: no
 // more than the 35, 51 and 83 slots the plan was admitted for when every
 // product and partial sum had a slot of its own (542), which a fusion
 // that dropped the steps but kept their slots would overshoot.
