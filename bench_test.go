@@ -489,60 +489,6 @@ func BenchmarkAPI_AddInto(b *testing.B) {
 	}
 }
 
-// BenchmarkAPI_MulPlainSumInto prices Σ ctᵢ ⊙ ptᵢ over 16 distinct terms
-// both ways: "sum" is the one-pass kernel a compiled plan's MulPlainSum
-// step runs, "loop" the MulPlainInto and AddInto per term it is compiled
-// from (the façade has no method for the sum; plans are its only caller).
-func BenchmarkAPI_MulPlainSumInto(b *testing.B) {
-	for _, spec := range []heax.ParamSpec{heax.SetA, heax.SetC} {
-		k := getAPIBenchKit(b, spec)
-		ev := ckks.NewEvaluator(k.params)
-		enc := heax.NewEncoder(k.params)
-		rng := rand.New(rand.NewSource(12))
-		const terms = 16
-		cts, pts := make([]*heax.Ciphertext, terms), make([]*heax.Plaintext, terms)
-		for i := range cts {
-			vals := make([]float64, 16)
-			for j := range vals {
-				vals[j] = rng.Float64()*2 - 1
-			}
-			var err error
-			if pts[i], err = enc.EncodeReal(vals, k.params.MaxLevel(), k.params.DefaultScale()); err != nil {
-				b.Fatal(err)
-			}
-			cts[i] = ckks.CopyOf(k.x)
-		}
-		out, err := heax.NewCiphertext(k.params, 1, k.params.MaxLevel(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		term, err := heax.NewCiphertext(k.params, 1, k.params.MaxLevel(), 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(spec.Name+"/sum", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := ev.MulPlainSumInto(cts, pts, out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(spec.Name+"/loop", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				err := ev.MulPlainInto(cts[0], pts[0], out)
-				for j := 1; j < terms && err == nil; j++ {
-					if err = ev.MulPlainInto(cts[j], pts[j], term); err == nil {
-						err = ev.AddInto(out, term, out)
-					}
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkAPI_MulRelinInto(b *testing.B) {
 	for _, spec := range heax.StandardSets {
 		b.Run(spec.Name, func(b *testing.B) {

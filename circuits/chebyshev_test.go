@@ -105,8 +105,8 @@ func TestEncryptedSigmoid(t *testing.T) {
 		t.Fatalf("polynomial evaluation should need no rotations:\n%s", plan.Describe())
 	}
 	// The block sums Σ cⱼ·uʲ are sums of plaintext products.
-	if left := unfusedSums(t, plan.Describe()); len(left) != 0 || counts["MulPlainSum"] == 0 {
-		t.Fatalf("the Chebyshev block sums should compile to MulPlainSum steps:\n%s", plan.Describe())
+	if left := unfusedSums(t, plan.Describe()); len(left) != 0 || counts["RotateSum"] == 0 {
+		t.Fatalf("the Chebyshev block sums should compile to RotateSum steps:\n%s", plan.Describe())
 	}
 	lv, err := plan.OutputLevel("y")
 	if err != nil {
@@ -132,6 +132,53 @@ func TestEncryptedSigmoid(t *testing.T) {
 		if d := math.Abs(real(got[i]) - want); d > 1e-4 {
 			t.Fatalf("slot %d (x=%g): encrypted %g vs oracle %g (Δ=%g)", i, real(xs[i]), real(got[i]), want, d)
 		}
+	}
+}
+
+// TestServedLogisticPlan pins the plan the lr-serve-C benchmark serves: a
+// BatchedDot of 8 weights, a bias and the degree-7 sigmoid on Set-C
+// compile to 41 steps, the dot product's giant step and both Chebyshev
+// block sums each one RotateSum, with no sum left unfused.
+func TestServedLogisticPlan(t *testing.T) {
+	k := newKit(t, heax.SetC)
+	dot, err := circuits.BatchedDot([]float64{0.3, -0.2, 0.1, 0.4, -0.5, 0.25, -0.1, 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := heax.NewCircuit()
+	scores, err := dot.Apply(c, c.Input("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob, err := circuits.Sigmoid(7).Apply(c, c.AddConst(scores, 0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Output("p", prob)
+	steps, err := c.RequiredRotations(k.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := c.Compile(k.params, k.keys(t, steps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := plan.Describe()
+	want := map[string]int{"RotateHoisted": 1, "RotateSum": 3, "MulPlain": 17, "Rescale": 13, "MulRelin": 4, "AddPlain": 2, "Add": 1}
+	counts := stepCounts(desc)
+	for kind, n := range want {
+		if counts[kind] != n {
+			t.Errorf("%d %s steps, want %d", counts[kind], kind, n)
+		}
+	}
+	if plan.NumSteps() != 41 {
+		t.Errorf("%d steps, want 41", plan.NumSteps())
+	}
+	if left := unfusedSums(t, desc); len(left) != 0 {
+		t.Errorf("sums left unfused:\n%s", strings.Join(left, "\n"))
+	}
+	if t.Failed() {
+		t.Log(desc)
 	}
 }
 

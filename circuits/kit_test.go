@@ -172,9 +172,9 @@ var describeStep = regexp.MustCompile(`^\s*\d+\s+(\w+)\s+\[([\d ]*)\] -> \[([\d 
 
 // unfusedSums lists the Add lines of a Plan.Describe listing that the
 // compiler should have fused and did not: both operands produced at the
-// Add's level by a MulPlain or a MulPlainSum, or either operand by a
-// Rotate or a RotateSum, read by nothing else and not named outputs. One
-// lowering means the list is empty for every plan.
+// Add's level by a MulPlain, or either operand by a Rotate or a
+// RotateSum, read by nothing else and not named outputs. One lowering
+// means the list is empty for every plan.
 func unfusedSums(t testing.TB, desc string) []string {
 	t.Helper()
 	type step struct {
@@ -225,7 +225,7 @@ func unfusedSums(t testing.TB, desc string) []string {
 			src, ok := producer[slot]
 			return ok && reads[slot] == 1 && steps[src].level == st.level && slices.Contains(kinds, steps[src].kind)
 		}
-		product := func(slot int) bool { return single(slot, "MulPlain", "MulPlainSum") }
+		product := func(slot int) bool { return single(slot, "MulPlain") }
 		rotated := func(slot int) bool { return single(slot, "Rotate", "RotateSum") }
 		if st.kind == "Add" && (product(st.args[0]) && product(st.args[1]) || rotated(st.args[0]) || rotated(st.args[1])) {
 			unfused = append(unfused, st.line)

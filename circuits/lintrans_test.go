@@ -181,9 +181,9 @@ func TestMatVecDenseAtSlotWidth(t *testing.T) {
 // 16-term inner sums plus the unrotated group — 2 steps where every
 // product and partial sum once had its own (527), and every inner sum, giant
 // rotation and join had one until the giant step fused too (47). With
-// BabyDim = 256 it is two steps: 255 rotations in one batch and a single
-// 256-term MulPlainSum. Every diagonal has period 256 in the slots, so
-// every plaintext is stored compact.
+// BabyDim = 256 it is two steps: 255 rotations in one batch and a
+// RotateSum of one unrotated 256-product dot product. Every diagonal has
+// period 256 in the slots, so every plaintext is stored compact.
 func TestMatVecFusesInnerSums(t *testing.T) {
 	k := newKit(t, heax.SetA)
 	rng := rand.New(rand.NewSource(13))
@@ -193,7 +193,7 @@ func TestMatVecFusesInnerSums(t *testing.T) {
 		terms   string
 	}{
 		{0, map[string]int{"RotateHoisted": 1, "RotateSum": 1}, " terms=16 factors=256 compact=256\n"},
-		{256, map[string]int{"RotateHoisted": 1, "MulPlainSum": 1}, " terms=256 compact=256\n"},
+		{256, map[string]int{"RotateHoisted": 1, "RotateSum": 1}, " rot[0] terms=1 factors=256 compact=256\n"},
 	} {
 		plan := matVecPlan(t, k, rng, shape.babyDim)
 		desc := plan.Describe()

@@ -83,7 +83,6 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) 
 		return nil, err
 	}
 	k.hoistRotations()
-	k.fusePlainSums(outputs)
 	k.fuseRotateSums(outputs)
 	k.renumberSlots(outputs) // so nSlots and the footprint describe the fused plan
 
@@ -729,7 +728,7 @@ func (k *compiler) hoistRotations() {
 			groups[s.args[0]] = append(groups[s.args[0]], i)
 		}
 	}
-	drop := make(map[int]bool)
+	drop := make([]bool, len(k.steps))
 	for src, members := range groups {
 		if len(members) < 2 {
 			continue
@@ -748,81 +747,42 @@ func (k *compiler) hoistRotations() {
 		k.steps[members[0]] = merged
 		drop[members[0]] = false
 	}
-	if len(drop) == 0 {
-		return
-	}
-	kept := k.steps[:0]
-	for i, s := range k.steps {
-		if !drop[i] {
-			kept = append(kept, s)
-		}
-	}
-	k.steps = kept
+	k.dropSteps(drop)
 }
 
-// fusePlainSums turns every sum of single-use plaintext products into
-// one step: an Add whose two operands each come from a MulPlain (a
-// compiler lift is one too) or from an already fused sum at the Add's
-// level, are read by nothing else and are not named outputs becomes a
-// MulPlainSum over its operands' terms in order, at the Add's position —
-// after every term's own operand, so the list stays topological — and the
-// producers go. The kernel behind it reduces the sum of the products
-// once, which is the same canonical residue as reducing each product and
-// each partial sum, so no output bit changes; it only stops writing the
-// products and partial sums out.
-func (k *compiler) fusePlainSums(outputs []planOutput) {
-	single, producer := k.singleUse(outputs)
-	dropped := make([]bool, len(k.steps))
-	for i := range k.steps {
-		add := &k.steps[i]
-		if add.kind != stepAdd {
-			continue
-		}
-		var terms [2]*planStep
-		for j, a := range add.args {
-			terms[j] = single(a, add.level, stepMulPlain, stepMulPlainSum)
-		}
-		if terms[0] == nil || terms[1] == nil {
-			continue
-		}
-		// The left operand is dropped, so the sum takes its lists over and
-		// a chain of n terms fuses in O(n).
-		dropped[producer[add.args[0]]], dropped[producer[add.args[1]]] = true, true
-		*add = planStep{
-			kind: stepMulPlainSum, outs: add.outs, level: add.level, scale: add.scale,
-			args: append(terms[0].args, terms[1].args...),
-			pts:  append(plainFactors(terms[0]), plainFactors(terms[1])...),
-		}
-	}
-	k.dropSteps(dropped)
-}
-
-// fuseRotateSums turns every sum of single-use rotations into one step:
-// an Add whose operands come from a Rotate or an already fused sum at the
-// Add's level, read by nothing else and not named outputs — all of them
-// but at most one, the unrotated addend, which may be any value — becomes
-// a RotateSum over its operands' terms in order, at the Add's position,
-// and the producers go. A term whose value before rotation (or the addend
-// itself) is a single-use MulPlain or MulPlainSum at that level takes its
-// plaintext factors over too, so no inner sum of a giant step is ever a
-// plan buffer. The kernel behind it floors all the rotations once, which
-// is bit for bit flooring each (ckks/rotsum.go); RotateHoisted outputs,
-// Sub, and a rotation read twice or named an output stay as they were.
+// fuseRotateSums turns every sum of single-use rotations and plaintext
+// products into one RotateSum step. An Add fuses when either operand comes
+// from a Rotate or an already fused sum, or both from a MulPlain (a
+// compiler lift is one too), at the Add's level, read by nothing else and
+// not named outputs; the other operand of a rotation joins as the
+// unrotated addend, whatever value it is. The sum goes at the Add's
+// position — after every term's own operand, so the list stays
+// topological — and the producers go. A term whose value before rotation
+// (or the addend itself) is a single-use MulPlain, or a sum that is one
+// unrotated dot product, at that level takes its plaintext factors over
+// too, so no inner sum of a giant step is ever a plan buffer; every
+// unrotated factor joins the sum's one unrotated dot product, so a chain
+// of products stays one wide accumulation. The kernel reduces each dot
+// product once and floors all the rotations once, which is bit for bit
+// the unfused steps (ckks/rotsum.go); RotateHoisted outputs, Sub, and a
+// value read twice or named an output stay as they were.
 func (k *compiler) fuseRotateSums(outputs []planOutput) {
 	single, producer := k.singleUse(outputs)
 	dropped := make([]bool, len(k.steps))
-	// term appends slot, rotated by rot, to the sum as a term of its own.
-	term := func(sum *planStep, slot, rot int) {
-		if f := single(slot, sum.level, stepMulPlain, stepMulPlainSum); f != nil {
+	// factors lists what a sum reads for slot: the operands and
+	// plaintexts of its single-use dot-product producer, which goes, or
+	// the slot itself with no plaintext.
+	factors := func(slot, level int) ([]int, []*Plaintext) {
+		switch f := single(slot, level, stepMulPlain, stepRotateSum); {
+		case f == nil:
+		case f.kind == stepMulPlain:
 			dropped[producer[slot]] = true
-			sum.args = append(sum.args, f.args...)
-			sum.pts = append(sum.pts, plainFactors(f)...)
-		} else {
-			sum.args = append(sum.args, slot)
-			sum.pts = append(sum.pts, nil)
+			return f.args, []*Plaintext{f.pt}
+		case len(f.ends) == 1 && f.rots[0] == 0 && f.pts[0] != nil:
+			dropped[producer[slot]] = true
+			return f.args, f.pts
 		}
-		sum.ends = append(sum.ends, len(sum.args))
-		sum.rots = append(sum.rots, rot)
+		return []int{slot}, []*Plaintext{nil}
 	}
 	for i := range k.steps {
 		add := &k.steps[i]
@@ -830,20 +790,26 @@ func (k *compiler) fuseRotateSums(outputs []planOutput) {
 			continue
 		}
 		var rotated [2]*planStep
+		products := 0
 		for j, a := range add.args {
 			rotated[j] = single(a, add.level, stepRotate, stepRotateSum)
+			if single(a, add.level, stepMulPlain) != nil {
+				products++
+			}
 		}
-		if rotated[0] == nil && rotated[1] == nil {
+		if rotated[0] == nil && rotated[1] == nil && products < 2 {
 			continue
 		}
 		sum := planStep{kind: stepRotateSum, outs: add.outs, level: add.level, scale: add.scale}
 		for j, a := range add.args {
 			switch t := rotated[j]; {
 			case t == nil:
-				term(&sum, a, 0)
+				args, pts := factors(a, add.level)
+				sum.addTerm(args, pts, 0)
 			case t.kind == stepRotate:
 				dropped[producer[a]] = true
-				term(&sum, t.args[0], t.rots[0])
+				args, pts := factors(t.args[0], add.level)
+				sum.addTerm(args, pts, t.rots[0])
 			case j == 0:
 				// A fused left operand is dropped, so the sum takes its lists
 				// over and a chain of n terms fuses in O(n).
@@ -851,12 +817,11 @@ func (k *compiler) fuseRotateSums(outputs []planOutput) {
 				sum.args, sum.pts, sum.ends, sum.rots = t.args, t.pts, t.ends, t.rots
 			default:
 				dropped[producer[a]] = true
-				for _, e := range t.ends {
-					sum.ends = append(sum.ends, len(sum.args)+e)
+				lo := 0
+				for u, hi := range t.ends {
+					sum.addTerm(t.args[lo:hi], t.pts[lo:hi], t.rots[u])
+					lo = hi
 				}
-				sum.args = append(sum.args, t.args...)
-				sum.pts = append(sum.pts, t.pts...)
-				sum.rots = append(sum.rots, t.rots...)
 			}
 		}
 		*add = sum
@@ -864,7 +829,32 @@ func (k *compiler) fuseRotateSums(outputs []planOutput) {
 	k.dropSteps(dropped)
 }
 
-// singleUse indexes the step list for the fusion passes: single(slot,
+// addTerm appends a term to a RotateSum: args, with one plaintext each
+// (nil for a bare operand), rotated by rot. An unrotated dot product
+// joins the sum's own if it has one, after its factors, so the sum's
+// first factor — whose scale the kernel gives the result — never moves.
+func (s *planStep) addTerm(args []int, pts []*Plaintext, rot int) {
+	if rot == 0 && pts[0] != nil {
+		lo := 0
+		for t, hi := range s.ends {
+			if s.rots[t] == 0 && s.pts[lo] != nil {
+				s.args = slices.Insert(s.args, hi, args...)
+				s.pts = slices.Insert(s.pts, hi, pts...)
+				for u := t; u < len(s.ends); u++ {
+					s.ends[u] += len(args)
+				}
+				return
+			}
+			lo = hi
+		}
+	}
+	s.args = append(s.args, args...)
+	s.pts = append(s.pts, pts...)
+	s.ends = append(s.ends, len(s.args))
+	s.rots = append(s.rots, rot)
+}
+
+// singleUse indexes the step list for the fusion pass: single(slot,
 // level, kinds...) is the step producing slot when it is one of kinds at
 // level and slot has no other reader (a named output counts as one), and
 // producer maps each slot to its step, -1 for an input.
@@ -896,7 +886,7 @@ func (k *compiler) singleUse(outputs []planOutput) (single func(slot, level int,
 	return single, producer
 }
 
-// dropSteps removes the steps a fusion pass marked.
+// dropSteps removes the steps marked dropped.
 func (k *compiler) dropSteps(dropped []bool) {
 	kept := k.steps[:0]
 	for i, s := range k.steps {
@@ -907,22 +897,18 @@ func (k *compiler) dropSteps(dropped []bool) {
 	k.steps = kept
 }
 
-// plainFactors lists the plaintexts of a MulPlain, MulPlainSum or
-// RotateSum step.
+// plainFactors lists the plaintexts of a MulPlain or RotateSum step.
 func plainFactors(s *planStep) []*Plaintext {
-	switch s.kind {
-	case stepMulPlain:
+	if s.kind == stepMulPlain {
 		return []*Plaintext{s.pt}
-	case stepRotateSum:
-		var pts []*Plaintext
-		for _, pt := range s.pts {
-			if pt != nil {
-				pts = append(pts, pt)
-			}
-		}
-		return pts
 	}
-	return s.pts
+	var pts []*Plaintext
+	for _, pt := range s.pts {
+		if pt != nil {
+			pts = append(pts, pt)
+		}
+	}
+	return pts
 }
 
 // renumberSlots numbers the slots the final step list uses in order of

@@ -52,7 +52,11 @@ func main() {
 		log.Fatal(err)
 	}
 	sw0, sw1 := eval.KeySwitchPoly(c, &rlk.SwitchingKey)
-	fmt.Printf("hardware == software: %v\n", hw0.Equal(sw0) && hw1.Equal(sw1))
+	same := hw0.Equal(sw0) && hw1.Equal(sw1)
+	fmt.Printf("hardware == software: %v\n", same)
+	if !same {
+		log.Fatal("the simulated hardware key switch diverged from the software one")
+	}
 	fmt.Printf("module work (cycles): INTT0 %d, NTT0 %d, Dyad %d, INTT1 %d, NTT1 %d, MS %d\n",
 		sim.INTT0Cycles, sim.NTT0Cycles, sim.DyadCycles, sim.INTT1Cycles, sim.NTT1Cycles, sim.MSCycles)
 

@@ -372,44 +372,6 @@ func (ev *Evaluator) MulPlainInto(ct *Ciphertext, pt *Plaintext, out *Ciphertext
 	return nil
 }
 
-// MulPlainSumInto computes Σ cts[i] ⊙ pts[i] into out in one pass over the
-// operands: every product accumulates unreduced beside the others and the
-// sum is reduced once, so no product and no partial sum is written
-// anywhere — bit-identical to MulPlain on each pair followed by Add in
-// order. Terms are degree-1, min(cts[i].Level, pts[i].Level()) is the
-// same for all, and every product scale is close (as Add requires) to the
-// first, whose scale the result takes. Each plaintext's rows may be full
-// or compact, as MulPlainInto takes them. out must not alias a term.
-func (ev *Evaluator) MulPlainSumInto(cts []*Ciphertext, pts []*Plaintext, out *Ciphertext) error {
-	if len(cts) == 0 || len(cts) != len(pts) {
-		return fmt.Errorf("ckks: MulPlainSum of %d ciphertexts and %d plaintexts", len(cts), len(pts))
-	}
-	level, scale := min(cts[0].Level, pts[0].Level()), cts[0].Scale*pts[0].Scale
-	for i, ct := range cts {
-		if ct.Degree() != 1 {
-			return fmt.Errorf("ckks: MulPlainSum requires degree-1 terms (term %d has degree %d): %w", i, ct.Degree(), ErrDegreeMismatch)
-		}
-		if l := min(ct.Level, pts[i].Level()); l != level {
-			return fmt.Errorf("ckks: MulPlainSum term %d at level %d, term 0 at level %d: %w", i, l, level, ErrLevelMismatch)
-		}
-		if s := ct.Scale * pts[i].Scale; !scalesClose(scale, s) {
-			return fmt.Errorf("ckks: cannot add scales %g and %g: %w", scale, s, ErrScaleMismatch)
-		}
-	}
-	if err := ev.prepareInto(out, 1, level, scale); err != nil {
-		return err
-	}
-	var terms [ring.DotChunk]ring.DotTerm
-	for lo := 0; lo < len(cts); lo += len(terms) {
-		n := min(len(cts)-lo, len(terms))
-		for i := 0; i < n; i++ {
-			terms[i].X0, terms[i].X1, terms[i].Y = cts[lo+i].Polys[0], cts[lo+i].Polys[1], pts[lo+i].Value
-		}
-		ev.ctx.MulCoeffsDotPair(terms[:n], lo > 0, out.Polys[0], out.Polys[1])
-	}
-	return nil
-}
-
 // Mul returns the degree-2 product of two degree-1 ciphertexts
 // (Algorithm 5): (a0⊙b0, a0⊙b1 + a1⊙b0, a1⊙b1).
 func (ev *Evaluator) Mul(ct0, ct1 *Ciphertext) (*Ciphertext, error) {

@@ -2,7 +2,6 @@ package ckks
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -167,106 +166,6 @@ func TestRotateHoistedIntoMatchesRotateHoisted(t *testing.T) {
 		}
 		for i, c := range []*Ciphertext{ct, outs[0], outs[1]} {
 			polysEqual(t, "a refused RotateHoistedInto ("+name+")", snaps[i], c)
-		}
-	}
-}
-
-// MulPlainSumInto must equal MulPlain on each pair followed by Add in
-// order, bit for bit and to the scale: on 40/43-bit rows (hundreds of
-// products per reduction), on 49-bit rows (four), on mixedSpec's 55-bit
-// scalar row beside its 45-bit IFMA rows, with lists that fit one
-// ring.DotChunk and lists that chain several, one level down (operand
-// polynomials longer than the result), serial and fanned out.
-func TestMulPlainSumIntoMatchesMulPlainAdd(t *testing.T) {
-	wide := ParamSpec{Name: "sum-49", LogN: 10, QBits: []int{49, 49, 49}, PBits: 46, LogScale: 40}
-	for _, spec := range []ParamSpec{smallSpec, wide, mixedSpec} {
-		kit := newTestKit(t, spec)
-		params := kit.params
-		rng := rand.New(rand.NewSource(33))
-		const most = 70
-		cts, pts := make([]*Ciphertext, most), make([]*Plaintext, most)
-		for i := range cts {
-			pts[i], _ = kit.enc.Encode(randomComplex(rng, params.Slots(), 1), params.MaxLevel(), params.DefaultScale())
-			cts[i], _ = kit.encPk.Encrypt(pts[i])
-		}
-		cts[1], cts[3] = cts[0], cts[0] // shared operands, as baby steps are
-		pts[2] = pts[1]
-		for _, level := range []int{params.MaxLevel(), 1} {
-			for _, terms := range []int{1, 2, 5, ring.DotChunk, ring.DotChunk + 1, most} {
-				c, p := make([]*Ciphertext, terms), make([]*Plaintext, terms)
-				for i := range c {
-					c[i], _ = kit.eval.DropLevel(cts[i], level)
-					p[i] = pts[i]
-				}
-				want, err := kit.eval.MulPlain(c[0], p[0])
-				for i := 1; i < terms && err == nil; i++ {
-					var term *Ciphertext
-					if term, err = kit.eval.MulPlain(c[i], p[i]); err == nil {
-						want, err = kit.eval.Add(want, term)
-					}
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, workers := range []int{1, 4} {
-					ev := NewEvaluator(params)
-					ev.SetWorkers(workers)
-					out, _ := NewCiphertext(params, 2, params.MaxLevel(), 0)
-					if err := ev.MulPlainSumInto(c, p, out); err != nil {
-						t.Fatal(err)
-					}
-					name := fmt.Sprintf("%s level %d, %d terms, %d workers", spec.Name, level, terms, workers)
-					polysEqual(t, name, want, out)
-					if out.Scale != want.Scale {
-						t.Fatalf("%s: scale %g, want %g", name, out.Scale, want.Scale)
-					}
-				}
-			}
-		}
-	}
-}
-
-// MulPlainSumInto refuses what the MulPlain/Add sequence it replaces
-// would refuse, or could not express, with the same typed errors.
-func TestMulPlainSumIntoErrors(t *testing.T) {
-	kit := newTestKit(t, smallSpec)
-	params := kit.params
-	top, scale := params.MaxLevel(), params.DefaultScale()
-	rng := rand.New(rand.NewSource(34))
-	encode := func(level int, scale float64) *Plaintext {
-		pt, err := kit.enc.Encode(randomComplex(rng, params.Slots(), 1), level, scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pt
-	}
-	pt := encode(top, scale)
-	x, _ := kit.encPk.Encrypt(pt)
-	xLow, _ := kit.eval.DropLevel(x, 1)
-	deg2, _ := kit.eval.Mul(x, x)
-	out, _ := NewCiphertext(params, 1, top, 0)
-	shallow, _ := NewCiphertext(params, 1, top, 0)
-	for _, p := range shallow.Polys {
-		p.Coeffs = p.Coeffs[:1:1]
-	}
-	for _, tc := range []struct {
-		name string
-		cts  []*Ciphertext
-		pts  []*Plaintext
-		out  *Ciphertext
-		want error
-	}{
-		{"a term one level down", []*Ciphertext{x, xLow}, []*Plaintext{pt, pt}, out, ErrLevelMismatch},
-		{"a plaintext one level down", []*Ciphertext{x, x}, []*Plaintext{pt, encode(1, scale)}, out, ErrLevelMismatch},
-		{"a degree-2 term", []*Ciphertext{x, deg2}, []*Plaintext{pt, pt}, out, ErrDegreeMismatch},
-		{"a product at twice the scale", []*Ciphertext{x, x}, []*Plaintext{pt, encode(top, 2*scale)}, out, ErrScaleMismatch},
-		{"an output too shallow", []*Ciphertext{x, x}, []*Plaintext{pt, pt}, shallow, ErrLevelMismatch},
-		{"no terms", nil, nil, out, nil},
-		{"more ciphertexts than plaintexts", []*Ciphertext{x, x}, []*Plaintext{pt}, out, nil},
-	} {
-		err := kit.eval.MulPlainSumInto(tc.cts, tc.pts, tc.out)
-		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
-			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }

@@ -125,9 +125,10 @@ func TestKernelsDoNotMutateInputs(t *testing.T) {
 			into:  func(ev *Evaluator, o []*Ciphertext) error { return ev.MulPlainInto(ct, pt, o[0]) },
 			alloc: func(ev *Evaluator) ([]*Ciphertext, error) { return one(ev.MulPlain(ct, pt)) }})
 	}
-	add(kernelCase{name: "MulPlainSum/L3,L1", cts: []*Ciphertext{x, yLow}, pt: pt,
+	// A plain sum: one unrotated dot product, its factors at two levels.
+	add(kernelCase{name: "RotateSum/plain/L3,L1", cts: []*Ciphertext{x, yLow}, pt: pt,
 		into: func(ev *Evaluator, o []*Ciphertext) error {
-			return ev.MulPlainSumInto([]*Ciphertext{yLow, x, yLow}, []*Plaintext{pt, ptLow, pt}, o[0])
+			return ev.RotateSumInto([]*Ciphertext{yLow, x, yLow}, []*Plaintext{pt, ptLow, pt}, []int{3}, []int{0}, nil, o[0])
 		}})
 	// A giant step: a bare unrotated product and two rotated dot products,
 	// at the top level and at level 1 (where the operands are views).

@@ -33,12 +33,14 @@ import (
 // Σ cts[i] ⊙ pts[i] over i in [ends[t−1], ends[t]) (ends[−1] = 0), or the
 // ciphertext cts[i] itself when that range is the single i and pts[i] is
 // nil; a step that normalizes to 0 leaves its term unrotated. It is
-// bit-identical to MulPlainSumInto (or the bare ciphertext), RotateLeftInto
-// and AddInto term by term in order, and like them it resolves every key
-// and checks every degree, level and scale before writing out: terms are
-// degree-1 at one level, every factor's scale is close to its term's first
-// and every term's to the first term's, whose scale the result takes. out
-// must not share storage with a term.
+// bit-identical to MulPlainInto and AddInto over a term's products (or the
+// bare ciphertext), then RotateLeftInto and AddInto term by term in order,
+// and like them it resolves every key and checks every degree, level and
+// scale before writing out: terms are degree-1 at one level, every
+// factor's scale is close to its term's first and every term's to the
+// first term's, whose scale the result takes. out must not share storage
+// with any operand. A sum of plaintext products alone is one unrotated
+// term: its dot product, written straight into out.
 func (ev *Evaluator) RotateSumInto(cts []*Ciphertext, pts []*Plaintext, ends, steps []int, gks *GaloisKeySet, out *Ciphertext) error {
 	s := ev.getRotSum()
 	defer ev.putRotSum(s)

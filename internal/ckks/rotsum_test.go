@@ -24,11 +24,14 @@ type rotSumFixture struct {
 // rotSumShape picks a sum: rotated terms with steps 1..rotated, an
 // unrotated addend (first, or last) or none, and every other term a dot
 // product of one to three plaintext products (full and compact rows) or
-// all of them bare ciphertexts, at the given level.
+// all of them bare ciphertexts, at the given level. A plain sum is one
+// unrotated dot product of that many products and nothing else, its
+// plaintexts a level above the ciphertexts, whose level the sum takes.
 type rotSumShape struct {
 	rotated      int
 	addend, last bool
 	dots         bool
+	plain        int
 	level        int
 }
 
@@ -81,31 +84,45 @@ func newRotSumFixture(t testing.TB, spec ParamSpec, shape rotSumShape, seed int6
 		return &Ciphertext{Polys: []*ring.Poly{randRows(ctx.N), randRows(ctx.N)}, Scale: scale, Level: shape.level}
 	}
 	f := &rotSumFixture{params: params, gks: rotSumGaloisKeys(t, params, spec, shape.rotated)}
-	term := func(step int) {
-		if shape.dots && len(f.ends)%2 == 0 {
-			for n := 1 + rng.Intn(3); n > 0; n-- {
-				width := ctx.N
-				if rng.Intn(2) == 0 {
-					width = ctx.N / uintmod.Lanes
-				}
-				f.cts = append(f.cts, ct(scale))
-				f.pts = append(f.pts, &Plaintext{Value: randRows(width), Scale: scale})
-			}
-		} else {
+	// term appends a term rotated by step: a dot product of n products,
+	// or a bare ciphertext for n = 0.
+	term := func(step, n int) {
+		if n == 0 {
 			f.cts = append(f.cts, ct(scale*scale)) // the scale of a product term
 			f.pts = append(f.pts, nil)
+		}
+		for ; n > 0; n-- {
+			width := ctx.N
+			if rng.Intn(2) == 0 {
+				width = ctx.N / uintmod.Lanes
+			}
+			f.cts = append(f.cts, ct(scale))
+			pt := &Plaintext{Value: randRows(width), Scale: scale}
+			if shape.plain > 0 {
+				pt.Value.Coeffs = append(pt.Value.Coeffs, make([]uint64, width))
+			}
+			f.pts = append(f.pts, pt)
 		}
 		f.ends = append(f.ends, len(f.cts))
 		f.steps = append(f.steps, step)
 	}
+	factors := func() int {
+		if shape.dots && len(f.ends)%2 == 0 {
+			return 1 + rng.Intn(3)
+		}
+		return 0
+	}
+	if shape.plain > 0 {
+		term(0, shape.plain)
+	}
 	if shape.addend && !shape.last {
-		term(0)
+		term(0, factors())
 	}
 	for s := 1; s <= shape.rotated; s++ {
-		term(s)
+		term(s, factors())
 	}
 	if shape.addend && shape.last {
-		term(0)
+		term(0, factors())
 	}
 	return f
 }
@@ -164,7 +181,10 @@ func (f *rotSumFixture) fused(t testing.TB, ev *Evaluator) *Ciphertext {
 // Set-A and Set-C at the sizes their plans use — bare and dot-product
 // terms, with and without an unrotated addend, below the top level, with
 // its tail sums folded every two terms (and, on mixedSpec's 58-bit special
-// prime, reduced on the scalar path), on one worker and fanned out.
+// prime, reduced on the scalar path), on one worker and fanned out. Plain
+// sums, a lone unrotated dot product as a plan's sum of plaintext products
+// compiles to, are MulPlain and Add in order to the scale, with one
+// ring.DotChunk of products, one and a bit, and several.
 func TestRotateSumMatchesUnfused(t *testing.T) {
 	type tc struct {
 		spec  ParamSpec
@@ -180,16 +200,25 @@ func TestRotateSumMatchesUnfused(t *testing.T) {
 		{SetA, rotSumShape{rotated: 15, level: 0}},
 		{SetC, rotSumShape{rotated: 3, addend: true, dots: true, level: 7}},
 	}
-	if testing.Short() {
-		cases = cases[:6]
+	for _, spec := range []ParamSpec{smallSpec, SetC} {
+		for _, plain := range []int{1, ring.DotChunk, ring.DotChunk + 1, 40} {
+			cases = append(cases, tc{spec, rotSumShape{plain: plain, level: 2}})
+		}
 	}
+	cases = append(cases, tc{mixedSpec, rotSumShape{plain: ring.DotChunk + 1, level: 1}})
 	for n, c := range cases {
+		if testing.Short() && (c.spec.Name == SetC.Name || c.shape.rotated == 15 && c.shape.level == 0) {
+			continue
+		}
 		f := newRotSumFixture(t, c.spec, c.shape, int64(n))
 		want := f.unfused(t, NewEvaluator(f.params))
 		for _, workers := range []int{1, 4} {
 			for _, fold := range []int{0, 2} {
 				name := fmt.Sprintf("%s/rot%d/addend=%v/last=%v/dots=%v/L%d/w%d/fold%d",
 					c.spec.Name, c.shape.rotated, c.shape.addend, c.shape.last, c.shape.dots, c.shape.level, workers, fold)
+				if c.shape.plain > 0 {
+					name = fmt.Sprintf("%s/plain%d/L%d/w%d/fold%d", c.spec.Name, c.shape.plain, c.shape.level, workers, fold)
+				}
 				t.Run(name, func(t *testing.T) {
 					ev := NewEvaluator(f.params)
 					ev.SetWorkers(workers)
@@ -271,46 +300,67 @@ func TestRotateSumHelpers(t *testing.T) {
 	})
 }
 
-// TestRotateSumFailsBeforeWriting: a missing key, a term at another level
-// or scale, a degree-2 term and an output sharing an operand's storage are
-// refused with their sentinels before out is touched.
+// TestRotateSumFailsBeforeWriting: a missing key, a term or a factor at
+// another level or scale, a degree-2 term or factor, operand lists that do
+// not match and an output sharing an operand's storage are refused, with
+// their sentinels where they have one, before out is touched.
 func TestRotateSumFailsBeforeWriting(t *testing.T) {
 	f := newRotSumFixture(t, smallSpec, rotSumShape{rotated: 3, addend: true, dots: true, level: 2}, 9)
+	plain := newRotSumFixture(t, smallSpec, rotSumShape{plain: 4, level: 2}, 10)
 	ev := NewEvaluator(f.params)
-	mutate := func(edit func(g *rotSumFixture)) *rotSumFixture {
-		g := *f
-		g.cts = append([]*Ciphertext(nil), f.cts...)
-		g.pts = append([]*Plaintext(nil), f.pts...)
-		g.steps = append([]int(nil), f.steps...)
+	mutate := func(base *rotSumFixture, edit func(g *rotSumFixture)) *rotSumFixture {
+		g := *base
+		g.cts = append([]*Ciphertext(nil), base.cts...)
+		g.pts = append([]*Plaintext(nil), base.pts...)
+		g.steps = append([]int(nil), base.steps...)
 		edit(&g)
 		return &g
+	}
+	// aliased is a fresh output that shares ct's second component.
+	aliased := func(ct *Ciphertext) *Ciphertext {
+		out := CopyOf(ct)
+		out.Polys[1] = ct.Polys[1]
+		return out
+	}
+	lower := func(ct *Ciphertext) *Ciphertext {
+		return &Ciphertext{Polys: []*ring.Poly{ct.Polys[0].Resize(2), ct.Polys[1].Resize(2)}, Scale: ct.Scale, Level: 1}
 	}
 	last := len(f.cts) - 1
 	cases := []struct {
 		name string
 		f    *rotSumFixture
 		out  *Ciphertext
-		want error
+		want error // nil: any error
 	}{
-		{"missing key", mutate(func(g *rotSumFixture) { g.steps[len(g.steps)-1] = 5 }), nil, ErrKeyMissing},
-		{"no keys", mutate(func(g *rotSumFixture) { g.gks = nil }), nil, ErrKeyMissing},
-		{"level", mutate(func(g *rotSumFixture) {
-			g.cts[last] = &Ciphertext{Polys: []*ring.Poly{g.cts[last].Polys[0].Resize(2), g.cts[last].Polys[1].Resize(2)},
-				Scale: g.cts[last].Scale, Level: 1}
-		}), nil, ErrLevelMismatch},
-		{"scale", mutate(func(g *rotSumFixture) {
+		{"missing key", mutate(f, func(g *rotSumFixture) { g.steps[len(g.steps)-1] = 5 }), nil, ErrKeyMissing},
+		{"no keys", mutate(f, func(g *rotSumFixture) { g.gks = nil }), nil, ErrKeyMissing},
+		{"level", mutate(f, func(g *rotSumFixture) { g.cts[last] = lower(g.cts[last]) }), nil, ErrLevelMismatch},
+		{"scale", mutate(f, func(g *rotSumFixture) {
 			c := *g.cts[last]
 			c.Scale *= 2
 			g.cts[last] = &c
 		}), nil, ErrScaleMismatch},
-		{"degree", mutate(func(g *rotSumFixture) {
+		{"degree", mutate(f, func(g *rotSumFixture) {
 			c := *g.cts[0]
 			c.Polys = append(c.Polys, c.Polys[0])
 			g.cts[0] = &c
 		}), nil, ErrDegreeMismatch},
-		{"aliased output", f, CopyOf(f.cts[last]), ErrLevelMismatch},
+		{"aliased output", f, aliased(f.cts[last]), ErrLevelMismatch},
+		{"plain/factor level", mutate(plain, func(g *rotSumFixture) { g.cts[1] = lower(g.cts[1]) }), nil, ErrLevelMismatch},
+		{"plain/plaintext level", mutate(plain, func(g *rotSumFixture) {
+			g.pts[2] = &Plaintext{Value: g.pts[2].Value.Resize(2), Scale: g.pts[2].Scale}
+		}), nil, ErrLevelMismatch},
+		{"plain/factor degree", mutate(plain, func(g *rotSumFixture) {
+			c := *g.cts[3]
+			c.Polys = append(c.Polys, c.Polys[0])
+			g.cts[3] = &c
+		}), nil, ErrDegreeMismatch},
+		{"plain/factor scale", mutate(plain, func(g *rotSumFixture) {
+			g.pts[1] = &Plaintext{Value: g.pts[1].Value, Scale: 2 * g.pts[1].Scale}
+		}), nil, ErrScaleMismatch},
+		{"plain/count", mutate(plain, func(g *rotSumFixture) { g.pts = g.pts[:3] }), nil, nil},
+		{"plain/aliased factor", plain, aliased(plain.cts[2]), ErrLevelMismatch},
 	}
-	cases[len(cases)-1].out.Polys[1] = f.cts[last].Polys[1]
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			out := c.out
@@ -319,7 +369,7 @@ func TestRotateSumFailsBeforeWriting(t *testing.T) {
 			}
 			before := CopyOf(out)
 			err := ev.RotateSumInto(c.f.cts, c.f.pts, c.f.ends, c.f.steps, c.f.gks, out)
-			if !errors.Is(err, c.want) {
+			if err == nil || c.want != nil && !errors.Is(err, c.want) {
 				t.Fatalf("err = %v, want %v", err, c.want)
 			}
 			if !sameCiphertext(out, before) {
@@ -331,7 +381,7 @@ func TestRotateSumFailsBeforeWriting(t *testing.T) {
 
 // BenchmarkRotateSum prices the matvec-serve-A giant step (Set-A, 15
 // rotated 16-term dot products and an unrotated one) fused, against the
-// RotateLeftInto + AddInto it replaced on the same dot products; -cpu
+// MulPlainInto, RotateLeftInto and AddInto steps it replaced; -cpu
 // sets the workers, so -cpu 1 is the kernel alone and -cpu 2 with the
 // helper a pool worker may lend it.
 func BenchmarkRotateSum(b *testing.B) {
@@ -370,12 +420,21 @@ func BenchmarkRotateSum(b *testing.B) {
 	b.Run("unfused", func(b *testing.B) {
 		sum, _ := NewCiphertext(f.params, 1, 1, 0)
 		inner, _ := NewCiphertext(f.params, 1, 1, 0)
+		prod, _ := NewCiphertext(f.params, 1, 1, 0)
 		rot, _ := NewCiphertext(f.params, 1, 1, 0)
 		for i := 0; i < b.N; i++ {
 			lo := 0
 			for t, hi := range f.ends {
-				if err := ev.MulPlainSumInto(f.cts[lo:hi], f.pts[lo:hi], inner); err != nil {
+				if err := ev.MulPlainInto(f.cts[lo], f.pts[lo], inner); err != nil {
 					b.Fatal(err)
+				}
+				for j := lo + 1; j < hi; j++ {
+					if err := ev.MulPlainInto(f.cts[j], f.pts[j], prod); err != nil {
+						b.Fatal(err)
+					}
+					if err := ev.AddInto(inner, prod, inner); err != nil {
+						b.Fatal(err)
+					}
 				}
 				if err := ev.RotateLeftInto(inner, f.steps[t], f.gks, rot); err != nil {
 					b.Fatal(err)

@@ -96,8 +96,8 @@ type Plan struct {
 	// serial chain consuming them holds one window's buffers, not one per
 	// term (DESIGN.md, "Execution"). Sums of plaintext products — a BSGS
 	// matvec's 256 MulPlains, the shape this was built for — no longer
-	// need it: Compile fuses each into one MulPlainSum step, and a giant
-	// step with its inner sums into one RotateSum.
+	// need it: Compile fuses each, and a giant step with its inner sums,
+	// into one RotateSum step.
 	lookahead int
 	footprint int // windowSlots() as of Compile, for FootprintBytes
 	// bufs pools top-level intermediate ciphertexts (sharedBufPool, shared
@@ -189,7 +189,6 @@ const (
 	stepConjugate
 	stepInnerSum
 	stepCopy
-	stepMulPlainSum
 	stepRotateSum
 )
 
@@ -205,7 +204,6 @@ var stepKindNames = [...]string{
 	stepConjugate:     "ConjugateSlots",
 	stepInnerSum:      "InnerSum",
 	stepCopy:          "Copy",
-	stepMulPlainSum:   "MulPlainSum",
 	stepRotateSum:     "RotateSum",
 }
 
@@ -215,11 +213,10 @@ type planStep struct {
 	args []int
 	outs []int
 	// pt is the payload of plain operations, encoded once at compile
-	// time at the inferred level and scale; a fused sum of plaintext
-	// products holds one per operand in pts, and a RotateSum one per
-	// operand of a dot-product term, nil for a bare one. A multiplier's
-	// rows may be compact (compactRows); an AddPlain payload's are always
-	// full.
+	// time at the inferred level and scale; a RotateSum holds one per
+	// operand of a dot-product term in pts, nil for a bare one. A
+	// multiplier's rows may be compact (compactRows); an AddPlain
+	// payload's are always full.
 	pt  *Plaintext
 	pts []*Plaintext
 	// rots is the rotation step (len 1) or hoisted batch (len > 1), or a
@@ -295,13 +292,10 @@ func (p *Plan) Describe() string {
 		if s.n2 > 0 {
 			fmt.Fprintf(&b, " n2=%d", s.n2)
 		}
-		switch s.kind {
-		case stepMulPlainSum:
-			fmt.Fprintf(&b, " terms=%d", len(s.pts))
-		case stepRotateSum:
+		if s.kind == stepRotateSum {
 			fmt.Fprintf(&b, " terms=%d factors=%d", len(s.ends), len(plainFactors(&s)))
 		}
-		if s.kind == stepMulPlain || s.kind == stepMulPlainSum || s.kind == stepRotateSum {
+		if s.kind == stepMulPlain || s.kind == stepRotateSum {
 			fmt.Fprintf(&b, " compact=%d", p.compactFactors(&s))
 		}
 		if s.lifted {
@@ -318,8 +312,8 @@ func (p *Plan) Describe() string {
 	return b.String()
 }
 
-// compactFactors counts the plaintexts of a MulPlain, MulPlainSum or
-// RotateSum step that Compile stored compact (compactRows).
+// compactFactors counts the plaintexts of a MulPlain or RotateSum step
+// that Compile stored compact (compactRows).
 func (p *Plan) compactFactors(s *planStep) int {
 	n := 0
 	for _, pt := range plainFactors(s) {
@@ -692,8 +686,6 @@ func (p *Plan) execKernel(idx int, st *planStep, in, outs []*Ciphertext) (err er
 			err = e.inner.InnerSumInto(in[0], st.n2, e.keys.Galois, outs[0])
 		case stepCopy:
 			err = e.inner.CopyInto(in[0], outs[0])
-		case stepMulPlainSum:
-			err = e.inner.MulPlainSumInto(in, st.pts, outs[0])
 		case stepRotateSum:
 			err = e.inner.RotateSumInto(in, st.pts, st.ends, st.rots, e.keys.Galois, outs[0])
 		default:

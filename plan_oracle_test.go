@@ -110,18 +110,6 @@ func replayPlan(t *testing.T, p *Plan, in map[string]*Ciphertext) map[string]*Ci
 			slots[st.outs[0]], err = e.InnerSum(a, st.n2)
 		case stepCopy:
 			slots[st.outs[0]] = CopyOf(a)
-		case stepMulPlainSum:
-			// What the step was fused from: each product, then the sum so
-			// far plus it, in term order.
-			var sum *Ciphertext
-			for j := 0; j < len(st.args) && err == nil; j++ {
-				var term *Ciphertext
-				if term, err = e.MulPlain(slots[st.args[j]], st.pts[j]); err == nil && j > 0 {
-					term, err = e.Add(sum, term)
-				}
-				sum = term
-			}
-			slots[st.outs[0]] = sum
 		case stepRotateSum:
 			// What the step was fused from: each term's products and their
 			// sum (or its bare operand), its rotation, then the sum so far
@@ -479,8 +467,8 @@ func TestPlanRandomDAGs(t *testing.T) {
 	}
 	sentinels := []error{ErrLevelMismatch, ErrScaleMismatch, ErrKeyMissing, ErrUnencodable, ErrInvalidCircuit}
 	total, compiled, refused := 0, 0, make(map[error]int)
-	fused, widest, kept := 0, 0, 0 // MulPlainSum steps, the most terms in one, MulPlain steps left
-	mixed := 0                     // MulPlainSum steps with compact and full plaintexts
+	fused, widest, kept := 0, 0, 0 // unrotated dot products, the most factors in one, MulPlain steps left
+	mixed := 0                     // unrotated dot products with compact and full plaintexts
 	rotSums, lowSums := 0, 0       // RotateSum steps of two or more rotated terms; those below the top level
 	for _, pass := range []struct {
 		spec  ParamSpec
@@ -513,20 +501,23 @@ func TestPlanRandomDAGs(t *testing.T) {
 			compiled++
 			for _, st := range plan.steps {
 				switch st.kind {
-				case stepMulPlainSum:
-					fused++
-					widest = max(widest, len(st.pts))
-					if compact := plan.compactFactors(&st); compact > 0 && compact < len(st.pts) {
-						mixed++
-					}
 				case stepMulPlain:
 					kept++
 				case stepRotateSum:
-					rotated := 0
-					for _, r := range st.rots {
-						if r != 0 {
+					rotated, lo := 0, 0
+					for j, hi := range st.ends {
+						switch {
+						case st.rots[j] != 0:
 							rotated++
+						case st.pts[lo] != nil:
+							fused++
+							widest = max(widest, hi-lo)
+							dot := planStep{kind: stepRotateSum, pts: st.pts[lo:hi]}
+							if compact := plan.compactFactors(&dot); compact > 0 && compact < hi-lo {
+								mixed++
+							}
 						}
+						lo = hi
 					}
 					if rotated >= 2 {
 						rotSums++

@@ -2,12 +2,11 @@ package heax
 
 import "heax/internal/uintmod"
 
-// PlainRowShapes counts the multiplying plaintexts of p's MulPlain,
-// MulPlainSum and RotateSum steps, and how many of them are stored
-// compact.
+// PlainRowShapes counts the multiplying plaintexts of p's MulPlain and
+// RotateSum steps, and how many of them are stored compact.
 func PlainRowShapes(p *Plan) (compact, total int) {
 	for i := range p.steps {
-		if st := &p.steps[i]; st.kind == stepMulPlain || st.kind == stepMulPlainSum || st.kind == stepRotateSum {
+		if st := &p.steps[i]; st.kind == stepMulPlain || st.kind == stepRotateSum {
 			compact += p.compactFactors(st)
 			total += len(plainFactors(st))
 		}
@@ -36,7 +35,7 @@ func ExpandPlainRows(p *Plan) {
 		switch st.kind {
 		case stepMulPlain:
 			st.pt = expand(st.pt)
-		case stepMulPlainSum, stepRotateSum:
+		case stepRotateSum:
 			pts := make([]*Plaintext, len(st.pts))
 			for j, pt := range st.pts {
 				pts[j] = expand(pt)

@@ -389,15 +389,17 @@ func TestPlanRunAllocations(t *testing.T) {
 // TestPlanFootprintCoversMatVec: on the 256×256 BSGS matvec that
 // heax/circuits builds (the benchmark's matvec-serve-A plan) no run, at
 // crew 1, 2 or 4, holds more pooled buffers than FootprintBytes admits
-// it for. With its giant step fused the plan is 2 steps and 17 slots —
-// shorter than the window of a crew of 1 — so the bound is absolute: no
-// more than the 35, 51 and 83 slots the plan was admitted for when every
-// product and partial sum had a slot of its own (542), which a fusion
-// that dropped the steps but kept their slots would overshoot.
+// it for. With its giant step fused the plan is 2 steps — one RotateHoisted
+// batch of baby steps and one RotateSum — and 17 slots, shorter than the
+// window of a crew of 1, so the bound is absolute: no more than the 35, 51
+// and 83 slots the plan was admitted for when every product and partial
+// sum had a slot of its own (542), which a fusion that dropped the steps
+// but kept their slots would overshoot.
 func TestPlanFootprintCoversMatVec(t *testing.T) {
 	plan, in := denseMatVec(t)
-	if plan.NumSteps() > 50 {
-		t.Fatalf("matvec plan has %d steps, want at most 50:\n%s", plan.NumSteps(), plan.Describe())
+	desc := plan.Describe()
+	if plan.NumSteps() != 2 || !strings.Contains(desc, "\n  0  RotateHoisted ") || !strings.Contains(desc, "\n  1  RotateSum ") {
+		t.Fatalf("matvec plan has %d steps, want RotateHoisted then RotateSum:\n%s", plan.NumSteps(), desc)
 	}
 	heax.PeakFootprint(t, plan, in, [2]int{1, 35}, [2]int{2, 51}, [2]int{4, 83})
 }

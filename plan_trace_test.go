@@ -30,7 +30,7 @@ func (c *countingTracer) ObserveStep(kind string, d time.Duration) {
 // traceCircuit exercises several step kinds: an addition of two inputs
 // (nothing to fuse), a relinearized product, a rotation, rescales, and a
 // sum of two plaintext products — the rotated value lifted to the other's
-// scale, and a plain multiply — which compiles to one MulPlainSum.
+// scale, and a plain multiply — which compiles to one RotateSum.
 func traceCircuit() *heax.Circuit {
 	c := heax.NewCircuit()
 	x := c.Input("x")
@@ -58,7 +58,7 @@ func TestPlanTracerObservesEverySteps(t *testing.T) {
 	if observed != plan.NumSteps() {
 		t.Fatalf("tracer observed %d steps of %d", observed, plan.NumSteps())
 	}
-	for _, kind := range []string{"MulRelin", "Rotate", "MulPlain", "Add", "MulPlainSum"} {
+	for _, kind := range []string{"MulRelin", "Rotate", "MulPlain", "Add", "RotateSum"} {
 		if tr.kinds[kind] == 0 {
 			t.Errorf("no %s step observed; got %v", kind, tr.kinds)
 		}

@@ -118,10 +118,10 @@ func TestServeMetricsEndToEnd(t *testing.T) {
 		t.Errorf("run_seconds sample lacks the hex plan label:\n%s", exp)
 	}
 	// Step tracing is on by default: the matvec plan's products compile
-	// to MulPlainSum steps — a kind this package never names; it reaches
+	// to RotateSum steps — a kind this package never names; it reaches
 	// the family through heax.StepKinds — whose kernels must have been timed.
-	if got := sampleValue(t, exp, `heax_plan_step_seconds_count{kind="MulPlainSum"}`); got == 0 {
-		t.Error("step tracing on by default, but MulPlainSum observed no steps")
+	if got := sampleValue(t, exp, `heax_plan_step_seconds_count{kind="RotateSum"}`); got == 0 {
+		t.Error("step tracing on by default, but RotateSum observed no steps")
 	}
 
 	// Stats and obs agree exactly — one mutex discipline.
