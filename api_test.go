@@ -324,6 +324,12 @@ func TestIntoAllocations(t *testing.T) {
 	// products, one of them on a compact plaintext.
 	sumCts, sumPts := []*heax.Ciphertext{sq, x, y}, []*heax.Plaintext{nil, pt, compact}
 	sumEnds, sumSteps := []int{1, 2, 3}, []int{0, 1, 2}
+	hoisted := make([]*heax.Ciphertext, 3)
+	for i := range hoisted {
+		if hoisted[i], err = heax.NewCiphertext(k.params, 1, k.params.MaxLevel(), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	// retries: further windows a case may be measured in when one reads
 	// over max. Only the giant step has any: it offers itself to a pool
@@ -344,6 +350,7 @@ func TestIntoAllocations(t *testing.T) {
 		{"MulRelinInto", 2, 0, func() error { return k.eval.MulRelinInto(x, y, out) }},
 		{"RescaleInto", 2, 0, func() error { return k.eval.RescaleInto(prod, res) }},
 		{"RotateInto", 2, 0, func() error { return k.eval.RotateInto(x, 1, out) }},
+		{"RotateHoistedInto", 13, 0, func() error { return k.eval.RotateHoistedInto(x, []int{1, 2, 1}, hoisted) }},
 		{"RotateSumInto", 0, 3, func() error { return heax.RotateSumInto(k.eval, sumCts, sumPts, sumEnds, sumSteps, out) }},
 	}
 	for _, tc := range cases {

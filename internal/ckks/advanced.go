@@ -27,18 +27,18 @@ type HoistedDecomposition struct {
 // keySwitchHoistedInto runs the multiply-accumulate and flooring tail of
 // Algorithm 7 over a cached decomposition into the caller-provided
 // output polynomials, optionally permuting each digit with an
-// NTT-domain automorphism table first. The expensive transforms are
+// NTT-domain automorphism first. The expensive transforms are
 // already cached, so the MAC phase is a single pass over the accumulator
 // rows. As with keySwitchAddInto, optional add operands are folded into
 // the flooring row pass (the rotation epilogue ks0 + permuted c0).
-func (ev *Evaluator) keySwitchHoistedInto(hd *HoistedDecomposition, swk *SwitchingKey, table []int, add0, add1, out0, out1 *ring.Poly) {
+func (ev *Evaluator) keySwitchHoistedInto(hd *HoistedDecomposition, swk *SwitchingKey, auto *ring.Automorphism, add0, add1, out0, out1 *ring.Poly) {
 	ctx := ev.ctx
 	level := hd.level
 	acc0 := ctx.GetPolyNoZero(level + 2)
 	acc1 := ctx.GetPolyNoZero(level + 2)
 	defer ctx.PutPoly(acc0)
 	defer ctx.PutPoly(acc1)
-	ev.keySwitchMAC(nil, hd, table, swk.Digits, acc0, acc1, level, false)
+	ev.keySwitchMAC(nil, hd, auto, swk.Digits, acc0, acc1, level, false)
 	ctx.FloorDropRowsPairAddInto(acc0, acc1, out0, out1, add0, add1, ev.rowIdx[level], false)
 }
 
@@ -118,9 +118,9 @@ func (ev *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, gks *GaloisK
 		if err := ev.prepareInto(outs[i], 1, level, ct.Scale); err != nil {
 			return err
 		}
-		table := ctx.AutomorphismNTTTable(key.GaloisElt)
-		ctx.AutomorphismNTT(ct.Polys[0], table, c0g)
-		ev.keySwitchHoistedInto(hd, &key.SwitchingKey, table, c0g, nil, outs[i].Polys[0], outs[i].Polys[1])
+		auto := ctx.AutomorphismNTTTable(key.GaloisElt)
+		ctx.AutomorphismNTT(ct.Polys[0], auto, c0g)
+		ev.keySwitchHoistedInto(hd, &key.SwitchingKey, auto, c0g, nil, outs[i].Polys[0], outs[i].Polys[1])
 	}
 	return nil
 }

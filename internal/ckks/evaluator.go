@@ -626,12 +626,12 @@ func (ev *Evaluator) applyGaloisInto(ct *Ciphertext, key *GaloisKey, out *Cipher
 	}
 	ctx := ev.ctx
 	rows := ct.Level + 1
-	table := ctx.AutomorphismNTTTable(key.GaloisElt)
+	auto := ctx.AutomorphismNTTTable(key.GaloisElt)
 	c0g := ctx.GetPolyNoZero(rows)
 	c1g := ctx.GetPolyNoZero(rows)
 	defer ctx.PutPoly(c0g)
 	defer ctx.PutPoly(c1g)
-	ctx.AutomorphismNTTPair(ct.Polys[0], ct.Polys[1], table, c0g, c1g)
+	ctx.AutomorphismNTTPair(ct.Polys[0], ct.Polys[1], auto, c0g, c1g)
 	ev.keySwitchAddInto(c1g, &key.SwitchingKey, c0g, nil, out.Polys[0], out.Polys[1])
 	return nil
 }

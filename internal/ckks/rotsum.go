@@ -105,7 +105,7 @@ type sumPart struct {
 	x0, x1          ring.Poly
 	// The term permRow permutes.
 	src0, src1 *ring.Poly
-	table      []int
+	auto       *ring.Automorphism
 
 	permRow, foldRow func(int)
 }
@@ -378,7 +378,7 @@ func (p *sumPart) term(t int) {
 	p.shape(&p.c1g, level+1)
 	// q0 += σ(c0) and c1g = σ(c1), then c1g's key switch, whose q rows
 	// add to the part's.
-	p.src0, p.src1, p.table = src0, src1, ctx.AutomorphismNTTTable(key.GaloisElt)
+	p.src0, p.src1, p.auto = src0, src1, ctx.AutomorphismNTTTable(key.GaloisElt)
 	ctx.RunRows(level+1, p.permRow)
 	p.inQ[0] = true
 	s.ev.keySwitchMAC(p.c1g, nil, nil, key.Digits, p.acc0, p.acc1, level, p.keyed)
@@ -418,9 +418,11 @@ func (p *sumPart) dot(lo, hi int, acc bool, o0, o1 *ring.Poly) {
 }
 
 // runPermRow is row i of a rotated term's permutation: q0 (+)= σ(c0),
-// c1g = σ(c1).
+// c1g = σ(c1), in one pass of the block-permutation kernel (the add to
+// the running sum fused into it), so a term's σ costs what copying its
+// two rows would.
 func (p *sumPart) runPermRow(i int) {
-	p.s.ctx.AutomorphismNTTPairRow(p.src0.Coeffs[i], p.src1.Coeffs[i], p.table, p.q0.Coeffs[i], p.c1g.Coeffs[i], p.inQ[0], i)
+	p.s.ctx.AutomorphismNTTPairRow(p.src0.Coeffs[i], p.src1.Coeffs[i], p.auto, p.q0.Coeffs[i], p.c1g.Coeffs[i], p.inQ[0], i)
 }
 
 // addQ adds x into component c of the Q sum, or copies it there first.

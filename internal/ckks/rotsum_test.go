@@ -449,3 +449,30 @@ func BenchmarkRotateSum(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRotateHoisted prices the two hoisted batches the served
+// workloads open with: Set-A ×15 at level 1 (the matvec's baby steps)
+// and Set-C ×3 at level 7 (the logistic regression's). Run it at -cpu 1
+// for the one-worker split of decomposition, permutation, MAC and floor.
+func BenchmarkRotateHoisted(b *testing.B) {
+	for _, tc := range []struct {
+		name         string
+		spec         ParamSpec
+		steps, level int
+	}{{"SetA-x15-L1", SetA, 15, 1}, {"SetC-x3-L7", SetC, 3, 7}} {
+		f := newRotSumFixture(b, tc.spec, rotSumShape{rotated: tc.steps, level: tc.level}, 5)
+		ct := f.cts[0]
+		outs := make([]*Ciphertext, tc.steps)
+		for i := range outs {
+			outs[i], _ = NewCiphertext(f.params, 1, tc.level, 0)
+		}
+		ev := NewEvaluator(f.params)
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := ev.RotateHoistedInto(ct, f.steps, f.gks, outs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -23,6 +23,13 @@ package ckks
 // products, the rest add. Rows are disjoint, so nothing is locked, and
 // with one worker RunRows simply runs the same rows inline.
 //
+// A hoisted rotation (RotateHoistedInto) caches the converted digits once
+// and runs only the MAC pass per step: each accumulator row permutes the
+// digit rows it reads by the step's automorphism first. In the NTT
+// domain that permutation moves aligned 8-lane blocks through at most 8
+// lane shuffles (ring.Automorphism), one VPERMQ per vector, so a
+// permuted digit row costs about what copying it would.
+//
 // The MAC is the ring's general multiply-add row (MulCoeffsAddRow):
 // fully reduced in and out, no per-key constants, so the key rows it
 // streams — the one operand that never fits in cache — are read once and
@@ -42,10 +49,10 @@ type ksJob struct {
 
 	// Inputs. Exactly one of c (direct path) or hd (hoisted MAC path) is
 	// set, or c and out (decomposition path).
-	c     *ring.Poly
-	hd    *HoistedDecomposition
-	out   *HoistedDecomposition
-	table []int // optional NTT-domain automorphism permutation
+	c    *ring.Poly
+	hd   *HoistedDecomposition
+	out  *HoistedDecomposition
+	auto *ring.Automorphism // optional, applied to the hoisted digits
 
 	digits     [][2]*ring.Poly
 	acc0, acc1 *ring.Poly
@@ -75,7 +82,7 @@ func (ev *Evaluator) getJob(level int) *ksJob {
 }
 
 func (ev *Evaluator) putJob(j *ksJob) {
-	j.c, j.hd, j.out, j.table = nil, nil, nil, nil
+	j.c, j.hd, j.out, j.auto = nil, nil, nil, nil
 	j.digits = nil
 	j.acc0, j.acc1, j.intt = nil, nil, nil
 	j.addQ = false
@@ -125,12 +132,13 @@ func (j *ksJob) runMACRow(jj int) {
 
 // runHoistedRow is runMACRow over a cached decomposition: the digits
 // are already converted, so a row only permutes them (when the rotation
-// supplies an automorphism table) and MACs.
+// supplies an automorphism: one block-permutation pass per digit row, at
+// the cost of a row copy) and MACs.
 func (j *ksJob) runHoistedRow(jj int) {
 	ctx := j.ctx
 	basisIdx := j.ev.rowIdx[j.level][jj]
 	var perm []uint64
-	if j.table != nil {
+	if j.auto != nil {
 		buf := ctx.GetPolyNoZero(1)
 		defer ctx.PutPoly(buf)
 		perm = buf.Coeffs[0]
@@ -138,9 +146,7 @@ func (j *ksJob) runHoistedRow(jj int) {
 	for i := 0; i <= j.level; i++ {
 		b := j.hd.digits[i].Coeffs[jj]
 		if perm != nil {
-			for t, idx := range j.table {
-				perm[t] = b[idx]
-			}
+			ctx.AutomorphismNTTRow(b, j.auto, perm)
 			b = perm
 		}
 		j.mac(i, jj, basisIdx, b)
@@ -167,11 +173,11 @@ func (j *ksJob) runDecompRow(jj int) {
 // hd, into the accumulators acc0/acc1, every row of which it overwrites —
 // except that with addQ it adds into the q rows (0..level) and overwrites
 // only the special row.
-func (ev *Evaluator) keySwitchMAC(c *ring.Poly, hd *HoistedDecomposition, table []int,
+func (ev *Evaluator) keySwitchMAC(c *ring.Poly, hd *HoistedDecomposition, auto *ring.Automorphism,
 	digits [][2]*ring.Poly, acc0, acc1 *ring.Poly, level int, addQ bool) {
 	ctx := ev.ctx
 	j := ev.getJob(level)
-	j.c, j.hd, j.table, j.addQ = c, hd, table, addQ
+	j.c, j.hd, j.auto, j.addQ = c, hd, auto, addQ
 	j.digits = digits
 	j.acc0, j.acc1 = acc0, acc1
 	if hd != nil {

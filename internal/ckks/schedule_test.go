@@ -143,7 +143,7 @@ func hoistedWorkerInvariant(t *testing.T, spec ParamSpec) {
 			ev.decompose(c, hd, level)
 			return hd
 		}
-		keySwitch := func(hd *HoistedDecomposition, table []int, add *ring.Poly) (*ring.Poly, *ring.Poly) {
+		keySwitch := func(hd *HoistedDecomposition, table *ring.Automorphism, add *ring.Poly) (*ring.Poly, *ring.Poly) {
 			out0, out1 := ctx.NewPolyPair(level + 1)
 			ev.keySwitchHoistedInto(hd, &rlk.SwitchingKey, table, add, nil, out0, out1)
 			return out0, out1

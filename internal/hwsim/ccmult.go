@@ -70,12 +70,12 @@ func CCMultTransferWords(alpha, beta, n int) (heax, minBRAM int) {
 // hardware: the Galois permutation is pure addressing (applied while
 // reading BRAM, costing no datapath cycles), followed by the KeySwitch
 // pipeline on the permuted c1 and the final addition into c0.
-func SimulateRotation(ctx *ring.Context, arch core.KeySwitchArch, c0, c1 *ring.Poly, table []int, digits [][2]*ring.Poly) (r0, r1 *ring.Poly, err error) {
+func SimulateRotation(ctx *ring.Context, arch core.KeySwitchArch, c0, c1 *ring.Poly, auto *ring.Automorphism, digits [][2]*ring.Poly) (r0, r1 *ring.Poly, err error) {
 	rows := c0.Rows()
 	c0g := ctx.NewPoly(rows)
 	c1g := ctx.NewPoly(rows)
-	ctx.AutomorphismNTT(c0, table, c0g)
-	ctx.AutomorphismNTT(c1, table, c1g)
+	ctx.AutomorphismNTT(c0, auto, c0g)
+	ctx.AutomorphismNTT(c1, auto, c1g)
 	sim := NewKeySwitchSim(ctx, arch)
 	ks0, ks1, err := sim.Run(c1g, digits)
 	if err != nil {

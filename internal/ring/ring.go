@@ -11,10 +11,13 @@
 package ring
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"heax/internal/ntt"
 	"heax/internal/rns"
@@ -48,13 +51,9 @@ type Context struct {
 	// one shape holds the same pool (shapePool), Fork views included.
 	pool *sync.Pool
 
-	// autoTables caches the NTT-domain automorphism permutation per
-	// Galois element: a rotation workload reuses a handful of elements
-	// across millions of calls, and each table is n ints — recomputing
-	// (and reallocating) it per rotation would dominate the key switch
-	// it feeds. Keyed by Galois element, value []int. Shared across
-	// Fork views like the buffer pool.
-	autoTables *sync.Map
+	// autos caches the NTT-domain automorphisms by Galois element; Fork
+	// views share it like the buffer pool.
+	autos *autoCache
 }
 
 // NewContext builds a Context for ring degree n over the given primes,
@@ -68,13 +67,13 @@ func NewContext(n int, primeList []uint64) (*Context, error) {
 		return nil, err
 	}
 	ctx := &Context{
-		N:          n,
-		LogN:       bits.Len(uint(n)) - 1,
-		Basis:      basis,
-		workers:    runtime.GOMAXPROCS(0),
-		sched:      newScheduler(),
-		pool:       shapePool(n, basis.K()),
-		autoTables: &sync.Map{},
+		N:       n,
+		LogN:    bits.Len(uint(n)) - 1,
+		Basis:   basis,
+		workers: runtime.GOMAXPROCS(0),
+		sched:   newScheduler(),
+		pool:    shapePool(n, basis.K()),
+		autos:   new(autoCache),
 	}
 	ctx.Tables = make([]*ntt.Tables, basis.K())
 	ctx.parallelThreshold = parallelThresholdIFMA
@@ -571,81 +570,118 @@ func GaloisElement(step, n int) uint64 {
 // GaloisConjugate is the Galois element of complex conjugation, 2n-1.
 func GaloisConjugate(n int) uint64 { return uint64(2*n - 1) }
 
-// Automorphism applies X -> X^g to a coefficient-domain polynomial.
-// g must be odd (all Galois elements of the power-of-two cyclotomic are).
-func (c *Context) Automorphism(a *Poly, g uint64, out *Poly) {
-	if g&1 == 0 {
-		panic("ring: Galois element must be odd")
+// Automorphism is X -> X^g on bit-reversed NTT-domain rows, held as a
+// block permutation (DESIGN.md "Automorphisms as block permutations").
+// Slot i of such a row is the evaluation at ψ^(2r+1) for r = brev(i), and
+// X -> X^g sends r to g·r + (g−1)/2 mod n. The 3 lane bits of i (i mod 8)
+// are the top 3 bits of r, and adding g·t·n/8 to the image changes only
+// its top 3 bits, so the 8 slots of an aligned output block read exactly
+// one aligned source block; their order within it depends only on the
+// top 3 bits of the image of the block's first slot, so one element needs
+// at most 8 lane shuffles. blocks[b] = src<<3 | k sends source block src
+// through shuffle lanes[k] (a VPERMQ index vector) to output block b —
+// the map uintmod.VecPermute runs. A row shorter than 8 is one block of
+// all its lanes. Immutable once built.
+type Automorphism struct {
+	blocks []uint32
+	lanes  [8][8]uint64
+}
+
+// newAutomorphism builds the block map of X -> X^g for rows of n = 2^logn
+// slots: lb lane bits (3, or logn for a row shorter than 8) and bb block
+// bits. Output slot blk·2^lb + l has r = brev(l)·2^bb + r0, r0 = brev(blk);
+// the image of r0, s0 = g·r0 + (g−1)/2 mod n = lo + k·2^bb, names the
+// source block brev(lo) and the shuffle k, and lane l reads source lane
+// brev((k + g·brev(l)) mod 2^lb).
+func newAutomorphism(g uint64, logn int) *Automorphism {
+	lb := min(logn, 3) // lane bits
+	bb := logn - lb    // block bits
+	a := &Automorphism{blocks: make([]uint32, 1<<bb)}
+	n := uint64(1) << logn
+	for blk := range a.blocks {
+		s0 := (g*brev(uint64(blk), bb) + (g-1)/2) & (n - 1)
+		a.blocks[blk] = uint32(brev(s0&(1<<bb-1), bb))<<3 | uint32(s0>>bb)
 	}
-	n := uint64(c.N)
-	mask := 2*n - 1
-	c.RunRows(rowsOf(a, out), func(i int) {
-		p := c.Basis.Primes[i]
-		ai, oi := a.Coeffs[i], out.Coeffs[i]
-		for j := uint64(0); j < n; j++ {
-			e := j * g & mask
-			v := ai[j]
-			if e < n {
-				oi[e] = v
-			} else {
-				oi[e-n] = uintmod.NegMod(v, p)
-			}
+	for k := uint64(0); k < 1<<lb; k++ {
+		for l := uint64(0); l < 1<<lb; l++ {
+			a.lanes[k][l] = brev((k+g*brev(l, lb))&(1<<lb-1), lb)
 		}
+	}
+	return a
+}
+
+// brev reverses the low k bits of x.
+func brev(x uint64, k int) uint64 { return bits.Reverse64(x) >> (64 - k) }
+
+// autoCache holds the block maps by Galois element: a rotation workload
+// reuses a handful of elements across millions of calls. A lookup loads
+// an immutable map, with no lock and no allocation; a miss builds the
+// entry and publishes a copy of the map holding it.
+type autoCache struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[uint64]*Automorphism]
+}
+
+// AutomorphismNTTTable returns X -> X^g on bit-reversed NTT-domain
+// polynomials of this context, built once per Galois element and cached
+// on the context (safe for concurrent use; the map is shared and
+// immutable).
+func (c *Context) AutomorphismNTTTable(g uint64) *Automorphism {
+	if a := c.autos.get(g); a != nil {
+		return a
+	}
+	c.autos.mu.Lock()
+	defer c.autos.mu.Unlock()
+	if a := c.autos.get(g); a != nil {
+		return a
+	}
+	m := map[uint64]*Automorphism{g: newAutomorphism(g, c.LogN)}
+	if old := c.autos.m.Load(); old != nil {
+		maps.Copy(m, *old)
+	}
+	c.autos.m.Store(&m)
+	return m[g]
+}
+
+func (ac *autoCache) get(g uint64) *Automorphism {
+	if m := ac.m.Load(); m != nil {
+		return (*m)[g]
+	}
+	return nil
+}
+
+// AutomorphismNTT applies a cached automorphism to an NTT-domain poly.
+// out must share no row with a.
+func (c *Context) AutomorphismNTT(a *Poly, t *Automorphism, out *Poly) {
+	if sharesRow(a, out) {
+		panic(errInPlace)
+	}
+	c.RunRows(rowsOf(a, out), func(i int) {
+		uintmod.VecPermute(out.Coeffs[i], a.Coeffs[i], t.blocks, &t.lanes)
 	})
 }
 
-// AutomorphismNTTTable returns the slot permutation implementing
-// X -> X^g directly on bit-reversed NTT-domain polynomials:
-// out[i] = in[table[i]]. Tables are computed once per Galois element and
-// cached on the context (safe for concurrent use; the returned slice is
-// shared and must not be mutated).
-func (c *Context) AutomorphismNTTTable(g uint64) []int {
-	if t, ok := c.autoTables.Load(g); ok {
-		return t.([]int)
+// AutomorphismNTTRow is one row of AutomorphismNTT, for a caller that
+// runs its own row pass. out must not be a.
+//
+//heax:noalloc
+func (c *Context) AutomorphismNTTRow(a []uint64, t *Automorphism, out []uint64) {
+	if sameRow(a, out) {
+		panic(errInPlace)
 	}
-	table := c.automorphismNTTTable(g)
-	if t, loaded := c.autoTables.LoadOrStore(g, table); loaded {
-		return t.([]int)
-	}
-	return table
-}
-
-func (c *Context) automorphismNTTTable(g uint64) []int {
-	n := uint64(c.N)
-	logn := c.LogN
-	table := make([]int, n)
-	for i := uint64(0); i < n; i++ {
-		rev := uint64(bits.Reverse64(i) >> (64 - logn))
-		idx := g * (2*rev + 1) // odd, so (idx-1)/2 == idx>>1
-		idx = idx >> 1 & (n - 1)
-		table[i] = int(bits.Reverse64(idx) >> (64 - logn))
-	}
-	return table
-}
-
-// AutomorphismNTT applies a precomputed table to an NTT-domain poly.
-func (c *Context) AutomorphismNTT(a *Poly, table []int, out *Poly) {
-	if a == out {
-		panic("ring: AutomorphismNTT cannot run in place")
-	}
-	c.RunRows(rowsOf(a, out), func(i int) {
-		ai, oi := a.Coeffs[i], out.Coeffs[i]
-		for j := range oi {
-			oi[j] = ai[table[j]]
-		}
-	})
+	uintmod.VecPermute(out, a, t.blocks, &t.lanes)
 }
 
 // AutomorphismNTTPair permutes the two components of a ciphertext in a
 // single row pass — one worker fan-out (and one closure) instead of two,
 // which is what keeps the in-place rotation at the hot-path allocation
-// budget.
-func (c *Context) AutomorphismNTTPair(a0, a1 *Poly, table []int, out0, out1 *Poly) {
-	if a0 == out0 || a1 == out1 || a0 == out1 || a1 == out0 {
-		panic("ring: AutomorphismNTT cannot run in place")
+// budget. No output may share a row with an operand or the other output.
+func (c *Context) AutomorphismNTTPair(a0, a1 *Poly, t *Automorphism, out0, out1 *Poly) {
+	if sharesRow(out0, a0) || sharesRow(out0, a1) || sharesRow(out1, a0) || sharesRow(out1, a1) || sharesRow(out0, out1) {
+		panic(errInPlace)
 	}
 	c.RunRows(rowsOf(a0, a1, out0, out1), func(i int) {
-		c.AutomorphismNTTPairRow(a0.Coeffs[i], a1.Coeffs[i], table, out0.Coeffs[i], out1.Coeffs[i], false, i)
+		c.AutomorphismNTTPairRow(a0.Coeffs[i], a1.Coeffs[i], t, out0.Coeffs[i], out1.Coeffs[i], false, i)
 	})
 }
 
@@ -653,22 +689,37 @@ func (c *Context) AutomorphismNTTPair(a0, a1 *Poly, table []int, out0, out1 *Pol
 // for a caller that runs its own row pass; with add0 the first component
 // is added into out0 instead of stored, out0 += σ(a0) — how a sum of
 // rotations folds each term's σ(c0) into its running sum while it keeps
-// σ(c1) for the key switch. No output may be an operand.
+// σ(c1) for the key switch. No output may be an operand or the other
+// output.
 //
 //heax:noalloc
-func (c *Context) AutomorphismNTTPairRow(a0, a1 []uint64, table []int, out0, out1 []uint64, add0 bool, i int) {
-	if !add0 {
-		for j, t := range table {
-			out0[j] = a0[t]
-			out1[j] = a1[t]
+func (c *Context) AutomorphismNTTPairRow(a0, a1 []uint64, t *Automorphism, out0, out1 []uint64, add0 bool, i int) {
+	if sameRow(out0, a0) || sameRow(out0, a1) || sameRow(out1, a0) || sameRow(out1, a1) || sameRow(out0, out1) {
+		panic(errInPlace)
+	}
+	uintmod.VecPermutePair(out0, out1, a0, a1, t.blocks, &t.lanes, add0, c.Basis.Primes[i])
+}
+
+// errInPlace is the panic of an automorphism handed an output that
+// shares a row with an operand or with the other output: the permutation
+// would read rows it had already overwritten.
+var errInPlace = errors.New("ring: an NTT-domain automorphism cannot run in place")
+
+// sharesRow reports whether a and b hold a row in common.
+func sharesRow(a, b *Poly) bool {
+	for _, x := range a.Coeffs {
+		for _, y := range b.Coeffs {
+			if sameRow(x, y) {
+				return true
+			}
 		}
-		return
 	}
-	p := c.Basis.Primes[i]
-	for j, t := range table {
-		out0[j] = uintmod.AddMod(out0[j], a0[t], p)
-		out1[j] = a1[t]
-	}
+	return false
+}
+
+// sameRow reports whether two rows start at the same word.
+func sameRow(x, y []uint64) bool {
+	return len(x) > 0 && len(y) > 0 && &x[0] == &y[0]
 }
 
 // FloorDropLast implements RNS flooring (Algorithm 6): given a polynomial

@@ -167,7 +167,7 @@ func TestAutomorphismCoeffDomain(t *testing.T) {
 	a.Coeffs[0][1] = 1
 	out := ctx.NewPoly(1)
 	// X -> X^3: expect coefficient 1 at position 3.
-	ctx.Automorphism(a, 3, out)
+	automorphismCoeff(ctx, a, 3, out)
 	if out.Coeffs[0][3] != 1 {
 		t.Fatal("X under g=3 should be X^3")
 	}
@@ -175,7 +175,7 @@ func TestAutomorphismCoeffDomain(t *testing.T) {
 	// since X^{2n} = 1 and X^n = -1: 3n-3 = 2n + (n-3) -> sign +.
 	b := ctx.NewPoly(1)
 	b.Coeffs[0][n-1] = 1
-	ctx.Automorphism(b, 3, out)
+	automorphismCoeff(ctx, b, 3, out)
 	if out.Coeffs[0][n-3] != 1 {
 		t.Fatalf("X^{n-1} under g=3: got row %v", out.Coeffs[0])
 	}
@@ -183,11 +183,11 @@ func TestAutomorphismCoeffDomain(t *testing.T) {
 	s := NewSampler(ctx, 5)
 	r := s.Uniform(1)
 	tmp := ctx.NewPoly(1)
-	ctx.Automorphism(r, 5, tmp)
+	automorphismCoeff(ctx, r, 5, tmp)
 	// inverse of 5 mod 2n
 	gInv := new(big.Int).ModInverse(big.NewInt(5), big.NewInt(int64(2*n))).Uint64()
 	back := ctx.NewPoly(1)
-	ctx.Automorphism(tmp, gInv, back)
+	automorphismCoeff(ctx, tmp, gInv, back)
 	if !back.Equal(r) {
 		t.Fatal("automorphism inverse failed")
 	}
@@ -204,7 +204,7 @@ func TestAutomorphismNTTMatchesCoeffDomain(t *testing.T) {
 
 		viaCoeff := CopyOf(a)
 		out1 := ctx.NewPoly(2)
-		ctx.Automorphism(viaCoeff, g, out1)
+		automorphismCoeff(ctx, viaCoeff, g, out1)
 		ctx.NTT(out1)
 
 		viaNTT := CopyOf(a)

@@ -17,6 +17,8 @@ func vecSubIFMA(out, x, y *uint64, n int, p uint64)
 func vecNegIFMA(out, x *uint64, n int, p uint64)
 func vecReduceIFMA(out, x *uint64, n int, p, mu, sub uint64)
 func vecSubMulAddIFMA(out, a, r, add *uint64, n int, p, w, wShoup uint64)
+func vecPermuteIFMA(out, x *uint64, blocks *uint32, lanes *[8][8]uint64, nb int)
+func vecPermutePairIFMA(out0, out1, x0, x1 *uint64, blocks *uint32, lanes *[8][8]uint64, nb int, p uint64, add bool)
 
 // noescape: callers gather the term list into a stack array.
 //

@@ -554,3 +554,97 @@ store:
 	JNZ  loop
 	VZEROUPPER
 	RET
+
+// ---- block permutations (NTT-domain automorphisms) ----------------------
+//
+// An automorphism of a bit-reversed NTT row moves whole aligned 8-lane
+// blocks and reorders the lanes of each with one of at most 8 shuffles
+// (ring.Automorphism derives why). One 32-bit word per output block,
+// src<<3 | k, names its source block and its shuffle; lanes holds the 8
+// shuffles as VPERMQ index vectors, 512 bytes that stay in L1. A block is
+// then one load of its source, one VPERMQ and one store: the memory
+// traffic of a row copy, not a scalar gather. These kernels need only
+// AVX-512F; outputs must not overlap the sources.
+
+// func vecPermuteIFMA(out, x *uint64, blocks *uint32, lanes *[8][8]uint64, nb int)
+// out[8b+l] = x[8*(blocks[b]>>3) + lanes[blocks[b]&7][l]] for b < nb.
+TEXT ·vecPermuteIFMA(SB), NOSPLIT, $0-40
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ blocks+16(FP), R8
+	MOVQ lanes+24(FP), R9
+	MOVQ nb+32(FP), CX
+loop:
+	MOVL (R8), AX
+	MOVL AX, BX
+	ANDL $7, BX
+	SHLL $6, BX                     // shuffle k at lanes + 64k
+	ANDL $-8, AX
+	SHLQ $3, AX                     // source block at x + 64*src
+	VMOVDQU64 (R9)(BX*1), Z1
+	VPERMQ (SI)(AX*1), Z1, Z0
+	VMOVDQU64 Z0, (DI)
+	ADDQ $4, R8
+	ADDQ $64, DI
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+
+// func vecPermutePairIFMA(out0, out1, x0, x1 *uint64, blocks *uint32, lanes *[8][8]uint64, nb int, p uint64, add bool)
+// vecPermuteIFMA of x0 into out0 and of x1 into out1 under one map, each
+// word and index vector loaded once; with add, out0 = (out0 + σ(x0)) mod p
+// for out0[i], x0[i] < p.
+TEXT ·vecPermutePairIFMA(SB), NOSPLIT, $0-65
+	MOVQ out0+0(FP), DI
+	MOVQ out1+8(FP), DX
+	MOVQ x0+16(FP), SI
+	MOVQ x1+24(FP), R10
+	MOVQ blocks+32(FP), R8
+	MOVQ lanes+40(FP), R9
+	MOVQ nb+48(FP), CX
+	MOVQ p+56(FP), AX
+	VPBROADCASTQ AX, Z12
+	CMPB add+64(FP), $0
+	JNE  addloop
+loop:
+	MOVL (R8), AX
+	MOVL AX, BX
+	ANDL $7, BX
+	SHLL $6, BX
+	ANDL $-8, AX
+	SHLQ $3, AX
+	VMOVDQU64 (R9)(BX*1), Z1
+	VPERMQ (SI)(AX*1), Z1, Z0
+	VPERMQ (R10)(AX*1), Z1, Z2
+	VMOVDQU64 Z0, (DI)
+	VMOVDQU64 Z2, (DX)
+	ADDQ $4, R8
+	ADDQ $64, DI
+	ADDQ $64, DX
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+addloop:
+	MOVL (R8), AX
+	MOVL AX, BX
+	ANDL $7, BX
+	SHLL $6, BX
+	ANDL $-8, AX
+	SHLQ $3, AX
+	VMOVDQU64 (R9)(BX*1), Z1
+	VPERMQ (SI)(AX*1), Z1, Z0
+	VPERMQ (R10)(AX*1), Z1, Z2
+	VPADDQ (DI), Z0, Z0             // out0 + σ(x0) in [0, 2p)
+	VPSUBQ Z12, Z0, Z3              // wraps when the sum is below p
+	VPMINUQ Z3, Z0, Z0
+	VMOVDQU64 Z0, (DI)
+	VMOVDQU64 Z2, (DX)
+	ADDQ $4, R8
+	ADDQ $64, DI
+	ADDQ $64, DX
+	DECQ CX
+	JNZ  addloop
+	VZEROUPPER
+	RET

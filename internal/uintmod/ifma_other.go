@@ -58,3 +58,13 @@ func VecReduce(out, x []uint64, sub, p uint64) {
 func VecSubMulAdd(out, a, r, add []uint64, w, p uint64) {
 	panic("uintmod: VecSubMulAdd without IFMA support")
 }
+
+// vecPermuteIFMA is never reached: VecPermute checks HasIFMA first.
+func vecPermuteIFMA(out, x *uint64, blocks *uint32, lanes *[8][8]uint64, nb int) {
+	panic("uintmod: vecPermuteIFMA without AVX-512 support")
+}
+
+// vecPermutePairIFMA is never reached: VecPermutePair checks HasIFMA first.
+func vecPermutePairIFMA(out0, out1, x0, x1 *uint64, blocks *uint32, lanes *[8][8]uint64, nb int, p uint64, add bool) {
+	panic("uintmod: vecPermutePairIFMA without AVX-512 support")
+}
