@@ -122,7 +122,9 @@ func NewDecryptor(params *Params, sk *SecretKey) *Decryptor {
 	return &Decryptor{params: params, sk: sk, s2: s2}
 }
 
-// Decrypt evaluates <ct, (1, s, s²)> at the ciphertext's level.
+// Decrypt evaluates <ct, (1, s, s²)> at the ciphertext's level: each
+// product c1·s (and c2·s²) goes into pooled scratch and is added to c0,
+// fully reduced at every step.
 func (d *Decryptor) Decrypt(ct *Ciphertext) (*Plaintext, error) {
 	if ct.Degree() < 1 || ct.Degree() > 2 {
 		return nil, fmt.Errorf("ckks: cannot decrypt degree-%d ciphertext", ct.Degree())
@@ -130,9 +132,13 @@ func (d *Decryptor) Decrypt(ct *Ciphertext) (*Plaintext, error) {
 	ctx := d.params.RingQP
 	rows := ct.Level + 1
 	out := ring.CopyOf(ct.Polys[0])
-	ctx.MulCoeffsAdd(ct.Polys[1], d.sk.Value.Resize(rows), out)
+	prod := ctx.GetPolyNoZero(rows)
+	defer ctx.PutPoly(prod)
+	ctx.MulCoeffs(ct.Polys[1], d.sk.Value.Resize(rows), prod)
+	ctx.Add(out, prod, out)
 	if ct.Degree() == 2 {
-		ctx.MulCoeffsAdd(ct.Polys[2], d.s2.Resize(rows), out)
+		ctx.MulCoeffs(ct.Polys[2], d.s2.Resize(rows), prod)
+		ctx.Add(out, prod, out)
 	}
 	return &Plaintext{Value: out, Scale: ct.Scale}, nil
 }

@@ -30,7 +30,8 @@ package ckks
 // lane shuffles (ring.Automorphism), one VPERMQ per vector, so a
 // permuted digit row costs about what copying it would.
 //
-// The MAC is the ring's general multiply-add row (MulCoeffsAddRow):
+// The MAC is the ring's dot-pair row (MulCoeffsDotPairRow) with one
+// term: the converted digit row read once against both key columns,
 // fully reduced in and out, no per-key constants, so the key rows it
 // streams — the one operand that never fits in cache — are read once and
 // held once. A row's MACs add deterministic product terms modulo p, so
@@ -96,19 +97,16 @@ func (j *ksJob) runINTTRow(i int) {
 }
 
 // mac adds digit i's two key products into accumulator row jj from the
-// already-converted (NTT-form, mod target prime) row b. The accumulators
+// already-converted (NTT-form, mod target prime) row b: one pass over b
+// against both key columns, a one-term dot product. The accumulators
 // arrive unzeroed, so digit 0 stores its products instead: 0 + x mod p is
 // x, bit for bit what adding into a cleared row gave. With addQ the q rows
 // arrive holding a sum, and digit 0 adds to them like the rest.
 func (j *ksJob) mac(i, jj, basisIdx int, b []uint64) {
 	d := j.digits[i]
-	if i == 0 && !(j.addQ && jj <= j.level) {
-		j.ctx.MulCoeffsRow(b, d[0].Coeffs[basisIdx], j.acc0.Coeffs[jj], basisIdx)
-		j.ctx.MulCoeffsRow(b, d[1].Coeffs[basisIdx], j.acc1.Coeffs[jj], basisIdx)
-		return
-	}
-	j.ctx.MulCoeffsAddRow(b, d[0].Coeffs[basisIdx], j.acc0.Coeffs[jj], basisIdx)
-	j.ctx.MulCoeffsAddRow(b, d[1].Coeffs[basisIdx], j.acc1.Coeffs[jj], basisIdx)
+	term := [1][3][]uint64{{d[0].Coeffs[basisIdx], d[1].Coeffs[basisIdx], b}}
+	acc := i > 0 || (j.addQ && jj <= j.level)
+	j.ctx.MulCoeffsDotPairRow(term[:], acc, j.acc0.Coeffs[jj], j.acc1.Coeffs[jj], basisIdx)
 }
 
 // runMACRow fills accumulator row jj: lines 5-10 (conversion) and

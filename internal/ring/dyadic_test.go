@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -88,10 +89,6 @@ func TestDyadicOpsMatchScalar(t *testing.T) {
 			c.MulCoeffsPair(a0, a1, b0, out0, out1)
 			check("MulCoeffsPair out0", out0, a0b0)
 			check("MulCoeffsPair out1", out1, a1b0)
-
-			acc := CopyOf(a1)
-			c.MulCoeffsAdd(a0, b0, acc)
-			check("MulCoeffsAdd", acc, add(a1, a0b0))
 
 			c.MulCoeffsTensor(a0, a1, b0, b1, out0, out1, out2)
 			check("MulCoeffsTensor c0", out0, a0b0)
@@ -202,6 +199,58 @@ func TestDotPairMatchesScalar(t *testing.T) {
 						t.Fatalf("n=%d terms=%d: term %d was modified", n, count, i)
 					}
 				}
+			}
+		}
+		ctx.Close()
+	}
+}
+
+// MulCoeffsDotPairRow with one term is the key switch's MAC: a digit row
+// against two independent key rows, stored over an unzeroed accumulator
+// (digit 0) and then added (digit 1), row by row. It must equal the
+// MulMod/AddMod pair on every row of the mixed basis — the IFMA kernel on
+// the 45- to 49-bit rows, the scalar loop on the 52- to 58-bit rows —
+// with p-1 in the leading lanes of every operand and the carried sum.
+func TestMulCoeffsDotPairRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, n := range []int{64, 4096} {
+		ctx := mixedContext(t, n)
+		rows := ctx.K()
+		var digits [2][3]*Poly // {key0, key1, b} for two digits
+		for d := range digits {
+			for r := range digits[d] {
+				digits[d][r] = randPoly(ctx, rows, rng)
+				for i := 0; i < rows; i++ {
+					copy(digits[d][r].Coeffs[i], []uint64{ctx.Basis.Primes[i] - 1, ctx.Basis.Primes[i] - 1, 0, 1})
+				}
+			}
+		}
+		garbage := randPoly(ctx, rows, rng)
+		for i := 0; i < rows; i++ {
+			copy(garbage.Coeffs[i], []uint64{ctx.Basis.Primes[i] - 1})
+		}
+		want := func(k int) *Poly {
+			return scalarRows(ctx, rows, func(m uintmod.Modulus, i, j int) uint64 {
+				var s uint64
+				for _, d := range digits {
+					s = uintmod.AddMod(s, m.MulMod(d[k].Coeffs[i][j], d[2].Coeffs[i][j]), m.P)
+				}
+				return s
+			})
+		}
+		want0, want1 := want(0), want(1)
+		acc0, acc1 := CopyOf(garbage), CopyOf(garbage)
+		for i := 0; i < rows; i++ {
+			if wantIFMA := ctx.Basis.Primes[i] < 1<<50 && uintmod.HasIFMA(); ctx.RowIFMA(i) != wantIFMA {
+				t.Fatalf("n=%d row %d: RowIFMA = %v", n, i, !wantIFMA)
+			}
+			for d, dg := range digits {
+				term := [1][3][]uint64{{dg[0].Coeffs[i], dg[1].Coeffs[i], dg[2].Coeffs[i]}}
+				ctx.MulCoeffsDotPairRow(term[:], d > 0, acc0.Coeffs[i], acc1.Coeffs[i], i)
+			}
+			if !slices.Equal(acc0.Coeffs[i], want0.Coeffs[i]) || !slices.Equal(acc1.Coeffs[i], want1.Coeffs[i]) {
+				t.Fatalf("n=%d row %d (%d-bit prime): differs from the scalar reference",
+					n, i, bits.Len64(ctx.Basis.Primes[i]))
 			}
 		}
 		ctx.Close()
@@ -330,11 +379,6 @@ func BenchmarkDyadic_MulCoeffsPair(b *testing.B) {
 	benchDyadic(b, func(c *Context, in [4]*Poly, out [3]*Poly) {
 		c.MulCoeffsPair(in[0], in[1], in[2], out[0], out[1])
 	})
-}
-
-// The key-switch MAC row (and decrypt's multiply-add), whole-poly form.
-func BenchmarkDyadic_MulCoeffsAdd(b *testing.B) {
-	benchDyadic(b, func(c *Context, in [4]*Poly, out [3]*Poly) { c.MulCoeffsAdd(in[0], in[1], out[0]) })
 }
 
 func BenchmarkDyadic_Tensor(b *testing.B) {

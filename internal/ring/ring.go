@@ -421,31 +421,6 @@ func (c *Context) mulCoeffsPairRow(a0, a1, b, out0, out1 []uint64, i int) {
 	}
 }
 
-// MulCoeffsAdd sets out += a ⊙ b, the multiply-accumulate of decryption
-// (fully reduced in and out).
-func (c *Context) MulCoeffsAdd(a, b, out *Poly) {
-	c.runDyadic(rowsOf(a, b, out), dyadicRows{a0: a.Coeffs, b0: b.Coeffs, c0: out.Coeffs},
-		func(c *Context, v dyadicRows, i int) { c.MulCoeffsAddRow(v.a0[i], v.b0[i], v.c0[i], i) })
-}
-
-// MulCoeffsAddRow is MulCoeffsAdd for a single RNS row (basis index i) —
-// the key-switching inner loop (Algorithm 7 lines 11-12, 16-17). Neither
-// operand needs a precomputed constant, so a switching key is held as its
-// polynomials and nothing else.
-//
-//heax:noalloc
-func (c *Context) MulCoeffsAddRow(a, b, out []uint64, i int) {
-	p := c.Basis.Primes[i]
-	if c.RowIFMA(i) {
-		uintmod.VecMulAdd(out, a, b, p)
-		return
-	}
-	m := c.Basis.Mods[i]
-	for j := range out {
-		out[j] = uintmod.AddMod(out[j], m.MulMod(a[j], b[j]), p)
-	}
-}
-
 // DotTerm is one term of a ciphertext-plaintext dot product: the two
 // components of a degree-1 ciphertext and the plaintext they multiply.
 // Only the rows the output has are read, so a term may hold more. Y's
@@ -453,11 +428,11 @@ func (c *Context) MulCoeffsAddRow(a, b, out []uint64, i int) {
 type DotTerm struct{ X0, X1, Y *Poly }
 
 // DotChunk is the most terms one MulCoeffsDotPair call takes; a longer
-// sum chains calls, every one after the first with acc set. The row
-// primitive gathers each term's row into an array of this size on its
-// stack, and the kernel then reads 3·DotChunk rows side by side: 48
-// streams cost the same per term as 24, 96 cost 1.6× (Set-A and Set-B
-// rows, operands out of cache).
+// sum chains calls, every one after the first with acc set. It gathers
+// each term's row into an array of this size on its stack, and the
+// kernel then reads 3·DotChunk rows side by side: 48 streams cost the
+// same per term as 24, 96 cost 1.6× (Set-A and Set-B rows, operands out
+// of cache).
 const DotChunk = 16
 
 // MulCoeffsDotPair sets out0 = Σ X0ₜ ⊙ Yₜ and out1 = Σ X1ₜ ⊙ Yₜ over the
@@ -478,35 +453,48 @@ func (c *Context) MulCoeffsDotPair(terms []DotTerm, acc bool, out0, out1 *Poly) 
 	}
 	if !c.fansOut(rows, dyadicThreshold) {
 		for i := 0; i < rows; i++ {
-			c.MulCoeffsDotPairRow(terms, acc, out0.Coeffs[i], out1.Coeffs[i], i)
+			c.dotPairTermsRow(terms, acc, out0.Coeffs[i], out1.Coeffs[i], i)
 		}
 		return
 	}
 	shared := make([]DotTerm, len(terms))
 	copy(shared, terms)
 	o0, o1 := out0.Coeffs, out1.Coeffs
-	c.runRows(rows, dyadicThreshold, func(i int) { c.MulCoeffsDotPairRow(shared, acc, o0[i], o1[i], i) })
+	c.runRows(rows, dyadicThreshold, func(i int) { c.dotPairTermsRow(shared, acc, o0[i], o1[i], i) })
+}
+
+// dotPairTermsRow gathers row i of every term into an array on its stack
+// and runs MulCoeffsDotPairRow on it.
+//
+//heax:noalloc
+func (c *Context) dotPairTermsRow(terms []DotTerm, acc bool, out0, out1 []uint64, i int) {
+	var rows [DotChunk][3][]uint64
+	for t := range terms {
+		rows[t][0], rows[t][1], rows[t][2] = terms[t].X0.Coeffs[i], terms[t].X1.Coeffs[i], terms[t].Y.Coeffs[i]
+	}
+	c.MulCoeffsDotPairRow(rows[:len(terms)], acc, out0, out1, i)
 }
 
 // MulCoeffsDotPairRow is MulCoeffsDotPair for a single RNS row (basis
-// index i): the deferred-reduction IFMA kernel on eligible rows, the
-// MulMod/AddMod loop otherwise — bit-identical either way, and to
-// mulCoeffsPairRow followed by addRow term by term.
+// index i) over rows given directly: out0 = Σ x0ₜ ⊙ yₜ and
+// out1 = Σ x1ₜ ⊙ yₜ for terms[t] = {x0ₜ, x1ₜ, yₜ}, added to what the
+// outputs hold when acc is set. It is every multiply-accumulate of the
+// ring's users: a sum of ciphertext-plaintext products, and with one
+// term the key switch's MAC, a converted digit row y against the rows x0
+// and x1 of its two key columns. The deferred-reduction IFMA kernel runs
+// eligible rows, the MulMod/AddMod loop the rest — bit-identical either
+// way, and to mulCoeffsPairRow followed by addRow term by term.
 //
 //heax:noalloc
-func (c *Context) MulCoeffsDotPairRow(terms []DotTerm, acc bool, out0, out1 []uint64, i int) {
+func (c *Context) MulCoeffsDotPairRow(terms [][3][]uint64, acc bool, out0, out1 []uint64, i int) {
 	p := c.Basis.Primes[i]
 	if c.RowIFMA(i) {
-		var rows [DotChunk][3][]uint64
-		for t := range terms {
-			rows[t][0], rows[t][1], rows[t][2] = terms[t].X0.Coeffs[i], terms[t].X1.Coeffs[i], terms[t].Y.Coeffs[i]
-		}
-		uintmod.VecDotPair(out0, out1, rows[:len(terms)], acc, p)
+		uintmod.VecDotPair(out0, out1, terms, acc, p)
 		return
 	}
 	m := c.Basis.Mods[i]
-	for t := range terms {
-		x0, x1, y := terms[t].X0.Coeffs[i], terms[t].X1.Coeffs[i], terms[t].Y.Coeffs[i]
+	for t, term := range terms {
+		x0, x1, y := term[0], term[1], term[2]
 		first := t == 0 && !acc
 		s := uintmod.OperandShift(y, len(out0))
 		for j := range out0 {

@@ -143,21 +143,6 @@ func composeAll(ctx *Context, p *Poly) []*big.Int {
 	return out
 }
 
-func TestMulCoeffsAdd(t *testing.T) {
-	ctx := testContext(t, 32, 2, 30)
-	s := NewSampler(ctx, 3)
-	a, b := s.Uniform(2), s.Uniform(2)
-	acc := ctx.NewPoly(2)
-	ctx.MulCoeffsAdd(a, b, acc)
-	ctx.MulCoeffsAdd(a, b, acc)
-	twice := ctx.NewPoly(2)
-	ctx.MulCoeffs(a, b, twice)
-	ctx.Add(twice, twice, twice)
-	if !acc.Equal(twice) {
-		t.Fatal("MulCoeffsAdd twice != 2ab")
-	}
-}
-
 func TestAutomorphismCoeffDomain(t *testing.T) {
 	n := 16
 	ctx := testContext(t, n, 1, 30)

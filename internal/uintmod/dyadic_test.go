@@ -149,21 +149,31 @@ func TestVecMulPair(t *testing.T) {
 	})
 }
 
-func TestVecMulAdd(t *testing.T) {
+// TestVecDotPairOneTerm: one term — the key switch's MAC, a converted
+// digit row y read once against two independent key rows x0 and x1 —
+// equals the MulMod/AddMod pair on every case forEachDyadicCase covers,
+// stored over whatever the outputs held (digit 0 into unzeroed
+// accumulators) and added to it (every later digit).
+func TestVecDotPairOneTerm(t *testing.T) {
 	forEachDyadicCase(t, func(t *testing.T, m Modulus, rows [4][]uint64) {
-		x, y, acc := rows[0], rows[1], rows[2]
-		ref := func(a, x, y uint64) uint64 { return AddMod(a, m.MulMod(x, y), m.P) }
-		out := slices.Clone(acc)
-		VecMulAdd(out, x, y, m.P)
-		checkRow(t, "VecMulAdd", out, func(i int) uint64 { return ref(acc[i], x[i], y[i]) })
-
-		ax := slices.Clone(x)
-		VecMulAdd(ax, ax, y, m.P)
-		checkRow(t, "VecMulAdd out=x", ax, func(i int) uint64 { return ref(x[i], x[i], y[i]) })
-
-		ay := slices.Clone(y)
-		VecMulAdd(ay, x, ay, m.P)
-		checkRow(t, "VecMulAdd out=y", ay, func(i int) uint64 { return ref(y[i], x[i], y[i]) })
+		x0, y, x1, carry := rows[0], rows[1], rows[2], rows[3]
+		term := [][3][]uint64{{x0, x1, y}}
+		for _, acc := range []bool{false, true} {
+			out0, out1 := slices.Clone(carry), slices.Clone(y)
+			VecDotPair(out0, out1, term, acc, m.P)
+			want := func(x, held []uint64) func(i int) uint64 {
+				return func(i int) uint64 {
+					var s uint64
+					if acc {
+						s = held[i]
+					}
+					return AddMod(s, m.MulMod(x[i], y[i]), m.P)
+				}
+			}
+			what := fmt.Sprintf("VecDotPair one term, acc=%v", acc)
+			checkRow(t, what+" out0", out0, want(x0, carry))
+			checkRow(t, what+" out1", out1, want(x1, y))
+		}
 	})
 }
 
@@ -218,6 +228,42 @@ func TestVecDotPair(t *testing.T) {
 					}
 					VecDotPair(out0, out1, terms, acc, p)
 					what := fmt.Sprintf("%d bits, %d terms (limit %d), %s, acc=%v", bitlen, count, limit, name, acc)
+					checkRow(t, what+" out0", out0, func(i int) uint64 { return want0[i] })
+					checkRow(t, what+" out1", out1, func(i int) uint64 { return want1[i] })
+				}
+			}
+		}
+	}
+
+	// The key switch's MAC shape: whole Set-A and Set-C rows, one term of
+	// two independent key rows and a converted digit row, stored and
+	// accumulated, at the Table 2 prime sizes and the largest the kernel
+	// takes.
+	for _, bitlen := range []uint{36, 43, 49, 50} {
+		p := prevPrime(1 << bitlen)
+		m := NewModulus(p)
+		for _, n := range []int{1 << 12, 1 << 14} {
+			for name, fill := range fills {
+				var term [3][]uint64
+				for r := range term {
+					term[r] = make([]uint64, n)
+					for i := range term[r] {
+						term[r][i] = fill(i+r, p)
+					}
+				}
+				for _, acc := range []bool{false, true} {
+					out0, out1 := make([]uint64, n), make([]uint64, n)
+					want0, want1 := make([]uint64, n), make([]uint64, n)
+					for i := range out0 {
+						out0[i], out1[i] = fill(i, p), fill(i+1, p)
+						if acc {
+							want0[i], want1[i] = out0[i], out1[i]
+						}
+						want0[i] = AddMod(want0[i], m.MulMod(term[0][i], term[2][i]), p)
+						want1[i] = AddMod(want1[i], m.MulMod(term[1][i], term[2][i]), p)
+					}
+					VecDotPair(out0, out1, [][3][]uint64{term}, acc, p)
+					what := fmt.Sprintf("%d bits, n=%d, one term, %s, acc=%v", bitlen, n, name, acc)
 					checkRow(t, what+" out0", out0, func(i int) uint64 { return want0[i] })
 					checkRow(t, what+" out1", out1, func(i int) uint64 { return want1[i] })
 				}

@@ -10,7 +10,6 @@ func detectIFMA() bool
 
 func vecMulIFMA(out, x, y *uint64, n int, p, mu, shift uint64)
 func vecMulPairIFMA(out0, out1, x0, x1, y *uint64, n int, p, mu, shift uint64, compact bool)
-func vecMulAddIFMA(out, x, y *uint64, n int, p, mu, shift uint64)
 func vecMulTensorIFMA(c0, c1, c2, a0, a1, b0, b1 *uint64, n int, p, mu, shift uint64)
 func vecAddIFMA(out, x, y *uint64, n int, p uint64)
 func vecSubIFMA(out, x, y *uint64, n int, p uint64)
@@ -65,15 +64,6 @@ func VecMulPair(out0, out1, x0, x1, y []uint64, p uint64) {
 	compact := OperandShift(y, n) != 0
 	mu, shift := barrett52(p)
 	vecMulPairIFMA(&out0[0], &out1[0], &x0[0], &x1[0], &y[0], n, p, mu, shift, compact)
-}
-
-// VecMulAdd sets out[i] = (out[i] + x[i]·y[i]) mod p.
-func VecMulAdd(out, x, y []uint64, p uint64) {
-	n := len(out)
-	_ = x[n-1]
-	_ = y[n-1]
-	mu, shift := barrett52(p)
-	vecMulAddIFMA(&out[0], &x[0], &y[0], n, p, mu, shift)
 }
 
 // VecDotPair sets out0[i] = Σ x0[i]·y[i] mod p and out1[i] = Σ x1[i]·y[i]

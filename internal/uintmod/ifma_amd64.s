@@ -42,7 +42,7 @@ no:
 // ---- general-operand kernels (Barrett by halves) ------------------------
 //
 // The dyadic ops of the evaluator (MulPlain and sums of them, the
-// Algorithm 5 tensor, the key-switch and decrypt multiply-adds) multiply
+// Algorithm 5 tensor, the key-switch multiply-accumulate) multiply
 // two variable rows, so the kernels reduce the 104-bit product with one
 // Barrett constant per row and need no per-coefficient constant of either
 // operand — the scheme Intel HEXL uses for its 52-bit path. Inputs and
@@ -80,7 +80,6 @@ no:
 // z/2^(k-1) - 2 and below 2^(k+2) <= 2^52 — and lo < 2^53. The same chain
 // of inequalities gives c*mu/2^52 > z/p - 2^(k-50) - 2 >= z/p - 3, hence
 // 0 <= z - q*p < 4p < 2^52, still inside what the two folds reduce.
-// The multiply-add adds the accumulator (< p) to r < 5p/2 before folding.
 //
 // The dot product defers the reduction across T products. With Z = sum z_i:
 // c = sum c_i lies in (Z/2^(k-1) - T, Z/2^(k-1)] and is an IFMA operand, so
@@ -225,36 +224,6 @@ bcast:
 	VPBROADCASTQ (R8), Z1           // y[i/8] in all eight lanes
 	ADDQ $8, R8
 	JMP  loaded
-
-// func vecMulAddIFMA(out, x, y *uint64, n int, p, mu, shift uint64)
-// out[i] = (out[i] + x[i]*y[i]) mod p for out[i], x[i], y[i] < p.
-TEXT ·vecMulAddIFMA(SB), NOSPLIT, $0-56
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), R8
-	MOVQ n+24(FP), CX
-	MOVQ p+32(FP), AX
-	MOVQ mu+40(FP), DX
-	MOVQ shift+48(FP), BX
-	DYADCONST
-	SHRQ $3, CX
-loop:
-	VMOVDQU64 (SI), Z0              // x
-	VMOVDQU64 (R8), Z1              // y
-	VPADDQ Z0, Z0, Z2
-	VPSLLVQ Z11, Z1, Z3
-	PRODUCT(Z0, Z2, Z1, Z3, Z4, Z5)
-	BARRETT(Z4, Z5, Z6)             // [0, 5p/2)
-	VPADDQ (DI), Z5, Z5             // + acc: [0, 7p/2)
-	FOLD(Z5, Z6)
-	VMOVDQU64 Z5, (DI)
-	ADDQ $64, DI
-	ADDQ $64, SI
-	ADDQ $64, R8
-	DECQ CX
-	JNZ  loop
-	VZEROUPPER
-	RET
 
 // func vecDotPairIFMA(out0, out1 *uint64, terms *[3][]uint64, t, limit, folds, n int, p, mu, shift uint64, acc bool)
 // out0[i] = sum_j x0_j[i]*y_j[i] mod p, out1[i] = sum_j x1_j[i]*y_j[i] mod p

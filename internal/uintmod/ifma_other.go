@@ -19,11 +19,6 @@ func VecMulPair(out0, out1, x0, x1, y []uint64, p uint64) {
 	panic("uintmod: VecMulPair without IFMA support")
 }
 
-// VecMulAdd must not be called when IFMAUsable is false.
-func VecMulAdd(out, x, y []uint64, p uint64) {
-	panic("uintmod: VecMulAdd without IFMA support")
-}
-
 // VecDotPair must not be called when IFMAUsable is false.
 func VecDotPair(out0, out1 []uint64, terms [][3][]uint64, acc bool, p uint64) {
 	panic("uintmod: VecDotPair without IFMA support")
