@@ -283,8 +283,9 @@ func TestIntoMatchesAllocating(t *testing.T) {
 }
 
 // TestIntoAllocations is the zero-steady-state-allocation gate of the
-// serving loop: once pools are warm the dyadic *Into ops must not
-// allocate at all, and each key-switching one at most twice per op. The
+// serving loop: once pools are warm the dyadic *Into ops and a rotation
+// must not allocate at all, and each other key-switching one at most
+// twice per op (an InnerSum of four slots, two rounds, five times). The
 // fused giant step of a compiled matvec allocates nothing either.
 func TestIntoAllocations(t *testing.T) {
 	if raceEnabled {
@@ -323,7 +324,7 @@ func TestIntoAllocations(t *testing.T) {
 	// A compiled giant step: an unrotated bare addend and two rotated dot
 	// products, one of them on a compact plaintext.
 	sumCts, sumPts := []*heax.Ciphertext{sq, x, y}, []*heax.Plaintext{nil, pt, compact}
-	sumEnds, sumSteps := []int{1, 2, 3}, []int{0, 1, 2}
+	sumEnds, sumKeys := []int{1, 2, 3}, []*heax.GaloisKey{nil, k.evk.Galois.Rotations[1], k.evk.Galois.Rotations[2]}
 	hoisted := make([]*heax.Ciphertext, 3)
 	for i := range hoisted {
 		if hoisted[i], err = heax.NewCiphertext(k.params, 1, k.params.MaxLevel(), 0); err != nil {
@@ -332,11 +333,11 @@ func TestIntoAllocations(t *testing.T) {
 	}
 
 	// retries: further windows a case may be measured in when one reads
-	// over max. Only the giant step has any: it offers itself to a pool
-	// worker on every call, and the polynomials a helper draws on the
-	// worker's processor go back to the caller's, so sync.Pool now and
-	// then grows a per-processor list from the heap. A steady allocation
-	// of its own shows in every window.
+	// over max. Only the sums of more than one term have any: such a sum
+	// offers itself to a pool worker on every call, and the polynomials a
+	// helper draws on the worker's processor go back to the caller's, so
+	// sync.Pool now and then grows a per-processor list from the heap. A
+	// steady allocation of its own shows in every window.
 	cases := []struct {
 		name    string
 		max     float64
@@ -349,9 +350,11 @@ func TestIntoAllocations(t *testing.T) {
 		{"MulPlainIntoCompact", 0, 0, func() error { return k.eval.MulPlainInto(x, compact, out) }},
 		{"MulRelinInto", 2, 0, func() error { return k.eval.MulRelinInto(x, y, out) }},
 		{"RescaleInto", 2, 0, func() error { return k.eval.RescaleInto(prod, res) }},
-		{"RotateInto", 2, 0, func() error { return k.eval.RotateInto(x, 1, out) }},
+		{"RotateInto", 0, 0, func() error { return k.eval.RotateInto(x, 1, out) }},
+		{"ConjugateSlotsInto", 2, 0, func() error { return k.eval.ConjugateSlotsInto(x, out) }},
+		{"InnerSumInto", 5, 3, func() error { return k.eval.InnerSumInto(x, 4, out) }},
 		{"RotateHoistedInto", 13, 0, func() error { return k.eval.RotateHoistedInto(x, []int{1, 2, 1}, hoisted) }},
-		{"RotateSumInto", 0, 3, func() error { return heax.RotateSumInto(k.eval, sumCts, sumPts, sumEnds, sumSteps, out) }},
+		{"RotateSumInto", 0, 3, func() error { return heax.RotateSumInto(k.eval, sumCts, sumPts, sumEnds, sumKeys, out) }},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -542,17 +542,6 @@ func compactRows(pt *Plaintext) {
 
 func (k *compiler) paramName() string { return fmt.Sprintf("LogN=%d", k.params.LogN) }
 
-func (k *compiler) rotationKeyPresent(step int) error {
-	// Keys are stored under normalized steps; looking up the raw step
-	// would falsely reject negative rotations whose key is present.
-	norm := k.params.NormalizeRotation(step)
-	if k.evk.Galois == nil || k.evk.Galois.Rotations[norm] == nil {
-		return fmt.Errorf("heax: compile: circuit rotates by %d but the evaluation keys have no Galois key for it: %w",
-			step, ErrKeyMissing)
-	}
-	return nil
-}
-
 // lower emits the plan steps for one representative, reachable node.
 func (k *compiler) lower(id int) error {
 	n := &k.circ.nodes[id]
@@ -660,41 +649,61 @@ func (k *compiler) lower(id int) error {
 		k.state[id] = valState{slot: slot, level: a.level, scale: a.scale, tier: tr}
 		return nil
 
-	case kindRotate:
+	case kindRotate, kindConjugate:
 		// eliminateCommon collapsed normalized-0 rotations onto their
-		// operand, so the normalized step here is always nonzero.
-		step := k.params.NormalizeRotation(n.step)
-		if err := k.rotationKeyPresent(step); err != nil {
-			return err
+		// operand, so a rotation here always needs a key.
+		step := rotConj
+		if n.kind == kindRotate {
+			step = k.params.NormalizeRotation(n.step)
 		}
-		a := k.st(n.args[0])
-		slot := k.emit(planStep{kind: stepRotate, args: []int{a.slot}, rots: []int{step}, level: a.level, scale: a.scale})
-		k.state[id] = valState{slot: slot, level: a.level, scale: a.scale, tier: a.tier}
-		return nil
-
-	case kindConjugate:
-		if k.evk.Galois == nil || k.evk.Galois.Conjugate == nil {
-			return fmt.Errorf("heax: compile: circuit conjugates slots but the evaluation keys have no conjugation key: %w", ErrKeyMissing)
-		}
-		a := k.st(n.args[0])
-		slot := k.emit(planStep{kind: stepConjugate, args: []int{a.slot}, level: a.level, scale: a.scale})
-		k.state[id] = valState{slot: slot, level: a.level, scale: a.scale, tier: a.tier}
-		return nil
+		var err error
+		k.state[id], err = k.galois(k.st(n.args[0]), step, false)
+		return err
 
 	case kindInnerSum:
+		v := k.st(n.args[0])
 		for span := n.n2 >> 1; span >= 1; span >>= 1 {
-			if norm := k.params.NormalizeRotation(span); norm != 0 {
-				if err := k.rotationKeyPresent(norm); err != nil {
-					return err
-				}
+			var err error
+			if v, err = k.galois(v, span, true); err != nil {
+				return err
 			}
 		}
-		a := k.st(n.args[0])
-		slot := k.emit(planStep{kind: stepInnerSum, args: []int{a.slot}, n2: n.n2, level: a.level, scale: a.scale})
-		k.state[id] = valState{slot: slot, level: a.level, scale: a.scale, tier: a.tier}
+		k.state[id] = v
 		return nil
 	}
 	return fmt.Errorf("heax: compile: unknown node kind %d: %w", n.kind, ErrInternal)
+}
+
+// rotConj is the step of a conjugated RotateSum term; no rotation
+// normalizes to it.
+const rotConj = -1
+
+// galois emits a RotateSum step computing σ(a), σ the rotation by step (a
+// raw step must not be rotConj) or, for rotConj, the conjugation, or with
+// self a + σ(a), one InnerSum round, and returns the result's state. A
+// missing key fails here.
+func (k *compiler) galois(a valState, step int, self bool) (valState, error) {
+	g, key := k.evk.Galois, (*GaloisKey)(nil)
+	if step == rotConj {
+		if g == nil || g.Conjugate == nil {
+			return a, fmt.Errorf("heax: compile: circuit conjugates slots but the evaluation keys have no conjugation key: %w", ErrKeyMissing)
+		}
+		key = g.Conjugate
+	} else if step = k.params.NormalizeRotation(step); step != 0 {
+		// Keys are stored under normalized steps; looking up the raw step
+		// would falsely reject negative rotations whose key is present.
+		if g == nil || g.Rotations[step] == nil {
+			return a, fmt.Errorf("heax: compile: circuit rotates by %d but the evaluation keys have no Galois key for it: %w", step, ErrKeyMissing)
+		}
+		key = g.Rotations[step]
+	}
+	st := planStep{kind: stepRotateSum, level: a.level, scale: a.scale}
+	if self {
+		st.addTerm([]int{a.slot}, []*Plaintext{nil}, 0, nil)
+	}
+	st.addTerm([]int{a.slot}, []*Plaintext{nil}, step, key)
+	a.slot = k.emit(st)
+	return a, nil
 }
 
 // bindOutputs assigns each named output its slot, copying when an
@@ -715,16 +724,16 @@ func (k *compiler) bindOutputs() ([]planOutput, error) {
 	return outs, nil
 }
 
-// hoistRotations merges rotation steps sharing a source slot into one
-// hoisted-decomposition batch: the merged step pays the per-digit INTT
-// and cross-modulus NTTs of Algorithm 7 once for the whole group
+// hoistRotations merges rotations (bareGalois steps) sharing a source slot
+// into one hoisted-decomposition batch: the merged step pays the per-digit
+// INTT and cross-modulus NTTs of Algorithm 7 once for the whole group
 // (Halevi–Shoup hoisting). Merging at the group's earliest position is
 // dependency-safe: every member depends only on the shared source, and
 // every consumer appears after its member's original position.
 func (k *compiler) hoistRotations() {
 	groups := make(map[int][]int) // source slot -> step indices
-	for i, s := range k.steps {
-		if s.kind == stepRotate {
+	for i := range k.steps {
+		if s := &k.steps[i]; s.bareGalois() && s.rots[0] != rotConj {
 			groups[s.args[0]] = append(groups[s.args[0]], i)
 		}
 	}
@@ -750,22 +759,23 @@ func (k *compiler) hoistRotations() {
 	k.dropSteps(drop)
 }
 
-// fuseRotateSums turns every sum of single-use rotations and plaintext
+// fuseRotateSums turns every sum of single-use RotateSums (a rotation, a
+// conjugation and an InnerSum round are lowered to one) and plaintext
 // products into one RotateSum step. An Add fuses when either operand comes
-// from a Rotate or an already fused sum, or both from a MulPlain (a
-// compiler lift is one too), at the Add's level, read by nothing else and
-// not named outputs; the other operand of a rotation joins as the
-// unrotated addend, whatever value it is. The sum goes at the Add's
-// position — after every term's own operand, so the list stays
-// topological — and the producers go. A term whose value before rotation
-// (or the addend itself) is a single-use MulPlain, or a sum that is one
-// unrotated dot product, at that level takes its plaintext factors over
-// too, so no inner sum of a giant step is ever a plan buffer; every
-// unrotated factor joins the sum's one unrotated dot product, so a chain
-// of products stays one wide accumulation. The kernel reduces each dot
-// product once and floors all the rotations once, which is bit for bit
-// the unfused steps (ckks/rotsum.go); RotateHoisted outputs, Sub, and a
-// value read twice or named an output stay as they were.
+// from a RotateSum, or both from a MulPlain (a compiler lift is one too),
+// at the Add's level, read by nothing else and not named outputs; the
+// other operand joins as the unrotated addend, whatever value it is. The
+// sum goes at the Add's position — after every term's own operand, so the
+// list stays topological — and the producers go. A lowered rotation or
+// conjugation whose operand (or the addend itself) is a single-use
+// MulPlain, or a sum that is one unrotated dot product, at that level
+// takes its plaintext factors over too, so no inner sum of a giant step is
+// ever a plan buffer; every unrotated factor joins the sum's one unrotated
+// dot product, so a chain of products stays one wide accumulation. The
+// kernel reduces each dot product once and floors all the key switches
+// once, which is bit for bit the unfused steps (ckks/rotsum.go);
+// RotateHoisted outputs, Sub, and a value read twice or named an output
+// stay as they were.
 func (k *compiler) fuseRotateSums(outputs []planOutput) {
 	single, producer := k.singleUse(outputs)
 	dropped := make([]bool, len(k.steps))
@@ -792,7 +802,7 @@ func (k *compiler) fuseRotateSums(outputs []planOutput) {
 		var rotated [2]*planStep
 		products := 0
 		for j, a := range add.args {
-			rotated[j] = single(a, add.level, stepRotate, stepRotateSum)
+			rotated[j] = single(a, add.level, stepRotateSum)
 			if single(a, add.level, stepMulPlain) != nil {
 				products++
 			}
@@ -805,21 +815,21 @@ func (k *compiler) fuseRotateSums(outputs []planOutput) {
 			switch t := rotated[j]; {
 			case t == nil:
 				args, pts := factors(a, add.level)
-				sum.addTerm(args, pts, 0)
-			case t.kind == stepRotate:
+				sum.addTerm(args, pts, 0, nil)
+			case t.bareGalois():
 				dropped[producer[a]] = true
 				args, pts := factors(t.args[0], add.level)
-				sum.addTerm(args, pts, t.rots[0])
+				sum.addTerm(args, pts, t.rots[0], t.keys[0])
 			case j == 0:
 				// A fused left operand is dropped, so the sum takes its lists
 				// over and a chain of n terms fuses in O(n).
 				dropped[producer[a]] = true
-				sum.args, sum.pts, sum.ends, sum.rots = t.args, t.pts, t.ends, t.rots
+				sum.args, sum.pts, sum.ends, sum.rots, sum.keys = t.args, t.pts, t.ends, t.rots, t.keys
 			default:
 				dropped[producer[a]] = true
 				lo := 0
 				for u, hi := range t.ends {
-					sum.addTerm(t.args[lo:hi], t.pts[lo:hi], t.rots[u])
+					sum.addTerm(t.args[lo:hi], t.pts[lo:hi], t.rots[u], t.keys[u])
 					lo = hi
 				}
 			}
@@ -830,10 +840,11 @@ func (k *compiler) fuseRotateSums(outputs []planOutput) {
 }
 
 // addTerm appends a term to a RotateSum: args, with one plaintext each
-// (nil for a bare operand), rotated by rot. An unrotated dot product
-// joins the sum's own if it has one, after its factors, so the sum's
-// first factor — whose scale the kernel gives the result — never moves.
-func (s *planStep) addTerm(args []int, pts []*Plaintext, rot int) {
+// (nil for a bare operand), under rot and its key (0, nil: unrotated). An
+// unrotated dot product joins the sum's own if it has one, after its
+// factors, so the sum's first factor — whose scale the kernel gives the
+// result — never moves.
+func (s *planStep) addTerm(args []int, pts []*Plaintext, rot int, key *GaloisKey) {
 	if rot == 0 && pts[0] != nil {
 		lo := 0
 		for t, hi := range s.ends {
@@ -852,6 +863,13 @@ func (s *planStep) addTerm(args []int, pts []*Plaintext, rot int) {
 	s.pts = append(s.pts, pts...)
 	s.ends = append(s.ends, len(s.args))
 	s.rots = append(s.rots, rot)
+	s.keys = append(s.keys, key)
+}
+
+// bareGalois reports whether s is a RotateSum of one bare term under a
+// Galois key: a rotation or a conjugation as lowered, not yet fused.
+func (s *planStep) bareGalois() bool {
+	return s.kind == stepRotateSum && len(s.ends) == 1 && s.pts[0] == nil && s.keys[0] != nil
 }
 
 // singleUse indexes the step list for the fusion pass: single(slot,

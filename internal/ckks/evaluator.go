@@ -421,9 +421,9 @@ func (ev *Evaluator) keySwitchAdd(c *ring.Poly, swk *SwitchingKey, add0, add1 *r
 
 // keySwitchAddInto runs Algorithm 7 on c and lands (add0 + ks0,
 // add1 + ks1) in the caller-provided output polynomials (each with
-// c.Level()+1 rows; either add operand may be nil) — the one key-switch
-// back end of relinearization, re-keying, rotation and the fused
-// MulRelin: the flooring tail and the final additions write straight
+// c.Level()+1 rows; either add operand may be nil) — the key-switch back
+// end of relinearization, re-keying, KeySwitchPoly and the fused MulRelin
+// (rotations run through RotateSumInto): the flooring tail and the final additions write straight
 // into the outputs, with no intermediate result polys, no input copies
 // and no separate addition sweep.
 func (ev *Evaluator) keySwitchAddInto(c *ring.Poly, swk *SwitchingKey, add0, add1, out0, out1 *ring.Poly) {
@@ -579,8 +579,8 @@ func (ev *Evaluator) RotateLeft(ct *Ciphertext, step int, gks *GaloisKeySet) (*C
 	return fresh(out, ev.RotateLeftInto(ct, step, gks, out))
 }
 
-// RotateLeftInto is RotateLeft landing in out; a step that normalizes
-// to 0 copies ct into out.
+// RotateLeftInto is RotateLeft landing in out: a RotateSum of one term.
+// A step that normalizes to 0 copies ct into out.
 func (ev *Evaluator) RotateLeftInto(ct *Ciphertext, step int, gks *GaloisKeySet, out *Ciphertext) error {
 	key, err := ev.rotationKeyFor(gks, step)
 	if err != nil {
@@ -589,7 +589,7 @@ func (ev *Evaluator) RotateLeftInto(ct *Ciphertext, step int, gks *GaloisKeySet,
 	if key == nil {
 		return ev.CopyInto(ct, out)
 	}
-	return ev.applyGaloisInto(ct, key, out)
+	return ev.galoisInto(ct, key, false, out)
 }
 
 // RotateRight is RotateLeft with a negated step.
@@ -603,37 +603,13 @@ func (ev *Evaluator) ConjugateSlots(ct *Ciphertext, gks *GaloisKeySet) (*Ciphert
 	return fresh(out, ev.ConjugateSlotsInto(ct, gks, out))
 }
 
-// ConjugateSlotsInto applies complex conjugation to every slot, into out.
+// ConjugateSlotsInto applies complex conjugation to every slot, into out:
+// a RotateSum of one term under the conjugation key.
 func (ev *Evaluator) ConjugateSlotsInto(ct *Ciphertext, gks *GaloisKeySet, out *Ciphertext) error {
 	if gks == nil || gks.Conjugate == nil {
 		return fmt.Errorf("ckks: no conjugation key provided: %w", ErrKeyMissing)
 	}
-	return ev.applyGaloisInto(ct, gks.Conjugate, out)
-}
-
-// applyGaloisInto implements rotation (Section 3.4): apply the
-// automorphism to both components — yielding a ciphertext under s(X^g) —
-// then switch the second component back to s. Both permuted components
-// are pooled scratch: c1g is consumed by the key switch, whose tail
-// folds c0g in and writes directly into out.
-func (ev *Evaluator) applyGaloisInto(ct *Ciphertext, key *GaloisKey, out *Ciphertext) error {
-	if ct.Degree() != 1 {
-		return fmt.Errorf("ckks: rotation requires a degree-1 ciphertext (got %d); relinearize first: %w",
-			ct.Degree(), ErrDegreeMismatch)
-	}
-	if err := ev.prepareInto(out, 1, ct.Level, ct.Scale); err != nil {
-		return err
-	}
-	ctx := ev.ctx
-	rows := ct.Level + 1
-	auto := ctx.AutomorphismNTTTable(key.GaloisElt)
-	c0g := ctx.GetPolyNoZero(rows)
-	c1g := ctx.GetPolyNoZero(rows)
-	defer ctx.PutPoly(c0g)
-	defer ctx.PutPoly(c1g)
-	ctx.AutomorphismNTTPair(ct.Polys[0], ct.Polys[1], auto, c0g, c1g)
-	ev.keySwitchAddInto(c1g, &key.SwitchingKey, c0g, nil, out.Polys[0], out.Polys[1])
-	return nil
+	return ev.galoisInto(ct, gks.Conjugate, false, out)
 }
 
 // InnerSum replaces every slot of ct with the sum of the n2 slots
@@ -644,39 +620,43 @@ func (ev *Evaluator) InnerSum(ct *Ciphertext, n2 int, gks *GaloisKeySet) (*Ciphe
 	return fresh(out, ev.InnerSumInto(ct, n2, gks, out))
 }
 
-// InnerSumInto is InnerSum landing in out, with the per-round rotation
-// in pooled scratch instead of fresh ciphertexts; out may alias ct.
+// InnerSumInto is InnerSum landing in out; out may alias ct. Each round
+// is a RotateSum of two terms, x + rot(x, span), landing alternately in
+// pooled scratch and in out so that the last lands in out.
 func (ev *Evaluator) InnerSumInto(ct *Ciphertext, n2 int, gks *GaloisKeySet, out *Ciphertext) error {
 	if n2 < 1 || n2&(n2-1) != 0 {
 		return fmt.Errorf("ckks: InnerSum width %d must be a power of two", n2)
 	}
 	// Resolve every span key before writing anything: out may alias ct,
 	// and a missing key discovered mid-accumulation would leave the
-	// caller's ciphertext partially overwritten.
-	for span := n2 >> 1; span >= 1; span >>= 1 {
-		if _, err := ev.rotationKeyFor(gks, span); err != nil {
+	// caller's ciphertext partially overwritten. An int n2 has fewer than
+	// 64 halvings.
+	var keys [64]*GaloisKey
+	rounds := 0
+	for span := n2 >> 1; span >= 1; span, rounds = span>>1, rounds+1 {
+		var err error
+		if keys[rounds], err = ev.rotationKeyFor(gks, span); err != nil {
 			return err
 		}
 	}
-	if err := ev.CopyInto(ct, out); err != nil {
-		return err
+	if rounds == 0 {
+		return ev.CopyInto(ct, out)
 	}
-	if n2 == 1 {
-		return nil
-	}
-	ctx := ev.ctx
-	rows := ct.Level + 1
-	//heax:owns both polys ride in rot and are released by the two defers below
-	rot := &Ciphertext{Polys: []*ring.Poly{ctx.GetPolyNoZero(rows), ctx.GetPolyNoZero(rows)}}
-	defer ctx.PutPoly(rot.Polys[0])
-	defer ctx.PutPoly(rot.Polys[1])
-	for span := n2 >> 1; span >= 1; span >>= 1 {
-		if err := ev.RotateLeftInto(out, span, gks, rot); err != nil {
+	c0 := ev.ctx.GetPolyNoZero(ct.Level + 1)
+	c1 := ev.ctx.GetPolyNoZero(ct.Level + 1)
+	defer ev.ctx.PutPoly(c0)
+	defer ev.ctx.PutPoly(c1)
+	tmp := &Ciphertext{Polys: []*ring.Poly{c0, c1}}
+	cur := ct
+	for r, key := range keys[:rounds] {
+		dst := tmp
+		if (rounds-r)%2 == 1 {
+			dst = out
+		}
+		if err := ev.galoisInto(cur, key, true, dst); err != nil {
 			return err
 		}
-		if err := ev.AddInto(out, rot, out); err != nil {
-			return err
-		}
+		cur = dst
 	}
 	return nil
 }

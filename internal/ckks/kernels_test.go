@@ -128,7 +128,7 @@ func TestKernelsDoNotMutateInputs(t *testing.T) {
 	// A plain sum: one unrotated dot product, its factors at two levels.
 	add(kernelCase{name: "RotateSum/plain/L3,L1", cts: []*Ciphertext{x, yLow}, pt: pt,
 		into: func(ev *Evaluator, o []*Ciphertext) error {
-			return ev.RotateSumInto([]*Ciphertext{yLow, x, yLow}, []*Plaintext{pt, ptLow, pt}, []int{3}, []int{0}, nil, o[0])
+			return ev.RotateSumInto([]*Ciphertext{yLow, x, yLow}, []*Plaintext{pt, ptLow, pt}, []int{3}, []*GaloisKey{nil}, o[0])
 		}})
 	// A giant step: a bare unrotated product and two rotated dot products,
 	// at the top level and at level 1 (where the operands are views).
@@ -136,7 +136,7 @@ func TestKernelsDoNotMutateInputs(t *testing.T) {
 		bare, a, b := p.bare, p.a, p.b
 		add(kernelCase{name: fmt.Sprintf("RotateSum/L%d", a.Level), cts: []*Ciphertext{bare, a, b}, pt: pt,
 			into: func(ev *Evaluator, o []*Ciphertext) error {
-				return ev.RotateSumInto([]*Ciphertext{bare, a, b}, []*Plaintext{nil, pt, pt}, []int{1, 2, 3}, []int{0, 1, 2}, gks, o[0])
+				return ev.RotateSumInto([]*Ciphertext{bare, a, b}, []*Plaintext{nil, pt, pt}, []int{1, 2, 3}, []*GaloisKey{nil, gks.Rotations[1], gks.Rotations[2]}, o[0])
 			}})
 	}
 	for _, ct := range []*Ciphertext{x, yLow, deg2} {
@@ -229,6 +229,68 @@ func TestKernelsDoNotMutateInputs(t *testing.T) {
 					check("when the allocating form's result was written to")
 				}
 			})
+		}
+	}
+}
+
+// TestRotateConjugateInnerSumInPlace holds the *Into contract that out
+// may alias the input for the Galois operations: RotateLeftInto,
+// ConjugateSlotsInto and InnerSumInto (an odd and an even number of
+// rounds, and one) with out == ct give the out-of-place bits, at the top
+// level and one below, with the rows inline and fanned out (schedSpec's
+// top-level passes reach the pool).
+func TestRotateConjugateInnerSumInPlace(t *testing.T) {
+	params, err := NewParams(schedSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := NewKeyGenerator(params, 73)
+	gks := kg.GenGaloisKeySet(kg.GenSecretKey(), []int{1, 2, 4}, true)
+	ctx := params.RingQP
+	rng := rand.New(rand.NewSource(74))
+	ops := []struct {
+		name string
+		into func(ev *Evaluator, ct, out *Ciphertext) error
+	}{
+		{"RotateLeft", func(ev *Evaluator, ct, out *Ciphertext) error { return ev.RotateLeftInto(ct, 1, gks, out) }},
+		{"ConjugateSlots", func(ev *Evaluator, ct, out *Ciphertext) error { return ev.ConjugateSlotsInto(ct, gks, out) }},
+		{"InnerSum2", func(ev *Evaluator, ct, out *Ciphertext) error { return ev.InnerSumInto(ct, 2, gks, out) }},
+		{"InnerSum4", func(ev *Evaluator, ct, out *Ciphertext) error { return ev.InnerSumInto(ct, 4, gks, out) }},
+		{"InnerSum8", func(ev *Evaluator, ct, out *Ciphertext) error { return ev.InnerSumInto(ct, 8, gks, out) }},
+	}
+	for _, level := range []int{params.MaxLevel(), params.MaxLevel() - 1} {
+		ct, err := NewCiphertext(params, 1, level, params.DefaultScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ct.Polys {
+			for i, row := range p.Coeffs {
+				for j := range row {
+					row[j] = rng.Uint64() % ctx.Basis.Primes[i]
+				}
+			}
+		}
+		for _, op := range ops {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/L%d/w%d", op.name, level, workers), func(t *testing.T) {
+					ev := NewEvaluator(params)
+					ev.SetWorkers(workers)
+					want, err := NewCiphertext(params, 1, params.MaxLevel(), 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := op.into(ev, ct, want); err != nil {
+						t.Fatal(err)
+					}
+					in := CopyOf(ct)
+					if err := op.into(ev, in, in); err != nil {
+						t.Fatal(err)
+					}
+					if !sameCiphertext(in, want) {
+						t.Fatal("in place differs from out of place")
+					}
+				})
+			}
 		}
 	}
 }

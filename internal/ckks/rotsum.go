@@ -1,17 +1,18 @@
 package ckks
 
-// This file is the giant-step half of a BSGS linear transform as one
-// kernel: Σₜ rot_t(xₜ), where each xₜ may itself be a sum of plaintext
-// products. Run as RotateLeft and Add, every rotation ends in its own
-// flooring tail (HEAX's KeySwitch module, Fig. 6–8, divides by the
-// special prime once per operation). Here the terms share one: a term's
-// key-switch MAC keeps adding into one accumulator pair's q rows, only its
-// special-prime row is inverse-transformed on its own and added as
-// integers into a tail sum, and one closing pass over the q rows reduces
-// the tail sum, transforms it and divides by the special prime
-// (ring.FloorSumRow). That lift of the special row is the only non-linear
-// step of a floor, so the result is bit for bit what the unfused
-// operations give.
+// This file is the one kernel that runs a Galois operation outside a
+// hoisted batch: Σₜ σₜ(xₜ), each σₜ a rotation, the conjugation or none
+// and each xₜ a ciphertext or a sum of plaintext products — a rotation is
+// one term, an InnerSum round two, a BSGS giant step many. Run one at a
+// time, every automorphism ends in its own flooring tail (HEAX's KeySwitch
+// module, Fig. 6–8, divides by the special prime once per operation).
+// Here the terms share one: a term's key-switch MAC keeps adding into one
+// accumulator pair's q rows, only its special-prime row is
+// inverse-transformed on its own and added as integers into a tail sum,
+// and one closing pass over the q rows reduces the tail sum, transforms it
+// and divides by the special prime (ring.FloorSumRow). That lift of the
+// special row is the only non-linear step of a floor, so the result is
+// bit for bit what the operations one at a time give.
 //
 // The terms are dealt from one atomic counter. The caller offers the sum
 // to the ring pool once; an idle worker that takes the offer while terms
@@ -28,23 +29,24 @@ import (
 	"heax/internal/ring"
 )
 
-// RotateSumInto computes Σₜ rot_{steps[t]}(xₜ) into out in one pass with
-// one flooring tail: term t is the ciphertext-plaintext dot product
+// RotateSumInto computes Σₜ σₜ(xₜ) into out in one pass with one
+// flooring tail: term t is the ciphertext-plaintext dot product
 // Σ cts[i] ⊙ pts[i] over i in [ends[t−1], ends[t]) (ends[−1] = 0), or the
 // ciphertext cts[i] itself when that range is the single i and pts[i] is
-// nil; a step that normalizes to 0 leaves its term unrotated. It is
-// bit-identical to MulPlainInto and AddInto over a term's products (or the
-// bare ciphertext), then RotateLeftInto and AddInto term by term in order,
-// and like them it resolves every key and checks every degree, level and
+// nil, and σₜ is the automorphism of keys[t] followed by its key switch,
+// or nothing for a nil key. It is bit-identical to MulPlainInto and
+// AddInto over a term's products (or the bare ciphertext), then the term's
+// automorphism and key switch with a flooring tail of its own, and AddInto
+// term by term in order; like them it checks every degree, level and
 // scale before writing out: terms are degree-1 at one level, every
 // factor's scale is close to its term's first and every term's to the
 // first term's, whose scale the result takes. out must not share storage
 // with any operand. A sum of plaintext products alone is one unrotated
 // term: its dot product, written straight into out.
-func (ev *Evaluator) RotateSumInto(cts []*Ciphertext, pts []*Plaintext, ends, steps []int, gks *GaloisKeySet, out *Ciphertext) error {
+func (ev *Evaluator) RotateSumInto(cts []*Ciphertext, pts []*Plaintext, ends []int, keys []*GaloisKey, out *Ciphertext) error {
 	s := ev.getRotSum()
 	defer ev.putRotSum(s)
-	level, scale, err := s.bind(cts, pts, ends, steps, gks, out)
+	level, scale, err := s.bind(cts, pts, ends, keys, out)
 	if err != nil {
 		return err
 	}
@@ -55,6 +57,30 @@ func (ev *Evaluator) RotateSumInto(cts []*Ciphertext, pts []*Plaintext, ends, st
 	return nil
 }
 
+// galoisInto computes σ(ct) into out, σ the automorphism of key and its
+// key switch — a rotation or a conjugation as a sum of one term — or, with
+// self, ct + σ(ct), an InnerSum round as a sum of two. out may share
+// storage with ct: the sum then lands in pooled scratch and is copied
+// over.
+func (ev *Evaluator) galoisInto(ct *Ciphertext, key *GaloisKey, self bool, out *Ciphertext) error {
+	cts, pts, ends, keys := []*Ciphertext{ct, ct}, []*Plaintext{nil, nil}, []int{1, 2}, []*GaloisKey{nil, key}
+	if !self {
+		cts, pts, ends, keys = cts[1:], pts[1:], ends[:1], keys[1:]
+	}
+	dst := out
+	if overlaps(out, ct) {
+		c0 := ev.ctx.GetPolyNoZero(ct.Level + 1)
+		c1 := ev.ctx.GetPolyNoZero(ct.Level + 1)
+		defer ev.ctx.PutPoly(c0)
+		defer ev.ctx.PutPoly(c1)
+		dst = &Ciphertext{Polys: []*ring.Poly{c0, c1}}
+	}
+	if err := ev.RotateSumInto(cts, pts, ends, keys, dst); err != nil || dst == out {
+		return err
+	}
+	return ev.CopyInto(dst, out)
+}
+
 // rotSum is one RotateSumInto call, pooled on the evaluator. A pool
 // worker may answer its offer long after the call returned, even while
 // the struct serves a later call: Help joins only while open is set,
@@ -63,8 +89,8 @@ type rotSum struct {
 	ev  *Evaluator
 	ctx *ring.Context
 
-	// The terms, fixed while the call runs: keys[t] is term t's Galois
-	// key, nil for an unrotated term.
+	// The terms, fixed while the call runs (the caller's lists, copied):
+	// keys[t] is term t's Galois key, nil for an unrotated term.
 	cts   []*Ciphertext
 	pts   []*Plaintext
 	ends  []int
@@ -135,19 +161,20 @@ func (ev *Evaluator) getRotSum() *rotSum {
 }
 
 func (ev *Evaluator) putRotSum(s *rotSum) {
-	s.cts, s.pts, s.ends = nil, nil, nil
+	clear(s.cts)
+	clear(s.pts)
 	clear(s.keys)
-	s.keys = s.keys[:0]
 	s.lead = nil
 	ev.sums.Put(s)
 }
 
-// bind checks the terms and resolves their keys into s, writing nothing
-// else, and returns the result's level and scale.
-func (s *rotSum) bind(cts []*Ciphertext, pts []*Plaintext, ends, steps []int, gks *GaloisKeySet, out *Ciphertext) (int, float64, error) {
-	if len(ends) == 0 || len(ends) != len(steps) || len(pts) != len(cts) || ends[len(ends)-1] != len(cts) {
-		return 0, 0, fmt.Errorf("ckks: RotateSum of %d terms (%d steps) over %d ciphertexts and %d plaintexts",
-			len(ends), len(steps), len(cts), len(pts))
+// bind checks the terms and copies them into s — so a caller's lists may
+// live on its stack — writing nothing else, and returns the result's
+// level and scale.
+func (s *rotSum) bind(cts []*Ciphertext, pts []*Plaintext, ends []int, keys []*GaloisKey, out *Ciphertext) (int, float64, error) {
+	if len(ends) == 0 || len(ends) != len(keys) || len(pts) != len(cts) || ends[len(ends)-1] != len(cts) {
+		return 0, 0, fmt.Errorf("ckks: RotateSum of %d terms (%d keys) over %d ciphertexts and %d plaintexts",
+			len(ends), len(keys), len(cts), len(pts))
 	}
 	if out == nil {
 		return 0, 0, fmt.Errorf("ckks: nil output ciphertext")
@@ -159,11 +186,6 @@ func (s *rotSum) bind(cts []*Ciphertext, pts []*Plaintext, ends, steps []int, gk
 		if hi <= lo {
 			return 0, 0, fmt.Errorf("ckks: RotateSum term %d spans operands [%d, %d)", t, lo, hi)
 		}
-		key, err := s.ev.rotationKeyFor(gks, steps[t])
-		if err != nil {
-			return 0, 0, err
-		}
-		s.keys = append(s.keys, key)
 		var tLevel int
 		var tScale float64
 		for i := lo; i < hi; i++ {
@@ -202,7 +224,9 @@ func (s *rotSum) bind(cts []*Ciphertext, pts []*Plaintext, ends, steps []int, gk
 		}
 		lo = hi
 	}
-	s.cts, s.pts, s.ends, s.level = cts, pts, ends, level
+	s.cts, s.pts = append(s.cts[:0], cts...), append(s.pts[:0], pts...)
+	s.ends, s.keys = append(s.ends[:0], ends...), append(s.keys[:0], keys...)
+	s.level = level
 	s.limit = s.ctx.TailSumTerms(s.ev.params.SpecialRow())
 	if s.ev.tailTerms > 0 {
 		s.limit = min(s.limit, s.ev.tailTerms)

@@ -170,10 +170,33 @@ func (f *rotSumFixture) fused(t testing.TB, ev *Evaluator) *Ciphertext {
 		t.Fatal(err)
 	}
 	scribble(out) // as a reused buffer would hold: nothing may be read before it is written
-	if err := ev.RotateSumInto(f.cts, f.pts, f.ends, f.steps, f.gks, out); err != nil {
+	if err := f.sumInto(ev, out); err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// keys resolves the fixture's steps to the Galois keys RotateSumInto
+// takes, as RotateLeftInto resolves a step: normalized, nil for 0.
+func (f *rotSumFixture) keys(ev *Evaluator) ([]*GaloisKey, error) {
+	keys := make([]*GaloisKey, len(f.steps))
+	for t, step := range f.steps {
+		key, err := ev.rotationKeyFor(f.gks, step)
+		if err != nil {
+			return nil, err
+		}
+		keys[t] = key
+	}
+	return keys, nil
+}
+
+// sumInto runs the fixture's sum into out, its keys resolved first.
+func (f *rotSumFixture) sumInto(ev *Evaluator, out *Ciphertext) error {
+	keys, err := f.keys(ev)
+	if err != nil {
+		return err
+	}
+	return ev.RotateSumInto(f.cts, f.pts, f.ends, keys, out)
 }
 
 // TestRotateSumMatchesUnfused: RotateSumInto is bit for bit RotateLeftInto
@@ -300,10 +323,12 @@ func TestRotateSumHelpers(t *testing.T) {
 	})
 }
 
-// TestRotateSumFailsBeforeWriting: a missing key, a term or a factor at
-// another level or scale, a degree-2 term or factor, operand lists that do
-// not match and an output sharing an operand's storage are refused, with
-// their sentinels where they have one, before out is touched.
+// TestRotateSumFailsBeforeWriting: a missing key (refused as the steps
+// resolve to keys, the way RotateLeftInto resolves one), a term or a
+// factor at another level or scale, a degree-2 term or factor, operand
+// lists that do not match and an output sharing an operand's storage are
+// refused, with their sentinels where they have one, before out is
+// touched.
 func TestRotateSumFailsBeforeWriting(t *testing.T) {
 	f := newRotSumFixture(t, smallSpec, rotSumShape{rotated: 3, addend: true, dots: true, level: 2}, 9)
 	plain := newRotSumFixture(t, smallSpec, rotSumShape{plain: 4, level: 2}, 10)
@@ -368,7 +393,7 @@ func TestRotateSumFailsBeforeWriting(t *testing.T) {
 				out = f.fused(t, ev) // a finished result, to see it left alone
 			}
 			before := CopyOf(out)
-			err := ev.RotateSumInto(c.f.cts, c.f.pts, c.f.ends, c.f.steps, c.f.gks, out)
+			err := c.f.sumInto(ev, out)
 			if err == nil || c.want != nil && !errors.Is(err, c.want) {
 				t.Fatalf("err = %v, want %v", err, c.want)
 			}
@@ -409,10 +434,14 @@ func BenchmarkRotateSum(b *testing.B) {
 	}
 	f.cts, f.pts = cts, pts
 	ev := NewEvaluator(f.params)
+	keys, err := f.keys(ev)
+	if err != nil {
+		b.Fatal(err)
+	}
 	out, _ := NewCiphertext(f.params, 1, 1, 0)
 	b.Run("fused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := ev.RotateSumInto(f.cts, f.pts, f.ends, f.steps, f.gks, out); err != nil {
+			if err := ev.RotateSumInto(f.cts, f.pts, f.ends, keys, out); err != nil {
 				b.Fatal(err)
 			}
 		}

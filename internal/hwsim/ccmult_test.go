@@ -1,6 +1,7 @@
 package hwsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -168,6 +169,72 @@ func TestSimulateRotationMatchesEvaluator(t *testing.T) {
 	if !r0.Equal(want.Polys[0]) || !r1.Equal(want.Polys[1]) {
 		t.Fatal("hardware rotation differs from software")
 	}
+}
+
+// The other Galois operations, against the same model, which runs no
+// part of the evaluator's rotation kernel: conjugation under the
+// conjugation key's element, rotations at every level below the top, and
+// InnerSum as SimulateRotation and ring addition round by round — each
+// bit for bit, with the evaluator's rows inline and fanned out.
+func TestSimulateGaloisOpsMatchEvaluator(t *testing.T) {
+	params, kg, sk, _, eval := hwKit(t)
+	ctx := params.RingQP
+	rng := rand.New(rand.NewSource(43))
+	arch := core.DeriveArch(core.BoardStratix10, core.ParamSet{Name: "hw", LogN: params.LogN, K: params.K()}, 8)
+	gks := kg.GenGaloisKeySet(sk, []int{1, 2, 3, 4}, true)
+	// simulate is one hardware rotation of ct under key.
+	simulate := func(t *testing.T, ct *ckks.Ciphertext, key *ckks.GaloisKey) *ckks.Ciphertext {
+		t.Helper()
+		r0, r1, err := SimulateRotation(ctx, arch, ct.Polys[0], ct.Polys[1], ctx.AutomorphismNTTTable(key.GaloisElt), key.SwitchingKey.Digits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &ckks.Ciphertext{Polys: []*ring.Poly{r0, r1}, Scale: ct.Scale, Level: ct.Level}
+	}
+	check := func(t *testing.T, op string, want *ckks.Ciphertext, got func() (*ckks.Ciphertext, error)) {
+		t.Helper()
+		for _, workers := range []int{1, 3} {
+			eval.SetWorkers(workers)
+			ct, err := got()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ct.Level != want.Level || !ct.Polys[0].Equal(want.Polys[0]) || !ct.Polys[1].Equal(want.Polys[1]) {
+				t.Fatalf("workers %d: software %s differs from hardware", workers, op)
+			}
+		}
+	}
+
+	t.Run("ConjugateSlots", func(t *testing.T) {
+		ct := randomCtAt(params, rng, params.MaxLevel())
+		check(t, "ConjugateSlots", simulate(t, ct, gks.Conjugate), func() (*ckks.Ciphertext, error) {
+			return eval.ConjugateSlots(ct, gks)
+		})
+	})
+	t.Run("RotateLeftBelowTop", func(t *testing.T) {
+		for level := params.MaxLevel() - 1; level >= 0; level-- {
+			ct := randomCtAt(params, rng, level)
+			check(t, fmt.Sprintf("RotateLeft at level %d", level), simulate(t, ct, gks.Rotations[3]), func() (*ckks.Ciphertext, error) {
+				return eval.RotateLeft(ct, 3, gks)
+			})
+		}
+	})
+	t.Run("InnerSum", func(t *testing.T) {
+		for _, level := range []int{params.MaxLevel(), 1} {
+			ct := randomCtAt(params, rng, level)
+			want := ct
+			for span := 4; span >= 1; span >>= 1 {
+				rot := simulate(t, want, gks.Rotations[span])
+				sum := &ckks.Ciphertext{Polys: []*ring.Poly{ctx.NewPoly(level + 1), ctx.NewPoly(level + 1)}, Scale: ct.Scale, Level: level}
+				ctx.Add(want.Polys[0], rot.Polys[0], sum.Polys[0])
+				ctx.Add(want.Polys[1], rot.Polys[1], sum.Polys[1])
+				want = sum
+			}
+			check(t, fmt.Sprintf("InnerSum at level %d", level), want, func() (*ckks.Ciphertext, error) {
+				return eval.InnerSum(ct, 8, gks)
+			})
+		}
+	})
 }
 
 func randomCtAt(params *ckks.Params, rng *rand.Rand, level int) *ckks.Ciphertext {

@@ -159,9 +159,11 @@ func TestAutomorphismNTTMatchesGather(t *testing.T) {
 				if !out0.Equal(want0) {
 					t.Fatalf("n=%d g=%d workers=%d: AutomorphismNTT differs from the gather", shape.n, g, workers)
 				}
-				ctx.AutomorphismNTTPair(a0, a1, auto, out0, out1)
+				ctx.RunRows(shape.rows, func(i int) {
+					ctx.AutomorphismNTTPairRow(a0.Coeffs[i], a1.Coeffs[i], auto, out0.Coeffs[i], out1.Coeffs[i], false, i)
+				})
 				if !out0.Equal(want0) || !out1.Equal(want1) {
-					t.Fatalf("n=%d g=%d workers=%d: AutomorphismNTTPair differs from the gather", shape.n, g, workers)
+					t.Fatalf("n=%d g=%d workers=%d: AutomorphismNTTPairRow differs from the gather", shape.n, g, workers)
 				}
 				for i := range out0.Coeffs {
 					ctx.AutomorphismNTTRow(a1.Coeffs[i], auto, out1.Coeffs[i])
@@ -202,9 +204,12 @@ func TestAutomorphismNTTRefusesAliasedRows(t *testing.T) {
 	mustPanic("AutomorphismNTT same poly", func() { ctx.AutomorphismNTT(a0, auto, a0) })
 	mustPanic("AutomorphismNTT Resize view", func() { ctx.AutomorphismNTT(a0, auto, view) })
 	mustPanic("AutomorphismNTT later rows", func() { ctx.AutomorphismNTT(a0, auto, &Poly{Coeffs: [][]uint64{other.Coeffs[0], a0.Coeffs[0]}}) })
-	mustPanic("AutomorphismNTTPair out0 view", func() { ctx.AutomorphismNTTPair(a0, a1, auto, view, other) })
-	mustPanic("AutomorphismNTTPair out1 = a0", func() { ctx.AutomorphismNTTPair(a0, a1, auto, other, view) })
-	mustPanic("AutomorphismNTTPair out0 = out1", func() { ctx.AutomorphismNTTPair(a0, a1, auto, other, other.Resize(2)) })
+	mustPanic("AutomorphismNTTPairRow out0 view", func() {
+		ctx.AutomorphismNTTPairRow(a0.Coeffs[0], a1.Coeffs[0], auto, view.Coeffs[0], other.Coeffs[0], false, 0)
+	})
+	mustPanic("AutomorphismNTTPairRow out0 = out1", func() {
+		ctx.AutomorphismNTTPairRow(a0.Coeffs[0], a1.Coeffs[0], auto, other.Coeffs[0], other.Resize(2).Coeffs[0], false, 0)
+	})
 	mustPanic("AutomorphismNTTRow", func() { ctx.AutomorphismNTTRow(a0.Coeffs[0], auto, view.Coeffs[0]) })
 	mustPanic("AutomorphismNTTPairRow out0 = a1", func() {
 		ctx.AutomorphismNTTPairRow(a0.Coeffs[0], a1.Coeffs[0], auto, a1.Coeffs[0], other.Coeffs[0], true, 0)

@@ -660,25 +660,12 @@ func (c *Context) AutomorphismNTTRow(a []uint64, t *Automorphism, out []uint64) 
 	uintmod.VecPermute(out, a, t.blocks, &t.lanes)
 }
 
-// AutomorphismNTTPair permutes the two components of a ciphertext in a
-// single row pass — one worker fan-out (and one closure) instead of two,
-// which is what keeps the in-place rotation at the hot-path allocation
-// budget. No output may share a row with an operand or the other output.
-func (c *Context) AutomorphismNTTPair(a0, a1 *Poly, t *Automorphism, out0, out1 *Poly) {
-	if sharesRow(out0, a0) || sharesRow(out0, a1) || sharesRow(out1, a0) || sharesRow(out1, a1) || sharesRow(out0, out1) {
-		panic(errInPlace)
-	}
-	c.RunRows(rowsOf(a0, a1, out0, out1), func(i int) {
-		c.AutomorphismNTTPairRow(a0.Coeffs[i], a1.Coeffs[i], t, out0.Coeffs[i], out1.Coeffs[i], false, i)
-	})
-}
-
-// AutomorphismNTTPairRow is row i (basis prime i) of AutomorphismNTTPair,
-// for a caller that runs its own row pass; with add0 the first component
-// is added into out0 instead of stored, out0 += σ(a0) — how a sum of
-// rotations folds each term's σ(c0) into its running sum while it keeps
-// σ(c1) for the key switch. No output may be an operand or the other
-// output.
+// AutomorphismNTTPairRow permutes row i (basis prime i) of the two
+// components of a ciphertext in one pass, for a caller that runs its own
+// row pass; with add0 the first component is added into out0 instead of
+// stored, out0 += σ(a0) — how a sum of automorphisms folds each term's
+// σ(c0) into its running sum while it keeps σ(c1) for the key switch. No
+// output may be an operand or the other output.
 //
 //heax:noalloc
 func (c *Context) AutomorphismNTTPairRow(a0, a1 []uint64, t *Automorphism, out0, out1 []uint64, add0 bool, i int) {

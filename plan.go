@@ -16,10 +16,11 @@ import (
 )
 
 // Tracer receives the wall-clock latency of every executed plan step,
-// keyed by step kind ("MulRelin", "Rotate", "Rescale", ... — see
-// StepKinds). It is the software analogue of HEAX's per-core occupancy
-// counters: aggregate step latency tells you which kernel class bounds
-// a circuit's throughput. Implementations must be safe for concurrent
+// keyed by step kind ("MulRelin", "RotateSum", "Rescale", ... — see
+// StepKinds; a rotation, conjugation or InnerSum round outside a hoisted
+// batch is a RotateSum step). It is the software analogue of HEAX's
+// per-core occupancy counters: aggregate step latency tells you which
+// kernel class bounds a circuit's throughput. Implementations must be safe for concurrent
 // use — steps from one run (and from overlapping runs) report in
 // parallel. ObserveStep must be cheap; it runs on the goroutine that
 // executed the step, before it takes the next one.
@@ -184,10 +185,7 @@ const (
 	stepMulPlain
 	stepAddPlain
 	stepRescale
-	stepRotate
 	stepRotateHoisted
-	stepConjugate
-	stepInnerSum
 	stepCopy
 	stepRotateSum
 )
@@ -199,10 +197,7 @@ var stepKindNames = [...]string{
 	stepMulPlain:      "MulPlain",
 	stepAddPlain:      "AddPlain",
 	stepRescale:       "Rescale",
-	stepRotate:        "Rotate",
 	stepRotateHoisted: "RotateHoisted",
-	stepConjugate:     "ConjugateSlots",
-	stepInnerSum:      "InnerSum",
 	stepCopy:          "Copy",
 	stepRotateSum:     "RotateSum",
 }
@@ -219,12 +214,13 @@ type planStep struct {
 	// payload's are always full.
 	pt  *Plaintext
 	pts []*Plaintext
-	// rots is the rotation step (len 1) or hoisted batch (len > 1), or a
-	// RotateSum's step per term (0: unrotated); a RotateSum's term t reads
+	// rots is a hoisted batch's steps, or a RotateSum's step per term (0:
+	// unrotated, rotConj: conjugated) and keys its Galois key per term
+	// (nil: unrotated), resolved at Compile; a RotateSum's term t reads
 	// args[ends[t−1]:ends[t]].
 	rots   []int
+	keys   []*GaloisKey
 	ends   []int
-	n2     int
 	level  int
 	scale  float64
 	lifted bool // compiler-inserted multiply-by-one
@@ -287,10 +283,9 @@ func (p *Plan) Describe() string {
 	for i, s := range p.steps {
 		fmt.Fprintf(&b, "%3d  %-14s %v -> %v  @L%d scale=2^%.2f", i, stepKindNames[s.kind], s.args, s.outs, s.level, math.Log2(s.scale))
 		if len(s.rots) > 0 {
-			fmt.Fprintf(&b, " rot%v", s.rots)
-		}
-		if s.n2 > 0 {
-			fmt.Fprintf(&b, " n2=%d", s.n2)
+			// Every step is normalized into [0, slots), so the only minus
+			// sign is rotConj's.
+			fmt.Fprintf(&b, " rot%s", strings.ReplaceAll(fmt.Sprint(s.rots), fmt.Sprint(rotConj), "conj"))
 		}
 		if s.kind == stepRotateSum {
 			fmt.Fprintf(&b, " terms=%d factors=%d", len(s.ends), len(plainFactors(&s)))
@@ -676,18 +671,12 @@ func (p *Plan) execKernel(idx int, st *planStep, in, outs []*Ciphertext) (err er
 			err = e.inner.AddPlainInto(in[0], st.pt, outs[0])
 		case stepRescale:
 			err = e.inner.RescaleInto(in[0], outs[0])
-		case stepRotate:
-			err = e.inner.RotateLeftInto(in[0], st.rots[0], e.keys.Galois, outs[0])
 		case stepRotateHoisted:
 			err = e.inner.RotateHoistedInto(in[0], st.rots, e.keys.Galois, outs)
-		case stepConjugate:
-			err = e.inner.ConjugateSlotsInto(in[0], e.keys.Galois, outs[0])
-		case stepInnerSum:
-			err = e.inner.InnerSumInto(in[0], st.n2, e.keys.Galois, outs[0])
 		case stepCopy:
 			err = e.inner.CopyInto(in[0], outs[0])
 		case stepRotateSum:
-			err = e.inner.RotateSumInto(in, st.pts, st.ends, st.rots, e.keys.Galois, outs[0])
+			err = e.inner.RotateSumInto(in, st.pts, st.ends, st.keys, outs[0])
 		default:
 			err = fmt.Errorf("unknown step kind %d: %w", st.kind, ErrInternal)
 		}

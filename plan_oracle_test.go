@@ -94,8 +94,6 @@ func replayPlan(t *testing.T, p *Plan, in map[string]*Ciphertext) map[string]*Ci
 			slots[st.outs[0]], err = e.AddPlain(a, st.pt)
 		case stepRescale:
 			slots[st.outs[0]], err = e.Rescale(a)
-		case stepRotate:
-			slots[st.outs[0]], err = e.RotateLeft(a, st.rots[0])
 		case stepRotateHoisted:
 			var rots map[int]*Ciphertext
 			rots, err = e.RotateHoisted(a, st.rots)
@@ -104,16 +102,12 @@ func replayPlan(t *testing.T, p *Plan, in map[string]*Ciphertext) map[string]*Ci
 					slots[st.outs[j]] = rots[s]
 				}
 			}
-		case stepConjugate:
-			slots[st.outs[0]], err = e.ConjugateSlots(a)
-		case stepInnerSum:
-			slots[st.outs[0]], err = e.InnerSum(a, st.n2)
 		case stepCopy:
 			slots[st.outs[0]] = CopyOf(a)
 		case stepRotateSum:
-			// What the step was fused from: each term's products and their
-			// sum (or its bare operand), its rotation, then the sum so far
-			// plus it, in term order.
+			// What the step was lowered and fused from: each term's products
+			// and their sum (or its bare operand), its rotation or
+			// conjugation, then the sum so far plus it, in term order.
 			var sum *Ciphertext
 			lo := 0
 			for j, hi := range st.ends {
@@ -125,7 +119,11 @@ func replayPlan(t *testing.T, p *Plan, in map[string]*Ciphertext) map[string]*Ci
 					}
 					term = prod
 				}
-				if err == nil && st.rots[j] != 0 {
+				switch {
+				case err != nil || st.rots[j] == 0:
+				case st.rots[j] == rotConj:
+					term, err = e.ConjugateSlots(term)
+				default:
 					term, err = e.RotateLeft(term, st.rots[j])
 				}
 				if err == nil && j > 0 {
@@ -331,6 +329,51 @@ func TestPlanOracleExampleCircuits(t *testing.T) {
 	}
 }
 
+// TestPlanGaloisNodesMatchEvaluator: the lowered Rotate (a negative step
+// among them), ConjugateSlots and InnerSum nodes give the evaluator's
+// RotateLeft, ConjugateSlots and InnerSum bits. replayPlan cannot see a
+// lowering that picked the wrong automorphism: it replays the steps the
+// compiler wrote. Each rotation has a source of its own, so none is
+// hoisted (a hoisted batch is close to RotateLeft, not bit-identical).
+func TestPlanGaloisNodesMatchEvaluator(t *testing.T) {
+	k := newOracleKit(t, SetA, []int{1, 2, 3, -1}, true)
+	c := NewCircuit()
+	x, y := c.Input("x"), c.Input("y")
+	c.Output("rotm1", c.Rotate(x, -1))
+	c.Output("rot3", c.Rotate(y, 3))
+	c.Output("conj", c.ConjugateSlots(x))
+	c.Output("sum4", c.InnerSum(x, 4))
+	plan, err := c.Compile(k.params, k.evk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := map[string]*Ciphertext{
+		"x": k.encrypt(t, []float64{0.5, -0.25, 0.75, 1}),
+		"y": k.encrypt(t, []float64{-1, 0.125, 0.5, -0.5}),
+	}
+	got, err := plan.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := plan.eval
+	want := make(map[string]*Ciphertext)
+	for name, f := range map[string]func() (*Ciphertext, error){
+		"rotm1": func() (*Ciphertext, error) { return e.RotateLeft(in["x"], -1) },
+		"rot3":  func() (*Ciphertext, error) { return e.RotateLeft(in["y"], 3) },
+		"conj":  func() (*Ciphertext, error) { return e.ConjugateSlots(in["x"]) },
+		"sum4":  func() (*Ciphertext, error) { return e.InnerSum(in["x"], 4) },
+	} {
+		if want[name], err = f(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, ct := range want {
+		if !ctBitEqual(ct, got[name]) {
+			t.Fatalf("output %q differs from the evaluator\n%s", name, plan.Describe())
+		}
+	}
+}
+
 // randomCircuit draws one DAG over the ops a plan step can be: operands
 // are picked from everything built so far (so subexpressions are shared,
 // sometimes verbatim, for CSE to merge), multiplications nest up to one
@@ -344,7 +387,9 @@ func TestPlanOracleExampleCircuits(t *testing.T) {
 // sums of 2–5 rotations of distinct values — what the compiler fuses into
 // one RotateSum — of plaintext products (one or two) and of bare values,
 // with an unrotated addend or none, at the top level or all below it, and
-// each with one more rotation that is also an output or is added twice.
+// each with one more rotation that is also an output or is added twice;
+// one term in five of those sums is a conjugation. ConjugateSlots and
+// InnerSum (of 2 or 4 slots) nodes come up on their own too.
 func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 	c := NewCircuit()
 	nodes := []Node{c.Input("x"), c.Input("y")}
@@ -371,9 +416,15 @@ func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 	}
 	rots := []int{1, 2, 3, -1, slots + 1, 2 - slots, 0, 5} // 5 has no key
 	keyed := func() int { return rots[rng.Intn(6)] }       // the steps with a key
+	galois := func(a Node) Node {
+		if rng.Intn(5) == 0 {
+			return c.ConjugateSlots(a)
+		}
+		return c.Rotate(a, keyed())
+	}
 	for ops := 3 + rng.Intn(12); ops > 0; ops-- {
 		var n Node
-		switch a := pick(); rng.Intn(14) {
+		switch a := pick(); rng.Intn(16) {
 		case 0, 1, 2:
 			n = c.Add(a, pick())
 		case 3, 4:
@@ -426,19 +477,23 @@ func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 				n = value() // the unrotated addend
 			}
 			for terms := 2 + rng.Intn(4); terms > 0; terms-- {
-				if r := c.Rotate(value(), keyed()); n == (Node{}) {
+				if r := galois(value()); n == (Node{}) {
 					n = r
 				} else {
 					n = c.Add(n, r)
 				}
 			}
-			keep := c.Rotate(value(), keyed())
+			keep := galois(value())
 			if rng.Intn(2) == 0 {
 				c.Output(fmt.Sprintf("rot%d", len(nodes)), keep)
 				n = c.Add(n, keep)
 			} else {
 				n = c.Add(c.Add(n, keep), keep)
 			}
+		case 13:
+			n = c.ConjugateSlots(a)
+		case 14:
+			n = c.InnerSum(a, 2<<rng.Intn(2))
 		default:
 			n = c.Add(c.Rotate(a, 1), c.Rotate(a, 2)) // a hoistable pair
 		}
@@ -470,12 +525,13 @@ func TestPlanRandomDAGs(t *testing.T) {
 	fused, widest, kept := 0, 0, 0 // unrotated dot products, the most factors in one, MulPlain steps left
 	mixed := 0                     // unrotated dot products with compact and full plaintexts
 	rotSums, lowSums := 0, 0       // RotateSum steps of two or more rotated terms; those below the top level
+	conjTerms, rounds := 0, 0      // conjugated terms; InnerSum rounds (x + rot(x) over one bare x)
 	for _, pass := range []struct {
 		spec  ParamSpec
 		count int
 		seed  int64
 	}{{SetA, circuitCount, 18}, {SetB, circuitCount / 4, 19}} {
-		k := newOracleKit(t, pass.spec, []int{1, 2, 3, -1}, false)
+		k := newOracleKit(t, pass.spec, []int{1, 2, 3, -1}, true)
 		slots := k.params.Slots()
 		rng := rand.New(rand.NewSource(pass.seed))
 		in := map[string]*Ciphertext{
@@ -504,11 +560,17 @@ func TestPlanRandomDAGs(t *testing.T) {
 				case stepMulPlain:
 					kept++
 				case stepRotateSum:
+					if len(st.ends) >= 2 && st.ends[1] == 2 && st.args[0] == st.args[1] && st.pts[0] == nil && st.pts[1] == nil && st.rots[0] == 0 {
+						rounds++
+					}
 					rotated, lo := 0, 0
 					for j, hi := range st.ends {
 						switch {
 						case st.rots[j] != 0:
 							rotated++
+							if st.rots[j] == rotConj {
+								conjTerms++
+							}
 						case st.pts[lo] != nil:
 							fused++
 							widest = max(widest, hi-lo)
@@ -591,10 +653,10 @@ func TestPlanRandomDAGs(t *testing.T) {
 			fused, widest, mixed, kept, compiled)
 	}
 	// A few dozen circuits may draw no sum of rotations that compiles.
-	if !testing.Short() && (rotSums == 0 || lowSums == 0) {
-		t.Fatalf("%d RotateSum steps of two or more rotations (%d below the top level) in %d plans: the generator no longer covers the fusion",
-			rotSums, lowSums, compiled)
+	if !testing.Short() && (rotSums == 0 || lowSums == 0 || conjTerms == 0 || rounds == 0) {
+		t.Fatalf("%d RotateSum steps of two or more rotations (%d below the top level), %d conjugated terms and %d InnerSum rounds in %d plans: the generator no longer covers the lowering and fusion",
+			rotSums, lowSums, conjTerms, rounds, compiled)
 	}
-	t.Logf("%d of %d random circuits compiled (%d fused sums, the widest of %d terms, %d mixing row shapes, %d products unfused, %d sums of rotations, %d below the top level); refused: %v",
-		compiled, total, fused, widest, mixed, kept, rotSums, lowSums, refused)
+	t.Logf("%d of %d random circuits compiled (%d fused sums, the widest of %d terms, %d mixing row shapes, %d products unfused, %d sums of rotations, %d below the top level, %d conjugated terms, %d InnerSum rounds); refused: %v",
+		compiled, total, fused, widest, mixed, kept, rotSums, lowSums, conjTerms, rounds, refused)
 }

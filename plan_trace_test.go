@@ -28,9 +28,10 @@ func (c *countingTracer) ObserveStep(kind string, d time.Duration) {
 }
 
 // traceCircuit exercises several step kinds: an addition of two inputs
-// (nothing to fuse), a relinearized product, a rotation, rescales, and a
-// sum of two plaintext products — the rotated value lifted to the other's
-// scale, and a plain multiply — which compiles to one RotateSum.
+// (nothing to fuse), a relinearized product, a rotation (a RotateSum of
+// one term), rescales, and a sum of two plaintext products — the rotated
+// value lifted to the other's scale, and a plain multiply — which
+// compiles to one RotateSum more.
 func traceCircuit() *heax.Circuit {
 	c := heax.NewCircuit()
 	x := c.Input("x")
@@ -58,7 +59,7 @@ func TestPlanTracerObservesEverySteps(t *testing.T) {
 	if observed != plan.NumSteps() {
 		t.Fatalf("tracer observed %d steps of %d", observed, plan.NumSteps())
 	}
-	for _, kind := range []string{"MulRelin", "Rotate", "MulPlain", "Add", "RotateSum"} {
+	for _, kind := range []string{"MulRelin", "MulPlain", "Add", "RotateSum"} {
 		if tr.kinds[kind] == 0 {
 			t.Errorf("no %s step observed; got %v", kind, tr.kinds)
 		}
