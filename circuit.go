@@ -90,6 +90,9 @@ type cnode struct {
 	name      string // input name
 	step      int    // rotation step
 	n2        int    // InnerSum width
+	// bound is the declared largest magnitude of any slot's real or
+	// imaginary part (Circuit.Bound); 0 means none was declared.
+	bound float64
 }
 
 // NewCircuit returns an empty circuit builder.
@@ -99,7 +102,7 @@ func NewCircuit() *Circuit {
 
 func (c *Circuit) fail(format string, args ...any) Node {
 	if c.err == nil {
-		c.err = fmt.Errorf("heax: "+format, args...)
+		c.err = fmt.Errorf("heax: "+format+": %w", append(args, ErrInvalidCircuit)...)
 	}
 	// A self-owned dummy keeps call chains alive; Compile reports err.
 	return Node{c: c, id: 0}
@@ -124,10 +127,12 @@ func (c *Circuit) args2(a, b Node, op string) ([]int, bool) {
 	return []int{ia, ib}, ok1 && ok2
 }
 
-// Input declares a named encrypted input. Inputs enter at the parameter
-// set's top level and default scale; Plan.Run validates the ciphertexts
-// it is handed against that. Declaring the same name twice returns the
-// same node.
+// Input declares a named encrypted input. Inputs enter at the default
+// scale and at the plan's InputLevel: the parameter set's top level,
+// unless every output carries a Bound and Compile could start the plan
+// lower. Plan.Run takes ciphertexts at that level or above (a higher one
+// is read through a view of its first InputLevel+1 rows, neither copied
+// nor modified). Declaring the same name twice returns the same node.
 func (c *Circuit) Input(name string) Node {
 	if name == "" {
 		return c.fail("Input: empty name")
@@ -317,6 +322,32 @@ func (c *Circuit) Output(name string, a Node) Node {
 	c.outSet[name] = true
 	c.outputs = append(c.outputs, circuitOut{name: name, node: id})
 	return Node{c: c, id: id}
+}
+
+// Bound declares that, for every input set the plan will run, the real
+// and the imaginary part of every slot of n have magnitude at most
+// maxAbs, and returns n. It is a promise the caller makes, not a check:
+// a value past its bound may wrap modulo the ciphertext modulus and
+// decrypt to garbage.
+//
+// Compile reads the bound only on an output's own node. When every output
+// is bounded, it starts the plan as low in the modulus chain as still
+// compiles and leaves each output at least 2 bits of modulus above
+// log2(scale · bound), so the circuit runs on fewer primes (Plan.InputLevel
+// reports where); a circuit with any unbounded output starts at the top
+// level. Intermediate values keep the compiler's fixed rule of 4 bits of
+// headroom above their scale, bounded or not. A non-finite or
+// non-positive maxAbs is a builder error (ErrInvalidCircuit).
+func (c *Circuit) Bound(n Node, maxAbs float64) Node {
+	id, ok := c.arg(n, "Bound")
+	if !ok {
+		return Node{c: c}
+	}
+	if !isFinite(maxAbs) || maxAbs <= 0 {
+		return c.fail("Bound: %g is not a positive finite magnitude", maxAbs)
+	}
+	c.nodes[id].bound = maxAbs
+	return n
 }
 
 // RequiredRotations reports the distinct rotation steps the circuit

@@ -43,6 +43,10 @@ type nodeJSON struct {
 	Name     string `json:"name,omitempty"`
 	Step     int    `json:"step,omitempty"`
 	N2       int    `json:"n2,omitempty"`
+	// Bound is the node's declared magnitude bound (Circuit.Bound),
+	// omitted when none was declared, so an unbounded circuit encodes
+	// byte-identically to one from before bounds existed.
+	Bound *float64 `json:"bound,omitempty"`
 }
 
 type outputJSON struct {
@@ -93,6 +97,10 @@ func (c *Circuit) MarshalJSON() ([]byte, error) {
 		if len(n.args) > 0 {
 			nj.Args = append([]int(nil), n.args...)
 		}
+		if n.bound != 0 {
+			b := n.bound
+			nj.Bound = &b
+		}
 		if n.broadcast {
 			s := n.scalar
 			nj.Scalar = &s
@@ -131,7 +139,7 @@ func (c *Circuit) MarshalJSON() ([]byte, error) {
 func (c *Circuit) UnmarshalJSON(data []byte) error {
 	var enc circuitJSON
 	if err := json.Unmarshal(data, &enc); err != nil {
-		return fmt.Errorf("heax: circuit decode: %w", err)
+		return fmt.Errorf("heax: circuit decode: %w: %w", err, ErrCorrupt)
 	}
 	if enc.Version != circuitEncodingVersion {
 		return fmt.Errorf("heax: circuit decode: unsupported version %d (want %d): %w", enc.Version, circuitEncodingVersion, ErrCorrupt)
@@ -153,6 +161,12 @@ func (c *Circuit) UnmarshalJSON(data []byte) error {
 		n := cnode{kind: kind, step: nj.Step, n2: nj.N2, name: nj.Name}
 		if len(nj.Args) > 0 {
 			n.args = append([]int(nil), nj.Args...)
+		}
+		if nj.Bound != nil {
+			if !isFinite(*nj.Bound) || *nj.Bound <= 0 {
+				return fmt.Errorf("heax: circuit decode: node %d (%s): bound %g is not a positive finite magnitude: %w", i, nj.Op, *nj.Bound, ErrCorrupt)
+			}
+			n.bound = *nj.Bound
 		}
 		switch kind {
 		case kindInput:

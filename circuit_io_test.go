@@ -7,6 +7,7 @@ package heax
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -96,6 +97,9 @@ func TestCircuitJSONRejectsMalformed(t *testing.T) {
 		{"bad output node", `{"version":1,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"y","node":3}]}`, "references node"},
 		{"duplicate output", `{"version":1,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"y","node":0},{"name":"y","node":0}]}`, "duplicate output"},
 		{"empty output name", `{"version":1,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"","node":0}]}`, "empty name"},
+		{"zero bound", `{"version":1,"nodes":[{"op":"Input","name":"x","bound":0}],"outputs":[]}`, "bound 0"},
+		{"negative bound", `{"version":1,"nodes":[{"op":"Input","name":"x","bound":-1}],"outputs":[]}`, "bound -1"},
+		{"infinite bound", `{"version":1,"nodes":[{"op":"Input","name":"x","bound":1e999}],"outputs":[]}`, "bound"},
 	}
 	for _, tc := range cases {
 		var c Circuit
@@ -106,7 +110,115 @@ func TestCircuitJSONRejectsMalformed(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: error %q is not ErrCorrupt", tc.name, err)
+		}
 	}
+}
+
+// exampleCircuitJSON is exampleCircuit's encoding from before bounds
+// existed: an unbounded circuit must still encode to exactly these bytes,
+// so heax-serve keeps its PlanID.
+const exampleCircuitJSON = `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"Input","name":"w"},{"op":"MulRelin","args":[0,0]},{"op":"Rotate","args":[0],"step":1},{"op":"Rotate","args":[0],"step":2},{"op":"Add","args":[3,4]},{"op":"MulPlain","args":[1],"values":[0.5,-1,2]},{"op":"MulPlain","args":[5],"scalar":0.25},{"op":"Add","args":[6,7]},{"op":"Add","args":[2,8]},{"op":"AddPlain","args":[9],"scalar":1},{"op":"InnerSum","args":[5],"n2":2}],"outputs":[{"name":"y","node":10},{"name":"z","node":11}]}`
+
+// TestCircuitJSONBound: a declared bound survives the round trip, so the
+// importing side places the plan exactly as the builder's side does, and
+// an unbounded circuit re-exports to the bytes it always did.
+func TestCircuitJSONBound(t *testing.T) {
+	blob, err := json.Marshal(exampleCircuit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(blob) != exampleCircuitJSON {
+		t.Fatalf("unbounded circuit encodes to\n%s\nwant\n%s", blob, exampleCircuitJSON)
+	}
+
+	k := newOracleKit(t, SetB, []int{1}, false)
+	c := NewCircuit()
+	x := c.Input("x")
+	c.Output("y", c.Bound(c.Add(c.MulRelin(x, x), c.Rotate(x, 1)), 0.75))
+	blob, err = json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), `"bound":0.75`) {
+		t.Fatalf("bounded circuit encodes without its bound: %s", blob)
+	}
+	var imported Circuit
+	if err := json.Unmarshal(blob, &imported); err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(&imported)
+	if err != nil || string(again) != string(blob) {
+		t.Fatalf("re-export %s (%v), want %s", again, err, blob)
+	}
+	p1, err := c.Compile(k.params, k.evk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := imported.Compile(k.params, k.evk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1.InputLevel() == k.params.MaxLevel() || p1.InputLevel() != p2.InputLevel() || p1.Describe() != p2.Describe() {
+		t.Fatalf("input levels %d and %d (top %d); plans:\n%s\n%s", p1.InputLevel(), p2.InputLevel(), k.params.MaxLevel(), p1.Describe(), p2.Describe())
+	}
+}
+
+// FuzzCircuitJSON: decoding never panics; whatever decodes re-encodes to
+// a fixed point; and a bound that is not a positive finite magnitude, on
+// any node of a circuit that decodes, fails with ErrCorrupt.
+func FuzzCircuitJSON(f *testing.F) {
+	blob, err := json.Marshal(exampleCircuit())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add([]byte(`{"version":1,"nodes":[{"op":"Input","name":"x","bound":2}],"outputs":[{"name":"y","node":0}]}`))
+	f.Add([]byte(`{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlainPeriodic"}],"outputs":[]}`))
+	f.Add([]byte(`{"version":1,"nodes":[{"op":"Input","name":"x","bound":-0}],"outputs":[]}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c Circuit
+		if err := json.Unmarshal(data, &c); err != nil {
+			return
+		}
+		first, err := json.Marshal(&c)
+		if err != nil {
+			t.Fatalf("decoded circuit does not encode: %v", err)
+		}
+		var again Circuit
+		if err := json.Unmarshal(first, &again); err != nil {
+			t.Fatalf("re-encoded circuit does not decode: %v\n%s", err, first)
+		}
+		second, err := json.Marshal(&again)
+		if err != nil || string(second) != string(first) {
+			t.Fatalf("re-encoding is not a fixed point (%v):\n%s\n%s", err, first, second)
+		}
+		var enc circuitJSON
+		if err := json.Unmarshal(first, &enc); err != nil {
+			t.Fatal(err)
+		}
+		for i := range enc.Nodes {
+			for _, bad := range []string{"0", "-0", "-1", "-1e-300", "1e999"} {
+				nodes := make([]json.RawMessage, len(enc.Nodes))
+				for j, nj := range enc.Nodes {
+					if nodes[j], err = json.Marshal(nj); err != nil {
+						t.Fatal(err)
+					}
+				}
+				nodes[i] = append(append(nodes[i][:len(nodes[i])-1:len(nodes[i])-1], `,"bound":`+bad...), '}')
+				doc, err := json.Marshal(map[string]any{"version": enc.Version, "nodes": nodes, "outputs": enc.Outputs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var bc Circuit
+				if err := json.Unmarshal(doc, &bc); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("node %d with bound %s: %v, want ErrCorrupt\n%s", i, bad, err, doc)
+				}
+			}
+		}
+	})
 }
 
 // TestCircuitJSONFailedBuilderRefuses: a circuit whose builder chain

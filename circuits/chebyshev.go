@@ -94,7 +94,28 @@ func (p Polynomial) Eval(x float64) float64 {
 // The approximation (and the CKKS noise bound) only holds for inputs
 // inside [A, B]; slots outside it see the polynomial's unbounded
 // extrapolation.
+//
+// Apply bounds the node it returns (heax.Circuit.Bound) by Σ|Coeffs[j]|,
+// which |T_j(u)| ≤ 1 makes exact for inputs inside [A, B] — the
+// contract the approximation already rests on (1.415 for Sigmoid(7)). A
+// circuit whose outputs are all such values can be compiled lower in the
+// modulus chain. An all-zero polynomial gets no bound.
 func (p Polynomial) Apply(c *heax.Circuit, in heax.Node) (heax.Node, error) {
+	node, err := p.apply(c, in)
+	if err != nil {
+		return node, err
+	}
+	bound := 0.0
+	for _, v := range p.Coeffs {
+		bound += math.Abs(v)
+	}
+	if bound > 0 {
+		c.Bound(node, bound)
+	}
+	return node, nil
+}
+
+func (p Polynomial) apply(c *heax.Circuit, in heax.Node) (heax.Node, error) {
 	if len(p.Coeffs) == 0 {
 		return heax.Node{}, fmt.Errorf("circuits: Polynomial: no coefficients: %w", ErrInvalidArgument)
 	}

@@ -101,7 +101,7 @@ func TestEncryptedSigmoid(t *testing.T) {
 	if counts["MulRelin"] != 4 {
 		t.Fatalf("degree-7 PS should relinearize exactly 4 times, got %d\n%s", counts["MulRelin"], plan.Describe())
 	}
-	if counts["Rotate"] != 0 || counts["RotateHoisted"] != 0 {
+	if sumRotations(plan.Describe()) != 0 || counts["RotateHoisted"] != 0 {
 		t.Fatalf("polynomial evaluation should need no rotations:\n%s", plan.Describe())
 	}
 	// The block sums Σ cⱼ·uʲ are sums of plaintext products.
@@ -112,8 +112,8 @@ func TestEncryptedSigmoid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lv < k.params.MaxLevel()-5 {
-		t.Fatalf("degree-7 PS burned %d levels, want ≤ 5", k.params.MaxLevel()-lv)
+	if lv < plan.InputLevel()-5 {
+		t.Fatalf("degree-7 PS burned %d levels, want ≤ 5", plan.InputLevel()-lv)
 	}
 
 	rng := rand.New(rand.NewSource(3))
@@ -138,7 +138,8 @@ func TestEncryptedSigmoid(t *testing.T) {
 // TestServedLogisticPlan pins the plan the lr-serve-C benchmark serves: a
 // BatchedDot of 8 weights, a bias and the degree-7 sigmoid on Set-C
 // compile to 41 steps, the dot product's giant step and both Chebyshev
-// block sums each one RotateSum, with no sum left unfused.
+// block sums each one RotateSum, with no sum left unfused, placed one
+// level below the top by the sigmoid's bound.
 func TestServedLogisticPlan(t *testing.T) {
 	k := newKit(t, heax.SetC)
 	dot, err := circuits.BatchedDot([]float64{0.3, -0.2, 0.1, 0.4, -0.5, 0.25, -0.1, 0.05})
@@ -176,6 +177,14 @@ func TestServedLogisticPlan(t *testing.T) {
 	}
 	if left := unfusedSums(t, desc); len(left) != 0 {
 		t.Errorf("sums left unfused:\n%s", strings.Join(left, "\n"))
+	}
+	// The sigmoid bounds p, so the plan starts one level down and p
+	// leaves at L1: two levels down a rescale would fall below L0.
+	if lv := plan.InputLevel(); lv != k.params.MaxLevel()-1 {
+		t.Errorf("input level %d, want %d", lv, k.params.MaxLevel()-1)
+	}
+	if lv, err := plan.OutputLevel("p"); err != nil || lv != 1 {
+		t.Errorf("output level %d (%v), want 1", lv, err)
 	}
 	if t.Failed() {
 		t.Log(desc)

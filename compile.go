@@ -37,6 +37,10 @@ import (
 // level's modulus or underflowing 1, a key the EvaluationKeySet lacks
 // — fails here, before anything runs, with the usual sentinels
 // (ErrLevelMismatch, ErrScaleMismatch, ErrKeyMissing).
+//
+// Inputs enter at the top level unless every output carries a Bound;
+// then the plan starts as low in the modulus chain as those bounds allow
+// (Circuit.Bound has the rule, Plan.InputLevel the result).
 func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) {
 	if c.err != nil {
 		return nil, c.err
@@ -49,18 +53,13 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) 
 	}
 
 	rep := c.eliminateCommon(params)
-	reach := c.reachable(rep)
-
 	k := &compiler{
-		circ:    c,
-		params:  params,
-		evk:     evk,
-		enc:     NewEncoder(params),
-		state:   make([]valState, len(c.nodes)),
-		rep:     rep,
-		canon:   make(map[int]valState),
-		lifted:  make(map[liftKey]valState),
-		isInput: make(map[int]bool),
+		circ:   c,
+		params: params,
+		evk:    evk,
+		enc:    NewEncoder(params),
+		rep:    rep,
+		reach:  c.reachable(rep),
 	}
 	k.modBits = make([]float64, params.K())
 	bits := 0.0
@@ -69,13 +68,19 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) 
 		k.modBits[i] = bits
 	}
 
-	for id := range c.nodes {
-		if rep[id] != id || !reach[id] {
-			continue
-		}
-		if err := k.lower(id); err != nil {
-			return nil, err
-		}
+	top := params.MaxLevel()
+	level := top - k.placement()
+	err := k.lowerAll(level, false)
+	if err != nil && level < top {
+		// The trials skipped only the encoding, so what failed is an
+		// encoding: a payload that rounds to zero at the smaller plaintext
+		// scale of a lower level (ErrUnencodable), or a malformed one that
+		// fails at every level. Compile as if unbounded.
+		level = top
+		err = k.lowerAll(level, false)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	outputs, err := k.bindOutputs()
@@ -88,20 +93,21 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) 
 
 	eval := NewEvaluator(params, evk)
 	p := &Plan{
-		params:    params,
-		eval:      eval,
-		steps:     k.steps,
-		nSlots:    k.nSlots,
-		inputs:    k.inputSlots,
-		outputs:   outputs,
-		consumers: make([]int, k.nSlots),
-		escapes:   make([]bool, k.nSlots),
-		producer:  make([]int, k.nSlots),
-		needs:     make([]int, len(k.steps)),
-		readers:   make([][]int, len(k.steps)),
-		argOff:    make([]int, len(k.steps)+1),
-		crew:      eval.Workers(),
-		lookahead: windowPerWorker * eval.Workers(),
+		params:     params,
+		eval:       eval,
+		inputLevel: level,
+		steps:      k.steps,
+		nSlots:     k.nSlots,
+		inputs:     k.inputSlots,
+		outputs:    outputs,
+		consumers:  make([]int, k.nSlots),
+		escapes:    make([]bool, k.nSlots),
+		producer:   make([]int, k.nSlots),
+		needs:      make([]int, len(k.steps)),
+		readers:    make([][]int, len(k.steps)),
+		argOff:     make([]int, len(k.steps)+1),
+		crew:       eval.Workers(),
+		lookahead:  windowPerWorker * eval.Workers(),
 	}
 	for _, in := range p.inputs {
 		p.producer[in.slot] = -1
@@ -276,9 +282,15 @@ type compiler struct {
 	// modBits[ℓ] is log2 of the ciphertext modulus at level ℓ, for the
 	// scale-overflow guard.
 	modBits []float64
+	rep     []int
+	reach   []bool
 
-	rep   []int
-	state []valState
+	// Per lowering (lowerAll resets them): the level the inputs enter at,
+	// and whether this is a trial, which runs every check but encodes no
+	// plaintext.
+	inputLevel int
+	trial      bool
+	state      []valState
 	// canon caches the rescaled (base) form per slot; lifted caches the
 	// ones-multiplied forms per (slot, scale) — so shared consumers pay
 	// each maintenance op once.
@@ -368,11 +380,14 @@ func (k *compiler) liftBy(v valState, t float64) (valState, error) {
 	if cached, ok := k.lifted[key]; ok {
 		return cached, nil
 	}
-	pt, err := k.enc.EncodeConst(1, v.level, t)
-	if err != nil {
-		return v, err
+	var pt *Plaintext
+	if !k.trial {
+		var err error
+		if pt, err = k.enc.EncodeConst(1, v.level, t); err != nil {
+			return v, err
+		}
+		compactRows(pt)
 	}
-	compactRows(pt)
 	out := valState{level: v.level, scale: v.scale * t, tier: tierProduct}
 	if err := k.checkScale("lift", out.level, out.scale); err != nil {
 		return v, err
@@ -436,7 +451,12 @@ func (k *compiler) reconcile(a, b valState) (valState, valState, error) {
 	return a, b, err
 }
 
+// encodeVals encodes a node's payload at level and scale; a trial encodes
+// nothing and returns nil.
 func (k *compiler) encodeVals(n *cnode, level int, scale float64) (*Plaintext, error) {
+	if k.trial {
+		return nil, nil
+	}
 	op := nodeKindNames[n.kind]
 	vals := n.vals
 	var pt *Plaintext
@@ -542,6 +562,60 @@ func compactRows(pt *Plaintext) {
 
 func (k *compiler) paramName() string { return fmt.Sprintf("LogN=%d", k.params.LogN) }
 
+// lowerAll lowers every representative, reachable node with the inputs
+// entering at level, from a clean slate. A trial emits no plaintexts.
+func (k *compiler) lowerAll(level int, trial bool) error {
+	n := len(k.circ.nodes)
+	k.inputLevel, k.trial = level, trial
+	k.state = make([]valState, n)
+	k.canon = make(map[int]valState)
+	k.lifted = make(map[liftKey]valState)
+	k.steps, k.nSlots, k.inputSlots = nil, 0, nil
+	k.isInput = make(map[int]bool)
+	for id := 0; id < n; id++ {
+		if k.rep[id] != id || !k.reach[id] {
+			continue
+		}
+		if err := k.lower(id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// placement is how many levels below the top the circuit can start: 0
+// unless every output carries a Bound, and otherwise the largest d for
+// which trial lowerings at the top−1, …, top−d all compile and leave
+// every output 2 bits of modulus above log2(scale · bound). Trials skip
+// the encoding, which is nearly all of a lowering's time.
+func (k *compiler) placement() int {
+	for _, o := range k.circ.outputs {
+		if k.circ.nodes[o.node].bound == 0 {
+			return 0
+		}
+	}
+	d := 0
+	for level := k.params.MaxLevel() - 1; level >= 0; level-- {
+		if k.lowerAll(level, true) != nil || !k.outputsFit() {
+			break
+		}
+		d++
+	}
+	return d
+}
+
+// outputsFit reports whether every output, at the level and scale the
+// last lowering gave it, holds its declared bound with 2 bits to spare.
+func (k *compiler) outputsFit() bool {
+	for _, o := range k.circ.outputs {
+		st := k.st(o.node)
+		if math.Log2(st.scale*k.circ.nodes[o.node].bound) > k.modBits[st.level]-2 {
+			return false
+		}
+	}
+	return true
+}
+
 // lower emits the plan steps for one representative, reachable node.
 func (k *compiler) lower(id int) error {
 	n := &k.circ.nodes[id]
@@ -551,7 +625,7 @@ func (k *compiler) lower(id int) error {
 		slot := k.newSlot()
 		k.inputSlots = append(k.inputSlots, planInput{name: n.name, slot: slot})
 		k.isInput[slot] = true
-		k.state[id] = valState{slot: slot, level: k.params.MaxLevel(), scale: k.params.DefaultScale(), tier: tierBase}
+		k.state[id] = valState{slot: slot, level: k.inputLevel, scale: k.params.DefaultScale(), tier: tierBase}
 		return nil
 
 	case kindMulRelin:
@@ -611,7 +685,9 @@ func (k *compiler) lower(id int) error {
 		if err != nil {
 			return err
 		}
-		compactRows(pt)
+		if pt != nil { // nil in a trial
+			compactRows(pt)
+		}
 		scale := a.scale * t
 		if err := k.checkScale(name, a.level, scale); err != nil {
 			return err

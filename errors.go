@@ -41,9 +41,10 @@ var (
 	// ⊙0 / +0, so Compile rejects the circuit instead.
 	ErrUnencodable = errors.New("heax: plaintext payload not representable at the assigned scale")
 	// ErrInvalidCircuit: the circuit handed to Compile is structurally
-	// unusable — no outputs, or a payload shape the parameters cannot
-	// encode (a periodic payload that does not divide the slot count,
-	// more plaintext values than slots).
+	// unusable — a misused builder call (a Node of another circuit, an
+	// empty name, a bad width or Bound), no outputs, or a payload shape
+	// the parameters cannot encode (a periodic payload that does not
+	// divide the slot count, more plaintext values than slots).
 	ErrInvalidCircuit = errors.New("heax: invalid circuit")
 	// ErrUnknownOutput: the requested output name is not one the plan
 	// (or run result) defines.

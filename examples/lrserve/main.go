@@ -163,6 +163,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The sigmoid bounds p, so the plan starts below the top level and
+	// reads the top-level uploads through a view.
+	outLevel, err := oracle.OutputLevel("p")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("in-process plan: inputs enter at L%d of L%d, p leaves at L%d\n",
+		oracle.InputLevel(), params.MaxLevel(), outLevel)
 	want, err := oracle.RunBatch(batches)
 	if err != nil {
 		log.Fatal(err)

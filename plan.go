@@ -68,12 +68,14 @@ func StepKinds() []string {
 // kernels. Steps run out of order, but only inside a reorder window of
 // lookahead steps, so a wide DAG holds one window's buffers at a time.
 type Plan struct {
-	params  *Params
-	eval    *Evaluator
-	steps   []planStep
-	nSlots  int
-	inputs  []planInput
-	outputs []planOutput
+	params *Params
+	eval   *Evaluator
+	// inputLevel is the level every input enters at (InputLevel).
+	inputLevel int
+	steps      []planStep
+	nSlots     int
+	inputs     []planInput
+	outputs    []planOutput
 	// consumers[slot] is how many step operands read the slot; a run
 	// counts it down and recycles non-escaping buffers at zero.
 	consumers []int
@@ -233,6 +235,13 @@ func (p *Plan) Params() *Params { return p.params }
 // pruning and hoisting.
 func (p *Plan) NumSteps() int { return len(p.steps) }
 
+// InputLevel reports the level at which every input enters the plan: the
+// parameter set's top level, or lower when every output of the circuit
+// carries a Bound and Compile could start the plan lower (Circuit.Bound).
+// Run accepts inputs at this level or above and reads a higher one through
+// a view of its first InputLevel()+1 rows.
+func (p *Plan) InputLevel() int { return p.inputLevel }
+
 // InputNames lists the circuit inputs the plan requires, in declaration
 // order. Inputs that do not reach any output are pruned with the rest
 // of the dead graph and are not required (Run ignores them if passed).
@@ -328,9 +337,15 @@ func (p *Plan) validateInputs(in map[string]*Ciphertext) error {
 		if ct.Degree() != 1 {
 			return fmt.Errorf("heax: plan input %q has degree %d, want 1: %w", pi.name, ct.Degree(), ErrDegreeMismatch)
 		}
-		if ct.Level != p.params.MaxLevel() {
-			return fmt.Errorf("heax: plan input %q at level %d, want the top level %d: %w",
-				pi.name, ct.Level, p.params.MaxLevel(), ErrLevelMismatch)
+		if ct.Level < p.inputLevel || ct.Level > p.params.MaxLevel() {
+			return fmt.Errorf("heax: plan input %q at level %d, want the plan's input level %d or above (top level %d): %w",
+				pi.name, ct.Level, p.inputLevel, p.params.MaxLevel(), ErrLevelMismatch)
+		}
+		for _, poly := range ct.Polys {
+			if poly == nil || poly.Rows() <= p.inputLevel {
+				return fmt.Errorf("heax: plan input %q has a component with fewer than the %d rows its input level %d needs: %w",
+					pi.name, p.inputLevel+1, p.inputLevel, ErrLevelMismatch)
+			}
 		}
 		if !ckks.ScalesClose(ct.Scale, p.params.DefaultScale()) {
 			return fmt.Errorf("heax: plan input %q at scale %g, want the default scale %g: %w",
@@ -342,7 +357,10 @@ func (p *Plan) validateInputs(in map[string]*Ciphertext) error {
 
 // Run executes the plan on one input set and returns the named output
 // ciphertexts (always freshly allocated — inputs are never modified).
-// Concurrent Runs share the buffer pool and the process's workers.
+// Each input must be at the default scale and at InputLevel() or above;
+// one above is read through a view of its first InputLevel()+1 rows, with
+// no copy and no step. Concurrent Runs share the buffer pool and the
+// process's workers.
 func (p *Plan) Run(in map[string]*Ciphertext) (map[string]*Ciphertext, error) {
 	return p.RunContext(context.Background(), in)
 }
@@ -373,7 +391,7 @@ func (p *Plan) RunContext(ctx context.Context, in map[string]*Ciphertext) (map[s
 		wake:    make(chan struct{}, 1),
 	}
 	for _, pi := range p.inputs {
-		r.vals[pi.slot] = in[pi.name]
+		r.vals[pi.slot] = inputView(in[pi.name], p.inputLevel)
 	}
 	for i, need := range p.needs {
 		if need == 0 {
@@ -404,6 +422,20 @@ func (p *Plan) RunContext(ctx context.Context, in map[string]*Ciphertext) (map[s
 		out[o.name] = r.vals[o.slot]
 	}
 	return out, nil
+}
+
+// inputView is ct read at level, as the evaluator reads an operand above
+// the level it works at: a ciphertext sharing ct's first level+1 rows,
+// which the plan only ever reads.
+func inputView(ct *Ciphertext, level int) *Ciphertext {
+	if ct.Level == level {
+		return ct
+	}
+	v := &Ciphertext{Polys: make([]*Poly, len(ct.Polys)), Level: level, Scale: ct.Scale}
+	for i, poly := range ct.Polys {
+		v.Polys[i] = poly.Resize(level + 1)
+	}
+	return v
 }
 
 // planRun is one RunContext call: its members — the caller, and the

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -70,13 +71,18 @@ func ctBitEqual(a, b *Ciphertext) bool {
 
 // replayPlan executes the compiled step list sequentially through the
 // allocating evaluator API — the hand-written imperative sequence the
-// compiler would have produced.
+// compiler would have produced. Inputs are first dropped to the plan's
+// input level by a copy, independent of the view Run reads them through.
 func replayPlan(t *testing.T, p *Plan, in map[string]*Ciphertext) map[string]*Ciphertext {
 	t.Helper()
 	e := p.eval
 	slots := make([]*Ciphertext, p.nSlots)
 	for _, pi := range p.inputs {
-		slots[pi.slot] = in[pi.name]
+		ct, err := e.DropLevel(in[pi.name], p.InputLevel())
+		if err != nil {
+			t.Fatalf("replay: input %q: %v", pi.name, err)
+		}
+		slots[pi.slot] = ct
 	}
 	for i, st := range p.steps {
 		var err error
@@ -389,8 +395,10 @@ func TestPlanGaloisNodesMatchEvaluator(t *testing.T) {
 // with an unrotated addend or none, at the top level or all below it, and
 // each with one more rotation that is also an output or is added twice;
 // one term in five of those sums is a conjugation. ConjugateSlots and
-// InnerSum (of 2 or 4 slots) nodes come up on their own too.
-func randomCircuit(rng *rand.Rand, slots int) *Circuit {
+// InnerSum (of 2 or 4 slots) nodes come up on their own too. With bounds
+// set, half the circuits bound every output and the rest bound some,
+// drawn from bounds alone, so rng draws the same DAGs either way.
+func randomCircuit(rng, bounds *rand.Rand, slots int) *Circuit {
 	c := NewCircuit()
 	nodes := []Node{c.Input("x"), c.Input("y")}
 	pick := func() Node { return nodes[rng.Intn(len(nodes))] }
@@ -504,6 +512,14 @@ func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 		at := len(nodes) - 1 - rng.Intn(min(len(nodes), 4))
 		c.Output(fmt.Sprintf("out%d", o), nodes[at])
 	}
+	if bounds != nil {
+		all := bounds.Intn(2) == 0
+		for _, o := range c.outputs {
+			if all || bounds.Intn(2) == 0 {
+				c.Bound(Node{c: c, id: o.node}, math.Exp2(float64(bounds.Intn(12)-2)))
+			}
+		}
+	}
 	return c
 }
 
@@ -514,7 +530,8 @@ func randomCircuit(rng *rand.Rand, slots int) *Circuit {
 // cancellation at any step leaves every pooled buffer back in the pool.
 // Set-A has no level below its top that a product can still reach, so a
 // quarter as many circuits run on Set-B's deeper chain, where sums of
-// rotations below the top level compile.
+// rotations below the top level compile. Bounded outputs place some plans
+// below the top level; their inputs still arrive at the top.
 func TestPlanRandomDAGs(t *testing.T) {
 	circuitCount := 200
 	if testing.Short() {
@@ -526,6 +543,7 @@ func TestPlanRandomDAGs(t *testing.T) {
 	mixed := 0                     // unrotated dot products with compact and full plaintexts
 	rotSums, lowSums := 0, 0       // RotateSum steps of two or more rotated terms; those below the top level
 	conjTerms, rounds := 0, 0      // conjugated terms; InnerSum rounds (x + rot(x) over one bare x)
+	placed := 0                    // plans whose inputs enter below the top level
 	for _, pass := range []struct {
 		spec  ParamSpec
 		count int
@@ -534,13 +552,14 @@ func TestPlanRandomDAGs(t *testing.T) {
 		k := newOracleKit(t, pass.spec, []int{1, 2, 3, -1}, true)
 		slots := k.params.Slots()
 		rng := rand.New(rand.NewSource(pass.seed))
+		bounds := rand.New(rand.NewSource(pass.seed + 100))
 		in := map[string]*Ciphertext{
 			"x": k.encrypt(t, []float64{0.5, -0.25, 0.75, 1}),
 			"y": k.encrypt(t, []float64{-1, 0.125, 0.5, -0.5}),
 		}
 		total += pass.count
 		for n := 0; n < pass.count; n++ {
-			plan, err := randomCircuit(rng, slots).Compile(k.params, k.evk)
+			plan, err := randomCircuit(rng, bounds, slots).Compile(k.params, k.evk)
 			if err != nil {
 				typed := false
 				for _, s := range sentinels {
@@ -555,6 +574,9 @@ func TestPlanRandomDAGs(t *testing.T) {
 				continue
 			}
 			compiled++
+			if plan.InputLevel() < k.params.MaxLevel() {
+				placed++
+			}
 			for _, st := range plan.steps {
 				switch st.kind {
 				case stepMulPlain:
@@ -648,6 +670,9 @@ func TestPlanRandomDAGs(t *testing.T) {
 	if compiled < total/4 || compiled > total*9/10 {
 		t.Fatalf("%d of %d random circuits compiled: the generator no longer covers both outcomes", compiled, total)
 	}
+	if placed == 0 {
+		t.Fatalf("none of %d plans was placed below the top level: the generator no longer covers placement", compiled)
+	}
 	if fused < compiled/8 || widest < 16 || kept == 0 || mixed == 0 {
 		t.Fatalf("%d fused sums (the widest of %d terms, %d mixing row shapes) and %d unfused products in %d plans: the generator no longer covers the fusion",
 			fused, widest, mixed, kept, compiled)
@@ -657,6 +682,6 @@ func TestPlanRandomDAGs(t *testing.T) {
 		t.Fatalf("%d RotateSum steps of two or more rotations (%d below the top level), %d conjugated terms and %d InnerSum rounds in %d plans: the generator no longer covers the lowering and fusion",
 			rotSums, lowSums, conjTerms, rounds, compiled)
 	}
-	t.Logf("%d of %d random circuits compiled (%d fused sums, the widest of %d terms, %d mixing row shapes, %d products unfused, %d sums of rotations, %d below the top level, %d conjugated terms, %d InnerSum rounds); refused: %v",
-		compiled, total, fused, widest, mixed, kept, rotSums, lowSums, conjTerms, rounds, refused)
+	t.Logf("%d of %d random circuits compiled (%d placed below the top level, %d fused sums, the widest of %d terms, %d mixing row shapes, %d products unfused, %d sums of rotations, %d below the top level, %d conjugated terms, %d InnerSum rounds); refused: %v",
+		compiled, total, placed, fused, widest, mixed, kept, rotSums, lowSums, conjTerms, rounds, refused)
 }

@@ -477,3 +477,74 @@ func TestServeReRegisterFreshKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestServeBoundedCircuitPlaced: a circuit whose output carries a Bound
+// crosses the wire with it, so the server's plan starts below the top
+// level exactly as the in-process one does; top-level uploads run
+// bit-identically to it and leave at the same level. The bound is part
+// of the plan's identity: the same circuit unbounded is another plan.
+func TestServeBoundedCircuitPlaced(t *testing.T) {
+	addr := startServer(t, testParams(t))
+	cl, err := serve.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	params := cl.Params()
+	kit := newTenantKit(t, params, 23)
+	if err := cl.Register("heidi", kit.evk); err != nil {
+		t.Fatal(err)
+	}
+	circuit := func(bounded bool) *heax.Circuit {
+		c := heax.NewCircuit()
+		x := c.Input("x")
+		y := c.Add(c.Rotate(x, 1), x)
+		if bounded {
+			y = c.Bound(y, 2)
+		}
+		c.Output("y", y)
+		return c
+	}
+	info, err := cl.Compile("heidi", circuit(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := circuit(true).Compile(params, kit.evk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle.InputLevel() != params.MaxLevel()-1 {
+		t.Fatalf("in-process plan starts at level %d, want %d", oracle.InputLevel(), params.MaxLevel()-1)
+	}
+	if unbounded, err := cl.Compile("heidi", circuit(false)); err != nil || unbounded.ID == info.ID {
+		t.Fatalf("unbounded circuit: id %v (%v), want an id other than the bounded one's %v", unbounded.ID, err, info.ID)
+	}
+	level, err := oracle.OutputLevel("y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, vecs := kit.batches(t, 29, 2)
+	want, err := oracle.RunBatch(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cl.Run("heidi", info.ID, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := range in {
+		if !ctEqual(got[b]["y"], want[b]["y"]) || got[b]["y"].Level != level {
+			t.Fatalf("set %d: served output (level %d) not bit-identical to the in-process plan's (level %d)", b, got[b]["y"].Level, level)
+		}
+		pt, err := kit.decryptor.Decrypt(got[b]["y"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := kit.enc.Decode(pt)
+		for i := 0; i < dim; i++ {
+			if w := vecs[b][(i+1)%dim] + vecs[b][i]; math.Abs(real(dec[i])-w) > 1e-3 {
+				t.Fatalf("set %d slot %d: %g, want %g", b, i, real(dec[i]), w)
+			}
+		}
+	}
+}
