@@ -1,0 +1,132 @@
+package ckks
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"heax/internal/ring"
+)
+
+// Every operation that divides by a dropped prime — Rescale (Algorithm 6
+// with rounding), a hoisted rotation's key switch, a RotateSum's shared
+// tail and public-key encryption — is pinned here to a hash per level,
+// on schedSpec (IFMA rows throughout on an IFMA host) and mixedSpec
+// (scalar rows and a 58-bit special prime beside IFMA rows), at one and
+// at four workers. The key switch's own hashes are in
+// TestKeySwitchWorkerInvariant.
+type floorPins struct {
+	rescale1, rescale2 []uint64 // levels 1..MaxLevel
+	hoisted, rotSum    []uint64 // levels 0..MaxLevel
+	encrypt            uint64
+}
+
+func TestFloorCallersPinned(t *testing.T) {
+	floorCallersPinned(t, schedSpec, floorPins{
+		rescale1: []uint64{0x4a200a361bfd88c4, 0xd5ecfc7b48c5effd, 0x260907861acf8ca9},
+		rescale2: []uint64{0x4a0392cf8d7ac1e3, 0x9122422250dca5b9, 0x979c9a1154848c4a},
+		hoisted:  []uint64{0x6b87241fb6c51fcc, 0xe5f5996174426eec, 0x58dced9ca65b18ee, 0xf644437525b4bdf5},
+		rotSum:   []uint64{0xdfa89d876fefd151, 0xf10e21049036fd88, 0xaf793f90e637d19c, 0x8ea4c45aa61da71b},
+		encrypt:  0xaed3b7468566b053,
+	})
+	floorCallersPinned(t, mixedSpec, floorPins{
+		rescale1: []uint64{0xa309765abdcdb75a, 0x47ed601578cd9b91},
+		rescale2: []uint64{0xef6387a852894cfa, 0xb72ed9d060b55398},
+		hoisted:  []uint64{0xc0d003dab81d00c2, 0x4452fc2ace462355, 0xe130ba850f599e5d},
+		rotSum:   []uint64{0x9bd48495e7bd3fbb, 0x2be9fd61a5fd6302, 0x6f038ee683181646},
+		encrypt:  0x37044d5029ff6087,
+	})
+}
+
+func floorCallersPinned(t *testing.T, spec ParamSpec, want floorPins) {
+	params, err := NewParams(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := params.RingQP
+	kg := NewKeyGenerator(params, 11)
+	sk := kg.GenSecretKey()
+	gks := kg.GenGaloisKeySet(sk, []int{1, 2, 3, 4}, false)
+	ev := NewEvaluator(params)
+	ev.tailTerms = 2
+	rng := rand.New(rand.NewSource(29))
+	randCt := func(degree, level int) *Ciphertext {
+		ct := &Ciphertext{Scale: params.DefaultScale(), Level: level}
+		for i := 0; i <= degree; i++ {
+			ct.Polys = append(ct.Polys, schedRandomPoly(ctx, level+1, rng))
+		}
+		return ct
+	}
+	hashCt := func(cts ...*Ciphertext) uint64 {
+		var ps []*ring.Poly
+		for _, ct := range cts {
+			ps = append(ps, ct.Polys...)
+		}
+		return polyHash(ps...)
+	}
+	check := func(what string, level int, pin uint64, run func() uint64) {
+		t.Helper()
+		for _, workers := range []int{1, 4} {
+			ctx.SetWorkers(workers)
+			if got := run(); got != pin {
+				t.Errorf("%s %s level %d workers %d: hashes to %#x, want %#x", spec.Name, what, level, workers, got, pin)
+			}
+		}
+	}
+	for level := 0; level <= params.MaxLevel(); level++ {
+		if level > 0 {
+			for _, degree := range []int{1, 2} {
+				ct := randCt(degree, level)
+				pins := want.rescale1
+				if degree == 2 {
+					pins = want.rescale2
+				}
+				check(fmt.Sprintf("RescaleInto degree %d", degree), level, pins[level-1], func() uint64 {
+					out := &Ciphertext{}
+					if err := ev.RescaleInto(ct, out); err != nil {
+						t.Fatal(err)
+					}
+					return hashCt(out)
+				})
+			}
+		}
+		ct := randCt(1, level)
+		steps := []int{1, params.Slots(), -params.Slots() + 3}
+		check("RotateHoistedInto", level, want.hoisted[level], func() uint64 {
+			outs := []*Ciphertext{{}, {}, {}}
+			if err := ev.RotateHoistedInto(ct, steps, gks, outs); err != nil {
+				t.Fatal(err)
+			}
+			return hashCt(outs...)
+		})
+		// Four rotated terms and an unrotated addend, with tail sums of at
+		// most two terms: the third term folds the first two, the close
+		// takes a sum of two.
+		var cts []*Ciphertext
+		var keys []*GaloisKey
+		for i := 1; i <= 5; i++ {
+			cts = append(cts, randCt(1, level))
+			var key *GaloisKey
+			if i <= 4 {
+				key = gks.Rotations[i]
+			}
+			keys = append(keys, key)
+		}
+		check("RotateSumInto", level, want.rotSum[level], func() uint64 {
+			out := &Ciphertext{}
+			if err := ev.RotateSumInto(cts, make([]*Plaintext, len(cts)), []int{1, 2, 3, 4, 5}, keys, out); err != nil {
+				t.Fatal(err)
+			}
+			return hashCt(out)
+		})
+	}
+	pt := &Plaintext{Value: schedRandomPoly(ctx, params.K(), rng), Scale: params.DefaultScale()}
+	pk := kg.GenPublicKey(sk)
+	check("public-key Encrypt", params.MaxLevel(), want.encrypt, func() uint64 {
+		ct, err := NewEncryptor(params, pk, 43).Encrypt(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hashCt(ct)
+	})
+}
