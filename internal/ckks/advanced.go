@@ -24,24 +24,6 @@ type HoistedDecomposition struct {
 	digits []*ring.Poly
 }
 
-// keySwitchHoistedInto runs the multiply-accumulate and flooring tail of
-// Algorithm 7 over a cached decomposition into the caller-provided
-// output polynomials, optionally permuting each digit with an
-// NTT-domain automorphism first. The expensive transforms are
-// already cached, so the MAC phase is a single pass over the accumulator
-// rows. As with keySwitchAddInto, optional add operands are folded into
-// the flooring row pass (the rotation epilogue ks0 + permuted c0).
-func (ev *Evaluator) keySwitchHoistedInto(hd *HoistedDecomposition, swk *SwitchingKey, auto *ring.Automorphism, add0, add1, out0, out1 *ring.Poly) {
-	ctx := ev.ctx
-	level := hd.level
-	acc0 := ctx.GetPolyNoZero(level + 2)
-	acc1 := ctx.GetPolyNoZero(level + 2)
-	defer ctx.PutPoly(acc0)
-	defer ctx.PutPoly(acc1)
-	ev.keySwitchMAC(nil, hd, auto, swk.Digits, acc0, acc1, level, false)
-	ctx.FloorDropRowsPairAddInto(acc0, acc1, out0, out1, add0, add1, ev.rowIdx[level], false)
-}
-
 // RotateHoisted rotates one ciphertext by many steps, sharing a single
 // decomposition across all of them. The result map is keyed by step.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int, gks *GaloisKeySet) (map[int]*Ciphertext, error) {
@@ -75,7 +57,7 @@ func (ev *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, gks *GaloisK
 	}
 	for i, out := range outs {
 		if out == nil {
-			return fmt.Errorf("ckks: nil output ciphertext %d", i)
+			return fmt.Errorf("ckks: nil output ciphertext %d: %w", i, ErrLevelMismatch)
 		}
 		if overlaps(out, ct) {
 			return fmt.Errorf("ckks: RotateHoistedInto output %d shares storage with the input: %w", i, ErrLevelMismatch)
@@ -120,7 +102,7 @@ func (ev *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, gks *GaloisK
 		}
 		auto := ctx.AutomorphismNTTTable(key.GaloisElt)
 		ctx.AutomorphismNTT(ct.Polys[0], auto, c0g)
-		ev.keySwitchHoistedInto(hd, &key.SwitchingKey, auto, c0g, nil, outs[i].Polys[0], outs[i].Polys[1])
+		ev.keySwitchAddInto(nil, hd, auto, &key.SwitchingKey, c0g, nil, outs[i].Polys[0], outs[i].Polys[1])
 	}
 	return nil
 }

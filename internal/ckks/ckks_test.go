@@ -536,8 +536,8 @@ func TestEvaluatorErrors(t *testing.T) {
 func TestEncryptErrors(t *testing.T) {
 	kit := newTestKit(t, smallSpec)
 	ptLow, _ := kit.enc.Encode([]complex128{1}, 0, kit.params.DefaultScale())
-	if _, err := kit.encPk.Encrypt(ptLow); err == nil {
-		t.Error("encrypting a low-level plaintext should fail")
+	if _, err := kit.encPk.Encrypt(ptLow); !errors.Is(err, ErrLevelMismatch) {
+		t.Errorf("encrypting a low-level plaintext: %v, want ErrLevelMismatch", err)
 	}
 	bad := &Encryptor{params: kit.params}
 	pt, _ := kit.enc.Encode([]complex128{1}, kit.params.MaxLevel(), kit.params.DefaultScale())

@@ -26,13 +26,6 @@ type Evaluator struct {
 	// worker cap so one evaluator's bound never leaks into others built
 	// on the same Params.
 	ctx *ring.Context
-	// rowIdx[level] maps key-switch accumulator rows to basis indices:
-	// (0..level, specialRow). Precomputed so the hot path allocates
-	// nothing for it.
-	rowIdx [][]int
-	// seqIdx[rows] is the identity basis map (0..rows-1): the rescale
-	// flooring path over a basis prefix, precomputed for the same reason.
-	seqIdx [][]int
 
 	// jobs pools the per-call key-switch state (schedule.go); sums and
 	// parts the state of a RotateSumInto call and of its participants
@@ -49,26 +42,7 @@ type Evaluator struct {
 
 // NewEvaluator builds an evaluator for params.
 func NewEvaluator(params *Params) *Evaluator {
-	ev := &Evaluator{params: params, ctx: params.RingQP}
-	sp := params.SpecialRow()
-	ev.rowIdx = make([][]int, params.K())
-	for level := 0; level < params.K(); level++ {
-		idx := make([]int, level+2)
-		for i := 0; i <= level; i++ {
-			idx[i] = i
-		}
-		idx[level+1] = sp
-		ev.rowIdx[level] = idx
-	}
-	ev.seqIdx = make([][]int, params.K()+1)
-	for rows := 1; rows <= params.K(); rows++ {
-		idx := make([]int, rows)
-		for i := range idx {
-			idx[i] = i
-		}
-		ev.seqIdx[rows] = idx
-	}
-	return ev
+	return &Evaluator{params: params, ctx: params.RingQP}
 }
 
 // SetWorkers caps the goroutines this evaluator's row-wise operations
@@ -161,7 +135,7 @@ func NewCiphertext(params *Params, degree, level int, scale float64) (*Ciphertex
 // allocation-free).
 func (ev *Evaluator) prepareInto(out *Ciphertext, degree, level int, scale float64) error {
 	if out == nil {
-		return fmt.Errorf("ckks: nil output ciphertext")
+		return fmt.Errorf("ckks: nil output ciphertext: %w", ErrLevelMismatch)
 	}
 	ctx := ev.ctx
 	rows := level + 1
@@ -210,7 +184,11 @@ func fresh(out *Ciphertext, err error) (*Ciphertext, error) {
 // view of it or rows sliced out of it at any offset (a row that starts
 // inside another row is not looked for). The kernels that read an operand
 // after writing part of their output refuse an output that overlaps it.
+// A nil ciphertext overlaps nothing.
 func overlaps(a, b *Ciphertext) bool {
+	if a == nil || b == nil {
+		return false
+	}
 	for _, p := range a.Polys {
 		for _, q := range b.Polys {
 			if p == nil || q == nil {
@@ -415,37 +393,34 @@ func (ev *Evaluator) KeySwitchPoly(c *ring.Poly, swk *SwitchingKey) (*ring.Poly,
 // *Into form (Relinearize, SwitchKeys, KeySwitchPoly).
 func (ev *Evaluator) keySwitchAdd(c *ring.Poly, swk *SwitchingKey, add0, add1 *ring.Poly) (*ring.Poly, *ring.Poly) {
 	out0, out1 := ev.ctx.NewPolyPair(c.Level() + 1)
-	ev.keySwitchAddInto(c, swk, add0, add1, out0, out1)
+	ev.keySwitchAddInto(c, nil, nil, swk, add0, add1, out0, out1)
 	return out0, out1
 }
 
-// keySwitchAddInto runs Algorithm 7 on c and lands (add0 + ks0,
-// add1 + ks1) in the caller-provided output polynomials (each with
-// c.Level()+1 rows; either add operand may be nil) — the key-switch back
-// end of relinearization, re-keying, KeySwitchPoly and the fused MulRelin
-// (rotations run through RotateSumInto): the flooring tail and the final additions write straight
-// into the outputs, with no intermediate result polys, no input copies
-// and no separate addition sweep.
-func (ev *Evaluator) keySwitchAddInto(c *ring.Poly, swk *SwitchingKey, add0, add1, out0, out1 *ring.Poly) {
+// keySwitchAddInto runs Algorithm 7 and lands (add0 + ks0, add1 + ks1)
+// in the caller-provided output polynomials (each with level+1 rows;
+// either add operand may be nil, and may have more rows) — the
+// key-switch back end of relinearization, re-keying, KeySwitchPoly, the
+// fused MulRelin and every step of a hoisted rotation (other rotations
+// run through RotateSumInto). It switches either the polynomial c or,
+// for a hoisted step, the cached decomposition hd with each digit
+// permuted by auto (nil for none). The flooring tail and the final
+// additions write straight into the outputs, with no intermediate result
+// polys, no input copies and no separate addition sweep.
+func (ev *Evaluator) keySwitchAddInto(c *ring.Poly, hd *HoistedDecomposition, auto *ring.Automorphism, swk *SwitchingKey, add0, add1, out0, out1 *ring.Poly) {
 	ctx := ev.ctx
-	level := c.Level()
+	level := out0.Rows() - 1
 	// Accumulators over (q_0..q_level, P); row level+1 is the special
 	// prime. Unzeroed: the MAC's first digit stores into every row.
 	acc0 := ctx.GetPolyNoZero(level + 2)
 	acc1 := ctx.GetPolyNoZero(level + 2)
 	defer ctx.PutPoly(acc0)
 	defer ctx.PutPoly(acc1)
-	ev.keySwitchMAC(c, nil, nil, swk.Digits, acc0, acc1, level, false)
+	ev.keySwitchMAC(c, hd, auto, swk.Digits, acc0, acc1, level, false)
 	// Line 19: modulus switching — divide by the special prime. It starts
 	// once every accumulator row is complete, as the hardware's does (the
 	// bank-set handoff of Fig. 8).
-	if add0 != nil && add0.Rows() != level+1 {
-		add0 = add0.Resize(level + 1)
-	}
-	if add1 != nil && add1.Rows() != level+1 {
-		add1 = add1.Resize(level + 1)
-	}
-	ctx.FloorDropRowsPairAddInto(acc0, acc1, out0, out1, add0, add1, ev.rowIdx[level], false)
+	ctx.FloorInto(acc0, acc1, add0, add1, out0, out1, ev.params.SpecialRow(), false)
 }
 
 // Relinearize transforms a degree-2 ciphertext back to degree 1 using the
@@ -501,7 +476,7 @@ func (ev *Evaluator) MulRelinInto(ct0, ct1 *Ciphertext, rlk *RelinearizationKey,
 	defer ctx.PutPoly(c1)
 	defer ctx.PutPoly(c2)
 	ctx.MulCoeffsTensor(a.Polys[0], a.Polys[1], b.Polys[0], b.Polys[1], c0, c1, c2)
-	ev.keySwitchAddInto(c2, &rlk.SwitchingKey, c0, c1, out.Polys[0], out.Polys[1])
+	ev.keySwitchAddInto(c2, nil, nil, &rlk.SwitchingKey, c0, c1, out.Polys[0], out.Polys[1])
 	return nil
 }
 
@@ -514,9 +489,10 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 
 // RescaleInto divides ct by its current last prime into out, dropping
 // one level (CKKS.Rescale in place). Components are floored in pairs so
-// each pair shares one worker fan-out and one batched tail INTT. out may
-// be ct itself (or share its components) for a true in-place rescale:
-// the flooring reads each row element before writing it.
+// each pair shares one row pass, then a degree-2 ciphertext's odd one
+// alone. out may be ct itself (or share its components) for a true
+// in-place rescale: the flooring reads each row element before writing
+// it.
 func (ev *Evaluator) RescaleInto(ct, out *Ciphertext) error {
 	if ct.Level == 0 {
 		return fmt.Errorf("ckks: cannot rescale below level 0: %w", ErrLevelMismatch)
@@ -527,7 +503,7 @@ func (ev *Evaluator) RescaleInto(ct, out *Ciphertext) error {
 	ins := ct.Polys
 	inRows := ct.Level + 1
 	aliased := out == ct
-	if !aliased {
+	if !aliased && out != nil {
 		for _, p := range out.Polys {
 			for _, q := range ct.Polys {
 				if p != nil && p == q {
@@ -546,14 +522,13 @@ func (ev *Evaluator) RescaleInto(ct, out *Ciphertext) error {
 	if err := ev.prepareInto(out, len(ins)-1, inRows-2, ct.Scale/float64(pLast)); err != nil {
 		return err
 	}
-	ctx := ev.ctx
-	idx := ev.seqIdx[inRows]
+	ctx, last := ev.ctx, inRows-1
 	for i := 0; i+1 < len(ins); i += 2 {
-		ctx.FloorDropRowsPairAddInto(ins[i], ins[i+1], out.Polys[i], out.Polys[i+1], nil, nil, idx, true)
+		ctx.FloorInto(ins[i], ins[i+1], nil, nil, out.Polys[i], out.Polys[i+1], last, true)
 	}
 	if len(ins)%2 == 1 {
-		last := len(ins) - 1
-		ctx.FloorDropRowsInto(ins[last], out.Polys[last], idx, true)
+		odd := len(ins) - 1
+		ctx.FloorInto(ins[odd], nil, nil, nil, out.Polys[odd], nil, last, true)
 	}
 	return nil
 }

@@ -10,7 +10,7 @@ package ckks
 // accumulator pair's q rows, only its special-prime row is
 // inverse-transformed on its own and added as integers into a tail sum,
 // and one closing pass over the q rows reduces the tail sum, transforms it
-// and divides by the special prime (ring.FloorSumRow). That lift of the
+// and divides by the special prime (ring.FloorTailInto). That lift of the
 // special row is the only non-linear step of a floor, so the result is
 // bit for bit what the operations one at a time give.
 //
@@ -108,8 +108,7 @@ type rotSum struct {
 	done   []*sumPart
 	wake   chan struct{}
 
-	lead     *sumPart // the caller's part, which closes the sum into out
-	closeRow func(int)
+	lead *sumPart // the caller's part, which closes the sum into out
 }
 
 // sumPart is one participant's share of a sum: its accumulators and its
@@ -154,7 +153,6 @@ func (ev *Evaluator) getRotSum() *rotSum {
 	s, _ := ev.sums.Get().(*rotSum)
 	if s == nil {
 		s = &rotSum{wake: make(chan struct{}, 1)}
-		s.closeRow = s.runCloseRow
 	}
 	s.ev, s.ctx = ev, ev.ctx
 	return s
@@ -177,7 +175,7 @@ func (s *rotSum) bind(cts []*Ciphertext, pts []*Plaintext, ends []int, keys []*G
 			len(ends), len(keys), len(cts), len(pts))
 	}
 	if out == nil {
-		return 0, 0, fmt.Errorf("ckks: nil output ciphertext")
+		return 0, 0, fmt.Errorf("ckks: nil output ciphertext: %w", ErrLevelMismatch)
 	}
 	var level int
 	var scale float64
@@ -267,7 +265,15 @@ func (s *rotSum) run(out *Ciphertext) {
 	clear(s.done)
 	s.done = s.done[:0]
 	if lead.keyed {
-		s.ctx.RunRows(s.level+1, s.closeRow)
+		// out = (acc − NTT([tail]))·P⁻¹ + out, for both components, with
+		// no addition where the Q sum has nothing.
+		add := [2]*ring.Poly{lead.q0, lead.q1}
+		for c := range add {
+			if !lead.inQ[c] {
+				add[c] = nil
+			}
+		}
+		s.ctx.FloorTailInto(lead.acc0, lead.acc1, lead.tail, lead.tails, false, add[0], add[1], lead.q0, lead.q1, s.ev.params.SpecialRow())
 	}
 	lead.q0, lead.q1 = nil, nil // out's
 	s.ev.putPart(lead)
@@ -299,21 +305,6 @@ func (s *rotSum) Help() {
 		}
 	}
 	s.mu.Unlock()
-}
-
-// runCloseRow closes q row i of the sum into out (the caller's Q sum):
-// out = (acc − NTT([tail]))·P⁻¹ + out, for both components, with no
-// addition where the Q sum has nothing.
-func (s *rotSum) runCloseRow(i int) {
-	l, last := s.lead, s.ev.params.SpecialRow()
-	for c, q := range [2]*ring.Poly{l.q0, l.q1} {
-		row := q.Coeffs[i]
-		add := row
-		if !l.inQ[c] {
-			add = nil
-		}
-		s.ctx.FloorSumRow(l.accQ[c].Coeffs[i], l.tail.Coeffs[c], l.tails, add, row, last, i)
-	}
 }
 
 func (ev *Evaluator) getPart() *sumPart {

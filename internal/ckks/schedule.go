@@ -12,7 +12,7 @@ package ckks
 // row-parallel passes on the ring context's RunRows, with a join where
 // the board has a FIFO: the level+1 digit INTTs (each transformed out of
 // the input row into scratch; nothing is copied first), then the level+2
-// accumulator rows, then the flooring tail (FloorDropRowsPairAddInto).
+// accumulator rows, then the flooring tail (ring.Context.FloorInto).
 // Each accumulator row belongs to one participant, which takes the
 // digits one at a time — base-convert to its prime into one scratch row
 // and transform (ring.Context.ReduceNTTRow, the conversion the flooring
@@ -90,6 +90,15 @@ func (ev *Evaluator) putJob(j *ksJob) {
 	ev.jobs.Put(j)
 }
 
+// prime is the basis index of accumulator row jj: the q primes, then the
+// special prime in row level+1.
+func (j *ksJob) prime(jj int) int {
+	if jj > j.level {
+		return j.ev.params.SpecialRow()
+	}
+	return jj
+}
+
 // runINTTRow is INTT0 for digit i: the coefficient form of input row i,
 // transformed straight out of the input polynomial into the job's scratch.
 func (j *ksJob) runINTTRow(i int) {
@@ -113,7 +122,7 @@ func (j *ksJob) mac(i, jj, basisIdx int, b []uint64) {
 // 11-12/16-17 (the two MACs) of Algorithm 7 for every digit.
 func (j *ksJob) runMACRow(jj int) {
 	ctx := j.ctx
-	basisIdx := j.ev.rowIdx[j.level][jj]
+	basisIdx := j.prime(jj)
 	buf := ctx.GetPolyNoZero(1)
 	defer ctx.PutPoly(buf)
 	conv := buf.Coeffs[0]
@@ -134,7 +143,7 @@ func (j *ksJob) runMACRow(jj int) {
 // the cost of a row copy) and MACs.
 func (j *ksJob) runHoistedRow(jj int) {
 	ctx := j.ctx
-	basisIdx := j.ev.rowIdx[j.level][jj]
+	basisIdx := j.prime(jj)
 	var perm []uint64
 	if j.auto != nil {
 		buf := ctx.GetPolyNoZero(1)
@@ -155,7 +164,7 @@ func (j *ksJob) runHoistedRow(jj int) {
 // (lines 3-10 of Algorithm 7): it converts every digit to target row jj
 // straight into the cached digit polynomials.
 func (j *ksJob) runDecompRow(jj int) {
-	basisIdx := j.ev.rowIdx[j.level][jj]
+	basisIdx := j.prime(jj)
 	for i := 0; i <= j.level; i++ {
 		row := j.out.digits[i].Coeffs[jj]
 		if i == basisIdx {

@@ -132,9 +132,9 @@ func hoistedWorkerInvariant(t *testing.T, spec ParamSpec) {
 		c := schedRandomPoly(ctx, level+1, rng)
 		add := schedRandomPoly(ctx, level+1, rng)
 
-		// decompose and keySwitchHoistedInto are the two halves of
-		// RotateHoistedInto; driving them directly lets the test compare
-		// the cached digits and cover the table-less MAC.
+		// decompose and keySwitchAddInto over the decomposition are the
+		// two halves of RotateHoistedInto; driving them directly lets the
+		// test compare the cached digits and cover the table-less MAC.
 		decompose := func() *HoistedDecomposition {
 			hd := &HoistedDecomposition{level: level, digits: make([]*ring.Poly, level+1)}
 			for i := range hd.digits {
@@ -145,7 +145,7 @@ func hoistedWorkerInvariant(t *testing.T, spec ParamSpec) {
 		}
 		keySwitch := func(hd *HoistedDecomposition, table *ring.Automorphism, add *ring.Poly) (*ring.Poly, *ring.Poly) {
 			out0, out1 := ctx.NewPolyPair(level + 1)
-			ev.keySwitchHoistedInto(hd, &rlk.SwitchingKey, table, add, nil, out0, out1)
+			ev.keySwitchAddInto(nil, hd, table, &rlk.SwitchingKey, add, nil, out0, out1)
 			return out0, out1
 		}
 

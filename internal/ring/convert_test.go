@@ -141,18 +141,16 @@ func TestReduceNTTRowMatchesScalar(t *testing.T) {
 	}
 }
 
-// scalarFloorDrop is Algorithm 6 in scalar arithmetic on the strict
-// transforms, one row of the output at a time.
-func scalarFloorDrop(ctx *Context, a, add *Poly, rowPrimes []int, round bool) *Poly {
-	rows := a.Rows()
-	last := rowPrimes[rows-1]
+// scalarFloor is Algorithm 6 in scalar arithmetic on the strict
+// transforms, one row of the output at a time: row i < rows of a is basis
+// prime i, row rows the dropped prime last.
+func scalarFloor(ctx *Context, a, add *Poly, rows, last int, round bool) *Poly {
 	pLast := ctx.Basis.Primes[last]
-	tail := slices.Clone(a.Coeffs[rows-1])
+	tail := slices.Clone(a.Coeffs[rows])
 	ctx.Tables[last].InverseStrict(tail)
-	out := ctx.NewPoly(rows - 1)
-	for i := 0; i < rows-1; i++ {
-		bi := rowPrimes[i]
-		m, p := ctx.Basis.Mods[bi], ctx.Basis.Primes[bi]
+	out := ctx.NewPoly(rows)
+	for i := 0; i < rows; i++ {
+		m, p := ctx.Basis.Mods[i], ctx.Basis.Primes[i]
 		r := make([]uint64, ctx.N)
 		for j := range r {
 			v := tail[j]
@@ -164,7 +162,7 @@ func scalarFloorDrop(ctx *Context, a, add *Poly, rowPrimes []int, round bool) *P
 				r[j] = uintmod.SubMod(r[j], m.Reduce(pLast>>1), p)
 			}
 		}
-		ctx.Tables[bi].ForwardStrict(r)
+		ctx.Tables[i].ForwardStrict(r)
 		pinv := m.InvMod(m.Reduce(pLast))
 		for j := range r {
 			v := m.MulMod(uintmod.SubMod(a.Coeffs[i][j], r[j], p), pinv)
@@ -177,57 +175,144 @@ func scalarFloorDrop(ctx *Context, a, add *Poly, rowPrimes []int, round bool) *P
 	return out
 }
 
+// floorShapes are the mixedContext floors the tests run: the kept rows
+// 0..rows-1 and the dropped prime. Rows 0-2 are IFMA rows and 3-5 scalar
+// ones where the host has the kernels; the dropped 45-, 47- and 46-bit
+// primes reduce into the kept rows on the vector path, the 58-bit one on
+// the scalar fallback.
+var floorShapes = []struct{ rows, last int }{{2, 2}, {3, 6}, {4, 5}, {5, 12}}
+
+// floorOperand draws a floor's input over shape's rows: rows rows of
+// basis primes, then a row of the dropped prime.
+func floorOperand(ctx *Context, rng *rand.Rand, rows, last int) *Poly {
+	a := ctx.NewPoly(rows + 1)
+	for i := range a.Coeffs {
+		prime := i
+		if i == rows {
+			prime = last
+		}
+		copy(a.Coeffs[i], edgeRow(rng, ctx.N, ctx.Basis.Primes[prime]))
+	}
+	return a
+}
+
 // The flooring tail must equal the scalar reference on IFMA rows, scalar
-// rows and both kinds of dropped prime (45-bit: vector reduction into the
-// IFMA rows; 58-bit: the fallback), with and without the folded addition
-// and the rounding shift, single and paired.
+// rows and both kinds of dropped prime (vector reduction into the IFMA
+// rows, and the fallback), with and without the folded addition and the
+// rounding shift, single and paired, landing on the add operand or in
+// place on the input.
 func TestFloorDropMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for _, n := range []int{64, 4096} {
 		ctx := mixedContext(t, n)
-		for _, rowPrimes := range [][]int{{0, 4, 1, 2}, {0, 1, 4, 5}, {1, 2, 3}} {
-			rows := len(rowPrimes)
-			mk := func(rows int) *Poly {
-				a := ctx.NewPoly(rows)
-				for i := range a.Coeffs {
-					copy(a.Coeffs[i], edgeRow(rng, n, ctx.Basis.Primes[rowPrimes[i]]))
-				}
-				return a
-			}
-			a0, a1 := mk(rows), mk(rows)
-			add0, add1 := mk(rows-1), mk(rows-1)
+		for _, sh := range floorShapes {
+			rows, last := sh.rows, sh.last
+			a0, a1 := floorOperand(ctx, rng, rows, last), floorOperand(ctx, rng, rows, last)
+			add0, add1 := floorOperand(ctx, rng, rows, last).Resize(rows), floorOperand(ctx, rng, rows, last).Resize(rows)
 			for _, round := range []bool{false, true} {
 				for _, withAdd := range []bool{false, true} {
-					name := fmt.Sprintf("n=%d rows=%v round=%v add=%v", n, rowPrimes, round, withAdd)
+					name := fmt.Sprintf("n=%d rows=%d last=%d round=%v add=%v", n, rows, last, round, withAdd)
 					d0, d1 := add0, add1
 					if !withAdd {
 						d0, d1 = nil, nil
 					}
-					want0 := scalarFloorDrop(ctx, a0, d0, rowPrimes, round)
-					want1 := scalarFloorDrop(ctx, a1, nil, rowPrimes, round)
-					got0, got1 := ctx.NewPolyPair(rows - 1)
-					ctx.FloorDropRowsPairAddInto(a0, a1, got0, got1, d0, nil, rowPrimes, round)
+					want0 := scalarFloor(ctx, a0, d0, rows, last, round)
+					want1 := scalarFloor(ctx, a1, nil, rows, last, round)
+					got0, got1 := ctx.NewPolyPair(rows)
+					ctx.FloorInto(a0, a1, d0, nil, got0, got1, last, round)
 					if !got0.Equal(want0) || !got1.Equal(want1) {
 						t.Fatalf("%s: pair differs from the scalar reference", name)
 					}
-					if !withAdd {
-						single := ctx.NewPoly(rows - 1)
-						ctx.FloorDropRowsInto(a0, single, rowPrimes, round)
-						if !single.Equal(want0) {
-							t.Fatalf("%s: single differs from the scalar reference", name)
-						}
+					single := ctx.NewPoly(rows)
+					ctx.FloorInto(a0, nil, d0, nil, single, nil, last, round)
+					if !single.Equal(want0) {
+						t.Fatalf("%s: single differs from the scalar reference", name)
 					}
-					// Landing on the add operand, as a rotation epilogue may.
 					if withAdd {
+						// Landing on the add operand, as a rotation epilogue may.
 						in0, in1 := CopyOf(add0), CopyOf(add1)
-						ctx.FloorDropRowsPairAddInto(a0, a1, in0, in1, in0, in1, rowPrimes, round)
-						if !in0.Equal(want0) || !in1.Equal(scalarFloorDrop(ctx, a1, d1, rowPrimes, round)) {
+						ctx.FloorInto(a0, a1, in0, in1, in0, in1, last, round)
+						if !in0.Equal(want0) || !in1.Equal(scalarFloor(ctx, a1, d1, rows, last, round)) {
 							t.Fatalf("%s: out=add differs from the scalar reference", name)
 						}
+						continue
+					}
+					// In place on the input, as an in-place rescale runs.
+					in0, in1 := CopyOf(a0), CopyOf(a1)
+					ctx.FloorInto(in0, in1, nil, nil, in0.Resize(rows), in1.Resize(rows), last, round)
+					if !in0.Resize(rows).Equal(want0) || !in1.Resize(rows).Equal(want1) {
+						t.Fatalf("%s: out=a differs from the scalar reference", name)
 					}
 				}
 			}
 		}
+	}
+}
+
+// A tail sum of k terms closed once is the k floors added: the q rows of
+// the terms summed mod q_i, their lifted dropped rows summed as integers.
+func TestFloorTailSumMatchesFloors(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	ctx := mixedContext(t, 4096)
+	for _, sh := range floorShapes {
+		rows, last := sh.rows, sh.last
+		for _, k := range []int{1, 2, 5} {
+			sum0, sum1 := ctx.NewPolyPair(rows)
+			acc0, acc1 := ctx.NewPolyPair(rows)
+			tail := ctx.NewPoly(2)
+			for term := 0; term < k; term++ {
+				a0, a1 := floorOperand(ctx, rng, rows, last), floorOperand(ctx, rng, rows, last)
+				f0, f1 := ctx.NewPolyPair(rows)
+				ctx.FloorInto(a0, a1, nil, nil, f0, f1, last, false)
+				ctx.Add(sum0, f0, sum0)
+				ctx.Add(sum1, f1, sum1)
+				ctx.Add(acc0, a0.Resize(rows), acc0)
+				ctx.Add(acc1, a1.Resize(rows), acc1)
+				for c, a := range []*Poly{a0, a1} {
+					lift := make([]uint64, ctx.N)
+					ctx.Tables[last].InverseTo(lift, a.Coeffs[rows])
+					for j, v := range lift {
+						tail.Coeffs[c][j] += v
+					}
+				}
+			}
+			add0, add1 := floorOperand(ctx, rng, rows, last).Resize(rows), floorOperand(ctx, rng, rows, last).Resize(rows)
+			want0, want1 := ctx.NewPolyPair(rows)
+			ctx.Add(sum0, add0, want0)
+			ctx.Add(sum1, add1, want1)
+			ctx.FloorTailInto(acc0, acc1, tail, k, false, add0, add1, add0, add1, last)
+			if !add0.Equal(want0) || !add1.Equal(want1) {
+				t.Fatalf("rows=%d last=%d: a %d-term tail sum differs from %d floors added", rows, last, k, k)
+			}
+		}
+	}
+}
+
+// The benchmark's row-map form is FloorInto over a basis prefix, and
+// refuses any other map.
+func TestFloorDropRowsPairIntoIsPrefixFloor(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	ctx := testContext(t, 64, 4, 45)
+	a0, a1 := randPoly(ctx, 4, rng), randPoly(ctx, 4, rng)
+	for _, round := range []bool{false, true} {
+		want0, want1 := ctx.NewPolyPair(3)
+		ctx.FloorInto(a0, a1, nil, nil, want0, want1, 3, round)
+		got0, got1 := ctx.NewPolyPair(3)
+		ctx.FloorDropRowsPairInto(a0, a1, got0, got1, []int{0, 1, 2, 3}, round, false)
+		if !got0.Equal(want0) || !got1.Equal(want1) {
+			t.Fatalf("round=%v: FloorDropRowsPairInto differs from FloorInto", round)
+		}
+	}
+	for _, rowPrimes := range [][]int{{0, 1, 3, 2}, {0, 1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rowPrimes %v: expected a panic", rowPrimes)
+				}
+			}()
+			got0, got1 := ctx.NewPolyPair(3)
+			ctx.FloorDropRowsPairInto(a0, a1, got0, got1, rowPrimes, false, false)
+		}()
 	}
 }
 

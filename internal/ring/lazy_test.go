@@ -84,13 +84,15 @@ func TestPolyPoolSharedByShape(t *testing.T) {
 	}
 }
 
+// A pair floored in one row pass is the two components floored alone,
+// here over rows 0-1 with prime 3 dropped, as a key switch below the top
+// level drops the special prime.
 func TestFloorDropRowsPairMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	ctx := testContext(t, 64, 4, 45)
-	rowPrimes := []int{0, 1, 3}
 	mk := func() *Poly {
 		a := ctx.NewPoly(3)
-		for i, bi := range rowPrimes {
+		for i, bi := range []int{0, 1, 3} {
 			for j := range a.Coeffs[i] {
 				a.Coeffs[i][j] = rng.Uint64() % ctx.Basis.Primes[bi]
 			}
@@ -98,11 +100,12 @@ func TestFloorDropRowsPairMatchesSingle(t *testing.T) {
 		return a
 	}
 	a0, a1 := mk(), mk()
-	want0 := ctx.FloorDropRows(CopyOf(a0).Resize(3), rowPrimes, false)
-	want1 := ctx.FloorDropRows(CopyOf(a1).Resize(3), rowPrimes, false)
+	want0, want1 := ctx.NewPoly(2), ctx.NewPoly(2)
+	ctx.FloorInto(a0, nil, nil, nil, want0, nil, 3, false)
+	ctx.FloorInto(a1, nil, nil, nil, want1, nil, 3, false)
 	got0, got1 := ctx.NewPolyPair(2)
-	ctx.FloorDropRowsPairAddInto(a0, a1, got0, got1, nil, nil, rowPrimes, false)
+	ctx.FloorInto(a0, a1, nil, nil, got0, got1, 3, false)
 	if !got0.Equal(want0) || !got1.Equal(want1) {
-		t.Fatal("FloorDropRowsPairAddInto diverges from two FloorDropRows calls")
+		t.Fatal("a floored pair diverges from two single floors")
 	}
 }

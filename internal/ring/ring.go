@@ -697,125 +697,134 @@ func sameRow(x, y []uint64) bool {
 	return len(x) > 0 && len(y) > 0 && &x[0] == &y[0]
 }
 
-// FloorDropLast implements RNS flooring (Algorithm 6): given a polynomial
-// over rows primes in NTT form whose last row is the prime being dropped
-// (p), it returns ⌊p^{-1}·a⌋ over the first rows-1 primes, in NTT form.
-// When round is true the result is ⌊p^{-1}·a⌉ instead (add ⌊p/2⌋ before
-// dividing), which is what rescaling uses to keep the approximation error
-// centered.
+// One flooring tail divides by a dropped prime for every caller: key
+// switches and hoisted rotations by the special prime, a RotateSum by it
+// once for its whole sum, Rescale by the last prime and public-key
+// encryption by P, the last two rounding. It is Algorithm 6 in two parts.
+// The lift, a floor's only non-linear step, brings the dropped row out of
+// NTT form into [0, p_last), plus ⌊p_last/2⌋ when rounding. The close is
+// one row pass over the kept rows: reduce the tail into q_i (less
+// ⌊p_last/2⌋ mod q_i when rounding), transform it, and
+// out = (a − r)·p_last⁻¹ + add. The close is linear, so a sum of key
+// switches adds its terms' lifted rows as integers (a tail sum) and its
+// q rows modulo q_i, and closes once (FloorTailInto); a floor is a tail
+// sum of one term (FloorInto). Every step returns canonical residues, so
+// the sum closed once is bit for bit its terms floored one by one.
 //
-// The polynomial's rows correspond to the first rows primes of the basis.
-func (c *Context) FloorDropLast(a *Poly, round bool) *Poly {
-	idx := make([]int, a.Rows())
-	for i := range idx {
-		idx[i] = i
+// Row i < out0.Rows() of every operand is basis prime i; row out0.Rows()
+// of a0 and a1 holds the dropped prime last. a1 and out1 may be nil, for
+// one component. An add may be nil, or its out. out may be its a (an
+// in-place rescale): the lift reads the dropped row before any row is
+// written, and the close reads each element before writing it.
+
+// FloorInto is out_c = ⌊a_c/p_last⌋ + add_c (⌊a_c/p_last⌉ + add_c when
+// round), for one component or two sharing one row pass.
+func (c *Context) FloorInto(a0, a1, add0, add1, out0, out1 *Poly, last int, round bool) {
+	rows := out0.Rows()
+	if a0.Rows() <= rows || (a1 != nil && a1.Rows() <= rows) {
+		panic("ring: a floor needs the dropped prime's row after the kept rows")
 	}
-	return c.FloorDropRows(a, idx, round)
-}
-
-// FloorDropRows is FloorDropLast for polynomials whose rows map to an
-// arbitrary subset of the basis primes: rowPrimes[i] is the basis index of
-// row i, and the last row is the prime being dropped. Key switching needs
-// this (Algorithm 7 line 19): its accumulators live over
-// (p_0..p_level, p_special), which is not a basis prefix below the top
-// level.
-func (c *Context) FloorDropRows(a *Poly, rowPrimes []int, round bool) *Poly {
-	out := c.NewPoly(a.Rows() - 1)
-	c.floorDrop(a, nil, out, nil, nil, nil, rowPrimes, round)
-	return out
-}
-
-// FloorDropRowsPairAddInto runs FloorDropRows on the two key-switch
-// accumulators at once, sharing a single worker fan-out and tail pass,
-// and writes into the caller-provided output pair with an optional final
-// addition folded into the flooring row pass: out0 = floor(a0) + add0,
-// out1 = floor(a1) + add1 (add operands over the output rows, NTT form;
-// either may be nil). This is the CKKS key-switch epilogue (ks0 + c0,
-// ks1 + c1) landing directly in the result ciphertext without
-// intermediate polys or a separate addition sweep.
-func (c *Context) FloorDropRowsPairAddInto(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []int, round bool) {
-	c.floorDrop(a0, a1, out0, out1, add0, add1, rowPrimes, round)
-}
-
-// FloorDropRowsInto is FloorDropRows landing in the caller-provided
-// output polynomial (out must have a.Rows()-1 rows) — the single-poly
-// tail of an in-place rescale on a ciphertext with an odd component
-// count.
-func (c *Context) FloorDropRowsInto(a, out *Poly, rowPrimes []int, round bool) {
-	c.floorDrop(a, nil, out, nil, nil, nil, rowPrimes, round)
-}
-
-// FloorDropRowsPairInto is FloorDropRowsPairAddInto with no addition.
-// The trailing bool is ignored: it stays only because benchmark/layers.go,
-// which a PR may not edit, passes one.
-func (c *Context) FloorDropRowsPairInto(a0, a1, out0, out1 *Poly, rowPrimes []int, round, _ bool) {
-	c.floorDrop(a0, a1, out0, out1, nil, nil, rowPrimes, round)
-}
-
-func (c *Context) floorDrop(a0, a1, out0, out1, add0, add1 *Poly, rowPrimes []int, round bool) {
-	rows := a0.Rows()
-	if rows < 2 {
-		panic("ring: FloorDropRows needs at least two rows")
-	}
-	if len(rowPrimes) != rows {
-		panic("ring: rowPrimes length mismatch")
-	}
-	if out0.Rows() != rows-1 || (a1 != nil && out1.Rows() != rows-1) {
-		panic("ring: floorDrop output row mismatch")
-	}
-	last := rowPrimes[rows-1]
-	pLast := c.Basis.Primes[last]
-	// Line 1: bring the dropped-prime residues to the coefficient domain.
-	tailBuf := c.GetPolyNoZero(2)
-	defer c.PutPoly(tailBuf)
-	tail0 := tailBuf.Coeffs[0]
-	c.Tables[last].InverseTo(tail0, a0.Coeffs[rows-1])
-	var tail1 []uint64
+	tail := c.GetPolyNoZero(2)
+	defer c.PutPoly(tail)
+	c.liftRow(tail.Coeffs[0], a0.Coeffs[rows], last, round)
 	if a1 != nil {
-		tail1 = tailBuf.Coeffs[1]
-		c.Tables[last].InverseTo(tail1, a1.Coeffs[rows-1])
+		c.liftRow(tail.Coeffs[1], a1.Coeffs[rows], last, round)
 	}
-	if round {
-		half := pLast >> 1
-		for _, tail := range [][]uint64{tail0, tail1} {
-			if c.RowIFMA(last) && tail != nil {
-				// Adding ⌊p/2⌋ is subtracting p − ⌊p/2⌋, which the
-				// reduction kernel does on its way.
-				uintmod.VecReduce(tail, tail, pLast-half, pLast)
-				continue
-			}
-			for j := range tail {
-				tail[j] = uintmod.AddMod(tail[j], half, pLast)
-			}
+	c.FloorTailInto(a0, a1, tail, 1, round, add0, add1, out0, out1, last)
+}
+
+// liftRow is a floor's lift of the dropped row src into dst.
+//
+//heax:noalloc
+func (c *Context) liftRow(dst, src []uint64, last int, round bool) {
+	c.Tables[last].InverseTo(dst, src)
+	if !round {
+		return
+	}
+	p := c.Basis.Primes[last]
+	half := p >> 1
+	if c.RowIFMA(last) {
+		// Adding ⌊p/2⌋ is subtracting p − ⌊p/2⌋, which the reduction
+		// kernel does on its way.
+		uintmod.VecReduce(dst, dst, p-half, p)
+		return
+	}
+	for j := range dst {
+		dst[j] = uintmod.AddMod(dst[j], half, p)
+	}
+}
+
+// FloorTailInto is the close alone: row c of tail is the integer sum of
+// terms lifted rows of prime last (at most TailSumTerms), a_c the terms'
+// summed q rows. round says the tail carries one ⌊p_last/2⌋.
+func (c *Context) FloorTailInto(a0, a1, tail *Poly, terms int, round bool, add0, add1, out0, out1 *Poly, last int) {
+	rows := out0.Rows()
+	switch {
+	case rows < 1:
+		panic("ring: a floor keeps at least one row")
+	case last < rows:
+		panic("ring: a floor cannot drop a kept prime")
+	case a1 != nil && (out1 == nil || out1.Rows() != rows):
+		panic("ring: floor output row mismatch")
+	}
+	j := floorJobs.Get().(*floorJob)
+	j.c, j.a, j.add, j.out, j.tail = c, [2]*Poly{a0, a1}, [2]*Poly{add0, add1}, [2]*Poly{out0, out1}, tail
+	j.bound, j.last, j.round = c.tailBound(terms, last), last, round
+	c.RunRows(rows, j.row)
+	*j = floorJob{row: j.row}
+	floorJobs.Put(j)
+}
+
+// floorJob is one close. Jobs are pooled process-wide and their row pass
+// is a method value bound once, so a floor allocates nothing.
+type floorJob struct {
+	c           *Context
+	a, add, out [2]*Poly
+	tail        *Poly
+	bound       uint64
+	last        int
+	round       bool
+	row         func(int)
+}
+
+var floorJobs = sync.Pool{New: func() any {
+	j := new(floorJob)
+	j.row = j.closeRow
+	return j
+}}
+
+// closeRow closes row i of each component (Algorithm 6 lines 3-6).
+//
+//heax:noalloc
+func (j *floorJob) closeRow(i int) {
+	c := j.c
+	rBuf := c.GetPolyNoZero(1)
+	defer c.PutPoly(rBuf)
+	r := rBuf.Coeffs[0]
+	var sub uint64
+	if j.round {
+		sub = c.Basis.Mods[i].Reduce(c.Basis.Primes[j.last] >> 1)
+	}
+	for k := 0; k < 2 && j.a[k] != nil; k++ {
+		var add []uint64
+		if j.add[k] != nil {
+			add = j.add[k].Coeffs[i]
+		}
+		c.reduceNTTRow(r, j.tail.Coeffs[k], j.bound, i, sub)
+		c.floorCloseRow(j.a[k].Coeffs[i], r, add, j.out[k].Coeffs[i], j.last, i)
+	}
+}
+
+// FloorDropRowsPairInto is FloorInto of a pair with no addition, for a
+// rowPrimes that maps a0's rows to a basis prefix. It and its ignored
+// trailing bool stay only for benchmark/layers.go, which calls it.
+func (c *Context) FloorDropRowsPairInto(a0, a1, out0, out1 *Poly, rowPrimes []int, round, _ bool) {
+	for i, p := range rowPrimes {
+		if p != i || len(rowPrimes) != a0.Rows() {
+			panic("ring: rowPrimes must map a0's rows to a basis prefix")
 		}
 	}
-	c.RunRows(rows-1, func(i int) {
-		rBuf := c.GetPolyNoZero(1)
-		defer c.PutPoly(rBuf)
-		r := rBuf.Coeffs[0]
-		basisIdx := rowPrimes[i]
-		var halfModPi uint64
-		if round {
-			halfModPi = c.Basis.Mods[basisIdx].Reduce(pLast >> 1)
-		}
-		floorRow := func(a *Poly, tail []uint64, out, add *Poly) {
-			// Lines 3-4: r = [a (+⌊p/2⌋)]_{p} reduced mod p_i, then NTT.
-			// In rounding mode, subtract the ⌊p/2⌋ shift again per
-			// coefficient (in the coefficient domain), so that a_i - r̃
-			// below equals (a+⌊p/2⌋) - [a+⌊p/2⌋]_p, i.e. the rounded
-			// numerator.
-			c.ReduceNTTRow(r, tail, last, basisIdx, halfModPi)
-			var addRow []uint64
-			if add != nil {
-				addRow = add.Coeffs[i]
-			}
-			c.floorCloseRow(a.Coeffs[i], r, addRow, out.Coeffs[i], last, basisIdx)
-		}
-		floorRow(a0, tail0, out0, add0)
-		if a1 != nil {
-			floorRow(a1, tail1, out1, add1)
-		}
-	})
+	c.FloorInto(a0, a1, nil, nil, out0, out1, len(rowPrimes)-1, round)
 }
 
 // ReduceNTTRow moves a coefficient-form row from one basis prime to
@@ -891,18 +900,6 @@ func (c *Context) floorCloseRow(a, r, add, out []uint64, last, i int) {
 	}
 }
 
-// A sum of key switches can share one flooring tail. The only non-linear
-// step of a floor is lifting the dropped-prime row out of NTT form into
-// [0, p_last); after that lift the rest of Algorithm 6 — the reduction
-// into each q prime, its forward NTT, the subtraction, the multiplication
-// by p_last⁻¹ and any addition — is linear modulo that prime. So a sum
-// keeps one inverse transform of the dropped row per term, adds the
-// lifted rows as integers (the tail sum) and lets the q rows of its
-// accumulators keep adding across terms; FloorSumRow then closes the
-// whole sum with one reduction and one forward NTT per row. Every step
-// returns canonical residues, so the result is bit for bit the sum of
-// the terms floored one by one.
-
 // TailSumTerms is how many lifted rows of prime last a tail sum may add
 // up before FoldTailRow has to take it into the accumulators: as many as
 // a 64-bit word holds. Its reduction picks the IFMA or the scalar route
@@ -928,18 +925,4 @@ func (c *Context) FoldTailRow(a, tail []uint64, terms, last, i int) {
 	r := rBuf.Coeffs[0]
 	c.reduceNTTRow(r, tail, c.tailBound(terms, last), i, 0)
 	c.subRow(a, r, a, i)
-}
-
-// FloorSumRow is the closing pass of a sum of key switches on row i
-// (basis prime i): out = (a − NTT_i([tail]_{p_i}))·p_last⁻¹ + add, where
-// a is the row's accumulated sum and tail the tail sum of terms lifted
-// rows (at most TailSumTerms). add may be nil, and may be out.
-//
-//heax:noalloc
-func (c *Context) FloorSumRow(a, tail []uint64, terms int, add, out []uint64, last, i int) {
-	rBuf := c.GetPolyNoZero(1)
-	defer c.PutPoly(rBuf)
-	r := rBuf.Coeffs[0]
-	c.reduceNTTRow(r, tail, c.tailBound(terms, last), i, 0)
-	c.floorCloseRow(a, r, add, out, last, i)
 }

@@ -1,7 +1,9 @@
 package ring
 
 import (
+	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 
 	"heax/internal/primes"
@@ -290,7 +292,7 @@ func signedOf(v, p uint64) int64 {
 }
 
 // Flooring: compose, divide with floor/round in big-int, compare.
-func TestFloorDropLast(t *testing.T) {
+func TestFloorMatchesBigInt(t *testing.T) {
 	n := 16
 	ctx := testContext(t, n, 3, 30)
 	s := NewSampler(ctx, 8)
@@ -301,7 +303,8 @@ func TestFloorDropLast(t *testing.T) {
 
 		ntt := CopyOf(a)
 		ctx.NTT(ntt)
-		got := ctx.FloorDropLast(ntt, round)
+		got := ctx.NewPoly(2)
+		ctx.FloorInto(ntt, nil, nil, nil, got, nil, 2, round)
 		ctx.INTT(got)
 		gotBig := composeAll(ctx, got)
 
@@ -320,14 +323,19 @@ func TestFloorDropLast(t *testing.T) {
 	}
 }
 
-func TestFloorDropLastPanicsOnSingleRow(t *testing.T) {
-	ctx := testContext(t, 16, 1, 30)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	ctx.FloorDropLast(ctx.NewPoly(1), false)
+// A one-row polynomial has no row both to keep and to drop.
+func TestFloorPanicsOnSingleRow(t *testing.T) {
+	ctx := testContext(t, 16, 2, 30)
+	for _, keep := range []int{0, 1} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "floor") {
+					t.Errorf("keeping %d rows: panicked with %v, want a floor's shape panic", keep, r)
+				}
+			}()
+			ctx.FloorInto(ctx.NewPoly(1), nil, nil, nil, &Poly{Coeffs: make([][]uint64, keep)}, nil, 0, false)
+		}()
+	}
 }
 
 func TestInfNormSigned(t *testing.T) {

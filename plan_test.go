@@ -361,7 +361,11 @@ func TestPlanOutputAliases(t *testing.T) {
 // TestPlanRunAllocations: what the executor allocates for a run does not
 // depend on how many steps the plan has — no goroutine, one ready list
 // and a handful of per-run slices, nothing per step — and the dyadic
-// kernels the steps call allocate nothing at all.
+// kernels the steps call allocate nothing at all. Each plan is judged by
+// its fewest allocations over several windows: a run's pool workers put
+// buffers back on their own processors, so sync.Pool now and then grows
+// a per-processor list from the heap, in any window; a cost per step
+// shows in every one.
 func TestPlanRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; alloc counts are not meaningful")
@@ -373,11 +377,15 @@ func TestPlanRunAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(10, func() {
-			if _, err := plan.Run(in); err != nil {
-				t.Fatal(err)
-			}
-		})
+		fewest := math.Inf(1)
+		for window := 0; window < 5; window++ {
+			fewest = min(fewest, testing.AllocsPerRun(10, func() {
+				if _, err := plan.Run(in); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return fewest
 	}
 	narrow, wide := measure(128), measure(256)
 	if wide-narrow > 8 {

@@ -83,3 +83,40 @@ func TestPlanLookupSentinels(t *testing.T) {
 		t.Errorf("Run without inputs: %v, want ErrInputMissing", err)
 	}
 }
+
+// TestFloorCallerSentinels: a nil *Into output and a public-key
+// encryption below the top level are level-shape violations, branchable
+// as ErrLevelMismatch like every other evaluation error.
+func TestFloorCallerSentinels(t *testing.T) {
+	k := newAPIKit(t)
+	x := k.encrypt(t, []float64{1, 2})
+	out, err := heax.NewCiphertext(k.params, 1, k.params.MaxLevel(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]func() error{
+		"MulRelinInto": func() error { return k.eval.MulRelinInto(x, x, nil) },
+		"RescaleInto":  func() error { return k.eval.RescaleInto(x, nil) },
+		"RotateInto":   func() error { return k.eval.RotateInto(x, 1, nil) },
+		"RotateHoistedInto": func() error {
+			return k.eval.RotateHoistedInto(x, []int{1, 2}, []*heax.Ciphertext{out, nil})
+		},
+		"RotateSumInto": func() error {
+			return heax.RotateSumInto(k.eval, []*heax.Ciphertext{x}, []*heax.Plaintext{nil}, []int{1},
+				[]*heax.GaloisKey{k.evk.Galois.Rotations[1]}, nil)
+		},
+		"Encrypt below the top level": func() error {
+			pt, err := k.enc.EncodeReal([]float64{1}, k.params.MaxLevel()-1, k.params.DefaultScale())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = k.encryptor.Encrypt(pt)
+			return err
+		},
+	}
+	for name, fn := range cases {
+		if err := fn(); !errors.Is(err, heax.ErrLevelMismatch) {
+			t.Errorf("%s: %v, want ErrLevelMismatch", name, err)
+		}
+	}
+}
