@@ -85,9 +85,7 @@ func (e *Encryptor) encryptPk(pt *Plaintext) *Ciphertext {
 
 	// ct = (m, 0) + ⌊(c0, c1)/P⌉ over Q: at the top level the QP rows are
 	// exactly (q_0..q_L, P), so the floor drops the last row, and the
-	// addition of m rides in its row pass. The components get a backing
-	// array each: sharing one (NewPolyPair) made serving such ciphertexts
-	// over the wire 8 % slower on a 2-vCPU AVX-512 host, cause unplaced.
+	// addition of m rides in its row pass.
 	c0q, c1q := ctx.NewPoly(rows-1), ctx.NewPoly(rows-1)
 	ctx.FloorInto(c0, c1, pt.Value, nil, c0q, c1q, e.params.SpecialRow(), true)
 	return &Ciphertext{Polys: []*ring.Poly{c0q, c1q}, Scale: pt.Scale, Level: pt.Level()}

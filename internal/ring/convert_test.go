@@ -182,8 +182,8 @@ func scalarFloor(ctx *Context, a, add *Poly, rows, last int, round bool) *Poly {
 // the scalar fallback.
 var floorShapes = []struct{ rows, last int }{{2, 2}, {3, 6}, {4, 5}, {5, 12}}
 
-// floorOperand draws a floor's input over shape's rows: rows rows of
-// basis primes, then a row of the dropped prime.
+// floorOperand draws a floor's input: rows rows of basis primes, then a
+// row of the dropped prime last.
 func floorOperand(ctx *Context, rng *rand.Rand, rows, last int) *Poly {
 	a := ctx.NewPoly(rows + 1)
 	for i := range a.Coeffs {
