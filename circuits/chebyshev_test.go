@@ -142,24 +142,7 @@ func TestEncryptedSigmoid(t *testing.T) {
 // level below the top by the sigmoid's bound.
 func TestServedLogisticPlan(t *testing.T) {
 	k := newKit(t, heax.SetC)
-	dot, err := circuits.BatchedDot([]float64{0.3, -0.2, 0.1, 0.4, -0.5, 0.25, -0.1, 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := heax.NewCircuit()
-	scores, err := dot.Apply(c, c.Input("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prob, err := circuits.Sigmoid(7).Apply(c, c.AddConst(scores, 0.25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Output("p", prob)
-	steps, err := c.RequiredRotations(k.params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, steps := servedLogistic(t, k)
 	plan, err := c.Compile(k.params, k.keys(t, steps))
 	if err != nil {
 		t.Fatal(err)

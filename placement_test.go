@@ -33,7 +33,7 @@ func TestUnboundedPlansUnchanged(t *testing.T) {
 		k := newOracleKit(t, pass.spec, []int{1, 2, 3, -1}, true)
 		rng := rand.New(rand.NewSource(pass.seed))
 		for n := 0; n < pass.count; n++ {
-			c := randomCircuit(rng, nil, k.params.Slots())
+			c := randomCircuit(rng, nil, nil, k.params.Slots())
 			js, err := c.MarshalJSON()
 			if err != nil {
 				t.Fatal(err)

@@ -397,8 +397,10 @@ func TestPlanGaloisNodesMatchEvaluator(t *testing.T) {
 // one term in five of those sums is a conjugation. ConjugateSlots and
 // InnerSum (of 2 or 4 slots) nodes come up on their own too. With bounds
 // set, half the circuits bound every output and the rest bound some,
-// drawn from bounds alone, so rng draws the same DAGs either way.
-func randomCircuit(rng, bounds *rand.Rand, slots int) *Circuit {
+// drawn from bounds alone, so rng draws the same DAGs either way. With
+// chains set, a quarter of the ops add a rescale chain (randomChain), drawn
+// from chains alone, beside what rng draws.
+func randomCircuit(rng, bounds, chains *rand.Rand, slots int) *Circuit {
 	c := NewCircuit()
 	nodes := []Node{c.Input("x"), c.Input("y")}
 	pick := func() Node { return nodes[rng.Intn(len(nodes))] }
@@ -506,6 +508,9 @@ func randomCircuit(rng, bounds *rand.Rand, slots int) *Circuit {
 			n = c.Add(c.Rotate(a, 1), c.Rotate(a, 2)) // a hoistable pair
 		}
 		nodes = append(nodes, n)
+		if chains != nil && chains.Intn(4) == 0 {
+			nodes = append(nodes, randomChain(c, chains, nodes))
+		}
 	}
 	for o := 1 + rng.Intn(3); o > 0; o-- {
 		// Mostly the latest values, so most of the DAG is live.
@@ -521,6 +526,46 @@ func randomCircuit(rng, bounds *rand.Rand, slots int) *Circuit {
 		}
 	}
 	return c
+}
+
+// randomChain draws a value whose plan ends in a run of single-use steps
+// closed by a Rescale: a product — squared, of two values, rotated (a key
+// switch of its own) or of a constant — then an AddConst, an AddPlain or
+// neither, then maybe a MulConst, whose operand rescales first, and last a
+// consumer that rescales the value again: a MulConst, or a product with a
+// value of the circuit.
+func randomChain(c *Circuit, chains *rand.Rand, nodes []Node) Node {
+	pick := func() Node { return nodes[chains.Intn(len(nodes))] }
+	input := func() Node { return nodes[chains.Intn(2)] }
+	scalar := func() float64 { return chains.Float64()*2 - 1 }
+	a := input()
+	if chains.Intn(3) == 0 {
+		a = pick()
+	}
+	var v Node
+	switch chains.Intn(4) {
+	case 0:
+		v = c.MulRelin(a, a)
+	case 1:
+		v = c.MulRelin(a, input())
+	case 2:
+		v = c.Rotate(c.MulRelin(a, input()), 1+chains.Intn(3))
+	default:
+		v = c.MulConst(a, scalar())
+	}
+	switch chains.Intn(3) {
+	case 0:
+		v = c.AddConst(v, scalar())
+	case 1:
+		v = c.AddPlain(v, []float64{scalar(), scalar()})
+	}
+	if chains.Intn(2) == 0 {
+		v = c.MulConst(v, scalar())
+	}
+	if chains.Intn(3) > 0 {
+		return c.MulConst(v, scalar())
+	}
+	return c.MulRelin(v, v)
 }
 
 // TestPlanRandomDAGs is the property behind the executor: for any
@@ -553,13 +598,14 @@ func TestPlanRandomDAGs(t *testing.T) {
 		slots := k.params.Slots()
 		rng := rand.New(rand.NewSource(pass.seed))
 		bounds := rand.New(rand.NewSource(pass.seed + 100))
+		chains := rand.New(rand.NewSource(pass.seed + 200))
 		in := map[string]*Ciphertext{
 			"x": k.encrypt(t, []float64{0.5, -0.25, 0.75, 1}),
 			"y": k.encrypt(t, []float64{-1, 0.125, 0.5, -0.5}),
 		}
 		total += pass.count
 		for n := 0; n < pass.count; n++ {
-			plan, err := randomCircuit(rng, bounds, slots).Compile(k.params, k.evk)
+			plan, err := randomCircuit(rng, bounds, chains, slots).Compile(k.params, k.evk)
 			if err != nil {
 				typed := false
 				for _, s := range sentinels {
