@@ -286,7 +286,9 @@ func TestIntoMatchesAllocating(t *testing.T) {
 // serving loop: once pools are warm the dyadic *Into ops and a rotation
 // must not allocate at all, and each other key-switching one at most
 // twice per op (an InnerSum of four slots, two rounds, five times). The
-// fused giant step of a compiled matvec allocates nothing either.
+// fused giant step of a compiled matvec allocates nothing either, and
+// neither do the fused chains of a compiled circuit, whose one floor
+// closes two or three divisions.
 func TestIntoAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race; alloc counts are not meaningful")
@@ -325,6 +327,24 @@ func TestIntoAllocations(t *testing.T) {
 	// products, one of them on a compact plaintext.
 	sumCts, sumPts := []*heax.Ciphertext{sq, x, y}, []*heax.Plaintext{nil, pt, compact}
 	sumEnds, sumKeys := []int{1, 2, 3}, []*heax.GaloisKey{nil, k.evk.Galois.Rotations[1], k.evk.Galois.Rotations[2]}
+	// Chains: a lift by 2^9, a rescale, a constant and a rescale, after a
+	// product, a plain value and a sum of rotations.
+	lift, err := k.enc.EncodeConst(1, k.params.MaxLevel(), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, err := k.enc.EncodeConst(0.5, k.params.MaxLevel(), k.params.DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := []heax.ChainStage{{Kind: heax.ChainMulPlain, Pt: lift}, {Kind: heax.ChainRescale}}
+	if k.params.MaxLevel() > 1 {
+		chain = append(chain, heax.ChainStage{Kind: heax.ChainMulPlain, Pt: half}, heax.ChainStage{Kind: heax.ChainRescale})
+	}
+	chained, err := heax.NewCiphertext(k.params, 1, k.params.MaxLevel(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hoisted := make([]*heax.Ciphertext, 3)
 	for i := range hoisted {
 		if hoisted[i], err = heax.NewCiphertext(k.params, 1, k.params.MaxLevel(), 0); err != nil {
@@ -355,6 +375,11 @@ func TestIntoAllocations(t *testing.T) {
 		{"InnerSumInto", 5, 3, func() error { return k.eval.InnerSumInto(x, 4, out) }},
 		{"RotateHoistedInto", 10, 0, func() error { return k.eval.RotateHoistedInto(x, []int{1, 2, 1}, hoisted) }},
 		{"RotateSumInto", 0, 3, func() error { return heax.RotateSumInto(k.eval, sumCts, sumPts, sumEnds, sumKeys, out) }},
+		{"MulRelinChainInto", 0, 0, func() error { return heax.MulRelinChainInto(k.eval, x, y, chain, chained) }},
+		{"RescaleChainInto", 0, 0, func() error { return heax.RescaleChainInto(k.eval, x, chain, chained) }},
+		{"RotateSumChainInto", 0, 3, func() error {
+			return heax.RotateSumChainInto(k.eval, sumCts, sumPts, sumEnds, sumKeys, chain, chained)
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -137,9 +137,11 @@ func TestEncryptedSigmoid(t *testing.T) {
 
 // TestServedLogisticPlan pins the plan the lr-serve-C benchmark serves: a
 // BatchedDot of 8 weights, a bias and the degree-7 sigmoid on Set-C
-// compile to 41 steps, the dot product's giant step and both Chebyshev
-// block sums each one RotateSum, with no sum left unfused, placed one
-// level below the top by the sigmoid's bound.
+// compile to 15 steps, the dot product's giant step and both Chebyshev
+// block sums each one RotateSum, with no sum left unfused, every one of
+// the 13 rescales fused with the single-use steps before it into 9
+// chains, and one lift left (before the final Add), placed one level
+// below the top by the sigmoid's bound.
 func TestServedLogisticPlan(t *testing.T) {
 	k := newKit(t, heax.SetC)
 	c, steps := servedLogistic(t, k)
@@ -148,15 +150,18 @@ func TestServedLogisticPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	desc := plan.Describe()
-	want := map[string]int{"RotateHoisted": 1, "RotateSum": 3, "MulPlain": 17, "Rescale": 13, "MulRelin": 4, "AddPlain": 2, "Add": 1}
+	want := map[string]int{"RotateHoisted": 1, "RotateSum": 3, "MulPlain": 1, "Rescale": 5, "MulRelin": 4, "AddPlain": 0, "Add": 1}
 	counts := stepCounts(desc)
 	for kind, n := range want {
 		if counts[kind] != n {
 			t.Errorf("%d %s steps, want %d", counts[kind], kind, n)
 		}
 	}
-	if plan.NumSteps() != 41 {
-		t.Errorf("%d steps, want 41", plan.NumSteps())
+	if plan.NumSteps() != 15 {
+		t.Errorf("%d steps, want 15", plan.NumSteps())
+	}
+	if n := strings.Count(desc, "chain["); n != 9 {
+		t.Errorf("%d fused chains, want 9", n)
 	}
 	if left := unfusedSums(t, desc); len(left) != 0 {
 		t.Errorf("sums left unfused:\n%s", strings.Join(left, "\n"))

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"heax/internal/ckks"
+	"heax/internal/ring"
 	"heax/internal/uintmod"
 )
 
@@ -15,8 +16,9 @@ import (
 // and level inference over the circuit DAG, inserts every Rescale /
 // lift / copy the dataflow needs, eliminates common subexpressions,
 // prunes dead nodes, groups same-source rotations into hoisted-
-// decomposition batches, and returns an immutable, concurrency-safe
-// Plan bound to params and evk.
+// decomposition batches, fuses sums of rotations and products, and runs
+// of constants and rescales, into single steps, and returns an
+// immutable, concurrency-safe Plan bound to params and evk.
 //
 // Inference tracks a free per-node (level, scale) pair: a node is
 // either *base* (rescaled) or a *product* (unrescaled, carrying the
@@ -89,6 +91,7 @@ func (c *Circuit) Compile(params *Params, evk *EvaluationKeySet) (*Plan, error) 
 	}
 	k.hoistRotations()
 	k.fuseRotateSums(outputs)
+	k.fuseChains(outputs)
 	k.renumberSlots(outputs) // so nSlots and the footprint describe the fused plan
 
 	eval := NewEvaluator(params, evk)
@@ -913,6 +916,94 @@ func (k *compiler) fuseRotateSums(outputs []planOutput) {
 		*add = sum
 	}
 	k.dropSteps(dropped)
+}
+
+// maxChainStages bounds the stages one fused chain takes, within what a
+// ring.FloorChain holds beside its value and a key switch's floor.
+const maxChainStages = ring.MaxChainOps - 3
+
+// fuseChains folds every run of single-use steps that ends in a Rescale
+// into one step (DESIGN.md, "Floor chains"). Walking back from the
+// Rescale, a run takes MulPlains whose plaintext is one value per row,
+// nonzero on the rows it keeps (compiler lifts and MulConst), at most one
+// AddPlain and earlier Rescales, each read by nothing else and not a
+// named output; it stops at its producer — a MulRelin, or a RotateSum
+// with a key-switched term, whose kind the fused step keeps — or at a
+// plain value, which makes the step a Rescale of that value. A lone
+// Rescale of a plain value stays as it is. The step goes at the last
+// Rescale's position, after everything it reads, and carries the stages
+// for the kernel (ckks.Stage), which closes them with one flooring tail,
+// bit for bit the steps one by one. Later Rescales are walked first, so
+// a run is as long as it can be.
+func (k *compiler) fuseChains(outputs []planOutput) {
+	single, producer := k.singleUse(outputs)
+	dropped := make([]bool, len(k.steps))
+	for i := len(k.steps) - 1; i >= 0; i-- {
+		end := &k.steps[i]
+		if dropped[i] || end.kind != stepRescale {
+			continue
+		}
+		stages := []ckks.Stage{{Kind: ckks.StageRescale}}
+		var members []int
+		slot, level, added := end.args[0], end.level+1, false
+		var head *planStep // the producer, if any
+	walk:
+		for len(stages) < maxChainStages {
+			t := single(slot, level, stepMulPlain, stepAddPlain, stepRescale, stepMulRelin, stepRotateSum)
+			switch {
+			case t == nil:
+				break walk
+			case t.kind == stepMulPlain && rowConstant(t.pt, end.level+1):
+				stages = append(stages, ckks.Stage{Kind: ckks.StageMulPlain, Pt: t.pt})
+			case t.kind == stepAddPlain && !added:
+				added = true
+				stages = append(stages, ckks.Stage{Kind: ckks.StageAddPlain, Pt: t.pt})
+			case t.kind == stepRescale:
+				stages = append(stages, ckks.Stage{Kind: ckks.StageRescale})
+				level++
+			case t.kind == stepMulRelin || t.kind == stepRotateSum && slices.ContainsFunc(t.keys, func(g *GaloisKey) bool { return g != nil }):
+				head = t
+				members = append(members, producer[slot])
+				break walk
+			default:
+				break walk
+			}
+			members = append(members, producer[slot])
+			slot = t.args[0]
+		}
+		if head == nil && len(stages) == 1 {
+			continue
+		}
+		slices.Reverse(stages)
+		fused := planStep{kind: stepRescale, args: []int{slot}, outs: end.outs, level: end.level, scale: end.scale, chain: stages}
+		if head != nil {
+			fused = *head
+			fused.outs, fused.level, fused.scale, fused.chain = end.outs, end.level, end.scale, stages
+		}
+		for _, m := range members {
+			dropped[m] = true
+		}
+		*end = fused
+	}
+	k.dropSteps(dropped)
+}
+
+// rowConstant reports whether every row of pt holds one value, nonzero on
+// the first kept rows: a multiplier a floor chain keeping them can weigh
+// its rows by. A lift by q_ℓ, which the Rescale after it divides back
+// out, is zero on q_ℓ's own row, which the chain drops.
+func rowConstant(pt *Plaintext, kept int) bool {
+	for i, row := range pt.Value.Coeffs {
+		if i < kept && row[0] == 0 {
+			return false
+		}
+		for _, v := range row {
+			if v != row[0] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // addTerm appends a term to a RotateSum: args, with one plaintext each

@@ -102,7 +102,7 @@ func (ev *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, gks *GaloisK
 		}
 		auto := ctx.AutomorphismNTTTable(key.GaloisElt)
 		ctx.AutomorphismNTT(ct.Polys[0], auto, c0g)
-		ev.keySwitchAddInto(nil, hd, auto, &key.SwitchingKey, c0g, nil, outs[i].Polys[0], outs[i].Polys[1])
+		ev.keySwitchAddInto(nil, hd, auto, &key.SwitchingKey, c0g, nil, nil, outs[i].Polys[0], outs[i].Polys[1])
 	}
 	return nil
 }

@@ -393,13 +393,15 @@ func (ev *Evaluator) KeySwitchPoly(c *ring.Poly, swk *SwitchingKey) (*ring.Poly,
 // *Into form (Relinearize, SwitchKeys, KeySwitchPoly).
 func (ev *Evaluator) keySwitchAdd(c *ring.Poly, swk *SwitchingKey, add0, add1 *ring.Poly) (*ring.Poly, *ring.Poly) {
 	out0, out1 := ev.ctx.NewPolyPair(c.Level() + 1)
-	ev.keySwitchAddInto(c, nil, nil, swk, add0, add1, out0, out1)
+	ev.keySwitchAddInto(c, nil, nil, swk, add0, add1, nil, out0, out1)
 	return out0, out1
 }
 
-// keySwitchAddInto runs Algorithm 7 and lands (add0 + ks0, add1 + ks1)
-// in the caller-provided output polynomials (each with level+1 rows;
-// either add operand may be nil, and may have more rows) — the
+// keySwitchAddInto runs Algorithm 7 and lands (add0 + ks0, add1 + ks1),
+// then the stages if any (chain.go), in the caller-provided output
+// polynomials (each with level+1 rows less one per rescale among the
+// stages, which close with the key switch's floor; either add operand
+// may be nil, and may have more rows) — the
 // key-switch back end of relinearization, re-keying, KeySwitchPoly, the
 // fused MulRelin and every step of a hoisted rotation (other rotations
 // run through RotateSumInto). It switches either the polynomial c or,
@@ -407,9 +409,14 @@ func (ev *Evaluator) keySwitchAdd(c *ring.Poly, swk *SwitchingKey, add0, add1 *r
 // permuted by auto (nil for none). The flooring tail and the final
 // additions write straight into the outputs, with no intermediate result
 // polys, no input copies and no separate addition sweep.
-func (ev *Evaluator) keySwitchAddInto(c *ring.Poly, hd *HoistedDecomposition, auto *ring.Automorphism, swk *SwitchingKey, add0, add1, out0, out1 *ring.Poly) {
+func (ev *Evaluator) keySwitchAddInto(c *ring.Poly, hd *HoistedDecomposition, auto *ring.Automorphism, swk *SwitchingKey, add0, add1 *ring.Poly, stages []Stage, out0, out1 *ring.Poly) {
 	ctx := ev.ctx
 	level := out0.Rows() - 1
+	for _, st := range stages {
+		if st.Kind == StageRescale {
+			level++
+		}
+	}
 	// Accumulators over (q_0..q_level, P); row level+1 is the special
 	// prime. Unzeroed: the MAC's first digit stores into every row.
 	acc0 := ctx.GetPolyNoZero(level + 2)
@@ -420,7 +427,12 @@ func (ev *Evaluator) keySwitchAddInto(c *ring.Poly, hd *HoistedDecomposition, au
 	// Line 19: modulus switching — divide by the special prime. It starts
 	// once every accumulator row is complete, as the hardware's does (the
 	// bank-set handoff of Fig. 8).
-	ctx.FloorInto(acc0, acc1, add0, add1, out0, out1, ev.params.SpecialRow(), false)
+	ch := ctx.FloorChain()
+	ch.Add(acc0, acc1)
+	ch.Floor(ev.params.SpecialRow(), false)
+	ch.Add(add0, add1)
+	pushStages(ch, level, stages)
+	ch.Close(out0, out1)
 }
 
 // Relinearize transforms a degree-2 ciphertext back to degree 1 using the
@@ -457,12 +469,24 @@ func (ev *Evaluator) MulRelin(ct0, ct1 *Ciphertext, rlk *RelinearizationKey) (*C
 // in pooled scratch and the key-switch flooring tail (plus the final
 // additions) writes straight into out's two components.
 func (ev *Evaluator) MulRelinInto(ct0, ct1 *Ciphertext, rlk *RelinearizationKey, out *Ciphertext) error {
+	return ev.mulRelinInto(ct0, ct1, rlk, nil, out)
+}
+
+// mulRelinInto is MulRelinInto followed by stages, if any (chain.go).
+func (ev *Evaluator) mulRelinInto(ct0, ct1 *Ciphertext, rlk *RelinearizationKey, stages []Stage, out *Ciphertext) error {
 	if ct0.Degree() != 1 || ct1.Degree() != 1 {
 		return fmt.Errorf("ckks: MulRelin requires degree-1 operands (got %d and %d): %w",
 			ct0.Degree(), ct1.Degree(), ErrDegreeMismatch)
 	}
 	a, b := ev.alignLevels(ct0, ct1)
-	if err := ev.prepareInto(out, 1, a.Level, a.Scale*b.Scale); err != nil {
+	level, scale := a.Level, a.Scale*b.Scale
+	if len(stages) > 0 {
+		var err error
+		if level, scale, err = ev.chainResult(level, scale, stages); err != nil {
+			return err
+		}
+	}
+	if err := ev.prepareInto(out, 1, level, scale); err != nil {
 		return err
 	}
 	ctx := ev.ctx
@@ -476,7 +500,7 @@ func (ev *Evaluator) MulRelinInto(ct0, ct1 *Ciphertext, rlk *RelinearizationKey,
 	defer ctx.PutPoly(c1)
 	defer ctx.PutPoly(c2)
 	ctx.MulCoeffsTensor(a.Polys[0], a.Polys[1], b.Polys[0], b.Polys[1], c0, c1, c2)
-	ev.keySwitchAddInto(c2, nil, nil, &rlk.SwitchingKey, c0, c1, out.Polys[0], out.Polys[1])
+	ev.keySwitchAddInto(c2, nil, nil, &rlk.SwitchingKey, c0, c1, stages, out.Polys[0], out.Polys[1])
 	return nil
 }
 

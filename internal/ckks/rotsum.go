@@ -44,15 +44,28 @@ import (
 // with any operand. A sum of plaintext products alone is one unrotated
 // term: its dot product, written straight into out.
 func (ev *Evaluator) RotateSumInto(cts []*Ciphertext, pts []*Plaintext, ends []int, keys []*GaloisKey, out *Ciphertext) error {
+	return ev.RotateSumChainInto(cts, pts, ends, keys, nil, out)
+}
+
+// RotateSumChainInto is RotateSumInto followed by stages, if any
+// (chain.go): the sum lands in pooled scratch, and the stages close with
+// its key switches' floor.
+func (ev *Evaluator) RotateSumChainInto(cts []*Ciphertext, pts []*Plaintext, ends []int, keys []*GaloisKey, stages []Stage, out *Ciphertext) error {
 	s := ev.getRotSum()
 	defer ev.putRotSum(s)
 	level, scale, err := s.bind(cts, pts, ends, keys, out)
 	if err != nil {
 		return err
 	}
+	if len(stages) > 0 {
+		if level, scale, err = ev.chainResult(level, scale, stages); err != nil {
+			return err
+		}
+	}
 	if err := ev.prepareInto(out, 1, level, scale); err != nil {
 		return err
 	}
+	s.stages = stages
 	s.run(out)
 	return nil
 }
@@ -96,8 +109,11 @@ type rotSum struct {
 	ends  []int
 	keys  []*GaloisKey
 	level int
-	limit int          // terms a tail sum may hold (ring.TailSumTerms)
-	next  atomic.Int64 // the last term claimed
+	limit int // terms a tail sum may hold (ring.TailSumTerms)
+	// stages follow the sum (RotateSumChainInto), which then lands in the
+	// lead part's own polynomials rather than out's.
+	stages []Stage
+	next   atomic.Int64 // the last term claimed
 
 	mu sync.Mutex
 	// open: a helper arriving now may still join. active counts the
@@ -162,7 +178,7 @@ func (ev *Evaluator) putRotSum(s *rotSum) {
 	clear(s.cts)
 	clear(s.pts)
 	clear(s.keys)
-	s.lead = nil
+	s.lead, s.stages = nil, nil
 	ev.sums.Put(s)
 }
 
@@ -236,7 +252,12 @@ func (s *rotSum) bind(cts []*Ciphertext, pts []*Plaintext, ends []int, keys []*G
 func (s *rotSum) run(out *Ciphertext) {
 	lead := s.ev.getPart()
 	lead.s, lead.busy = s, true
-	lead.q0, lead.q1 = out.Polys[0], out.Polys[1]
+	if len(s.stages) == 0 {
+		lead.q0, lead.q1 = out.Polys[0], out.Polys[1]
+	} else {
+		lead.shape(&lead.q0, s.level+1)
+		lead.shape(&lead.q1, s.level+1)
+	}
 	s.lead = lead
 	s.mu.Lock()
 	s.next.Store(-1)
@@ -264,18 +285,30 @@ func (s *rotSum) run(out *Ciphertext) {
 	}
 	clear(s.done)
 	s.done = s.done[:0]
-	if lead.keyed {
-		// out = (acc − NTT([tail]))·P⁻¹ + out, for both components, with
-		// no addition where the Q sum has nothing.
-		add := [2]*ring.Poly{lead.q0, lead.q1}
-		for c := range add {
-			if !lead.inQ[c] {
-				add[c] = nil
-			}
+	// out = (acc − NTT([tail]))·P⁻¹ + the Q sum, for both components, with
+	// no addition where the Q sum has nothing; then the stages.
+	add := [2]*ring.Poly{lead.q0, lead.q1}
+	for c := range add {
+		if !lead.inQ[c] {
+			add[c] = nil
 		}
-		s.ctx.FloorTailInto(lead.acc0, lead.acc1, lead.tail, lead.tails, false, add[0], add[1], lead.q0, lead.q1, s.ev.params.SpecialRow())
 	}
-	lead.q0, lead.q1 = nil, nil // out's
+	switch {
+	case len(s.stages) == 0 && lead.keyed:
+		s.ctx.FloorTailInto(lead.acc0, lead.acc1, lead.tail, lead.tails, false, add[0], add[1], lead.q0, lead.q1, s.ev.params.SpecialRow())
+	case len(s.stages) > 0:
+		ch := s.ctx.FloorChain()
+		if lead.keyed {
+			ch.Add(lead.acc0, lead.acc1)
+			ch.FloorTail(lead.tail, lead.tails, s.ev.params.SpecialRow(), false)
+		}
+		ch.Add(add[0], add[1])
+		pushStages(ch, s.level, s.stages)
+		ch.Close(out.Polys[0], out.Polys[1])
+	}
+	if len(s.stages) == 0 {
+		lead.q0, lead.q1 = nil, nil // out's
+	}
 	s.ev.putPart(lead)
 }
 

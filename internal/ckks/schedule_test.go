@@ -145,7 +145,7 @@ func hoistedWorkerInvariant(t *testing.T, spec ParamSpec) {
 		}
 		keySwitch := func(hd *HoistedDecomposition, table *ring.Automorphism, add *ring.Poly) (*ring.Poly, *ring.Poly) {
 			out0, out1 := ctx.NewPolyPair(level + 1)
-			ev.keySwitchAddInto(nil, hd, table, &rlk.SwitchingKey, add, nil, out0, out1)
+			ev.keySwitchAddInto(nil, hd, table, &rlk.SwitchingKey, add, nil, nil, out0, out1)
 			return out0, out1
 		}
 

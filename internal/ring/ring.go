@@ -711,6 +711,10 @@ func sameRow(x, y []uint64) bool {
 // sum of one term (FloorInto). Every step returns canonical residues, so
 // the sum closed once is bit for bit its terms floored one by one.
 //
+// The close is linear in the multipliers and addends around it too, so a
+// run of floors closes once as well (FloorChain): k divisions lift k
+// dropped rows, each once, and every kept row takes one transform, not k.
+//
 // Row i < out0.Rows() of every operand is basis prime i; row out0.Rows()
 // of a0 and a1 holds the dropped prime last. a1 and out1 may be nil, for
 // one component. An add may be nil, or its out. out may be its a (an
@@ -720,99 +724,22 @@ func sameRow(x, y []uint64) bool {
 // FloorInto is out_c = ⌊a_c/p_last⌋ + add_c (⌊a_c/p_last⌉ + add_c when
 // round), for one component or two sharing one row pass.
 func (c *Context) FloorInto(a0, a1, add0, add1, out0, out1 *Poly, last int, round bool) {
-	rows := out0.Rows()
-	if a0.Rows() <= rows || (a1 != nil && a1.Rows() <= rows) {
-		panic("ring: a floor needs the dropped prime's row after the kept rows")
-	}
-	tail := c.GetPolyNoZero(2)
-	defer c.PutPoly(tail)
-	c.liftRow(tail.Coeffs[0], a0.Coeffs[rows], last, round)
-	if a1 != nil {
-		c.liftRow(tail.Coeffs[1], a1.Coeffs[rows], last, round)
-	}
-	c.FloorTailInto(a0, a1, tail, 1, round, add0, add1, out0, out1, last)
-}
-
-// liftRow is a floor's lift of the dropped row src into dst.
-//
-//heax:noalloc
-func (c *Context) liftRow(dst, src []uint64, last int, round bool) {
-	c.Tables[last].InverseTo(dst, src)
-	if !round {
-		return
-	}
-	p := c.Basis.Primes[last]
-	half := p >> 1
-	if c.RowIFMA(last) {
-		// Adding ⌊p/2⌋ is subtracting p − ⌊p/2⌋, which the reduction
-		// kernel does on its way.
-		uintmod.VecReduce(dst, dst, p-half, p)
-		return
-	}
-	for j := range dst {
-		dst[j] = uintmod.AddMod(dst[j], half, p)
-	}
+	ch := c.FloorChain()
+	ch.Add(a0, a1)
+	ch.Floor(last, round)
+	ch.Add(add0, add1)
+	ch.Close(out0, out1)
 }
 
 // FloorTailInto is the close alone: row c of tail is the integer sum of
 // terms lifted rows of prime last (at most TailSumTerms), a_c the terms'
 // summed q rows. round says the tail carries one ⌊p_last/2⌋.
 func (c *Context) FloorTailInto(a0, a1, tail *Poly, terms int, round bool, add0, add1, out0, out1 *Poly, last int) {
-	rows := out0.Rows()
-	switch {
-	case rows < 1:
-		panic("ring: a floor keeps at least one row")
-	case last < rows:
-		panic("ring: a floor cannot drop a kept prime")
-	case a1 != nil && (out1 == nil || out1.Rows() != rows):
-		panic("ring: floor output row mismatch")
-	}
-	j := floorJobs.Get().(*floorJob)
-	j.c, j.a, j.add, j.out, j.tail = c, [2]*Poly{a0, a1}, [2]*Poly{add0, add1}, [2]*Poly{out0, out1}, tail
-	j.bound, j.last, j.round = c.tailBound(terms, last), last, round
-	c.RunRows(rows, j.row)
-	*j = floorJob{row: j.row}
-	floorJobs.Put(j)
-}
-
-// floorJob is one close. Jobs are pooled process-wide and their row pass
-// is a method value bound once, so a floor allocates nothing.
-type floorJob struct {
-	c           *Context
-	a, add, out [2]*Poly
-	tail        *Poly
-	bound       uint64
-	last        int
-	round       bool
-	row         func(int)
-}
-
-var floorJobs = sync.Pool{New: func() any {
-	j := new(floorJob)
-	j.row = j.closeRow
-	return j
-}}
-
-// closeRow closes row i of each component (Algorithm 6 lines 3-6).
-//
-//heax:noalloc
-func (j *floorJob) closeRow(i int) {
-	c := j.c
-	rBuf := c.GetPolyNoZero(1)
-	defer c.PutPoly(rBuf)
-	r := rBuf.Coeffs[0]
-	var sub uint64
-	if j.round {
-		sub = c.Basis.Mods[i].Reduce(c.Basis.Primes[j.last] >> 1)
-	}
-	for k := 0; k < 2 && j.a[k] != nil; k++ {
-		var add []uint64
-		if j.add[k] != nil {
-			add = j.add[k].Coeffs[i]
-		}
-		c.reduceNTTRow(r, j.tail.Coeffs[k], j.bound, i, sub)
-		c.floorCloseRow(j.a[k].Coeffs[i], r, add, j.out[k].Coeffs[i], j.last, i)
-	}
+	ch := c.FloorChain()
+	ch.Add(a0, a1)
+	ch.FloorTail(tail, terms, last, round)
+	ch.Add(add0, add1)
+	ch.Close(out0, out1)
 }
 
 // FloorDropRowsPairInto is FloorInto of a pair with no addition, for a
@@ -825,6 +752,369 @@ func (c *Context) FloorDropRowsPairInto(a0, a1, out0, out1 *Poly, rowPrimes []in
 		}
 	}
 	c.FloorInto(a0, a1, nil, nil, out0, out1, len(rowPrimes)-1, round)
+}
+
+// MaxChainOps is the most operations one FloorChain holds.
+const MaxChainOps = 24
+
+// A FloorChain is a value built by a run of operations that ends in a
+// division — addends (Add), multiplications by one value per row (Mul)
+// and floors (Floor, or FloorTail for a dropped row lifted by the
+// caller) — and closed once (Close), bit for bit what the operations one
+// at a time give. FloorInto and FloorTailInto are chains of one floor.
+//
+// The close holds the value as Σₐ wₐ·xₐ − NTT(Σ_f w_f·([t_f]_{q_i} − h_f))
+// on every live row i: xₐ the addends, t_f the floors' lifted dropped
+// rows, h_f their ⌊p_f/2⌋ when rounding, and the weights w products of
+// the multipliers and the dropped primes' inverses that came after each
+// joined. A multiplication scales every weight, a floor multiplies every
+// weight by p_f⁻¹ and joins with weight p_f⁻¹: out = (v − [t]_{q_i} + h)·p⁻¹
+// is linear once t is fixed, and t, the lift of the dropped row, is the
+// only non-linear step. Lifts touch dropped rows alone, so the close
+// takes them first, in order — a floor's dropped row is the value at that
+// point, an inverse transform of its addends' weighed row less the
+// earlier tails — and then passes once over the kept rows: the weighed
+// tails summed, one forward transform, the weighed addends. Each weight is
+// a residue the sequential operations compute too, so every output is
+// the canonical residue they give.
+//
+// Each floor drops the row just past the rows kept after it, so a chain
+// of floors drops the value's last rows from the bottom up. Every
+// multiplier must be nonzero modulo the kept primes. A chain comes from
+// FloorChain and goes back with Close; it allocates nothing.
+type FloorChain struct {
+	c   *Context
+	ops [MaxChainOps]chainOp
+	n   int
+	// Set by Close: the outputs, how many components and floors there are,
+	// and the pooled polynomials whose rows hold the tails it lifts.
+	out           [2]*Poly
+	comps, floors int
+	tails         [MaxChainOps]*Poly
+	// The close's two passes as func values, bound once per pooled chain.
+	tailPass, keepPass func(int)
+}
+
+type chainKind uint8
+
+const (
+	chainAdd chainKind = iota
+	chainMul
+	chainFloor
+)
+
+// chainOp is one operation of a chain.
+type chainOp struct {
+	kind chainKind
+	// x holds an Add's components (either may be nil) or a Mul's
+	// multiplier in x[0], whose row i starts with its value modulo prime i.
+	x [2]*Poly
+	// A floor's prime, its row in the addends (set by Close), whether it
+	// rounds, its tail by component — the caller's lifted rows, or rows
+	// of the close's scratch — and the exclusive bound on their values.
+	last, row int
+	round     bool
+	lifted    bool
+	tail      [2][]uint64
+	bound     uint64
+}
+
+var floorChains = sync.Pool{New: func() any {
+	ch := new(FloorChain)
+	ch.tailPass, ch.keepPass = ch.liftPass, ch.closeRow
+	return ch
+}}
+
+// FloorChain returns an empty chain over c's rows.
+func (c *Context) FloorChain() *FloorChain {
+	ch := floorChains.Get().(*FloorChain)
+	ch.c = c
+	return ch
+}
+
+func (ch *FloorChain) push(op chainOp) {
+	if ch.n == MaxChainOps {
+		panic("ring: a floor chain holds at most MaxChainOps operations")
+	}
+	ch.ops[ch.n] = op
+	ch.n++
+}
+
+// Add adds x0 and x1, NTT-form, to the value's two components; either may
+// be nil for nothing. The first Add is the value itself.
+func (ch *FloorChain) Add(x0, x1 *Poly) { ch.push(chainOp{kind: chainAdd, x: [2]*Poly{x0, x1}}) }
+
+// Mul multiplies row i of the value by m's first value on row i.
+func (ch *FloorChain) Mul(m *Poly) { ch.push(chainOp{kind: chainMul, x: [2]*Poly{m}}) }
+
+// Floor divides the value by prime last, rounding when round is set, and
+// drops the value's last row, which holds it: the row's own prime, or any
+// prime past the kept ones — a key switch's special prime — for a floor
+// right after the value.
+func (ch *FloorChain) Floor(last int, round bool) {
+	ch.push(chainOp{kind: chainFloor, last: last, round: round})
+}
+
+// FloorTail divides the value by prime last, whose row the caller has
+// lifted: row c of tail is the integer sum of terms lifted rows of
+// component c (at most TailSumTerms), carrying one ⌊p_last/2⌋ when round.
+func (ch *FloorChain) FloorTail(tail *Poly, terms, last int, round bool) {
+	op := chainOp{kind: chainFloor, last: last, round: round, lifted: true, bound: ch.c.tailBound(terms, last)}
+	copy(op.tail[:], tail.Coeffs)
+	ch.push(op)
+}
+
+// Close writes the value's kept rows, out0.Rows() of them, to out0 (and
+// out1 when the value has a second component) and returns the chain to
+// its pool. An output may be an addend: each element is read before it
+// is written.
+func (ch *FloorChain) Close(out0, out1 *Poly) {
+	c := ch.c
+	rows := out0.Rows()
+	first := &ch.ops[0]
+	switch {
+	case rows < 1:
+		panic("ring: a floor keeps at least one row")
+	case ch.n == 0 || first.kind != chainAdd || first.x[0] == nil:
+		panic("ring: a floor chain starts with the value it divides")
+	case first.x[1] != nil && (out1 == nil || out1.Rows() != rows):
+		panic("ring: floor output row mismatch")
+	}
+	ch.out, ch.comps = [2]*Poly{out0, out1}, 1
+	if first.x[1] != nil {
+		ch.comps = 2
+	}
+	// Walk back from the kept rows: each floor drops the row past those
+	// kept after it, and an addend must hold every row read after it joins.
+	row, read, floors := rows, rows, 0
+	for o := ch.n - 1; o >= 0; o-- {
+		op := &ch.ops[o]
+		switch op.kind {
+		case chainFloor:
+			floors++
+			op.row = row
+			row++
+			switch {
+			case op.last < rows:
+				panic("ring: a floor cannot drop a kept prime")
+			case op.lifted:
+			case op.last != op.row && o != 1:
+				panic("ring: a floor by a prime not its row's comes right after the value")
+			default:
+				read = max(read, op.row+1)
+			}
+		case chainMul:
+			if op.x[0].Rows() < row {
+				panic("ring: a floor chain's multiplier lacks a live row")
+			}
+		case chainAdd:
+			for _, x := range op.x[:ch.comps] {
+				if x != nil && x.Rows() < read {
+					panic("ring: a floor needs the dropped prime's row after the kept rows")
+				}
+			}
+		}
+	}
+	if floors == 0 {
+		panic("ring: a floor chain divides at least once")
+	}
+	ch.floors = floors
+	// The tails the close lifts, packed into as few pooled polynomials as
+	// their rows fit.
+	bufs, free := 0, 0
+	for o := 0; o < ch.n; o++ {
+		op := &ch.ops[o]
+		if op.kind != chainFloor || op.lifted {
+			continue
+		}
+		if free < ch.comps {
+			//heax:owns the chain owns it; Close returns it below
+			ch.tails[bufs] = c.GetPolyNoZero(c.K())
+			bufs, free = bufs+1, c.K()
+		}
+		buf := ch.tails[bufs-1].Coeffs
+		for k := 0; k < ch.comps; k++ {
+			op.tail[k] = buf[len(buf)-free]
+			free--
+		}
+		op.bound = c.Basis.Primes[op.last]
+	}
+	if bufs > 0 {
+		c.RunRows(ch.comps, ch.tailPass)
+	}
+	c.RunRows(rows, ch.keepPass)
+	for _, buf := range ch.tails[:bufs] {
+		c.PutPoly(buf)
+	}
+	*ch = FloorChain{tailPass: ch.tailPass, keepPass: ch.keepPass}
+	floorChains.Put(ch)
+}
+
+// weights sets w[o], for every Add and floor o before upto, to the factor
+// modulo prime i its addend or its tail carries in the value at that
+// point, and returns Σ w_f·⌊p_f/2⌋ over the rounding floors among them.
+//
+//heax:noalloc
+func (ch *FloorChain) weights(i, upto int, w *[MaxChainOps]uint64) (offset uint64) {
+	b := ch.c.Basis
+	m := b.Mods[i]
+	for o := 0; o < upto; o++ {
+		op := &ch.ops[o]
+		var f uint64
+		switch op.kind {
+		case chainAdd:
+			w[o] = 1
+			continue
+		case chainMul:
+			f = m.Reduce(op.x[0].Coeffs[i][0])
+		case chainFloor:
+			f, _ = b.InvCross(op.last, i)
+		}
+		for prev := 0; prev < o; prev++ {
+			if ch.ops[prev].kind != chainMul {
+				w[prev] = m.MulMod(w[prev], f)
+			}
+		}
+		w[o] = f
+	}
+	for o := 0; o < upto; o++ {
+		if op := &ch.ops[o]; op.kind == chainFloor && op.round {
+			offset = uintmod.AddMod(offset, m.MulMod(w[o], m.Reduce(b.Primes[op.last]>>1)), b.Primes[i])
+		}
+	}
+	return offset
+}
+
+// liftPass lifts the dropped rows of component k that the close lifts
+// itself, in order. Floor f's lift is its dropped row d, of prime q, of
+// the value at that point, out of NTT form: INTT_q(Σₐ wₐ·xₐ) −
+// Σ_e w_e·[t_e]_q + offset over the earlier addends and floors, plus
+// ⌊p_q/2⌋ when it rounds.
+func (ch *FloorChain) liftPass(k int) {
+	c := ch.c
+	var scratch *Poly // for tails too wide for an IFMA row, drawn if any
+	var w, ws [MaxChainOps]uint64
+	var xs [MaxChainOps][]uint64
+	for f := 0; f < ch.n; f++ {
+		op := &ch.ops[f]
+		if op.kind != chainFloor || op.lifted {
+			continue
+		}
+		d, q, t := op.row, op.last, op.tail[k]
+		p := c.Basis.Primes[q]
+		offset := ch.weights(q, f, &w)
+		if op.round {
+			offset = uintmod.AddMod(offset, p>>1, p)
+		}
+		// The weighed addends' row d, inverse-transformed into t: straight
+		// from the value when nothing came before this floor.
+		if f == 1 {
+			c.Tables[q].InverseTo(t, ch.ops[0].x[k].Coeffs[d])
+		} else {
+			n := 0
+			for a := 0; a < f; a++ {
+				if op := &ch.ops[a]; op.kind == chainAdd && op.x[k] != nil {
+					xs[n], ws[n] = op.x[k].Coeffs[d], w[a]
+					n++
+				}
+			}
+			c.linCombRow(t, xs[:n], ws[:n], 0, q)
+			c.Tables[q].Inverse(t)
+		}
+		// Less the earlier tails, weighed, plus the offset.
+		xs[0], ws[0] = t, 1
+		n := 1
+		for e := 0; e < f; e++ {
+			if prev := &ch.ops[e]; prev.kind == chainFloor {
+				xs[n], ws[n] = prev.tail[k], uintmod.NegMod(w[e], p)
+				if c.wideInput(prev.bound, q) {
+					if scratch == nil {
+						scratch = c.GetPolyNoZero(ch.floors)
+					}
+					xs[n] = scratch.Coeffs[n-1]
+					c.reduceRow(xs[n], prev.tail[k], prev.bound, q, 0)
+				}
+				n++
+			}
+		}
+		if n > 1 || offset != 0 {
+			c.linCombRow(t, xs[:n], ws[:n], offset, q)
+		}
+	}
+	c.PutPoly(scratch)
+}
+
+// closeRow closes kept row i of each component:
+// out = Σₐ wₐ·xₐ − NTT_i(Σ_f w_f·[t_f]_{p_i} − offset). A single floor
+// right after the value, with at most one unweighed addend after that —
+// every floor of FloorInto and FloorTailInto — is Algorithm 6 lines 3-6
+// as they stand: one reduction fused into the transform and one closing
+// pass, out = (x_0 − r)·w_0 + add.
+//
+//heax:noalloc
+func (ch *FloorChain) closeRow(i int) {
+	c := ch.c
+	p := c.Basis.Primes[i]
+	var w, ws [MaxChainOps]uint64
+	var xs [MaxChainOps][]uint64
+	offset := ch.weights(i, ch.n, &w)
+	scratch := c.GetPolyNoZero(1 + ch.floors)
+	defer c.PutPoly(scratch)
+	r := scratch.Coeffs[0]
+	// The fast shape, one floor right after the value and then at most
+	// one addend: w_1 = w_0, the addend's weight is 1 and the offset is
+	// the floor's own ⌊p/2⌋.
+	fast := ch.ops[1].kind == chainFloor
+	adds := 0
+	for o := 2; o < ch.n; o++ {
+		if op := &ch.ops[o]; op.kind != chainAdd {
+			fast = false
+		} else if op.x[0] != nil || op.x[1] != nil {
+			adds++
+		}
+	}
+	fast = fast && adds <= 1
+	for k := 0; k < ch.comps; k++ {
+		out := ch.out[k].Coeffs[i]
+		if fast {
+			f := &ch.ops[1]
+			var sub uint64
+			if f.round {
+				sub = c.Basis.Mods[i].Reduce(c.Basis.Primes[f.last] >> 1)
+			}
+			c.reduceNTTRow(r, f.tail[k], f.bound, i, sub)
+			var add []uint64
+			for o := 2; o < ch.n; o++ {
+				if x := ch.ops[o].x[k]; x != nil {
+					add = x.Coeffs[i]
+				}
+			}
+			c.floorCloseRow(ch.ops[0].x[k].Coeffs[i], r, add, out, w[0], i)
+			continue
+		}
+		n := 0
+		for f := 1; f < ch.n; f++ {
+			if op := &ch.ops[f]; op.kind == chainFloor {
+				xs[n], ws[n] = op.tail[k], w[f]
+				if c.wideInput(op.bound, i) {
+					xs[n] = scratch.Coeffs[1+n]
+					c.reduceRow(xs[n], op.tail[k], op.bound, i, 0)
+				}
+				n++
+			}
+		}
+		c.linCombRow(r, xs[:n], ws[:n], uintmod.NegMod(offset, p), i)
+		c.Tables[i].Forward(r)
+		n = 0
+		for a := 0; a < ch.n; a++ {
+			if op := &ch.ops[a]; op.kind == chainAdd && op.x[k] != nil {
+				xs[n], ws[n] = op.x[k].Coeffs[i], w[a]
+				n++
+			}
+		}
+		xs[n], ws[n] = r, p-1
+		c.linCombRow(out, xs[:n+1], ws[:n+1], 0, i)
+	}
 }
 
 // ReduceNTTRow moves a coefficient-form row from one basis prime to
@@ -854,12 +1144,26 @@ func (c *Context) ReduceNTTRow(dst, src []uint64, from, to int, sub uint64) {
 //
 //heax:noalloc
 func (c *Context) reduceNTTRow(dst, src []uint64, bound uint64, to int, sub uint64) {
-	p, m, t := c.Basis.Primes[to], c.Basis.Mods[to], c.Tables[to]
+	t := c.Tables[to]
 	src = src[:len(dst)]
-	switch {
-	case sub == 0 && bound <= t.InputBound():
+	if sub == 0 && bound <= t.InputBound() {
 		t.ForwardTo(dst, src)
 		return
+	}
+	c.reduceRow(dst, src, bound, to, sub)
+	t.Forward(dst)
+}
+
+// reduceRow sets dst = ([src]_to − sub) mod p_to for a source row of
+// values below bound and a constant sub < p_to: on the IFMA kernel when
+// row to runs it and the values fit its 52-bit lanes, bit-identical to
+// the scalar loop either way. dst may be src.
+//
+//heax:noalloc
+func (c *Context) reduceRow(dst, src []uint64, bound uint64, to int, sub uint64) {
+	p, m := c.Basis.Primes[to], c.Basis.Mods[to]
+	src = src[:len(dst)]
+	switch {
 	case c.RowIFMA(to) && bound <= 1<<52:
 		uintmod.VecReduce(dst, src, sub, p)
 	case sub == 0:
@@ -871,33 +1175,75 @@ func (c *Context) reduceNTTRow(dst, src []uint64, bound uint64, to int, sub uint
 			dst[j] = uintmod.SubMod(m.Reduce(src[j]), sub, p)
 		}
 	}
-	t.Forward(dst)
 }
 
 // floorCloseRow is the closing pass of RNS flooring on one row (Algorithm
-// 6 lines 5-6): out = (a − r)·p_last^{-1} (+ add) modulo basis prime i,
-// with the cross-prime inverse precomputed at basis construction; add may
-// be nil.
+// 6 lines 5-6): out = (a − r)·w (+ add) modulo basis prime i, w the
+// dropped prime's inverse times whatever else the value is weighed by;
+// add may be nil.
 //
 //heax:noalloc
-func (c *Context) floorCloseRow(a, r, add, out []uint64, last, i int) {
+func (c *Context) floorCloseRow(a, r, add, out []uint64, w uint64, i int) {
 	p := c.Basis.Primes[i]
-	pinv, pinvShoup := c.Basis.InvCross(last, i)
 	if c.RowIFMA(i) {
-		uintmod.VecSubMulAdd(out, a, r, add, pinv, p)
+		uintmod.VecSubMulAdd(out, a, r, add, w, p)
 		return
 	}
+	ws := uintmod.ShoupPrecomp(w, p)
 	if add != nil {
 		for j := range out {
 			v := uintmod.SubMod(a[j], r[j], p)
-			out[j] = uintmod.AddMod(uintmod.MulRed(v, pinv, pinvShoup, p), add[j], p)
+			out[j] = uintmod.AddMod(uintmod.MulRed(v, w, ws, p), add[j], p)
 		}
 		return
 	}
 	for j := range out {
 		v := uintmod.SubMod(a[j], r[j], p)
-		out[j] = uintmod.MulRed(v, pinv, pinvShoup, p)
+		out[j] = uintmod.MulRed(v, w, ws, p)
 	}
+}
+
+// linCombRow sets out = Σₜ xs[t]·ws[t] + add modulo basis prime i for
+// constants ws[t], add < p_i and rows wideInput does not flag; out may be
+// one of xs. An IFMA row takes LinCombTerms rows a pass, each pass after
+// the first adding to what the last left in out.
+//
+//heax:noalloc
+func (c *Context) linCombRow(out []uint64, xs [][]uint64, ws []uint64, add uint64, i int) {
+	p := c.Basis.Primes[i]
+	if c.RowIFMA(i) {
+		n := min(len(xs), uintmod.LinCombTerms)
+		uintmod.VecLinComb(out, xs[:n], ws[:n], add, p)
+		// Every further pass takes out back with weight 1.
+		var more [uintmod.LinCombTerms][]uint64
+		var moreW [uintmod.LinCombTerms]uint64
+		more[0], moreW[0] = out, 1
+		for xs, ws = xs[n:], ws[n:]; len(xs) > 0; xs, ws = xs[n:], ws[n:] {
+			n = min(len(xs), uintmod.LinCombTerms-1)
+			copy(more[1:], xs[:n])
+			copy(moreW[1:], ws[:n])
+			uintmod.VecLinComb(out, more[:n+1], moreW[:n+1], 0, p)
+		}
+		return
+	}
+	var shoup [MaxChainOps + 1]uint64
+	for t, w := range ws {
+		shoup[t] = uintmod.ShoupPrecomp(w, p)
+	}
+	for j := range out {
+		s := add
+		for t, x := range xs {
+			s = uintmod.AddMod(s, uintmod.MulRed(x[j], ws[t], shoup[t], p), p)
+		}
+		out[j] = s
+	}
+}
+
+// wideInput reports whether a row of values below bound must be reduced
+// before linCombRow on row i takes it: the scalar loop's Shoup product
+// takes any 64-bit value, the IFMA kernel values below 2^52.
+func (c *Context) wideInput(bound uint64, i int) bool {
+	return c.RowIFMA(i) && bound > 1<<52
 }
 
 // TailSumTerms is how many lifted rows of prime last a tail sum may add

@@ -461,6 +461,51 @@ func TestVecSubMulAdd(t *testing.T) {
 	})
 }
 
+// VecLinComb must equal the Shoup products added one by one, for 1 to
+// LinCombTerms rows of residues and of values up to 2^52 - 1 (a wider
+// prime's residues, unreduced), the extreme weights among them, with and
+// without a constant, landing apart or on one of its rows.
+func TestVecLinComb(t *testing.T) {
+	forEachDyadicCase(t, func(t *testing.T, m Modulus, rows [4][]uint64) {
+		p, n := m.P, len(rows[0])
+		rng := rand.New(rand.NewSource(int64(p % 1000)))
+		wide := make([]uint64, n)
+		for i := range wide {
+			wide[i] = rng.Uint64() >> 12
+		}
+		wide[0], wide[n-1] = 1<<52-1, p
+		pool := [][]uint64{rows[0], rows[1], rows[2], rows[3], wide}
+		for terms := 1; terms <= LinCombTerms; terms++ {
+			for _, add := range []uint64{0, p - 1, rows[3][n/2]} {
+				xs := make([][]uint64, terms)
+				ws := make([]uint64, terms)
+				for j := range xs {
+					xs[j] = pool[rng.Intn(len(pool))]
+					ws[j] = []uint64{0, 1, p - 1, rng.Uint64() % p}[rng.Intn(4)]
+				}
+				want := func(i int) uint64 {
+					s := add
+					for j, x := range xs {
+						s = AddMod(s, MulRed(x[i], ws[j], ShoupPrecomp(ws[j], p), p), p)
+					}
+					return s
+				}
+				out := make([]uint64, n)
+				VecLinComb(out, xs, ws, add, p)
+				checkRow(t, fmt.Sprintf("VecLinComb %d terms add=%d", terms, add), out, want)
+				// Landing on one of its rows: a copy, so the pool's rows and
+				// want keep their values.
+				j := rng.Intn(terms)
+				in := slices.Clone(xs[j])
+				onto := slices.Clone(xs)
+				onto[j] = in
+				VecLinComb(in, onto, ws, add, p)
+				checkRow(t, fmt.Sprintf("VecLinComb out=xs[%d] %d terms", j, terms), in, want)
+			}
+		}
+	})
+}
+
 func TestBarrett52(t *testing.T) {
 	for _, p := range dyadicPrimes() {
 		mu, shift := barrett52(p)

@@ -16,6 +16,11 @@ func vecSubIFMA(out, x, y *uint64, n int, p uint64)
 func vecNegIFMA(out, x *uint64, n int, p uint64)
 func vecReduceIFMA(out, x *uint64, n int, p, mu, sub uint64)
 func vecSubMulAddIFMA(out, a, r, add *uint64, n int, p, w, wShoup uint64)
+
+// noescape: VecLinComb gathers the Shoup constants on its stack.
+//
+//go:noescape
+func vecLinCombIFMA(out *uint64, xs *[]uint64, ws, wShoups *uint64, t, n int, p, add uint64, folds int)
 func vecPermuteIFMA(out, x *uint64, blocks *uint32, lanes *[8][8]uint64, nb int)
 func vecPermutePairIFMA(out0, out1, x0, x1 *uint64, blocks *uint32, lanes *[8][8]uint64, nb int, p uint64, add bool)
 
@@ -151,4 +156,27 @@ func VecSubMulAdd(out, a, r, add []uint64, w, p uint64) {
 		addPtr = &add[0]
 	}
 	vecSubMulAddIFMA(&out[0], &a[0], &r[0], addPtr, n, p, w, ShoupPrecomp52(w, p))
+}
+
+// LinCombTerms is the most rows one VecLinComb sums.
+const LinCombTerms = 8
+
+// VecLinComb sets out[i] = (Σₜ xs[t][i]·ws[t] + add) mod p for constants
+// ws[t] < p and add < p over 1 to LinCombTerms rows of values below
+// 2^52 — residues of a prime of at most 52 bits, reduced or not modulo p
+// — the weighed sums a chain of floors closes with. Each Shoup product
+// lies in [0, 2p) for any such value (ShoupPrecomp52), so the sum stays
+// below (2t+1)p and folds to a canonical residue. Every row is read once
+// and out written once, element by element, so out may be one of xs.
+func VecLinComb(out []uint64, xs [][]uint64, ws []uint64, add, p uint64) {
+	n, t := len(out), len(xs)
+	if t == 0 || t > LinCombTerms || len(ws) != t {
+		panic("uintmod: VecLinComb takes 1 to LinCombTerms rows, one weight each")
+	}
+	var shoup [LinCombTerms]uint64
+	for i, x := range xs {
+		_ = x[n-1]
+		shoup[i] = ShoupPrecomp52(ws[i], p)
+	}
+	vecLinCombIFMA(&out[0], &xs[0], &ws[0], &shoup[0], t, n, p, add, bits.Len(uint(2*t)))
 }

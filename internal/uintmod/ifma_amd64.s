@@ -524,6 +524,125 @@ store:
 	VZEROUPPER
 	RET
 
+// func vecLinCombIFMA(out *uint64, xs *[]uint64, ws, wShoups *uint64, t, n int, p, add uint64, folds int)
+// out[i] = (sum_j xs[j][i]*ws[j] + add) mod p over t rows of values below
+// 2^52, ws[j] and add below p. Each Shoup product x*w - hi52(x*w')*p lies
+// in [0, 2p) (ShoupPrecomp52) and is exact mod 2^52, so the sum lies in
+// [0, (2t+1)p), below 2^55; folds folds, by 2^(folds-1)*p down to p, with
+// 2^folds > 2t, reduce it. Four 8-lane blocks go at once, each term's
+// weights broadcast once for them, so the four products overlap; the
+// last blocks of a row that is not a whole number of four go one at a
+// time. Per block every row is loaded before the block's one store, so
+// out may be one of the rows.
+
+// LCTERM adds the Shoup product of the term row at BX, block off, with
+// w (Z10) and w' (Z11) into acc.
+#define LCTERM(off, acc) \
+	VMOVDQU64 off(BX)(R13*1), Z0; \
+	VPXORQ Z1, Z1, Z1; \
+	VPMADD52HUQ Z11, Z0, Z1; \
+	VPXORQ Z2, Z2, Z2; \
+	VPMADD52LUQ Z10, Z0, Z2; \
+	VPMADD52LUQ Z15, Z1, Z2; \
+	VPANDQ Z14, Z2, Z2; \
+	VPADDQ Z2, acc, acc
+
+// LCFOLD subtracts the fold step in Z22 from acc where it does not
+// underflow; t is scratch.
+#define LCFOLD(acc, t) \
+	VPSUBQ Z22, acc, t; \
+	VPMINUQ t, acc, acc
+
+TEXT ·vecLinCombIFMA(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ xs+8(FP), SI
+	MOVQ ws+16(FP), R8
+	MOVQ wShoups+24(FP), R9
+	MOVQ t+32(FP), R11
+	MOVQ n+40(FP), CX
+	MOVQ p+48(FP), AX
+	MOVQ add+56(FP), DX
+	MOVQ folds+64(FP), R15
+	VPBROADCASTQ AX, Z12
+	MOVQ $0x000FFFFFFFFFFFFF, BX
+	VPBROADCASTQ BX, Z14            // 2^52 - 1
+	INCQ BX
+	SUBQ AX, BX
+	VPBROADCASTQ BX, Z15            // 2^52 - p
+	VPBROADCASTQ DX, Z13            // add
+	LEAQ -1(R15), BX
+	VPBROADCASTQ BX, Z21
+	VPSLLVQ Z21, Z12, Z21           // 2^(folds-1) * p
+	SHLQ $3, CX                     // row bytes
+	MOVQ CX, R14
+	SUBQ $256, R14                  // the last offset four blocks start at
+	XORQ R13, R13                   // block offset
+lc4:
+	CMPQ R13, R14
+	JGT  lc1
+	VMOVDQA64 Z13, Z19              // sums = add
+	VMOVDQA64 Z13, Z23
+	VMOVDQA64 Z13, Z24
+	VMOVDQA64 Z13, Z25
+	MOVQ SI, R12                    // next row header
+	XORQ R10, R10                   // next weight
+lc4term:
+	MOVQ (R12), BX
+	VPBROADCASTQ (R8)(R10*8), Z10   // w
+	VPBROADCASTQ (R9)(R10*8), Z11   // w'
+	LCTERM(0, Z19)
+	LCTERM(64, Z23)
+	LCTERM(128, Z24)
+	LCTERM(192, Z25)
+	ADDQ $24, R12
+	INCQ R10
+	CMPQ R10, R11
+	JB   lc4term
+	VMOVDQA64 Z21, Z22
+	MOVQ R15, BX
+lc4fold:
+	LCFOLD(Z19, Z6)
+	LCFOLD(Z23, Z7)
+	LCFOLD(Z24, Z8)
+	LCFOLD(Z25, Z9)
+	VPSRLQ $1, Z22, Z22
+	DECQ BX
+	JNZ  lc4fold
+	VMOVDQU64 Z19, (DI)(R13*1)
+	VMOVDQU64 Z23, 64(DI)(R13*1)
+	VMOVDQU64 Z24, 128(DI)(R13*1)
+	VMOVDQU64 Z25, 192(DI)(R13*1)
+	ADDQ $256, R13
+	JMP  lc4
+lc1:
+	CMPQ R13, CX
+	JAE  lcdone
+	VMOVDQA64 Z13, Z19
+	MOVQ SI, R12
+	XORQ R10, R10
+lc1term:
+	MOVQ (R12), BX
+	VPBROADCASTQ (R8)(R10*8), Z10
+	VPBROADCASTQ (R9)(R10*8), Z11
+	LCTERM(0, Z19)
+	ADDQ $24, R12
+	INCQ R10
+	CMPQ R10, R11
+	JB   lc1term
+	VMOVDQA64 Z21, Z22
+	MOVQ R15, BX
+lc1fold:
+	LCFOLD(Z19, Z6)
+	VPSRLQ $1, Z22, Z22
+	DECQ BX
+	JNZ  lc1fold
+	VMOVDQU64 Z19, (DI)(R13*1)
+	ADDQ $64, R13
+	JMP  lc1
+lcdone:
+	VZEROUPPER
+	RET
+
 // ---- block permutations (NTT-domain automorphisms) ----------------------
 //
 // An automorphism of a bit-reversed NTT row moves whole aligned 8-lane

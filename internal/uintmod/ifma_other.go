@@ -54,6 +54,14 @@ func VecSubMulAdd(out, a, r, add []uint64, w, p uint64) {
 	panic("uintmod: VecSubMulAdd without IFMA support")
 }
 
+// LinCombTerms is the most rows one VecLinComb sums.
+const LinCombTerms = 8
+
+// VecLinComb must not be called when IFMAUsable is false.
+func VecLinComb(out []uint64, xs [][]uint64, ws []uint64, add, p uint64) {
+	panic("uintmod: VecLinComb without IFMA support")
+}
+
 // vecPermuteIFMA is never reached: VecPermute checks HasIFMA first.
 func vecPermuteIFMA(out, x *uint64, blocks *uint32, lanes *[8][8]uint64, nb int) {
 	panic("uintmod: vecPermuteIFMA without AVX-512 support")

@@ -15,10 +15,11 @@ import (
 )
 
 // unboundedSweepDigest pins the plans of TestPlanRandomDAGs's circuits,
-// drawn with no bound: SHA-256 over each circuit's JSON and its plan's
-// Describe() ("refused" when it does not compile), in sweep order, as
-// computed before bounds existed.
-const unboundedSweepDigest = "ec89b1dc00b1c973aa1267c921e564e0efde1a7ca0a00852992a89231d77d389"
+// drawn with no bound and no chains: SHA-256 over each circuit's JSON
+// and its plan's Describe() ("refused" when it does not compile), in
+// sweep order, as computed once Compile fused rescale chains (the JSON
+// is as it was before bounds existed; Describe lists the chains).
+const unboundedSweepDigest = "a6a0197337b046027cd9922c389ba4fa18f72d286da57d737d863a86ceb5eefc"
 
 // TestUnboundedPlansUnchanged: a circuit with no Bound encodes to the same
 // JSON (so heax-serve gives it the same PlanID) and compiles to the same

@@ -18,12 +18,15 @@ import (
 // Tracer receives the wall-clock latency of every executed plan step,
 // keyed by step kind ("MulRelin", "RotateSum", "Rescale", ... — see
 // StepKinds; a rotation, conjugation or InnerSum round outside a hoisted
-// batch is a RotateSum step). It is the software analogue of HEAX's
-// per-core occupancy counters: aggregate step latency tells you which
-// kernel class bounds a circuit's throughput. Implementations must be safe for concurrent
-// use — steps from one run (and from overlapping runs) report in
-// parallel. ObserveStep must be cheap; it runs on the goroutine that
-// executed the step, before it takes the next one.
+// batch is a RotateSum step, and a step that closes a fused chain of
+// constants and rescales reports under its producer's kind, or as a
+// Rescale when the chain starts from a plain value). It is the software
+// analogue of HEAX's per-core occupancy counters: aggregate step latency
+// tells you which kernel class bounds a circuit's throughput.
+// Implementations must be safe for concurrent use — steps from one run
+// (and from overlapping runs) report in parallel. ObserveStep must be
+// cheap; it runs on the goroutine that executed the step, before it takes
+// the next one.
 type Tracer interface {
 	ObserveStep(kind string, d time.Duration)
 }
@@ -226,6 +229,11 @@ type planStep struct {
 	level  int
 	scale  float64
 	lifted bool // compiler-inserted multiply-by-one
+	// chain is the single-use MulPlain, AddPlain and Rescale steps fused
+	// after the step's own operation (fuseChains), in order, the last a
+	// Rescale; level and scale are then the last's. A Rescale step with a
+	// chain is a chain with no producer: the chain is all it runs.
+	chain []ckks.Stage
 }
 
 // Params returns the parameter set the plan was compiled for.
@@ -304,6 +312,23 @@ func (p *Plan) Describe() string {
 		}
 		if s.lifted {
 			b.WriteString(" (lift)")
+		}
+		if len(s.chain) > 0 {
+			b.WriteString(" chain[")
+			for j, c := range s.chain {
+				if j > 0 {
+					b.WriteByte(' ')
+				}
+				switch c.Kind {
+				case ckks.StageMulPlain:
+					fmt.Fprintf(&b, "MulPlain(2^%.2f)", math.Log2(c.Pt.Scale))
+				case ckks.StageAddPlain:
+					b.WriteString("AddPlain")
+				case ckks.StageRescale:
+					b.WriteString("Rescale")
+				}
+			}
+			b.WriteByte(']')
 		}
 		b.WriteByte('\n')
 	}
@@ -696,19 +721,27 @@ func (p *Plan) execKernel(idx int, st *planStep, in, outs []*Ciphertext) (err er
 		case stepSub:
 			err = e.inner.SubInto(in[0], in[1], outs[0])
 		case stepMulRelin:
-			err = e.inner.MulRelinInto(in[0], in[1], e.keys.Relin, outs[0])
+			if st.chain != nil {
+				err = e.inner.MulRelinChainInto(in[0], in[1], e.keys.Relin, st.chain, outs[0])
+			} else {
+				err = e.inner.MulRelinInto(in[0], in[1], e.keys.Relin, outs[0])
+			}
 		case stepMulPlain:
 			err = e.inner.MulPlainInto(in[0], st.pt, outs[0])
 		case stepAddPlain:
 			err = e.inner.AddPlainInto(in[0], st.pt, outs[0])
 		case stepRescale:
-			err = e.inner.RescaleInto(in[0], outs[0])
+			if st.chain != nil {
+				err = e.inner.RescaleChainInto(in[0], st.chain, outs[0])
+			} else {
+				err = e.inner.RescaleInto(in[0], outs[0])
+			}
 		case stepRotateHoisted:
 			err = e.inner.RotateHoistedInto(in[0], st.rots, e.keys.Galois, outs)
 		case stepCopy:
 			err = e.inner.CopyInto(in[0], outs[0])
 		case stepRotateSum:
-			err = e.inner.RotateSumInto(in, st.pts, st.ends, st.keys, outs[0])
+			err = e.inner.RotateSumChainInto(in, st.pts, st.ends, st.keys, st.chain, outs[0])
 		default:
 			err = fmt.Errorf("unknown step kind %d: %w", st.kind, ErrInternal)
 		}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"heax"
+	"heax/circuits"
 )
 
 func mulRelinPlan(b *testing.B, k *apiBenchKit) *heax.Plan {
@@ -183,6 +184,60 @@ func BenchmarkPlanBatch_Logistic(b *testing.B) {
 	for done := 0; done < b.N; done += window {
 		n := min(window, b.N-done)
 		if _, err := k.plan.RunBatch(batch[:n]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlan_RunServedLogistic is one run of the circuit lr-serve-C
+// serves, in process: a BatchedDot of 8 weights, a bias and the degree-7
+// sigmoid at Set-C, 15 steps whose rescales all close in fused chains.
+func BenchmarkPlan_RunServedLogistic(b *testing.B) {
+	params, err := heax.NewParams(heax.SetC)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dot, err := circuits.BatchedDot([]float64{0.3, -0.2, 0.1, 0.4, -0.5, 0.25, -0.1, 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := heax.NewCircuit()
+	scores, err := dot.Apply(c, c.Input("x"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prob, err := circuits.Sigmoid(7).Apply(c, c.AddConst(scores, 0.25))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.Output("p", prob)
+	steps, err := c.RequiredRotations(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kg := heax.NewKeyGenerator(params, 1)
+	sk := kg.GenSecretKey()
+	plan, err := c.Compile(params, heax.GenEvaluationKeys(kg, sk, steps, false))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	xs := make([]float64, params.Slots())
+	for i := range xs {
+		xs[i] = rng.Float64()*4 - 2
+	}
+	pt, err := heax.NewEncoder(params).EncodeReal(xs, params.MaxLevel(), params.DefaultScale())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ct, err := heax.NewEncryptor(params, kg.GenPublicKey(sk), 2).Encrypt(pt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := map[string]*heax.Ciphertext{"x": ct}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.Run(in); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,6 +16,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"heax/internal/ckks"
 )
 
 type oracleKit struct {
@@ -99,7 +101,11 @@ func replayPlan(t *testing.T, p *Plan, in map[string]*Ciphertext) map[string]*Ci
 		case stepAddPlain:
 			slots[st.outs[0]], err = e.AddPlain(a, st.pt)
 		case stepRescale:
-			slots[st.outs[0]], err = e.Rescale(a)
+			if st.chain == nil {
+				slots[st.outs[0]], err = e.Rescale(a)
+			} else {
+				slots[st.outs[0]] = a // the chain is all the step runs
+			}
 		case stepRotateHoisted:
 			var rots map[int]*Ciphertext
 			rots, err = e.RotateHoisted(a, st.rots)
@@ -140,6 +146,22 @@ func replayPlan(t *testing.T, p *Plan, in map[string]*Ciphertext) map[string]*Ci
 			slots[st.outs[0]] = sum
 		default:
 			t.Fatalf("replay: unknown step kind %d", st.kind)
+		}
+		// The single-use steps fused after the step's own operation.
+		for _, stage := range st.chain {
+			if err != nil {
+				break
+			}
+			v := slots[st.outs[0]]
+			switch stage.Kind {
+			case ckks.StageMulPlain:
+				v, err = e.MulPlain(v, stage.Pt)
+			case ckks.StageAddPlain:
+				v, err = e.AddPlain(v, stage.Pt)
+			case ckks.StageRescale:
+				v, err = e.Rescale(v)
+			}
+			slots[st.outs[0]] = v
 		}
 		if err != nil {
 			t.Fatalf("replay step %d (%s): %v", i, stepKindNames[st.kind], err)
@@ -584,11 +606,12 @@ func TestPlanRandomDAGs(t *testing.T) {
 	}
 	sentinels := []error{ErrLevelMismatch, ErrScaleMismatch, ErrKeyMissing, ErrUnencodable, ErrInvalidCircuit}
 	total, compiled, refused := 0, 0, make(map[error]int)
-	fused, widest, kept := 0, 0, 0 // unrotated dot products, the most factors in one, MulPlain steps left
-	mixed := 0                     // unrotated dot products with compact and full plaintexts
-	rotSums, lowSums := 0, 0       // RotateSum steps of two or more rotated terms; those below the top level
-	conjTerms, rounds := 0, 0      // conjugated terms; InnerSum rounds (x + rot(x) over one bare x)
-	placed := 0                    // plans whose inputs enter below the top level
+	fused, widest, kept := 0, 0, 0    // unrotated dot products, the most factors in one, MulPlain steps left
+	mixed := 0                        // unrotated dot products with compact and full plaintexts
+	rotSums, lowSums := 0, 0          // RotateSum steps of two or more rotated terms; those below the top level
+	conjTerms, rounds := 0, 0         // conjugated terms; InnerSum rounds (x + rot(x) over one bare x)
+	placed := 0                       // plans whose inputs enter below the top level
+	fusedChains := map[stepKind]int{} // fused chains by producer kind, stepRescale for none
 	for _, pass := range []struct {
 		spec  ParamSpec
 		count int
@@ -624,6 +647,9 @@ func TestPlanRandomDAGs(t *testing.T) {
 				placed++
 			}
 			for _, st := range plan.steps {
+				if st.chain != nil {
+					fusedChains[st.kind]++
+				}
 				switch st.kind {
 				case stepMulPlain:
 					kept++
@@ -651,7 +677,13 @@ func TestPlanRandomDAGs(t *testing.T) {
 					}
 					if rotated >= 2 {
 						rotSums++
-						if st.level < k.params.MaxLevel() {
+						sumLevel := st.level // before a fused chain's rescales
+						for _, stage := range st.chain {
+							if stage.Kind == ckks.StageRescale {
+								sumLevel++
+							}
+						}
+						if sumLevel < k.params.MaxLevel() {
 							lowSums++
 						}
 					}
@@ -728,6 +760,10 @@ func TestPlanRandomDAGs(t *testing.T) {
 		t.Fatalf("%d RotateSum steps of two or more rotations (%d below the top level), %d conjugated terms and %d InnerSum rounds in %d plans: the generator no longer covers the lowering and fusion",
 			rotSums, lowSums, conjTerms, rounds, compiled)
 	}
-	t.Logf("%d of %d random circuits compiled (%d placed below the top level, %d fused sums, the widest of %d terms, %d mixing row shapes, %d products unfused, %d sums of rotations, %d below the top level, %d conjugated terms, %d InnerSum rounds); refused: %v",
-		compiled, total, placed, fused, widest, mixed, kept, rotSums, lowSums, conjTerms, rounds, refused)
+	if !testing.Short() && (fusedChains[stepMulRelin] == 0 || fusedChains[stepRotateSum] == 0 || fusedChains[stepRescale] == 0) {
+		t.Fatalf("fused chains after a MulRelin, a RotateSum and no producer: %d, %d and %d in %d plans: the generator no longer covers the chain fusion",
+			fusedChains[stepMulRelin], fusedChains[stepRotateSum], fusedChains[stepRescale], compiled)
+	}
+	t.Logf("%d of %d random circuits compiled (%d placed below the top level, %d fused sums, the widest of %d terms, %d mixing row shapes, %d products unfused, %d sums of rotations, %d below the top level, %d conjugated terms, %d InnerSum rounds, fused chains %d after a MulRelin, %d after a RotateSum and %d of plain values); refused: %v",
+		compiled, total, placed, fused, widest, mixed, kept, rotSums, lowSums, conjTerms, rounds, fusedChains[stepMulRelin], fusedChains[stepRotateSum], fusedChains[stepRescale], refused)
 }

@@ -29,14 +29,18 @@ func (c *countingTracer) ObserveStep(kind string, d time.Duration) {
 
 // traceCircuit exercises several step kinds: an addition of two inputs
 // (nothing to fuse), a relinearized product, a rotation (a RotateSum of
-// one term), rescales, and a sum of two plaintext products — the rotated
+// one term), rescales, a sum of two plaintext products — the rotated
 // value lifted to the other's scale, and a plain multiply — which
-// compiles to one RotateSum more.
+// compiles to one RotateSum more, and a plaintext product named an output
+// of its own, a MulPlain step. The lift and the rescale between the
+// product and the plain multiply fuse into one chain, which reports as a
+// Rescale.
 func traceCircuit() *heax.Circuit {
 	c := heax.NewCircuit()
 	x := c.Input("x")
 	sq := c.MulRelin(c.Add(x, x), x)
 	c.Output("y", c.Add(c.Rotate(sq, 1), c.MulPlain(sq, []float64{0.5, 0.25})))
+	c.Output("z", c.MulPlain(x, []float64{2, -1}))
 	return c
 }
 
@@ -59,7 +63,7 @@ func TestPlanTracerObservesEverySteps(t *testing.T) {
 	if observed != plan.NumSteps() {
 		t.Fatalf("tracer observed %d steps of %d", observed, plan.NumSteps())
 	}
-	for _, kind := range []string{"MulRelin", "MulPlain", "Add", "RotateSum"} {
+	for _, kind := range []string{"MulRelin", "MulPlain", "Add", "RotateSum", "Rescale"} {
 		if tr.kinds[kind] == 0 {
 			t.Errorf("no %s step observed; got %v", kind, tr.kinds)
 		}
