@@ -131,8 +131,9 @@ func (c *Circuit) args2(a, b Node, op string) ([]int, bool) {
 // scale and at the plan's InputLevel: the parameter set's top level,
 // unless every output carries a Bound and Compile could start the plan
 // lower. Plan.Run takes ciphertexts at that level or above (a higher one
-// is read through a view of its first InputLevel+1 rows, neither copied
-// nor modified). Declaring the same name twice returns the same node.
+// is read through a view of the first rows each step needs, neither
+// copied nor modified). Declaring the same name twice returns the same
+// node.
 func (c *Circuit) Input(name string) Node {
 	if name == "" {
 		return c.fail("Input: empty name")

@@ -31,10 +31,11 @@ import (
 // preceded by a multiplication with an encoded 1 at an exact power of
 // two (a "lift"), so every rescaled value keeps ≈Δ bits of precision
 // above the rounding noise and deep circuits use the whole modulus
-// chain. Additions meet mismatched operands by rescaling down to a
-// common level and lifting the smaller-scale side by the scale ratio
-// (exact for integer ratios; boosted above 2^30 otherwise so the
-// rounding of the encoded 1 stays below scheme noise). No valid
+// chain. Additions meet mismatched operands by descending to a common
+// level — a product rescales, a rescaled value is read through a view of
+// its first rows, with no step — and lifting the smaller-scale side by
+// the scale ratio (exact for integer ratios; boosted above 2^30 otherwise
+// so the rounding of the encoded 1 stays below scheme noise). No valid
 // assignment — a multiplication below level 0, a scale outgrowing the
 // level's modulus or underflowing 1, a key the EvaluationKeySet lacks
 // — fails here, before anything runs, with the usual sentinels
@@ -375,12 +376,13 @@ func (k *compiler) canonical(v valState) (valState, error) {
 
 // liftBy multiplies v by an encoded 1 at plaintext scale t, scaling v
 // up to v.scale·t without consuming a level (memoized per slot and
-// ratio). Lifting is how an addition meets an operand at a larger
-// scale, and — with t = q_ℓ — how a value hops down a level without
-// changing its scale.
+// ratio, for the level last lifted at: a slot is read at its own level
+// and through views below it). Lifting is how an addition meets an
+// operand at a larger scale, and how a product keeps ≈Δ bits through its
+// rescale.
 func (k *compiler) liftBy(v valState, t float64) (valState, error) {
 	key := liftKey{slot: v.slot, t: math.Float64bits(t)}
-	if cached, ok := k.lifted[key]; ok {
+	if cached, ok := k.lifted[key]; ok && cached.level == v.level {
 		return cached, nil
 	}
 	var pt *Plaintext
@@ -400,21 +402,20 @@ func (k *compiler) liftBy(v valState, t float64) (valState, error) {
 	return out, nil
 }
 
-// descend lowers v to the target level: products rescale (one level
-// each), base values hop by lift-at-q_ℓ + rescale — the q_ℓ divides
-// right back out, so a hop preserves the scale to the float rounding
-// the runtime itself performs.
+// descend lowers v to the target level: a product rescales once, and a
+// base value above the target keeps its slot and scale and is read there
+// through a view of its first rows (Plan.Run), with no step — what a lift
+// by q_ℓ and a Rescale would give, bit for bit, without the transforms.
 func (k *compiler) descend(v valState, level int) (valState, error) {
-	var err error
-	for v.level > level {
-		if v.tier == tierBase {
-			if v, err = k.liftBy(v, float64(k.params.Q[v.level])); err != nil {
-				return v, err
-			}
-		}
+	if v.level > level && v.tier == tierProduct {
+		var err error
 		if v, err = k.canonical(v); err != nil {
 			return v, err
 		}
+	}
+	if v.level > level {
+		v.level = level
+		return v, k.checkScale("descent", level, v.scale)
 	}
 	return v, nil
 }
@@ -924,12 +925,13 @@ const maxChainStages = ring.MaxChainOps - 3
 
 // fuseChains folds every run of single-use steps that ends in a Rescale
 // into one step (DESIGN.md, "Floor chains"). Walking back from the
-// Rescale, a run takes MulPlains whose plaintext is one value per row,
-// nonzero on the rows it keeps (compiler lifts and MulConst), at most one
-// AddPlain and earlier Rescales, each read by nothing else and not a
-// named output; it stops at its producer — a MulRelin, or a RotateSum
-// with a key-switched term, whose kind the fused step keeps — or at a
-// plain value, which makes the step a Rescale of that value. A lone
+// Rescale, a run takes MulPlains whose plaintext is one nonzero value per
+// row (compiler lifts and MulConst), at most one AddPlain and earlier
+// Rescales, each read by nothing else and not a named output; it stops at
+// its producer — a MulRelin, or a RotateSum with a key-switched term,
+// whose kind the fused step keeps — or at a plain value, which makes the
+// step a Rescale of that value (read at the chain's input level, so a
+// value descended to it is a view, as for every step). A lone
 // Rescale of a plain value stays as it is. The step goes at the last
 // Rescale's position, after everything it reads, and carries the stages
 // for the kernel (ckks.Stage), which closes them with one flooring tail,
@@ -953,7 +955,7 @@ func (k *compiler) fuseChains(outputs []planOutput) {
 			switch {
 			case t == nil:
 				break walk
-			case t.kind == stepMulPlain && rowConstant(t.pt, end.level+1):
+			case t.kind == stepMulPlain && rowConstant(t.pt):
 				stages = append(stages, ckks.Stage{Kind: ckks.StageMulPlain, Pt: t.pt})
 			case t.kind == stepAddPlain && !added:
 				added = true
@@ -988,13 +990,11 @@ func (k *compiler) fuseChains(outputs []planOutput) {
 	k.dropSteps(dropped)
 }
 
-// rowConstant reports whether every row of pt holds one value, nonzero on
-// the first kept rows: a multiplier a floor chain keeping them can weigh
-// its rows by. A lift by q_ℓ, which the Rescale after it divides back
-// out, is zero on q_ℓ's own row, which the chain drops.
-func rowConstant(pt *Plaintext, kept int) bool {
-	for i, row := range pt.Value.Coeffs {
-		if i < kept && row[0] == 0 {
+// rowConstant reports whether every row of pt holds one nonzero value: a
+// multiplier a floor chain can weigh its rows by.
+func rowConstant(pt *Plaintext) bool {
+	for _, row := range pt.Value.Coeffs {
+		if row[0] == 0 {
 			return false
 		}
 		for _, v := range row {

@@ -9,10 +9,10 @@ package ckks
 // Here the terms share one: a term's key-switch MAC keeps adding into one
 // accumulator pair's q rows, only its special-prime row is
 // inverse-transformed on its own and added as integers into a tail sum,
-// and one closing pass over the q rows reduces the tail sum, transforms it
-// and divides by the special prime (ring.FloorTailInto). That lift of the
-// special row is the only non-linear step of a floor, so the result is
-// bit for bit what the operations one at a time give.
+// and one closing pass over the q rows reduces the tail sum, transforms
+// it and divides by the special prime (ring.FloorChain.FloorTail). That
+// lift of the special row is the only non-linear step of a floor, so the
+// result is bit for bit what the operations one at a time give.
 //
 // The terms are dealt from one atomic counter. The caller offers the sum
 // to the ring pool once; an idle worker that takes the offer while terms
@@ -286,17 +286,15 @@ func (s *rotSum) run(out *Ciphertext) {
 	clear(s.done)
 	s.done = s.done[:0]
 	// out = (acc − NTT([tail]))·P⁻¹ + the Q sum, for both components, with
-	// no addition where the Q sum has nothing; then the stages.
+	// no addition where the Q sum has nothing; then the stages. With no
+	// stages the Q sum is out's own, so the close adds it in place.
 	add := [2]*ring.Poly{lead.q0, lead.q1}
 	for c := range add {
 		if !lead.inQ[c] {
 			add[c] = nil
 		}
 	}
-	switch {
-	case len(s.stages) == 0 && lead.keyed:
-		s.ctx.FloorTailInto(lead.acc0, lead.acc1, lead.tail, lead.tails, false, add[0], add[1], lead.q0, lead.q1, s.ev.params.SpecialRow())
-	case len(s.stages) > 0:
+	if lead.keyed || len(s.stages) > 0 {
 		ch := s.ctx.FloorChain()
 		if lead.keyed {
 			ch.Add(lead.acc0, lead.acc1)

@@ -280,7 +280,11 @@ func TestFloorTailSumMatchesFloors(t *testing.T) {
 			want0, want1 := ctx.NewPolyPair(rows)
 			ctx.Add(sum0, add0, want0)
 			ctx.Add(sum1, add1, want1)
-			ctx.FloorTailInto(acc0, acc1, tail, k, false, add0, add1, add0, add1, last)
+			ch := ctx.FloorChain()
+			ch.Add(acc0, acc1)
+			ch.FloorTail(tail, k, last, false)
+			ch.Add(add0, add1)
+			ch.Close(add0, add1)
 			if !add0.Equal(want0) || !add1.Equal(want1) {
 				t.Fatalf("rows=%d last=%d: a %d-term tail sum differs from %d floors added", rows, last, k, k)
 			}

@@ -707,9 +707,10 @@ func sameRow(x, y []uint64) bool {
 // ⌊p_last/2⌋ mod q_i when rounding), transform it, and
 // out = (a − r)·p_last⁻¹ + add. The close is linear, so a sum of key
 // switches adds its terms' lifted rows as integers (a tail sum) and its
-// q rows modulo q_i, and closes once (FloorTailInto); a floor is a tail
-// sum of one term (FloorInto). Every step returns canonical residues, so
-// the sum closed once is bit for bit its terms floored one by one.
+// q rows modulo q_i, and closes once (a FloorChain's FloorTail); a floor
+// is a tail sum of one term (FloorInto). Every step returns canonical
+// residues, so the sum closed once is bit for bit its terms floored one
+// by one.
 //
 // The close is linear in the multipliers and addends around it too, so a
 // run of floors closes once as well (FloorChain): k divisions lift k
@@ -727,17 +728,6 @@ func (c *Context) FloorInto(a0, a1, add0, add1, out0, out1 *Poly, last int, roun
 	ch := c.FloorChain()
 	ch.Add(a0, a1)
 	ch.Floor(last, round)
-	ch.Add(add0, add1)
-	ch.Close(out0, out1)
-}
-
-// FloorTailInto is the close alone: row c of tail is the integer sum of
-// terms lifted rows of prime last (at most TailSumTerms), a_c the terms'
-// summed q rows. round says the tail carries one ⌊p_last/2⌋.
-func (c *Context) FloorTailInto(a0, a1, tail *Poly, terms int, round bool, add0, add1, out0, out1 *Poly, last int) {
-	ch := c.FloorChain()
-	ch.Add(a0, a1)
-	ch.FloorTail(tail, terms, last, round)
 	ch.Add(add0, add1)
 	ch.Close(out0, out1)
 }
@@ -761,7 +751,7 @@ const MaxChainOps = 24
 // division — addends (Add), multiplications by one value per row (Mul)
 // and floors (Floor, or FloorTail for a dropped row lifted by the
 // caller) — and closed once (Close), bit for bit what the operations one
-// at a time give. FloorInto and FloorTailInto are chains of one floor.
+// at a time give. FloorInto is a chain of one floor.
 //
 // The close holds the value as Σₐ wₐ·xₐ − NTT(Σ_f w_f·([t_f]_{q_i} − h_f))
 // on every live row i: xₐ the addends, t_f the floors' lifted dropped
@@ -780,7 +770,7 @@ const MaxChainOps = 24
 //
 // Each floor drops the row just past the rows kept after it, so a chain
 // of floors drops the value's last rows from the bottom up. Every
-// multiplier must be nonzero modulo the kept primes. A chain comes from
+// multiplier must be nonzero on every row. A chain comes from
 // FloorChain and goes back with Close; it allocates nothing.
 type FloorChain struct {
 	c   *Context
@@ -1047,9 +1037,9 @@ func (ch *FloorChain) liftPass(k int) {
 // closeRow closes kept row i of each component:
 // out = Σₐ wₐ·xₐ − NTT_i(Σ_f w_f·[t_f]_{p_i} − offset). A single floor
 // right after the value, with at most one unweighed addend after that —
-// every floor of FloorInto and FloorTailInto — is Algorithm 6 lines 3-6
-// as they stand: one reduction fused into the transform and one closing
-// pass, out = (x_0 − r)·w_0 + add.
+// every floor of FloorInto and a RotateSum's close — is Algorithm 6
+// lines 3-6 as they stand: one reduction fused into the transform and one
+// closing pass, out = (x_0 − r)·w_0 + add.
 //
 //heax:noalloc
 func (ch *FloorChain) closeRow(i int) {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"heax/internal/primes"
 	"heax/internal/uintmod"
 )
 
@@ -42,7 +43,9 @@ type Basis struct {
 }
 
 // NewBasis builds a basis from primes, which must be distinct and at most
-// 62 bits wide.
+// 62 bits wide. A modulus that is not prime is refused: two that share a
+// factor have no CRT inverses, and parameters read off the wire may name
+// any number.
 func NewBasis(ps []uint64) (*Basis, error) {
 	if len(ps) == 0 {
 		return nil, fmt.Errorf("rns: empty basis")
@@ -59,6 +62,9 @@ func NewBasis(ps []uint64) (*Basis, error) {
 		}
 		if p>>uintmod.MaxModulusBits64 != 0 {
 			return nil, fmt.Errorf("rns: prime %d exceeds %d bits", p, uintmod.MaxModulusBits64)
+		}
+		if !primes.IsPrime(p) {
+			return nil, fmt.Errorf("rns: modulus %d is not prime", p)
 		}
 		seen[p] = true
 		b.Mods[i] = uintmod.NewModulus(p)

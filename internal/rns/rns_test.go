@@ -32,6 +32,10 @@ func TestNewBasisErrors(t *testing.T) {
 	if _, err := NewBasis([]uint64{1 << 63}); err == nil {
 		t.Error("oversized prime should fail")
 	}
+	// 0x3030303030303030 = 0x30303030 · 0x100000001: no CRT inverse.
+	if _, err := NewBasis([]uint64{0x30303030, 0x3030303030303030}); err == nil {
+		t.Error("moduli sharing a factor should fail")
+	}
 }
 
 func TestComposeDecomposeRoundTrip(t *testing.T) {

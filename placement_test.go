@@ -17,9 +17,11 @@ import (
 // unboundedSweepDigest pins the plans of TestPlanRandomDAGs's circuits,
 // drawn with no bound and no chains: SHA-256 over each circuit's JSON
 // and its plan's Describe() ("refused" when it does not compile), in
-// sweep order, as computed once Compile fused rescale chains (the JSON
-// is as it was before bounds existed; Describe lists the chains).
-const unboundedSweepDigest = "a6a0197337b046027cd9922c389ba4fa18f72d286da57d737d863a86ceb5eefc"
+// sweep order, as computed once Compile lowered a rescaled value a level
+// by a row view rather than a lift by q_ℓ and a Rescale (the JSON is as
+// it was before bounds existed; Describe lists the chains, and no longer
+// the hops).
+const unboundedSweepDigest = "838e65c7d8193900f20992f4b93d85b339aa67e5dbe9f713f3b2bcf1e007a2ac"
 
 // TestUnboundedPlansUnchanged: a circuit with no Bound encodes to the same
 // JSON (so heax-serve gives it the same PlanID) and compiles to the same

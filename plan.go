@@ -236,6 +236,21 @@ type planStep struct {
 	chain []ckks.Stage
 }
 
+// inLevel is the level the step reads every operand at: its own, plus one
+// for each rescale it runs.
+func (s *planStep) inLevel() int {
+	if s.kind == stepRescale && s.chain == nil {
+		return s.level + 1
+	}
+	level := s.level
+	for _, c := range s.chain {
+		if c.Kind == ckks.StageRescale {
+			level++
+		}
+	}
+	return level
+}
+
 // Params returns the parameter set the plan was compiled for.
 func (p *Plan) Params() *Params { return p.params }
 
@@ -246,8 +261,8 @@ func (p *Plan) NumSteps() int { return len(p.steps) }
 // InputLevel reports the level at which every input enters the plan: the
 // parameter set's top level, or lower when every output of the circuit
 // carries a Bound and Compile could start the plan lower (Circuit.Bound).
-// Run accepts inputs at this level or above and reads a higher one through
-// a view of its first InputLevel()+1 rows.
+// Run accepts inputs at this level or above; each step reads a higher one
+// through a view of the first rows it needs, as it reads every operand.
 func (p *Plan) InputLevel() int { return p.inputLevel }
 
 // InputNames lists the circuit inputs the plan requires, in declaration
@@ -382,10 +397,12 @@ func (p *Plan) validateInputs(in map[string]*Ciphertext) error {
 
 // Run executes the plan on one input set and returns the named output
 // ciphertexts (always freshly allocated — inputs are never modified).
-// Each input must be at the default scale and at InputLevel() or above;
-// one above is read through a view of its first InputLevel()+1 rows, with
-// no copy and no step. Concurrent Runs share the buffer pool and the
-// process's workers.
+// Each input must be at the default scale and at InputLevel() or above.
+// Every step reads each operand at the level it works at (its own, plus
+// one per rescale it runs), an operand above that through a view of its
+// first rows, with no copy and no step: an input given above InputLevel,
+// and a value Compile lowered a level without arithmetic. Concurrent Runs
+// share the buffer pool and the process's workers.
 func (p *Plan) Run(in map[string]*Ciphertext) (map[string]*Ciphertext, error) {
 	return p.RunContext(context.Background(), in)
 }
@@ -416,7 +433,7 @@ func (p *Plan) RunContext(ctx context.Context, in map[string]*Ciphertext) (map[s
 		wake:    make(chan struct{}, 1),
 	}
 	for _, pi := range p.inputs {
-		r.vals[pi.slot] = inputView(in[pi.name], p.inputLevel)
+		r.vals[pi.slot] = in[pi.name]
 	}
 	for i, need := range p.needs {
 		if need == 0 {
@@ -449,18 +466,29 @@ func (p *Plan) RunContext(ctx context.Context, in map[string]*Ciphertext) (map[s
 	return out, nil
 }
 
-// inputView is ct read at level, as the evaluator reads an operand above
-// the level it works at: a ciphertext sharing ct's first level+1 rows,
-// which the plan only ever reads.
-func inputView(ct *Ciphertext, level int) *Ciphertext {
-	if ct.Level == level {
+// operandView is a degree-1 operand read below its own level: a
+// ciphertext sharing the first rows of each component, which the step
+// only reads, in one allocation.
+type operandView struct {
+	ct    Ciphertext
+	polys [2]*Poly
+	rows  [2]Poly
+}
+
+// readAt is ct as a step reads it at level: ct itself, or a view of its
+// first level+1 rows when it is above. A value Compile descended without
+// a step, and an input given above InputLevel, are read this way.
+func readAt(ct *Ciphertext, level int) *Ciphertext {
+	if ct == nil || ct.Level <= level {
 		return ct
 	}
-	v := &Ciphertext{Polys: make([]*Poly, len(ct.Polys)), Level: level, Scale: ct.Scale}
-	for i, poly := range ct.Polys {
-		v.Polys[i] = poly.Resize(level + 1)
+	v := &operandView{}
+	for i := range v.rows {
+		v.rows[i].Coeffs = ct.Polys[i].Coeffs[:level+1]
+		v.polys[i] = &v.rows[i]
 	}
-	return v
+	v.ct = Ciphertext{Polys: v.polys[:], Scale: ct.Scale, Level: level}
+	return &v.ct
 }
 
 // planRun is one RunContext call: its members — the caller, and the
@@ -553,12 +581,13 @@ func (r *planRun) unpark() {
 func (r *planRun) step(idx int) error {
 	p, st := r.p, &r.p.steps[idx]
 	in := r.ins[p.argOff[idx]:p.argOff[idx+1]]
+	level := st.inLevel()
 	var err error
 	for i, a := range st.args {
 		if src := p.producer[a]; err == nil && src >= 0 && r.errs[src] != nil {
 			err = errors.Join(ErrDependency, r.errs[src])
 		}
-		in[i] = r.vals[a]
+		in[i] = readAt(r.vals[a], level)
 	}
 	if err == nil {
 		err = r.ctx.Err() // a cancelled run admits no more kernels
