@@ -308,6 +308,10 @@ func TestIntoAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	low, err := k.eval.DropLevel(y, k.params.MaxLevel()-1)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	pt, err := k.enc.EncodeReal([]float64{7, 8, 9}, k.params.MaxLevel(), k.params.DefaultScale())
 	if err != nil {
@@ -365,6 +369,8 @@ func TestIntoAllocations(t *testing.T) {
 		fn      func() error
 	}{
 		{"AddInto", 0, 0, func() error { return k.eval.AddInto(x, y, out) }},
+		// x is read at low's level through one view.
+		{"AddIntoTwoLevels", 1, 0, func() error { return k.eval.AddInto(x, low, out) }},
 		{"SubInto", 0, 0, func() error { return k.eval.SubInto(x, y, out) }},
 		{"MulPlainInto", 0, 0, func() error { return k.eval.MulPlainInto(x, pt, out) }},
 		{"MulPlainIntoCompact", 0, 0, func() error { return k.eval.MulPlainInto(x, compact, out) }},

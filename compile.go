@@ -855,10 +855,22 @@ func (k *compiler) hoistRotations() {
 // kernel reduces each dot product once and floors all the key switches
 // once, which is bit for bit the unfused steps (ckks/rotsum.go);
 // RotateHoisted outputs, Sub, and a value read twice or named an output
-// stay as they were.
+// stay as they were. A sum holds at most as many key-switched terms as
+// its tail sum fits (ring.TailSumTerms of the special prime): where fusing
+// an Add would pass that, the left operand stays its own step and joins
+// the new sum as its unrotated term.
 func (k *compiler) fuseRotateSums(outputs []planOutput) {
 	single, producer := k.singleUse(outputs)
 	dropped := make([]bool, len(k.steps))
+	most := k.params.RingQP.TailSumTerms(k.params.SpecialRow())
+	keyed := func(t *planStep) (n int) {
+		for j := 0; t != nil && j < len(t.keys); j++ {
+			if t.keys[j] != nil {
+				n++
+			}
+		}
+		return n
+	}
 	// factors lists what a sum reads for slot: the operands and
 	// plaintexts of its single-use dot-product producer, which goes, or
 	// the slot itself with no plaintext.
@@ -889,6 +901,9 @@ func (k *compiler) fuseRotateSums(outputs []planOutput) {
 		}
 		if rotated[0] == nil && rotated[1] == nil && products < 2 {
 			continue
+		}
+		if keyed(rotated[0])+keyed(rotated[1]) > most {
+			rotated[0] = nil
 		}
 		sum := planStep{kind: stepRotateSum, outs: add.outs, level: add.level, scale: add.scale}
 		for j, a := range add.args {
@@ -931,8 +946,8 @@ const maxChainStages = ring.MaxChainOps - 3
 // its producer — a MulRelin, or a RotateSum with a key-switched term,
 // whose kind the fused step keeps — or at a plain value, which makes the
 // step a Rescale of that value (read at the chain's input level, so a
-// value descended to it is a view, as for every step). A lone
-// Rescale of a plain value stays as it is. The step goes at the last
+// value descended to it is a view, as for every step); a lone Rescale is
+// such a step, its chain [Rescale]. The step goes at the last
 // Rescale's position, after everything it reads, and carries the stages
 // for the kernel (ckks.Stage), which closes them with one flooring tail,
 // bit for bit the steps one by one. Later Rescales are walked first, so
@@ -972,9 +987,6 @@ func (k *compiler) fuseChains(outputs []planOutput) {
 			}
 			members = append(members, producer[slot])
 			slot = t.args[0]
-		}
-		if head == nil && len(stages) == 1 {
-			continue
 		}
 		slices.Reverse(stages)
 		fused := planStep{kind: stepRescale, args: []int{slot}, outs: end.outs, level: end.level, scale: end.scale, chain: stages}

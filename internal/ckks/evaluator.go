@@ -32,12 +32,10 @@ type Evaluator struct {
 	// (rotsum.go).
 	jobs, sums, parts sync.Pool
 
-	// Test seams of RotateSumInto: sumOffer, when set, replaces Offer for
+	// Test seam of RotateSumInto: sumOffer, when set, replaces Offer for
 	// its one offer to the pool, so a test can force a helper in or make
-	// it late; tailTerms, when nonzero, caps its tail sums below what
-	// ring.TailSumTerms allows, so a test can run the fold on any set.
-	sumOffer  func(interface{ Help() }) bool
-	tailTerms int
+	// it late.
+	sumOffer func(interface{ Help() }) bool
 }
 
 // NewEvaluator builds an evaluator for params.
@@ -80,20 +78,33 @@ func (ev *Evaluator) alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext) {
 		return a, b
 	}
 	level := min(a.Level, b.Level)
-	return ev.atLevel(a, level), ev.atLevel(b, level)
+	return AtLevel(a, level), AtLevel(b, level)
 }
 
-// atLevel returns a view of ct at level: the components share ct's rows,
-// so the result is only ever read.
-func (ev *Evaluator) atLevel(ct *Ciphertext, level int) *Ciphertext {
-	if ct.Level == level {
+// levelView is a ciphertext of up to three components read below its
+// level, held in one allocation.
+type levelView struct {
+	ct    Ciphertext
+	polys [3]*ring.Poly
+	rows  [3]ring.Poly
+}
+
+// AtLevel returns ct as read at level: ct itself when it is at or below
+// level (or nil), else a view of the first level+1 rows of each of its
+// components, which shares ct's rows and is only ever read. It is the one
+// way a ciphertext is read below its level, by the evaluator's kernels
+// and by a plan's steps alike.
+func AtLevel(ct *Ciphertext, level int) *Ciphertext {
+	if ct == nil || ct.Level <= level {
 		return ct
 	}
-	out := &Ciphertext{Scale: ct.Scale, Level: level}
-	for _, p := range ct.Polys {
-		out.Polys = append(out.Polys, p.Resize(level+1))
+	v := &levelView{}
+	for i, p := range ct.Polys {
+		v.rows[i].Coeffs = p.Coeffs[:level+1]
+		v.polys[i] = &v.rows[i]
 	}
-	return out
+	v.ct = Ciphertext{Polys: v.polys[:len(ct.Polys)], Scale: ct.Scale, Level: level}
+	return &v.ct
 }
 
 // Each *Into method lands its result in a caller-owned ciphertext
@@ -312,7 +323,7 @@ func (ev *Evaluator) AddPlainInto(ct *Ciphertext, pt *Plaintext, out *Ciphertext
 		return fmt.Errorf("ckks: cannot add plaintext scale %g to ciphertext scale %g: %w", pt.Scale, ct.Scale, ErrScaleMismatch)
 	}
 	level := min(ct.Level, pt.Level())
-	in := ev.atLevel(ct, level)
+	in := AtLevel(ct, level)
 	ptv := pt.Value.Resize(level + 1)
 	if err := ev.prepareInto(out, in.Degree(), level, ct.Scale); err != nil {
 		return err
@@ -336,7 +347,7 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 // (ring.MulCoeffsPair), as a Plan stores its block-constant multipliers.
 func (ev *Evaluator) MulPlainInto(ct *Ciphertext, pt *Plaintext, out *Ciphertext) error {
 	level := min(ct.Level, pt.Level())
-	in := ev.atLevel(ct, level)
+	in := AtLevel(ct, level)
 	ptv := pt.Value.Resize(level + 1)
 	if err := ev.prepareInto(out, in.Degree(), level, ct.Scale*pt.Scale); err != nil {
 		return err
@@ -679,5 +690,5 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
 		return nil, fmt.Errorf("ckks: cannot drop from level %d to %d: %w", ct.Level, level, ErrLevelMismatch)
 	}
 	out := &Ciphertext{}
-	return fresh(out, ev.CopyInto(ev.atLevel(ct, level), out))
+	return fresh(out, ev.CopyInto(AtLevel(ct, level), out))
 }

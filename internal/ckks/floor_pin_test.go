@@ -48,7 +48,6 @@ func floorCallersPinned(t *testing.T, spec ParamSpec, want floorPins) {
 	sk := kg.GenSecretKey()
 	gks := kg.GenGaloisKeySet(sk, []int{1, 2, 3, 4}, false)
 	ev := NewEvaluator(params)
-	ev.tailTerms = 2
 	rng := rand.New(rand.NewSource(29))
 	randCt := func(degree, level int) *Ciphertext {
 		ct := &Ciphertext{Scale: params.DefaultScale(), Level: level}

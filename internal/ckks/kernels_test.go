@@ -54,7 +54,7 @@ func scribble(ct *Ciphertext) {
 // TestKernelsDoNotMutateInputs: with a non-aliased output no kernel
 // writes to an operand, and an allocating form's result shares no
 // backing row with one — over every operation, operands at equal and at
-// mismatched levels and degrees (where alignLevels/atLevel hand the
+// mismatched levels and degrees (where alignLevels/AtLevel hand the
 // kernels row-sharing views of the inputs), serial and parallel.
 func TestKernelsDoNotMutateInputs(t *testing.T) {
 	kit := newTestKit(t, smallSpec)

@@ -10,7 +10,9 @@ package ckks
 // accumulator pair's q rows, only its special-prime row is
 // inverse-transformed on its own and added as integers into a tail sum,
 // and one closing pass over the q rows reduces the tail sum, transforms
-// it and divides by the special prime (ring.FloorChain.FloorTail). That
+// it and divides by the special prime (ring.FloorChain.FloorTail). A sum
+// holds at most ring.TailSumTerms key-switched terms, so the tail sum
+// fits a 64-bit word (Compile splits a wider one). That
 // lift of the special row is the only non-linear step of a floor, so the
 // result is bit for bit what the operations one at a time give.
 //
@@ -40,9 +42,10 @@ import (
 // term by term in order; like them it checks every degree, level and
 // scale before writing out: terms are degree-1 at one level, every
 // factor's scale is close to its term's first and every term's to the
-// first term's, whose scale the result takes. out must not share storage
-// with any operand. A sum of plaintext products alone is one unrotated
-// term: its dot product, written straight into out.
+// first term's, whose scale the result takes; at most ring.TailSumTerms
+// of the special prime terms have a key. out must not share storage with
+// any operand. A sum of plaintext products alone is one unrotated term:
+// its dot product, written straight into out.
 func (ev *Evaluator) RotateSumInto(cts []*Ciphertext, pts []*Plaintext, ends []int, keys []*GaloisKey, out *Ciphertext) error {
 	return ev.RotateSumChainInto(cts, pts, ends, keys, nil, out)
 }
@@ -109,7 +112,6 @@ type rotSum struct {
 	ends  []int
 	keys  []*GaloisKey
 	level int
-	limit int // terms a tail sum may hold (ring.TailSumTerms)
 	// stages follow the sum (RotateSumChainInto), which then lands in the
 	// lead part's own polynomials rather than out's.
 	stages []Stage
@@ -148,7 +150,7 @@ type sumPart struct {
 	src0, src1 *ring.Poly
 	auto       *ring.Automorphism
 
-	permRow, foldRow func(int)
+	permRow func(int)
 }
 
 // tailAcc is what a part's rotated terms have accumulated.
@@ -160,7 +162,7 @@ type tailAcc struct {
 	accQ       [2]ring.Poly
 	keyed      bool
 	// tail holds the two components' tail sums: the integer sum of the
-	// inverse-transformed special rows of the last tails terms.
+	// inverse-transformed special rows of the part's tails terms.
 	tail  *ring.Poly
 	tails int
 }
@@ -192,6 +194,15 @@ func (s *rotSum) bind(cts []*Ciphertext, pts []*Plaintext, ends []int, keys []*G
 	}
 	if out == nil {
 		return 0, 0, fmt.Errorf("ckks: nil output ciphertext: %w", ErrLevelMismatch)
+	}
+	keyed := 0
+	for _, key := range keys {
+		if key != nil {
+			keyed++
+		}
+	}
+	if most := s.ctx.TailSumTerms(s.ev.params.SpecialRow()); keyed > most {
+		return 0, 0, fmt.Errorf("ckks: RotateSum of %d rotated terms, more than one tail sum holds (%d)", keyed, most)
 	}
 	var level int
 	var scale float64
@@ -241,10 +252,6 @@ func (s *rotSum) bind(cts []*Ciphertext, pts []*Plaintext, ends []int, keys []*G
 	s.cts, s.pts = append(s.cts[:0], cts...), append(s.pts[:0], pts...)
 	s.ends, s.keys = append(s.ends[:0], ends...), append(s.keys[:0], keys...)
 	s.level = level
-	s.limit = s.ctx.TailSumTerms(s.ev.params.SpecialRow())
-	if s.ev.tailTerms > 0 {
-		s.limit = min(s.limit, s.ev.tailTerms)
-	}
 	return level, scale, nil
 }
 
@@ -342,7 +349,7 @@ func (ev *Evaluator) getPart() *sumPart {
 	p, _ := ev.parts.Get().(*sumPart)
 	if p == nil {
 		p = &sumPart{}
-		p.permRow, p.foldRow = p.runPermRow, p.runFoldRow
+		p.permRow = p.runPermRow
 	}
 	return p
 }
@@ -353,7 +360,7 @@ func (ev *Evaluator) putPart(p *sumPart) {
 	for _, q := range [...]*ring.Poly{p.acc0, p.acc1, p.tail, p.q0, p.q1, p.dot0, p.dot1, p.c1g} {
 		ev.ctx.PutPoly(q)
 	}
-	*p = sumPart{permRow: p.permRow, foldRow: p.foldRow}
+	*p = sumPart{permRow: p.permRow}
 	ev.parts.Put(p)
 }
 
@@ -429,10 +436,6 @@ func (p *sumPart) term(t int) {
 	p.inQ[0] = true
 	s.ev.keySwitchMAC(p.c1g, nil, nil, key.Digits, p.acc0, p.acc1, level, p.keyed)
 	p.keyed = true
-	if p.tails == s.limit {
-		ctx.RunRows(level+1, p.foldRow)
-		p.tails = 0
-	}
 	last := s.ev.params.SpecialRow()
 	inv := ctx.Tables[last]
 	for c, acc := range [2]*ring.Poly{p.acc0, p.acc1} {
@@ -482,19 +485,11 @@ func (p *sumPart) addQ(c int, x *ring.Poly) {
 	p.inQ[c] = true
 }
 
-// runFoldRow takes the tail sums into q row i of the accumulators.
-func (p *sumPart) runFoldRow(i int) {
-	last := p.s.ev.params.SpecialRow()
-	p.s.ctx.FoldTailRow(p.acc0.Coeffs[i], p.tail.Coeffs[0], p.tails, last, i)
-	p.s.ctx.FoldTailRow(p.acc1.Coeffs[i], p.tail.Coeffs[1], p.tails, last, i)
-}
-
 // merge adds a helper's part into p. Every step is an addition modulo a
-// prime, or of integers below the tail bound, so the result does not
-// depend on which participant ran which term.
+// prime, or of integers whose sum holds no more terms than the call, so
+// the result does not depend on which participant ran which term.
 func (p *sumPart) merge(h *sumPart) {
-	s := p.s
-	ctx := s.ctx
+	ctx := p.s.ctx
 	for c, q := range [2]*ring.Poly{h.q0, h.q1} {
 		if h.inQ[c] {
 			p.addQ(c, q)
@@ -509,17 +504,9 @@ func (p *sumPart) merge(h *sumPart) {
 	}
 	ctx.Add(&p.accQ[0], &h.accQ[0], &p.accQ[0])
 	ctx.Add(&p.accQ[1], &h.accQ[1], &p.accQ[1])
-	if p.tails+h.tails > s.limit {
-		ctx.RunRows(s.level+1, p.foldRow)
-		p.tails = 0
-	}
 	for c := 0; c < 2; c++ {
-		tail, other := p.tail.Coeffs[c], h.tail.Coeffs[c]
-		if p.tails == 0 {
-			copy(tail, other)
-			continue
-		}
-		for j, v := range other {
+		tail := p.tail.Coeffs[c]
+		for j, v := range h.tail.Coeffs[c] {
 			tail[j] += v
 		}
 	}

@@ -202,9 +202,9 @@ func (f *rotSumFixture) sumInto(ev *Evaluator, out *Ciphertext) error {
 // TestRotateSumMatchesUnfused: RotateSumInto is bit for bit RotateLeftInto
 // and AddInto over its terms, on small and mixed-width test sets and on
 // Set-A and Set-C at the sizes their plans use — bare and dot-product
-// terms, with and without an unrotated addend, below the top level, with
-// its tail sums folded every two terms (and, on mixedSpec's 58-bit special
-// prime, reduced on the scalar path), on one worker and fanned out. Plain
+// terms, with and without an unrotated addend, below the top level (on
+// mixedSpec's 58-bit special prime, its tail sum reduced on the scalar
+// path), on one worker and fanned out. Plain
 // sums, a lone unrotated dot product as a plan's sum of plaintext products
 // compiles to, are MulPlain and Add in order to the scale, with one
 // ring.DotChunk of products, one and a bit, and several.
@@ -236,6 +236,8 @@ func TestRotateSumMatchesUnfused(t *testing.T) {
 		f := newRotSumFixture(t, c.spec, c.shape, int64(n))
 		want := f.unfused(t, NewEvaluator(f.params))
 		for _, workers := range []int{1, 4} {
+			// fold0 and fold2 run one case: the subtest names stay as the
+			// suite lists them.
 			for _, fold := range []int{0, 2} {
 				name := fmt.Sprintf("%s/rot%d/addend=%v/last=%v/dots=%v/L%d/w%d/fold%d",
 					c.spec.Name, c.shape.rotated, c.shape.addend, c.shape.last, c.shape.dots, c.shape.level, workers, fold)
@@ -245,7 +247,6 @@ func TestRotateSumMatchesUnfused(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					ev := NewEvaluator(f.params)
 					ev.SetWorkers(workers)
-					ev.tailTerms = fold
 					if got := f.fused(t, ev); !sameCiphertext(got, want) {
 						t.Fatal("RotateSumInto differs from RotateLeft + Add")
 					}
@@ -269,10 +270,10 @@ func TestRotateSumHelpers(t *testing.T) {
 			t.Fatal("RotateSumInto differs from RotateLeft + Add")
 		}
 	}
+	// fold0 and fold3 name one case, as in TestRotateSumMatchesUnfused.
 	for _, fold := range []int{0, 3} {
 		t.Run(fmt.Sprintf("first/fold%d", fold), func(t *testing.T) {
 			ev := NewEvaluator(f.params)
-			ev.tailTerms = fold
 			helped := false
 			ev.sumOffer = func(h interface{ Help() }) bool {
 				h.Help()
@@ -286,7 +287,6 @@ func TestRotateSumHelpers(t *testing.T) {
 		})
 		t.Run(fmt.Sprintf("racing/fold%d", fold), func(t *testing.T) {
 			ev := NewEvaluator(f.params)
-			ev.tailTerms = fold
 			for run := 0; run < 8; run++ {
 				var wg sync.WaitGroup
 				ev.sumOffer = func(h interface{ Help() }) bool {
@@ -401,6 +401,43 @@ func TestRotateSumFailsBeforeWriting(t *testing.T) {
 				t.Fatal("a refused RotateSumInto wrote its output")
 			}
 		})
+	}
+}
+
+// TestRotateSumRefusesPastTailCap: a sum holds at most
+// ring.TailSumTerms key-switched terms — 64 on mixedSpec's 58-bit special
+// prime — so its tail sum fits a word. A sum of exactly that many
+// rotations fills the word and is still RotateLeft + Add bit for bit; one
+// more is refused before out is touched.
+func TestRotateSumRefusesPastTailCap(t *testing.T) {
+	f := newRotSumFixture(t, mixedSpec, rotSumShape{rotated: 1, level: 1}, 12)
+	ev := NewEvaluator(f.params)
+	limit := f.params.RingQP.TailSumTerms(f.params.SpecialRow())
+	// terms repeats the fixture's one rotated term n times.
+	terms := func(n int) *rotSumFixture {
+		g := *f
+		g.cts, g.pts, g.ends, g.steps = nil, nil, nil, nil
+		for i := 0; i < n; i++ {
+			g.cts = append(g.cts, f.cts[0])
+			g.pts = append(g.pts, nil)
+			g.ends = append(g.ends, i+1)
+			g.steps = append(g.steps, f.steps[0])
+		}
+		return &g
+	}
+	full := terms(limit)
+	if !testing.Short() {
+		if got := full.fused(t, ev); !sameCiphertext(got, full.unfused(t, ev)) {
+			t.Fatalf("a sum of %d rotations differs from RotateLeft + Add", limit)
+		}
+	}
+	out := f.fused(t, ev) // a finished result, to see it left alone
+	before := CopyOf(out)
+	if err := terms(limit+1).sumInto(ev, out); err == nil {
+		t.Fatalf("a sum of %d rotations past the cap of %d was accepted", limit+1, limit)
+	}
+	if !sameCiphertext(out, before) {
+		t.Fatal("a refused RotateSumInto wrote its output")
 	}
 }
 

@@ -1236,10 +1236,10 @@ func (c *Context) wideInput(bound uint64, i int) bool {
 	return c.RowIFMA(i) && bound > 1<<52
 }
 
-// TailSumTerms is how many lifted rows of prime last a tail sum may add
-// up before FoldTailRow has to take it into the accumulators: as many as
-// a 64-bit word holds. Its reduction picks the IFMA or the scalar route
-// by the bound of the sum it holds.
+// TailSumTerms is how many lifted rows of prime last one tail sum may
+// add up: as many as a 64-bit word holds. A RotateSum holds at most this
+// many key-switched terms, so its tail sum never overflows. Its reduction
+// picks the IFMA or the scalar route by the bound of the sum it holds.
 func (c *Context) TailSumTerms(last int) int {
 	return int((^uint64(0) - 1) / (c.Basis.Primes[last] - 1))
 }
@@ -1248,17 +1248,4 @@ func (c *Context) TailSumTerms(last int) int {
 // rows of prime last.
 func (c *Context) tailBound(terms, last int) uint64 {
 	return uint64(terms)*(c.Basis.Primes[last]-1) + 1
-}
-
-// FoldTailRow takes a tail sum of terms lifted rows of prime last (at
-// most TailSumTerms) into row i of an accumulator, a −= NTT_i([tail]_{p_i}),
-// so the tail sum can start again from zero.
-//
-//heax:noalloc
-func (c *Context) FoldTailRow(a, tail []uint64, terms, last, i int) {
-	rBuf := c.GetPolyNoZero(1)
-	defer c.PutPoly(rBuf)
-	r := rBuf.Coeffs[0]
-	c.reduceNTTRow(r, tail, c.tailBound(terms, last), i, 0)
-	c.subRow(a, r, a, i)
 }

@@ -231,17 +231,15 @@ type planStep struct {
 	lifted bool // compiler-inserted multiply-by-one
 	// chain is the single-use MulPlain, AddPlain and Rescale steps fused
 	// after the step's own operation (fuseChains), in order, the last a
-	// Rescale; level and scale are then the last's. A Rescale step with a
-	// chain is a chain with no producer: the chain is all it runs.
+	// Rescale; level and scale are then the last's. A Rescale step is a
+	// chain with no producer, [Rescale] at the least: the chain is all it
+	// runs.
 	chain []ckks.Stage
 }
 
 // inLevel is the level the step reads every operand at: its own, plus one
 // for each rescale it runs.
 func (s *planStep) inLevel() int {
-	if s.kind == stepRescale && s.chain == nil {
-		return s.level + 1
-	}
 	level := s.level
 	for _, c := range s.chain {
 		if c.Kind == ckks.StageRescale {
@@ -328,7 +326,7 @@ func (p *Plan) Describe() string {
 		if s.lifted {
 			b.WriteString(" (lift)")
 		}
-		if len(s.chain) > 0 {
+		if len(s.chain) > 0 && (s.kind != stepRescale || len(s.chain) > 1) { // a lone Rescale's chain is the step
 			b.WriteString(" chain[")
 			for j, c := range s.chain {
 				if j > 0 {
@@ -466,31 +464,6 @@ func (p *Plan) RunContext(ctx context.Context, in map[string]*Ciphertext) (map[s
 	return out, nil
 }
 
-// operandView is a degree-1 operand read below its own level: a
-// ciphertext sharing the first rows of each component, which the step
-// only reads, in one allocation.
-type operandView struct {
-	ct    Ciphertext
-	polys [2]*Poly
-	rows  [2]Poly
-}
-
-// readAt is ct as a step reads it at level: ct itself, or a view of its
-// first level+1 rows when it is above. A value Compile descended without
-// a step, and an input given above InputLevel, are read this way.
-func readAt(ct *Ciphertext, level int) *Ciphertext {
-	if ct == nil || ct.Level <= level {
-		return ct
-	}
-	v := &operandView{}
-	for i := range v.rows {
-		v.rows[i].Coeffs = ct.Polys[i].Coeffs[:level+1]
-		v.polys[i] = &v.rows[i]
-	}
-	v.ct = Ciphertext{Polys: v.polys[:], Scale: ct.Scale, Level: level}
-	return &v.ct
-}
-
 // planRun is one RunContext call: its members — the caller, and the
 // pool workers that answered an offer — working one ready list under one
 // lock. Kernels run with the lock released; the fields below mu are
@@ -587,7 +560,7 @@ func (r *planRun) step(idx int) error {
 		if src := p.producer[a]; err == nil && src >= 0 && r.errs[src] != nil {
 			err = errors.Join(ErrDependency, r.errs[src])
 		}
-		in[i] = readAt(r.vals[a], level)
+		in[i] = ckks.AtLevel(r.vals[a], level)
 	}
 	if err == nil {
 		err = r.ctx.Err() // a cancelled run admits no more kernels
@@ -760,11 +733,7 @@ func (p *Plan) execKernel(idx int, st *planStep, in, outs []*Ciphertext) (err er
 		case stepAddPlain:
 			err = e.inner.AddPlainInto(in[0], st.pt, outs[0])
 		case stepRescale:
-			if st.chain != nil {
-				err = e.inner.RescaleChainInto(in[0], st.chain, outs[0])
-			} else {
-				err = e.inner.RescaleInto(in[0], outs[0])
-			}
+			err = e.inner.RescaleChainInto(in[0], st.chain, outs[0])
 		case stepRotateHoisted:
 			err = e.inner.RotateHoistedInto(in[0], st.rots, e.keys.Galois, outs)
 		case stepCopy:

@@ -402,6 +402,76 @@ func TestPlanGaloisNodesMatchEvaluator(t *testing.T) {
 	}
 }
 
+// TestPlanRotateSumCap: a RotateSum holds at most as many key-switched
+// terms as one tail sum fits (8 on a 61-bit special prime), so Compile
+// splits a sum of 2·cap+3 rotations into sums of at most cap rotations,
+// each earlier sum the unrotated term of the next, and the plan is still
+// the evaluator's rotations and additions one at a time, bit for bit,
+// with one member or four.
+func TestPlanRotateSumCap(t *testing.T) {
+	spec := ParamSpec{Name: "wide-P", LogN: 10, QBits: []int{50, 40}, PBits: 61, LogScale: 30}
+	k := newOracleKit(t, spec, []int{1}, false)
+	limit := k.params.RingQP.TailSumTerms(k.params.SpecialRow())
+	c := NewCircuit()
+	in := map[string]*Ciphertext{}
+	var sum Node
+	for i := 0; i < 2*limit+3; i++ {
+		name := fmt.Sprintf("x%d", i)
+		in[name] = k.encrypt(t, []float64{float64(i) / 32, 0.5, -0.25})
+		if r := c.Rotate(c.Input(name), 1); i == 0 {
+			sum = r
+		} else {
+			sum = c.Add(sum, r)
+		}
+	}
+	c.Output("sum", sum)
+	plan, err := c.Compile(k.params, k.evk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := 0
+	for _, st := range plan.steps {
+		if st.kind != stepRotateSum {
+			continue
+		}
+		sums++
+		rotated := 0
+		for _, key := range st.keys {
+			if key != nil {
+				rotated++
+			}
+		}
+		if rotated > limit {
+			t.Fatalf("a RotateSum of %d rotated terms, past the cap of %d\n%s", rotated, limit, plan.Describe())
+		}
+	}
+	if sums != 3 {
+		t.Fatalf("%d RotateSum steps, want 3 for %d rotations at a cap of %d\n%s", sums, 2*limit+3, limit, plan.Describe())
+	}
+	e := plan.eval
+	var want *Ciphertext
+	for i := 0; i < 2*limit+3; i++ {
+		r, err := e.RotateLeft(in[fmt.Sprintf("x%d", i)], 1)
+		if err == nil && i > 0 {
+			r, err = e.Add(want, r)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = r
+	}
+	for _, crew := range []int{1, 4} {
+		setCrew(plan, crew)
+		got, err := plan.Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ctBitEqual(got["sum"], want) {
+			t.Fatalf("crew %d: the split sums differ from RotateLeft + Add one at a time\n%s", crew, plan.Describe())
+		}
+	}
+}
+
 // randomCircuit draws one DAG over the ops a plan step can be: operands
 // are picked from everything built so far (so subexpressions are shared,
 // sometimes verbatim, for CSE to merge), multiplications nest up to one

@@ -138,31 +138,36 @@ var (
 	ErrInternal = errors.New("serve: internal error")
 )
 
+// wireErrors maps each error code to the sentinel it carries, in the
+// order encoding tries them: an error takes the code of the first entry
+// it wraps (codeInternal when none), and a code decodes to the sentinel
+// of its first entry. Cancellation goes first, whatever else it wraps.
+var wireErrors = [...]struct {
+	code     byte
+	sentinel error
+}{
+	{codeCanceled, context.Canceled},
+	{codeCorrupt, heax.ErrCorrupt},
+	{codeOverloaded, ErrOverloaded},
+	{codeDeadline, ErrDeadlineExceeded},
+	{codeDeadline, context.DeadlineExceeded},
+	{codeResourceExhausted, ErrResourceExhausted},
+	{codeDraining, ErrServerDraining},
+	{codeUnknownTenant, ErrUnknownTenant},
+	{codeTenantExists, ErrTenantExists},
+	{codeUnknownPlan, ErrUnknownPlan},
+	{codeKeyMissing, heax.ErrKeyMissing},
+	{codeCompile, errCompile},
+	{codeInternal, ErrInternal},
+}
+
 func errToCode(err error) (byte, string) {
-	switch {
-	case errors.Is(err, heax.ErrCorrupt):
-		return codeCorrupt, err.Error()
-	case errors.Is(err, ErrOverloaded):
-		return codeOverloaded, err.Error()
-	case errors.Is(err, ErrDeadlineExceeded), errors.Is(err, context.DeadlineExceeded):
-		return codeDeadline, err.Error()
-	case errors.Is(err, ErrResourceExhausted):
-		return codeResourceExhausted, err.Error()
-	case errors.Is(err, ErrServerDraining):
-		return codeDraining, err.Error()
-	case errors.Is(err, ErrUnknownTenant):
-		return codeUnknownTenant, err.Error()
-	case errors.Is(err, ErrTenantExists):
-		return codeTenantExists, err.Error()
-	case errors.Is(err, ErrUnknownPlan):
-		return codeUnknownPlan, err.Error()
-	case errors.Is(err, heax.ErrKeyMissing):
-		return codeKeyMissing, err.Error()
-	case errors.Is(err, errCompile):
-		return codeCompile, err.Error()
-	default:
-		return codeInternal, err.Error()
+	for _, e := range wireErrors {
+		if errors.Is(err, e.sentinel) {
+			return e.code, err.Error()
+		}
 	}
+	return codeInternal, err.Error()
 }
 
 // errCompile marks server-side compilation failures that are not key
@@ -170,37 +175,15 @@ func errToCode(err error) (byte, string) {
 var errCompile = errors.New("serve: compile failed")
 
 func codeToErr(code byte, msg string) error {
-	switch code {
-	case codeCorrupt:
-		return fmt.Errorf("serve: remote: %s: %w", msg, heax.ErrCorrupt)
-	case codeUnknownTenant:
-		return fmt.Errorf("serve: remote: %s: %w", msg, ErrUnknownTenant)
-	case codeTenantExists:
-		return fmt.Errorf("serve: remote: %s: %w", msg, ErrTenantExists)
-	case codeUnknownPlan:
-		return fmt.Errorf("serve: remote: %s: %w", msg, ErrUnknownPlan)
-	case codeKeyMissing:
-		return fmt.Errorf("serve: remote: %s: %w", msg, heax.ErrKeyMissing)
-	case codeCompile:
-		return fmt.Errorf("serve: remote: %s: %w", msg, errCompile)
-	case codeCanceled:
-		return fmt.Errorf("serve: remote: %s: %w", msg, context.Canceled)
-	case codeOverloaded:
-		return fmt.Errorf("serve: remote: %s: %w", msg, ErrOverloaded)
-	case codeDeadline:
-		return fmt.Errorf("serve: remote: %s: %w", msg, ErrDeadlineExceeded)
-	case codeDraining:
-		return fmt.Errorf("serve: remote: %s: %w", msg, ErrServerDraining)
-	case codeResourceExhausted:
-		return fmt.Errorf("serve: remote: %s: %w", msg, ErrResourceExhausted)
-	case codeInternal:
-		return fmt.Errorf("serve: remote: %s: %w", msg, ErrInternal)
-	default:
-		// An unrecognized code means the peer speaks a wire dialect this
-		// side does not: treat it as protocol corruption so retry logic
-		// refuses to hammer an incompatible endpoint.
-		return fmt.Errorf("serve: remote: unknown error code %d: %s: %w", code, msg, heax.ErrCorrupt)
+	for _, e := range wireErrors {
+		if e.code == code {
+			return fmt.Errorf("serve: remote: %s: %w", msg, e.sentinel)
+		}
 	}
+	// An unrecognized code means the peer speaks a wire dialect this side
+	// does not: treat it as protocol corruption so retry logic refuses to
+	// hammer an incompatible endpoint.
+	return fmt.Errorf("serve: remote: unknown error code %d: %s: %w", code, msg, heax.ErrCorrupt)
 }
 
 const frameHeaderLen = 9

@@ -7,6 +7,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"heax"
@@ -55,6 +56,32 @@ func TestCodeRoundTrip(t *testing.T) {
 		if err := codeToErr(code, msg); !errors.Is(err, sentinel) {
 			t.Errorf("round trip lost %v (code %d): got %v", sentinel, code, err)
 		}
+	}
+}
+
+// TestWireErrorsRoundTrip: every entry of the wire table, wrapped,
+// encodes to its own code and decodes to an error wrapping the sentinel
+// that code carries — context.DeadlineExceeded arrives as
+// ErrDeadlineExceeded — and cancellation wins over any other sentinel.
+func TestWireErrorsRoundTrip(t *testing.T) {
+	for _, e := range wireErrors {
+		code, msg := errToCode(fmt.Errorf("step: %w", e.sentinel))
+		if code != e.code {
+			t.Errorf("errToCode(%v) = %d, want %d", e.sentinel, code, e.code)
+		}
+		want := e.sentinel
+		if e.sentinel == context.DeadlineExceeded {
+			want = ErrDeadlineExceeded
+		}
+		if err := codeToErr(code, msg); !errors.Is(err, want) {
+			t.Errorf("round trip of %v (code %d): got %v, want it to wrap %v", e.sentinel, code, err, want)
+		}
+	}
+	if code, _ := errToCode(errors.Join(ErrOverloaded, context.Canceled)); code != codeCanceled {
+		t.Errorf("a canceled overload encodes as %d, want codeCanceled", code)
+	}
+	if code, _ := errToCode(errors.New("no sentinel")); code != codeInternal {
+		t.Errorf("an error wrapping no sentinel encodes as %d, want codeInternal", code)
 	}
 }
 

@@ -716,9 +716,6 @@ func (s *Server) guard(f func() error) (err error) {
 
 func (s *Server) writeErr(bw *bufio.Writer, err error) bool {
 	code, msg := errToCode(err)
-	if errors.Is(err, context.Canceled) {
-		code = codeCanceled
-	}
 	var pw payloadWriter
 	pw.bytes([]byte{code})
 	pw.bytes([]byte(msg))
