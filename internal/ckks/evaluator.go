@@ -81,8 +81,8 @@ func (ev *Evaluator) alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext) {
 	return AtLevel(a, level), AtLevel(b, level)
 }
 
-// levelView is a ciphertext of up to three components read below its
-// level, held in one allocation.
+// levelView is a ciphertext read below its level, held in one
+// allocation when it has at most three components.
 type levelView struct {
 	ct    Ciphertext
 	polys [3]*ring.Poly
@@ -99,11 +99,15 @@ func AtLevel(ct *Ciphertext, level int) *Ciphertext {
 		return ct
 	}
 	v := &levelView{}
-	for i, p := range ct.Polys {
-		v.rows[i].Coeffs = p.Coeffs[:level+1]
-		v.polys[i] = &v.rows[i]
+	polys, rows := v.polys[:], v.rows[:]
+	if n := len(ct.Polys); n > len(rows) {
+		polys, rows = make([]*ring.Poly, n), make([]ring.Poly, n)
 	}
-	v.ct = Ciphertext{Polys: v.polys[:len(ct.Polys)], Scale: ct.Scale, Level: level}
+	for i, p := range ct.Polys {
+		rows[i].Coeffs = p.Coeffs[:level+1]
+		polys[i] = &rows[i]
+	}
+	v.ct = Ciphertext{Polys: polys[:len(ct.Polys)], Scale: ct.Scale, Level: level}
 	return &v.ct
 }
 

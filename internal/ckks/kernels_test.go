@@ -82,6 +82,9 @@ func TestKernelsDoNotMutateInputs(t *testing.T) {
 	deg2 := must(kit.eval.Mul(x, y))         // degree 2 at scale Δ²
 	sq := must(kit.eval.MulPlain(x, pt))     // degree 1 at scale Δ²
 	sqLow := must(kit.eval.DropLevel(sq, 1)) // ... two levels down
+	deg3 := CopyOf(x)                        // degree 3: more components than AtLevel holds inline
+	deg3.Polys = append(deg3.Polys, ring.CopyOf(x.Polys[1]), ring.CopyOf(x.Polys[1]))
+	deg3Low := must(kit.eval.DropLevel(deg3, 1))
 	gks := kit.kg.GenGaloisKeySet(kit.sk, []int{1, 2}, true)
 	swk := kit.kg.GenSwitchingKey(kit.sk, NewKeyGenerator(params, 72).GenSecretKey())
 	rlk := kit.rlk
@@ -94,7 +97,7 @@ func TestKernelsDoNotMutateInputs(t *testing.T) {
 		}
 		cases = append(cases, c)
 	}
-	for _, p := range [][2]*Ciphertext{{x, y}, {x, yLow}, {yLow, x}, {sq, deg2}, {deg2, sqLow}} {
+	for _, p := range [][2]*Ciphertext{{x, y}, {x, yLow}, {yLow, x}, {sq, deg2}, {deg2, sqLow}, {deg3, deg3Low}} {
 		a, b := p[0], p[1]
 		shape := fmt.Sprintf("L%dd%d,L%dd%d", a.Level, a.Degree(), b.Level, b.Degree())
 		add(kernelCase{name: "Add/" + shape, cts: []*Ciphertext{a, b},

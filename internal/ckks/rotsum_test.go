@@ -236,8 +236,7 @@ func TestRotateSumMatchesUnfused(t *testing.T) {
 		f := newRotSumFixture(t, c.spec, c.shape, int64(n))
 		want := f.unfused(t, NewEvaluator(f.params))
 		for _, workers := range []int{1, 4} {
-			// fold0 and fold2 run one case: the subtest names stay as the
-			// suite lists them.
+			// Both names run the same case; they are kept so recorded test lists match.
 			for _, fold := range []int{0, 2} {
 				name := fmt.Sprintf("%s/rot%d/addend=%v/last=%v/dots=%v/L%d/w%d/fold%d",
 					c.spec.Name, c.shape.rotated, c.shape.addend, c.shape.last, c.shape.dots, c.shape.level, workers, fold)
@@ -270,7 +269,7 @@ func TestRotateSumHelpers(t *testing.T) {
 			t.Fatal("RotateSumInto differs from RotateLeft + Add")
 		}
 	}
-	// fold0 and fold3 name one case, as in TestRotateSumMatchesUnfused.
+	// Both names run the same case; they are kept so recorded test lists match.
 	for _, fold := range []int{0, 3} {
 		t.Run(fmt.Sprintf("first/fold%d", fold), func(t *testing.T) {
 			ev := NewEvaluator(f.params)

@@ -17,11 +17,6 @@
 // head) loads from src and stores to dst; every later one works on dst in
 // place, and src == dst is the in-place transform.
 //
-// Each kernel's outer loop head is 64-byte aligned (PCALIGN), so its
-// loops sit at one phase of the cache line wherever the linker puts the
-// kernel; an inner head is not, as its padding would run on every outer
-// trip.
-//
 // Lazy invariants are identical to the scalar path in lazy.go: forward
 // keeps coefficients in [0, 4p), inverse in [0, 2p), and the last stage
 // of each direction emits fully reduced outputs, so every kernel's
@@ -222,7 +217,6 @@ TEXT ·fwdStage4IFMA(SB), NOSPLIT, $0-56
 	LEAQ (R9)(DX*8), R12
 	SHLQ $3, R10                    // one quarter in bytes
 	LEAQ (R10)(R10*2), R13          // three quarters
-	PCALIGN $64
 block:
 	VPBROADCASTQ (R8), Z6
 	VPBROADCASTQ (R9), Z7
@@ -291,7 +285,6 @@ TEXT ·fwdTailIFMA(SB), NOSPLIT, $0-48
 	LEAQ (R10)(CX*2), R12           // stride 1 twiddles
 	LEAQ (R11)(CX*2), R13
 	XORQ DX, DX
-	PCALIGN $64
 block:
 	VMOVDQU64 (DI)(DX*8), Z0
 	VMOVDQU64 64(DI)(DX*8), Z1
@@ -355,7 +348,6 @@ TEXT ·invStage4IFMA(SB), NOSPLIT, $0-48
 	LEAQ (R9)(DX*8), R12
 	SHLQ $3, R10                    // one quarter in bytes
 	LEAQ (R10)(R10*2), R13          // three quarters
-	PCALIGN $64
 block:
 	VPBROADCASTQ (R11), Z6
 	VPBROADCASTQ (R12), Z7
@@ -419,7 +411,6 @@ TEXT ·invHeadIFMA(SB), NOSPLIT, $0-56
 	LEAQ (R10)(CX*2), R12           // stride 1
 	LEAQ (R11)(CX*2), R13
 	XORQ DX, DX
-	PCALIGN $64
 block:
 	VMOVDQU64 (SI)(DX*8), Z1
 	VMOVDQU64 64(SI)(DX*8), Z3
@@ -474,7 +465,6 @@ TEXT ·invLastIFMA(SB), NOSPLIT, $0-56
 	VPBROADCASTQ wShoup+48(FP), Z11
 	LEAQ (DI)(CX*4), SI             // y half
 	SHRQ $4, CX
-	PCALIGN $64
 loop:
 	VMOVDQU64 (DI), Z0              // u
 	VMOVDQU64 (SI), Z1              // v

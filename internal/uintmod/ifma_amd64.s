@@ -6,11 +6,6 @@
 //
 // All kernels require: p odd and below 2^50 (every Table 2 prime
 // qualifies), n > 0 and n % 8 == 0. Callers gate on IFMAUsable.
-//
-// Each kernel's outermost loop heads are 64-byte aligned (PCALIGN), so
-// its loops sit at one phase of the cache line wherever the linker puts
-// the kernel; an inner head is not, as its padding would run on every
-// outer trip.
 
 #include "textflag.h"
 
@@ -164,7 +159,6 @@ TEXT ·vecMulIFMA(SB), NOSPLIT, $0-56
 	MOVQ shift+48(FP), BX
 	DYADCONST
 	SHRQ $3, CX
-	PCALIGN $64
 loop:
 	VMOVDQU64 (SI), Z0              // x
 	VMOVDQU64 (R8), Z1              // y
@@ -199,7 +193,6 @@ TEXT ·vecMulPairIFMA(SB), NOSPLIT, $0-73
 	MOVBQZX compact+72(FP), R11
 	DYADCONST
 	SHRQ $3, CX
-	PCALIGN $64
 loop:
 	VMOVDQU64 (SI), Z0              // x0
 	VMOVDQU64 (R9), Z7              // x1
@@ -261,7 +254,6 @@ TEXT ·vecDotPairIFMA(SB), NOSPLIT, $0-81
 	MOVQ CX, R9                     // n: the length of a full y
 	SHLQ $3, CX                     // row bytes
 	XORQ R13, R13                   // block offset
-	PCALIGN $64
 outer:
 	VPXORQ Z19, Z19, Z19            // addend
 	VPXORQ Z20, Z20, Z20
@@ -345,7 +337,6 @@ TEXT ·vecMulTensorIFMA(SB), NOSPLIT, $0-88
 	MOVQ shift+80(FP), BX
 	DYADCONST
 	SHRQ $3, CX
-	PCALIGN $64
 loop:
 	VMOVDQU64 (SI), Z0              // a0
 	VMOVDQU64 (R9), Z1              // a1
@@ -390,7 +381,6 @@ TEXT ·vecAddIFMA(SB), NOSPLIT, $0-40
 	MOVQ p+32(FP), AX
 	VPBROADCASTQ AX, Z12
 	SHRQ $3, CX
-	PCALIGN $64
 loop:
 	VMOVDQU64 (SI), Z0
 	VPADDQ (R8), Z0, Z0             // x + y in [0, 2p)
@@ -415,7 +405,6 @@ TEXT ·vecSubIFMA(SB), NOSPLIT, $0-40
 	MOVQ p+32(FP), AX
 	VPBROADCASTQ AX, Z12
 	SHRQ $3, CX
-	PCALIGN $64
 loop:
 	VMOVDQU64 (SI), Z0
 	VPSUBQ (R8), Z0, Z0             // x - y, wraps when x < y
@@ -439,7 +428,6 @@ TEXT ·vecNegIFMA(SB), NOSPLIT, $0-32
 	MOVQ p+24(FP), AX
 	VPBROADCASTQ AX, Z12
 	SHRQ $3, CX
-	PCALIGN $64
 loop:
 	VPSUBQ (SI), Z12, Z0            // p - x in (0, p]
 	VPSUBQ Z12, Z0, Z1              // 0 when x = 0, wraps otherwise
@@ -477,7 +465,6 @@ TEXT ·vecReduceIFMA(SB), NOSPLIT, $0-48
 	MOVQ sub+40(FP), BX
 	DYADCONST
 	SHRQ $3, CX
-	PCALIGN $64
 loop:
 	VMOVDQU64 (SI), Z0              // x < 2^52
 	VPXORQ Z1, Z1, Z1
@@ -512,7 +499,6 @@ TEXT ·vecSubMulAddIFMA(SB), NOSPLIT, $0-64
 	MOVQ wShoup+56(FP), BX
 	DYADCONST
 	SHRQ $3, CX
-	PCALIGN $64
 loop:
 	VPADDQ (SI), Z12, Z0
 	VPSUBQ (R8), Z0, Z0             // d = a - r + p
@@ -591,7 +577,6 @@ TEXT ·vecLinCombIFMA(SB), NOSPLIT, $0-72
 	MOVQ CX, R14
 	SUBQ $256, R14                  // the last offset four blocks start at
 	XORQ R13, R13                   // block offset
-	PCALIGN $64
 lc4:
 	CMPQ R13, R14
 	JGT  lc1
@@ -629,7 +614,6 @@ lc4fold:
 	VMOVDQU64 Z25, 192(DI)(R13*1)
 	ADDQ $256, R13
 	JMP  lc4
-	PCALIGN $64
 lc1:
 	CMPQ R13, CX
 	JAE  lcdone
@@ -678,7 +662,6 @@ TEXT ·vecPermuteIFMA(SB), NOSPLIT, $0-40
 	MOVQ blocks+16(FP), R8
 	MOVQ lanes+24(FP), R9
 	MOVQ nb+32(FP), CX
-	PCALIGN $64
 loop:
 	MOVL (R8), AX
 	MOVL AX, BX
@@ -712,7 +695,6 @@ TEXT ·vecPermutePairIFMA(SB), NOSPLIT, $0-65
 	VPBROADCASTQ AX, Z12
 	CMPB add+64(FP), $0
 	JNE  addloop
-	PCALIGN $64
 loop:
 	MOVL (R8), AX
 	MOVL AX, BX
@@ -732,7 +714,6 @@ loop:
 	JNZ  loop
 	VZEROUPPER
 	RET
-	PCALIGN $64
 addloop:
 	MOVL (R8), AX
 	MOVL AX, BX

@@ -101,11 +101,7 @@ func replayPlan(t *testing.T, p *Plan, in map[string]*Ciphertext) map[string]*Ci
 		case stepAddPlain:
 			slots[st.outs[0]], err = e.AddPlain(a, st.pt)
 		case stepRescale:
-			if st.chain == nil {
-				slots[st.outs[0]], err = e.Rescale(a)
-			} else {
-				slots[st.outs[0]] = a // the chain is all the step runs
-			}
+			slots[st.outs[0]] = a // the chain is all the step runs
 		case stepRotateHoisted:
 			var rots map[int]*Ciphertext
 			rots, err = e.RotateHoisted(a, st.rots)
@@ -717,7 +713,7 @@ func TestPlanRandomDAGs(t *testing.T) {
 				placed++
 			}
 			for _, st := range plan.steps {
-				if st.chain != nil {
+				if st.chain != nil && (st.kind != stepRescale || len(st.chain) > 1) { // a lone Rescale's chain is the step
 					fusedChains[st.kind]++
 				}
 				switch st.kind {
