@@ -113,7 +113,8 @@ func (ev *Evaluator) RescaleChainInto(ct *Ciphertext, stages []Stage, out *Ciphe
 }
 
 // MulRelinChainInto is MulRelinInto followed by stages, closed with the
-// key switch's floor. out must not share storage with an operand.
+// key switch's floor; with no stages it is MulRelinInto. out must not
+// share storage with an operand.
 func (ev *Evaluator) MulRelinChainInto(ct0, ct1 *Ciphertext, rlk *RelinearizationKey, stages []Stage, out *Ciphertext) error {
 	if overlaps(out, ct0) || overlaps(out, ct1) {
 		return fmt.Errorf("ckks: chain output shares storage with an operand: %w", ErrLevelMismatch)

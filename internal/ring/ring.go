@@ -319,55 +319,22 @@ func rowsOf(ps ...*Poly) int {
 // Add sets out = a + b.
 func (c *Context) Add(a, b, out *Poly) {
 	c.runDyadic(rowsOf(a, b, out), dyadicRows{a0: a.Coeffs, b0: b.Coeffs, c0: out.Coeffs},
-		func(c *Context, v dyadicRows, i int) { c.addRow(v.a0[i], v.b0[i], v.c0[i], i) })
-}
-
-//heax:noalloc
-func (c *Context) addRow(a, b, out []uint64, i int) {
-	p := c.Basis.Primes[i]
-	if c.RowIFMA(i) {
-		uintmod.VecAdd(out, a, b, p)
-		return
-	}
-	for j := range out {
-		out[j] = uintmod.AddMod(a[j], b[j], p)
-	}
+		func(c *Context, v dyadicRows, i int) { uintmod.VecAdd(v.c0[i], v.a0[i], v.b0[i], c.Basis.Primes[i]) })
 }
 
 // Sub sets out = a - b.
 func (c *Context) Sub(a, b, out *Poly) {
 	c.runDyadic(rowsOf(a, b, out), dyadicRows{a0: a.Coeffs, b0: b.Coeffs, c0: out.Coeffs},
-		func(c *Context, v dyadicRows, i int) { c.subRow(v.a0[i], v.b0[i], v.c0[i], i) })
+		func(c *Context, v dyadicRows, i int) { uintmod.VecSub(v.c0[i], v.a0[i], v.b0[i], c.Basis.Primes[i]) })
 }
 
-//heax:noalloc
-func (c *Context) subRow(a, b, out []uint64, i int) {
-	p := c.Basis.Primes[i]
-	if c.RowIFMA(i) {
-		uintmod.VecSub(out, a, b, p)
-		return
-	}
-	for j := range out {
-		out[j] = uintmod.SubMod(a[j], b[j], p)
-	}
-}
-
-// Neg sets out = -a.
+// Neg sets out = -a: a weight of p−1 on each row.
 func (c *Context) Neg(a, out *Poly) {
-	c.runDyadic(rowsOf(a, out), dyadicRows{a0: a.Coeffs, c0: out.Coeffs},
-		func(c *Context, v dyadicRows, i int) { c.negRow(v.a0[i], v.c0[i], i) })
-}
-
-//heax:noalloc
-func (c *Context) negRow(a, out []uint64, i int) {
-	p := c.Basis.Primes[i]
-	if c.RowIFMA(i) {
-		uintmod.VecNeg(out, a, p)
-		return
-	}
-	for j := range out {
-		out[j] = uintmod.NegMod(a[j], p)
-	}
+	c.runDyadic(rowsOf(a, out), dyadicRows{a0: a.Coeffs, c0: out.Coeffs}, func(c *Context, v dyadicRows, i int) {
+		p := c.Basis.Primes[i]
+		ws := [1]uint64{p - 1}
+		uintmod.VecLinComb(v.c0[i], v.a0[i:i+1], ws[:], 0, p, p)
+	})
 }
 
 // MulCoeffs sets out = a ⊙ b (dyadic product; both operands must be in the
@@ -378,20 +345,11 @@ func (c *Context) MulCoeffs(a, b, out *Poly) {
 		func(c *Context, v dyadicRows, i int) { c.MulCoeffsRow(v.a0[i], v.b0[i], v.c0[i], i) })
 }
 
-// MulCoeffsRow is MulCoeffs for a single RNS row (basis index i): the
-// general-operand IFMA kernel on eligible rows, one Barrett
-// multiplication per coefficient otherwise — bit-identical either way.
+// MulCoeffsRow is MulCoeffs for a single RNS row (basis index i).
 //
 //heax:noalloc
 func (c *Context) MulCoeffsRow(a, b, out []uint64, i int) {
-	if c.RowIFMA(i) {
-		uintmod.VecMul(out, a, b, c.Basis.Primes[i])
-		return
-	}
-	m := c.Basis.Mods[i]
-	for j := range out {
-		out[j] = m.MulMod(a[j], b[j])
-	}
+	uintmod.VecMul(out, a, b, c.Basis.Primes[i])
 }
 
 // MulCoeffsPair sets out0 = a0 ⊙ b and out1 = a1 ⊙ b in one row pass —
@@ -402,23 +360,8 @@ func (c *Context) MulCoeffsRow(a, b, out []uint64, i int) {
 func (c *Context) MulCoeffsPair(a0, a1, b, out0, out1 *Poly) {
 	v := dyadicRows{a0: a0.Coeffs, a1: a1.Coeffs, b0: b.Coeffs, c0: out0.Coeffs, c1: out1.Coeffs}
 	c.runDyadic(rowsOf(a0, a1, b, out0, out1), v, func(c *Context, v dyadicRows, i int) {
-		c.mulCoeffsPairRow(v.a0[i], v.a1[i], v.b0[i], v.c0[i], v.c1[i], i)
+		uintmod.VecMulPair(v.c0[i], v.c1[i], v.a0[i], v.a1[i], v.b0[i], c.Basis.Primes[i])
 	})
-}
-
-//heax:noalloc
-func (c *Context) mulCoeffsPairRow(a0, a1, b, out0, out1 []uint64, i int) {
-	if c.RowIFMA(i) {
-		uintmod.VecMulPair(out0, out1, a0, a1, b, c.Basis.Primes[i])
-		return
-	}
-	m := c.Basis.Mods[i]
-	s := uintmod.OperandShift(b, len(out0))
-	for j := range out0 {
-		bj := b[j>>s]
-		out0[j] = m.MulMod(a0[j], bj)
-		out1[j] = m.MulMod(a1[j], bj)
-	}
 }
 
 // DotTerm is one term of a ciphertext-plaintext dot product: the two
@@ -481,32 +424,12 @@ func (c *Context) dotPairTermsRow(terms []DotTerm, acc bool, out0, out1 []uint64
 // outputs hold when acc is set. It is every multiply-accumulate of the
 // ring's users: a sum of ciphertext-plaintext products, and with one
 // term the key switch's MAC, a converted digit row y against the rows x0
-// and x1 of its two key columns. The deferred-reduction IFMA kernel runs
-// eligible rows, the MulMod/AddMod loop the rest — bit-identical either
-// way, and to mulCoeffsPairRow followed by addRow term by term.
+// and x1 of its two key columns. The result is bit for bit MulCoeffsPair
+// followed by Add, term by term.
 //
 //heax:noalloc
 func (c *Context) MulCoeffsDotPairRow(terms [][3][]uint64, acc bool, out0, out1 []uint64, i int) {
-	p := c.Basis.Primes[i]
-	if c.RowIFMA(i) {
-		uintmod.VecDotPair(out0, out1, terms, acc, p)
-		return
-	}
-	m := c.Basis.Mods[i]
-	for t, term := range terms {
-		x0, x1, y := term[0], term[1], term[2]
-		first := t == 0 && !acc
-		s := uintmod.OperandShift(y, len(out0))
-		for j := range out0 {
-			s0, s1 := out0[j], out1[j]
-			if first {
-				s0, s1 = 0, 0
-			}
-			yj := y[j>>s]
-			out0[j] = uintmod.AddMod(s0, m.MulMod(x0[j], yj), p)
-			out1[j] = uintmod.AddMod(s1, m.MulMod(x1[j], yj), p)
-		}
-	}
+	uintmod.VecDotPair(out0, out1, terms, acc, c.Basis.Primes[i])
 }
 
 // MulCoeffsTensor computes the degree-2 tensor product of two degree-1
@@ -516,28 +439,13 @@ func (c *Context) MulCoeffsDotPairRow(terms [][3][]uint64, acc bool, out0, out1 
 func (c *Context) MulCoeffsTensor(a0, a1, b0, b1, c0, c1, c2 *Poly) {
 	v := dyadicRows{a0.Coeffs, a1.Coeffs, b0.Coeffs, b1.Coeffs, c0.Coeffs, c1.Coeffs, c2.Coeffs}
 	c.runDyadic(rowsOf(a0, a1, b0, b1, c0, c1, c2), v, func(c *Context, v dyadicRows, i int) {
-		c.mulCoeffsTensorRow(v.a0[i], v.a1[i], v.b0[i], v.b1[i], v.c0[i], v.c1[i], v.c2[i], i)
+		uintmod.VecMulTensor(v.c0[i], v.c1[i], v.c2[i], v.a0[i], v.a1[i], v.b0[i], v.b1[i], c.Basis.Primes[i])
 	})
 }
 
-//heax:noalloc
-func (c *Context) mulCoeffsTensorRow(a0, a1, b0, b1, c0, c1, c2 []uint64, i int) {
-	p := c.Basis.Primes[i]
-	if c.RowIFMA(i) {
-		uintmod.VecMulTensor(c0, c1, c2, a0, a1, b0, b1, p)
-		return
-	}
-	m := c.Basis.Mods[i]
-	for j := range c0 {
-		u0, u1, v0, v1 := a0[j], a1[j], b0[j], b1[j]
-		c0[j] = m.MulMod(u0, v0)
-		c1[j] = uintmod.AddMod(m.MulMod(u0, v1), m.MulMod(u1, v0), p)
-		c2[j] = m.MulMod(u1, v1)
-	}
-}
-
-// RowIFMA reports whether row i's dyadic ops run on the AVX-512 IFMA
-// kernels.
+// RowIFMA reports whether row i runs on the AVX-512 IFMA kernels, which
+// sets the context's fan-out threshold; the kernels pick their route
+// themselves.
 func (c *Context) RowIFMA(i int) bool {
 	return uintmod.IFMAUsable(c.Basis.Primes[i], c.N)
 }
@@ -776,11 +684,11 @@ type FloorChain struct {
 	c   *Context
 	ops [MaxChainOps]chainOp
 	n   int
-	// Set by Close: the outputs, how many components and floors there are,
-	// and the pooled polynomials whose rows hold the tails it lifts.
-	out           [2]*Poly
-	comps, floors int
-	tails         [MaxChainOps]*Poly
+	// Set by Close: the outputs, how many components there are, and the
+	// pooled polynomials whose rows hold the tails it lifts.
+	out   [2]*Poly
+	comps int
+	tails [MaxChainOps]*Poly
 	// The close's two passes as func values, bound once per pooled chain.
 	tailPass, keepPass func(int)
 }
@@ -856,8 +764,9 @@ func (ch *FloorChain) FloorTail(tail *Poly, terms, last int, round bool) {
 
 // Close writes the value's kept rows, out0.Rows() of them, to out0 (and
 // out1 when the value has a second component) and returns the chain to
-// its pool. An output may be an addend: each element is read before it
-// is written.
+// its pool. An output may be one of the first uintmod.LinCombTerms
+// addends: each element of those is read before it is written, while a
+// later one is read again by the close's next VecLinComb pass.
 func (ch *FloorChain) Close(out0, out1 *Poly) {
 	c := ch.c
 	rows := out0.Rows()
@@ -908,7 +817,6 @@ func (ch *FloorChain) Close(out0, out1 *Poly) {
 	if floors == 0 {
 		panic("ring: a floor chain divides at least once")
 	}
-	ch.floors = floors
 	// The tails the close lifts, packed into as few pooled polynomials as
 	// their rows fit.
 	bufs, free := 0, 0
@@ -982,7 +890,6 @@ func (ch *FloorChain) weights(i, upto int, w *[MaxChainOps]uint64) (offset uint6
 // ⌊p_q/2⌋ when it rounds.
 func (ch *FloorChain) liftPass(k int) {
 	c := ch.c
-	var scratch *Poly // for tails too wide for an IFMA row, drawn if any
 	var w, ws [MaxChainOps]uint64
 	var xs [MaxChainOps][]uint64
 	for f := 0; f < ch.n; f++ {
@@ -1008,30 +915,23 @@ func (ch *FloorChain) liftPass(k int) {
 					n++
 				}
 			}
-			c.linCombRow(t, xs[:n], ws[:n], 0, q)
+			uintmod.VecLinComb(t, xs[:n], ws[:n], 0, p, p)
 			c.Tables[q].Inverse(t)
 		}
 		// Less the earlier tails, weighed, plus the offset.
 		xs[0], ws[0] = t, 1
-		n := 1
+		n, bound := 1, p
 		for e := 0; e < f; e++ {
 			if prev := &ch.ops[e]; prev.kind == chainFloor {
 				xs[n], ws[n] = prev.tail[k], uintmod.NegMod(w[e], p)
-				if c.wideInput(prev.bound, q) {
-					if scratch == nil {
-						scratch = c.GetPolyNoZero(ch.floors)
-					}
-					xs[n] = scratch.Coeffs[n-1]
-					c.reduceRow(xs[n], prev.tail[k], prev.bound, q, 0)
-				}
+				bound = max(bound, prev.bound)
 				n++
 			}
 		}
 		if n > 1 || offset != 0 {
-			c.linCombRow(t, xs[:n], ws[:n], offset, q)
+			uintmod.VecLinComb(t, xs[:n], ws[:n], offset, bound, p)
 		}
 	}
-	c.PutPoly(scratch)
 }
 
 // closeRow closes kept row i of each component:
@@ -1048,7 +948,7 @@ func (ch *FloorChain) closeRow(i int) {
 	var w, ws [MaxChainOps]uint64
 	var xs [MaxChainOps][]uint64
 	offset := ch.weights(i, ch.n, &w)
-	scratch := c.GetPolyNoZero(1 + ch.floors)
+	scratch := c.GetPolyNoZero(1)
 	defer c.PutPoly(scratch)
 	r := scratch.Coeffs[0]
 	// The fast shape, one floor right after the value and then at most
@@ -1079,21 +979,18 @@ func (ch *FloorChain) closeRow(i int) {
 					add = x.Coeffs[i]
 				}
 			}
-			c.floorCloseRow(ch.ops[0].x[k].Coeffs[i], r, add, out, w[0], i)
+			uintmod.VecSubMulAdd(out, ch.ops[0].x[k].Coeffs[i], r, add, w[0], p)
 			continue
 		}
-		n := 0
+		n, bound := 0, p
 		for f := 1; f < ch.n; f++ {
 			if op := &ch.ops[f]; op.kind == chainFloor {
 				xs[n], ws[n] = op.tail[k], w[f]
-				if c.wideInput(op.bound, i) {
-					xs[n] = scratch.Coeffs[1+n]
-					c.reduceRow(xs[n], op.tail[k], op.bound, i, 0)
-				}
+				bound = max(bound, op.bound)
 				n++
 			}
 		}
-		c.linCombRow(r, xs[:n], ws[:n], uintmod.NegMod(offset, p), i)
+		uintmod.VecLinComb(r, xs[:n], ws[:n], uintmod.NegMod(offset, p), bound, p)
 		c.Tables[i].Forward(r)
 		n = 0
 		for a := 0; a < ch.n; a++ {
@@ -1103,7 +1000,7 @@ func (ch *FloorChain) closeRow(i int) {
 			}
 		}
 		xs[n], ws[n] = r, p-1
-		c.linCombRow(out, xs[:n+1], ws[:n+1], 0, i)
+		uintmod.VecLinComb(out, xs[:n+1], ws[:n+1], 0, p, p)
 	}
 }
 
@@ -1119,10 +1016,10 @@ func (ch *FloorChain) closeRow(i int) {
 // src where it lies and its fully reduced outputs are those of the
 // canonical residues. On an IFMA row that bound is 4·p_to, so primes of
 // about one size never reduce; on a scalar row it is p_to itself.
-// Otherwise the reduction runs on the IFMA kernel when the target row
-// does and the source residues fit its 52-bit lanes — a wider source
-// prime takes the scalar loop even into an IFMA target — bit-identical
-// either way.
+// Otherwise the reduction is a one-row VecLinComb of weight 1 and
+// addend −sub, which takes the IFMA route when the target row does and
+// the source residues fit its 52-bit lanes — a wider source prime takes
+// the portable loop even into an IFMA target — bit-identical either way.
 //
 //heax:noalloc
 func (c *Context) ReduceNTTRow(dst, src []uint64, from, to int, sub uint64) {
@@ -1140,100 +1037,12 @@ func (c *Context) reduceNTTRow(dst, src []uint64, bound uint64, to int, sub uint
 		t.ForwardTo(dst, src)
 		return
 	}
-	c.reduceRow(dst, src, bound, to, sub)
+	p := c.Basis.Primes[to]
+	var xs [1][]uint64
+	var ws [1]uint64
+	xs[0], ws[0] = src, 1
+	uintmod.VecLinComb(dst, xs[:], ws[:], uintmod.NegMod(sub, p), bound, p)
 	t.Forward(dst)
-}
-
-// reduceRow sets dst = ([src]_to − sub) mod p_to for a source row of
-// values below bound and a constant sub < p_to: on the IFMA kernel when
-// row to runs it and the values fit its 52-bit lanes, bit-identical to
-// the scalar loop either way. dst may be src.
-//
-//heax:noalloc
-func (c *Context) reduceRow(dst, src []uint64, bound uint64, to int, sub uint64) {
-	p, m := c.Basis.Primes[to], c.Basis.Mods[to]
-	src = src[:len(dst)]
-	switch {
-	case c.RowIFMA(to) && bound <= 1<<52:
-		uintmod.VecReduce(dst, src, sub, p)
-	case sub == 0:
-		for j := range dst {
-			dst[j] = m.Reduce(src[j])
-		}
-	default:
-		for j := range dst {
-			dst[j] = uintmod.SubMod(m.Reduce(src[j]), sub, p)
-		}
-	}
-}
-
-// floorCloseRow is the closing pass of RNS flooring on one row (Algorithm
-// 6 lines 5-6): out = (a − r)·w (+ add) modulo basis prime i, w the
-// dropped prime's inverse times whatever else the value is weighed by;
-// add may be nil.
-//
-//heax:noalloc
-func (c *Context) floorCloseRow(a, r, add, out []uint64, w uint64, i int) {
-	p := c.Basis.Primes[i]
-	if c.RowIFMA(i) {
-		uintmod.VecSubMulAdd(out, a, r, add, w, p)
-		return
-	}
-	ws := uintmod.ShoupPrecomp(w, p)
-	if add != nil {
-		for j := range out {
-			v := uintmod.SubMod(a[j], r[j], p)
-			out[j] = uintmod.AddMod(uintmod.MulRed(v, w, ws, p), add[j], p)
-		}
-		return
-	}
-	for j := range out {
-		v := uintmod.SubMod(a[j], r[j], p)
-		out[j] = uintmod.MulRed(v, w, ws, p)
-	}
-}
-
-// linCombRow sets out = Σₜ xs[t]·ws[t] + add modulo basis prime i for
-// constants ws[t], add < p_i and rows wideInput does not flag; out may be
-// one of xs. An IFMA row takes LinCombTerms rows a pass, each pass after
-// the first adding to what the last left in out.
-//
-//heax:noalloc
-func (c *Context) linCombRow(out []uint64, xs [][]uint64, ws []uint64, add uint64, i int) {
-	p := c.Basis.Primes[i]
-	if c.RowIFMA(i) {
-		n := min(len(xs), uintmod.LinCombTerms)
-		uintmod.VecLinComb(out, xs[:n], ws[:n], add, p)
-		// Every further pass takes out back with weight 1.
-		var more [uintmod.LinCombTerms][]uint64
-		var moreW [uintmod.LinCombTerms]uint64
-		more[0], moreW[0] = out, 1
-		for xs, ws = xs[n:], ws[n:]; len(xs) > 0; xs, ws = xs[n:], ws[n:] {
-			n = min(len(xs), uintmod.LinCombTerms-1)
-			copy(more[1:], xs[:n])
-			copy(moreW[1:], ws[:n])
-			uintmod.VecLinComb(out, more[:n+1], moreW[:n+1], 0, p)
-		}
-		return
-	}
-	var shoup [MaxChainOps + 1]uint64
-	for t, w := range ws {
-		shoup[t] = uintmod.ShoupPrecomp(w, p)
-	}
-	for j := range out {
-		s := add
-		for t, x := range xs {
-			s = uintmod.AddMod(s, uintmod.MulRed(x[j], ws[t], shoup[t], p), p)
-		}
-		out[j] = s
-	}
-}
-
-// wideInput reports whether a row of values below bound must be reduced
-// before linCombRow on row i takes it: the scalar loop's Shoup product
-// takes any 64-bit value, the IFMA kernel values below 2^52.
-func (c *Context) wideInput(bound uint64, i int) bool {
-	return c.RowIFMA(i) && bound > 1<<52
 }
 
 // TailSumTerms is how many lifted rows of prime last one tail sum may

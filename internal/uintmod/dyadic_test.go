@@ -18,10 +18,11 @@ func prevPrime(x uint64) uint64 {
 }
 
 // dyadicPrimes covers every Table 2 prime size, the largest modulus the
-// kernels accept, and two small primes (the largest lane shifts).
+// vector kernels accept, two small primes (the largest lane shifts) and a
+// 55-bit prime, which takes the portable loops on every host.
 func dyadicPrimes() []uint64 {
 	ps := []uint64{257, 12289}
-	for _, bits := range []uint{36, 37, 43, 46, 49, 50} {
+	for _, bits := range []uint{36, 37, 43, 46, 49, 50, 55} {
 		ps = append(ps, prevPrime(1<<bits))
 	}
 	return ps
@@ -48,16 +49,14 @@ func dyadicRow(rng *rand.Rand, n int, p uint64, edge [3]uint64, byThrees bool) [
 
 // forEachDyadicCase runs f for every (prime, n) the kernels are specified
 // for, with four operand rows: rows 0 and 1, and rows 2 and 3, pair up
-// {0, 1, p-1} in their leading lanes.
+// {0, 1, p-1} in their leading lanes. On an IFMA host every prime below
+// 2^50 takes the vector route, elsewhere every prime the portable one.
 func forEachDyadicCase(t *testing.T, f func(t *testing.T, m Modulus, rows [4][]uint64)) {
-	if !HasIFMA() {
-		t.Skip("no AVX-512 IFMA")
-	}
 	rng := rand.New(rand.NewSource(13))
 	for _, p := range dyadicPrimes() {
 		for _, n := range []int{8, 16, 64, 4096} {
-			if !IFMAUsable(p, n) {
-				t.Fatalf("IFMAUsable(%d, %d) = false", p, n)
+			if want := HasIFMA() && p < 1<<50; IFMAUsable(p, n) != want {
+				t.Fatalf("IFMAUsable(%d, %d) = %v", p, n, !want)
 			}
 			t.Run(fmt.Sprintf("p=%d/n=%d", p, n), func(t *testing.T) {
 				e, f2 := [3]uint64{p - 1, 0, 1}, [3]uint64{1, p - 1, 0}
@@ -115,15 +114,17 @@ func TestVecSub(t *testing.T) {
 	binaryKernel(t, "VecSub", VecSub, func(m Modulus, x, y uint64) uint64 { return SubMod(x, y, m.P) })
 }
 
+// A negation is a one-row VecLinComb of weight p-1, as ring.Neg runs it.
 func TestVecNeg(t *testing.T) {
 	forEachDyadicCase(t, func(t *testing.T, m Modulus, rows [4][]uint64) {
 		x := rows[0]
+		want := func(i int) uint64 { return NegMod(x[i], m.P) }
 		out := make([]uint64, len(x))
-		VecNeg(out, x, m.P)
-		checkRow(t, "VecNeg", out, func(i int) uint64 { return NegMod(x[i], m.P) })
+		VecLinComb(out, [][]uint64{x}, []uint64{m.P - 1}, 0, m.P, m.P)
+		checkRow(t, "negation", out, want)
 		ax := slices.Clone(x)
-		VecNeg(ax, ax, m.P)
-		checkRow(t, "VecNeg out=x", ax, func(i int) uint64 { return NegMod(x[i], m.P) })
+		VecLinComb(ax, [][]uint64{ax}, []uint64{m.P - 1}, 0, m.P, m.P)
+		checkRow(t, "negation out=x", ax, want)
 	})
 }
 
@@ -183,9 +184,6 @@ func TestVecDotPairOneTerm(t *testing.T) {
 // sums), lanes alternating 0 and p-1, and random lanes; with and without
 // an accumulator carried in.
 func TestVecDotPair(t *testing.T) {
-	if !HasIFMA() {
-		t.Skip("no AVX-512 IFMA")
-	}
 	rng := rand.New(rand.NewSource(29))
 	const n = 16
 	fills := map[string]func(i int, p uint64) uint64{
@@ -288,9 +286,6 @@ func expandRow(y []uint64, n int) []uint64 {
 // Set-A/B/C primes (36/37-, 43/46- and 49-bit) and the largest kernel
 // prime, whose one-product blocks change which term starts a reduction.
 func TestCompactOperand(t *testing.T) {
-	if !HasIFMA() {
-		t.Skip("no AVX-512 IFMA")
-	}
 	rng := rand.New(rand.NewSource(31))
 	const dotChunk = 16 // ring.DotChunk
 	for _, bitlen := range []uint{36, 37, 43, 46, 49, 50} {
@@ -407,10 +402,12 @@ func TestVecMulTensor(t *testing.T) {
 	})
 }
 
-// VecReduce takes any word below 2^52 — a residue of another prime — so
-// its leading lanes walk the multiples of p and the top of the range
-// instead of dyadicRow's reduced edges; sub covers no rounding shift, the
-// smallest, the largest and an arbitrary one.
+// A reduction is a one-row VecLinComb of weight 1 and add = -sub mod p,
+// as the RNS base conversion runs it. It takes any word below its bound —
+// a residue of another prime — so the leading lanes walk the multiples of
+// p and the top of the 52-bit range instead of dyadicRow's reduced edges;
+// sub covers no rounding shift, the smallest, the largest and an
+// arbitrary one.
 func TestVecReduce(t *testing.T) {
 	forEachDyadicCase(t, func(t *testing.T, m Modulus, rows [4][]uint64) {
 		p := m.P
@@ -420,14 +417,15 @@ func TestVecReduce(t *testing.T) {
 			x[i] = rng.Uint64() >> 12
 		}
 		copy(x, []uint64{0, p - 1, p, p + 1, 2*p - 1, 1<<52 - 1, 1<<52 - p, 3 * p})
+		bound := slices.Max(x) + 1
 		for _, sub := range []uint64{0, 1, p - 1, rows[1][len(x)-1]} {
 			want := func(i int) uint64 { return SubMod(m.Reduce(x[i]), sub, p) }
 			out := make([]uint64, len(x))
-			VecReduce(out, x, sub, p)
-			checkRow(t, fmt.Sprintf("VecReduce sub=%d", sub), out, want)
+			VecLinComb(out, [][]uint64{x}, []uint64{1}, NegMod(sub, p), bound, p)
+			checkRow(t, fmt.Sprintf("reduction sub=%d", sub), out, want)
 			ax := slices.Clone(x)
-			VecReduce(ax, ax, sub, p)
-			checkRow(t, fmt.Sprintf("VecReduce out=x sub=%d", sub), ax, want)
+			VecLinComb(ax, [][]uint64{ax}, []uint64{1}, NegMod(sub, p), bound, p)
+			checkRow(t, fmt.Sprintf("reduction out=x sub=%d", sub), ax, want)
 		}
 	})
 }
@@ -461,53 +459,72 @@ func TestVecSubMulAdd(t *testing.T) {
 	})
 }
 
-// VecLinComb must equal the Shoup products added one by one, for 1 to
-// LinCombTerms rows of residues and of values up to 2^52 - 1 (a wider
-// prime's residues, unreduced), the extreme weights among them, with and
-// without a constant, landing apart or on one of its rows.
+// VecLinComb must equal the products reduced one by one and summed: for 1
+// to LinCombTerms rows and for sums longer than one pass, of residues and
+// of values up to 2^52 - 1 (a wider prime's residues, unreduced), the
+// extreme weights among them, with and without a constant, landing apart
+// or on one of the first pass's rows. Rows past 2^52 — a tail sum of wide
+// primes — must take the portable loop on every prime: a 52-bit lane
+// would drop their top bits.
 func TestVecLinComb(t *testing.T) {
 	forEachDyadicCase(t, func(t *testing.T, m Modulus, rows [4][]uint64) {
 		p, n := m.P, len(rows[0])
 		rng := rand.New(rand.NewSource(int64(p % 1000)))
-		wide := make([]uint64, n)
+		wide, huge := make([]uint64, n), make([]uint64, n)
 		for i := range wide {
-			wide[i] = rng.Uint64() >> 12
+			wide[i], huge[i] = rng.Uint64()>>12, rng.Uint64()
 		}
 		wide[0], wide[n-1] = 1<<52-1, p
-		pool := [][]uint64{rows[0], rows[1], rows[2], rows[3], wide}
-		for terms := 1; terms <= LinCombTerms; terms++ {
-			for _, add := range []uint64{0, p - 1, rows[3][n/2]} {
-				xs := make([][]uint64, terms)
-				ws := make([]uint64, terms)
-				for j := range xs {
-					xs[j] = pool[rng.Intn(len(pool))]
-					ws[j] = []uint64{0, 1, p - 1, rng.Uint64() % p}[rng.Intn(4)]
-				}
-				want := func(i int) uint64 {
-					s := add
-					for j, x := range xs {
-						s = AddMod(s, MulRed(x[i], ws[j], ShoupPrecomp(ws[j], p), p), p)
-					}
-					return s
-				}
-				out := make([]uint64, n)
-				VecLinComb(out, xs, ws, add, p)
-				checkRow(t, fmt.Sprintf("VecLinComb %d terms add=%d", terms, add), out, want)
-				// Landing on one of its rows: a copy, so the pool's rows and
-				// want keep their values.
-				j := rng.Intn(terms)
-				in := slices.Clone(xs[j])
-				onto := slices.Clone(xs)
-				onto[j] = in
-				VecLinComb(in, onto, ws, add, p)
-				checkRow(t, fmt.Sprintf("VecLinComb out=xs[%d] %d terms", j, terms), in, want)
+		huge[0] = ^uint64(0) - 1
+		draw := func(terms int, pool ...[]uint64) ([][]uint64, []uint64) {
+			xs, ws := make([][]uint64, terms), make([]uint64, terms)
+			for j := range xs {
+				xs[j] = pool[rng.Intn(len(pool))]
+				ws[j] = []uint64{0, 1, p - 1, rng.Uint64() % p}[rng.Intn(4)]
 			}
+			xs[0] = pool[0]
+			return xs, ws
+		}
+		check := func(what string, xs [][]uint64, ws []uint64, add, bound uint64) {
+			t.Helper()
+			want := func(i int) uint64 {
+				s := add
+				for j, x := range xs {
+					s = AddMod(s, m.MulMod(m.Reduce(x[i]), ws[j]), p)
+				}
+				return s
+			}
+			out := make([]uint64, n)
+			VecLinComb(out, xs, ws, add, bound, p)
+			checkRow(t, what, out, want)
+			// Landing on one of its rows: a copy, so the pool's rows and
+			// want keep their values.
+			j := rng.Intn(min(len(xs), LinCombTerms))
+			in := slices.Clone(xs[j])
+			onto := slices.Clone(xs)
+			onto[j] = in
+			VecLinComb(in, onto, ws, add, bound, p)
+			checkRow(t, fmt.Sprintf("%s out=xs[%d]", what, j), in, want)
+		}
+		for _, terms := range []int{1, 2, 3, LinCombTerms, LinCombTerms + 1, 2*LinCombTerms + 3, 3*LinCombTerms + 1} {
+			for _, add := range []uint64{0, p - 1, rows[3][n/2]} {
+				xs, ws := draw(terms, rows[0], rows[1], rows[2], rows[3], wide)
+				check(fmt.Sprintf("%d terms add=%d", terms, add), xs, ws, add, max(p, 1<<52))
+			}
+		}
+
+		for _, terms := range []int{1, 3, LinCombTerms + 2} {
+			xs, ws := draw(terms, huge, rows[0], wide)
+			check(fmt.Sprintf("%d terms past 2^52", terms), xs, ws, rows[2][1], ^uint64(0))
 		}
 	})
 }
 
 func TestBarrett52(t *testing.T) {
 	for _, p := range dyadicPrimes() {
+		if p >= 1<<50 {
+			continue // the vector kernels' constant; wider primes run the portable loops
+		}
 		mu, shift := barrett52(p)
 		k := uint(52 - shift)
 		if p>>(k-1) != 1 {
@@ -528,6 +545,9 @@ func TestBarrett52(t *testing.T) {
 func TestBarrett52Bounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, p := range dyadicPrimes() {
+		if p >= 1<<50 {
+			continue
+		}
 		mu, shift := barrett52(p)
 		draw := func() uint64 {
 			switch rng.Intn(4) {
@@ -556,5 +576,35 @@ func TestBarrett52Bounds(t *testing.T) {
 				t.Fatalf("p=%d: fused remainder %d not below 4p", p, r)
 			}
 		}
+	}
+}
+
+// BenchmarkVecLinComb prices the floor close's row passes on a Set-C-sized
+// prime: VecLinComb of 1 row (a reduction), 2 and 3 rows (a chain's
+// close) and 9 rows (past one pass), and VecSubMulAdd, the close of a
+// single floor, beside them.
+func BenchmarkVecLinComb(b *testing.B) {
+	p := prevPrime(1 << 49)
+	rng := rand.New(rand.NewSource(61))
+	for _, n := range []int{1 << 12, 1 << 14} {
+		xs := make([][]uint64, 9)
+		ws := make([]uint64, len(xs))
+		for j := range xs {
+			xs[j] = dyadicRow(rng, n, p, [3]uint64{p - 1, 0, 1}, false)
+			ws[j] = rng.Uint64() % p
+		}
+		out := make([]uint64, n)
+		for _, rows := range []int{1, 2, 3, 9} {
+			b.Run(fmt.Sprintf("n=%d/rows=%d", n, rows), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					VecLinComb(out, xs[:rows], ws[:rows], ws[0], p, p)
+				}
+			})
+		}
+		b.Run(fmt.Sprintf("n=%d/SubMulAdd", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				VecSubMulAdd(out, xs[0], xs[1], xs[2], ws[0], p)
+			}
+		})
 	}
 }

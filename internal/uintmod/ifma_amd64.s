@@ -5,7 +5,8 @@
 // argument on CPUs: VPMADD52{L,H}UQ multiply eight 52-bit lanes at once.
 //
 // All kernels require: p odd and below 2^50 (every Table 2 prime
-// qualifies), n > 0 and n % 8 == 0. Callers gate on IFMAUsable.
+// qualifies), n > 0 and n % 8 == 0. Their Go wrappers (vec.go,
+// permute.go) route a row here only when IFMAUsable.
 
 #include "textflag.h"
 
@@ -419,69 +420,15 @@ loop:
 	VZEROUPPER
 	RET
 
-// func vecNegIFMA(out, x *uint64, n int, p uint64)
-// out[i] = -x[i] mod p for x[i] < p.
-TEXT ·vecNegIFMA(SB), NOSPLIT, $0-32
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ p+24(FP), AX
-	VPBROADCASTQ AX, Z12
-	SHRQ $3, CX
-loop:
-	VPSUBQ (SI), Z12, Z0            // p - x in (0, p]
-	VPSUBQ Z12, Z0, Z1              // 0 when x = 0, wraps otherwise
-	VPMINUQ Z1, Z0, Z0
-	VMOVDQU64 Z0, (DI)
-	ADDQ $64, DI
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop
-	VZEROUPPER
-	RET
-
 // ---- constant-operand kernels (the RNS base conversion and flooring) ----
 //
 // Key switching and rescaling move a coefficient row from one prime to
 // another (Algorithm 7 line 6, Algorithm 6 lines 3-6): reduce it modulo
-// the target prime before the transform, and after it subtract, scale by
-// the dropped prime's inverse and add. Both multiply by one constant per
-// row, so they use the single-word forms: Barrett with mu = floor(2^52/p)
-// and Shoup with w' = floor(w*2^52/p) (ShoupPrecomp52). DYADCONST puts the
-// two row constants in Z10 and Z11.
-
-// func vecReduceIFMA(out, x *uint64, n int, p, mu, sub uint64)
-// out[i] = (x[i] mod p - sub) mod p for x[i] < 2^52 and sub < p.
-// q = hi52(x*mu) is at least x/p - 2 and never above it (mu <= 2^52/p,
-// and mu > 2^52/p - 1 costs x/2^52 < 1, the floor less than one more),
-// so x - q*p lies in [0, 2p): below 2^52, hence equal to its value modulo
-// 2^52, which is lo52(q*(2^52-p)) added to x and masked.
-TEXT ·vecReduceIFMA(SB), NOSPLIT, $0-48
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVQ p+24(FP), AX
-	MOVQ mu+32(FP), DX
-	MOVQ sub+40(FP), BX
-	DYADCONST
-	SHRQ $3, CX
-loop:
-	VMOVDQU64 (SI), Z0              // x < 2^52
-	VPXORQ Z1, Z1, Z1
-	VPMADD52HUQ Z10, Z0, Z1         // q = hi52(x*mu)
-	VPMADD52LUQ Z15, Z1, Z0         // x - q*p (mod 2^52)
-	VPANDQ Z14, Z0, Z0              // in [0, 2p)
-	FOLDP(Z0, Z2)
-	VPSUBQ Z11, Z0, Z0              // - sub, wraps when negative
-	VPADDQ Z12, Z0, Z2              // ... and this is then the residue
-	VPMINUQ Z2, Z0, Z0
-	VMOVDQU64 Z0, (DI)
-	ADDQ $64, DI
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop
-	VZEROUPPER
-	RET
+// the target prime before the transform — a one-row linear combination of
+// weight 1 — and after it subtract, scale by the dropped prime's inverse
+// and add. Both multiply by one constant per row, so they use the Shoup
+// form w' = floor(w*2^52/p) (ShoupPrecomp52). DYADCONST puts the two row
+// constants in Z10 and Z11.
 
 // func vecSubMulAddIFMA(out, a, r, add *uint64, n int, p, w, wShoup uint64)
 // out[i] = ((a[i] - r[i])*w + add[i]) mod p for a[i], r[i], add[i], w < p;

@@ -723,11 +723,7 @@ func (p *Plan) execKernel(idx int, st *planStep, in, outs []*Ciphertext) (err er
 		case stepSub:
 			err = e.inner.SubInto(in[0], in[1], outs[0])
 		case stepMulRelin:
-			if st.chain != nil {
-				err = e.inner.MulRelinChainInto(in[0], in[1], e.keys.Relin, st.chain, outs[0])
-			} else {
-				err = e.inner.MulRelinInto(in[0], in[1], e.keys.Relin, outs[0])
-			}
+			err = e.inner.MulRelinChainInto(in[0], in[1], e.keys.Relin, st.chain, outs[0])
 		case stepMulPlain:
 			err = e.inner.MulPlainInto(in[0], st.pt, outs[0])
 		case stepAddPlain:

@@ -487,8 +487,9 @@ func TestPlanRotateSumCap(t *testing.T) {
 // set, half the circuits bound every output and the rest bound some,
 // drawn from bounds alone, so rng draws the same DAGs either way. With
 // chains set, a quarter of the ops add a rescale chain (randomChain), drawn
-// from chains alone, beside what rng draws.
-func randomCircuit(rng, bounds, chains *rand.Rand, slots int) *Circuit {
+// from chains alone, beside what rng draws; with views set, a quarter add
+// a value to one below it (randomDescent), drawn from views alone.
+func randomCircuit(rng, bounds, chains, views *rand.Rand, slots int) *Circuit {
 	c := NewCircuit()
 	nodes := []Node{c.Input("x"), c.Input("y")}
 	pick := func() Node { return nodes[rng.Intn(len(nodes))] }
@@ -599,6 +600,9 @@ func randomCircuit(rng, bounds, chains *rand.Rand, slots int) *Circuit {
 		if chains != nil && chains.Intn(4) == 0 {
 			nodes = append(nodes, randomChain(c, chains, nodes))
 		}
+		if views != nil && views.Intn(4) == 0 {
+			nodes = append(nodes, randomDescent(c, views, nodes))
+		}
 	}
 	for o := 1 + rng.Intn(3); o > 0; o-- {
 		// Mostly the latest values, so most of the DAG is live.
@@ -656,6 +660,33 @@ func randomChain(c *Circuit, chains *rand.Rand, nodes []Node) Node {
 	return c.MulRelin(v, v)
 }
 
+// randomDescent draws the sum of a value and one two levels below it, so
+// that a step reads the value through a view of its first rows
+// (ckks.AtLevel): a plain value (an AddPlain of an input), a producer's
+// output (a product of the inputs, its rescale fused into the MulRelin
+// step) or a Rescale chain with no producer (a constant multiple of an
+// input). The lower value is an input times three constants, each after
+// the first rescaling the one before, so it needs a deeper chain than
+// Set-A's.
+func randomDescent(c *Circuit, views *rand.Rand, nodes []Node) Node {
+	input := func() Node { return nodes[views.Intn(2)] }
+	scalar := func() float64 { return views.Float64()*2 - 1 }
+	var hi Node
+	switch views.Intn(3) {
+	case 0:
+		hi = c.AddPlain(input(), []float64{scalar(), scalar()})
+	case 1:
+		hi = c.MulRelin(input(), input())
+	default:
+		hi = c.MulConst(input(), scalar())
+	}
+	lo := c.MulConst(c.MulConst(c.MulConst(input(), scalar()), scalar()), scalar())
+	if views.Intn(2) == 0 {
+		return c.Add(hi, lo)
+	}
+	return c.Add(lo, hi)
+}
+
 // TestPlanRandomDAGs is the property behind the executor: for any
 // circuit, Compile either refuses with a typed sentinel or yields a plan
 // whose runs — a crew of one, a crew of four, and RunBatch — all equal
@@ -678,6 +709,7 @@ func TestPlanRandomDAGs(t *testing.T) {
 	conjTerms, rounds := 0, 0         // conjugated terms; InnerSum rounds (x + rot(x) over one bare x)
 	placed := 0                       // plans whose inputs enter below the top level
 	fusedChains := map[stepKind]int{} // fused chains by producer kind, stepRescale for none
+	viewed := map[string]int{}        // operands read through a view, by what made them
 	for _, pass := range []struct {
 		spec  ParamSpec
 		count int
@@ -688,13 +720,19 @@ func TestPlanRandomDAGs(t *testing.T) {
 		rng := rand.New(rand.NewSource(pass.seed))
 		bounds := rand.New(rand.NewSource(pass.seed + 100))
 		chains := rand.New(rand.NewSource(pass.seed + 200))
+		// Set-A has no level below its top that a product can reach, so
+		// only Set-B's circuits add values to ones below them.
+		var views *rand.Rand
+		if pass.spec.Name == SetB.Name {
+			views = rand.New(rand.NewSource(pass.seed + 300))
+		}
 		in := map[string]*Ciphertext{
 			"x": k.encrypt(t, []float64{0.5, -0.25, 0.75, 1}),
 			"y": k.encrypt(t, []float64{-1, 0.125, 0.5, -0.5}),
 		}
 		total += pass.count
 		for n := 0; n < pass.count; n++ {
-			plan, err := randomCircuit(rng, bounds, chains, slots).Compile(k.params, k.evk)
+			plan, err := randomCircuit(rng, bounds, chains, views, slots).Compile(k.params, k.evk)
 			if err != nil {
 				typed := false
 				for _, s := range sentinels {
@@ -753,6 +791,18 @@ func TestPlanRandomDAGs(t *testing.T) {
 							lowSums++
 						}
 					}
+				}
+			}
+			for _, r := range viewReads(plan, in) {
+				switch src := plan.producer[plan.steps[r.step].args[r.arg]]; {
+				case src < 0:
+					viewed["input"]++
+				case plan.steps[src].kind == stepRescale:
+					viewed["Rescale chain"]++
+				case plan.steps[src].kind == stepMulRelin || plan.steps[src].kind == stepRotateSum || plan.steps[src].kind == stepRotateHoisted:
+					viewed["producer"]++
+				default:
+					viewed["plain"]++
 				}
 			}
 			want := replayPlan(t, plan, in)
@@ -830,6 +880,10 @@ func TestPlanRandomDAGs(t *testing.T) {
 		t.Fatalf("fused chains after a MulRelin, a RotateSum and no producer: %d, %d and %d in %d plans: the generator no longer covers the chain fusion",
 			fusedChains[stepMulRelin], fusedChains[stepRotateSum], fusedChains[stepRescale], compiled)
 	}
-	t.Logf("%d of %d random circuits compiled (%d placed below the top level, %d fused sums, the widest of %d terms, %d mixing row shapes, %d products unfused, %d sums of rotations, %d below the top level, %d conjugated terms, %d InnerSum rounds, fused chains %d after a MulRelin, %d after a RotateSum and %d of plain values); refused: %v",
-		compiled, total, placed, fused, widest, mixed, kept, rotSums, lowSums, conjTerms, rounds, fusedChains[stepMulRelin], fusedChains[stepRotateSum], fusedChains[stepRescale], refused)
+	if !testing.Short() && (viewed["plain"] == 0 || viewed["producer"] == 0 || viewed["Rescale chain"] == 0) {
+		t.Fatalf("operands read through a view: %v in %d plans: the generator no longer covers a plain value, a producer's output and a Rescale chain with no producer read below their level",
+			viewed, compiled)
+	}
+	t.Logf("%d of %d random circuits compiled (%d placed below the top level, %d fused sums, the widest of %d terms, %d mixing row shapes, %d products unfused, %d sums of rotations, %d below the top level, %d conjugated terms, %d InnerSum rounds, fused chains %d after a MulRelin, %d after a RotateSum and %d of plain values, view reads %v); refused: %v",
+		compiled, total, placed, fused, widest, mixed, kept, rotSums, lowSums, conjTerms, rounds, fusedChains[stepMulRelin], fusedChains[stepRotateSum], fusedChains[stepRescale], viewed, refused)
 }

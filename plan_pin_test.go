@@ -60,7 +60,7 @@ func TestRandomDAGOutputsPinned(t *testing.T) {
 			"y": k.encrypt(t, []float64{-1, 0.125, 0.5, -0.5}),
 		}
 		for n := 0; n < pass.count; n++ {
-			plan, err := randomCircuit(rng, bounds, chains, k.params.Slots()).Compile(k.params, k.evk)
+			plan, err := randomCircuit(rng, bounds, chains, nil, k.params.Slots()).Compile(k.params, k.evk)
 			if err != nil {
 				h.Write([]byte("refused"))
 				continue
