@@ -807,7 +807,8 @@ func (k *compiler) bindOutputs() ([]planOutput, error) {
 // hoistRotations merges rotations (bareGalois steps) sharing a source slot
 // into one hoisted-decomposition batch: the merged step pays the per-digit
 // INTT and cross-modulus NTTs of Algorithm 7 once for the whole group
-// (Halevi–Shoup hoisting). Merging at the group's earliest position is
+// (Halevi–Shoup hoisting), each member keeping the Galois key its
+// rotation was lowered with. Merging at the group's earliest position is
 // dependency-safe: every member depends only on the shared source, and
 // every consumer appears after its member's original position.
 func (k *compiler) hoistRotations() {
@@ -830,6 +831,7 @@ func (k *compiler) hoistRotations() {
 		}
 		for _, i := range members {
 			merged.rots = append(merged.rots, k.steps[i].rots[0])
+			merged.keys = append(merged.keys, k.steps[i].keys[0])
 			merged.outs = append(merged.outs, k.steps[i].outs[0])
 			drop[i] = true
 		}

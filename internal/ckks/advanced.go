@@ -41,16 +41,33 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int, gks *GaloisKeySe
 	return out, nil
 }
 
-// RotateHoistedInto rotates ct by each steps[i] into outs[i], sharing
-// one decomposition across all steps, with the cached digits and every
-// other intermediate drawn from pooled scratch — the multi-rotation
-// execution path compiled plans batch same-source rotations onto.
-// Outputs must be distinct and must not share storage with ct (every
-// step reads ct after the first output is written); one that does is
-// refused before anything is written. A step of 0 copies ct.
+// RotateHoistedInto rotates ct by each steps[i] into outs[i] through
+// RotateHoistedKeysInto, each step resolved to its key as RotateLeftInto
+// resolves one (normalized; a step of 0 copies ct). A missing key is
+// refused before anything is written.
 func (ev *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, gks *GaloisKeySet, outs []*Ciphertext) error {
-	if len(steps) != len(outs) {
-		return fmt.Errorf("ckks: %d rotation steps for %d outputs", len(steps), len(outs))
+	keys := make([]*GaloisKey, len(steps))
+	for i, step := range steps {
+		key, err := ev.rotationKeyFor(gks, step)
+		if err != nil {
+			return err
+		}
+		keys[i] = key
+	}
+	return ev.RotateHoistedKeysInto(ct, keys, outs)
+}
+
+// RotateHoistedKeysInto applies the automorphism of each keys[i] and its
+// key switch to ct into outs[i] (a nil key copies ct), sharing one
+// decomposition across all of them, with the cached digits and every
+// other intermediate drawn from pooled scratch — the multi-rotation
+// execution path compiled plans batch same-source rotations onto, their
+// keys bound at Compile. Outputs must be distinct and must not share
+// storage with ct (every step reads ct after the first output is
+// written); one that does is refused before anything is written.
+func (ev *Evaluator) RotateHoistedKeysInto(ct *Ciphertext, keys []*GaloisKey, outs []*Ciphertext) error {
+	if len(keys) != len(outs) {
+		return fmt.Errorf("ckks: %d rotation keys for %d outputs", len(keys), len(outs))
 	}
 	if ct.Degree() != 1 {
 		return fmt.Errorf("ckks: rotation requires a degree-1 ciphertext (got %d): %w", ct.Degree(), ErrDegreeMismatch)
@@ -68,24 +85,18 @@ func (ev *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, gks *GaloisK
 			}
 		}
 	}
-	// Resolve every key before writing any output, so a missing step
-	// leaves the outputs untouched. Steps normalize modulo the slot
-	// count; a nil key marks an identity (normalized-0) step, copied
-	// below.
-	keys := make([]*GaloisKey, len(steps))
-	for i, step := range steps {
-		key, err := ev.rotationKeyFor(gks, step)
-		if err != nil {
-			return err
-		}
-		keys[i] = key
-	}
 	ctx := ev.ctx
 	level := ct.Level
 	hd := &HoistedDecomposition{level: level, digits: make([]*ring.Poly, level+1)}
+	// One deferred loop rather than a defer per digit, which would
+	// allocate a defer record each.
+	defer func() {
+		for i := range hd.digits {
+			ctx.PutPoly(hd.digits[i])
+		}
+	}()
 	for i := range hd.digits {
 		hd.digits[i] = ctx.GetPolyNoZero(level + 2) // decompose writes every row
-		defer ctx.PutPoly(hd.digits[i])
 	}
 	ev.decompose(ct.Polys[1], hd, level)
 	c0g := ctx.GetPolyNoZero(level + 1)

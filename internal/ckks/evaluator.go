@@ -27,15 +27,9 @@ type Evaluator struct {
 	// on the same Params.
 	ctx *ring.Context
 
-	// jobs pools the per-call key-switch state (schedule.go); sums and
-	// parts the state of a RotateSumInto call and of its participants
-	// (rotsum.go).
-	jobs, sums, parts sync.Pool
-
-	// Test seam of RotateSumInto: sumOffer, when set, replaces Offer for
-	// its one offer to the pool, so a test can force a helper in or make
-	// it late.
-	sumOffer func(interface{ Help() }) bool
+	// jobs pools the per-call key-switch state (schedule.go), sums the
+	// state of a RotateSumInto call (rotsum.go).
+	jobs, sums sync.Pool
 }
 
 // NewEvaluator builds an evaluator for params.

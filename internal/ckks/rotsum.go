@@ -15,18 +15,9 @@ package ckks
 // fits a 64-bit word (Compile splits a wider one). That
 // lift of the special row is the only non-linear step of a floor, so the
 // result is bit for bit what the operations one at a time give.
-//
-// The terms are dealt from one atomic counter. The caller offers the sum
-// to the ring pool once; an idle worker that takes the offer while terms
-// are left draws its own accumulators and claims terms beside the caller,
-// and the caller, out of terms, waits only for the helpers that joined
-// (serving rows meanwhile) and adds their sums into its own before the
-// close. A busy pool costs parallelism, never a wait.
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"heax/internal/ring"
 )
@@ -97,10 +88,10 @@ func (ev *Evaluator) galoisInto(ct *Ciphertext, key *GaloisKey, self bool, out *
 	return ev.CopyInto(dst, out)
 }
 
-// rotSum is one RotateSumInto call, pooled on the evaluator. A pool
-// worker may answer its offer long after the call returned, even while
-// the struct serves a later call: Help joins only while open is set,
-// under mu, so a late helper either returns at once or joins that call.
+// rotSum is one RotateSumInto call, pooled on the evaluator: the terms,
+// the accumulators they sum into, and per-term scratch. Its polynomials
+// come from the ring pool as a term first needs them and go back when
+// the call closes.
 type rotSum struct {
 	ev  *Evaluator
 	ctx *ring.Context
@@ -112,37 +103,23 @@ type rotSum struct {
 	ends  []int
 	keys  []*GaloisKey
 	level int
-	// stages follow the sum (RotateSumChainInto), which then lands in the
-	// lead part's own polynomials rather than out's.
+	// stages follow the sum (RotateSumChainInto), which then lands in
+	// pooled polynomials rather than out's.
 	stages []Stage
-	next   atomic.Int64 // the last term claimed
 
-	mu sync.Mutex
-	// open: a helper arriving now may still join. active counts the
-	// helpers that joined and have not handed in their part; wake is
-	// sent to once, when the last of them does after open was cleared.
-	open   bool
-	active int
-	done   []*sumPart
-	wake   chan struct{}
-
-	lead *sumPart // the caller's part, which closes the sum into out
-}
-
-// sumPart is one participant's share of a sum: its accumulators and its
-// running sum in Q. Its polynomials come from the ring pool as it first
-// needs them and go back in putPart.
-type sumPart struct {
-	s *rotSum
-	tailAcc
-	// q0, q1: the sum of the unrotated terms and of every σ(c0), in Q —
-	// out's components for the caller, the part's own for a helper, drawn
-	// when it claims its first term (busy). inQ[c] is set once component
-	// c holds a sum: its first term stores rather than adds, so nothing
-	// is zeroed first.
+	// q0, q1: the sum of the unrotated terms and of every σ(c0), in Q.
+	// inQ[c] is set once component c holds a sum: its first term stores
+	// rather than adds, so nothing is zeroed first.
 	q0, q1 *ring.Poly
 	inQ    [2]bool
-	busy   bool
+	// acc0, acc1: the key-switch accumulators, level+2 rows; their q rows
+	// hold the sum of every term's MAC since keyed was set, their special
+	// row only the last term's. tail holds the two components' tail sums:
+	// the integer sum of the inverse-transformed special rows of tails
+	// terms.
+	acc0, acc1, tail *ring.Poly
+	keyed            bool
+	tails            int
 	// Per-term scratch: a dot product, σ(c1), and views of a bare term.
 	dot0, dot1, c1g *ring.Poly
 	x0, x1          ring.Poly
@@ -153,34 +130,23 @@ type sumPart struct {
 	permRow func(int)
 }
 
-// tailAcc is what a part's rotated terms have accumulated.
-type tailAcc struct {
-	// acc0, acc1: the key-switch accumulators, level+2 rows; their q rows
-	// (viewed by accQ) hold the sum of every term's MAC since keyed was
-	// set, their special row only the last term's.
-	acc0, acc1 *ring.Poly
-	accQ       [2]ring.Poly
-	keyed      bool
-	// tail holds the two components' tail sums: the integer sum of the
-	// inverse-transformed special rows of the part's tails terms.
-	tail  *ring.Poly
-	tails int
-}
-
 func (ev *Evaluator) getRotSum() *rotSum {
 	s, _ := ev.sums.Get().(*rotSum)
 	if s == nil {
-		s = &rotSum{wake: make(chan struct{}, 1)}
+		s = &rotSum{}
+		s.permRow = s.runPermRow
 	}
 	s.ev, s.ctx = ev, ev.ctx
 	return s
 }
 
+// putRotSum drops the call's references, keeping only its lists'
+// storage, and pools s.
 func (ev *Evaluator) putRotSum(s *rotSum) {
 	clear(s.cts)
 	clear(s.pts)
 	clear(s.keys)
-	s.lead, s.stages = nil, nil
+	*s = rotSum{cts: s.cts[:0], pts: s.pts[:0], ends: s.ends[:0], keys: s.keys[:0], permRow: s.permRow}
 	ev.sums.Put(s)
 }
 
@@ -255,145 +221,57 @@ func (s *rotSum) bind(cts []*Ciphertext, pts []*Plaintext, ends []int, keys []*G
 	return level, scale, nil
 }
 
-// run computes the bound sum into out, prepared at its level and scale.
+// run computes the bound sum into out, prepared at its level and scale,
+// its terms in order on the caller.
 func (s *rotSum) run(out *Ciphertext) {
-	lead := s.ev.getPart()
-	lead.s, lead.busy = s, true
 	if len(s.stages) == 0 {
-		lead.q0, lead.q1 = out.Polys[0], out.Polys[1]
+		s.q0, s.q1 = out.Polys[0], out.Polys[1]
 	} else {
-		lead.shape(&lead.q0, s.level+1)
-		lead.shape(&lead.q1, s.level+1)
+		s.shape(&s.q0, s.level+1)
+		s.shape(&s.q1, s.level+1)
 	}
-	s.lead = lead
-	s.mu.Lock()
-	s.next.Store(-1)
-	s.open = true
-	s.mu.Unlock()
-	switch {
-	case len(s.ends) < 2:
-	case s.ev.sumOffer != nil:
-		s.ev.sumOffer(s)
-	default:
-		s.ev.Offer(s)
+	for t := range s.ends {
+		s.term(t)
 	}
-	lead.work()
-	s.mu.Lock()
-	s.open = false
-	for s.active > 0 {
-		s.mu.Unlock()
-		s.ev.HelpUntil(s.wake)
-		s.mu.Lock()
-	}
-	s.mu.Unlock()
-	for _, h := range s.done {
-		lead.merge(h)
-		s.ev.putPart(h)
-	}
-	clear(s.done)
-	s.done = s.done[:0]
 	// out = (acc − NTT([tail]))·P⁻¹ + the Q sum, for both components, with
 	// no addition where the Q sum has nothing; then the stages. With no
 	// stages the Q sum is out's own, so the close adds it in place.
-	add := [2]*ring.Poly{lead.q0, lead.q1}
+	add := [2]*ring.Poly{s.q0, s.q1}
 	for c := range add {
-		if !lead.inQ[c] {
+		if !s.inQ[c] {
 			add[c] = nil
 		}
 	}
-	if lead.keyed || len(s.stages) > 0 {
+	if s.keyed || len(s.stages) > 0 {
 		ch := s.ctx.FloorChain()
-		if lead.keyed {
-			ch.Add(lead.acc0, lead.acc1)
-			ch.FloorTail(lead.tail, lead.tails, s.ev.params.SpecialRow(), false)
+		if s.keyed {
+			ch.Add(s.acc0, s.acc1)
+			ch.FloorTail(s.tail, s.tails, s.ev.params.SpecialRow(), false)
 		}
 		ch.Add(add[0], add[1])
 		pushStages(ch, s.level, s.stages)
 		ch.Close(out.Polys[0], out.Polys[1])
 	}
 	if len(s.stages) == 0 {
-		lead.q0, lead.q1 = nil, nil // out's
+		s.q0, s.q1 = nil, nil // out's
 	}
-	s.ev.putPart(lead)
+	for _, q := range [...]*ring.Poly{s.acc0, s.acc1, s.tail, s.q0, s.q1, s.dot0, s.dot1, s.c1g} {
+		s.ctx.PutPoly(q)
+	}
 }
 
-// Help is a pool worker answering the sum's offer: a participant while
-// terms are left, nothing if it comes too late.
-func (s *rotSum) Help() {
-	s.mu.Lock()
-	if !s.open || int(s.next.Load())+1 >= len(s.ends) {
-		s.mu.Unlock()
-		return
-	}
-	s.active++
-	s.mu.Unlock()
-	p := s.ev.getPart()
-	p.s = s
-	p.work()
-	s.mu.Lock()
-	if p.busy {
-		s.done = append(s.done, p)
-	} else {
-		s.ev.putPart(p) // every term went to others
-	}
-	if s.active--; s.active == 0 && !s.open {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
-	}
-	s.mu.Unlock()
-}
-
-func (ev *Evaluator) getPart() *sumPart {
-	p, _ := ev.parts.Get().(*sumPart)
-	if p == nil {
-		p = &sumPart{}
-		p.permRow = p.runPermRow
-	}
-	return p
-}
-
-// putPart returns a part's polynomials to the ring pool and the part to
-// the evaluator's.
-func (ev *Evaluator) putPart(p *sumPart) {
-	for _, q := range [...]*ring.Poly{p.acc0, p.acc1, p.tail, p.q0, p.q1, p.dot0, p.dot1, p.c1g} {
-		ev.ctx.PutPoly(q)
-	}
-	*p = sumPart{permRow: p.permRow}
-	ev.parts.Put(p)
-}
-
-// shape gives *q rows rows from the ring pool the first time the part
+// shape gives *q rows rows from the ring pool the first time the call
 // needs it; the call's level is fixed, so later terms reuse it as it is.
-func (p *sumPart) shape(q **ring.Poly, rows int) {
+func (s *rotSum) shape(q **ring.Poly, rows int) {
 	if *q == nil {
-		//heax:owns the part owns its polynomials; putPart returns them
-		*q = p.s.ctx.GetPolyNoZero(rows)
+		//heax:owns the call owns its polynomials; run returns them
+		*q = s.ctx.GetPolyNoZero(rows)
 	}
 }
 
-// work claims terms until none is left.
-func (p *sumPart) work() {
-	s := p.s
-	for {
-		t := int(s.next.Add(1))
-		if t >= len(s.ends) {
-			return
-		}
-		if !p.busy { // a helper's first term
-			p.busy = true
-			p.shape(&p.q0, s.level+1)
-			p.shape(&p.q1, s.level+1)
-		}
-		p.term(t)
-	}
-}
-
-// term adds term t into the part: an unrotated one into the Q sum, a
+// term adds term t into the sum: an unrotated one into the Q sum, a
 // rotated one through the permutation, the MAC and the tail sum.
-func (p *sumPart) term(t int) {
-	s := p.s
+func (s *rotSum) term(t int) {
 	ctx, level := s.ctx, s.level
 	lo, hi := 0, s.ends[t]
 	if t > 0 {
@@ -403,44 +281,43 @@ func (p *sumPart) term(t int) {
 	src0, src1 := s.cts[lo].Polys[0], s.cts[lo].Polys[1]
 	switch {
 	case s.pts[lo] != nil && key == nil:
-		if p.inQ[0] != p.inQ[1] { // only σ(c0)s so far
-			for _, row := range p.q1.Coeffs {
+		if s.inQ[0] != s.inQ[1] { // only σ(c0)s so far
+			for _, row := range s.q1.Coeffs {
 				clear(row)
 			}
 		}
-		p.dot(lo, hi, p.inQ[0], p.q0, p.q1)
-		p.inQ = [2]bool{true, true}
+		s.dot(lo, hi, s.inQ[0], s.q0, s.q1)
+		s.inQ = [2]bool{true, true}
 		return
 	case s.pts[lo] != nil:
-		p.shape(&p.dot0, level+1)
-		p.shape(&p.dot1, level+1)
-		p.dot(lo, hi, false, p.dot0, p.dot1)
-		src0, src1 = p.dot0, p.dot1
+		s.shape(&s.dot0, level+1)
+		s.shape(&s.dot1, level+1)
+		s.dot(lo, hi, false, s.dot0, s.dot1)
+		src0, src1 = s.dot0, s.dot1
 	case key == nil:
-		p.x0.Coeffs, p.x1.Coeffs = src0.Coeffs[:level+1], src1.Coeffs[:level+1]
-		p.addQ(0, &p.x0)
-		p.addQ(1, &p.x1)
+		s.x0.Coeffs, s.x1.Coeffs = src0.Coeffs[:level+1], src1.Coeffs[:level+1]
+		s.addQ(0, &s.x0)
+		s.addQ(1, &s.x1)
 		return
 	}
-	if !p.keyed { // the part's first rotated term
-		p.shape(&p.acc0, level+2)
-		p.shape(&p.acc1, level+2)
-		p.shape(&p.tail, 2)
-		p.accQ[0].Coeffs, p.accQ[1].Coeffs = p.acc0.Coeffs[:level+1], p.acc1.Coeffs[:level+1]
+	if !s.keyed { // the first rotated term
+		s.shape(&s.acc0, level+2)
+		s.shape(&s.acc1, level+2)
+		s.shape(&s.tail, 2)
 	}
-	p.shape(&p.c1g, level+1)
+	s.shape(&s.c1g, level+1)
 	// q0 += σ(c0) and c1g = σ(c1), then c1g's key switch, whose q rows
-	// add to the part's.
-	p.src0, p.src1, p.auto = src0, src1, ctx.AutomorphismNTTTable(key.GaloisElt)
-	ctx.RunRows(level+1, p.permRow)
-	p.inQ[0] = true
-	s.ev.keySwitchMAC(p.c1g, nil, nil, key.Digits, p.acc0, p.acc1, level, p.keyed)
-	p.keyed = true
+	// add to the accumulators'.
+	s.src0, s.src1, s.auto = src0, src1, ctx.AutomorphismNTTTable(key.GaloisElt)
+	ctx.RunRows(level+1, s.permRow)
+	s.inQ[0] = true
+	s.ev.keySwitchMAC(s.c1g, nil, nil, key.Digits, s.acc0, s.acc1, level, s.keyed)
+	s.keyed = true
 	last := s.ev.params.SpecialRow()
 	inv := ctx.Tables[last]
-	for c, acc := range [2]*ring.Poly{p.acc0, p.acc1} {
-		row, tail := acc.Coeffs[level+1], p.tail.Coeffs[c]
-		if p.tails == 0 {
+	for c, acc := range [2]*ring.Poly{s.acc0, s.acc1} {
+		row, tail := acc.Coeffs[level+1], s.tail.Coeffs[c]
+		if s.tails == 0 {
 			inv.InverseTo(tail, row)
 			continue
 		}
@@ -449,13 +326,12 @@ func (p *sumPart) term(t int) {
 			tail[j] += v
 		}
 	}
-	p.tails++
+	s.tails++
 }
 
 // dot computes the term's plaintext products over operands [lo, hi)
 // into o0, o1, adding to them when acc is set.
-func (p *sumPart) dot(lo, hi int, acc bool, o0, o1 *ring.Poly) {
-	s := p.s
+func (s *rotSum) dot(lo, hi int, acc bool, o0, o1 *ring.Poly) {
 	var terms [ring.DotChunk]ring.DotTerm
 	for b := lo; b < hi; b += len(terms) {
 		n := min(hi-b, len(terms))
@@ -470,45 +346,17 @@ func (p *sumPart) dot(lo, hi int, acc bool, o0, o1 *ring.Poly) {
 // c1g = σ(c1), in one pass of the block-permutation kernel (the add to
 // the running sum fused into it), so a term's σ costs what copying its
 // two rows would.
-func (p *sumPart) runPermRow(i int) {
-	p.s.ctx.AutomorphismNTTPairRow(p.src0.Coeffs[i], p.src1.Coeffs[i], p.auto, p.q0.Coeffs[i], p.c1g.Coeffs[i], p.inQ[0], i)
+func (s *rotSum) runPermRow(i int) {
+	s.ctx.AutomorphismNTTPairRow(s.src0.Coeffs[i], s.src1.Coeffs[i], s.auto, s.q0.Coeffs[i], s.c1g.Coeffs[i], s.inQ[0], i)
 }
 
 // addQ adds x into component c of the Q sum, or copies it there first.
-func (p *sumPart) addQ(c int, x *ring.Poly) {
-	q := [2]*ring.Poly{p.q0, p.q1}[c]
-	if p.inQ[c] {
-		p.s.ctx.Add(q, x, q)
+func (s *rotSum) addQ(c int, x *ring.Poly) {
+	q := [2]*ring.Poly{s.q0, s.q1}[c]
+	if s.inQ[c] {
+		s.ctx.Add(q, x, q)
 	} else {
-		copyRows(q, x, p.s.level+1)
+		copyRows(q, x, s.level+1)
 	}
-	p.inQ[c] = true
-}
-
-// merge adds a helper's part into p. Every step is an addition modulo a
-// prime, or of integers whose sum holds no more terms than the call, so
-// the result does not depend on which participant ran which term.
-func (p *sumPart) merge(h *sumPart) {
-	ctx := p.s.ctx
-	for c, q := range [2]*ring.Poly{h.q0, h.q1} {
-		if h.inQ[c] {
-			p.addQ(c, q)
-		}
-	}
-	switch {
-	case !h.keyed:
-		return
-	case !p.keyed:
-		p.tailAcc, h.tailAcc = h.tailAcc, p.tailAcc
-		return
-	}
-	ctx.Add(&p.accQ[0], &h.accQ[0], &p.accQ[0])
-	ctx.Add(&p.accQ[1], &h.accQ[1], &p.accQ[1])
-	for c := 0; c < 2; c++ {
-		tail := p.tail.Coeffs[c]
-		for j, v := range h.tail.Coeffs[c] {
-			tail[j] += v
-		}
-	}
-	p.tails += h.tails
+	s.inQ[c] = true
 }

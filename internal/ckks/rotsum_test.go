@@ -255,15 +255,18 @@ func TestRotateSumMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestRotateSumHelpers: the sum is the same bits whoever runs its terms —
-// a helper that takes the offer before the caller starts (and so runs
-// every term), one racing the caller for them, and one that arrives after
-// the call returned, which must do nothing, even when the pooled call
-// state has moved on to a later sum.
+// TestRotateSumHelpers: a sum runs every term on its caller, and its bits
+// depend on nothing else — first: one caller at 1, 2 and 4 workers, so
+// each term's rows run inline and fanned out; racing: several goroutines
+// running sums on one evaluator at once, each on its own pooled call
+// state; late: the pooled call state of a wide sum serving a following sum
+// of fewer terms, and the wide one again after it. The name and subtests
+// are those of the test from when an idle pool worker could join a sum;
+// they are kept so recorded test lists match.
 func TestRotateSumHelpers(t *testing.T) {
 	f := newRotSumFixture(t, SetA, rotSumShape{rotated: 15, addend: true, dots: true, level: 1}, 5)
 	want := f.unfused(t, NewEvaluator(f.params))
-	check := func(t *testing.T, ev *Evaluator) {
+	check := func(t *testing.T, ev *Evaluator, f *rotSumFixture, want *Ciphertext) {
 		t.Helper()
 		if got := f.fused(t, ev); !sameCiphertext(got, want) {
 			t.Fatal("RotateSumInto differs from RotateLeft + Add")
@@ -272,53 +275,50 @@ func TestRotateSumHelpers(t *testing.T) {
 	// Both names run the same case; they are kept so recorded test lists match.
 	for _, fold := range []int{0, 3} {
 		t.Run(fmt.Sprintf("first/fold%d", fold), func(t *testing.T) {
-			ev := NewEvaluator(f.params)
-			helped := false
-			ev.sumOffer = func(h interface{ Help() }) bool {
-				h.Help()
-				helped = true
-				return true
-			}
-			check(t, ev)
-			if !helped {
-				t.Fatal("the sum made no offer")
+			for _, workers := range []int{1, 2, 4} {
+				ev := NewEvaluator(f.params)
+				ev.SetWorkers(workers)
+				check(t, ev, f, want)
 			}
 		})
 		t.Run(fmt.Sprintf("racing/fold%d", fold), func(t *testing.T) {
 			ev := NewEvaluator(f.params)
-			for run := 0; run < 8; run++ {
-				var wg sync.WaitGroup
-				ev.sumOffer = func(h interface{ Help() }) bool {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						h.Help()
-					}()
-					return true
-				}
-				check(t, ev)
-				wg.Wait()
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					out, err := NewCiphertext(f.params, 1, f.params.MaxLevel(), 0)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for run := 0; run < 2; run++ {
+						scribble(out)
+						if err := f.sumInto(ev, out); err != nil {
+							t.Error(err)
+							return
+						}
+						if !sameCiphertext(out, want) {
+							t.Error("RotateSumInto beside other sums differs from RotateLeft + Add")
+							return
+						}
+					}
+				}()
 			}
+			wg.Wait()
 		})
 	}
 	t.Run("late", func(t *testing.T) {
+		// narrow is f's first three terms.
+		narrow := *f
+		narrow.ends, narrow.steps = f.ends[:3], f.steps[:3]
+		narrow.cts, narrow.pts = f.cts[:f.ends[2]], f.pts[:f.ends[2]]
+		wantNarrow := narrow.unfused(t, NewEvaluator(f.params))
 		ev := NewEvaluator(f.params)
-		var stale []interface{ Help() }
-		ev.sumOffer = func(h interface{ Help() }) bool {
-			stale = append(stale, h)
-			return true
-		}
-		check(t, ev)
-		stale[0].Help() // after the call: nothing left to join
-		// A handle from an earlier call answered during a later one joins
-		// that call, or nothing; either way the bits hold.
-		ev.sumOffer = func(h interface{ Help() }) bool {
-			for _, s := range stale {
-				s.Help()
-			}
-			return true
-		}
-		check(t, ev)
+		check(t, ev, f, want)
+		check(t, ev, &narrow, wantNarrow)
+		check(t, ev, f, want)
 	})
 }
 
@@ -442,9 +442,10 @@ func TestRotateSumRefusesPastTailCap(t *testing.T) {
 
 // BenchmarkRotateSum prices the matvec-serve-A giant step (Set-A, 15
 // rotated 16-term dot products and an unrotated one) fused, against the
-// MulPlainInto, RotateLeftInto and AddInto steps it replaced; -cpu
-// sets the workers, so -cpu 1 is the kernel alone and -cpu 2 with the
-// helper a pool worker may lend it.
+// MulPlainInto, RotateLeftInto and AddInto steps it replaced. Its terms
+// run on the caller, and on an IFMA host no row pass of a Set-A sum at
+// level 1 is wide enough to fan out, so every -cpu value there prices
+// one worker.
 func BenchmarkRotateSum(b *testing.B) {
 	f := newRotSumFixture(b, SetA, rotSumShape{rotated: 15, addend: true, level: 1}, 3)
 	// Every term a 16-term dot product, as the matvec's are.

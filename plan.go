@@ -220,7 +220,7 @@ type planStep struct {
 	pt  *Plaintext
 	pts []*Plaintext
 	// rots is a hoisted batch's steps, or a RotateSum's step per term (0:
-	// unrotated, rotConj: conjugated) and keys its Galois key per term
+	// unrotated, rotConj: conjugated), and keys the Galois key of each
 	// (nil: unrotated), resolved at Compile; a RotateSum's term t reads
 	// args[ends[t−1]:ends[t]].
 	rots   []int
@@ -731,7 +731,7 @@ func (p *Plan) execKernel(idx int, st *planStep, in, outs []*Ciphertext) (err er
 		case stepRescale:
 			err = e.inner.RescaleChainInto(in[0], st.chain, outs[0])
 		case stepRotateHoisted:
-			err = e.inner.RotateHoistedInto(in[0], st.rots, e.keys.Galois, outs)
+			err = e.inner.RotateHoistedKeysInto(in[0], st.keys, outs)
 		case stepCopy:
 			err = e.inner.CopyInto(in[0], outs[0])
 		case stepRotateSum:
