@@ -286,8 +286,8 @@ func TestIntoMatchesAllocating(t *testing.T) {
 // serving loop: once pools are warm the dyadic *Into ops and a rotation
 // must not allocate at all, and each other key-switching one at most
 // twice per op (an InnerSum of four slots, two rounds, five times; a
-// hoisted batch of three rotations six: its decomposition, its key list
-// and a row pass per rotation). The fused giant step of a compiled
+// hoisted batch of three rotations three: its decomposition, that
+// decomposition's digit list and its key list). The fused giant step of a compiled
 // matvec allocates nothing either, and neither do the fused chains of a
 // compiled circuit, whose one floor closes two or three divisions. Every
 // op is judged on one measurement window.
@@ -374,7 +374,7 @@ func TestIntoAllocations(t *testing.T) {
 		{"RotateInto", 0, func() error { return k.eval.RotateInto(x, 1, out) }},
 		{"ConjugateSlotsInto", 2, func() error { return k.eval.ConjugateSlotsInto(x, out) }},
 		{"InnerSumInto", 5, func() error { return k.eval.InnerSumInto(x, 4, out) }},
-		{"RotateHoistedInto", 6, func() error { return k.eval.RotateHoistedInto(x, []int{1, 2, 1}, hoisted) }},
+		{"RotateHoistedInto", 3, func() error { return k.eval.RotateHoistedInto(x, []int{1, 2, 1}, hoisted) }},
 		{"RotateSumInto", 0, func() error { return heax.RotateSumInto(k.eval, sumCts, sumPts, sumEnds, sumKeys, out) }},
 		{"MulRelinChainInto", 0, func() error { return heax.MulRelinChainInto(k.eval, x, y, chain, chained) }},
 		{"RescaleChainInto", 0, func() error { return heax.RescaleChainInto(k.eval, x, chain, chained) }},

@@ -8,6 +8,7 @@ import (
 	"math/cmplx"
 
 	"heax/internal/ring"
+	"heax/internal/rns"
 )
 
 // Plaintext is an encoded message: an RNS polynomial in NTT form together
@@ -32,6 +33,8 @@ type Encoder struct {
 	rotGroup []int
 	// roots[j] = exp(2πi j / m).
 	roots []complex128
+	// composers[l] composes the coefficients of a plaintext of l+1 rows.
+	composers []*rns.Composer
 }
 
 // NewEncoder builds an encoder for params.
@@ -44,6 +47,10 @@ func NewEncoder(params *Params) *Encoder {
 		m:        m,
 		rotGroup: make([]int, slots),
 		roots:    make([]complex128, m+1),
+	}
+	basis := params.RingQP.Basis
+	for k := 1; k <= basis.K(); k++ {
+		e.composers = append(e.composers, basis.Composer(k))
 	}
 	g := 1
 	for i := 0; i < slots; i++ {
@@ -207,39 +214,55 @@ func (e *Encoder) EncodeConst(v float64, level int, scale float64) (*Plaintext, 
 	return &Plaintext{Value: pt, Scale: scale}, nil
 }
 
-// Decode recovers the complex message vector from a plaintext, using CRT
-// composition so that it remains exact at every level.
-func (e *Encoder) Decode(pt *Plaintext) []complex128 {
-	ctx := e.params.RingQP
-	poly := ring.CopyOf(pt.Value)
-	ctx.INTT(poly)
+// decodeBlocks is the number of coefficient blocks Decode's composition
+// hands RunRows: enough for every worker of a Table 2 ring to take a
+// share.
+const decodeBlocks = 16
 
-	rows := poly.Rows()
-	basis := ctx.Basis
-	if rows != basis.K() {
-		sub, err := basis.Sub(rows)
-		if err != nil {
-			panic(err)
-		}
-		basis = sub
-	}
-	res := make([]uint64, rows)
-	coeff := func(j int) float64 {
-		for i := 0; i < rows; i++ {
-			res[i] = poly.Coeffs[i][j]
-		}
-		x := basis.ComposeCentered(res)
-		f := new(big.Float).SetInt(x)
-		f.Quo(f, big.NewFloat(pt.Scale))
-		out, _ := f.Float64()
-		return out
-	}
+// Decode recovers the complex message vector from a plaintext. It
+// inverse-transforms the rows into pooled scratch, composes each
+// coefficient from its residues as a centered integer v in word-sized
+// RNS arithmetic (rns.Composer, tables cached per level), and divides by
+// the scale, rounding as big.Float would round SetInt(v), Quo and
+// Float64: every decoded value is bit for bit that of the big-integer
+// path, with no big integer per coefficient. Blocks of coefficients run
+// through RunRows; the result does not depend on the worker count.
+func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	v := make([]complex128, e.slots)
-	for j := 0; j < e.slots; j++ {
-		v[j] = complex(coeff(j), coeff(j+e.slots))
-	}
+	e.decodeCoeffs(pt, v)
 	e.specialFFT(v)
 	return v
+}
+
+// decodeCoeffs sets v[j] to complex(c_j, c_{j+slots})/Δ, the scaled
+// coefficients the special FFT turns into slot values.
+func (e *Encoder) decodeCoeffs(pt *Plaintext, v []complex128) {
+	ctx := e.params.RingQP
+	src := pt.Value
+	rows := src.Rows()
+	poly := ctx.GetPolyNoZero(rows)
+	defer ctx.PutPoly(poly)
+	ctx.RunRows(rows, func(i int) { ctx.Tables[i].InverseTo(poly.Coeffs[i], src.Coeffs[i]) })
+
+	comp := e.composers[rows-1]
+	d := rns.NewDivisor(pt.Scale)
+	blocks := min(decodeBlocks, e.slots)
+	// Each block's residues and scratch, padded to whole cache lines.
+	stride := (rows + comp.ScratchLen() + 7) &^ 7
+	scratch := make([]uint64, blocks*stride)
+	ctx.RunRows(blocks, func(b int) {
+		res := scratch[b*stride : b*stride+rows]
+		tmp := scratch[b*stride+rows : (b+1)*stride]
+		coeff := func(j int) float64 {
+			for i, row := range poly.Coeffs {
+				res[i] = row[j]
+			}
+			return comp.Quo(res, &d, tmp)
+		}
+		for j := b * e.slots / blocks; j < (b+1)*e.slots/blocks; j++ {
+			v[j] = complex(coeff(j), coeff(j+e.slots))
+		}
+	})
 }
 
 // Slots returns the number of message slots.

@@ -552,10 +552,32 @@ func (c *Context) AutomorphismNTT(a *Poly, t *Automorphism, out *Poly) {
 	if sharesRow(a, out) {
 		panic(errInPlace)
 	}
-	c.RunRows(rowsOf(a, out), func(i int) {
-		uintmod.VecPermute(out.Coeffs[i], a.Coeffs[i], t.blocks, &t.lanes)
-	})
+	rows := rowsOf(a, out)
+	j, _ := autoJobs.Get().(*autoJob)
+	if j == nil {
+		j = new(autoJob)
+		j.row = j.permRow
+	}
+	j.a, j.t, j.out = a, t, out
+	c.RunRows(rows, j.row)
+	*j = autoJob{row: j.row}
+	autoJobs.Put(j)
 }
+
+// autoJob carries one AutomorphismNTT call's operands to its row pass.
+// Pooled with its method value bound once, it lets the pass run without
+// a closure allocated per call.
+type autoJob struct {
+	a, out *Poly
+	t      *Automorphism
+	row    func(int)
+}
+
+func (j *autoJob) permRow(i int) {
+	uintmod.VecPermute(j.out.Coeffs[i], j.a.Coeffs[i], j.t.blocks, &j.t.lanes)
+}
+
+var autoJobs sync.Pool
 
 // AutomorphismNTTRow is one row of AutomorphismNTT, for a caller that
 // runs its own row pass. out must not be a.

@@ -1,8 +1,10 @@
 package ring
 
 import (
-	"math/big"
+	"math"
 	"math/rand"
+
+	"heax/internal/rns"
 )
 
 // Sampler draws the random polynomials the CKKS key-generation and
@@ -103,26 +105,24 @@ func (c *Context) SetCoeffInt64(p *Poly, j int, v int64) {
 }
 
 // InfNormSigned returns the max absolute centered value of a
-// coefficient-domain polynomial, using CRT composition over its rows.
-// It is a test/diagnostic helper (noise measurement), not a fast path.
+// coefficient-domain polynomial as a float64: each coefficient composed
+// from its rows in word-sized RNS arithmetic (rns.Composer, the
+// composition Decode runs, at scale 1) and rounded to nearest, bit for
+// bit what ComposeCentered and big.Float would give. The composition's
+// tables are built per call: this is a diagnostic (noise measurement),
+// not a fast path.
 func (c *Context) InfNormSigned(p *Poly) float64 {
 	rows := p.Rows()
-	basis, err := c.Basis.Sub(rows)
-	if err != nil {
-		panic(err)
-	}
-	res := make([]uint64, rows)
+	comp := c.Basis.Composer(rows)
+	one := rns.NewDivisor(1)
+	tmp := make([]uint64, rows+comp.ScratchLen())
+	res, tmp := tmp[:rows], tmp[rows:]
 	max := 0.0
 	for j := 0; j < c.N; j++ {
-		for i := 0; i < rows; i++ {
+		for i := range res {
 			res[i] = p.Coeffs[i][j]
 		}
-		x := basis.ComposeCentered(res)
-		f, _ := new(big.Float).SetInt(x).Float64()
-		if f < 0 {
-			f = -f
-		}
-		if f > max {
+		if f := math.Abs(comp.Quo(res, &one, tmp)); f > max {
 			max = f
 		}
 	}
