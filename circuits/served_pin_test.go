@@ -39,9 +39,11 @@ func servedLogistic(t *testing.T, k *kit) (*heax.Circuit, []int) {
 
 // TestServedLogisticOutputsPinned pins the output bits of the lr-serve-C
 // plan on fixed inputs to one hash, compiled and run inline and on two
-// workers: how the plan computes may change, its bits may not.
+// workers: how the plan computes may change, its bits may not. The hash
+// depends on the seeded draws behind the keys and inputs too, so only a
+// change to the sampler may move it.
 func TestServedLogisticOutputsPinned(t *testing.T) {
-	const want = 0x74bd6d21eb7210e6
+	const want = 0x43955c74e722c79f
 	k := newKit(t, heax.SetC)
 	c, steps := servedLogistic(t, k)
 	evk := k.keys(t, steps)

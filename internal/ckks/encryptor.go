@@ -69,38 +69,46 @@ func (e *Encryptor) Encrypt(pt *Plaintext) (*Ciphertext, error) {
 func (e *Encryptor) encryptPk(pt *Plaintext) *Ciphertext {
 	ctx := e.params.RingQP
 	rows := e.params.QPRows()
-	u := e.sampler.Ternary(rows)
+	u, e0, e1 := ctx.GetPolyNoZero(rows), ctx.GetPolyNoZero(rows), ctx.GetPolyNoZero(rows)
+	c0, c1 := ctx.GetPolyNoZero(rows), ctx.GetPolyNoZero(rows)
+	e.sampler.TernaryInto(u)
+	e.sampler.ErrorInto(e0)
+	e.sampler.ErrorInto(e1)
 	ctx.NTT(u)
-	e0 := e.sampler.Error(rows)
-	e1 := e.sampler.Error(rows)
 	ctx.NTT(e0)
 	ctx.NTT(e1)
+	ctx.MulCoeffsPair(e.pk.B, e.pk.A, u, c0, c1)
 
-	c0 := ctx.NewPoly(rows)
-	ctx.MulCoeffs(u, e.pk.B, c0)
-	ctx.Add(c0, e0, c0)
-	c1 := ctx.NewPoly(rows)
-	ctx.MulCoeffs(u, e.pk.A, c1)
-	ctx.Add(c1, e1, c1)
-
-	// ct = (m, 0) + ⌊(c0, c1)/P⌉ over Q: at the top level the QP rows are
-	// exactly (q_0..q_L, P), so the floor drops the last row, and the
-	// addition of m rides in its row pass.
-	c0q, c1q := ctx.NewPoly(rows-1), ctx.NewPoly(rows-1)
-	ctx.FloorInto(c0, c1, pt.Value, nil, c0q, c1q, e.params.SpecialRow(), true)
+	// ct = (m, 0) + ⌊(u·b + e0, u·a + e1)/P⌉ over Q: at the top level the
+	// QP rows are exactly (q_0..q_L, P), so the floor drops the last row,
+	// and both additions ride in its chain.
+	c0q, c1q := ctx.NewPolyPair(rows - 1)
+	ch := ctx.FloorChain()
+	ch.Add(c0, c1)
+	ch.Add(e0, e1)
+	ch.Floor(e.params.SpecialRow(), true)
+	ch.Add(pt.Value, nil)
+	ch.Close(c0q, c1q)
+	ctx.PutPoly(u)
+	ctx.PutPoly(e0)
+	ctx.PutPoly(e1)
+	ctx.PutPoly(c0)
+	ctx.PutPoly(c1)
 	return &Ciphertext{Polys: []*ring.Poly{c0q, c1q}, Scale: pt.Scale, Level: pt.Level()}
 }
 
 func (e *Encryptor) encryptSym(pt *Plaintext) *Ciphertext {
 	ctx := e.params.RingQP
 	rows := pt.Level() + 1
-	a := e.sampler.Uniform(rows)
-	err := e.sampler.Error(rows)
+	c0, a := ctx.NewPolyPair(rows)
+	e.sampler.UniformInto(a)
+	err := ctx.GetPolyNoZero(rows)
+	e.sampler.ErrorInto(err)
 	ctx.NTT(err)
-	c0 := ctx.NewPoly(rows)
 	ctx.MulCoeffs(a, e.sk.Value.Resize(rows), c0)
 	ctx.Sub(err, c0, c0) // c0 = e - a·s
 	ctx.Add(c0, pt.Value, c0)
+	ctx.PutPoly(err)
 	return &Ciphertext{Polys: []*ring.Poly{c0, a}, Scale: pt.Scale, Level: pt.Level()}
 }
 

@@ -25,16 +25,16 @@ func TestFloorCallersPinned(t *testing.T) {
 	floorCallersPinned(t, schedSpec, floorPins{
 		rescale1: []uint64{0x4a200a361bfd88c4, 0xd5ecfc7b48c5effd, 0x260907861acf8ca9},
 		rescale2: []uint64{0x4a0392cf8d7ac1e3, 0x9122422250dca5b9, 0x979c9a1154848c4a},
-		hoisted:  []uint64{0x6b87241fb6c51fcc, 0xe5f5996174426eec, 0x58dced9ca65b18ee, 0xf644437525b4bdf5},
-		rotSum:   []uint64{0xdfa89d876fefd151, 0xf10e21049036fd88, 0xaf793f90e637d19c, 0x8ea4c45aa61da71b},
-		encrypt:  0xaed3b7468566b053,
+		hoisted:  []uint64{0x99c798ac7343427d, 0xca4a6e327cf00031, 0x55952036a04df35b, 0xaabad37bbfa99985},
+		rotSum:   []uint64{0xd8e1c7d4cf153b64, 0x19330d06ad31dff6, 0x2b43d408a6f57774, 0xae488f8928db4edb},
+		encrypt:  0xaf74a516f6455ccb,
 	})
 	floorCallersPinned(t, mixedSpec, floorPins{
 		rescale1: []uint64{0xa309765abdcdb75a, 0x47ed601578cd9b91},
 		rescale2: []uint64{0xef6387a852894cfa, 0xb72ed9d060b55398},
-		hoisted:  []uint64{0xc0d003dab81d00c2, 0x4452fc2ace462355, 0xe130ba850f599e5d},
-		rotSum:   []uint64{0x9bd48495e7bd3fbb, 0x2be9fd61a5fd6302, 0x6f038ee683181646},
-		encrypt:  0x37044d5029ff6087,
+		hoisted:  []uint64{0x194a9518657743ed, 0xf03b788fa94fad15, 0x97ea71a20dc4e83d},
+		rotSum:   []uint64{0x350e17798499bb1f, 0xea6e3ee7cd5b5262, 0x815988d71dea27f8},
+		encrypt:  0x4fc6758707cd3c74,
 	})
 }
 

@@ -62,7 +62,8 @@ func NewKeyGenerator(params *Params, seed int64) *KeyGenerator {
 
 // GenSecretKey samples s ← χ (ternary) and stores it in NTT form.
 func (kg *KeyGenerator) GenSecretKey() *SecretKey {
-	s := kg.sampler.Ternary(kg.params.QPRows())
+	s := kg.params.RingQP.NewPoly(kg.params.QPRows())
+	kg.sampler.TernaryInto(s)
 	kg.params.RingQP.NTT(s)
 	return &SecretKey{Value: s}
 }
@@ -71,12 +72,14 @@ func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	ctx := kg.params.RingQP
 	rows := kg.params.QPRows()
-	a := kg.sampler.Uniform(rows)
-	e := kg.sampler.Error(rows)
+	b, a := ctx.NewPolyPair(rows)
+	kg.sampler.UniformInto(a)
+	e := ctx.GetPolyNoZero(rows)
+	kg.sampler.ErrorInto(e)
 	ctx.NTT(e)
-	b := ctx.NewPoly(rows)
 	ctx.MulCoeffs(a, sk.Value, b)
 	ctx.Sub(e, b, b) // b = e - a·s
+	ctx.PutPoly(e)
 	return &PublicKey{B: b, A: a}
 }
 
@@ -88,11 +91,12 @@ func (kg *KeyGenerator) genSwitchingKey(sPrime, s *ring.Poly) SwitchingKey {
 	ctx := kg.params.RingQP
 	rows := kg.params.QPRows()
 	digits := make([][2]*ring.Poly, kg.params.K())
+	e := ctx.GetPolyNoZero(rows)
 	for i := range digits {
-		a := kg.sampler.Uniform(rows)
-		e := kg.sampler.Error(rows)
+		d0, a := ctx.NewPolyPair(rows)
+		kg.sampler.UniformInto(a)
+		kg.sampler.ErrorInto(e)
 		ctx.NTT(e)
-		d0 := ctx.NewPoly(rows)
 		ctx.MulCoeffs(a, s, d0)
 		ctx.Sub(e, d0, d0) // d0 = e - a·s
 		// Add g_i·s' on row i only.
@@ -106,6 +110,7 @@ func (kg *KeyGenerator) genSwitchingKey(sPrime, s *ring.Poly) SwitchingKey {
 		}
 		digits[i] = [2]*ring.Poly{d0, a}
 	}
+	ctx.PutPoly(e)
 	return SwitchingKey{Digits: digits}
 }
 

@@ -189,7 +189,7 @@ func TestAutomorphismNTTMatchesGather(t *testing.T) {
 func TestAutomorphismNTTRefusesAliasedRows(t *testing.T) {
 	ctx := testContext(t, 64, 2, 30)
 	s := NewSampler(ctx, 4)
-	a0, a1, other := s.Uniform(2), s.Uniform(2), ctx.NewPoly(2)
+	a0, a1, other := uniform(s, 2), uniform(s, 2), ctx.NewPoly(2)
 	auto := ctx.AutomorphismNTTTable(GaloisElement(1, 64))
 	view := a0.Resize(2)
 	mustPanic := func(name string, f func()) {

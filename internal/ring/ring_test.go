@@ -61,7 +61,7 @@ func TestPolyLifecycle(t *testing.T) {
 func TestAddSubNeg(t *testing.T) {
 	ctx := testContext(t, 64, 2, 30)
 	s := NewSampler(ctx, 1)
-	a, b := s.Uniform(2), s.Uniform(2)
+	a, b := uniform(s, 2), uniform(s, 2)
 	sum := ctx.NewPoly(2)
 	ctx.Add(a, b, sum)
 	diff := ctx.NewPoly(2)
@@ -88,7 +88,7 @@ func TestMulCoeffsMatchesBigPoly(t *testing.T) {
 	n := 16
 	ctx := testContext(t, n, 3, 30)
 	s := NewSampler(ctx, 2)
-	a, b := s.Uniform(3), s.Uniform(3)
+	a, b := uniform(s, 3), uniform(s, 3)
 
 	// Reference: big-int negacyclic convolution mod q.
 	q := ctx.Basis.Q()
@@ -168,7 +168,7 @@ func TestAutomorphismCoeffDomain(t *testing.T) {
 	}
 	// Composition: applying g then its inverse is identity.
 	s := NewSampler(ctx, 5)
-	r := s.Uniform(1)
+	r := uniform(s, 1)
 	tmp := ctx.NewPoly(1)
 	automorphismCoeff(ctx, r, 5, tmp)
 	// inverse of 5 mod 2n
@@ -187,7 +187,7 @@ func TestAutomorphismNTTMatchesCoeffDomain(t *testing.T) {
 	ctx := testContext(t, n, 2, 30)
 	s := NewSampler(ctx, 6)
 	for _, g := range []uint64{3, 5, 25, GaloisElement(1, n), GaloisElement(3, n), GaloisConjugate(n)} {
-		a := s.Uniform(2)
+		a := uniform(s, 2)
 
 		viaCoeff := CopyOf(a)
 		out1 := ctx.NewPoly(2)
@@ -228,62 +228,6 @@ func TestGaloisElement(t *testing.T) {
 	}
 }
 
-func TestSamplerDistributions(t *testing.T) {
-	ctx := testContext(t, 1024, 2, 30)
-	s := NewSampler(ctx, 7)
-
-	tern := s.Ternary(2)
-	counts := map[uint64]int{}
-	p0 := ctx.Basis.Primes[0]
-	for _, v := range tern.Coeffs[0] {
-		counts[v]++
-	}
-	if counts[0] == 0 || counts[1] == 0 || counts[p0-1] == 0 {
-		t.Fatal("ternary sampler missing a value")
-	}
-	if counts[0]+counts[1]+counts[p0-1] != ctx.N {
-		t.Fatal("ternary sampler produced out-of-range value")
-	}
-	// Consistency across rows: same signed value in both rows.
-	p1 := ctx.Basis.Primes[1]
-	for j := 0; j < ctx.N; j++ {
-		v0, v1 := tern.Coeffs[0][j], tern.Coeffs[1][j]
-		s0 := signedOf(v0, p0)
-		s1 := signedOf(v1, p1)
-		if s0 != s1 {
-			t.Fatal("ternary rows disagree")
-		}
-	}
-
-	errPoly := s.Error(2)
-	var sum, sumSq float64
-	for j := 0; j < ctx.N; j++ {
-		e := float64(signedOf(errPoly.Coeffs[0][j], p0))
-		sum += e
-		sumSq += e * e
-		if e > 25 || e < -25 {
-			t.Fatalf("error coefficient %v out of plausible CBD range", e)
-		}
-	}
-	mean := sum / float64(ctx.N)
-	variance := sumSq/float64(ctx.N) - mean*mean
-	if mean > 1 || mean < -1 {
-		t.Fatalf("error mean %f too far from 0", mean)
-	}
-	if variance < 5 || variance > 20 {
-		t.Fatalf("error variance %f outside [5,20] (expected ~10.5)", variance)
-	}
-
-	u := s.Uniform(2)
-	var acc float64
-	for _, v := range u.Coeffs[0] {
-		acc += float64(v) / float64(p0)
-	}
-	if m := acc / float64(ctx.N); m < 0.4 || m > 0.6 {
-		t.Fatalf("uniform mean %f implausible", m)
-	}
-}
-
 func signedOf(v, p uint64) int64 {
 	if v > p/2 {
 		return -int64(p - v)
@@ -297,7 +241,7 @@ func TestFloorMatchesBigInt(t *testing.T) {
 	ctx := testContext(t, n, 3, 30)
 	s := NewSampler(ctx, 8)
 	for _, round := range []bool{false, true} {
-		a := s.Uniform(3)
+		a := uniform(s, 3)
 		want := composeAll(ctx, a) // values in [0, q)
 		pLast := new(big.Int).SetUint64(ctx.Basis.Primes[2])
 
@@ -351,7 +295,7 @@ func TestInfNormSigned(t *testing.T) {
 func BenchmarkMulCoeffs(b *testing.B) {
 	ctx := testContext(b, 1<<13, 4, 44)
 	s := NewSampler(ctx, 9)
-	x, y := s.Uniform(4), s.Uniform(4)
+	x, y := uniform(s, 4), uniform(s, 4)
 	out := ctx.NewPoly(4)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -363,7 +307,7 @@ func BenchmarkMulCoeffs(b *testing.B) {
 func BenchmarkNTTFullBasis(b *testing.B) {
 	ctx := testContext(b, 1<<13, 4, 44)
 	s := NewSampler(ctx, 10)
-	x := s.Uniform(4)
+	x := uniform(s, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

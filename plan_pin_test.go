@@ -42,9 +42,11 @@ func hashOutputs(h hash.Hash64, outs map[string]*Ciphertext) {
 // randomCircuit with bounds and chains, on TestPlanRandomDAGs's seeds and
 // inputs — to one hash, so a change to how a plan computes (which steps
 // Compile fuses, how a step divides by a prime) must leave every output
-// bit where it was. A refused circuit counts as such.
+// bit where it was. A refused circuit counts as such. The hash depends
+// on the seeded draws behind the keys and inputs too, so only a change to
+// the sampler may move it.
 func TestRandomDAGOutputsPinned(t *testing.T) {
-	const want = 0xd1b8a447fff18f9f
+	const want = 0x74c762082e0436ec
 	h := fnv.New64a()
 	for _, pass := range []struct {
 		spec  ParamSpec
