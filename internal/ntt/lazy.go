@@ -28,7 +28,11 @@ package ntt
 // n >= 16 — every Table 2 row) never reaches those loops: ForwardTo and
 // InverseTo hand every stage to the kernels of ifma_amd64.s, which keep
 // the same ranges, two strided stages to a pass. The scalar stages are the
-// only path on other hosts and for wider primes.
+// only path on other hosts and for wider primes. Either route reads only
+// the tables NewTables builds up front — the twiddles and the route's own
+// Shoup tables — so a production row never builds the strict oracle's;
+// only a scalar ring below 16 coefficients, which runs the strict
+// transforms, does.
 
 import (
 	"math/bits"

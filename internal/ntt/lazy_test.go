@@ -37,16 +37,18 @@ func oracleRows(rng *rand.Rand, n int, p uint64) [][]uint64 {
 // stage in the forward tail, odd in the inverse head.
 var oracleSizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384}
 
-// lazyPaths returns tb and, when it runs the IFMA kernels, a copy with
-// the dispatch cleared, so one host compares the kernels and the scalar
-// lazy stages on one prime.
-func lazyPaths(tb *Tables) []*Tables {
+// lazyPaths returns tb and, when it runs the IFMA kernels, tables built
+// for the scalar route on the same prime, so one host compares the kernels
+// and the scalar lazy stages on one prime.
+func lazyPaths(t testing.TB, tb *Tables) []*Tables {
 	if !tb.ifma {
 		return []*Tables{tb}
 	}
-	scalar := *tb
-	scalar.ifma = false
-	return []*Tables{tb, &scalar}
+	scalar, err := newTables(tb.Mod.P, tb.N, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*Tables{tb, scalar}
 }
 
 // checkLazyMatchesStrict runs lazy against strict on every oracle row at
@@ -56,7 +58,7 @@ func checkLazyMatchesStrict(t *testing.T, seed int64, lazy, strict func(*Tables,
 	for _, bitsize := range []int{30, 36, 43, 49, 50, 52, 60, 62} {
 		for _, n := range oracleSizes {
 			tb := newTestTables(t, bitsize, n)
-			paths := lazyPaths(tb)
+			paths := lazyPaths(t, tb)
 			for r, row := range oracleRows(rng, n, tb.Mod.P) {
 				want := slices.Clone(row)
 				strict(tb, want)
@@ -98,7 +100,7 @@ func TestTransformToLeavesSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, bitsize := range []int{45, 49, 55} {
 		for _, n := range append([]int{8}, oracleSizes...) {
-			for _, tb := range lazyPaths(newTestTables(t, bitsize, n)) {
+			for _, tb := range lazyPaths(t, newTestTables(t, bitsize, n)) {
 				for _, dir := range []struct {
 					name    string
 					to      func(*Tables, []uint64, []uint64)

@@ -3,6 +3,8 @@ package ring
 import (
 	"math/rand"
 	"testing"
+
+	"heax/internal/primes"
 )
 
 func randPoly(ctx *Context, rows int, rng *rand.Rand) *Poly {
@@ -81,6 +83,37 @@ func TestPolyPoolSharedByShape(t *testing.T) {
 	}
 	if c := testContext(t, 128, 3, 45); c.pool == a.pool {
 		t.Error("an n = 128 context shares the n = 64 pool")
+	}
+}
+
+// TestNTTTablesSharedByPrime: two contexts over the same primes hold the
+// same *ntt.Tables, in any order and subset of the basis, and a context of
+// another degree over a prime that suits both gets its own.
+func TestNTTTablesSharedByPrime(t *testing.T) {
+	ps, err := primes.NTTPrimes(45, 128, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewContext(64, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewContext(64, []uint64{ps[2], ps[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Tables[0] != a.Tables[2] || b.Tables[1] != a.Tables[0] || a.Fork(1).Tables[1] != a.Tables[1] {
+		t.Error("contexts over one prime hold different NTT tables")
+	}
+	if a.Tables[0] == a.Tables[1] {
+		t.Error("two primes of one context share NTT tables")
+	}
+	c, err := NewContext(128, ps[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Tables[0] == a.Tables[0] || c.Tables[0].N != 128 {
+		t.Error("an n = 128 context shares the n = 64 tables")
 	}
 }
 

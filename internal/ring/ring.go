@@ -29,7 +29,8 @@ type Context struct {
 	N     int
 	LogN  int
 	Basis *rns.Basis
-	// Tables[i] transforms residues mod Basis.Primes[i].
+	// Tables[i] transforms residues mod Basis.Primes[i]; every context
+	// over that prime and degree holds the same *ntt.Tables (nttTables).
 	Tables []*ntt.Tables
 
 	// workers bounds the goroutines row-wise operations may fan out to
@@ -78,7 +79,7 @@ func NewContext(n int, primeList []uint64) (*Context, error) {
 	ctx.Tables = make([]*ntt.Tables, basis.K())
 	ctx.parallelThreshold = parallelThresholdIFMA
 	for i, p := range basis.Primes {
-		t, err := ntt.NewTables(p, n)
+		t, err := sharedTables(p, n)
 		if err != nil {
 			return nil, fmt.Errorf("ring: prime %d: %w", p, err)
 		}
@@ -97,12 +98,36 @@ func NewContext(n int, primeList []uint64) (*Context, error) {
 // and what a finished run on one context left behind serves the next run
 // on any of them instead of sitting beside that run's stock until two
 // garbage-collection cycles drop it (a cycle that caught both alive set
-// the process's peak heap).
+// the process's peak heap). The NTT tables are shared the same way, by
+// nttTables below.
 var shapePools sync.Map // [2]int{n, K} → *sync.Pool
 
 func shapePool(n, k int) *sync.Pool {
 	p, _ := shapePools.LoadOrStore([2]int{n, k}, new(sync.Pool))
 	return p.(*sync.Pool)
+}
+
+// nttTables holds one *ntt.Tables per {prime, n}, so contexts over the
+// same primes (a server and an in-process client, any two Params of one
+// set) build each prime's twiddles once and hold one copy. Tables never
+// change after construction but for the part the ntt package builds on
+// first use, once, under concurrent use. Nothing leaves the map: it holds
+// one entry per (prime, degree) the process has built a context over — a
+// fixed parameter set's primes, plus whatever primes a ReadParams caller
+// accepted from its peer.
+var nttTables sync.Map // [2]uint64{p, n} → *ntt.Tables
+
+func sharedTables(p uint64, n int) (*ntt.Tables, error) {
+	key := [2]uint64{p, uint64(n)}
+	if t, ok := nttTables.Load(key); ok {
+		return t.(*ntt.Tables), nil
+	}
+	t, err := ntt.NewTables(p, n)
+	if err != nil {
+		return nil, err
+	}
+	shared, _ := nttTables.LoadOrStore(key, t)
+	return shared.(*ntt.Tables), nil
 }
 
 // K returns the number of primes in the context's basis.

@@ -459,6 +459,33 @@ func TestVecSubMulAdd(t *testing.T) {
 	})
 }
 
+// VecSubMulAdd runs four blocks a pass and the rest one at a time: every
+// row length from 1 to 11 blocks (0-2 four-block passes, each remainder),
+// with and without add and in place, must equal the scalar formula.
+func TestVecSubMulAddBlockCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, p := range []uint64{prevPrime(1 << 36), prevPrime(1 << 49), prevPrime(1 << 50)} {
+		for blocks := 1; blocks <= 11; blocks++ {
+			n := 8 * blocks
+			e := [3]uint64{p - 1, 0, 1}
+			a, r, add := dyadicRow(rng, n, p, e, false), dyadicRow(rng, n, p, e, true), dyadicRow(rng, n, p, e, false)
+			w := rng.Uint64() % p
+			ws := ShoupPrecomp(w, p)
+			mul := func(i int) uint64 { return MulRed(SubMod(a[i], r[i], p), w, ws, p) }
+			sum := func(i int) uint64 { return AddMod(mul(i), add[i], p) }
+			what := fmt.Sprintf("p=%d n=%d", p, n)
+			out := make([]uint64, n)
+			VecSubMulAdd(out, a, r, nil, w, p)
+			checkRow(t, what, out, mul)
+			VecSubMulAdd(out, a, r, add, w, p)
+			checkRow(t, what+" +add", out, sum)
+			aa := slices.Clone(a)
+			VecSubMulAdd(aa, aa, r, add, w, p)
+			checkRow(t, what+" out=a", aa, sum)
+		}
+	}
+}
+
 // VecLinComb must equal the products reduced one by one and summed: for 1
 // to LinCombTerms rows and for sums longer than one pass, of residues and
 // of values up to 2^52 - 1 (a wider prime's residues, unreduced), the
@@ -581,8 +608,7 @@ func TestBarrett52Bounds(t *testing.T) {
 
 // BenchmarkVecLinComb prices the floor close's row passes on a Set-C-sized
 // prime: VecLinComb of 1 row (a reduction), 2 and 3 rows (a chain's
-// close) and 9 rows (past one pass), and VecSubMulAdd, the close of a
-// single floor, beside them.
+// close) and 9 rows (past one pass).
 func BenchmarkVecLinComb(b *testing.B) {
 	p := prevPrime(1 << 49)
 	rng := rand.New(rand.NewSource(61))
@@ -601,9 +627,26 @@ func BenchmarkVecLinComb(b *testing.B) {
 				}
 			})
 		}
-		b.Run(fmt.Sprintf("n=%d/SubMulAdd", n), func(b *testing.B) {
+	}
+}
+
+// BenchmarkVecSubMulAdd prices the close of a single floor on one Set-C
+// row, with the addend (a floor that adds an error or a sum) and without.
+func BenchmarkVecSubMulAdd(b *testing.B) {
+	const n = 1 << 14
+	p := prevPrime(1 << 49)
+	rng := rand.New(rand.NewSource(62))
+	e := [3]uint64{p - 1, 0, 1}
+	a, r, add := dyadicRow(rng, n, p, e, false), dyadicRow(rng, n, p, e, true), dyadicRow(rng, n, p, e, false)
+	w := rng.Uint64() % p
+	out := make([]uint64, n)
+	for _, c := range []struct {
+		name string
+		add  []uint64
+	}{{"add", add}, {"noadd", nil}} {
+		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				VecSubMulAdd(out, xs[0], xs[1], xs[2], ws[0], p)
+				VecSubMulAdd(out, a, r, c.add, w, p)
 			}
 		})
 	}

@@ -434,7 +434,31 @@ loop:
 // out[i] = ((a[i] - r[i])*w + add[i]) mod p for a[i], r[i], add[i], w < p;
 // add may be nil (no addition). d = a - r + p lies in (0, 2p), and for any
 // d < 2^52 the Shoup product d*w - hi52(d*w')*p lies in [0, 2p)
-// (ShoupPrecomp52), so one fold reduces it and one more the sum.
+// (ShoupPrecomp52), so one fold reduces it and one more the sum. Like
+// vecLinCombIFMA, four 8-lane blocks go at once and a row's last blocks
+// one at a time; whether add is nil is tested once, and each case has its
+// own loops. Every block's inputs are loaded before its store, so out may
+// be any of the rows.
+
+// SMPROD sets acc to (a - r)*w mod p for the block at byte offset off from
+// R13; d and t are scratch.
+#define SMPROD(off, d, t, acc) \
+	VPADDQ off(SI)(R13*1), Z12, d; \
+	VPSUBQ off(R8)(R13*1), d, d; \
+	VPXORQ t, t, t; \
+	VPMADD52HUQ Z11, d, t; \
+	VPXORQ acc, acc, acc; \
+	VPMADD52LUQ Z10, d, acc; \
+	VPMADD52LUQ Z15, t, acc; \
+	VPANDQ Z14, acc, acc; \
+	FOLDP(acc, d)
+
+// SMADD adds the add row's block at byte offset off from R13 into acc,
+// reduced; t is scratch.
+#define SMADD(off, acc, t) \
+	VPADDQ off(R9)(R13*1), acc, acc; \
+	FOLDP(acc, t)
+
 TEXT ·vecSubMulAddIFMA(SB), NOSPLIT, $0-64
 	MOVQ out+0(FP), DI
 	MOVQ a+8(FP), SI
@@ -445,29 +469,57 @@ TEXT ·vecSubMulAddIFMA(SB), NOSPLIT, $0-64
 	MOVQ w+48(FP), DX
 	MOVQ wShoup+56(FP), BX
 	DYADCONST
-	SHRQ $3, CX
-loop:
-	VPADDQ (SI), Z12, Z0
-	VPSUBQ (R8), Z0, Z0             // d = a - r + p
-	VPXORQ Z1, Z1, Z1
-	VPMADD52HUQ Z11, Z0, Z1         // t = hi52(d*w')
-	VPXORQ Z2, Z2, Z2
-	VPMADD52LUQ Z10, Z0, Z2         // lo52(d*w)
-	VPMADD52LUQ Z15, Z1, Z2         // - t*p (mod 2^52)
-	VPANDQ Z14, Z2, Z2              // in [0, 2p)
-	FOLDP(Z2, Z3)
+	SHLQ $3, CX                     // row bytes
+	LEAQ -256(CX), R14              // the last offset four blocks start at
+	XORQ R13, R13                   // block offset
 	TESTQ R9, R9
-	JZ   store
-	VPADDQ (R9), Z2, Z2             // + add: [0, 2p)
-	FOLDP(Z2, Z3)
-	ADDQ $64, R9
-store:
-	VMOVDQU64 Z2, (DI)
-	ADDQ $64, DI
-	ADDQ $64, SI
-	ADDQ $64, R8
-	DECQ CX
-	JNZ  loop
+	JZ   sm4
+sa4:
+	CMPQ R13, R14
+	JGT  sa1
+	SMPROD(0, Z0, Z1, Z2)
+	SMPROD(64, Z3, Z4, Z5)
+	SMPROD(128, Z6, Z7, Z8)
+	SMPROD(192, Z16, Z17, Z18)
+	SMADD(0, Z2, Z1)
+	SMADD(64, Z5, Z4)
+	SMADD(128, Z8, Z7)
+	SMADD(192, Z18, Z17)
+	VMOVDQU64 Z2, (DI)(R13*1)
+	VMOVDQU64 Z5, 64(DI)(R13*1)
+	VMOVDQU64 Z8, 128(DI)(R13*1)
+	VMOVDQU64 Z18, 192(DI)(R13*1)
+	ADDQ $256, R13
+	JMP  sa4
+sm4:
+	CMPQ R13, R14
+	JGT  sm1
+	SMPROD(0, Z0, Z1, Z2)
+	SMPROD(64, Z3, Z4, Z5)
+	SMPROD(128, Z6, Z7, Z8)
+	SMPROD(192, Z16, Z17, Z18)
+	VMOVDQU64 Z2, (DI)(R13*1)
+	VMOVDQU64 Z5, 64(DI)(R13*1)
+	VMOVDQU64 Z8, 128(DI)(R13*1)
+	VMOVDQU64 Z18, 192(DI)(R13*1)
+	ADDQ $256, R13
+	JMP  sm4
+sa1:
+	CMPQ R13, CX
+	JAE  smdone
+	SMPROD(0, Z0, Z1, Z2)
+	SMADD(0, Z2, Z1)
+	VMOVDQU64 Z2, (DI)(R13*1)
+	ADDQ $64, R13
+	JMP  sa1
+sm1:
+	CMPQ R13, CX
+	JAE  smdone
+	SMPROD(0, Z0, Z1, Z2)
+	VMOVDQU64 Z2, (DI)(R13*1)
+	ADDQ $64, R13
+	JMP  sm1
+smdone:
 	VZEROUPPER
 	RET
 
