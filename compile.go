@@ -305,6 +305,19 @@ type compiler struct {
 	nSlots     int
 	inputSlots []planInput
 	isInput    map[int]bool
+	// jobs are the payload encodings of a non-trial lowering, in the
+	// order it reached them (encodeVals, lowerAll).
+	jobs []encodeJob
+}
+
+// encodeJob is one deferred payload encoding: node's payload at level
+// and pt.Scale into pt, the step's plaintext, whose rows are stored
+// compacted when compact (a multiplier) and they qualify.
+type encodeJob struct {
+	node    *cnode
+	level   int
+	compact bool
+	pt      *Plaintext
 }
 
 func (k *compiler) st(node int) valState { return k.state[k.rep[node]] }
@@ -455,48 +468,81 @@ func (k *compiler) reconcile(a, b valState) (valState, valState, error) {
 	return a, b, err
 }
 
-// encodeVals encodes a node's payload at level and scale; a trial encodes
-// nothing and returns nil.
-func (k *compiler) encodeVals(n *cnode, level int, scale float64) (*Plaintext, error) {
+// encodeVals returns the plaintext of a node's payload at level and
+// scale, to be filled in by the encoding job it records; a multiplier
+// (compact) is stored compacted when its rows qualify. A trial records
+// nothing and returns nil. Nothing is encoded or checked here: lowerAll
+// runs the jobs once the lowering is done, every check with them.
+func (k *compiler) encodeVals(n *cnode, level int, scale float64, compact bool) *Plaintext {
 	if k.trial {
-		return nil, nil
+		return nil
 	}
+	pt := &Plaintext{Scale: scale}
+	k.jobs = append(k.jobs, encodeJob{node: n, level: level, compact: compact, pt: pt})
+	return pt
+}
+
+// encode runs one job: it checks the payload's shape, encodes it (a
+// broadcast through EncodeConst, a vector through ckks.EncodeInto, a
+// multiplier into a pooled poly it then compacts or copies out), and
+// refuses a nonzero payload that encodes to the zero plaintext.
+func (k *compiler) encode(j *encodeJob) error {
+	n, scale := j.node, j.pt.Scale
 	op := nodeKindNames[n.kind]
+	slots := k.params.Slots()
 	vals := n.vals
-	var pt *Plaintext
-	var err error
 	switch {
 	case n.broadcast:
 		vals = []complex128{complex(n.scalar, 0)} // for the zero-payload check
-		pt, err = k.enc.EncodeConst(n.scalar, level, scale)
-	case n.periodic:
-		if k.params.Slots()%len(vals) != 0 {
-			return nil, fmt.Errorf("heax: compile: %s: periodic payload of %d values does not divide the %d slots of %s: %w",
-				op, len(vals), k.params.Slots(), k.paramName(), ErrInvalidCircuit)
-		}
-		tiled := make([]complex128, k.params.Slots())
-		for i := range tiled {
-			tiled[i] = vals[i%len(vals)]
-		}
-		pt, err = k.enc.Encode(tiled, level, scale)
-	case len(vals) > k.params.Slots():
-		return nil, fmt.Errorf("heax: compile: %d plaintext values exceed the %d slots of %s: %w",
-			len(vals), k.params.Slots(), k.paramName(), ErrInvalidCircuit)
-	default:
-		pt, err = k.enc.Encode(vals, level, scale)
+	case n.periodic && slots%len(vals) != 0:
+		return fmt.Errorf("heax: compile: %s: periodic payload of %d values does not divide the %d slots of %s: %w",
+			op, len(vals), slots, k.paramName(), ErrInvalidCircuit)
+	case !n.periodic && len(vals) > slots:
+		return fmt.Errorf("heax: compile: %d plaintext values exceed the %d slots of %s: %w",
+			len(vals), slots, k.paramName(), ErrInvalidCircuit)
 	}
-	if err != nil {
-		return nil, err
+	ctx := k.params.RingQP
+	var poly *ring.Poly
+	switch {
+	case n.broadcast:
+		pt, err := k.enc.EncodeConst(n.scalar, j.level, scale)
+		if err != nil {
+			return err
+		}
+		poly = pt.Value
+	case j.compact:
+		poly = ctx.GetPolyNoZero(j.level + 1)
+		defer ctx.PutPoly(poly)
+		if err := ckks.EncodeInto(k.enc, poly, vals, n.periodic, scale); err != nil {
+			return err
+		}
+	default:
+		poly = ctx.NewPoly(j.level + 1)
+		if err := ckks.EncodeInto(k.enc, poly, vals, n.periodic, scale); err != nil {
+			return err
+		}
 	}
 	// A nonzero payload whose every coefficient rounds to zero at this
 	// scale would silently turn the operation into ⊙0 / +0; that is a
 	// compile error, not a plaintext (exact check: the encoded polynomial
 	// itself, so slot patterns that merely lose precision still pass).
-	if !zeroPayload(vals) && zeroPlaintext(pt) {
-		return nil, fmt.Errorf("heax: compile: %s: payload with max magnitude %g encodes to the zero plaintext at level-%d scale 2^%.1f: %w",
-			op, maxMagnitude(vals), level, math.Log2(scale), ErrUnencodable)
+	if !zeroPayload(vals) && zeroPlaintext(poly) {
+		return fmt.Errorf("heax: compile: %s: payload with max magnitude %g encodes to the zero plaintext at level-%d scale 2^%.1f: %w",
+			op, maxMagnitude(vals), j.level, math.Log2(scale), ErrUnencodable)
 	}
-	return pt, nil
+	j.pt.Value = poly
+	if !j.compact {
+		return nil
+	}
+	if rows := compacted(poly); rows != nil {
+		j.pt.Value = &ring.Poly{Coeffs: rows}
+	} else if !n.broadcast {
+		j.pt.Value = ctx.NewPoly(j.level + 1)
+		for i, row := range poly.Coeffs {
+			copy(j.pt.Value.Coeffs[i], row)
+		}
+	}
+	return nil
 }
 
 func zeroPayload(vals []complex128) bool {
@@ -519,8 +565,8 @@ func maxMagnitude(vals []complex128) float64 {
 // zeroPlaintext reports whether an encoded plaintext is identically
 // zero (the NTT is linear, so zero in evaluation form is zero in
 // coefficient form).
-func zeroPlaintext(pt *Plaintext) bool {
-	for _, row := range pt.Value.Coeffs {
+func zeroPlaintext(p *ring.Poly) bool {
+	for _, row := range p.Coeffs {
 		for _, c := range row {
 			if c != 0 {
 				return false
@@ -537,50 +583,84 @@ func zeroPlaintext(pt *Plaintext) bool {
 // lanes, so a BSGS diagonal (n ≤ N/16) and every constant qualify. The
 // plaintext kernels broadcast each stored value into the lanes it
 // stands for, so results are bit-identical, and the plan holds and
-// streams an eighth of the bytes (DESIGN.md, "Plaintext rows"). It runs
-// as each plaintext is encoded, so only one full plaintext is ever live.
+// streams an eighth of the bytes (DESIGN.md, "Plaintext rows").
 func compactRows(pt *Plaintext) {
-	rows := pt.Value.Coeffs
+	if rows := compacted(pt.Value); rows != nil {
+		pt.Value.Coeffs = rows
+	}
+}
+
+// compacted returns p's rows stored one value per block, in fresh
+// memory, when they qualify (compactRows), and nil otherwise.
+func compacted(p *ring.Poly) [][]uint64 {
+	rows := p.Coeffs
 	for _, row := range rows {
 		if len(row)%uintmod.Lanes != 0 {
-			return
+			return nil
 		}
 		for j := 0; j < len(row); j += uintmod.Lanes {
-			for _, v := range row[j+1 : j+uintmod.Lanes] {
-				if v != row[j] {
-					return
-				}
+			blk := (*[uintmod.Lanes]uint64)(row[j:])
+			var d uint64
+			for _, v := range blk[1:] {
+				d |= v ^ blk[0]
+			}
+			if d != 0 {
+				return nil
 			}
 		}
 	}
 	n := len(rows[0]) / uintmod.Lanes
 	backing := make([]uint64, len(rows)*n)
+	short := make([][]uint64, len(rows))
 	for i, row := range rows {
-		short := backing[i*n : (i+1)*n : (i+1)*n]
-		for j := range short {
-			short[j] = row[j*uintmod.Lanes]
+		short[i] = backing[i*n : (i+1)*n : (i+1)*n]
+		for j := range short[i] {
+			short[i][j] = row[j*uintmod.Lanes]
 		}
-		rows[i] = short
 	}
+	return short
 }
 
 func (k *compiler) paramName() string { return fmt.Sprintf("LogN=%d", k.params.LogN) }
 
 // lowerAll lowers every representative, reachable node with the inputs
 // entering at level, from a clean slate. A trial emits no plaintexts.
+//
+// A non-trial lowering defers its encodings (encodeVals) and runs them
+// afterwards, fanned out through the ring's RunRows: each job fills only
+// its own plaintext, so the plan does not depend on the worker count.
+// Errors keep the precedence of encoding each payload where lowering
+// reaches it: the first failing job in lowering order wins, and a
+// lowering that fails at some node still runs the jobs recorded before
+// that failure, whose error comes first.
 func (k *compiler) lowerAll(level int, trial bool) error {
 	n := len(k.circ.nodes)
 	k.inputLevel, k.trial = level, trial
 	k.state = make([]valState, n)
 	k.canon = make(map[int]valState)
 	k.lifted = make(map[liftKey]valState)
-	k.steps, k.nSlots, k.inputSlots = nil, 0, nil
+	k.steps, k.nSlots, k.inputSlots, k.jobs = nil, 0, nil, nil
 	k.isInput = make(map[int]bool)
-	for id := 0; id < n; id++ {
-		if k.rep[id] != id || !k.reach[id] {
-			continue
+	var err error
+	for id := 0; id < n && err == nil; id++ {
+		if k.rep[id] == id && k.reach[id] {
+			err = k.lower(id)
 		}
-		if err := k.lower(id); err != nil {
+	}
+	if jerr := k.runJobs(); jerr != nil {
+		return jerr
+	}
+	return err
+}
+
+// runJobs runs the recorded encoding jobs and returns the first error in
+// recording order.
+func (k *compiler) runJobs() error {
+	errs := make([]error, len(k.jobs))
+	k.params.RingQP.RunRows(len(k.jobs), func(i int) { errs[i] = k.encode(&k.jobs[i]) })
+	k.jobs = nil
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
@@ -685,13 +765,7 @@ func (k *compiler) lower(id int) error {
 			}
 			t = math.Exp2(math.Floor(head))
 		}
-		pt, err := k.encodeVals(n, a.level, t)
-		if err != nil {
-			return err
-		}
-		if pt != nil { // nil in a trial
-			compactRows(pt)
-		}
+		pt := k.encodeVals(n, a.level, t, true)
 		scale := a.scale * t
 		if err := k.checkScale(name, a.level, scale); err != nil {
 			return err
@@ -702,10 +776,7 @@ func (k *compiler) lower(id int) error {
 
 	case kindAddPlain:
 		a := k.st(n.args[0])
-		pt, err := k.encodeVals(n, a.level, a.scale)
-		if err != nil {
-			return err
-		}
+		pt := k.encodeVals(n, a.level, a.scale, false)
 		slot := k.emit(planStep{kind: stepAddPlain, args: []int{a.slot}, pt: pt, level: a.level, scale: a.scale})
 		k.state[id] = valState{slot: slot, level: a.level, scale: a.scale, tier: a.tier}
 		return nil

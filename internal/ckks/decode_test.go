@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"heax/internal/ring"
@@ -14,17 +15,53 @@ import (
 
 // bigCoeff is Decode's former formula for coefficient j of a
 // coefficient-domain poly, kept as the oracle of the word-sized one:
-// ComposeCentered, then big.Float SetInt, Quo and Float64.
+// the centered CRT composition, then big.Float SetInt, Quo and Float64.
 func bigCoeff(basis *rns.Basis, poly *ring.Poly, j int, scale float64) float64 {
 	res := make([]uint64, poly.Rows())
 	for i := range res {
 		res[i] = poly.Coeffs[i][j]
 	}
-	return bigQuo(basis.ComposeCentered(res), scale)
+	return bigQuo(composeCentered(basis, res), scale)
+}
+
+// crtConstants holds a basis's π_i = Q/q_i and [π_i^{-1}]_{q_i}.
+type crtConstants struct {
+	punc []*big.Int
+	inv  []uint64
+}
+
+var crtByBasis sync.Map // *rns.Basis → *crtConstants
+
+// composeCentered is the former rns.Basis.ComposeCentered: the CRT
+// formula of Section 2, x = Σ r_i · π_i · [π_i^{-1}]_{q_i} (mod Q), in
+// math/big, centered into (−Q/2, Q/2].
+func composeCentered(basis *rns.Basis, res []uint64) *big.Int {
+	q := basis.Q()
+	c, ok := crtByBasis.Load(basis)
+	if !ok {
+		t := &crtConstants{punc: make([]*big.Int, basis.K()), inv: make([]uint64, basis.K())}
+		for i, p := range basis.Primes {
+			bp := new(big.Int).SetUint64(p)
+			t.punc[i] = new(big.Int).Div(q, bp)
+			t.inv[i] = basis.Mods[i].InvMod(new(big.Int).Mod(t.punc[i], bp).Uint64())
+		}
+		c, _ = crtByBasis.LoadOrStore(basis, t)
+	}
+	t := c.(*crtConstants)
+	acc, term := new(big.Int), new(big.Int)
+	for i, r := range res {
+		term.SetUint64(basis.Mods[i].MulMod(r, t.inv[i]))
+		acc.Add(acc, term.Mul(term, t.punc[i]))
+	}
+	acc.Mod(acc, q)
+	if acc.Cmp(new(big.Int).Rsh(q, 1)) > 0 {
+		acc.Sub(acc, q)
+	}
+	return acc
 }
 
 // bigInfNorm is InfNormSigned's former formula: the largest
-// |Float64(ComposeCentered)| over the coefficients.
+// |Float64(composeCentered)| over the coefficients.
 func bigInfNorm(basis *rns.Basis, poly *ring.Poly) float64 {
 	max := 0.0
 	for j := range poly.Coeffs[0] {
@@ -158,7 +195,7 @@ func TestDecodeMatchesBigFloat(t *testing.T) {
 		decCoeffs := ring.CopyOf(decrypted.Value)
 		ctx.INTT(decCoeffs)
 		for level := 0; level <= params.MaxLevel(); level++ {
-			basis, err := ctx.Basis.Sub(level + 1)
+			basis, err := rns.NewBasis(ctx.Basis.Primes[:level+1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +293,7 @@ func TestInfNormSignedMatchesBigFloat(t *testing.T) {
 			t.Fatal(err)
 		}
 		for level := 0; level <= params.MaxLevel(); level++ {
-			basis, err := ctx.Basis.Sub(level + 1)
+			basis, err := rns.NewBasis(ctx.Basis.Primes[:level+1])
 			if err != nil {
 				t.Fatal(err)
 			}

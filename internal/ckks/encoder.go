@@ -6,9 +6,11 @@ import (
 	"math/big"
 	"math/bits"
 	"math/cmplx"
+	"sync"
 
 	"heax/internal/ring"
 	"heax/internal/rns"
+	"heax/internal/uintmod"
 )
 
 // Plaintext is an encoded message: an RNS polynomial in NTT form together
@@ -25,14 +27,20 @@ func (p *Plaintext) Level() int { return p.Value.Level() }
 // through the canonical embedding (the "special FFT" over the orbit of 5
 // in Z_2n^*) and back. Encoding and decoding are client-side operations
 // (Section 1); they exist here to drive the evaluator and its tests.
+//
+// The special FFT's twiddles are stored in the order its butterflies
+// read them (fftTables): the stage with half-length h owns entries
+// [h−1, 2h−1) of each table, entry h−1+j being ζ^((5^j mod 8h)·m/8h)
+// forward and ζ^(m − (5^j mod 8h)·m/8h) inverse, ζ = exp(2πi/m), m = 2n.
+// Each is computed by the same cmplx.Exp expression a table of every
+// power of ζ would hold, and the butterflies apply them in the same
+// order, so the transforms are bit for bit those over the gathered
+// table, with no index arithmetic per butterfly. The tables and
+// Encode's scratch are shared by every encoder of one ring degree.
 type Encoder struct {
 	params *Params
 	slots  int
-	m      int // 2n, the cyclotomic index
-	// rotGroup[i] = 5^i mod m enumerates the slot orbit.
-	rotGroup []int
-	// roots[j] = exp(2πi j / m).
-	roots []complex128
+	fft    *fftTables
 	// composers[l] composes the coefficients of a plaintext of l+1 rows.
 	composers []*rns.Composer
 }
@@ -40,84 +48,140 @@ type Encoder struct {
 // NewEncoder builds an encoder for params.
 func NewEncoder(params *Params) *Encoder {
 	slots := params.Slots()
-	m := 2 * params.N
-	e := &Encoder{
-		params:   params,
-		slots:    slots,
-		m:        m,
-		rotGroup: make([]int, slots),
-		roots:    make([]complex128, m+1),
-	}
+	e := &Encoder{params: params, slots: slots, fft: sharedFFTTables(slots)}
 	basis := params.RingQP.Basis
 	for k := 1; k <= basis.K(); k++ {
 		e.composers = append(e.composers, basis.Composer(k))
 	}
-	g := 1
-	for i := 0; i < slots; i++ {
-		e.rotGroup[i] = g
-		g = g * 5 % m
-	}
-	for j := 0; j <= m; j++ {
-		angle := 2 * math.Pi * float64(j) / float64(m)
-		e.roots[j] = cmplx.Exp(complex(0, angle))
-	}
 	return e
 }
 
-// bitrevComplex permutes v in place by bit reversal.
-func bitrevComplex(v []complex128) {
-	n := len(v)
-	logn := bits.Len(uint(n)) - 1
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> (64 - logn))
-		if i < j {
-			v[i], v[j] = v[j], v[i]
+// fftTables holds the stage-ordered twiddles of the special FFT over
+// slots points, the bit-reversal permutation, and a pool of Encode's
+// scratch.
+type fftTables struct {
+	fwd, inv []complex128
+	bitrev   []uint32
+	scratch  sync.Pool // *encodeScratch
+}
+
+// encodeScratch is one Encode's working memory: the slot vector and
+// the rounded coefficients.
+type encodeScratch struct {
+	v []complex128
+	c []int64
+}
+
+var fftBySlots struct {
+	sync.Mutex
+	m map[int]*fftTables
+}
+
+// sharedFFTTables returns the process's tables for a slot count,
+// building them on first use; the map holds one entry per ring degree
+// the process has built an encoder for.
+func sharedFFTTables(slots int) *fftTables {
+	fftBySlots.Lock()
+	defer fftBySlots.Unlock()
+	if t, ok := fftBySlots.m[slots]; ok {
+		return t
+	}
+	t := newFFTTables(slots)
+	if fftBySlots.m == nil {
+		fftBySlots.m = make(map[int]*fftTables)
+	}
+	fftBySlots.m[slots] = t
+	return t
+}
+
+func newFFTTables(slots int) *fftTables {
+	m := 4 * slots
+	root := func(j int) complex128 {
+		angle := 2 * math.Pi * float64(j) / float64(m)
+		return cmplx.Exp(complex(0, angle))
+	}
+	t := &fftTables{
+		fwd:    make([]complex128, slots-1),
+		inv:    make([]complex128, slots-1),
+		bitrev: make([]uint32, slots),
+	}
+	for h := 1; h < slots; h <<= 1 {
+		lenq := 8 * h
+		gap := m / lenq
+		g := 1 // 5^j mod m
+		for j := 0; j < h; j++ {
+			r := g % lenq
+			t.fwd[h-1+j] = root(r * gap)
+			t.inv[h-1+j] = root((lenq - r) * gap)
+			g = g * 5 % m
 		}
 	}
+	logn := bits.Len(uint(slots)) - 1
+	for i := range t.bitrev {
+		t.bitrev[i] = uint32(bits.Reverse64(uint64(i)) >> (64 - logn))
+	}
+	t.scratch.New = func() any {
+		return &encodeScratch{v: make([]complex128, slots), c: make([]int64, 2*slots)}
+	}
+	return t
 }
 
 // specialFFT evaluates the canonical embedding: it maps the coefficient
 // representation (packed as slots complex numbers) to slot values.
-func (e *Encoder) specialFFT(v []complex128) {
+func (t *fftTables) specialFFT(v []complex128) {
 	n := len(v)
-	bitrevComplex(v)
-	for length := 2; length <= n; length <<= 1 {
-		lenh := length >> 1
-		lenq := length << 2
-		gap := e.m / lenq
-		for i := 0; i < n; i += length {
-			for j := 0; j < lenh; j++ {
-				idx := (e.rotGroup[j] % lenq) * gap
-				u := v[i+j]
-				w := v[i+j+lenh] * e.roots[idx]
-				v[i+j] = u + w
-				v[i+j+lenh] = u - w
+	for i, j := range t.bitrev {
+		if i < int(j) {
+			v[i], v[j] = v[j], v[i]
+		}
+	}
+	for h := 1; h < n; h <<= 1 {
+		tw := t.fwd[h-1 : 2*h-1]
+		if h < 4 {
+			for j, w := range tw {
+				for i := j; i < n; i += 2 * h {
+					u, x := v[i], v[i+h]*w
+					v[i], v[i+h] = u+x, u-x
+				}
+			}
+			continue
+		}
+		for i := 0; i < n; i += 2 * h {
+			lo := v[i : i+h : i+h]
+			hi := v[i+h : i+2*h : i+2*h]
+			hi, tw := hi[:len(lo)], tw[:len(lo)]
+			for j, w := range tw {
+				u, x := lo[j], hi[j]*w
+				lo[j], hi[j] = u+x, u-x
 			}
 		}
 	}
 }
 
-// specialIFFT inverts specialFFT (including the 1/n scaling).
-func (e *Encoder) specialIFFT(v []complex128) {
+// specialIFFT runs the butterflies of the inverse of specialFFT; the
+// result is in bit-reversed order and not yet scaled by 1/n.
+func (t *fftTables) specialIFFT(v []complex128) {
 	n := len(v)
-	for length := n; length >= 2; length >>= 1 {
-		lenh := length >> 1
-		lenq := length << 2
-		gap := e.m / lenq
-		for i := 0; i < n; i += length {
-			for j := 0; j < lenh; j++ {
-				idx := (lenq - e.rotGroup[j]%lenq) * gap
-				u := v[i+j] + v[i+j+lenh]
-				w := (v[i+j] - v[i+j+lenh]) * e.roots[idx]
-				v[i+j] = u
-				v[i+j+lenh] = w
+	for h := n >> 1; h >= 1; h >>= 1 {
+		tw := t.inv[h-1 : 2*h-1]
+		if h < 4 {
+			for j, w := range tw {
+				for i := j; i < n; i += 2 * h {
+					a, b := v[i], v[i+h]
+					v[i], v[i+h] = a+b, (a-b)*w
+				}
+			}
+			continue
+		}
+		for i := 0; i < n; i += 2 * h {
+			lo := v[i : i+h : i+h]
+			hi := v[i+h : i+2*h : i+2*h]
+			hi, tw := hi[:len(lo)], tw[:len(lo)]
+			for j, w := range tw {
+				a, b := lo[j], hi[j]
+				lo[j], hi[j] = a+b, (a-b)*w
 			}
 		}
-	}
-	bitrevComplex(v)
-	inv := complex(1/float64(n), 0)
-	for i := range v {
-		v[i] *= inv
 	}
 }
 
@@ -136,44 +200,178 @@ func (e *Encoder) Encode(values []complex128, level int, scale float64) (*Plaint
 	if level < 0 || level > e.params.MaxLevel() {
 		return nil, fmt.Errorf("ckks: level %d out of range [0,%d]", level, e.params.MaxLevel())
 	}
-	v := make([]complex128, e.slots)
-	copy(v, values)
-	e.specialIFFT(v)
+	pt := e.params.RingQP.NewPoly(level + 1)
+	if err := e.encode(pt, values, false, scale); err != nil {
+		return nil, err
+	}
+	return &Plaintext{Value: pt, Scale: scale}, nil
+}
 
+// EncodeInto writes into dst, whose rows fix the level, the NTT-form
+// encoding of values at scale: the slots hold values followed by zeros,
+// or with periodic values repeated end to end (len(values) must then
+// divide Slots). It is Encode on that slot vector, bit for bit, with the
+// plaintext's memory from the caller and no tiled copy. It is a function
+// rather than a method so that the public Encoder's methods stay those
+// of the façade; the compiler encodes its payloads through it.
+func EncodeInto(e *Encoder, dst *ring.Poly, values []complex128, periodic bool, scale float64) error {
+	if periodic && (len(values) == 0 || e.slots%len(values) != 0) {
+		return fmt.Errorf("ckks: periodic payload of %d values does not divide %d slots", len(values), e.slots)
+	}
+	if len(values) > e.slots {
+		return fmt.Errorf("ckks: %d values exceed %d slots", len(values), e.slots)
+	}
+	if rows := dst.Rows(); rows < 1 || rows > e.params.MaxLevel()+1 {
+		return fmt.Errorf("ckks: level %d out of range [0,%d]", rows-1, e.params.MaxLevel())
+	}
+	return e.encode(dst, values, periodic, scale)
+}
+
+// encode is Encode into dst. The coefficients are rounded once into
+// pooled scratch, then every row reduces them with no branch on the
+// sign (an add of q when all of them lie in (−q, q), a Barrett
+// reduction of the magnitude otherwise) and is transformed, a row at a
+// time through RunRows. Coefficients past the word range take the
+// big-integer path once every row is reduced, before the transforms.
+func (e *Encoder) encode(dst *ring.Poly, values []complex128, periodic bool, scale float64) error {
+	s := e.fft.scratch.Get().(*encodeScratch)
+	defer e.fft.scratch.Put(s)
+	v := s.v
+	// Coefficients off a multiple of stride are exactly zero.
+	stride := 1
+	if n := len(values); periodic && n < len(v) {
+		// Every stage of half-length h ≥ n meets equal halves: it
+		// doubles the lower, exactly, and zeros the upper, which later
+		// stages never mix back in. What is left is the stages below n
+		// on the doubled payload, and zeros, which round to 0 as the
+		// reference's (possibly negative) zeros do: every coefficient
+		// but those at multiples of slots/n, whose bit-reversals fall
+		// below n.
+		stride = len(v) / n
+		f := float64(stride)
+		for i, x := range values {
+			v[i] = complex(real(x)*f, imag(x)*f)
+		}
+		clear(v[n:])
+		e.fft.specialIFFT(v[:n])
+	} else {
+		clear(v[copy(v, values):])
+		e.fft.specialIFFT(v)
+	}
+
+	inv := 1 / float64(e.slots)
+	c := s.c
+	mag, wide := roundCoeffs(c[:e.slots], c[e.slots:], v, e.fft.bitrev, inv, scale, stride)
 	ctx := e.params.RingQP
-	pt := ctx.NewPoly(level + 1)
-	setCoeff := func(j int, x float64) error {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("ckks: non-finite coefficient at scale %g", scale)
+	reduce := func(i int) {
+		row := dst.Coeffs[i]
+		if stride > 1 {
+			clear(row)
 		}
-		if math.Abs(x) < wordCoeffBound {
-			c := int64(math.Round(x))
-			for i := 0; i <= level; i++ {
-				pt.Coeffs[i][j] = ctx.Basis.ReduceInt64(c, i)
-			}
-			return nil
+		if p := ctx.Basis.Primes[i]; mag < p {
+			reduceSmall(row, c, p, stride)
+		} else {
+			reduceBarrett(row, c, ctx.Basis.Mods[i], stride)
 		}
-		// Arbitrary-precision path for coefficients beyond the word
-		// range (large scales); exact as long as the float64 mantissa
-		// carried the value, which is the best any double-input encoder
-		// can do.
-		bi, _ := big.NewFloat(x).Int(nil)
-		res := ctx.Basis.DecomposeSigned(bi)
-		for i := 0; i <= level; i++ {
-			pt.Coeffs[i][j] = res[i]
+	}
+	if wide {
+		for i := range dst.Coeffs {
+			reduce(i)
 		}
+		if err := e.encodeWide(dst, v, inv, scale); err != nil {
+			return err
+		}
+		ctx.NTT(dst)
 		return nil
 	}
-	for j := 0; j < e.slots; j++ {
-		if err := setCoeff(j, real(v[j])*scale); err != nil {
-			return nil, err
+	// Each row is transformed as soon as it is reduced, while it is still
+	// in cache, and at Set-C the rows share the workers.
+	ctx.RunRows(dst.Rows(), func(i int) {
+		reduce(i)
+		ctx.Tables[i].Forward(dst.Coeffs[i])
+	})
+	return nil
+}
+
+// roundCoeffs sets re[j] and im[j], for j a multiple of stride, to the
+// rounded real and imaginary parts of v[bitrev[j]]·inv·scale: the
+// reference transform's bit-reversal and complex scaling by (inv, 0),
+// read in place. A part at or past wordCoeffBound, or not finite, is
+// left 0 and reported wide; mag is the OR of every other part's
+// magnitude.
+func roundCoeffs(re, im []int64, v []complex128, bitrev []uint32, inv, scale float64, stride int) (mag uint64, wide bool) {
+	im, bitrev = im[:len(re)], bitrev[:len(re)]
+	for j := 0; j < len(re); j += stride {
+		r := bitrev[j]
+		x, y := real(v[r])*inv*scale, imag(v[r])*inv*scale
+		var a, b int64
+		if math.Abs(x) < wordCoeffBound {
+			a = int64(math.Round(x))
+		} else {
+			wide = true
 		}
-		if err := setCoeff(j+e.slots, imag(v[j])*scale); err != nil {
-			return nil, err
+		if math.Abs(y) < wordCoeffBound {
+			b = int64(math.Round(y))
+		} else {
+			wide = true
+		}
+		sa, sb := a>>63, b>>63
+		mag |= uint64((a^sa)-sa) | uint64((b^sb)-sb)
+		re[j], im[j] = a, b
+	}
+	return mag, wide
+}
+
+// reduceSmall sets row[j] = c[j] mod p, for j a multiple of stride and
+// |c[j]| < p: the add of p a negative c[j] needs, by its sign mask.
+func reduceSmall(row []uint64, c []int64, p uint64, stride int) {
+	row = row[:len(c)]
+	for j := 0; j < len(c); j += stride {
+		x := c[j]
+		row[j] = uint64(x) + p&uint64(x>>63)
+	}
+}
+
+// reduceBarrett sets row[j] = c[j] mod p, for j a multiple of stride and
+// |c[j]| < 2^62: a Barrett reduction of the magnitude, negated by the
+// sign mask.
+func reduceBarrett(row []uint64, c []int64, mod uintmod.Modulus, stride int) {
+	row = row[:len(c)]
+	p := mod.P
+	for j := 0; j < len(c); j += stride {
+		x := c[j]
+		s := uint64(x >> 63)
+		r := mod.Reduce((uint64(x) ^ s) - s)
+		r = (r ^ s) - s + p&s // p − r for a negative x
+		if r >= p {
+			r -= p
+		}
+		row[j] = r
+	}
+}
+
+// encodeWide fills the coefficients encode's word path skipped: a
+// non-finite one fails, and one at or past wordCoeffBound is decomposed
+// from a big integer, exact as long as the float64 mantissa carried the
+// value, which is the best any double-input encoder can do.
+func (e *Encoder) encodeWide(dst *ring.Poly, v []complex128, inv, scale float64) error {
+	basis := e.params.RingQP.Basis
+	for j, r := range e.fft.bitrev {
+		for k, x := range [2]float64{real(v[r]) * inv * scale, imag(v[r]) * inv * scale} {
+			if math.Abs(x) < wordCoeffBound {
+				continue
+			}
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("ckks: non-finite coefficient at scale %g", scale)
+			}
+			bi, _ := big.NewFloat(x).Int(nil)
+			res := basis.DecomposeSigned(bi)
+			for i, row := range dst.Coeffs {
+				row[j+k*e.slots] = res[i]
+			}
 		}
 	}
-	ctx.NTT(pt)
-	return &Plaintext{Value: pt, Scale: scale}, nil
+	return nil
 }
 
 // EncodeReal is Encode for real-valued messages.
@@ -230,7 +428,7 @@ const decodeBlocks = 16
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	v := make([]complex128, e.slots)
 	e.decodeCoeffs(pt, v)
-	e.specialFFT(v)
+	e.fft.specialFFT(v)
 	return v
 }
 

@@ -125,22 +125,27 @@ func TestMulCoeffsMatchesBigPoly(t *testing.T) {
 	}
 }
 
+// composeAll composes every coefficient of p from its residues over the
+// first p.Rows() primes, in [0, q), by the CRT formula of Section 2 in
+// math/big: x = Σ r_i · π_i · [π_i^{-1}]_{p_i} (mod q).
 func composeAll(ctx *Context, p *Poly) []*big.Int {
-	basis := ctx.Basis
-	if p.Rows() != basis.K() {
-		sub, err := basis.Sub(p.Rows())
-		if err != nil {
-			panic(err)
-		}
-		basis = sub
+	q := ctx.Basis.QAtLevel(p.Rows() - 1)
+	punc := make([]*big.Int, p.Rows())
+	inv := make([]uint64, p.Rows())
+	for i := range punc {
+		pi := new(big.Int).SetUint64(ctx.Basis.Primes[i])
+		punc[i] = new(big.Int).Div(q, pi)
+		inv[i] = ctx.Basis.Mods[i].InvMod(new(big.Int).Mod(punc[i], pi).Uint64())
 	}
 	out := make([]*big.Int, ctx.N)
-	res := make([]uint64, p.Rows())
-	for j := 0; j < ctx.N; j++ {
-		for i := 0; i < p.Rows(); i++ {
-			res[i] = p.Coeffs[i][j]
+	term := new(big.Int)
+	for j := range out {
+		acc := new(big.Int)
+		for i, row := range p.Coeffs {
+			term.SetUint64(ctx.Basis.Mods[i].MulMod(row[j], inv[i]))
+			acc.Add(acc, term.Mul(term, punc[i]))
 		}
-		out[j] = basis.Compose(res)
+		out[j] = acc.Mod(acc, q)
 	}
 	return out
 }

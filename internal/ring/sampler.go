@@ -176,7 +176,7 @@ func (c *Context) SetCoeffInt64(p *Poly, j int, v int64) {
 // coefficient-domain polynomial as a float64: each coefficient composed
 // from its rows in word-sized RNS arithmetic (rns.Composer, the
 // composition Decode runs, at scale 1) and rounded to nearest, bit for
-// bit what ComposeCentered and big.Float would give. The composition's
+// bit what the big-integer CRT composition and big.Float would give. The composition's
 // tables are built per call: this is a diagnostic (noise measurement),
 // not a fast path.
 func (c *Context) InfNormSigned(p *Poly) float64 {

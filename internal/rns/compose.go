@@ -13,8 +13,9 @@ import (
 // basis in word arithmetic, with the quotient of the composed integer by a
 // float64 scale: what decoding a plaintext and measuring noise do once per
 // coefficient. Its tables are built once, with math/big, by
-// Basis.Composer; Quo itself touches no big integer. ComposeCentered
-// followed by big.Float's SetInt, Quo and Float64 is its exact oracle.
+// Basis.Composer; Quo itself touches no big integer. The big-integer CRT
+// composition, centered, followed by big.Float's SetInt, Quo and Float64
+// is its exact oracle (ComposeCentered, kept in the package's tests).
 type Composer struct {
 	primes []uint64
 	// inv[i] = [π_i⁻¹]_{q_i} and invShoup[i] its Shoup constant, with

@@ -27,12 +27,6 @@ type Basis struct {
 
 	q *big.Int // product of all primes
 
-	// CRT reconstruction constants: punc[i] = q/p_i mod p_j for all j is
-	// not materialized; we keep big-int puncture products for compose and
-	// the word-sized inverses for decompose-style operations.
-	punctured []*big.Int // π_i = q / p_i
-	invPunc   []uint64   // [π_i^{-1}]_{p_i}
-
 	// Cross-prime inverses with Shoup precomputation:
 	// invCross[j][i] = [p_j^{-1}]_{p_i} (0 on the diagonal). RNS flooring
 	// (Algorithm 6) multiplies by the inverse of the dropped prime in
@@ -69,14 +63,6 @@ func NewBasis(ps []uint64) (*Basis, error) {
 		seen[p] = true
 		b.Mods[i] = uintmod.NewModulus(p)
 		b.q.Mul(b.q, new(big.Int).SetUint64(p))
-	}
-	b.punctured = make([]*big.Int, len(ps))
-	b.invPunc = make([]uint64, len(ps))
-	for i, p := range ps {
-		pi := new(big.Int).Div(b.q, new(big.Int).SetUint64(p))
-		b.punctured[i] = pi
-		rem := new(big.Int).Mod(pi, new(big.Int).SetUint64(p)).Uint64()
-		b.invPunc[i] = b.Mods[i].InvMod(rem)
 	}
 	b.invCross = make([][]uint64, len(ps))
 	b.invCrossShoup = make([][]uint64, len(ps))
@@ -120,14 +106,6 @@ func (b *Basis) QAtLevel(level int) *big.Int {
 	return q
 }
 
-// Sub returns the basis consisting of the first k primes.
-func (b *Basis) Sub(k int) (*Basis, error) {
-	if k < 1 || k > len(b.Primes) {
-		return nil, fmt.Errorf("rns: sub-basis size %d out of range", k)
-	}
-	return NewBasis(b.Primes[:k])
-}
-
 // Decompose maps a non-negative big integer to its residues.
 func (b *Basis) Decompose(x *big.Int) []uint64 {
 	out := make([]uint64, len(b.Primes))
@@ -156,34 +134,6 @@ func (b *Basis) ReduceInt64(x int64, i int) uint64 {
 	}
 	r := b.Mods[i].Reduce(uint64(-x))
 	return uintmod.NegMod(r, p)
-}
-
-// Compose reconstructs the unique x in [0, q) with x ≡ residues[i]
-// (mod p_i) using the CRT formula of Section 2:
-// x = Σ residues_i · π_i · [π_i^{-1}]_{p_i} (mod q).
-func (b *Basis) Compose(residues []uint64) *big.Int {
-	if len(residues) != len(b.Primes) {
-		panic("rns: residue count mismatch")
-	}
-	acc := new(big.Int)
-	term := new(big.Int)
-	for i := range b.Primes {
-		c := b.Mods[i].MulMod(residues[i], b.invPunc[i])
-		term.SetUint64(c)
-		term.Mul(term, b.punctured[i])
-		acc.Add(acc, term)
-	}
-	return acc.Mod(acc, b.q)
-}
-
-// ComposeCentered is Compose followed by centering into (-q/2, q/2].
-func (b *Basis) ComposeCentered(residues []uint64) *big.Int {
-	x := b.Compose(residues)
-	half := new(big.Int).Rsh(b.q, 1)
-	if x.Cmp(half) > 0 {
-		x.Sub(x, b.q)
-	}
-	return x
 }
 
 // GadgetVector returns the RNS gadget vector of Section 3.4 for the first

@@ -163,6 +163,30 @@ func BenchmarkPlan_CompileLogistic(b *testing.B) {
 	}
 }
 
+// BenchmarkPlan_CompileMatVec prices Compile of matvec-serve-A's plan:
+// the Set-A 256×256 BSGS matvec, whose 256 periodic diagonals are
+// nearly all of a compile.
+func BenchmarkPlan_CompileMatVec(b *testing.B) {
+	params, err := heax.NewParams(heax.SetA)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := matvecCircuit(b)
+	steps, err := c.RequiredRotations(params)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kg := heax.NewKeyGenerator(params, 1)
+	evk := heax.GenEvaluationKeys(kg, kg.GenSecretKey(), steps, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Compile(params, evk); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPlan_RunLogistic(b *testing.B) {
 	k := getLogisticBenchKit(b)
 	b.ResetTimer()

@@ -44,3 +44,19 @@ func ExpandPlainRows(p *Plan) {
 		}
 	}
 }
+
+// PlanPlaintexts lists the plaintexts p's steps hold, step by step: a
+// plain step's, a RotateSum's per operand (nil for a bare one), and each
+// chain stage's (nil for a Rescale).
+func PlanPlaintexts(p *Plan) []*Plaintext {
+	var pts []*Plaintext
+	for i := range p.steps {
+		st := &p.steps[i]
+		pts = append(pts, st.pt)
+		pts = append(pts, st.pts...)
+		for _, c := range st.chain {
+			pts = append(pts, c.Pt)
+		}
+	}
+	return pts
+}

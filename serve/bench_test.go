@@ -6,8 +6,12 @@ package serve_test
 // Tracked in BENCH_5.json by scripts/bench.sh.
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"heax"
+	"heax/circuits"
 	"heax/serve"
 )
 
@@ -63,6 +67,63 @@ func BenchmarkServe_CompileCached(b *testing.B) {
 		}
 		if !info.Cached {
 			b.Fatal("expected a cache hit")
+		}
+	}
+}
+
+// BenchmarkServe_CompileMiss prices a compile that misses the plan
+// cache over loopback: the client's JSON encoding of matvec-serve-A's
+// circuit (Set-A 256×256 BSGS matvec), the server's decode, canonical
+// re-encode and digest, and the Compile. Every iteration renames the
+// output, so every one is a miss; building the circuit is not timed.
+func BenchmarkServe_CompileMiss(b *testing.B) {
+	addr := startServer(b, testParams(b))
+	cl, err := serve.Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	rng := rand.New(rand.NewSource(54))
+	const n = 256
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+		for j := range m[i] {
+			m[i][j] = rng.Float64()*2 - 1
+		}
+	}
+	lt, err := circuits.FromRealMatrix(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	build := func(i int) *heax.Circuit {
+		c := heax.NewCircuit()
+		y, err := lt.Apply(c, c.Input("x"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		c.Output(fmt.Sprintf("y%d", i), y)
+		return c
+	}
+	steps, err := build(0).RequiredRotations(cl.Params())
+	if err != nil {
+		b.Fatal(err)
+	}
+	kg := heax.NewKeyGenerator(cl.Params(), 55)
+	if err := cl.Register("bench", heax.GenEvaluationKeys(kg, kg.GenSecretKey(), steps, false)); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		circ := build(i)
+		b.StartTimer()
+		info, err := cl.Compile("bench", circ)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if info.Cached {
+			b.Fatal("expected a cache miss")
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -345,9 +344,12 @@ func (c *Client) Compile(tenant string, circ *heax.Circuit) (PlanInfo, error) {
 
 // CompileContext is Compile with a deadline on the round trip.
 func (c *Client) CompileContext(ctx context.Context, tenant string, circ *heax.Circuit) (PlanInfo, error) {
+	if circ == nil {
+		return PlanInfo{}, fmt.Errorf("serve: compile: nil circuit: %w", heax.ErrInvalidCircuit)
+	}
 	ctx, cancel := c.callCtx(ctx)
 	defer cancel()
-	dag, err := json.Marshal(circ)
+	dag, err := circ.MarshalJSON()
 	if err != nil {
 		return PlanInfo{}, err
 	}

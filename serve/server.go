@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -889,11 +888,17 @@ func (s *Server) handleCompile(payload []byte) ([]byte, error) {
 	}
 	// Canonicalize (decode → re-encode) so formatting differences in
 	// client JSON do not split the cache, then key by tenant + digest.
+	// The circuit's own codec is called directly: one decode and one
+	// canonical encode, with no json.Unmarshal validity scan ahead of
+	// the decoder's own and no compaction of the encoder's output, which
+	// is already compact and HTML-escaped, so the bytes (and PlanID) are
+	// what json.Marshal would give. null, trailing bytes and a wrong
+	// version are refused as before.
 	var circ heax.Circuit
-	if err := json.Unmarshal(dag, &circ); err != nil {
+	if err := circ.UnmarshalJSON(dag); err != nil {
 		return nil, fmt.Errorf("%v: %w", err, heax.ErrCorrupt)
 	}
-	canonical, err := json.Marshal(&circ)
+	canonical, err := circ.MarshalJSON()
 	if err != nil {
 		return nil, fmt.Errorf("%v: %w", err, heax.ErrCorrupt)
 	}
