@@ -191,6 +191,42 @@ func TestSentinelErrors(t *testing.T) {
 	if err := keyless.RotateInto(x, 1, heax.CopyOf(x)); !errors.Is(err, heax.ErrKeyMissing) {
 		t.Fatalf("RotateInto without Galois keys: got %v, want ErrKeyMissing", err)
 	}
+	// Without Galois keys every rotation form copies at step 0 (an inner
+	// sum at n2 = 1) and refuses step 1 (n2 = 2): the kernel asks for a
+	// key only when the permutation is not the identity.
+	forms := map[string]func(step int) (*heax.Ciphertext, error){
+		"RotateLeft":  func(step int) (*heax.Ciphertext, error) { return keyless.RotateLeft(x, step) },
+		"RotateRight": func(step int) (*heax.Ciphertext, error) { return keyless.RotateRight(x, step) },
+		"RotateInto": func(step int) (*heax.Ciphertext, error) {
+			out := heax.CopyOf(y)
+			return out, keyless.RotateInto(x, step, out)
+		},
+		"InnerSum": func(step int) (*heax.Ciphertext, error) { return keyless.InnerSum(x, 1<<step) },
+		"InnerSumInto": func(step int) (*heax.Ciphertext, error) {
+			out := heax.CopyOf(y)
+			return out, keyless.InnerSumInto(x, 1<<step, out)
+		},
+		"RotateHoisted": func(step int) (*heax.Ciphertext, error) {
+			outs, err := keyless.RotateHoisted(x, []int{step, 0})
+			return outs[step], err
+		},
+		"RotateHoistedInto": func(step int) (*heax.Ciphertext, error) {
+			outs := []*heax.Ciphertext{heax.CopyOf(y), heax.CopyOf(y)}
+			return outs[0], keyless.RotateHoistedInto(x, []int{step, 0}, outs)
+		},
+	}
+	for name, rotate := range forms {
+		got, err := rotate(0)
+		if err != nil {
+			t.Fatalf("keyless %s by 0: %v", name, err)
+		}
+		if !ctEqual(got, x) || got.Scale != x.Scale {
+			t.Fatalf("keyless %s by 0 is not a copy of its input", name)
+		}
+		if _, err := rotate(1); !errors.Is(err, heax.ErrKeyMissing) {
+			t.Fatalf("keyless %s by 1: got %v, want ErrKeyMissing", name, err)
+		}
+	}
 }
 
 // TestIntoMatchesAllocating pins the *Into variants to their allocating

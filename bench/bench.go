@@ -25,12 +25,3 @@ func MeasureCPU(quick bool) (CPUMeasurements, error) { return ibench.MeasureCPU(
 // supplied CPU measurements for the CPU columns (empty maps leave those
 // columns blank).
 func AllTables(cpu CPUMeasurements) (string, error) { return ibench.AllTables(cpu) }
-
-// EmptyCPUMeasurements returns a CPUMeasurements with all maps
-// initialized and no samples — the -nocpu path of heax-bench.
-func EmptyCPUMeasurements() CPUMeasurements {
-	return CPUMeasurements{
-		NTT: map[string]float64{}, INTT: map[string]float64{}, Dyadic: map[string]float64{},
-		KeySwitch: map[string]float64{}, MulRelin: map[string]float64{},
-	}
-}

@@ -28,7 +28,7 @@ func main() {
 	nocpu := flag.Bool("nocpu", false, "skip CPU baseline measurement")
 	flag.Parse()
 
-	cpu := bench.EmptyCPUMeasurements()
+	var cpu bench.CPUMeasurements
 	if !*nocpu {
 		fmt.Fprintln(os.Stderr, "measuring CPU baseline (Set-A, Set-B, Set-C)...")
 		m, err := bench.MeasureCPU(*quick)

@@ -203,9 +203,6 @@ func (e *Evaluator) RescaleInto(ct, out *Ciphertext) error { return e.inner.Resc
 // RotateInto rotates message slots left by step positions into out
 // using the bound Galois keys.
 func (e *Evaluator) RotateInto(ct *Ciphertext, step int, out *Ciphertext) error {
-	if e.keys.Galois == nil {
-		return fmt.Errorf("heax: evaluator has no Galois keys bound: %w", ErrKeyMissing)
-	}
 	return e.inner.RotateLeftInto(ct, step, e.keys.Galois, out)
 }
 
@@ -218,9 +215,6 @@ func (e *Evaluator) ConjugateSlotsInto(ct, out *Ciphertext) error {
 // InnerSumInto replaces every slot of ct with the sum of n2 consecutive
 // slots, into out, with the per-round rotations on pooled scratch.
 func (e *Evaluator) InnerSumInto(ct *Ciphertext, n2 int, out *Ciphertext) error {
-	if e.keys.Galois == nil {
-		return fmt.Errorf("heax: evaluator has no Galois keys bound: %w", ErrKeyMissing)
-	}
 	return e.inner.InnerSumInto(ct, n2, e.keys.Galois, out)
 }
 
@@ -228,9 +222,6 @@ func (e *Evaluator) InnerSumInto(ct *Ciphertext, n2 int, out *Ciphertext) error 
 // decomposition half of the key switch once for the whole batch
 // (Halevi–Shoup hoisting). The result map is keyed by step.
 func (e *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) (map[int]*Ciphertext, error) {
-	if e.keys.Galois == nil && len(steps) > 0 {
-		return nil, fmt.Errorf("heax: evaluator has no Galois keys bound: %w", ErrKeyMissing)
-	}
 	return e.inner.RotateHoisted(ct, steps, e.keys.Galois)
 }
 
@@ -239,8 +230,5 @@ func (e *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) (map[int]*Ciphert
 // and must not share storage with the input; one that does is refused
 // with ErrLevelMismatch before anything is written.
 func (e *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, outs []*Ciphertext) error {
-	if e.keys.Galois == nil && len(steps) > 0 {
-		return fmt.Errorf("heax: evaluator has no Galois keys bound: %w", ErrKeyMissing)
-	}
 	return e.inner.RotateHoistedInto(ct, steps, e.keys.Galois, outs)
 }

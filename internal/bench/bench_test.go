@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -102,6 +103,35 @@ func TestGeneratedTables(t *testing.T) {
 	if len(sc.Rows) != 2 {
 		t.Fatalf("scalability rows = %d", len(sc.Rows))
 	}
+	hs, err := HostStreamingTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hs.Rows) != 8 {
+		t.Fatalf("host streaming rows = %d, want 2 ops on each of 4 configurations", len(hs.Rows))
+	}
+	if got := SweepTable(); len(got.Rows) != 24 {
+		t.Fatalf("sweep rows = %d, want 6 widths on each of 4 configurations", len(got.Rows))
+	}
+
+	// Every experiment in one report; with no CPU measurements, each of
+	// Table 7's 12 rows and Table 8's 8 prints CPU(go) 0 and speedup(go) "-".
+	all, err := AllTables(CPUMeasurements{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(regexp.MustCompile(`(?m)^== .* ==$`).FindAllString(all, -1)); n != 17 {
+		t.Fatalf("AllTables rendered %d tables, want 17", n)
+	}
+	placeholders := 0
+	for _, line := range strings.Split(all, "\n") {
+		if f := strings.Fields(line); len(f) == 9 && f[3] == "0" && f[7] == "-" {
+			placeholders++
+		}
+	}
+	if placeholders != 20 {
+		t.Fatalf("AllTables printed %d Table 7/8 rows without a CPU rate, want 20", placeholders)
+	}
 }
 
 // Tables 7/8 with and without CPU measurements; the quick CPU measurement
@@ -142,15 +172,11 @@ func TestPerfTablesWithCPU(t *testing.T) {
 	if len(t8.Rows) != 8 {
 		t.Fatalf("Table 8 rows = %d", len(t8.Rows))
 	}
-	// Empty measurements must render placeholders, not crash.
-	empty := CPUMeasurements{
-		NTT: map[string]float64{}, INTT: map[string]float64{}, Dyadic: map[string]float64{},
-		KeySwitch: map[string]float64{}, MulRelin: map[string]float64{},
-	}
-	if _, err := Table7LowLevel(empty); err != nil {
+	// The zero value (heax-bench -nocpu) must render placeholders, not crash.
+	if _, err := Table7LowLevel(CPUMeasurements{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Table8HighLevel(empty); err != nil {
+	if _, err := Table8HighLevel(CPUMeasurements{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,8 +1,9 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (Section 6) from this reproduction's
 // models, simulators and CPU baseline, side by side with the paper's
-// reported numbers. cmd/heax-bench prints the tables; bench_test.go wires
-// them into `go test -bench`.
+// reported numbers. cmd/heax-bench prints the tables, and the root
+// Table7_CPU/Table8_CPU benchmarks time Table7Ops and Table8Ops under
+// `go test -bench`.
 package bench
 
 import (

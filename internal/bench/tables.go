@@ -79,7 +79,7 @@ func Table3Cores() Table {
 func Table4Modules() Table {
 	t := Table{
 		Title: "Table 4: basic modules (BRAM at n=2^13, cycles at n=2^12)",
-		Note:  "cycles(model) come from the closed forms validated by hwsim; the paper's MULT cycle entries for 16/32 cores disagree with its own Table 7 throughput (see EXPERIMENTS.md)",
+		Note:  "cycles(model) come from the closed forms validated by hwsim; the paper's MULT cycle entries for 16/32 cores disagree with its own Table 7 throughput (see the PaperModules comment in internal/core/paperdata.go)",
 		Header: []string{"module", "cores", "DSP", "DSP(paper)", "REG", "REG(paper)", "ALM", "ALM(paper)",
 			"BRAM bits", "BRAM(paper)", "cycles", "cycles(paper)"},
 	}
@@ -145,14 +145,15 @@ func Table6Designs() (Table, error) {
 	return t, nil
 }
 
-// Table7LowLevel builds the low-level throughput comparison. cpu may be
-// zero-valued maps, in which case only model and paper columns appear.
+// Table7LowLevel builds the low-level throughput comparison. For a set
+// missing from cpu (the zero CPUMeasurements holds none) the CPU(go)
+// column prints 0 and speedup(go) "-"; the model and paper columns print
+// as usual.
 func Table7LowLevel(cpu CPUMeasurements) (Table, error) {
 	t := Table{
-		Title: "Table 7: low-level operations (ops/sec)",
-		Note:  "CPU(go) is this repo's baseline on this machine; CPU(paper) is SEAL 3.3 on a 1.8 GHz Xeon; HEAX(model) is cycle-exact and matches HEAX(paper)",
-		Header: []string{"board", "set", "op", "CPU(go)", "CPU(paper)", "HEAX(model)", "HEAX(paper)",
-			"speedup(go)", "speedup(paper)"},
+		Title:  "Table 7: low-level operations (ops/sec)",
+		Note:   "CPU(go) is this repo's baseline on this machine; CPU(paper) is SEAL 3.3 on a 1.8 GHz Xeon; HEAX(model) is cycle-exact and matches HEAX(paper)",
+		Header: perfHeader,
 	}
 	for _, row := range core.PaperLowLevel {
 		des, err := designFor(row.Board, row.Set)
@@ -160,16 +161,7 @@ func Table7LowLevel(cpu CPUMeasurements) (Table, error) {
 			return t, err
 		}
 		p := core.Perf{Design: des}
-		add := func(op string, cpuGo, cpuPaper, model, paper float64) {
-			sp := "-"
-			if cpuGo > 0 {
-				sp = f1(model / cpuGo)
-			}
-			t.Rows = append(t.Rows, []string{
-				row.Board, row.Set, op, f0(cpuGo), f0(cpuPaper), f0(model), f0(paper),
-				sp, f1(paper / cpuPaper),
-			})
-		}
+		add := perfRows(&t, row.Board, row.Set)
 		add("NTT", cpu.NTT[row.Set], row.NTTCPU, p.NTTOps(), row.NTTHEAX)
 		add("INTT", cpu.INTT[row.Set], row.INTTCPU, p.INTTOps(), row.INTTHEAX)
 		add("Dyadic", cpu.Dyadic[row.Set], row.DyadicCPU, p.DyadicOps(), row.DyadicHEAX)
@@ -180,10 +172,9 @@ func Table7LowLevel(cpu CPUMeasurements) (Table, error) {
 // Table8HighLevel builds the high-level throughput comparison.
 func Table8HighLevel(cpu CPUMeasurements) (Table, error) {
 	t := Table{
-		Title: "Table 8: high-level operations (ops/sec)",
-		Note:  "same conventions as Table 7; KeySwitch interval additionally validated by the pipeline simulator",
-		Header: []string{"board", "set", "op", "CPU(go)", "CPU(paper)", "HEAX(model)", "HEAX(paper)",
-			"speedup(go)", "speedup(paper)"},
+		Title:  "Table 8: high-level operations (ops/sec)",
+		Note:   "same conventions as Table 7; KeySwitch interval additionally validated by the pipeline simulator",
+		Header: perfHeader,
 	}
 	for _, row := range core.PaperHighLevel {
 		des, err := designFor(row.Board, row.Set)
@@ -191,20 +182,31 @@ func Table8HighLevel(cpu CPUMeasurements) (Table, error) {
 			return t, err
 		}
 		p := core.Perf{Design: des}
-		add := func(op string, cpuGo, cpuPaper, model, paper float64) {
-			sp := "-"
-			if cpuGo > 0 {
-				sp = f1(model / cpuGo)
-			}
-			t.Rows = append(t.Rows, []string{
-				row.Board, row.Set, op, f0(cpuGo), f0(cpuPaper), f0(model), f0(paper),
-				sp, f1(paper / cpuPaper),
-			})
-		}
+		add := perfRows(&t, row.Board, row.Set)
 		add("KeySwitch", cpu.KeySwitch[row.Set], row.KeySwitchCPU, p.KeySwitchOps(), row.KeySwitchHEAX)
 		add("MULT+ReLin", cpu.MulRelin[row.Set], row.MulRelinCPU, p.MulRelinOps(), row.MulRelinHEAX)
 	}
 	return t, nil
+}
+
+// perfHeader is the header Tables 7 and 8 share.
+var perfHeader = []string{"board", "set", "op", "CPU(go)", "CPU(paper)", "HEAX(model)", "HEAX(paper)",
+	"speedup(go)", "speedup(paper)"}
+
+// perfRows returns the function that appends one Table 7/8 row for an
+// operation on board and set to t; a missing CPU rate prints "-" for its
+// speedup.
+func perfRows(t *Table, board, set string) func(op string, cpuGo, cpuPaper, model, paper float64) {
+	return func(op string, cpuGo, cpuPaper, model, paper float64) {
+		sp := "-"
+		if cpuGo > 0 {
+			sp = f1(model / cpuGo)
+		}
+		t.Rows = append(t.Rows, []string{
+			board, set, op, f0(cpuGo), f0(cpuPaper), f0(model), f0(paper),
+			sp, f1(paper / cpuPaper),
+		})
+	}
 }
 
 // Fig2AccessPattern renders the NTT access-pattern trace for a small
@@ -463,76 +465,35 @@ func ScalabilityTable() (Table, error) {
 // AllTables renders every experiment, optionally with CPU measurements.
 func AllTables(cpu CPUMeasurements) (string, error) {
 	var parts []string
-	add := func(t Table, err error) error {
-		if err != nil {
-			return err
+	var first error
+	add := func(t Table, err error) {
+		if err == nil {
+			parts = append(parts, t.Render())
+		} else if first == nil {
+			first = err
 		}
-		parts = append(parts, t.Render())
-		return nil
 	}
-	if err := add(Table1Boards(), nil); err != nil {
-		return "", err
-	}
-	t2, err := Table2Params()
-	if err := add(t2, err); err != nil {
-		return "", err
-	}
-	if err := add(Table3Cores(), nil); err != nil {
-		return "", err
-	}
-	if err := add(Table4Modules(), nil); err != nil {
-		return "", err
-	}
-	t5, err := Table5Architectures()
-	if err := add(t5, err); err != nil {
-		return "", err
-	}
-	t6, err := Table6Designs()
-	if err := add(t6, err); err != nil {
-		return "", err
-	}
-	t7, err := Table7LowLevel(cpu)
-	if err := add(t7, err); err != nil {
-		return "", err
-	}
-	t8, err := Table8HighLevel(cpu)
-	if err := add(t8, err); err != nil {
-		return "", err
-	}
-	f2t, err := Fig2AccessPattern()
-	if err := add(f2t, err); err != nil {
-		return "", err
-	}
-	f4, err := Fig4PipelineAblation()
-	if err := add(f4, err); err != nil {
-		return "", err
-	}
+	add(Table1Boards(), nil)
+	add(Table2Params())
+	add(Table3Cores(), nil)
+	add(Table4Modules(), nil)
+	add(Table5Architectures())
+	add(Table6Designs())
+	add(Table7LowLevel(cpu))
+	add(Table8HighLevel(cpu))
+	add(Fig2AccessPattern())
+	add(Fig4PipelineAblation())
 	f6, gantt, err := Fig6Pipeline()
-	if err := add(f6, err); err != nil {
-		return "", err
-	}
+	add(f6, err)
 	parts = append(parts, "Figure 6 Gantt (Stratix 10 Set-B, 6 ops, digits by op number):\n"+gantt)
-	ab, err := AblationBuffers()
-	if err := add(ab, err); err != nil {
-		return "", err
-	}
-	if err := add(WordSizeAblationTable(), nil); err != nil {
-		return "", err
-	}
-	s5, err := Sec5System()
-	if err := add(s5, err); err != nil {
-		return "", err
-	}
-	hs, err := HostStreamingTable()
-	if err := add(hs, err); err != nil {
-		return "", err
-	}
-	if err := add(SweepTable(), nil); err != nil {
-		return "", err
-	}
-	sc, err := ScalabilityTable()
-	if err := add(sc, err); err != nil {
-		return "", err
+	add(AblationBuffers())
+	add(WordSizeAblationTable(), nil)
+	add(Sec5System())
+	add(HostStreamingTable())
+	add(SweepTable(), nil)
+	add(ScalabilityTable())
+	if first != nil {
+		return "", first
 	}
 	return strings.Join(parts, "\n"), nil
 }

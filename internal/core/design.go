@@ -100,8 +100,8 @@ func (d *Design) MemoryInventory() MemoryInventory {
 	// One switching key resides on chip when it fits alongside the fixed
 	// inventory; otherwise keys stream from DRAM. This reproduces the
 	// Section 5.1 decision: Set-A and Set-B keys stay in BRAM, Set-C's
-	// O(nk²) keys do not. (The paper's own BRAM totals additionally
-	// provision unitemized rotation-key storage; see EXPERIMENTS.md.)
+	// O(nk²) keys do not. (The paper's BRAM totals are not itemized and
+	// differ from this inventory; DESIGN.md, "Table 6: the BRAM gap".)
 	fixed := inv.ModuleBits + inv.AccumBits + inv.InputBufBits
 	ksk := KskBits(d.Set)
 	if fixed+ksk <= d.Board.BRAMBits {
