@@ -9,14 +9,22 @@ package heax
 // compiling side's job), and the importer re-validates everything a
 // builder call would have, so a hostile or hand-written description
 // can fail but never panic or smuggle in an ill-formed graph.
+//
+// Version 2 carries a vector payload as machine words: "values" and
+// "values_im" are standard base64 (padded) of the little-endian float64
+// bits, as encoding/json writes a []byte field. encoding/json encodes the
+// document; circuit_scan.go decodes it, by encoding/json's rules. Version
+// 1 carried payloads as decimal text, whose formatting and parsing were
+// most of a compile miss; it is refused like any other unknown version.
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 )
 
-const circuitEncodingVersion = 1
+const circuitEncodingVersion = 2
 
 // circuitJSON is the interchange form of a Circuit DAG.
 type circuitJSON struct {
@@ -31,12 +39,12 @@ type nodeJSON struct {
 	// Values and Scalar are mutually exclusive payloads of MulPlain /
 	// AddPlain: an explicit slot vector, or a broadcast constant (a
 	// pointer so that broadcasting 0 survives the round trip).
-	// ValuesIm, when present, carries the imaginary parts of Values
-	// (same length); it is omitted for real payloads, so circuits built
-	// before complex payloads existed encode byte-identically.
-	Values   []float64 `json:"values,omitempty"`
-	ValuesIm []float64 `json:"values_im,omitempty"`
-	Scalar   *float64  `json:"scalar,omitempty"`
+	// Values holds the real parts as little-endian float64 words (base64
+	// on the wire); ValuesIm, when present, the imaginary parts, as many
+	// words. ValuesIm is omitted for real payloads.
+	Values   []byte   `json:"values,omitempty"`
+	ValuesIm []byte   `json:"values_im,omitempty"`
+	Scalar   *float64 `json:"scalar,omitempty"`
 	// Periodic marks a vector payload that Compile tiles across all
 	// message slots (its length must divide the slot count).
 	Periodic bool   `json:"periodic,omitempty"`
@@ -105,20 +113,7 @@ func (c *Circuit) MarshalJSON() ([]byte, error) {
 			s := n.scalar
 			nj.Scalar = &s
 		} else if len(n.vals) > 0 {
-			nj.Values = make([]float64, len(n.vals))
-			anyIm := false
-			for j, v := range n.vals {
-				nj.Values[j] = real(v)
-				if imag(v) != 0 {
-					anyIm = true
-				}
-			}
-			if anyIm {
-				nj.ValuesIm = make([]float64, len(n.vals))
-				for j, v := range n.vals {
-					nj.ValuesIm[j] = imag(v)
-				}
-			}
+			nj.Values, nj.ValuesIm = payloadWords(n.vals)
 			nj.Periodic = n.periodic
 		}
 		enc.Nodes[i] = nj
@@ -137,12 +132,17 @@ func (c *Circuit) MarshalJSON() ([]byte, error) {
 // unique. The decoded circuit behaves exactly like one assembled
 // through the builder: Compile on both yields the same plan.
 func (c *Circuit) UnmarshalJSON(data []byte) error {
+	// The version is judged first: a well-formed document of another
+	// version (version 1's decimal payloads are a type error here) is
+	// refused for its version. A type error leaves the other fields
+	// decoded; a syntax error decodes nothing.
 	var enc circuitJSON
-	if err := json.Unmarshal(data, &enc); err != nil {
-		return fmt.Errorf("heax: circuit decode: %w: %w", err, ErrCorrupt)
-	}
-	if enc.Version != circuitEncodingVersion {
+	err := decodeCircuitJSON(data, &enc)
+	if (err == nil || enc.Version != 0) && enc.Version != circuitEncodingVersion {
 		return fmt.Errorf("heax: circuit decode: unsupported version %d (want %d): %w", enc.Version, circuitEncodingVersion, ErrCorrupt)
+	}
+	if err != nil {
+		return fmt.Errorf("heax: circuit decode: %w: %w", err, ErrCorrupt)
 	}
 	dec := Circuit{inputID: make(map[string]int), outSet: make(map[string]bool)}
 	for i, nj := range enc.Nodes {
@@ -180,7 +180,7 @@ func (c *Circuit) UnmarshalJSON(data []byte) error {
 			dec.inputs = append(dec.inputs, nj.Name)
 		case kindMulPlain, kindAddPlain:
 			switch {
-			case nj.Scalar != nil && (len(nj.Values) > 0 || len(nj.ValuesIm) > 0):
+			case nj.Scalar != nil && (nj.Values != nil || nj.ValuesIm != nil):
 				return fmt.Errorf("heax: circuit decode: node %d (%s) carries both a scalar and a vector payload: %w", i, nj.Op, ErrCorrupt)
 			case nj.Scalar != nil:
 				if nj.Periodic {
@@ -190,23 +190,12 @@ func (c *Circuit) UnmarshalJSON(data []byte) error {
 					return fmt.Errorf("heax: circuit decode: node %d (%s): constant is %g: %w", i, nj.Op, *nj.Scalar, ErrCorrupt)
 				}
 				n.scalar, n.broadcast = *nj.Scalar, true
-			case len(nj.Values) > 0:
-				if len(nj.ValuesIm) > 0 && len(nj.ValuesIm) != len(nj.Values) {
-					return fmt.Errorf("heax: circuit decode: node %d (%s) has %d imaginary parts for %d values: %w",
-						i, nj.Op, len(nj.ValuesIm), len(nj.Values), ErrCorrupt)
+			case nj.Values != nil:
+				vals, err := payloadValues(nj.Values, nj.ValuesIm)
+				if err != nil {
+					return fmt.Errorf("heax: circuit decode: node %d (%s): %w", i, nj.Op, err)
 				}
-				n.vals = make([]complex128, len(nj.Values))
-				for j, v := range nj.Values {
-					im := 0.0
-					if len(nj.ValuesIm) > 0 {
-						im = nj.ValuesIm[j]
-					}
-					if !isFinite(v) || !isFinite(im) {
-						return fmt.Errorf("heax: circuit decode: node %d (%s): value %d is %g: %w", i, nj.Op, j, complex(v, im), ErrCorrupt)
-					}
-					n.vals[j] = complex(v, im)
-				}
-				n.periodic = nj.Periodic
+				n.vals, n.periodic = vals, nj.Periodic
 			default:
 				return fmt.Errorf("heax: circuit decode: node %d (%s) has no plaintext payload: %w", i, nj.Op, ErrCorrupt)
 			}
@@ -237,4 +226,47 @@ func (c *Circuit) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+// payloadWords returns a payload's real parts as little-endian float64
+// words, and its imaginary parts likewise when any is non-zero (nil
+// otherwise).
+func payloadWords(vals []complex128) (re, im []byte) {
+	re = make([]byte, 8*len(vals))
+	anyIm := false
+	for j, v := range vals {
+		binary.LittleEndian.PutUint64(re[8*j:], math.Float64bits(real(v)))
+		anyIm = anyIm || imag(v) != 0
+	}
+	if anyIm {
+		im = make([]byte, 8*len(vals))
+		for j, v := range vals {
+			binary.LittleEndian.PutUint64(im[8*j:], math.Float64bits(imag(v)))
+		}
+	}
+	return re, im
+}
+
+// payloadValues decodes a payload's words: a non-zero whole number of
+// them, as many imaginary parts as values when there are any, and every
+// value finite; anything else is ErrCorrupt.
+func payloadValues(re, im []byte) ([]complex128, error) {
+	if len(re) == 0 || len(re)%8 != 0 {
+		return nil, fmt.Errorf("payload of %d bytes is not a non-zero whole number of 8-byte words: %w", len(re), ErrCorrupt)
+	}
+	if im != nil && len(im) != len(re) {
+		return nil, fmt.Errorf("%d bytes of imaginary parts for %d bytes of values: %w", len(im), len(re), ErrCorrupt)
+	}
+	vals := make([]complex128, len(re)/8)
+	for j := range vals {
+		v, w := math.Float64frombits(binary.LittleEndian.Uint64(re[8*j:])), 0.0
+		if im != nil {
+			w = math.Float64frombits(binary.LittleEndian.Uint64(im[8*j:]))
+		}
+		if !isFinite(v) || !isFinite(w) {
+			return nil, fmt.Errorf("value %d is %g: %w", j, complex(v, w), ErrCorrupt)
+		}
+		vals[j] = complex(v, w)
+	}
+	return vals, nil
+}
+
+func isFinite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }

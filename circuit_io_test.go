@@ -8,6 +8,7 @@ package heax
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -84,22 +85,32 @@ func TestCircuitJSONRejectsMalformed(t *testing.T) {
 		want string
 	}{
 		{"bad version", `{"version":7,"nodes":[],"outputs":[]}`, "unsupported version"},
-		{"unknown op", `{"version":1,"nodes":[{"op":"Bootstrap"}],"outputs":[]}`, "unknown op"},
-		{"forward reference", `{"version":1,"nodes":[{"op":"Rotate","args":[1],"step":1},{"op":"Input","name":"x"}],"outputs":[]}`, "earlier nodes"},
-		{"self reference", `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"Add","args":[1,0]}],"outputs":[]}`, "earlier nodes"},
-		{"wrong arity", `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"Add","args":[0]}],"outputs":[]}`, "operands"},
-		{"empty input name", `{"version":1,"nodes":[{"op":"Input"}],"outputs":[]}`, "empty name"},
-		{"duplicate input", `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"Input","name":"x"}],"outputs":[]}`, "duplicate input"},
-		{"missing payload", `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0]}],"outputs":[]}`, "no plaintext payload"},
-		{"double payload", `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"values":[1],"scalar":2}],"outputs":[]}`, "both a scalar and a vector"},
-		{"bad width", `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"InnerSum","args":[0],"n2":3}],"outputs":[]}`, "power of two"},
-		{"stray name", `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"Rotate","args":[0],"step":1,"name":"x"}],"outputs":[]}`, "must not carry"},
-		{"bad output node", `{"version":1,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"y","node":3}]}`, "references node"},
-		{"duplicate output", `{"version":1,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"y","node":0},{"name":"y","node":0}]}`, "duplicate output"},
-		{"empty output name", `{"version":1,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"","node":0}]}`, "empty name"},
-		{"zero bound", `{"version":1,"nodes":[{"op":"Input","name":"x","bound":0}],"outputs":[]}`, "bound 0"},
-		{"negative bound", `{"version":1,"nodes":[{"op":"Input","name":"x","bound":-1}],"outputs":[]}`, "bound -1"},
-		{"infinite bound", `{"version":1,"nodes":[{"op":"Input","name":"x","bound":1e999}],"outputs":[]}`, "bound"},
+		{"version 1", `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"values":[0.5]}],"outputs":[]}`, "unsupported version 1"},
+		{"unknown op", `{"version":2,"nodes":[{"op":"Bootstrap"}],"outputs":[]}`, "unknown op"},
+		{"forward reference", `{"version":2,"nodes":[{"op":"Rotate","args":[1],"step":1},{"op":"Input","name":"x"}],"outputs":[]}`, "earlier nodes"},
+		{"self reference", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"Add","args":[1,0]}],"outputs":[]}`, "earlier nodes"},
+		{"wrong arity", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"Add","args":[0]}],"outputs":[]}`, "operands"},
+		{"empty input name", `{"version":2,"nodes":[{"op":"Input"}],"outputs":[]}`, "empty name"},
+		{"duplicate input", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"Input","name":"x"}],"outputs":[]}`, "duplicate input"},
+		{"missing payload", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0]}],"outputs":[]}`, "no plaintext payload"},
+		{"double payload", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"values":"AAAAAAAA8D8=","scalar":2}],"outputs":[]}`, "both a scalar and a vector"},
+		{"periodic scalar", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"scalar":2,"periodic":true}],"outputs":[]}`, "cannot be periodic"},
+		{"payload not whole words", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"values":"AAAAAAAAAA=="}],"outputs":[]}`, "payload of 7 bytes"},
+		{"empty payload", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"AddPlain","args":[0],"values":""}],"outputs":[]}`, "payload of 0 bytes"},
+		{"payload not base64", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"values":"AAAA*AAA8D8="}],"outputs":[]}`, "base64"},
+		{"payload as decimal text", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"values":[0.5,-1]}],"outputs":[]}`, "cannot decode number 0.5 into a byte"},
+		{"imaginary length", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"values":"AAAAAAAA8D8=","values_im":"AAAAAAAA8D8AAAAAAAAAQA=="}],"outputs":[]}`, "16 bytes of imaginary parts for 8 bytes"},
+		{"NaN word", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"values":"AAAAAAAA8D8AAAAAAAD4fw=="}],"outputs":[]}`, "value 1 is (NaN+0i)"},
+		{"Inf word", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"AddPlain","args":[0],"values":"AAAAAAAA8H8="}],"outputs":[]}`, "value 0 is (+Inf+0i)"},
+		{"NaN imaginary word", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"values":"AAAAAAAA8D8=","values_im":"AAAAAAAA+H8="}],"outputs":[]}`, "value 0 is (1+NaNi)"},
+		{"bad width", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"InnerSum","args":[0],"n2":3}],"outputs":[]}`, "power of two"},
+		{"stray name", `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"Rotate","args":[0],"step":1,"name":"x"}],"outputs":[]}`, "must not carry"},
+		{"bad output node", `{"version":2,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"y","node":3}]}`, "references node"},
+		{"duplicate output", `{"version":2,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"y","node":0},{"name":"y","node":0}]}`, "duplicate output"},
+		{"empty output name", `{"version":2,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"","node":0}]}`, "empty name"},
+		{"zero bound", `{"version":2,"nodes":[{"op":"Input","name":"x","bound":0}],"outputs":[]}`, "bound 0"},
+		{"negative bound", `{"version":2,"nodes":[{"op":"Input","name":"x","bound":-1}],"outputs":[]}`, "bound -1"},
+		{"infinite bound", `{"version":2,"nodes":[{"op":"Input","name":"x","bound":1e999}],"outputs":[]}`, "bound"},
 	}
 	for _, tc := range cases {
 		var c Circuit
@@ -116,10 +127,11 @@ func TestCircuitJSONRejectsMalformed(t *testing.T) {
 	}
 }
 
-// exampleCircuitJSON is exampleCircuit's encoding from before bounds
-// existed: an unbounded circuit must still encode to exactly these bytes,
-// so heax-serve keeps its PlanID.
-const exampleCircuitJSON = `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"Input","name":"w"},{"op":"MulRelin","args":[0,0]},{"op":"Rotate","args":[0],"step":1},{"op":"Rotate","args":[0],"step":2},{"op":"Add","args":[3,4]},{"op":"MulPlain","args":[1],"values":[0.5,-1,2]},{"op":"MulPlain","args":[5],"scalar":0.25},{"op":"Add","args":[6,7]},{"op":"Add","args":[2,8]},{"op":"AddPlain","args":[9],"scalar":1},{"op":"InnerSum","args":[5],"n2":2}],"outputs":[{"name":"y","node":10},{"name":"z","node":11}]}`
+// exampleCircuitJSON is exampleCircuit's encoding: an unbounded circuit
+// encodes to exactly these bytes, so heax-serve keeps its PlanID. It was
+// re-taken once, for encoding version 2, whose payload [0.5, -1, 2] is
+// the base64 of its little-endian float64 words; nothing else moved.
+const exampleCircuitJSON = `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"Input","name":"w"},{"op":"MulRelin","args":[0,0]},{"op":"Rotate","args":[0],"step":1},{"op":"Rotate","args":[0],"step":2},{"op":"Add","args":[3,4]},{"op":"MulPlain","args":[1],"values":"AAAAAAAA4D8AAAAAAADwvwAAAAAAAABA"},{"op":"MulPlain","args":[5],"scalar":0.25},{"op":"Add","args":[6,7]},{"op":"Add","args":[2,8]},{"op":"AddPlain","args":[9],"scalar":1},{"op":"InnerSum","args":[5],"n2":2}],"outputs":[{"name":"y","node":10},{"name":"z","node":11}]}`
 
 // TestCircuitJSONBound: a declared bound survives the round trip, so the
 // importing side places the plan exactly as the builder's side does, and
@@ -174,9 +186,10 @@ func FuzzCircuitJSON(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(blob)
-	f.Add([]byte(`{"version":1,"nodes":[{"op":"Input","name":"x","bound":2}],"outputs":[{"name":"y","node":0}]}`))
-	f.Add([]byte(`{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlainPeriodic"}],"outputs":[]}`))
-	f.Add([]byte(`{"version":1,"nodes":[{"op":"Input","name":"x","bound":-0}],"outputs":[]}`))
+	f.Add([]byte(`{"version":2,"nodes":[{"op":"Input","name":"x","bound":2}],"outputs":[{"name":"y","node":0}]}`))
+	f.Add([]byte(`{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlainPeriodic"}],"outputs":[]}`))
+	f.Add([]byte(`{"version":2,"nodes":[{"op":"Input","name":"x","bound":-0}],"outputs":[]}`))
+	f.Add([]byte(`{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"values":"AAAAAAAA8D8AAAAAAAAAQA==","values_im":"AAAAAAAA0D8AAAAAAADwvw==","periodic":true}],"outputs":[{"name":"y","node":1}]}`))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c Circuit
@@ -229,5 +242,83 @@ func TestCircuitJSONFailedBuilderRefuses(t *testing.T) {
 	c.Add(c.Input("x"), other.Input("y")) // cross-circuit misuse
 	if _, err := json.Marshal(c); err == nil {
 		t.Fatal("marshaling a failed builder must surface its error")
+	}
+}
+
+// TestCircuitJSONNonCanonicalBase64: a payload whose base64 sets the
+// padding bits the last character leaves over decodes to the same words
+// as the canonical text, re-encodes to that text, and the re-encoding is
+// a fixed point, so both spellings get one PlanID.
+func TestCircuitJSONNonCanonicalBase64(t *testing.T) {
+	const doc = `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"values":"AAAAAAAA8D9="}],"outputs":[{"name":"y","node":1}]}`
+	want := strings.Replace(doc, "8D9=", "8D8=", 1)
+	var c Circuit
+	if err := json.Unmarshal([]byte(doc), &c); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.nodes[1].vals; len(got) != 1 || got[0] != 1 {
+		t.Fatalf("payload decodes to %v, want [1]", got)
+	}
+	first, err := json.Marshal(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(first) != want {
+		t.Fatalf("re-encodes to\n%s\nwant\n%s", first, want)
+	}
+	var again Circuit
+	if err := json.Unmarshal(first, &again); err != nil {
+		t.Fatal(err)
+	}
+	if second, err := json.Marshal(&again); err != nil || string(second) != want {
+		t.Fatalf("not a fixed point (%v):\n%s", err, second)
+	}
+}
+
+// TestCircuitJSONPayloadBits: payload words cross the codec bit for bit —
+// signed zeros, subnormals, the extremes of the finite range and complex
+// parts — and a real payload carries no values_im.
+func TestCircuitJSONPayloadBits(t *testing.T) {
+	vals := []complex128{
+		complex(math.Copysign(0, -1), 0), complex(math.SmallestNonzeroFloat64, -math.MaxFloat64),
+		complex(0.1, 1e-310), complex(-1.0/3, math.Copysign(0, -1)), complex(math.MaxFloat64, 2),
+	}
+	c := NewCircuit()
+	x := c.Input("x")
+	c.Output("y", c.AddPlainPeriodic(c.MulPlainPeriodic(x, vals[:4]), []complex128{0.1, -0.2, complex(math.Copysign(0, -1), math.Copysign(0, -1)), 3}))
+	c.Output("z", c.MulPlain(x, []float64{0.5, math.Nextafter(1, 2)}))
+	c.Output("w", c.AddPlain(x, []float64{-7}))
+	c.Output("v", c.MulPlainComplex(x, vals))
+	blob, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(blob), `"values_im"`); n != 2 {
+		t.Fatalf("%d values_im fields, want 2 (the complex payloads): %s", n, blob)
+	}
+	var d Circuit
+	if err := json.Unmarshal(blob, &d); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range c.nodes {
+		m := d.nodes[i]
+		if len(m.vals) != len(n.vals) || m.periodic != n.periodic {
+			t.Fatalf("node %d: %d values (periodic %v), want %d (periodic %v)", i, len(m.vals), m.periodic, len(n.vals), n.periodic)
+		}
+		// A payload with no non-zero imaginary part carries none, so its
+		// imaginary parts decode as +0.
+		anyIm := false
+		for _, v := range n.vals {
+			anyIm = anyIm || imag(v) != 0
+		}
+		for j, v := range n.vals {
+			w, im := m.vals[j], imag(v)
+			if !anyIm {
+				im = 0
+			}
+			if math.Float64bits(real(v)) != math.Float64bits(real(w)) || math.Float64bits(im) != math.Float64bits(imag(w)) {
+				t.Fatalf("node %d value %d: %v decodes to %v", i, j, v, w)
+			}
+		}
 	}
 }

@@ -483,9 +483,13 @@ func (k *compiler) encodeVals(n *cnode, level int, scale float64, compact bool) 
 }
 
 // encode runs one job: it checks the payload's shape, encodes it (a
-// broadcast through EncodeConst, a vector through ckks.EncodeInto, a
-// multiplier into a pooled poly it then compacts or copies out), and
-// refuses a nonzero payload that encodes to the zero plaintext.
+// broadcast through EncodeConst, a vector through ckks.EncodeInto), and
+// refuses a nonzero payload that encodes to the zero plaintext. A
+// multiplier whose payload has period n ≤ N/(2·Lanes) is encoded
+// straight into compact rows (compactRows): its rows are constant on
+// blocks of N/(2n) ≥ Lanes coefficients, and EncodeInto transforms only
+// its 2n distinct values. Any other multiplier is encoded into a pooled
+// poly that is then compacted if its rows qualify, or copied out.
 func (k *compiler) encode(j *encodeJob) error {
 	n, scale := j.node, j.pt.Scale
 	op := nodeKindNames[n.kind]
@@ -502,6 +506,7 @@ func (k *compiler) encode(j *encodeJob) error {
 			len(vals), slots, k.paramName(), ErrInvalidCircuit)
 	}
 	ctx := k.params.RingQP
+	short := ctx.N / uintmod.Lanes
 	var poly *ring.Poly
 	switch {
 	case n.broadcast:
@@ -510,6 +515,11 @@ func (k *compiler) encode(j *encodeJob) error {
 			return err
 		}
 		poly = pt.Value
+	case j.compact && n.periodic && 2*len(vals) <= short:
+		poly = &ring.Poly{Coeffs: newRows(j.level+1, short)}
+		if err := ckks.EncodeInto(k.enc, poly, vals, true, scale); err != nil {
+			return err
+		}
 	case j.compact:
 		poly = ctx.GetPolyNoZero(j.level + 1)
 		defer ctx.PutPoly(poly)
@@ -531,7 +541,7 @@ func (k *compiler) encode(j *encodeJob) error {
 			op, maxMagnitude(vals), j.level, math.Log2(scale), ErrUnencodable)
 	}
 	j.pt.Value = poly
-	if !j.compact {
+	if !j.compact || len(poly.Coeffs[0]) == short {
 		return nil
 	}
 	if rows := compacted(poly); rows != nil {
@@ -580,14 +590,26 @@ func zeroPlaintext(p *ring.Poly) bool {
 // block of uintmod.Lanes coefficients when every row of it is exactly
 // constant on those blocks, and leaves it full otherwise. A payload of
 // period n in the slots encodes to rows constant on blocks of N/(2n)
-// lanes, so a BSGS diagonal (n ≤ N/16) and every constant qualify. The
-// plaintext kernels broadcast each stored value into the lanes it
-// stands for, so results are bit-identical, and the plan holds and
-// streams an eighth of the bytes (DESIGN.md, "Plaintext rows").
+// lanes, so a BSGS diagonal (n ≤ N/16) and every constant qualify; encode
+// writes such a periodic payload compact from the start, and the block
+// scan (compacted) is left to constants, non-periodic payloads and
+// longer periods. The plaintext kernels broadcast each stored value into
+// the lanes it stands for, so results are bit-identical, and the plan
+// holds and streams an eighth of the bytes (DESIGN.md, "Plaintext rows").
 func compactRows(pt *Plaintext) {
 	if rows := compacted(pt.Value); rows != nil {
 		pt.Value.Coeffs = rows
 	}
+}
+
+// newRows returns rows of n coefficients each, in one backing array.
+func newRows(rows, n int) [][]uint64 {
+	backing := make([]uint64, rows*n)
+	out := make([][]uint64, rows)
+	for i := range out {
+		out[i] = backing[i*n : (i+1)*n : (i+1)*n]
+	}
+	return out
 }
 
 // compacted returns p's rows stored one value per block, in fresh
@@ -609,11 +631,8 @@ func compacted(p *ring.Poly) [][]uint64 {
 			}
 		}
 	}
-	n := len(rows[0]) / uintmod.Lanes
-	backing := make([]uint64, len(rows)*n)
-	short := make([][]uint64, len(rows))
+	short := newRows(len(rows), len(rows[0])/uintmod.Lanes)
 	for i, row := range rows {
-		short[i] = backing[i*n : (i+1)*n : (i+1)*n]
 		for j := range short[i] {
 			short[i][j] = row[j*uintmod.Lanes]
 		}

@@ -51,11 +51,12 @@
 // # Serving over the wire
 //
 // Circuits export and import as versioned JSON (Circuit.MarshalJSON /
-// UnmarshalJSON), and the serialization layer moves every object a
-// serving host needs — parameters, ciphertexts, whole evaluation key
-// sets (WriteEvaluationKeySet) and named ciphertext batches
-// (WriteCiphertextBatch) — as framed, length-checked blobs that fail
-// with ErrCorrupt on anything malformed. The heax/serve package builds
+// UnmarshalJSON; version 2 carries plaintext payloads as base64 of
+// their little-endian float64 words), and the serialization layer moves
+// every object a serving host needs — parameters, ciphertexts, whole
+// evaluation key sets (WriteEvaluationKeySet) and named ciphertext
+// batches (WriteCiphertextBatch) — as framed, length-checked blobs that
+// fail with ErrCorrupt on anything malformed. The heax/serve package builds
 // the multi-tenant daemon on top (see cmd/heax-serve and
 // examples/client).
 //

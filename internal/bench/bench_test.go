@@ -2,8 +2,11 @@ package bench
 
 import (
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+
+	"heax/internal/ckks"
 )
 
 func TestTableRender(t *testing.T) {
@@ -135,14 +138,27 @@ func TestGeneratedTables(t *testing.T) {
 }
 
 // Tables 7/8 with and without CPU measurements; the quick CPU measurement
-// exercises the whole baseline across all three parameter sets.
+// exercises the whole baseline across all three parameter sets. Its one
+// worker is the measurement's own: GOMAXPROCS and the worker count a new
+// fixture's evaluator finds are what they were before it.
 func TestPerfTablesWithCPU(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CPU measurement skipped in -short mode")
 	}
+	workers := func() int {
+		f, err := NewFixture(ckks.SetA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.eval.Workers()
+	}
+	procs, found := runtime.GOMAXPROCS(0), workers()
 	cpu, err := MeasureCPU(true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, w := runtime.GOMAXPROCS(0), workers(); got != procs || w != found {
+		t.Fatalf("after MeasureCPU: GOMAXPROCS %d and fixture workers %d, want %d and %d", got, w, procs, found)
 	}
 	for _, set := range []string{"Set-A", "Set-B", "Set-C"} {
 		for name, m := range map[string]map[string]float64{

@@ -79,8 +79,10 @@ var Table8Ops = []CPUOp{
 }
 
 // MeasureCPU times Table7Ops and Table8Ops on every Table 2 set's
-// fixture. quick mode uses shorter measurement windows (for tests); full
-// mode gives steadier numbers for reports.
+// fixture, its evaluator capped at one worker (the root package's
+// BenchmarkTable7_CPU/BenchmarkTable8_CPU keep the default, GOMAXPROCS,
+// so -cpu varies it there). quick mode uses shorter measurement windows
+// (for tests); full mode gives steadier numbers for reports.
 func MeasureCPU(quick bool) (CPUMeasurements, error) {
 	window := 400 * time.Millisecond
 	if quick {
@@ -92,6 +94,10 @@ func MeasureCPU(quick bool) (CPUMeasurements, error) {
 		if err != nil {
 			return CPUMeasurements{}, err
 		}
+		// The paper's column is single-thread SEAL, so the high-level
+		// operations run on one worker; the evaluator's cap is its own
+		// (a fork of the context), so nothing else sees it.
+		f.eval.SetWorkers(1)
 		for _, ops := range [][]CPUOp{Table7Ops, Table8Ops} {
 			for _, op := range ops {
 				r, err := opsPerSec(window, func() error { return op.Run(f) })

@@ -3,6 +3,7 @@ package ckks
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"heax/internal/ring"
 )
@@ -64,7 +65,8 @@ func (ev *Evaluator) RotateHoistedInto(ct *Ciphertext, steps []int, gks *GaloisK
 // execution path compiled plans batch same-source rotations onto, their
 // keys bound at Compile. Outputs must be distinct and must not share
 // storage with ct (every step reads ct after the first output is
-// written); one that does is refused before anything is written.
+// written); one that does is refused before anything is written. A batch
+// whose keys are all nil is copies, and draws no digit.
 func (ev *Evaluator) RotateHoistedKeysInto(ct *Ciphertext, keys []*GaloisKey, outs []*Ciphertext) error {
 	if len(keys) != len(outs) {
 		return fmt.Errorf("ckks: %d rotation keys for %d outputs", len(keys), len(outs))
@@ -84,6 +86,14 @@ func (ev *Evaluator) RotateHoistedKeysInto(ct *Ciphertext, keys []*GaloisKey, ou
 				return fmt.Errorf("ckks: RotateHoistedInto outputs %d and %d share storage: %w", k, i, ErrLevelMismatch)
 			}
 		}
+	}
+	if !slices.ContainsFunc(keys, func(k *GaloisKey) bool { return k != nil }) {
+		for _, out := range outs {
+			if err := ev.CopyInto(ct, out); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	ctx := ev.ctx
 	level := ct.Level

@@ -211,9 +211,13 @@ func (e *Encoder) Encode(values []complex128, level int, scale float64) (*Plaint
 // encoding of values at scale: the slots hold values followed by zeros,
 // or with periodic values repeated end to end (len(values) must then
 // divide Slots). It is Encode on that slot vector, bit for bit, with the
-// plaintext's memory from the caller and no tiled copy. It is a function
-// rather than a method so that the public Encoder's methods stay those
-// of the façade; the compiler encodes its payloads through it.
+// plaintext's memory from the caller and no tiled copy. A payload of
+// period n encodes to rows constant on blocks of N/(2n) coefficients, and
+// dst's rows may then be shorter than N: rows of any power-of-two length
+// L from 2n to N hold one value per block of N/L coefficients (L = N is
+// the full row). It is a function rather than a method so that the
+// public Encoder's methods stay those of the façade; the compiler encodes
+// its payloads through it.
 func EncodeInto(e *Encoder, dst *ring.Poly, values []complex128, periodic bool, scale float64) error {
 	if periodic && (len(values) == 0 || e.slots%len(values) != 0) {
 		return fmt.Errorf("ckks: periodic payload of %d values does not divide %d slots", len(values), e.slots)
@@ -224,35 +228,46 @@ func EncodeInto(e *Encoder, dst *ring.Poly, values []complex128, periodic bool, 
 	if rows := dst.Rows(); rows < 1 || rows > e.params.MaxLevel()+1 {
 		return fmt.Errorf("ckks: level %d out of range [0,%d]", rows-1, e.params.MaxLevel())
 	}
+	period := e.slots
+	if periodic {
+		period = len(values)
+	}
+	for _, row := range dst.Coeffs {
+		if l := len(row); l != len(dst.Coeffs[0]) || l < 2*period || l > 2*e.slots || l&(l-1) != 0 {
+			return fmt.Errorf("ckks: rows of %d coefficients cannot hold a payload of period %d on %d slots", l, period, e.slots)
+		}
+	}
 	return e.encode(dst, values, periodic, scale)
 }
 
-// encode is Encode into dst. The coefficients are rounded once into
-// pooled scratch, then every row reduces them with no branch on the
-// sign (an add of q when all of them lie in (−q, q), a Barrett
-// reduction of the magnitude otherwise) and is transformed, a row at a
-// time through RunRows. Coefficients past the word range take the
-// big-integer path once every row is reduced, before the transforms.
+// encode is Encode into dst. A payload of period n < Slots (a
+// non-periodic one has period Slots) is the polynomial in X^k, k =
+// N/(2n), whose 2n coefficients are those of its own special IFFT over n
+// points: every special IFFT stage of half-length h ≥ n meets equal
+// halves, doubles the lower exactly and zeros the upper, which later
+// stages never mix back in. Those 2n coefficients are rounded once into
+// pooled scratch, then every row reduces them with no branch on the sign
+// (an add of q when all of them lie in (−q, q), a Barrett reduction of
+// the magnitude otherwise), transforms them over 2n points
+// (ntt.Tables.ForwardPrefix, the full-ring NTT of that polynomial, whose
+// output is constant on blocks of k) and spreads each value over its
+// block, a row at a time through RunRows. Coefficients past the word
+// range take the big-integer path once every row is reduced, before the
+// transforms.
 func (e *Encoder) encode(dst *ring.Poly, values []complex128, periodic bool, scale float64) error {
 	s := e.fft.scratch.Get().(*encodeScratch)
 	defer e.fft.scratch.Put(s)
 	v := s.v
-	// Coefficients off a multiple of stride are exactly zero.
-	stride := 1
-	if n := len(values); periodic && n < len(v) {
-		// Every stage of half-length h ≥ n meets equal halves: it
-		// doubles the lower, exactly, and zeros the upper, which later
-		// stages never mix back in. What is left is the stages below n
-		// on the doubled payload, and zeros, which round to 0 as the
-		// reference's (possibly negative) zeros do: every coefficient
-		// but those at multiples of slots/n, whose bit-reversals fall
-		// below n.
-		stride = len(v) / n
+	n := len(v)
+	if periodic {
+		n = len(values)
+	}
+	stride := len(v) / n
+	if stride > 1 {
 		f := float64(stride)
 		for i, x := range values {
 			v[i] = complex(real(x)*f, imag(x)*f)
 		}
-		clear(v[n:])
 		e.fft.specialIFFT(v[:n])
 	} else {
 		clear(v[copy(v, values):])
@@ -260,49 +275,65 @@ func (e *Encoder) encode(dst *ring.Poly, values []complex128, periodic bool, sca
 	}
 
 	inv := 1 / float64(e.slots)
-	c := s.c
-	mag, wide := roundCoeffs(c[:e.slots], c[e.slots:], v, e.fft.bitrev, inv, scale, stride)
+	c := s.c[:2*n]
+	mag, wide := roundCoeffs(c[:n], c[n:], v, e.fft.bitrev, inv, scale, stride)
 	ctx := e.params.RingQP
 	reduce := func(i int) {
-		row := dst.Coeffs[i]
-		if stride > 1 {
-			clear(row)
-		}
+		row := dst.Coeffs[i][:2*n]
 		if p := ctx.Basis.Primes[i]; mag < p {
-			reduceSmall(row, c, p, stride)
+			reduceSmall(row, c, p)
 		} else {
-			reduceBarrett(row, c, ctx.Basis.Mods[i], stride)
+			reduceBarrett(row, c, ctx.Basis.Mods[i])
 		}
 	}
 	if wide {
 		for i := range dst.Coeffs {
 			reduce(i)
 		}
-		if err := e.encodeWide(dst, v, inv, scale); err != nil {
+		if err := e.encodeWide(dst, v, inv, scale, stride); err != nil {
 			return err
 		}
-		ctx.NTT(dst)
-		return nil
 	}
 	// Each row is transformed as soon as it is reduced, while it is still
 	// in cache, and at Set-C the rows share the workers.
 	ctx.RunRows(dst.Rows(), func(i int) {
-		reduce(i)
-		ctx.Tables[i].Forward(dst.Coeffs[i])
+		if !wide {
+			reduce(i)
+		}
+		row := dst.Coeffs[i]
+		ctx.Tables[i].ForwardPrefix(row[:2*n])
+		spread(row, 2*n)
 	})
 	return nil
 }
 
-// roundCoeffs sets re[j] and im[j], for j a multiple of stride, to the
-// rounded real and imaginary parts of v[bitrev[j]]·inv·scale: the
-// reference transform's bit-reversal and complex scaling by (inv, 0),
-// read in place. A part at or past wordCoeffBound, or not finite, is
-// left 0 and reported wide; mag is the OR of every other part's
-// magnitude.
+// spread writes each of the first m values of row over its block of
+// len(row)/m, in place: the later blocks first, so no value is
+// overwritten before it is read.
+func spread(row []uint64, m int) {
+	rep := len(row) / m
+	if rep == 1 {
+		return
+	}
+	for b := m - 1; b >= 0; b-- {
+		x := row[b]
+		blk := row[b*rep : (b+1)*rep]
+		for j := range blk {
+			blk[j] = x
+		}
+	}
+}
+
+// roundCoeffs sets re[t] and im[t] to the rounded real and imaginary
+// parts of v[bitrev[t·stride]]·inv·scale: the reference transform's
+// bit-reversal and complex scaling by (inv, 0), read in place, at the
+// coefficients t·stride that a payload of period len(re) leaves non-zero.
+// A part at or past wordCoeffBound, or not finite, is left 0 and reported
+// wide; mag is the OR of every other part's magnitude.
 func roundCoeffs(re, im []int64, v []complex128, bitrev []uint32, inv, scale float64, stride int) (mag uint64, wide bool) {
-	im, bitrev = im[:len(re)], bitrev[:len(re)]
-	for j := 0; j < len(re); j += stride {
-		r := bitrev[j]
+	im = im[:len(re)]
+	for t := range re {
+		r := bitrev[t*stride]
 		x, y := real(v[r])*inv*scale, imag(v[r])*inv*scale
 		var a, b int64
 		if math.Abs(x) < wordCoeffBound {
@@ -317,29 +348,26 @@ func roundCoeffs(re, im []int64, v []complex128, bitrev []uint32, inv, scale flo
 		}
 		sa, sb := a>>63, b>>63
 		mag |= uint64((a^sa)-sa) | uint64((b^sb)-sb)
-		re[j], im[j] = a, b
+		re[t], im[t] = a, b
 	}
 	return mag, wide
 }
 
-// reduceSmall sets row[j] = c[j] mod p, for j a multiple of stride and
-// |c[j]| < p: the add of p a negative c[j] needs, by its sign mask.
-func reduceSmall(row []uint64, c []int64, p uint64, stride int) {
+// reduceSmall sets row[j] = c[j] mod p for |c[j]| < p: the add of p a
+// negative c[j] needs, by its sign mask.
+func reduceSmall(row []uint64, c []int64, p uint64) {
 	row = row[:len(c)]
-	for j := 0; j < len(c); j += stride {
-		x := c[j]
+	for j, x := range c {
 		row[j] = uint64(x) + p&uint64(x>>63)
 	}
 }
 
-// reduceBarrett sets row[j] = c[j] mod p, for j a multiple of stride and
-// |c[j]| < 2^62: a Barrett reduction of the magnitude, negated by the
-// sign mask.
-func reduceBarrett(row []uint64, c []int64, mod uintmod.Modulus, stride int) {
+// reduceBarrett sets row[j] = c[j] mod p for |c[j]| < 2^62: a Barrett
+// reduction of the magnitude, negated by the sign mask.
+func reduceBarrett(row []uint64, c []int64, mod uintmod.Modulus) {
 	row = row[:len(c)]
 	p := mod.P
-	for j := 0; j < len(c); j += stride {
-		x := c[j]
+	for j, x := range c {
 		s := uint64(x >> 63)
 		r := mod.Reduce((uint64(x) ^ s) - s)
 		r = (r ^ s) - s + p&s // p − r for a negative x
@@ -350,13 +378,17 @@ func reduceBarrett(row []uint64, c []int64, mod uintmod.Modulus, stride int) {
 	}
 }
 
-// encodeWide fills the coefficients encode's word path skipped: a
-// non-finite one fails, and one at or past wordCoeffBound is decomposed
-// from a big integer, exact as long as the float64 mantissa carried the
-// value, which is the best any double-input encoder can do.
-func (e *Encoder) encodeWide(dst *ring.Poly, v []complex128, inv, scale float64) error {
+// encodeWide fills the coefficients encode's word path skipped, in the
+// layout roundCoeffs writes (the real part of coefficient t·stride at t,
+// its imaginary part at n + t, n = len(v)/stride): a non-finite one fails,
+// and one at or past wordCoeffBound is decomposed from a big integer,
+// exact as long as the float64 mantissa carried the value, which is the
+// best any double-input encoder can do.
+func (e *Encoder) encodeWide(dst *ring.Poly, v []complex128, inv, scale float64, stride int) error {
 	basis := e.params.RingQP.Basis
-	for j, r := range e.fft.bitrev {
+	n := len(v) / stride
+	for t := 0; t < n; t++ {
+		r := e.fft.bitrev[t*stride]
 		for k, x := range [2]float64{real(v[r]) * inv * scale, imag(v[r]) * inv * scale} {
 			if math.Abs(x) < wordCoeffBound {
 				continue
@@ -367,7 +399,7 @@ func (e *Encoder) encodeWide(dst *ring.Poly, v []complex128, inv, scale float64)
 			bi, _ := big.NewFloat(x).Int(nil)
 			res := basis.DecomposeSigned(bi)
 			for i, row := range dst.Coeffs {
-				row[j+k*e.slots] = res[i]
+				row[t+k*n] = res[i]
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package ckks
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"heax/internal/ring"
@@ -167,5 +168,50 @@ func TestRotateHoistedIntoMatchesRotateHoisted(t *testing.T) {
 		for i, c := range []*Ciphertext{ct, outs[0], outs[1]} {
 			polysEqual(t, "a refused RotateHoistedInto ("+name+")", snaps[i], c)
 		}
+	}
+}
+
+// TestRotateHoistedKeylessBatch: a batch whose keys are all nil (steps
+// that are all 0) gives CopyInto's bits in every output and decomposes
+// nothing: with the buffer pool emptied by two collections, the batch
+// allocates less than one pooled poly, which its first digit would be.
+func TestRotateHoistedKeylessBatch(t *testing.T) {
+	kit := newTestKit(t, smallSpec)
+	rng := rand.New(rand.NewSource(33))
+	params := kit.params
+	pt, _ := kit.enc.Encode(randomComplex(rng, params.Slots(), 1), params.MaxLevel(), params.DefaultScale())
+	ct, _ := kit.encPk.Encrypt(pt)
+	want, _ := NewCiphertext(params, 1, params.MaxLevel(), 0)
+	if err := kit.eval.CopyInto(ct, want); err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]*Ciphertext, 3)
+	for i := range outs {
+		outs[i], _ = NewCiphertext(params, 1, params.MaxLevel(), 0)
+	}
+	keys := make([]*GaloisKey, len(outs))
+	if err := kit.eval.RotateHoistedKeysInto(ct, keys, outs); err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range outs {
+		polysEqual(t, "keyless batch", want, out)
+	}
+	if got, err := kit.eval.RotateHoisted(ct, []int{0}, nil); err != nil || len(got) != 1 {
+		t.Fatalf("RotateHoisted(ct, [0]) = %v, %v", got, err)
+	} else {
+		polysEqual(t, "RotateHoisted(ct, [0])", want, got[0])
+	}
+
+	poly := uint64(params.RingQP.K() * params.N * 8)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := kit.eval.RotateHoistedKeysInto(ct, keys, outs); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= poly {
+		t.Fatalf("keyless batch allocated %d bytes from an empty pool, a pooled poly is %d: it drew a digit", got, poly)
 	}
 }

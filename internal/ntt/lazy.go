@@ -107,11 +107,58 @@ func (t *Tables) InputBound() uint64 {
 // pass loads from it and stores to dst), and dst may be src itself but
 // must not otherwise overlap it. Input coefficients must be below
 // InputBound.
+//
+// It is not inlined: its callers in ring and ckks then compile to the
+// code they had when this was the transform itself, which keeps every
+// function linked after them where it was (scripts/phase.sh).
+//
+//go:noinline
 func (t *Tables) ForwardTo(dst, src []uint64) {
 	if len(dst) != t.N || len(src) != t.N {
 		panic("ntt: length mismatch")
 	}
-	n := t.N
+	t.forward(dst, src)
+}
+
+// ForwardPrefix computes in place the negacyclic NTT of the len(a)
+// coefficients of a over ψ^k, k = N/len(a), in bit-reversed order and
+// fully reduced; len(a) must be a power of two from 2 to N, and the
+// coefficients below p. It reads only the first len(a) entries of the
+// row's twiddle and Shoup tables: since bitrev_N(i) = k·bitrev_len(a)(i)
+// for i < len(a), they are exactly the tables of the len(a)-point
+// transform over ψ^k. That transform is the full-ring NTT of the
+// polynomial whose coefficient k·i is a[i] (every other one 0): full-ring
+// output b·k + r, r < k, is its output b.
+func (t *Tables) ForwardPrefix(a []uint64) {
+	n := len(a)
+	if n < 2 || n > t.N || n&(n-1) != 0 {
+		panic("ntt: prefix length must be a power of two in [2, N]")
+	}
+	if n >= 16 || n == t.N {
+		t.forward(a, a)
+		return
+	}
+	// Fewer than 16 points on a row of more: one butterfly at a time with
+	// full reductions, reading only the twiddles, not the strict oracle's
+	// Shoup table.
+	p := t.Mod.P
+	step := n
+	for m := 1; m < n; m <<= 1 {
+		step >>= 1
+		for i := 0; i < m; i++ {
+			w := t.psiRev[m+i]
+			for j := 2 * i * step; j < (2*i+1)*step; j++ {
+				u, v := a[j], t.Mod.MulMod(a[j+step], w)
+				a[j], a[j+step] = uintmod.AddMod(u, v, p), uintmod.SubMod(u, v, p)
+			}
+		}
+	}
+}
+
+// forward is ForwardTo over len(dst) points, a power of two from 16 to
+// N, or N itself.
+func (t *Tables) forward(dst, src []uint64) {
+	n := len(dst)
 	p := t.Mod.P
 	psi := t.psiRev
 	if t.ifma {

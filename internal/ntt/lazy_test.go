@@ -228,3 +228,44 @@ func FuzzLazyButterfly(f *testing.F) {
 		}
 	})
 }
+
+// TestForwardPrefixIsSubRing: ForwardPrefix over n points equals the
+// full-ring transform of the polynomial with a[i] at coefficient k·i,
+// k = N/n, on every output b·k + r — at every prefix length of the
+// oracle sizes, on the kernels and the scalar stages, for the edge and
+// random rows — and builds none of the strict oracle's tables.
+func TestForwardPrefixIsSubRing(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, bitsize := range []int{45, 49, 55} {
+		for _, size := range append([]int{2, 8}, oracleSizes[:8]...) {
+			tb := newTestTables(t, bitsize, size)
+			oracle, err := newTables(tb.Mod.P, size, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range lazyPaths(t, tb) {
+				for n := 2; n <= size; n *= 2 {
+					k := size / n
+					for r, row := range oracleRows(rng, max(n, 4), tb.Mod.P) {
+						row = row[:n]
+						full := make([]uint64, size)
+						for i, x := range row {
+							full[i*k] = x
+						}
+						oracle.ForwardStrict(full)
+						got := slices.Clone(row)
+						path.ForwardPrefix(got)
+						for j, want := range full {
+							if got[j/k] != want {
+								t.Fatalf("%d-bit p, N=%d, n=%d, ifma=%v, row %d: output %d = %d, want %d", bitsize, size, n, path.ifma, r, j, got[j/k], want)
+							}
+						}
+					}
+				}
+				if size > 8 && path.extra.psiInvRevHalf != nil {
+					t.Fatalf("%d-bit p, N=%d: ForwardPrefix built the strict oracle's tables", bitsize, size)
+				}
+			}
+		}
+	}
+}

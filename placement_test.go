@@ -14,20 +14,27 @@ import (
 	"testing"
 )
 
-// unboundedSweepDigest pins the plans of TestPlanRandomDAGs's circuits,
-// drawn with no bound and no chains: SHA-256 over each circuit's JSON
-// and its plan's Describe() ("refused" when it does not compile), in
-// sweep order, as computed once Compile lowered a rescaled value a level
-// by a row view rather than a lift by q_ℓ and a Rescale (the JSON is as
-// it was before bounds existed; Describe lists the chains, and no longer
-// the hops).
-const unboundedSweepDigest = "838e65c7d8193900f20992f4b93d85b339aa67e5dbe9f713f3b2bcf1e007a2ac"
+// The sweep of TestPlanRandomDAGs's circuits, drawn with no bound and no
+// chains, is pinned by two SHA-256 digests in sweep order.
+//
+// unboundedPlanDigest covers each plan's Describe() ("refused" when it
+// does not compile), as computed once Compile lowered a rescaled value a
+// level by a row view rather than a lift by q_ℓ and a Rescale (Describe
+// lists the chains, and no longer the hops). It was taken apart from the
+// JSON before circuit encoding version 2, and holds across it: the
+// encoding moved, the plans did not.
+const unboundedPlanDigest = "3324b9e07442d57ee69a0f99008ec7b88881f1e1ce5f18173d449468c30b2ac4"
+
+// unboundedJSONDigest covers each circuit's JSON, which carries no bound
+// for these circuits. It was re-taken for circuit encoding version 2,
+// whose payloads are base64 float64 words rather than decimal text.
+const unboundedJSONDigest = "1b3aa353144e3a6ba3b805b4864699c624c221df1796a882da1f000b74b3715d"
 
 // TestUnboundedPlansUnchanged: a circuit with no Bound encodes to the same
 // JSON (so heax-serve gives it the same PlanID) and compiles to the same
 // steps, levels and scales as before placement existed.
 func TestUnboundedPlansUnchanged(t *testing.T) {
-	h := sha256.New()
+	jh, ph := sha256.New(), sha256.New()
 	for _, pass := range []struct {
 		spec  ParamSpec
 		count int
@@ -41,20 +48,23 @@ func TestUnboundedPlansUnchanged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h.Write(js)
+			jh.Write(js)
 			plan, err := c.Compile(k.params, k.evk)
 			if err != nil {
-				h.Write([]byte("refused\n"))
+				ph.Write([]byte("refused\n"))
 				continue
 			}
 			if plan.InputLevel() != k.params.MaxLevel() {
 				t.Fatalf("%s circuit %d: unbounded plan starts at level %d, below the top %d", pass.spec.Name, n, plan.InputLevel(), k.params.MaxLevel())
 			}
-			h.Write([]byte(plan.Describe()))
+			ph.Write([]byte(plan.Describe()))
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != unboundedSweepDigest {
-		t.Fatalf("unbounded sweep digest %s, want %s: an unbounded circuit's JSON or plan changed", got, unboundedSweepDigest)
+	if got := hex.EncodeToString(ph.Sum(nil)); got != unboundedPlanDigest {
+		t.Errorf("unbounded plan digest %s, want %s: an unbounded circuit's plan changed", got, unboundedPlanDigest)
+	}
+	if got := hex.EncodeToString(jh.Sum(nil)); got != unboundedJSONDigest {
+		t.Errorf("unbounded JSON digest %s, want %s: an unbounded circuit's JSON changed", got, unboundedJSONDigest)
 	}
 }
 

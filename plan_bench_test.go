@@ -187,6 +187,43 @@ func BenchmarkPlan_CompileMatVec(b *testing.B) {
 	}
 }
 
+// BenchmarkCircuit_MarshalMatVec prices the client's encoding of
+// matvec-serve-A's circuit (the Set-A 256×256 BSGS matvec, 256 periodic
+// diagonals of 256 values): the first half of a compile miss's codec.
+func BenchmarkCircuit_MarshalMatVec(b *testing.B) {
+	c := matvecCircuit(b)
+	dag, err := c.MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(dag)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.MarshalJSON(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCircuit_UnmarshalMatVec prices the server's decoding and
+// validation of the same document.
+func BenchmarkCircuit_UnmarshalMatVec(b *testing.B) {
+	dag, err := matvecCircuit(b).MarshalJSON()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(dag)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var c heax.Circuit
+		if err := c.UnmarshalJSON(dag); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkPlan_RunLogistic(b *testing.B) {
 	k := getLogisticBenchKit(b)
 	b.ResetTimer()

@@ -18,18 +18,18 @@ import (
 func TestCircuitDecodeWrapsErrCorrupt(t *testing.T) {
 	blobs := map[string]string{
 		"bad version":       `{"version":7,"nodes":[],"outputs":[]}`,
-		"unknown op":        `{"version":1,"nodes":[{"op":"Bootstrap"}],"outputs":[]}`,
-		"forward reference": `{"version":1,"nodes":[{"op":"Rotate","args":[1],"step":1},{"op":"Input","name":"x"}],"outputs":[]}`,
-		"wrong arity":       `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"Add","args":[0]}],"outputs":[]}`,
-		"empty input name":  `{"version":1,"nodes":[{"op":"Input"}],"outputs":[]}`,
-		"duplicate input":   `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"Input","name":"x"}],"outputs":[]}`,
-		"missing payload":   `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0]}],"outputs":[]}`,
-		"double payload":    `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"values":[1],"scalar":2}],"outputs":[]}`,
-		"bad width":         `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"InnerSum","args":[0],"n2":3}],"outputs":[]}`,
-		"stray name":        `{"version":1,"nodes":[{"op":"Input","name":"x"},{"op":"Rotate","args":[0],"step":1,"name":"x"}],"outputs":[]}`,
-		"bad output node":   `{"version":1,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"y","node":3}]}`,
-		"duplicate output":  `{"version":1,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"y","node":0},{"name":"y","node":0}]}`,
-		"empty output name": `{"version":1,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"","node":0}]}`,
+		"unknown op":        `{"version":2,"nodes":[{"op":"Bootstrap"}],"outputs":[]}`,
+		"forward reference": `{"version":2,"nodes":[{"op":"Rotate","args":[1],"step":1},{"op":"Input","name":"x"}],"outputs":[]}`,
+		"wrong arity":       `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"Add","args":[0]}],"outputs":[]}`,
+		"empty input name":  `{"version":2,"nodes":[{"op":"Input"}],"outputs":[]}`,
+		"duplicate input":   `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"Input","name":"x"}],"outputs":[]}`,
+		"missing payload":   `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0]}],"outputs":[]}`,
+		"double payload":    `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"MulPlain","args":[0],"values":"AAAAAAAA8D8=","scalar":2}],"outputs":[]}`,
+		"bad width":         `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"InnerSum","args":[0],"n2":3}],"outputs":[]}`,
+		"stray name":        `{"version":2,"nodes":[{"op":"Input","name":"x"},{"op":"Rotate","args":[0],"step":1,"name":"x"}],"outputs":[]}`,
+		"bad output node":   `{"version":2,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"y","node":3}]}`,
+		"duplicate output":  `{"version":2,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"y","node":0},{"name":"y","node":0}]}`,
+		"empty output name": `{"version":2,"nodes":[{"op":"Input","name":"x"}],"outputs":[{"name":"","node":0}]}`,
 	}
 	for name, blob := range blobs {
 		var c heax.Circuit

@@ -114,8 +114,8 @@ func TestCanonicalBytesUnchanged(t *testing.T) {
 }
 
 // TestHandleCompileRefusesMalformed: null, trailing bytes after the
-// document, a wrong version and a cut document are refused with
-// ErrCorrupt before the tenant is looked up.
+// document, a wrong version (version 1 among them) and a cut document
+// are refused with ErrCorrupt before the tenant is looked up.
 func TestHandleCompileRefusesMalformed(t *testing.T) {
 	params := heax.MustParams(heax.ParamSpec{Name: "codec", LogN: 4, QBits: []int{30, 30}, PBits: 31, LogScale: 20})
 	s, err := NewServer(params, WithAdmissionWindow(1))
@@ -132,7 +132,8 @@ func TestHandleCompileRefusesMalformed(t *testing.T) {
 	for name, doc := range map[string][]byte{
 		"null":     []byte("null"),
 		"trailing": append(append([]byte(nil), dag...), []byte(` {}`)...),
-		"version":  bytes.Replace(dag, []byte(`"version":1`), []byte(`"version":2`), 1),
+		"version":  bytes.Replace(dag, []byte(`"version":2`), []byte(`"version":3`), 1),
+		"v1":       bytes.Replace(dag, []byte(`"version":2`), []byte(`"version":1`), 1),
 		"cut":      dag[:len(dag)-1],
 		"empty":    nil,
 	} {
