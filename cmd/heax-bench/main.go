@@ -2,7 +2,7 @@
 // (Section 6) from this reproduction — resource models, the architecture
 // generator, the cycle-level pipeline simulator, and the Go CKKS baseline
 // measured on the local machine — each next to the paper's reported
-// numbers. It is a thin driver over the public heax/bench harness.
+// numbers. It is a thin driver over the internal/bench harness.
 //
 // Usage:
 //
@@ -18,7 +18,7 @@ import (
 	"log"
 	"os"
 
-	"heax/bench"
+	"heax/internal/bench"
 )
 
 func main() {

@@ -61,6 +61,6 @@
 // examples/client).
 //
 // The hardware model, architecture generator and cycle-level simulator
-// behind the paper's tables are exported separately in heax/arch, and
-// the table/benchmark harness in heax/bench.
+// behind the paper's tables are exported separately in heax/arch;
+// cmd/heax-bench renders the tables themselves.
 package heax

@@ -125,7 +125,7 @@ func singleQuo(v *big.Int, s float64) float64 {
 
 // setCoeff writes v mod Q into coefficient j of every row of p.
 func setCoeff(basis *rns.Basis, p *ring.Poly, j int, v *big.Int) {
-	for i, r := range basis.DecomposeSigned(v) {
+	for i, r := range bigResidues(basis, v) {
 		p.Coeffs[i][j] = r
 	}
 }

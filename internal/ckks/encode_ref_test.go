@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"heax/internal/rns"
 )
 
 // embedOracle is the encoder's former form, kept as the oracle of the
@@ -118,7 +120,7 @@ func (r *embedOracle) encode(values []complex128, level int, scale float64) (*Pl
 			return nil
 		}
 		bi, _ := big.NewFloat(x).Int(nil)
-		res := ctx.Basis.DecomposeSigned(bi)
+		res := bigResidues(ctx.Basis, bi)
 		for i := 0; i <= level; i++ {
 			pt.Coeffs[i][j] = res[i]
 		}
@@ -248,6 +250,86 @@ func TestEncodeMatchesReference(t *testing.T) {
 			}
 			if err := EncodeInto(enc, params.RingQP.NewPoly(1), make([]complex128, 3), true, 1); err == nil {
 				t.Fatal("EncodeInto accepted a period that does not divide the slots")
+			}
+		})
+	}
+}
+
+// bigResidues returns x mod p_i, in [0, p_i), for every prime of basis.
+func bigResidues(basis *rns.Basis, x *big.Int) []uint64 {
+	out := make([]uint64, len(basis.Primes))
+	r, p := new(big.Int), new(big.Int)
+	for i, q := range basis.Primes {
+		out[i] = r.Mod(x, p.SetUint64(q)).Uint64() // Euclidean: never negative
+	}
+	return out
+}
+
+// TestEncodeWideMatchesBigInt holds encodeWide's word arithmetic to the
+// big-integer conversion it replaced (big.Float → big.Int → mod p_i) on
+// every row of Sets A, B and C: coefficients of both signs at every
+// binary exponent from 62 (wordCoeffBound) to 1023 (math.MaxFloat64), in
+// real and imaginary parts, next to word-sized parts it must leave
+// alone. A non-finite part fails with the encoder's error.
+func TestEncodeWideMatchesBigInt(t *testing.T) {
+	for _, spec := range StandardSets {
+		t.Run(spec.Name, func(t *testing.T) {
+			params, err := NewParams(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := NewEncoder(params)
+			ctx := params.RingQP
+			n := enc.slots
+			rng := rand.New(rand.NewSource(62))
+			// coeffs[j] is coefficient j's real and imaginary part; the
+			// edges come first, then a random mantissa at each exponent.
+			wide := []float64{wordCoeffBound, math.Nextafter(2*wordCoeffBound, 0), math.MaxFloat64}
+			for e := 62; e <= 1023; e++ {
+				wide = append(wide, math.Ldexp(1+rng.Float64(), e))
+			}
+			coeffs := make([]complex128, n)
+			for j := range coeffs {
+				switch w := wide[j%len(wide)]; j % 4 {
+				case 0:
+					coeffs[j] = complex(w, -w)
+				case 1:
+					coeffs[j] = complex(-w, 1e6)
+				case 2:
+					coeffs[j] = complex(math.Nextafter(wordCoeffBound, 0), w)
+				default:
+					coeffs[j] = complex(-1, -w)
+				}
+			}
+			// encodeWide reads coefficient j at v[bitrev[j]] (stride 1).
+			v := make([]complex128, n)
+			for j, c := range coeffs {
+				v[enc.fft.bitrev[j]] = c
+			}
+			dst := ctx.NewPoly(ctx.Basis.K())
+			if err := enc.encodeWide(dst, v, 1, 1, 1); err != nil {
+				t.Fatal(err)
+			}
+			for j, c := range coeffs {
+				for k, x := range [2]float64{real(c), imag(c)} {
+					want := make([]uint64, ctx.Basis.K()) // a word-sized part is left 0
+					if math.Abs(x) >= wordCoeffBound {
+						bi, _ := big.NewFloat(x).Int(nil)
+						want = bigResidues(ctx.Basis, bi)
+					}
+					for i, row := range dst.Coeffs {
+						if got := row[j+k*n]; got != want[i] {
+							t.Fatalf("coefficient %d part %d = %g, row %d: %d, want %d", j, k, x, i, got, want[i])
+						}
+					}
+				}
+			}
+			for _, bad := range []complex128{complex(math.Inf(1), 0), complex(0, math.Inf(-1)), complex(math.NaN(), 0)} {
+				v[enc.fft.bitrev[1]] = bad
+				err := enc.encodeWide(dst, v, 1, 1, 1)
+				if err == nil || !strings.Contains(err.Error(), "non-finite coefficient") {
+					t.Fatalf("%v: error %v, want a non-finite coefficient", bad, err)
+				}
 			}
 		})
 	}

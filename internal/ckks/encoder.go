@@ -3,7 +3,6 @@ package ckks
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"math/bits"
 	"math/cmplx"
 	"sync"
@@ -381,11 +380,12 @@ func reduceBarrett(row []uint64, c []int64, mod uintmod.Modulus) {
 // encodeWide fills the coefficients encode's word path skipped, in the
 // layout roundCoeffs writes (the real part of coefficient t·stride at t,
 // its imaginary part at n + t, n = len(v)/stride): a non-finite one fails,
-// and one at or past wordCoeffBound is decomposed from a big integer,
-// exact as long as the float64 mantissa carried the value, which is the
-// best any double-input encoder can do.
+// and one at or past wordCoeffBound is an integer m·2^e with m < 2^53 and
+// e ≥ 10, so its residue is m·(2^e mod q_i), negated for a negative one.
+// That is exact as long as the float64 mantissa carried the value, which
+// is the best any double-input encoder can do.
 func (e *Encoder) encodeWide(dst *ring.Poly, v []complex128, inv, scale float64, stride int) error {
-	basis := e.params.RingQP.Basis
+	mods := e.params.RingQP.Basis.Mods
 	n := len(v) / stride
 	for t := 0; t < n; t++ {
 		r := e.fft.bitrev[t*stride]
@@ -396,10 +396,14 @@ func (e *Encoder) encodeWide(dst *ring.Poly, v []complex128, inv, scale float64,
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				return fmt.Errorf("ckks: non-finite coefficient at scale %g", scale)
 			}
-			bi, _ := big.NewFloat(x).Int(nil)
-			res := basis.DecomposeSigned(bi)
+			frac, exp := math.Frexp(math.Abs(x))
+			m, sh := uint64(frac*(1<<53)), uint64(exp-53)
 			for i, row := range dst.Coeffs {
-				row[t+k*n] = res[i]
+				res := mods[i].MulMod(m, mods[i].PowMod(2, sh))
+				if x < 0 {
+					res = uintmod.NegMod(res, mods[i].P)
+				}
+				row[t+k*n] = res
 			}
 		}
 	}

@@ -36,16 +36,3 @@ func (p *Params) SecurityLevel() (int, error) {
 	return 0, fmt.Errorf("ckks: log qp = %d exceeds the 128-bit bound %d for n = %d",
 		logQP, row[128], p.N)
 }
-
-// MaxLogQP exposes the standard's bound for parameter planning.
-func MaxLogQP(n, security int) (int, error) {
-	row, ok := heStdMaxLogQP[n]
-	if !ok {
-		return 0, fmt.Errorf("ckks: no security table entry for n = %d", n)
-	}
-	b, ok := row[security]
-	if !ok {
-		return 0, fmt.Errorf("ckks: no entry for %d-bit security", security)
-	}
-	return b, nil
-}

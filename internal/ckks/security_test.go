@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestStandardSetsSecurity(t *testing.T) {
 		if lvl != 128 {
 			t.Errorf("%s: security level %d, want 128", spec.Name, lvl)
 		}
-		bound, err := MaxLogQP(params.N, 128)
+		bound, err := maxLogQP(params.N, 128)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,10 +34,10 @@ func TestSecurityLevelErrors(t *testing.T) {
 	if _, err := params.SecurityLevel(); err == nil {
 		t.Error("oversized modulus should fail the security check")
 	}
-	if _, err := MaxLogQP(1000, 128); err == nil {
+	if _, err := maxLogQP(1000, 128); err == nil {
 		t.Error("unknown n should fail")
 	}
-	if _, err := MaxLogQP(1<<12, 100); err == nil {
+	if _, err := maxLogQP(1<<12, 100); err == nil {
 		t.Error("unknown security level should fail")
 	}
 }
@@ -87,4 +88,18 @@ func TestSwitchKeys(t *testing.T) {
 	if _, err := kit.eval.SwitchKeys(prod, swk); err == nil {
 		t.Fatal("degree-2 input should fail")
 	}
+}
+
+// maxLogQP is the standard's bound on log2 qp for ring degree n at the
+// given security level.
+func maxLogQP(n, security int) (int, error) {
+	row, ok := heStdMaxLogQP[n]
+	if !ok {
+		return 0, fmt.Errorf("ckks: no security table entry for n = %d", n)
+	}
+	b, ok := row[security]
+	if !ok {
+		return 0, fmt.Errorf("ckks: no entry for %d-bit security", security)
+	}
+	return b, nil
 }

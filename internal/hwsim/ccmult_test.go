@@ -23,7 +23,7 @@ func TestSimulateCCMultMatchesEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SimulateCCMult(ctx, 16, ct1.Polys, ct2.Polys)
+	got, err := simulateCCMult(ctx, 16, ct1.Polys, ct2.Polys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSimulateCCMultMatchesEvaluator(t *testing.T) {
 
 	// Degree-2 × degree-1 (the "not relinearized yet" case of §4.1).
 	d2 := &ckks.Ciphertext{Polys: want.Polys, Scale: want.Scale, Level: want.Level}
-	got2, err := SimulateCCMult(ctx, 16, d2.Polys, ct1.Polys)
+	got2, err := simulateCCMult(ctx, 16, d2.Polys, ct1.Polys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSimulateCPMultMatchesEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SimulateCCMult(ctx, 16, ct.Polys, []*ring.Poly{ptPoly})
+	got, err := simulateCCMult(ctx, 16, ct.Polys, []*ring.Poly{ptPoly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,30 +104,13 @@ func TestSimulateCPMultMatchesEvaluator(t *testing.T) {
 func TestSimulateCCMultErrors(t *testing.T) {
 	params, _, _, _, _ := hwKit(t)
 	ctx := params.RingQP
-	if _, err := SimulateCCMult(ctx, 16, nil, nil); err == nil {
+	if _, err := simulateCCMult(ctx, 16, nil, nil); err == nil {
 		t.Error("empty operands should fail")
 	}
 	a := []*ring.Poly{ctx.NewPoly(2)}
 	b := []*ring.Poly{ctx.NewPoly(3)}
-	if _, err := SimulateCCMult(ctx, 16, a, b); err == nil {
+	if _, err := simulateCCMult(ctx, 16, a, b); err == nil {
 		t.Error("level mismatch should fail")
-	}
-}
-
-// The Section 4.1 transfer accounting: HEAX's layout moves strictly fewer
-// words whenever α·β+min > α+β (i.e. any real multiplication).
-func TestCCMultTransferWords(t *testing.T) {
-	cases := []struct{ alpha, beta int }{{2, 2}, {3, 2}, {3, 3}}
-	n := 1 << 13
-	for _, c := range cases {
-		heax, naive := CCMultTransferWords(c.alpha, c.beta, n)
-		if heax != (c.alpha+c.beta)*n {
-			t.Fatalf("heax words wrong for %+v", c)
-		}
-		if naive <= heax {
-			t.Fatalf("α=%d β=%d: expected the minimum-BRAM layout to transfer more (%d vs %d)",
-				c.alpha, c.beta, naive, heax)
-		}
 	}
 }
 
@@ -162,7 +145,7 @@ func TestSimulateRotationMatchesEvaluator(t *testing.T) {
 
 	key := gks.Rotations[step]
 	table := ctx.AutomorphismNTTTable(key.GaloisElt)
-	r0, r1, err := SimulateRotation(ctx, arch, ct.Polys[0], ct.Polys[1], table, key.SwitchingKey.Digits)
+	r0, r1, err := simulateRotation(ctx, arch, ct.Polys[0], ct.Polys[1], table, key.SwitchingKey.Digits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +157,7 @@ func TestSimulateRotationMatchesEvaluator(t *testing.T) {
 // The other Galois operations, against the same model, which runs no
 // part of the evaluator's rotation kernel: conjugation under the
 // conjugation key's element, rotations at every level below the top, and
-// InnerSum as SimulateRotation and ring addition round by round — each
+// InnerSum as simulateRotation and ring addition round by round — each
 // bit for bit, with the evaluator's rows inline and fanned out.
 func TestSimulateGaloisOpsMatchEvaluator(t *testing.T) {
 	params, kg, sk, _, eval := hwKit(t)
@@ -185,7 +168,7 @@ func TestSimulateGaloisOpsMatchEvaluator(t *testing.T) {
 	// simulate is one hardware rotation of ct under key.
 	simulate := func(t *testing.T, ct *ckks.Ciphertext, key *ckks.GaloisKey) *ckks.Ciphertext {
 		t.Helper()
-		r0, r1, err := SimulateRotation(ctx, arch, ct.Polys[0], ct.Polys[1], ctx.AutomorphismNTTTable(key.GaloisElt), key.SwitchingKey.Digits)
+		r0, r1, err := simulateRotation(ctx, arch, ct.Polys[0], ct.Polys[1], ctx.AutomorphismNTTTable(key.GaloisElt), key.SwitchingKey.Digits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,4 +233,65 @@ func randomCtAt(params *ckks.Params, rng *rand.Rand, level int) *ckks.Ciphertext
 		return p
 	}
 	return &ckks.Ciphertext{Polys: []*ring.Poly{mk(), mk()}, Scale: params.DefaultScale(), Level: level}
+}
+
+// ccMultResult carries the product components and the module's cycle
+// cost.
+type ccMultResult struct {
+	Polys  []*ring.Poly
+	Cycles int64
+}
+
+// simulateCCMult is the MULT module's full homomorphic multiplication
+// mode (Section 4.1): a C-C (or C-P) multiply between NTT-form
+// ciphertexts of α and β components produces α+β−1 components, all
+// pairwise dyadic products per RNS row on a module with nc dyadic cores.
+func simulateCCMult(ctx *ring.Context, nc int, a, b []*ring.Poly) (*ccMultResult, error) {
+	if len(a) == 0 || len(b) == 0 {
+		return nil, fmt.Errorf("hwsim: empty operand")
+	}
+	rows := a[0].Rows()
+	for _, p := range append(append([]*ring.Poly{}, a...), b...) {
+		if p.Rows() != rows {
+			return nil, fmt.Errorf("hwsim: operand level mismatch")
+		}
+	}
+	alpha, beta := len(a), len(b)
+	out := make([]*ring.Poly, alpha+beta-1)
+	for t := range out {
+		out[t] = ctx.NewPoly(rows)
+	}
+	var cycles int64
+	for i := 0; i < rows; i++ {
+		sim, err := NewMULTModuleSim(ctx.Basis.Primes[i], nc)
+		if err != nil {
+			return nil, err
+		}
+		for ai := 0; ai < alpha; ai++ {
+			for bi := 0; bi < beta; bi++ {
+				sim.DyadicAcc(a[ai].Coeffs[i], b[bi].Coeffs[i], out[ai+bi].Coeffs[i])
+			}
+		}
+		cycles += sim.Cycles
+	}
+	return &ccMultResult{Polys: out, Cycles: cycles}, nil
+}
+
+// simulateRotation runs a full homomorphic rotation on the simulated
+// hardware: the Galois permutation is pure addressing (applied while
+// reading BRAM, costing no datapath cycles), followed by the KeySwitch
+// pipeline on the permuted c1 and the final addition into c0.
+func simulateRotation(ctx *ring.Context, arch core.KeySwitchArch, c0, c1 *ring.Poly, auto *ring.Automorphism, digits [][2]*ring.Poly) (r0, r1 *ring.Poly, err error) {
+	rows := c0.Rows()
+	c0g := ctx.NewPoly(rows)
+	c1g := ctx.NewPoly(rows)
+	ctx.AutomorphismNTT(c0, auto, c0g)
+	ctx.AutomorphismNTT(c1, auto, c1g)
+	sim := NewKeySwitchSim(ctx, arch)
+	ks0, ks1, err := sim.Run(c1g, digits)
+	if err != nil {
+		return nil, nil, err
+	}
+	ctx.Add(c0g, ks0, c0g)
+	return c0g, ks1, nil
 }

@@ -112,9 +112,6 @@ func TestNTTModuleCyclesMatchFormula(t *testing.T) {
 				if sim.Cycles != want {
 					t.Errorf("n=%d nc=%d inv=%v: cycles %d, want %d", n, nc, inverse, sim.Cycles, want)
 				}
-				if sim.SteadyStateCycles() != want {
-					t.Errorf("n=%d nc=%d: closed form disagrees", n, nc)
-				}
 			}
 		}
 	}
@@ -149,9 +146,6 @@ func TestPipelineModeAblation(t *testing.T) {
 		}
 		if basic.Cycles <= opt.Cycles {
 			t.Fatalf("nc=%d: basic pipeline should cost more (%d vs %d)", nc, basic.Cycles, opt.Cycles)
-		}
-		if basic.SteadyStateCycles() != basic.Cycles {
-			t.Fatalf("nc=%d: basic closed form %d != measured %d", nc, basic.SteadyStateCycles(), basic.Cycles)
 		}
 		// Type-1 stages double: expected ratio (2·t1 + t2)/(t1 + t2).
 		logn, logw := 12, log2(2*nc)

@@ -185,26 +185,6 @@ func (s *NTTModuleSim) record(stage, step int, type1 bool, addrs ...int) {
 	})
 }
 
-// SteadyStateCycles returns the closed-form throughput cost of one
-// transform: n·log n/(2·nc) for the optimized pipeline (Section 4.2), and
-// the Type-1 stages doubled for the basic pipeline.
-func (s *NTTModuleSim) SteadyStateCycles() int64 {
-	n := s.Tables.N
-	logn := bits.Len(uint(n)) - 1
-	w := 2 * s.NC
-	logw := bits.Len(uint(w)) - 1
-	type1 := logn - logw // stages with cross-ME partners
-	if type1 < 0 {
-		type1 = 0
-	}
-	perStage := int64(n / w) // one ME transaction per row (pairs cost 2)
-	if s.Mode == BasicPipeline {
-		// Type-1 stages run at half utilization: 2× their cycle count.
-		return perStage * int64(2*type1+(logn-type1))
-	}
-	return perStage * int64(logn)
-}
-
 // ResetCounters clears accumulated cycles and traces.
 func (s *NTTModuleSim) ResetCounters() {
 	s.Cycles = 0

@@ -203,21 +203,6 @@ func bitrev(x uint, width int) uint {
 	return bits.Reverse(x) >> (bits.UintSize - width)
 }
 
-// BitrevPermute permutes a in place by bit reversal of indices. The
-// transforms themselves never need this (bit-reversed order cancels
-// between NTT and INTT); it is exported for tests and for the hardware
-// simulator's output-ordering checks.
-func BitrevPermute(a []uint64) {
-	n := len(a)
-	logn := bits.Len(uint(n)) - 1
-	for i := 0; i < n; i++ {
-		j := int(bitrev(uint(i), logn))
-		if i < j {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
-}
-
 // ForwardStrict computes the in-place negacyclic NTT of a (Algorithm 3)
 // with strict per-butterfly reduction: the output, in bit-reversed order,
 // is ã_j = Σ_i a_i ψ^{(2i+1)·j'} where j' is the bit-reversal of j. It is
@@ -300,24 +285,4 @@ func (t *Tables) InverseTwiddle(idx int) (w, shoup64, shoup54 uint64) {
 		shoup54 = e.psiInvRevHalfShoup54[idx]
 	}
 	return w, shoup64, shoup54
-}
-
-// NegacyclicConvolution computes c = a·b in Z_p[X]/(X^n+1) by the O(n^2)
-// schoolbook formula from Section 3.1. It exists as an independent oracle
-// for testing the transforms and is not used on any fast path.
-func NegacyclicConvolution(a, b []uint64, p uint64) []uint64 {
-	n := len(a)
-	m := uintmod.NewModulus(p)
-	c := make([]uint64, n)
-	for j := 0; j < n; j++ {
-		var acc uint64
-		for i := 0; i <= j; i++ {
-			acc = uintmod.AddMod(acc, m.MulMod(a[i], b[j-i]), p)
-		}
-		for i := j + 1; i < n; i++ {
-			acc = uintmod.SubMod(acc, m.MulMod(a[i], b[j-i+n]), p)
-		}
-		c[j] = acc
-	}
-	return c
 }

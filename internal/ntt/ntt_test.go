@@ -1,6 +1,7 @@
 package ntt
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -44,8 +45,8 @@ func TestBitrevPermuteInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomPoly(rng, 64, 1<<30)
 	b := append([]uint64(nil), a...)
-	BitrevPermute(b)
-	BitrevPermute(b)
+	bitrevPermute(b)
+	bitrevPermute(b)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("bitrev permute is not an involution")
@@ -94,7 +95,7 @@ func TestConvolutionTheorem(t *testing.T) {
 		p := tb.Mod.P
 		a := randomPoly(rng, n, p)
 		b := randomPoly(rng, n, p)
-		want := NegacyclicConvolution(a, b, p)
+		want := negacyclicConvolution(a, b, p)
 
 		ah := append([]uint64(nil), a...)
 		bh := append([]uint64(nil), b...)
@@ -263,4 +264,38 @@ func benchTransform(b *testing.B, transform func(*Tables, []uint64)) {
 			}
 		})
 	}
+}
+
+// bitrevPermute permutes a in place by bit reversal of indices. The
+// transforms themselves never need this: bit-reversed order cancels
+// between NTT and INTT.
+func bitrevPermute(a []uint64) {
+	n := len(a)
+	logn := bits.Len(uint(n)) - 1
+	for i := 0; i < n; i++ {
+		j := int(bitrev(uint(i), logn))
+		if i < j {
+			a[i], a[j] = a[j], a[i]
+		}
+	}
+}
+
+// negacyclicConvolution computes c = a·b in Z_p[X]/(X^n+1) by the O(n^2)
+// schoolbook formula from Section 3.1, an oracle independent of the
+// transforms.
+func negacyclicConvolution(a, b []uint64, p uint64) []uint64 {
+	n := len(a)
+	m := uintmod.NewModulus(p)
+	c := make([]uint64, n)
+	for j := 0; j < n; j++ {
+		var acc uint64
+		for i := 0; i <= j; i++ {
+			acc = uintmod.AddMod(acc, m.MulMod(a[i], b[j-i]), p)
+		}
+		for i := j + 1; i < n; i++ {
+			acc = uintmod.SubMod(acc, m.MulMod(a[i], b[j-i+n]), p)
+		}
+		c[j] = acc
+	}
+	return c
 }

@@ -164,14 +164,6 @@ func (s *Sampler) fillSmall(p *Poly) {
 	}
 }
 
-// SetCoeffInt64 is a helper for tests: sets coefficient j of every row
-// from the signed word v.
-func (c *Context) SetCoeffInt64(p *Poly, j int, v int64) {
-	for i := range p.Coeffs {
-		p.Coeffs[i][j] = c.Basis.ReduceInt64(v, i)
-	}
-}
-
 // InfNormSigned returns the max absolute centered value of a
 // coefficient-domain polynomial as a float64: each coefficient composed
 // from its rows in word-sized RNS arithmetic (rns.Composer, the

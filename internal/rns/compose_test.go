@@ -133,7 +133,7 @@ func TestComposerMatchesComposeCentered(t *testing.T) {
 		}
 		x, y := make([]uint64, c.w+1), make([]uint64, k)
 		for _, v := range vals {
-			res := sub.Decompose(v)
+			res := sub.decompose(v)
 			want := sub.ComposeCentered(res)
 			neg := c.centered(res, x, y)
 			got := new(big.Int)

@@ -1,6 +1,6 @@
 // Package rns implements the residue number system machinery of
 // Section 2: a basis of pairwise-coprime word-sized primes p_0..p_L
-// representing Z_q with q = Π p_i, CRT composition/decomposition against
+// representing Z_q with q = Π p_i, CRT composition against
 // big integers, and the precomputed per-prime constants (π_i, [π_i^{-1}]_{p_i},
 // cross-prime reductions and inverses) that the CKKS evaluation algorithms
 // consume.
@@ -106,26 +106,6 @@ func (b *Basis) QAtLevel(level int) *big.Int {
 	return q
 }
 
-// Decompose maps a non-negative big integer to its residues.
-func (b *Basis) Decompose(x *big.Int) []uint64 {
-	out := make([]uint64, len(b.Primes))
-	tmp := new(big.Int)
-	for i, p := range b.Primes {
-		out[i] = tmp.Mod(x, new(big.Int).SetUint64(p)).Uint64()
-	}
-	return out
-}
-
-// DecomposeSigned maps a possibly negative big integer to residues of its
-// value mod q.
-func (b *Basis) DecomposeSigned(x *big.Int) []uint64 {
-	if x.Sign() >= 0 {
-		return b.Decompose(x)
-	}
-	t := new(big.Int).Mod(x, b.q) // Go's Mod is Euclidean: result in [0, q)
-	return b.Decompose(t)
-}
-
 // ReduceInt64 returns x mod p_i in [0, p_i).
 func (b *Basis) ReduceInt64(x int64, i int) uint64 {
 	p := b.Primes[i]
@@ -134,21 +114,4 @@ func (b *Basis) ReduceInt64(x int64, i int) uint64 {
 	}
 	r := b.Mods[i].Reduce(uint64(-x))
 	return uintmod.NegMod(r, p)
-}
-
-// GadgetVector returns the RNS gadget vector of Section 3.4 for the first
-// (level+1) primes: g_i = π_i · [π_i^{-1}]_{p_i} over q_level, as big
-// integers. It is used by tests to check the gadget identity
-// a = <g, g^{-1}(a)> (mod q_level).
-func (b *Basis) GadgetVector(level int) []*big.Int {
-	q := b.QAtLevel(level)
-	out := make([]*big.Int, level+1)
-	for i := 0; i <= level; i++ {
-		pi := new(big.Int).Div(q, new(big.Int).SetUint64(b.Primes[i]))
-		rem := new(big.Int).Mod(pi, new(big.Int).SetUint64(b.Primes[i])).Uint64()
-		inv := b.Mods[i].InvMod(rem)
-		g := new(big.Int).Mul(pi, new(big.Int).SetUint64(inv))
-		out[i] = g.Mod(g, q)
-	}
-	return out
 }

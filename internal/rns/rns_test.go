@@ -44,7 +44,7 @@ func TestComposeDecomposeRoundTrip(t *testing.T) {
 	q := b.Q()
 	for i := 0; i < 200; i++ {
 		x := new(big.Int).Rand(rng, q)
-		res := b.Decompose(x)
+		res := b.decompose(x)
 		got := b.Compose(res)
 		if got.Cmp(x) != 0 {
 			t.Fatalf("roundtrip failed: %v != %v", got, x)
@@ -55,7 +55,7 @@ func TestComposeDecomposeRoundTrip(t *testing.T) {
 func TestComposeCentered(t *testing.T) {
 	b := testBasis(t, 30, 64, 3)
 	for _, x := range []int64{0, 1, -1, 12345, -12345, 1 << 40, -(1 << 40)} {
-		res := b.DecomposeSigned(big.NewInt(x))
+		res := b.decomposeSigned(big.NewInt(x))
 		got := b.ComposeCentered(res)
 		if got.Int64() != x {
 			t.Fatalf("centered compose of %d = %v", x, got)
@@ -71,7 +71,7 @@ func TestQuickCRTHomomorphism(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		x := new(big.Int).Rand(rng, q)
 		y := new(big.Int).Rand(rng, q)
-		rx, ry := b.Decompose(x), b.Decompose(y)
+		rx, ry := b.decompose(x), b.decompose(y)
 		prod := make([]uint64, b.K())
 		for i := range prod {
 			prod[i] = b.Mods[i].MulMod(rx[i], ry[i])
@@ -110,7 +110,7 @@ func TestSubBasisAndLevels(t *testing.T) {
 func TestGadgetIdentity(t *testing.T) {
 	b := testBasis(t, 40, 4096, 4)
 	for level := 0; level < 4; level++ {
-		g := b.GadgetVector(level)
+		g := b.gadgetVector(level)
 		q := b.QAtLevel(level)
 		rng := rand.New(rand.NewSource(int64(level)))
 		for rep := 0; rep < 20; rep++ {
@@ -132,10 +132,47 @@ func BenchmarkCompose8(b *testing.B) {
 	ba := testBasis(b, 48, 16384, 8)
 	rng := rand.New(rand.NewSource(2))
 	x := new(big.Int).Rand(rng, ba.Q())
-	res := ba.Decompose(x)
+	res := ba.decompose(x)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ba.Compose(res)
 	}
+}
+
+// decompose maps a non-negative big integer to its residues.
+func (b *Basis) decompose(x *big.Int) []uint64 {
+	out := make([]uint64, len(b.Primes))
+	tmp := new(big.Int)
+	for i, p := range b.Primes {
+		out[i] = tmp.Mod(x, new(big.Int).SetUint64(p)).Uint64()
+	}
+	return out
+}
+
+// decomposeSigned maps a possibly negative big integer to residues of its
+// value mod q.
+func (b *Basis) decomposeSigned(x *big.Int) []uint64 {
+	if x.Sign() >= 0 {
+		return b.decompose(x)
+	}
+	t := new(big.Int).Mod(x, b.q) // Go's Mod is Euclidean: result in [0, q)
+	return b.decompose(t)
+}
+
+// gadgetVector returns the RNS gadget vector of Section 3.4 for the first
+// (level+1) primes: g_i = π_i · [π_i^{-1}]_{p_i} over q_level, as big
+// integers, for checking the gadget identity a = <g, g^{-1}(a)>
+// (mod q_level).
+func (b *Basis) gadgetVector(level int) []*big.Int {
+	q := b.QAtLevel(level)
+	out := make([]*big.Int, level+1)
+	for i := 0; i <= level; i++ {
+		pi := new(big.Int).Div(q, new(big.Int).SetUint64(b.Primes[i]))
+		rem := new(big.Int).Mod(pi, new(big.Int).SetUint64(b.Primes[i])).Uint64()
+		inv := b.Mods[i].InvMod(rem)
+		g := new(big.Int).Mul(pi, new(big.Int).SetUint64(inv))
+		out[i] = g.Mod(g, q)
+	}
+	return out
 }

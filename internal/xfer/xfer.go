@@ -1,7 +1,7 @@
 // Package xfer models the system-level data movement of Section 5: PCIe
-// transfers between host and FPGA (batching, multi-threaded interleaving,
-// double/quadruple buffering) and DRAM streaming of key-switching keys
-// for parameter sets whose keys do not fit on chip.
+// transfers between host and FPGA (batching, multi-threaded interleaving)
+// and DRAM streaming of key-switching keys for parameter sets whose keys
+// do not fit on chip. The double/quadruple buffering is internal/host's.
 //
 // The models answer the feasibility questions the paper answers
 // quantitatively: does the PCIe link keep the compute modules fed, and
@@ -149,17 +149,6 @@ func MULTFeed(d *core.Design) MULTFeedReport {
 		TransferSec:   tx,
 		PCIeBound:     tx > compute,
 	}
-}
-
-// BufferPlan summarizes Section 5.2's buffering rules for a design.
-type BufferPlan struct {
-	MULTBuffers      int // double buffering for the MULT module inputs
-	KeySwitchBuffers int // f1 quadruple buffering for the input polynomial
-}
-
-// PlanBuffers derives the buffering plan from the architecture.
-func PlanBuffers(d *core.Design) BufferPlan {
-	return BufferPlan{MULTBuffers: 2, KeySwitchBuffers: d.Arch.F1()}
 }
 
 // String renders the DRAM report like the Section 5.1 prose.

@@ -106,14 +106,3 @@ func TestMULTFeedPCIeBound(t *testing.T) {
 		}
 	}
 }
-
-func TestPlanBuffers(t *testing.T) {
-	d := setCDesign(t)
-	plan := PlanBuffers(d)
-	if plan.MULTBuffers != 2 {
-		t.Fatal("MULT inputs are double-buffered")
-	}
-	if plan.KeySwitchBuffers != 4 {
-		t.Fatalf("KeySwitch input should be quadruple-buffered, got %d", plan.KeySwitchBuffers)
-	}
-}

@@ -22,7 +22,5 @@ out=${1:-api.txt}
 	go doc -all heax/serve/durable
 	echo
 	go doc -all heax/arch
-	echo
-	go doc -all heax/bench
 } >"$out"
 echo "wrote $out" >&2
